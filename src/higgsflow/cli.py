@@ -18,15 +18,15 @@ import numpy as np
 
 from .diagnostics import flatness_certificate
 from .extensions import rho_sweep, verify_filtration
-from .flows import (FlowBlowup, HiggsPair, flow_equivalence_check,
-                    run_donaldson_flow, run_ymh_flow)
+from .flows import (FlowBlowup, flow_equivalence_check, run_donaldson_flow,
+                    run_ymh_flow)
 from .geometry import validate_structure
 from .scenarios import (build_scenario, get_scenario, scenario_catalog,
                         scenario_subbundles)
 from .snapshots import load_state, save_state
 
 CONFIG_KEYS = {
-    "scenario": str, "state.file": str, "n": int, "N": int,
+    "scenario": str, "state.file": str, "N": int,
     "flow.kind": str, "flow.dt": float, "flow.T": float, "flow.fixed": int,
     "target.epsilon": float, "out.dir": str, "seed": int,
     "rho.values": str, "tolerance": float,
@@ -115,7 +115,7 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     try:
         cfg = _merged(args, {"flow.kind": "donaldson", "flow.dt": 1e-3,
-                             "flow.T": 1.0, "flow.fixed": 0, "seed": 0})
+                             "flow.T": 1.0, "flow.fixed": 0})
         state, scenario = _load_state_from(cfg)
         out_dir = Path(cfg.get("out.dir", "out"))
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -128,19 +128,14 @@ def cmd_run(args) -> int:
     try:
         if kind == "donaldson":
             result = run_donaldson_flow(state, T, dt, fixed_dt=fixed)
-            final_state = result.final
         elif kind == "ymh":
-            pair = HiggsPair(state.structure, state.metric)
-            result = run_ymh_flow(pair, T, dt, fixed_dt=fixed)
-            final_state = result.final.as_state()
+            result = run_ymh_flow(state, T, dt, fixed_dt=fixed)
         elif kind == "none":
             result = None
-            final_state = state
         else:
             return _fail(f"unknown flow kind '{kind}'")
     except FlowBlowup as exc:
-        healthy = exc.state if kind == "donaldson" else exc.state.as_state()
-        save_state(healthy, out_dir / "last_healthy.snap")
+        save_state(exc.state, out_dir / "last_healthy.snap")
         exc.trace.write_csv(out_dir / "trace.csv")
         return _fail(f"flow blew up: {exc}",
                      {"snapshot": str(out_dir / "last_healthy.snap"),
@@ -150,6 +145,7 @@ def cmd_run(args) -> int:
         return _fail(f"flow failed: {exc}",
                      {"snapshot": str(out_dir / "last_healthy.snap")}, code=3)
 
+    final_state = state if result is None else result.final
     summary = {"scenario": getattr(scenario, "name", None),
                "flow": {"kind": kind, "T": T, "dt": dt, "fixed": fixed}}
     if result is not None:
@@ -277,7 +273,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--scenario", dest="scenario")
     p.add_argument("--state-file", dest="state_file")
-    p.add_argument("--n", dest="n", type=int)
     p.add_argument("--N", dest="N", type=int)
     p.add_argument("--flow-kind", dest="flow_kind",
                    choices=["donaldson", "ymh", "none"])
@@ -286,7 +281,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--flow-fixed", dest="flow_fixed", type=int)
     p.add_argument("--target-epsilon", dest="target_epsilon", type=float)
     p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--seed", dest="seed", type=int)
+    p.add_argument("--seed", dest="seed", type=int,
+                   help="reserved: accepted, and unused by every verb")
     p.add_argument("--rho-values", dest="rho_values")
     p.add_argument("--tolerance", dest="tolerance", type=float)
 

@@ -236,11 +236,11 @@ def flatness_certificate(state: HiggsBundleState,
     hs = hitchin_simpson_curvature(state)
     H = state.metric
     achieved = hs.sup_norm(H)
+    sups = {key: sup_norm(f, H.mat) for key, f in hs.parts.items()}
     return FlatnessCertificate(
         eps_achieved=achieved,
-        sup_curvature_part=sup_norm(hs.part11, H.mat),
-        sup_dphi=sup_norm(hs.dphi, H.mat) if hs.dphi is not None else 0.0,
-        sup_dbar_phistar=sup_norm(hs.dbar_phistar, H.mat)
-        if hs.dbar_phistar is not None else 0.0,
+        sup_curvature_part=sups[(1, 1)],
+        sup_dphi=sups.get((2, 0), 0.0),
+        sup_dbar_phistar=sups.get((0, 2), 0.0),
         n=state.base.n, N=state.base.N, rank=state.rank,
         eps_target=eps_target, passed=bool(achieved < eps_target))

@@ -21,12 +21,12 @@ from .flows import run_donaldson_flow
 from .geometry import (HermitianMetric, HiggsBundleState, HiggsStructure,
                        adjoint_field, chern_connection, curvature,
                        hitchin_simpson_curvature)
-from .grid import (MatrixFormField, contract_lambda, d_flat, dbar_flat,
-                   integrate, pointwise_norm2, sup_norm, tr_field, wedge)
+from .grid import (MatrixFormField, MixedField, contract_lambda, d_flat,
+                   dbar_flat, integrate, sup_norm, tr_field, wedge)
 from .linalg import dagger, sqrtm_hpd, trace
 
 __all__ = [
-    "HiggsSubbundle", "SubbundleReport", "subbundle_report", "MixedField",
+    "HiggsSubbundle", "SubbundleReport", "subbundle_report",
     "ExtensionData", "split_extension", "GaussCodazziReport",
     "gauss_codazzi_blocks", "scaled_extension_metric", "scaled_adjoint_check",
     "assemble_block_state", "RhoSweepRow", "rho_sweep",
@@ -35,51 +35,6 @@ __all__ = [
     "assemble_filtration_metric", "SlopePositivityReport",
     "slope_positivity_report", "suggest_subbundles",
 ]
-
-
-class MixedField:
-    """Formal sum of matrix form fields of different bidegrees.
-
-    Wedges that overflow the bidegree range vanish identically and are
-    dropped, matching the continuum where those slots do not exist.
-    """
-
-    def __init__(self, parts=()):
-        self.parts: dict[tuple[int, int], MatrixFormField] = {}
-        for f in parts:
-            self._accumulate(f)
-
-    def _accumulate(self, f: MatrixFormField):
-        key = (f.p, f.q)
-        self.parts[key] = self.parts[key] + f if key in self.parts else f
-
-    def __add__(self, other: "MixedField") -> "MixedField":
-        return MixedField(list(self.parts.values()) + list(other.parts.values()))
-
-    def __sub__(self, other: "MixedField") -> "MixedField":
-        return MixedField(list(self.parts.values()) +
-                          [-1.0 * f for f in other.parts.values()])
-
-    def wedge(self, other: "MixedField") -> "MixedField":
-        out = []
-        for f in self.parts.values():
-            n = f.base.n
-            for g in other.parts.values():
-                if f.p + g.p <= n and f.q + g.q <= n:
-                    out.append(wedge(f, g))
-        return MixedField(out)
-
-    def pointwise_norm2(self) -> np.ndarray:
-        acc = None
-        for f in self.parts.values():
-            n2 = pointwise_norm2(f)
-            acc = n2 if acc is None else acc + n2
-        if acc is None:
-            raise ValueError("empty mixed field")
-        return acc
-
-    def sup(self) -> float:
-        return float(np.sqrt(max(self.pointwise_norm2().max(), 0.0)))
 
 
 @dataclass(eq=False)
@@ -151,11 +106,10 @@ def subbundle_report(state: HiggsBundleState, sub: HiggsSubbundle,
     rank_const = float(np.abs(np.real(trace(pi)) - sub.rank).max())
 
     pi_f = sub.as_field(base)
-    one_minus = MatrixFormField.zeros(base, 0, 0, state.rank)
-    one_minus.comps[0, 0] = sub.complement()
-    inv_res = sup_norm(wedge(wedge(one_minus, phi), pi_f), H.mat)
+    one_minus = sub.complement()
+    inv_res = sup_norm(phi.sandwich(one_minus, pi), H.mat)
     dbar_pi = dbar_flat(pi_f) + wedge(a, pi_f) - wedge(pi_f, a)
-    holo_res = sup_norm(wedge(wedge(one_minus, dbar_pi), pi_f), H.mat)
+    holo_res = sup_norm(dbar_pi.sandwich(one_minus, pi), H.mat)
     return SubbundleReport(idem, sadj, rank_const, inv_res, holo_res,
                            sub.rank, tol,
                            valid=max(idem, sadj, rank_const, inv_res,
@@ -189,14 +143,13 @@ def _orthonormal_frame(H: HermitianMetric, pi: np.ndarray, p: int,
 
 
 def _block(H: HermitianMetric, U: np.ndarray, f: MatrixFormField,
-           V: np.ndarray) -> MatrixFormField:
-    """Block U^{+H} f V of a form field between two H-orthonormal frames."""
-    out = MatrixFormField.zeros(f.base, f.p, f.q, U.shape[-1], V.shape[-1])
-    proj = dagger(U) @ H.mat
-    for ip in range(f.comps.shape[0]):
-        for iq in range(f.comps.shape[1]):
-            out.comps[ip, iq] = proj @ f.comps[ip, iq] @ V
-    return out
+           V: np.ndarray | None = None) -> MatrixFormField:
+    """Block U^{+H} f V of a form field between two H-orthonormal frames.
+
+    Without V the result is the coefficient field U^{+H} f of a
+    frame-valued f.
+    """
+    return f.sandwich(dagger(U) @ H.mat, V)
 
 
 def _dbar_of_frame(a: MatrixFormField, U: np.ndarray) -> MatrixFormField:
@@ -204,17 +157,6 @@ def _dbar_of_frame(a: MatrixFormField, U: np.ndarray) -> MatrixFormField:
     Uf = MatrixFormField.zeros(a.base, 0, 0, U.shape[-2], U.shape[-1])
     Uf.comps[0, 0] = U
     return dbar_flat(Uf) + wedge(a, Uf)
-
-
-def _frame_coeff(H: HermitianMetric, U: np.ndarray,
-                 f: MatrixFormField) -> MatrixFormField:
-    """Coefficients U^{+H} f of a frame-valued form field."""
-    out = MatrixFormField.zeros(f.base, f.p, f.q, U.shape[-1], f.cols)
-    proj = dagger(U) @ H.mat
-    for ip in range(f.comps.shape[0]):
-        for iq in range(f.comps.shape[1]):
-            out.comps[ip, iq] = proj @ f.comps[ip, iq]
-    return out
 
 
 @dataclass(eq=False)
@@ -273,10 +215,10 @@ def split_extension(state: HiggsBundleState, sub: HiggsSubbundle,
                              against=U_s)
 
     dbar_Us, dbar_Uq = _dbar_of_frame(a, U_s), _dbar_of_frame(a, U_q)
-    a_s = _frame_coeff(H, U_s, dbar_Us)
-    a_q = _frame_coeff(H, U_q, dbar_Uq)
-    gamma = _frame_coeff(H, U_s, dbar_Uq)
-    lower_dbar = _frame_coeff(H, U_q, dbar_Us)
+    a_s = _block(H, U_s, dbar_Us)
+    a_q = _block(H, U_q, dbar_Uq)
+    gamma = _block(H, U_s, dbar_Uq)
+    lower_dbar = _block(H, U_q, dbar_Us)
 
     phi_s = _block(H, U_s, phi, U_s)
     phi_q = _block(H, U_q, phi, U_q)
@@ -311,11 +253,8 @@ def _blockify(tl, tr, bl, br, s: int, q: int) -> MatrixFormField:
 
 def _blockdiag_mixed(top: MixedField, bottom: MixedField, s: int,
                      q: int) -> MixedField:
-    out = []
-    for key in sorted(set(top.parts) | set(bottom.parts)):
-        out.append(_blockify(top.parts.get(key), None, None,
-                             bottom.parts.get(key), s, q))
-    return MixedField(out)
+    return MixedField(_blockify(top.get(key), None, None, bottom.get(key), s, q)
+                      for key in sorted(set(top) | set(bottom)))
 
 
 @dataclass(eq=False)
@@ -380,39 +319,14 @@ def gauss_codazzi_blocks(state: HiggsBundleState, sub: HiggsSubbundle,
             _hom_d01(phi_q_st, ext.a_q, ext.a_q) + wedge(zeta_st, gamma))
     assembled = MixedField(parts)
 
-    hs = hitchin_simpson_curvature(state)
     U = np.concatenate([ext.frame_s, ext.frame_q], axis=-1)
-    proj = dagger(U) @ state.metric.mat
+    ambient = MixedField(_block(state.metric, U, f, U) for f in
+                         hitchin_simpson_curvature(state).parts.values())
 
-    def conj(fieldm: MatrixFormField) -> MatrixFormField:
-        out = MatrixFormField.zeros(base, fieldm.p, fieldm.q, s + q)
-        for ip in range(fieldm.comps.shape[0]):
-            for iq in range(fieldm.comps.shape[1]):
-                out.comps[ip, iq] = proj @ fieldm.comps[ip, iq] @ U
-        return out
-
-    ambient_parts = [conj(hs.part11)]
-    if hs.dphi is not None:
-        ambient_parts.append(conj(hs.dphi))
-    if hs.dbar_phistar is not None:
-        ambient_parts.append(conj(hs.dbar_phistar))
-    ambient = MixedField(ambient_parts)
-
-    residual = 0.0
-    scale = 0.0
-    for key in sorted(set(assembled.parts) | set(ambient.parts)):
-        blk = assembled.parts.get(key)
-        amb = ambient.parts.get(key)
-        if blk is None:
-            residual = max(residual, sup_norm(amb))
-            scale = max(scale, sup_norm(amb))
-        elif amb is None:
-            residual = max(residual, sup_norm(blk))
-            scale = max(scale, sup_norm(blk))
-        else:
-            residual = max(residual, sup_norm(blk - amb))
-            scale = max(scale, sup_norm(amb), sup_norm(blk))
-    return GaussCodazziReport(assembled.parts, ambient.parts, residual, scale)
+    # a degree missing on one side compares against zero
+    residual = max(sup_norm(f) for f in (assembled - ambient).values())
+    scale = max(sup_norm(f) for f in (*assembled.values(), *ambient.values()))
+    return GaussCodazziReport(assembled, ambient, residual, scale)
 
 
 # -- the scaled extension metric and the rho sweep ----------------------------------
@@ -474,18 +388,10 @@ class RhoSweepRow:
                 "sup_c1": self.sup_c1, "sup_f": self.sup_f}
 
 
-def _factor_flat_parts(ext: ExtensionData, base) -> MixedField:
+def _factor_flat_parts(ext: ExtensionData) -> MixedField:
     """Direct-sum part: full Hitchin-Simpson curvature of each factor."""
-    parts_top, parts_bot = [], []
-    for st, sink in ((ext.sub_state(), parts_top),
-                     (ext.quotient_state(), parts_bot)):
-        hs = hitchin_simpson_curvature(st)
-        sink.append(hs.part11)
-        if hs.dphi is not None:
-            sink.append(hs.dphi)
-        if hs.dbar_phistar is not None:
-            sink.append(hs.dbar_phistar)
-    return _blockdiag_mixed(MixedField(parts_top), MixedField(parts_bot),
+    return _blockdiag_mixed(hitchin_simpson_curvature(ext.sub_state()).parts,
+                            hitchin_simpson_curvature(ext.quotient_state()).parts,
                             ext.rank_s, ext.rank_q)
 
 
@@ -509,7 +415,7 @@ def rho_sweep(state: HiggsBundleState, sub: HiggsSubbundle,
     b_s = chern_connection(ident_s, ext.a_s)
     b_q = chern_connection(ident_q, ext.a_q)
 
-    sup_a = _factor_flat_parts(ext, base).sup()
+    sup_a = _factor_flat_parts(ext).sup()
 
     gamma_st = adjoint_field(ext.gamma, ident_s, ident_q)
     zeta_st = adjoint_field(ext.zeta, ident_s, ident_q)
@@ -524,14 +430,14 @@ def rho_sweep(state: HiggsBundleState, sub: HiggsSubbundle,
     gpz = MixedField([ext.gamma, ext.zeta])                       # gamma + zeta
     zmg_st = MixedField([zeta_st]) - MixedField([gamma_st])       # zeta* - gamma*
     # derivative terms whose raised degree has no slot vanish identically
-    top_c = MixedField([_hom_d10(f, b_s, b_q) for f in gpz.parts.values()
+    top_c = MixedField([_hom_d10(f, b_s, b_q) for f in gpz.values()
                         if f.p + 1 <= base.n]) \
         + gpz.wedge(MixedField([phi_q_st])) + MixedField([phi_s_st]).wedge(gpz)
     bot_c = MixedField([_hom_d01(f, ext.a_q, ext.a_s)
-                        for f in zmg_st.parts.values() if f.q + 1 <= base.n]) \
+                        for f in zmg_st.values() if f.q + 1 <= base.n]) \
         + zmg_st.wedge(MixedField([ext.phi_s])) + MixedField([ext.phi_q]).wedge(zmg_st)
-    c_fields = [_blockify(None, f, None, None, s, q) for f in top_c.parts.values()] \
-        + [_blockify(None, None, f, None, s, q) for f in bot_c.parts.values()]
+    c_fields = [_blockify(None, f, None, None, s, q) for f in top_c.values()] \
+        + [_blockify(None, None, f, None, s, q) for f in bot_c.values()]
     sup_c1 = MixedField(c_fields).sup() if c_fields else 0.0
 
     rows = []
@@ -582,46 +488,41 @@ def invariant_section_check(state: HiggsBundleState,
     nonnegative in the continuum for invariant holomorphic sections.
     """
     a, phi, H = state.structure.a, state.structure.phi, state.metric
-    base, n, r = state.base, state.base.n, state.rank
+    base, r = state.base, state.rank
     s = np.asarray(section, dtype=np.complex128)
     if s.shape != base.shape + (r,):
         raise ValueError(f"section shape {s.shape} does not match the grid")
     s_col = s[..., None]
-    length2 = np.real(dagger(s_col) @ H.mat @ s_col)[..., 0, 0]
+    s_dual = dagger(s_col) @ H.mat
+    length2 = np.real(s_dual @ s_col)[..., 0, 0]
     if length2.max() <= 0:
         raise ValueError("section is identically zero")
 
+    def norm2_per_component(x):  # H(x_k, x_k) for column blocks x_k
+        return np.real(dagger(x) @ H.mat @ x)[..., 0, 0]
+
     # holomorphy: dbar s + a s
-    sf = MatrixFormField.zeros(base, 0, 0, r, 1)
-    sf.comps[0, 0] = s_col
+    sf = MatrixFormField(base, 0, 0, s_col[None, None])
     dbar_s = dbar_flat(sf) + wedge(a, sf)
     holo = math.sqrt(max(float(
-        sum(np.real(dagger(dbar_s.comps[0, k]) @ H.mat @ dbar_s.comps[0, k])[..., 0, 0]
-            for k in range(n)).max()), 0.0) * 2.0)
+        norm2_per_component(dbar_s.comps[0]).sum(axis=0).max()), 0.0) * 2.0)
 
-    phistar = adjoint_field(phi, H)
-    floor = 1e-30
-    eta = np.empty(base.shape + (n,), np.complex128)
-    inv_res2 = np.zeros(base.shape)
-    for i in range(n):
-        phi_i_s = phi.comps[i, 0] @ s_col
-        eta_i = (dagger(s_col) @ H.mat @ phi_i_s)[..., 0, 0] / (length2 + floor)
-        eta[..., i] = eta_i
-        resid = phi_i_s - eta_i[..., None, None] * s_col
-        inv_res2 += np.real(dagger(resid) @ H.mat @ resid)[..., 0, 0]
-    invariance = math.sqrt(max(float(inv_res2.max()), 0.0) * 2.0)
+    # eta_i = H(phi_i s, s) / |s|^2, one row per (1,0) component i
+    phi_s = phi.sandwich(None, s_col).comps[:, 0]
+    eta = (s_dual @ phi_s)[..., 0, 0] / (length2 + 1e-30)
+    resid = phi_s - eta[..., None, None] * s_col
+    invariance = math.sqrt(max(float(
+        norm2_per_component(resid).sum(axis=0).max()), 0.0) * 2.0)
 
     # M_ij = H([phi_i, phi_j*] s, s); form value on g-unit vectors is
     # 2 * smallest eigenvalue of M
-    M = np.empty(base.shape + (n, n), np.complex128)
-    for i in range(n):
-        for j in range(n):
-            phj_st = phistar.comps[0, j]
-            comm = phi.comps[i, 0] @ phj_st - phj_st @ phi.comps[i, 0]
-            M[..., i, j] = (dagger(s_col) @ H.mat @ (comm @ s_col))[..., 0, 0]
+    phistar = adjoint_field(phi, H)
+    bracket = wedge(phi, phistar) + wedge(phistar, phi)
+    M = np.moveaxis((s_dual @ bracket.sandwich(None, s_col).comps)[..., 0, 0],
+                    (0, 1), (-2, -1))
     eigs = np.linalg.eigvalsh(0.5 * (M + dagger(M)))
     form_min = 2.0 * float(eigs.min())
-    eta_sup = math.sqrt(float((np.abs(eta) ** 2).sum(axis=-1).max()) * 2.0)
+    eta_sup = math.sqrt(float((np.abs(eta) ** 2).sum(axis=0).max()) * 2.0)
     return InvariantSectionReport(holo, invariance, form_min,
                                   math.sqrt(float(length2.min())), eta_sup)
 
@@ -720,7 +621,7 @@ def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
         # nested H-orthogonal projectors commute, so pi - prev is again an
         # H-orthogonal projector, onto the k-th quotient
         U = _orthonormal_frame(H, pi - prev_proj, quot_rank, against=prev_frame)
-        a_q = _frame_coeff(H, U, _dbar_of_frame(a, U))
+        a_q = _block(H, U, _dbar_of_frame(a, U))
         phi_q = _block(H, U, phi, U)
         qstate = HiggsBundleState(HiggsStructure(a_q, phi_q),
                                   HermitianMetric.identity(base, quot_rank))

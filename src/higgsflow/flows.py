@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (HermitianMetric, HiggsBundleState, HiggsStructure,
-                       degree_slope_lambda, hitchin_simpson_curvature,
-                       validate_structure)
+                       adjoint_field, degree_slope_lambda,
+                       hitchin_simpson_curvature, validate_structure)
 from .grid import (MatrixFormField, contract_lambda, dbar_flat, integrate,
                    pointwise_norm2, sup_norm)
-from .linalg import dagger, expm_batched, hermitize, sqrtm_hpd
+from .linalg import expm_batched, hermitize, sqrtm_hpd
 
 __all__ = [
     "HiggsPair", "FlowTrace", "FlowResult", "FlowBlowup",
@@ -36,31 +36,17 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class HiggsPair:
-    """Higgs pair (a, phi) over a fixed background metric.
+class HiggsPair(HiggsBundleState):
+    """A state read as the Higgs pair (a, phi) over its frozen metric.
 
-    The background is never mutated by pair evolution; the unitary
-    connection is determined by (background, a) through the Chern formula.
+    Pair evolution never changes the metric, which is then called the
+    background; the unitary connection is determined by (background, a)
+    through the Chern formula.
     """
 
-    structure: HiggsStructure
-    background: HermitianMetric
-
-    def __post_init__(self):
-        if self.background.rank != self.structure.rank:
-            raise ValueError("background rank does not match the pair")
-
     @property
-    def base(self):
-        return self.structure.base
-
-    @property
-    def rank(self):
-        return self.structure.rank
-
-    def as_state(self) -> HiggsBundleState:
-        return HiggsBundleState(self.structure, self.background)
+    def background(self) -> HermitianMetric:
+        return self.metric
 
 
 def einstein_deviation(state: HiggsBundleState) -> MatrixFormField:
@@ -82,7 +68,8 @@ def _deviation_from_parts(state, hs) -> MatrixFormField:
 
 
 def _symmetrize_in_H(K: np.ndarray, H: HermitianMetric) -> np.ndarray:
-    return 0.5 * (K + H.inv @ dagger(K) @ H.mat)
+    K_star = adjoint_field(MatrixFormField(H.base, 0, 0, K[None, None]), H)
+    return 0.5 * (K + K_star.comps[0, 0])
 
 
 def donaldson_step(state: HiggsBundleState, dt: float,
@@ -103,56 +90,49 @@ def donaldson_step(state: HiggsBundleState, dt: float,
                             HermitianMetric(state.base, hermitize(Hnew)))
 
 
-def energy_density(pair: HiggsPair) -> np.ndarray:
+def energy_density(state: HiggsBundleState) -> np.ndarray:
     """Pointwise e(A, phi) = |F_A + [phi, phi*]|^2 + 2 |del_A phi|^2."""
-    hs = hitchin_simpson_curvature(pair.as_state())
-    return hs.pointwise_energy(pair.background)
+    return hitchin_simpson_curvature(state).pointwise_energy(state.metric)
 
 
-def ymh_energy(pair: HiggsPair) -> float:
+def ymh_energy(state: HiggsBundleState) -> float:
     """Integral of the energy density; shares its computation path exactly."""
-    return integrate(energy_density(pair), pair.base)
+    return integrate(energy_density(state), state.base)
 
 
-def complex_gauge_apply(sigma: np.ndarray, pair: HiggsPair) -> HiggsPair:
-    """Action of a complex gauge transformation on the pair.
+def complex_gauge_apply(sigma: np.ndarray,
+                        state: HiggsBundleState) -> HiggsBundleState:
+    """Action of a complex gauge transformation on the pair (a, phi).
 
     a' = sigma a sigma^{-1} - (dbar sigma) sigma^{-1} and
-    phi' = sigma phi sigma^{-1}; the (1,0) connection part follows from the
-    Chern formula and transforms by the background-adjoint conjugation.
+    phi' = sigma phi sigma^{-1}; the metric is frozen. The (1,0) connection
+    part follows from the Chern formula and transforms by the
+    metric-adjoint conjugation.
     """
-    base = pair.base
     sig_inv = np.linalg.inv(sigma)
-    sig_field = MatrixFormField.zeros(base, 0, 0, pair.rank)
-    sig_field.comps[0, 0] = sigma
-    dbar_sig = dbar_flat(sig_field)
-
-    a, phi = pair.structure.a, pair.structure.phi
-    a_new = MatrixFormField.zeros(base, 0, 1, pair.rank)
-    for iq in range(a.comps.shape[1]):
-        a_new.comps[0, iq] = sigma @ a.comps[0, iq] @ sig_inv \
-            - dbar_sig.comps[0, iq] @ sig_inv
-    phi_new = MatrixFormField.zeros(base, 1, 0, pair.rank)
-    for ip in range(phi.comps.shape[0]):
-        phi_new.comps[ip, 0] = sigma @ phi.comps[ip, 0] @ sig_inv
-    return HiggsPair(HiggsStructure(a_new, phi_new), pair.background)
+    dbar_sig = dbar_flat(MatrixFormField(state.base, 0, 0, sigma[None, None]))
+    a, phi = state.structure.a, state.structure.phi
+    a_new = a.sandwich(sigma, sig_inv) - dbar_sig.sandwich(None, sig_inv)
+    return HiggsBundleState(HiggsStructure(a_new, phi.sandwich(sigma, sig_inv)),
+                            state.metric)
 
 
-def ymh_step(pair: HiggsPair, dt: float,
-             K: MatrixFormField | None = None) -> HiggsPair:
+def ymh_step(state: HiggsBundleState, dt: float,
+             K: MatrixFormField | None = None) -> HiggsBundleState:
     """One explicit pair update by the gauge factor exp(-dt K).
 
     Expanding in dt reproduces the gradient-flow equations: the Higgs field
     moves by -[K, phi] dt and the (0,1) connection part by dbar_A(K) dt.
-    The update stays exactly in the complex gauge orbit of the pair.
+    The update stays exactly in the complex gauge orbit of the pair, and
+    the metric stays frozen.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if K is None:
-        K = einstein_deviation(pair.as_state())
-    Ks = _symmetrize_in_H(K.comps[0, 0], pair.background)
+        K = einstein_deviation(state)
+    Ks = _symmetrize_in_H(K.comps[0, 0], state.metric)
     sigma = expm_batched(-dt * Ks)
-    return complex_gauge_apply(sigma, pair)
+    return complex_gauge_apply(sigma, state)
 
 
 def gauge_from_metric(H0: HermitianMetric, H: HermitianMetric) -> np.ndarray:
@@ -187,12 +167,13 @@ class FlowTrace:
                "residual_integrability", "residual_holomorphy", "residual_symmetry")
 
     def append(self, **row):
-        for col in self.COLUMNS:
-            getattr(self, col).append(float(row[col]))
-        if len(self.t) >= 2 and not self.t[-1] > self.t[-2]:
+        """Validate the row, then append it; a rejected row leaves no trace."""
+        if self.t and not row["t"] > self.t[-1]:
             raise ValueError("sample times must be strictly increasing")
         if not all(math.isfinite(row[c]) for c in self.COLUMNS):
             raise ValueError(f"non-finite trace row at t={row['t']}")
+        for col in self.COLUMNS:
+            getattr(self, col).append(float(row[col]))
 
     def rows(self):
         for k in range(len(self.t)):
@@ -226,15 +207,16 @@ class FlowTrace:
 
 @dataclass(eq=False)
 class FlowResult:
-    final: object           # HiggsBundleState or HiggsPair
+    final: HiggsBundleState
     trace: FlowTrace
-    sampled_states: list    # (t, state-or-pair) at the sample schedule
+    sampled_states: list    # (t, state) at the sample schedule
     steps: int
     rejected: int
 
 
 class FlowBlowup(RuntimeError):
-    """A step produced non-finite fields and could not be rescued.
+    """A step produced non-finite fields or a non-positive metric and could
+    not be rescued.
 
     Carries the last healthy state and the partial trace so callers can
     persist them.
@@ -280,27 +262,26 @@ def _metric_trace_row(state: HiggsBundleState, dt: float, validity) -> dict:
     )
 
 
-def _advance(state_or_pair, dt: float, order: int, step_fn, K0):
+def _advance(state: HiggsBundleState, dt: float, order: int, step_fn, K0):
     """Midpoint composition of the structure-preserving update."""
     if order == 1:
-        return step_fn(state_or_pair, dt, K0)
-    half = step_fn(state_or_pair, 0.5 * dt, K0)
-    view = half if isinstance(half, HiggsBundleState) else half.as_state()
-    return step_fn(state_or_pair, dt, einstein_deviation(view))
+        return step_fn(state, dt, K0)
+    half = step_fn(state, 0.5 * dt, K0)
+    return step_fn(state, dt, einstein_deviation(half))
 
 
-def _run_flow(start, T, dt, *, is_metric, fixed_dt, order, sample_times,
-              dt_max, safety, growth, max_steps):
+def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt, order,
+              sample_times, dt_max, safety, growth, max_steps):
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
-    step_fn = donaldson_step if is_metric else ymh_step
     validity0 = validate_structure(start.structure)
 
     def row_of(obj, dt_now):
-        if is_metric:
-            return _metric_trace_row(obj, dt_now, validity0)
-        val = validate_structure(obj.structure)
-        return _metric_trace_row(obj.as_state(), dt_now, val)
+        # the metric flow never replaces the structure, so its validity
+        # residuals are those of the start
+        validity = validity0 if obj.structure is start.structure else \
+            validate_structure(obj.structure)
+        return _metric_trace_row(obj, dt_now, validity)
 
     schedule = _sample_schedule(T, sample_times)
     trace = FlowTrace()
@@ -329,21 +310,24 @@ def _run_flow(start, T, dt, *, is_metric, fixed_dt, order, sample_times,
         dt_step = max(dt_step, 1e-15)
 
         if K_current is None:
-            view = current if is_metric else current.as_state()
-            K_current = einstein_deviation(view)
+            K_current = einstein_deviation(current)
         try:
             candidate = _advance(current, dt_step, order, step_fn, K_current)
-            state_view = candidate if is_metric else candidate.as_state()
-            finite = bool(np.isfinite(state_view.metric.mat).all()
-                          and np.isfinite(state_view.structure.phi.comps).all()
-                          and np.isfinite(state_view.structure.a.comps).all())
-        except (FloatingPointError, np.linalg.LinAlgError):
+            finite = bool(np.isfinite(candidate.metric.mat).all()
+                          and np.isfinite(candidate.structure.phi.comps).all()
+                          and np.isfinite(candidate.structure.a.comps).all())
+            if finite:
+                # cached on the metric, so the next curvature reuses it
+                candidate.metric.check_positive()
+        except (FloatingPointError, np.linalg.LinAlgError, ValueError):
+            # ValueError: the candidate (or its midpoint) metric lost
+            # positivity, a breakdown of the same kind as non-finite fields
             finite = False
         if not finite:
             if fixed_dt:
-                raise FlowBlowup(f"flow produced non-finite fields at "
-                                 f"t={t:.6g} with dt={dt_step:.3e}",
-                                 current, trace, t)
+                raise FlowBlowup(f"flow produced non-finite fields or a "
+                                 f"non-positive metric at t={t:.6g} with "
+                                 f"dt={dt_step:.3e}", current, trace, t)
             dt_now = 0.5 * dt_step
             rejected += 1
             if dt_now < 1e-12:
@@ -352,9 +336,9 @@ def _run_flow(start, T, dt, *, is_metric, fixed_dt, order, sample_times,
             continue
         K_next = None
         if not fixed_dt:
-            K_next = einstein_deviation(state_view)
+            K_next = einstein_deviation(candidate)
             dev_new = math.sqrt(max(
-                pointwise_norm2(K_next, state_view.metric.mat).max(), 0.0))
+                pointwise_norm2(K_next, candidate.metric.mat).max(), 0.0))
             if dev_prev > 0 and dev_new > 2.0 * dev_prev + 1e-12:
                 # diagnostic blow-up: reject and halve
                 dt_now = 0.5 * dt_step
@@ -388,21 +372,21 @@ def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
     otherwise the step grows geometrically, is capped by safety/sup|K|, and
     is halved whenever the deviation sup-norm more than doubles in one step.
     """
-    return _run_flow(state, T, dt, is_metric=True, fixed_dt=fixed_dt,
+    return _run_flow(state, T, dt, donaldson_step, fixed_dt=fixed_dt,
                      order=order, sample_times=sample_times, dt_max=dt_max,
                      safety=safety, growth=growth, max_steps=max_steps)
 
 
-def run_ymh_flow(pair: HiggsPair, T: float, dt: float, *,
+def run_ymh_flow(state: HiggsBundleState, T: float, dt: float, *,
                  fixed_dt: bool = False, order: int = 2, sample_times=None,
                  dt_max: float | None = None, safety: float = 0.05,
                  growth: float = 1.1, max_steps: int = 2_000_000) -> FlowResult:
-    """Integrate the pair flow to time T over the fixed background metric.
+    """Integrate the pair flow to time T over the frozen metric of the state.
 
     Validity residuals of the evolved pair are recorded at every sample and
     never re-projected: constraint drift is evidence, not noise to hide.
     """
-    return _run_flow(pair, T, dt, is_metric=False, fixed_dt=fixed_dt,
+    return _run_flow(state, T, dt, ymh_step, fixed_dt=fixed_dt,
                      order=order, sample_times=sample_times, dt_max=dt_max,
                      safety=safety, growth=growth, max_steps=max_steps)
 
@@ -418,13 +402,10 @@ def _metric_side_fields(structure0: HiggsStructure, H: HermitianMetric):
     lam_field = 1j * contract_lambda(f)
     curv2 = pointwise_norm2(f, H.mat)
     lam2 = pointwise_norm2(lam_field, H.mat)
-    dphi2 = pointwise_norm2(hs.dphi, H.mat) if hs.dphi is not None else \
+    dphi = hs.parts.get((2, 0))
+    dphi2 = pointwise_norm2(dphi, H.mat) if dphi is not None else \
         np.zeros(structure0.base.shape)
     return dphi2, curv2, lam2
-
-
-def _pair_side_fields(pair: HiggsPair):
-    return _metric_side_fields(pair.structure, pair.background)
 
 
 def _rel_sup(x: np.ndarray, y: np.ndarray, floor: float = 0.0) -> float:
@@ -481,12 +462,11 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     with the discrepancy between the directly integrated pair and the pair
     transported by g(t) = (H0^{-1} H(t))^{1/2}.
     """
-    pair0 = HiggsPair(state0.structure, state0.metric)
     samples = sample_times if sample_times is not None else \
         [k * T / 4.0 for k in range(1, 5)]
     res_m = run_donaldson_flow(state0, T, dt, fixed_dt=fixed_dt, order=order,
                                sample_times=samples)
-    res_p = run_ymh_flow(pair0, T, dt, fixed_dt=fixed_dt, order=order,
+    res_p = run_ymh_flow(state0, T, dt, fixed_dt=fixed_dt, order=order,
                          sample_times=samples)
     metric_at = {round(t, 9): s for t, s in res_m.sampled_states}
     pair_at = {round(t, 9): s for t, s in res_p.sampled_states}
@@ -501,9 +481,9 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     for tk in common:
         st, pr = metric_at[tk], pair_at[tk]
         metric_fields = _metric_side_fields(state0.structure, st.metric)
-        pair_fields = _pair_side_fields(pr)
+        pair_fields = _metric_side_fields(pr.structure, pr.metric)
         g = gauge_from_metric(state0.metric, st.metric)
-        transported = complex_gauge_apply(g, pair0)
+        transported = complex_gauge_apply(g, state0)
         report.times.append(float(tk))
         for sink, mfield, pfield, floor in zip(
                 (report.res_dphi, report.res_curvature, report.res_contracted),

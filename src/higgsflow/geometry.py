@@ -13,9 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (MatrixFormField, TorusBase, contract_lambda, d_flat,
-                   dbar_flat, integrate, pointwise_norm2, sup_norm, tr_field,
-                   wedge)
+from .grid import (MatrixFormField, MixedField, TorusBase, contract_lambda,
+                   d_flat, dbar_flat, integrate, pointwise_norm2, sup_norm,
+                   tr_field, wedge)
 from .linalg import dagger, inv, min_eigvalsh
 
 __all__ = [
@@ -158,13 +158,7 @@ def chern_connection(H: HermitianMetric, a: MatrixFormField) -> MatrixFormField:
     del H(s,t) = H(D^{1,0}s, t) + H(s, dbar_E t).
     """
     H.check_positive()
-    b = MatrixFormField.zeros(H.base, 1, 0, H.rank)
-    dH = d_flat(H.as_field())
-    for i in range(H.base.n):
-        a_bar_i = a.comps[0, a.pos_q((i,))]
-        b.comps[b.pos_p((i,)), 0] = H.inv @ dH.comps[dH.pos_p((i,)), 0] \
-            - H.inv @ dagger(a_bar_i) @ H.mat
-    return b
+    return d_flat(H.as_field()).sandwich(H.inv) - adjoint_field(a, H)
 
 
 @dataclass(eq=False)
@@ -207,72 +201,58 @@ def adjoint_field(f: MatrixFormField, H: HermitianMetric | None = None,
     """
     if H_col is None:
         H_col = H
-    out = MatrixFormField.zeros(f.base, f.q, f.p, f.cols, f.rows)
-    for ip, I in enumerate(f.p_indices()):
-        for iq, J in enumerate(f.q_indices()):
-            block = dagger(f.comps[ip, iq])
-            if H is not None:
-                block = block @ H.mat
-            if H_col is not None:
-                block = H_col.inv @ block
-            out.comps[out.pos_p(J), out.pos_q(I)] = block
-    return out
+    star = MatrixFormField(f.base, f.q, f.p, np.swapaxes(dagger(f.comps), 0, 1))
+    return star.sandwich(None if H_col is None else H_col.inv,
+                         None if H is None else H.mat)
 
 
 def higgs_adjoint(phi: MatrixFormField, H: HermitianMetric) -> MatrixFormField:
     """phi^{*H} = H^{-1} phi^dag H on matrix parts, dz -> dzbar on form parts."""
     H.check_positive()
-    out = MatrixFormField.zeros(phi.base, 0, 1, phi.rows)
-    for i in range(phi.base.n):
-        out.comps[0, out.pos_q((i,))] = H.inv @ dagger(phi.comps[phi.pos_p((i,)), 0]) @ H.mat
-    return out
+    return adjoint_field(phi, H)
 
 
 @dataclass(eq=False)
 class HitchinSimpsonParts:
-    """The four named parts of the Hitchin-Simpson curvature plus helpers."""
+    """The Hitchin-Simpson curvature by bidegree, with its ingredients.
+
+    parts holds F_H + [phi, phi^{*H}] (1,1), del_H phi (2,0) and
+    dbar_E phi^{*H} (0,2) in that order; the last two are absent when n = 1.
+    """
 
     chern: CurvatureParts
     bracket: MatrixFormField          # [phi, phi^{*H}], type (1,1)
-    dphi: MatrixFormField | None      # del_H phi, type (2,0); None when n = 1
-    dbar_phistar: MatrixFormField | None  # dbar_E phi^{*H}, type (0,2)
     phistar: MatrixFormField
+    parts: MixedField
 
     @property
     def part11(self) -> MatrixFormField:
-        return self.chern.f11 + self.bracket
+        return self.parts[(1, 1)]
 
     def pointwise_energy(self, H: HermitianMetric) -> np.ndarray:
         """|F + [phi,phi*]|^2 + 2|del phi|^2, the YMH integrand."""
         e = pointwise_norm2(self.part11, H.mat)
-        if self.dphi is not None:
-            e = e + 2.0 * pointwise_norm2(self.dphi, H.mat)
-        return e
-
-    def pointwise_full_norm2(self, H: HermitianMetric) -> np.ndarray:
-        """|F_HS|^2 with all named parts (degrees are orthogonal)."""
-        e = pointwise_norm2(self.part11, H.mat)
-        for part in (self.dphi, self.dbar_phistar):
-            if part is not None:
-                e = e + pointwise_norm2(part, H.mat)
+        dphi = self.parts.get((2, 0))
+        if dphi is not None:
+            e = e + 2.0 * pointwise_norm2(dphi, H.mat)
         return e
 
     def sup_norm(self, H: HermitianMetric) -> float:
-        return float(np.sqrt(max(self.pointwise_full_norm2(H).max(), 0.0)))
+        """sup |F_HS| over all parts (distinct degrees are orthogonal)."""
+        return self.parts.sup(H.mat)
 
 
 def hitchin_simpson_curvature(state: HiggsBundleState) -> HitchinSimpsonParts:
     """Chern curvature, Higgs bracket, del_H phi and dbar_E phi*, separately."""
     a, phi, H = state.structure.a, state.structure.phi, state.metric
-    parts = curvature(H, a)
+    chern = curvature(H, a)
     phistar = higgs_adjoint(phi, H)
     bracket = wedge(phi, phistar) + wedge(phistar, phi)
+    parts = [chern.f11 + bracket]
     if state.base.n >= 2:
-        dphi = d_flat(phi) + wedge(parts.b, phi) + wedge(phi, parts.b)
-        dbar_ps = dbar_flat(phistar) + wedge(a, phistar) + wedge(phistar, a)
-    else:
-        dphi = dbar_ps = None
-    return HitchinSimpsonParts(parts, bracket, dphi, dbar_ps, phistar)
+        parts += [d_flat(phi) + wedge(chern.b, phi) + wedge(phi, chern.b),
+                  dbar_flat(phistar) + wedge(a, phistar) + wedge(phistar, a)]
+    return HitchinSimpsonParts(chern, bracket, phistar, MixedField(parts))
 
 
 def degree_slope_lambda(state: HiggsBundleState,
@@ -299,10 +279,4 @@ def hermiticity_residual(f11: MatrixFormField, H: HermitianMetric) -> float:
     Zero in the continuum for Chern curvatures and Higgs brackets; the
     discrete value is pure truncation error.
     """
-    worst = 0.0
-    for ip, I in enumerate(f11.p_indices()):
-        for iq, J in enumerate(f11.q_indices()):
-            lhs = H.inv @ dagger(f11.comps[ip, iq]) @ H.mat
-            rhs = f11.comps[f11.pos_p(J), f11.pos_q(I)]
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    return float(np.abs((adjoint_field(f11, H) - f11).comps).max())

@@ -24,7 +24,7 @@ import numpy as np
 from .linalg import dagger, inv, trace
 
 __all__ = [
-    "TorusBase", "MatrixFormField",
+    "TorusBase", "MatrixFormField", "MixedField",
     "dbar_flat", "d_flat", "wedge", "contract_lambda", "dbar_adjoint",
     "pointwise_inner", "pointwise_norm2", "l2_norm", "sup_norm",
     "integrate", "integrate_top_form", "tr_field",
@@ -223,6 +223,61 @@ class MatrixFormField:
         return MatrixFormField(self.base, self.p, self.q, self.comps * scalar)
 
     __rmul__ = __mul__
+
+    def sandwich(self, left: np.ndarray | None = None,
+                 right: np.ndarray | None = None) -> "MatrixFormField":
+        """The field with components (left @ c) @ right, c over all components.
+
+        left and right are matrices or grid arrays of matrices, broadcast
+        over the form axes; either may be None, and the blocks may be Hom
+        blocks of any shape that composes. The product associates left to
+        right: flow results are bit-exact only in that order.
+        """
+        comps = self.comps
+        if left is not None:
+            comps = left @ comps
+        if right is not None:
+            comps = comps @ right
+        return MatrixFormField(self.base, self.p, self.q, comps)
+
+
+class MixedField(dict):
+    """Formal sum of matrix form fields of different bidegrees.
+
+    Keyed by bidegree (p, q) in insertion order; adding a field of a
+    bidegree already present accumulates into it. Wedges that overflow the
+    bidegree range vanish identically and are dropped, matching the
+    continuum where those slots do not exist.
+    """
+
+    def __init__(self, parts=()):
+        super().__init__()
+        for f in parts:
+            key = (f.p, f.q)
+            self[key] = self[key] + f if key in self else f
+
+    def __add__(self, other: "MixedField") -> "MixedField":
+        return MixedField(list(self.values()) + list(other.values()))
+
+    def __sub__(self, other: "MixedField") -> "MixedField":
+        return MixedField(list(self.values()) + [-f for f in other.values()])
+
+    def wedge(self, other: "MixedField") -> "MixedField":
+        return MixedField(wedge(f, g) for f in self.values() for g in other.values()
+                          if f.p + g.p <= f.base.n and f.q + g.q <= f.base.n)
+
+    def pointwise_norm2(self, H: np.ndarray | None = None) -> np.ndarray:
+        """Sum of the parts' pointwise |.|^2_H (distinct degrees are orthogonal)."""
+        acc = None
+        for f in self.values():
+            n2 = pointwise_norm2(f, H)
+            acc = n2 if acc is None else acc + n2
+        if acc is None:
+            raise ValueError("empty mixed field")
+        return acc
+
+    def sup(self, H: np.ndarray | None = None) -> float:
+        return float(np.sqrt(max(self.pointwise_norm2(H).max(), 0.0)))
 
 
 # -- differential operators ------------------------------------------------------

@@ -242,21 +242,14 @@ def _rank1_nilpotent(rng: np.random.Generator, rank: int) -> np.ndarray:
     return e / max(np.abs(e).max(), 1e-12)
 
 
-def _random_state_and_gauge(base: TorusBase, rank: int, seed: int,
-                            amplitude: float):
-    """Common core: commuting constant seed, gauge transport, random metric.
+def _commutant_structure(base: TorusBase, rank: int,
+                         rng: np.random.Generator) -> HiggsStructure:
+    """Random constant a and phi, polynomials in the upper shift.
 
-    The constant seed is a polynomial in the upper shift, hence every
-    coordinate flag level is invariant. The transporting factor is
-    sigma = Id + E g(x) with E^2 = 0, so sigma, its inverse and the metric
-    factors are exact trig polynomials: the state is band-limited and its
-    discrete residuals scale cleanly at second order. Validity is exact in
-    the continuum.
+    They commute, so the structure is valid exactly and independently of
+    the metric. Draws from rng: the a coefficients (rank > 1), then phi.
     """
-    rng = np.random.default_rng(seed)
-    shift = np.zeros((rank, rank), np.complex128)
-    for i in range(rank - 1):
-        shift[i, i + 1] = 1.0
+    shift = np.eye(rank, k=1, dtype=np.complex128)
 
     def commutant_draw():
         coeffs = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
@@ -269,7 +262,22 @@ def _random_state_and_gauge(base: TorusBase, rank: int, seed: int,
 
     a_consts = {j: commutant_draw() for j in range(base.n)} if rank > 1 else {}
     phi_consts = {i: commutant_draw() for i in range(base.n)}
-    seed_structure = _constant_structure(base, rank, a_consts, phi_consts)
+    return _constant_structure(base, rank, a_consts, phi_consts)
+
+
+def _random_state_and_gauge(base: TorusBase, rank: int, seed: int,
+                            amplitude: float):
+    """Common core: commuting constant seed, gauge transport, random metric.
+
+    The constant seed is a polynomial in the upper shift, hence every
+    coordinate flag level is invariant. The transporting factor is
+    sigma = Id + E g(x) with E^2 = 0, so sigma, its inverse and the metric
+    factors are exact trig polynomials: the state is band-limited and its
+    discrete residuals scale cleanly at second order. Validity is exact in
+    the continuum.
+    """
+    rng = np.random.default_rng(seed)
+    seed_structure = _commutant_structure(base, rank, rng)
 
     eye = np.eye(rank, dtype=np.complex128)
     factors = []  # (generator, scalar grid field) per gauge factor
@@ -280,26 +288,20 @@ def _random_state_and_gauge(base: TorusBase, rank: int, seed: int,
 
     sigma = np.broadcast_to(eye, base.shape + (rank, rank)).copy()
     sigma_inv = sigma.copy()
-    dsigma = [np.zeros_like(sigma) for _ in range(base.n)]
+    # dbar sigma as a (0,1)-field, built by the Leibniz rule factor by factor
+    dsigma = MatrixFormField.zeros(base, 0, 1, rank)
     for gen, g in factors:
         gc = g[..., None, None]
-        gf = MatrixFormField.zeros(base, 0, 0, 1)
-        gf.comps[0, 0, ..., 0, 0] = g
-        dbar_g = dbar_flat(gf)
+        dbar_g = dbar_flat(MatrixFormField(base, 0, 0, gc[None, None]))
         factor = eye + gc * gen
-        for j in range(base.n):
-            dg = dbar_g.comps[0, j][..., 0, 0][..., None, None]
-            dsigma[j] = dsigma[j] @ factor + sigma @ (dg * gen)
+        dsigma = dsigma.sandwich(None, factor) \
+            + MatrixFormField(base, 0, 1, dbar_g.comps * gen).sandwich(sigma)
         sigma = sigma @ factor
         sigma_inv = (eye - gc * gen) @ sigma_inv
 
-    a_new = MatrixFormField.zeros(base, 0, 1, rank)
-    phi_new = MatrixFormField.zeros(base, 1, 0, rank)
-    for iq in range(base.n):
-        a_new.comps[0, iq] = sigma @ seed_structure.a.comps[0, iq] @ sigma_inv \
-            - dsigma[iq] @ sigma_inv
-    for ip in range(base.n):
-        phi_new.comps[ip, 0] = sigma @ seed_structure.phi.comps[ip, 0] @ sigma_inv
+    a_new = seed_structure.a.sandwich(sigma, sigma_inv) \
+        - dsigma.sandwich(None, sigma_inv)
+    phi_new = seed_structure.phi.sandwich(sigma, sigma_inv)
 
     # band-limited positive metric H = C^dag L L^dag C with L = (1+c w) Id + w F
     w = _random_trig(base, rng, amplitude)[..., None, None]
@@ -326,22 +328,7 @@ def random_valid_state(base: TorusBase, rank: int, seed: int,
     to the same continuum state at second order.
     """
     rng = np.random.default_rng(seed)
-    shift = np.zeros((rank, rank), np.complex128)
-    for i in range(rank - 1):
-        shift[i, i + 1] = 1.0
-
-    def commutant_draw():
-        coeffs = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
-        m = coeffs[0] * np.eye(rank, dtype=np.complex128)
-        power = np.eye(rank, dtype=np.complex128)
-        for k in range(1, rank):
-            power = power @ shift
-            m = m + coeffs[k] * power
-        return 0.5 * m
-
-    a_consts = {j: commutant_draw() for j in range(base.n)} if rank > 1 else {}
-    phi_consts = {i: commutant_draw() for i in range(base.n)}
-    structure = _constant_structure(base, rank, a_consts, phi_consts)
+    structure = _commutant_structure(base, rank, rng)
 
     G = np.zeros(base.shape + (rank, rank), np.complex128)
     for _ in range(2):

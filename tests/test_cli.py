@@ -107,6 +107,34 @@ def test_run_blowup_saves_last_healthy_snapshot(tmp_path, capsys):
     healthy.metric.check_positive()
 
 
+def test_run_lost_positivity_saves_the_last_healthy_state(tmp_path, capsys):
+    from higgsflow import TorusBase, load_state, save_state
+    from higgsflow.scenarios import random_valid_state
+    snap = tmp_path / "start.snap"
+    save_state(random_valid_state(TorusBase(1, 16), 3, seed=1, amplitude=0.3),
+               snap)
+    out = tmp_path / "out"
+    code = run_cli("run", "--state-file", str(snap), "--flow-fixed", "1",
+                   "--flow-dt", "0.02", "--flow-T", "0.8", "--out-dir", str(out))
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert "blew up" in err["error"] and err["detail"]["reached_t"] > 0.0
+    assert (out / "trace.csv").exists()
+    assert (out / "last_healthy.snap").read_bytes() != snap.read_bytes()
+    load_state(out / "last_healthy.snap").metric.check_positive()
+
+
+def test_n_is_not_an_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("validate", "--scenario", "nilpotent-r2", "--n", "2")
+    assert excinfo.value.code == 2
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("scenario = nilpotent-r2\nn = 2\n")
+    capsys.readouterr()
+    assert run_cli("validate", "--config", str(cfg)) == 2
+    assert "unknown key" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

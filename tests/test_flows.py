@@ -286,3 +286,33 @@ def test_adaptive_flow_reaches_target_time():
     # the L2 Einstein deviation is non-increasing on semistable scenarios
     dev = res.trace.dev_l2
     assert all(b <= a + 1e-12 for a, b in zip(dev, dev[1:]))
+
+
+def _positivity_breakdown_state():
+    # a fixed step this size drives the rank-3 metric to lose positivity
+    # at its second step while every field stays finite
+    from higgsflow.scenarios import random_valid_state
+    return random_valid_state(TorusBase(1, 16), 3, seed=1, amplitude=0.3)
+
+
+def test_lost_positivity_blows_up_with_last_healthy_state():
+    from higgsflow.flows import FlowBlowup
+    st = _positivity_breakdown_state()
+    with pytest.raises(FlowBlowup) as excinfo:
+        run_donaldson_flow(st, 0.8, 0.02, fixed_dt=True)
+    exc = excinfo.value
+    assert exc.t > 0.0
+    assert exc.state is not st
+    exc.state.metric.check_positive()
+
+
+def test_trace_append_rejects_a_row_without_keeping_it():
+    from higgsflow import FlowTrace
+    trace = FlowTrace()
+    row = {col: 0.0 for col in FlowTrace.COLUMNS}
+    trace.append(**row)
+    with pytest.raises(ValueError):
+        trace.append(**dict(row, t=1.0, dev_sup=float("nan")))
+    with pytest.raises(ValueError):
+        trace.append(**row)  # time does not increase
+    assert all(len(getattr(trace, col)) == 1 for col in FlowTrace.COLUMNS)
