@@ -11,7 +11,8 @@ degenerates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +83,7 @@ class SubbundleReport:
     valid: bool
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("idempotency", "self_adjointness", "rank_constancy",
-                 "phi_invariance", "holomorphy", "rank", "tol", "valid")}
+        return asdict(self)
 
 
 def subbundle_report(state: HiggsBundleState, sub: HiggsSubbundle,
@@ -154,8 +153,7 @@ def _block(H: HermitianMetric, U: np.ndarray, f: MatrixFormField,
 
 def _dbar_of_frame(a: MatrixFormField, U: np.ndarray) -> MatrixFormField:
     """dbar_E applied to the columns of a frame: dbar(U) + a U."""
-    Uf = MatrixFormField.zeros(a.base, 0, 0, U.shape[-2], U.shape[-1])
-    Uf.comps[0, 0] = U
+    Uf = MatrixFormField(a.base, 0, 0, U[None, None])
     return dbar_flat(Uf) + wedge(a, Uf)
 
 
@@ -165,7 +163,9 @@ class ExtensionData:
 
     In the H-orthonormal frames the induced metrics are the identity, so
     block norms are plain and the adjoints of gamma and zeta are conjugate
-    transposes (until a scaled metric reweights them).
+    transposes (until a scaled metric reweights them). Those identity
+    metrics, the factor connections and the adjoints are built on first use
+    and then shared.
     """
 
     frame_s: np.ndarray
@@ -187,15 +187,36 @@ class ExtensionData:
     def rank_q(self) -> int:
         return self.frame_q.shape[-1]
 
+    @cached_property
+    def identities(self) -> tuple[HermitianMetric, HermitianMetric]:
+        """The induced metrics of S and Q, the identity in their frames."""
+        return (HermitianMetric.identity(self.a_s.base, self.rank_s),
+                HermitianMetric.identity(self.a_q.base, self.rank_q))
+
+    @cached_property
+    def connections(self) -> tuple[MatrixFormField, MatrixFormField]:
+        """The (1,0) Chern connection forms b_S and b_Q of the factors."""
+        ident_s, ident_q = self.identities
+        return chern_connection(ident_s, self.a_s), chern_connection(ident_q, self.a_q)
+
+    @cached_property
+    def hom_adjoints(self) -> tuple[MatrixFormField, MatrixFormField]:
+        """gamma* of type (1,0) and zeta* of type (0,1), both Hom(S,Q)."""
+        ident_s, ident_q = self.identities
+        return (adjoint_field(self.gamma, ident_s, ident_q),
+                adjoint_field(self.zeta, ident_s, ident_q))
+
+    @cached_property
+    def higgs_adjoints(self) -> tuple[MatrixFormField, MatrixFormField]:
+        """phi_S* and phi_Q*."""
+        ident_s, ident_q = self.identities
+        return adjoint_field(self.phi_s, ident_s), adjoint_field(self.phi_q, ident_q)
+
     def sub_state(self) -> HiggsBundleState:
-        base = self.a_s.base
-        return HiggsBundleState(HiggsStructure(self.a_s, self.phi_s),
-                                HermitianMetric.identity(base, self.rank_s))
+        return HiggsBundleState(HiggsStructure(self.a_s, self.phi_s), self.identities[0])
 
     def quotient_state(self) -> HiggsBundleState:
-        base = self.a_q.base
-        return HiggsBundleState(HiggsStructure(self.a_q, self.phi_q),
-                                HermitianMetric.identity(base, self.rank_q))
+        return HiggsBundleState(HiggsStructure(self.a_q, self.phi_q), self.identities[1])
 
 
 def split_extension(state: HiggsBundleState, sub: HiggsSubbundle,
@@ -228,17 +249,15 @@ def split_extension(state: HiggsBundleState, sub: HiggsSubbundle,
                          sup_norm(lower_dbar), sup_norm(lower_phi))
 
 
-def _hom_d10(x: MatrixFormField, b_left: MatrixFormField,
-             b_right: MatrixFormField) -> MatrixFormField:
-    """(1,0) part of the induced connection on Hom(right, left) bundles."""
-    sign = -1.0 if (x.p + x.q) % 2 else 1.0
-    return d_flat(x) + wedge(b_left, x) - sign * wedge(x, b_right)
+def _hom_d(flat, x: MatrixFormField, left: MatrixFormField,
+           right: MatrixFormField) -> MatrixFormField:
+    """Induced connection part on Hom(right, left) bundles.
 
-
-def _hom_d01(x: MatrixFormField, a_left: MatrixFormField,
-             a_right: MatrixFormField) -> MatrixFormField:
+    With flat = d_flat and the (1,0) connection forms b this is the (1,0)
+    part; with flat = dbar_flat and the (0,1) forms a, the (0,1) part.
+    """
     sign = -1.0 if (x.p + x.q) % 2 else 1.0
-    return dbar_flat(x) + wedge(a_left, x) - sign * wedge(x, a_right)
+    return flat(x) + wedge(left, x) - sign * wedge(x, right)
 
 
 def _blockify(tl, tr, bl, br, s: int, q: int) -> MatrixFormField:
@@ -279,18 +298,14 @@ def gauss_codazzi_blocks(state: HiggsBundleState, sub: HiggsSubbundle,
     ext = split_extension(state, sub, tol)
     base = state.base
     s, q = ext.rank_s, ext.rank_q
-    ident_s = HermitianMetric.identity(base, s)
-    ident_q = HermitianMetric.identity(base, q)
-    b_s = chern_connection(ident_s, ext.a_s)
-    b_q = chern_connection(ident_q, ext.a_q)
+    ident_s, ident_q = ext.identities
+    b_s, b_q = ext.connections
     f_s = curvature(ident_s, ext.a_s)
     f_q = curvature(ident_q, ext.a_q)
 
     gamma, zeta = ext.gamma, ext.zeta
-    gamma_st = adjoint_field(gamma, ident_s, ident_q)   # (1,0), Hom(S,Q)
-    zeta_st = adjoint_field(zeta, ident_s, ident_q)     # (0,1), Hom(S,Q)
-    phi_s_st = adjoint_field(ext.phi_s, ident_s)
-    phi_q_st = adjoint_field(ext.phi_q, ident_q)
+    gamma_st, zeta_st = ext.hom_adjoints
+    phi_s_st, phi_q_st = ext.higgs_adjoints
 
     parts: list[MatrixFormField] = []
 
@@ -298,8 +313,8 @@ def gauss_codazzi_blocks(state: HiggsBundleState, sub: HiggsSubbundle,
         parts.append(_blockify(tl, tr, bl, br, s, q))
 
     # Chern curvature group
-    put(f_s.f11 - wedge(gamma, gamma_st), _hom_d10(gamma, b_s, b_q),
-        -1.0 * _hom_d01(gamma_st, ext.a_q, ext.a_s),
+    put(f_s.f11 - wedge(gamma, gamma_st), _hom_d(d_flat, gamma, b_s, b_q),
+        -1.0 * _hom_d(dbar_flat, gamma_st, ext.a_q, ext.a_s),
         f_q.f11 - wedge(gamma_st, gamma))
     # Higgs bracket group
     put(wedge(ext.phi_s, phi_s_st) + wedge(phi_s_st, ext.phi_s) + wedge(zeta, zeta_st),
@@ -308,15 +323,15 @@ def gauss_codazzi_blocks(state: HiggsBundleState, sub: HiggsSubbundle,
         wedge(ext.phi_q, phi_q_st) + wedge(phi_q_st, ext.phi_q) + wedge(zeta_st, zeta))
     if base.n >= 2:
         # del_H phi group, type (2,0)
-        put(_hom_d10(ext.phi_s, b_s, b_s) - wedge(zeta, gamma_st),
-            _hom_d10(zeta, b_s, b_q),
+        put(_hom_d(d_flat, ext.phi_s, b_s, b_s) - wedge(zeta, gamma_st),
+            _hom_d(d_flat, zeta, b_s, b_q),
             -1.0 * (wedge(gamma_st, ext.phi_s) + wedge(ext.phi_q, gamma_st)),
-            _hom_d10(ext.phi_q, b_q, b_q) - wedge(gamma_st, zeta))
+            _hom_d(d_flat, ext.phi_q, b_q, b_q) - wedge(gamma_st, zeta))
         # dbar_E phi* group, type (0,2)
-        put(_hom_d01(phi_s_st, ext.a_s, ext.a_s) + wedge(gamma, zeta_st),
+        put(_hom_d(dbar_flat, phi_s_st, ext.a_s, ext.a_s) + wedge(gamma, zeta_st),
             wedge(gamma, phi_q_st) + wedge(phi_s_st, gamma),
-            _hom_d01(zeta_st, ext.a_q, ext.a_s),
-            _hom_d01(phi_q_st, ext.a_q, ext.a_q) + wedge(zeta_st, gamma))
+            _hom_d(dbar_flat, zeta_st, ext.a_q, ext.a_s),
+            _hom_d(dbar_flat, phi_q_st, ext.a_q, ext.a_q) + wedge(zeta_st, gamma))
     assembled = MixedField(parts)
 
     U = np.concatenate([ext.frame_s, ext.frame_q], axis=-1)
@@ -355,15 +370,11 @@ def scaled_extension_metric(ext: ExtensionData, H_s: np.ndarray | None,
 
 def scaled_adjoint_check(ext: ExtensionData, rho: float, base) -> float:
     """sup|gamma*_rho - rho^2 gamma*_1| and the same for zeta."""
-    s, q = ext.rank_s, ext.rank_q
-    ident_s = HermitianMetric.identity(base, s)
-    ident_q = HermitianMetric.identity(base, q)
-    Hq_rho = HermitianMetric(base, np.broadcast_to(
-        np.eye(q, dtype=np.complex128) / rho**2, base.shape + (q, q)).copy())
+    ident_s, ident_q = ext.identities
+    Hq_rho = HermitianMetric(base, ident_q.mat / rho**2)
     worst = 0.0
-    for f in (ext.gamma, ext.zeta):
+    for f, a_one in zip((ext.gamma, ext.zeta), ext.hom_adjoints):
         a_rho = adjoint_field(f, ident_s, Hq_rho)
-        a_one = adjoint_field(f, ident_s, ident_q)
         worst = max(worst, sup_norm(a_rho - rho**2 * a_one))
     return worst
 
@@ -384,8 +395,7 @@ class RhoSweepRow:
     sup_f: float
 
     def as_dict(self) -> dict:
-        return {"rho": self.rho, "sup_a": self.sup_a, "sup_b1": self.sup_b1,
-                "sup_c1": self.sup_c1, "sup_f": self.sup_f}
+        return asdict(self)
 
 
 def _factor_flat_parts(ext: ExtensionData) -> MixedField:
@@ -410,17 +420,8 @@ def rho_sweep(state: HiggsBundleState, sub: HiggsSubbundle,
     ext = split_extension(state, sub)
     base = state.base
     s, q = ext.rank_s, ext.rank_q
-    ident_s = HermitianMetric.identity(base, s)
-    ident_q = HermitianMetric.identity(base, q)
-    b_s = chern_connection(ident_s, ext.a_s)
-    b_q = chern_connection(ident_q, ext.a_q)
-
     sup_a = _factor_flat_parts(ext).sup()
-
-    gamma_st = adjoint_field(ext.gamma, ident_s, ident_q)
-    zeta_st = adjoint_field(ext.zeta, ident_s, ident_q)
-    phi_s_st = adjoint_field(ext.phi_s, ident_s)
-    phi_q_st = adjoint_field(ext.phi_q, ident_q)
+    gamma_st, zeta_st = ext.hom_adjoints
 
     zmg = MixedField([ext.zeta]) - MixedField([ext.gamma])        # zeta - gamma
     zpg_st = MixedField([zeta_st, gamma_st])                      # zeta* + gamma*
@@ -429,11 +430,12 @@ def rho_sweep(state: HiggsBundleState, sub: HiggsSubbundle,
 
     gpz = MixedField([ext.gamma, ext.zeta])                       # gamma + zeta
     zmg_st = MixedField([zeta_st]) - MixedField([gamma_st])       # zeta* - gamma*
+    phi_s_st, phi_q_st = ext.higgs_adjoints
     # derivative terms whose raised degree has no slot vanish identically
-    top_c = MixedField([_hom_d10(f, b_s, b_q) for f in gpz.values()
+    top_c = MixedField([_hom_d(d_flat, f, *ext.connections) for f in gpz.values()
                         if f.p + 1 <= base.n]) \
         + gpz.wedge(MixedField([phi_q_st])) + MixedField([phi_s_st]).wedge(gpz)
-    bot_c = MixedField([_hom_d01(f, ext.a_q, ext.a_s)
+    bot_c = MixedField([_hom_d(dbar_flat, f, ext.a_q, ext.a_s)
                         for f in zmg_st.values() if f.q + 1 <= base.n]) \
         + zmg_st.wedge(MixedField([ext.phi_s])) + MixedField([ext.phi_q]).wedge(zmg_st)
     c_fields = [_blockify(None, f, None, None, s, q) for f in top_c.values()] \
@@ -473,9 +475,7 @@ class InvariantSectionReport:
     eta_sup: float
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("holomorphy", "invariance", "form_minimum", "min_length",
-                 "eta_sup")}
+        return asdict(self)
 
 
 def invariant_section_check(state: HiggsBundleState,
@@ -564,6 +564,28 @@ class FiltrationReport:
         }
 
 
+def _quotient_frames(H: HermitianMetric, subs: list[HiggsSubbundle]):
+    """H-orthonormal frames of the successive quotients of a filtration.
+
+    subs lists the proper levels in increasing rank and the full bundle is
+    the implicit last level; each frame is H-orthogonal to all earlier ones.
+    The frames are yielded one level at a time.
+    """
+    r = H.rank
+    eye = np.broadcast_to(np.eye(r, dtype=np.complex128),
+                          H.base.shape + (r, r)).copy()
+    prev_frame, prev_proj, prev_rank = None, np.zeros_like(eye), 0
+    for pi, rank in [(sub.projector, sub.rank) for sub in subs] + [(eye, r)]:
+        # nested H-orthogonal projectors commute, so pi - prev is again an
+        # H-orthogonal projector, onto the quotient of this level
+        U = _orthonormal_frame(H, pi - prev_proj, rank - prev_rank,
+                               against=prev_frame)
+        yield U
+        prev_frame = U if prev_frame is None else \
+            np.concatenate([prev_frame, U], axis=-1)
+        prev_proj, prev_rank = pi, rank
+
+
 def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
                       eps_target: float, flow_time: float = 0.0,
                       flow_dt: float = 1e-2,
@@ -601,26 +623,15 @@ def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
                              f"residual {nesting[k]:.3e}")
         reports.append(rep)
 
-    eye = np.broadcast_to(np.eye(r, dtype=np.complex128),
-                          base.shape + (r, r)).copy()
-    projs = [sub.projector for sub in subs] + [eye]
     full_report = SubbundleReport(0.0, 0.0, 0.0, 0.0, 0.0, r,
                                   reports[-1].tol if reports else 1e-6, True)
     reports.append(full_report)
-    nesting.append(0.0 if not subs else
-                   float(np.abs(eye @ projs[-2] - projs[-2]).max()))
+    nesting.append(0.0)  # the full bundle contains every level exactly
 
     levels = []
-    prev_frame = None
-    prev_proj = np.zeros_like(projs[0])
-    prev_rank = 0
     sums = {"c1": 0.0, "ch2": 0.0}
-    for k, pi in enumerate(projs):
-        p_k = subs[k].rank if k < len(subs) else r
-        quot_rank = p_k - prev_rank
-        # nested H-orthogonal projectors commute, so pi - prev is again an
-        # H-orthogonal projector, onto the k-th quotient
-        U = _orthonormal_frame(H, pi - prev_proj, quot_rank, against=prev_frame)
+    for k, U in enumerate(_quotient_frames(H, subs)):
+        quot_rank = U.shape[-1]
         a_q = _block(H, U, _dbar_of_frame(a, U))
         phi_q = _block(H, U, phi, U)
         qstate = HiggsBundleState(HiggsStructure(a_q, phi_q),
@@ -637,10 +648,6 @@ def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
         sums["ch2"] += topo.ch2
         levels.append(FiltrationLevel(k, quot_rank, cert, flowed,
                                       nesting[k], reports[k], topo))
-        prev_frame = U if prev_frame is None else \
-            np.concatenate([prev_frame, U], axis=-1)
-        prev_proj = pi
-        prev_rank = p_k
 
     ambient_topo = topological_integrals(state)
     add_c1 = abs(sums["c1"] - ambient_topo.c1_omega)
@@ -661,23 +668,10 @@ def assemble_filtration_metric(state: HiggsBundleState,
     if rho <= 0:
         raise ValueError("rho must be positive")
     H, base, r = state.metric, state.base, state.rank
-    eye = np.broadcast_to(np.eye(r, dtype=np.complex128),
-                          base.shape + (r, r)).copy()
-    projs = [sub.projector for sub in subs] + [eye]
-    frames = []
-    prev = None
-    prev_proj = np.zeros_like(projs[0])
-    prev_rank = 0
-    for k, pi in enumerate(projs):
-        p_k = subs[k].rank if k < len(subs) else r
-        U = _orthonormal_frame(H, pi - prev_proj, p_k - prev_rank, against=prev)
-        frames.append(U)
-        prev = U if prev is None else np.concatenate([prev, U], axis=-1)
-        prev_proj = pi
-        prev_rank = p_k
-    U_full = prev
+    frames = list(_quotient_frames(H, subs))
+    U_full = np.concatenate(frames, axis=-1)
     weights = np.concatenate([
-        np.full(frames[k].shape[-1], rho ** (-2 * k)) for k in range(len(frames))])
+        np.full(U.shape[-1], rho ** (-2 * k)) for k, U in enumerate(frames)])
     Hblock = np.zeros(base.shape + (r, r), np.complex128)
     idx = np.arange(r)
     Hblock[..., idx, idx] = weights
@@ -705,26 +699,21 @@ class SlopePositivityReport:
     degree_margin: float        # epsilon * n * Vol - deg(S)
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("gamma_trace_max", "zeta_trace_min", "deg_sub", "epsilon",
-                 "degree_margin")}
+        return asdict(self)
 
 
 def slope_positivity_report(state: HiggsBundleState,
                             sub: HiggsSubbundle) -> SlopePositivityReport:
     ext = split_extension(state, sub)
     base = state.base
-    ident_s = HermitianMetric.identity(base, ext.rank_s)
-    ident_q = HermitianMetric.identity(base, ext.rank_q)
-    gamma_st = adjoint_field(ext.gamma, ident_s, ident_q)
-    zeta_st = adjoint_field(ext.zeta, ident_s, ident_q)
 
     def omega_trace(f11: MatrixFormField) -> np.ndarray:
         return np.real(1j * tr_field(contract_lambda(f11)).comps[0, 0, ..., 0, 0])
 
+    gamma_st, zeta_st = ext.hom_adjoints
     g_tr = omega_trace(wedge(ext.gamma, gamma_st))
     z_tr = omega_trace(wedge(ext.zeta, zeta_st))
-    f_s = curvature(ident_s, ext.a_s).f11
+    f_s = curvature(ext.identities[0], ext.a_s).f11
     deg_sub = integrate(omega_trace(f_s), base) / (2.0 * math.pi)
     hs = hitchin_simpson_curvature(state)
     eps = hs.sup_norm(state.metric)

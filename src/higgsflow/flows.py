@@ -8,7 +8,7 @@ order in dt this realizes the gradient flow with the codifferential reduced
 by the Kahler identities to first-order operators,
 D_A* F = i (del_A - dbar_A) Lambda F on (1,1)-forms.
 
-Both flow runners default to a midpoint composition of these updates, which
+Both flow runners take a midpoint composition of these updates, which
 is second-order accurate in dt while keeping the structure-preserving form
 of the single steps.
 """
@@ -34,6 +34,12 @@ __all__ = [
     "run_donaldson_flow", "run_ymh_flow", "flow_equivalence_check",
     "EquivalenceReport",
 ]
+
+# adaptive step control: the step is capped by SAFETY / sup|K| and grows by
+# GROWTH per accepted step; MAX_STEPS guards the loop of either runner
+SAFETY = 0.05
+GROWTH = 1.1
+MAX_STEPS = 2_000_000
 
 
 class HiggsPair(HiggsBundleState):
@@ -262,16 +268,28 @@ def _metric_trace_row(state: HiggsBundleState, dt: float, validity) -> dict:
     )
 
 
-def _advance(state: HiggsBundleState, dt: float, order: int, step_fn, K0):
-    """Midpoint composition of the structure-preserving update."""
-    if order == 1:
-        return step_fn(state, dt, K0)
-    half = step_fn(state, 0.5 * dt, K0)
-    return step_fn(state, dt, einstein_deviation(half))
+def _advance(state: HiggsBundleState, dt: float, step_fn, K0):
+    """Midpoint composition of the structure-preserving update.
+
+    Returns None when the candidate broke down: a non-finite field, or a
+    metric (of the candidate or of its midpoint) that lost positivity.
+    """
+    try:
+        half = step_fn(state, 0.5 * dt, K0)
+        candidate = step_fn(state, dt, einstein_deviation(half))
+        if not (np.isfinite(candidate.metric.mat).all()
+                and np.isfinite(candidate.structure.phi.comps).all()
+                and np.isfinite(candidate.structure.a.comps).all()):
+            return None
+        # cached on the metric, so the next curvature reuses it
+        candidate.metric.check_positive()
+    except (FloatingPointError, np.linalg.LinAlgError, ValueError):
+        return None
+    return candidate
 
 
-def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt, order,
-              sample_times, dt_max, safety, growth, max_steps):
+def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
+              sample_times):
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
     validity0 = validate_structure(start.structure)
@@ -285,25 +303,20 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt, order,
 
     schedule = _sample_schedule(T, sample_times)
     trace = FlowTrace()
-    sampled = []
     current = start
     t = 0.0
     trace.append(t=0.0, **row_of(current, dt))
-    sampled.append((0.0, current))
-    next_idx = 1 if schedule and schedule[0] == 0.0 else 0
+    sampled = [(0.0, current)]
+    next_idx = 1  # the schedule starts at t = 0, sampled above
 
     dev_prev = trace.dev_sup[-1]
     steps = rejected = 0
     dt_now = dt
     K_current = None
-    while t < T - 1e-12 and steps < max_steps:
-        if fixed_dt:
-            dt_step = min(dt_now, T - t)
-        else:
-            cap = dt_max or math.inf
-            if dev_prev > 0:
-                cap = min(cap, safety / dev_prev)
-            dt_step = min(dt_now, cap, T - t)
+    while t < T - 1e-12 and steps < MAX_STEPS:
+        dt_step = min(dt_now, T - t)
+        if not fixed_dt and dev_prev > 0:
+            dt_step = min(dt_step, SAFETY / dev_prev)
         # land exactly on the next sample time
         if next_idx < len(schedule):
             dt_step = min(dt_step, schedule[next_idx] - t)
@@ -311,44 +324,29 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt, order,
 
         if K_current is None:
             K_current = einstein_deviation(current)
-        try:
-            candidate = _advance(current, dt_step, order, step_fn, K_current)
-            finite = bool(np.isfinite(candidate.metric.mat).all()
-                          and np.isfinite(candidate.structure.phi.comps).all()
-                          and np.isfinite(candidate.structure.a.comps).all())
-            if finite:
-                # cached on the metric, so the next curvature reuses it
-                candidate.metric.check_positive()
-        except (FloatingPointError, np.linalg.LinAlgError, ValueError):
-            # ValueError: the candidate (or its midpoint) metric lost
-            # positivity, a breakdown of the same kind as non-finite fields
-            finite = False
-        if not finite:
-            if fixed_dt:
-                raise FlowBlowup(f"flow produced non-finite fields or a "
-                                 f"non-positive metric at t={t:.6g} with "
-                                 f"dt={dt_step:.3e}", current, trace, t)
+        candidate = _advance(current, dt_step, step_fn, K_current)
+        if candidate is None and fixed_dt:
+            raise FlowBlowup(f"flow produced non-finite fields or a "
+                             f"non-positive metric at t={t:.6g} with "
+                             f"dt={dt_step:.3e}", current, trace, t)
+        K_next = None
+        if candidate is not None and not fixed_dt:
+            K_next = einstein_deviation(candidate)
+            dev_new = math.sqrt(max(
+                pointwise_norm2(K_next, candidate.metric.mat).max(), 0.0))
+            if dev_prev > 0 and dev_new > 2.0 * dev_prev + 1e-12:
+                candidate = None  # diagnostic blow-up
+        if candidate is None:
+            # reject and halve
             dt_now = 0.5 * dt_step
             rejected += 1
             if dt_now < 1e-12:
                 raise FlowBlowup(f"flow step size collapsed at t={t:.6g}",
                                  current, trace, t)
             continue
-        K_next = None
         if not fixed_dt:
-            K_next = einstein_deviation(candidate)
-            dev_new = math.sqrt(max(
-                pointwise_norm2(K_next, candidate.metric.mat).max(), 0.0))
-            if dev_prev > 0 and dev_new > 2.0 * dev_prev + 1e-12:
-                # diagnostic blow-up: reject and halve
-                dt_now = 0.5 * dt_step
-                rejected += 1
-                if dt_now < 1e-12:
-                    raise FlowBlowup(f"flow step size collapsed at t={t:.6g}",
-                                     current, trace, t)
-                continue
             dev_prev = dev_new
-            dt_now = dt_step * growth
+            dt_now = dt_step * GROWTH
 
         current = candidate
         K_current = K_next
@@ -362,33 +360,28 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt, order,
 
 
 def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
-                       fixed_dt: bool = False, order: int = 2,
-                       sample_times=None, dt_max: float | None = None,
-                       safety: float = 0.05, growth: float = 1.1,
-                       max_steps: int = 2_000_000) -> FlowResult:
+                       fixed_dt: bool = False,
+                       sample_times=None) -> FlowResult:
     """Integrate the metric flow to time T and record a FlowTrace.
 
     With fixed_dt the step is exactly dt (pinned-accuracy experiments);
-    otherwise the step grows geometrically, is capped by safety/sup|K|, and
-    is halved whenever the deviation sup-norm more than doubles in one step.
+    otherwise the step grows by GROWTH per accepted step, is capped by
+    SAFETY/sup|K|, and is halved whenever the deviation sup-norm more than
+    doubles in one step.
     """
     return _run_flow(state, T, dt, donaldson_step, fixed_dt=fixed_dt,
-                     order=order, sample_times=sample_times, dt_max=dt_max,
-                     safety=safety, growth=growth, max_steps=max_steps)
+                     sample_times=sample_times)
 
 
 def run_ymh_flow(state: HiggsBundleState, T: float, dt: float, *,
-                 fixed_dt: bool = False, order: int = 2, sample_times=None,
-                 dt_max: float | None = None, safety: float = 0.05,
-                 growth: float = 1.1, max_steps: int = 2_000_000) -> FlowResult:
+                 fixed_dt: bool = False, sample_times=None) -> FlowResult:
     """Integrate the pair flow to time T over the frozen metric of the state.
 
     Validity residuals of the evolved pair are recorded at every sample and
     never re-projected: constraint drift is evidence, not noise to hide.
     """
     return _run_flow(state, T, dt, ymh_step, fixed_dt=fixed_dt,
-                     order=order, sample_times=sample_times, dt_max=dt_max,
-                     safety=safety, growth=growth, max_steps=max_steps)
+                     sample_times=sample_times)
 
 
 # -- the two-flow correspondence ---------------------------------------------------
@@ -451,9 +444,8 @@ class EquivalenceReport:
 
 
 def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
-                           sample_times=None, order: int = 2,
-                           fixed_dt: bool = True) -> EquivalenceReport:
-    """Run both flows from the same initial state and compare them.
+                           sample_times=None) -> EquivalenceReport:
+    """Run both flows with the fixed step dt from one state and compare them.
 
     The metric flow evolves H(t) with (a0, phi0) frozen; the pair flow
     evolves (a(t), phi(t)) over the frozen background H0 = H(0). At each
@@ -464,10 +456,9 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     """
     samples = sample_times if sample_times is not None else \
         [k * T / 4.0 for k in range(1, 5)]
-    res_m = run_donaldson_flow(state0, T, dt, fixed_dt=fixed_dt, order=order,
+    res_m = run_donaldson_flow(state0, T, dt, fixed_dt=True,
                                sample_times=samples)
-    res_p = run_ymh_flow(state0, T, dt, fixed_dt=fixed_dt, order=order,
-                         sample_times=samples)
+    res_p = run_ymh_flow(state0, T, dt, fixed_dt=True, sample_times=samples)
     metric_at = {round(t, 9): s for t, s in res_m.sampled_states}
     pair_at = {round(t, 9): s for t, s in res_p.sampled_states}
     common = sorted(set(metric_at) & set(pair_at))

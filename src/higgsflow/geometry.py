@@ -57,9 +57,9 @@ class HermitianMetric:
         return min_eigvalsh(self.mat)
 
     def check_positive(self, tol: float = 0.0) -> float:
-        """Smallest eigenvalue over the grid; raises if not above tol."""
+        """Smallest eigenvalue over the grid; raises unless above tol (NaN never is)."""
         lo = self._min_eig
-        if lo <= tol:
+        if not lo > tol:
             raise ValueError(f"metric not positive definite: min eigenvalue {lo:.3e}")
         return lo
 

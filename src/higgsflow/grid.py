@@ -16,8 +16,10 @@ Conventions, fixed once and used by every downstream module:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,38 +34,33 @@ __all__ = [
 
 MAX_RANK = 4
 
-# ordered multi-indices for n complex axes, degree p
-_COMBS: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-
+@functools.cache
 def _combs(n: int, p: int) -> list[tuple[int, ...]]:
-    key = (n, p)
-    if key not in _COMBS:
-        _COMBS[key] = list(itertools.combinations(range(n), p))
-    return _COMBS[key]
+    """Ordered multi-indices of degree p over n complex axes, lexicographic."""
+    return list(itertools.combinations(range(n), p))
 
 
-def _insert_index(j: int, idx: tuple[int, ...]):
-    """Sign and result of sorting dz^j into the ordered tuple idx.
+@functools.cache
+def _wedge_table(n: int, deg_a: int, deg_b: int) -> list[tuple[int, int, int, int]]:
+    """(ia, ib, i_out, sign) for every disjoint pair of ordered multi-indices.
 
-    Returns None on a repeated index (the wedge annihilates it).
+    dz^A wedge dz^B = sign dz^C, and alike for dzbar, with A, B, C the ia-th,
+    ib-th and i_out-th multi-indices of degrees deg_a, deg_b and deg_a + deg_b;
+    the rows run in (ia, ib) order. For a fixed output slot and a fixed ia,
+    ib is determined, so accumulating in row order adds the terms of each
+    slot in ia order.
     """
-    if j in idx:
-        return None
-    smaller = sum(1 for k in idx if k < j)
-    sign = -1 if smaller % 2 else 1
-    return sign, tuple(sorted(idx + (j,)))
-
-
-def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
-    """Sign of sorting the concatenation a+b, or None on a collision."""
-    merged = a + b
-    if len(set(merged)) != len(merged):
-        return None
-    invs = sum(1 for i in range(len(merged)) for j in range(i + 1, len(merged))
-               if merged[i] > merged[j])
-    sign = -1 if invs % 2 else 1
-    return sign, tuple(sorted(merged))
+    slot = {idx: k for k, idx in enumerate(_combs(n, deg_a + deg_b))}
+    rows = []
+    for ia, A in enumerate(_combs(n, deg_a)):
+        for ib, B in enumerate(_combs(n, deg_b)):
+            merged = A + B
+            if len(set(merged)) == len(merged):
+                inversions = sum(x > y for x, y in itertools.combinations(merged, 2))
+                rows.append((ia, ib, slot[tuple(sorted(merged))],
+                             -1 if inversions % 2 else 1))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -112,11 +109,6 @@ class TorusBase:
         return [self.axis_coordinate(k) for k in range(2 * self.n)]
 
 
-def _centered_diff(arr: np.ndarray, grid_axis: int, h: float) -> np.ndarray:
-    ax = 2 + grid_axis  # comps layout is (P, Q, *grid, r, r)
-    return (np.roll(arr, -1, axis=ax) - np.roll(arr, 1, axis=ax)) / (2.0 * h)
-
-
 class MatrixFormField:
     """Endomorphism- (or hom-) valued (p,q)-form sampled on the grid.
 
@@ -163,43 +155,16 @@ class MatrixFormField:
         out.comps[out.pos_p(index[0]), out.pos_q(index[1])] = matrix
         return out
 
-    @classmethod
-    def from_function(cls, base: TorusBase, p: int, q: int, fn):
-        """Build from fn(I, J) -> grid array of matrices (or None for zero)."""
-        comps = None
-        for ip, I in enumerate(_combs(base.n, p)):
-            for iq, J in enumerate(_combs(base.n, q)):
-                block = fn(I, J)
-                if block is None:
-                    continue
-                block = np.asarray(block, dtype=np.complex128)
-                if comps is None:
-                    P, Q = len(_combs(base.n, p)), len(_combs(base.n, q))
-                    comps = np.zeros((P, Q) + base.shape + block.shape[-2:], np.complex128)
-                comps[ip, iq] = block
-        if comps is None:
-            raise ValueError("from_function received no nonzero component")
-        return cls(base, p, q, comps)
-
     def copy(self) -> "MatrixFormField":
         return MatrixFormField(self.base, self.p, self.q, self.comps.copy())
 
     # -- index bookkeeping -----------------------------------------------------
-
-    def p_indices(self) -> list[tuple[int, ...]]:
-        return _combs(self.base.n, self.p)
-
-    def q_indices(self) -> list[tuple[int, ...]]:
-        return _combs(self.base.n, self.q)
 
     def pos_p(self, I: tuple[int, ...]) -> int:
         return _combs(self.base.n, self.p).index(tuple(I))
 
     def pos_q(self, J: tuple[int, ...]) -> int:
         return _combs(self.base.n, self.q).index(tuple(J))
-
-    def component(self, I: tuple[int, ...], J: tuple[int, ...]) -> np.ndarray:
-        return self.comps[self.pos_p(I), self.pos_q(J)]
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -285,45 +250,40 @@ class MixedField(dict):
 
 def _dz_component(f: MatrixFormField, j: int, bar: bool) -> np.ndarray:
     """d/dz^j (or d/dzbar^j) of every component, centered differences."""
-    h = f.base.spacing
-    dx = _centered_diff(f.comps, 2 * j, h)
-    dy = _centered_diff(f.comps, 2 * j + 1, h)
+    # comps layout is (P, Q, *grid, r, r): x_j and y_j are axes 2 + 2j, 3 + 2j
+    dx, dy = ((np.roll(f.comps, -1, axis=ax) - np.roll(f.comps, 1, axis=ax))
+              / (2.0 * f.base.spacing) for ax in (2 + 2 * j, 3 + 2 * j))
     return 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
+
+
+def _raise_degree(f: MatrixFormField, bar: bool) -> MatrixFormField:
+    """Shared body of d_flat (bar False) and dbar_flat (bar True)."""
+    n = f.base.n
+    deg = f.q if bar else f.p
+    if deg + 1 > n:
+        name, letter = ("dbar", "q") if bar else ("d", "p")
+        raise ValueError(f"{name} overflows bidegree: {letter}={deg} with n={n}")
+    p, q = (f.p, f.q + 1) if bar else (f.p + 1, f.q)
+    out = MatrixFormField.zeros(f.base, p, q, f.rows, f.cols)
+    shift = -1 if bar and f.p % 2 else 1  # dzbar^j crosses p holomorphic slots
+    axis = 1 if bar else 0                # the form axis whose degree rises
+    dst = out.comps.swapaxes(0, axis)
+    # rows of dz^j wedge dz^K, grouped by j: one derivative per axis
+    for j, rows in itertools.groupby(_wedge_table(n, 1, deg), itemgetter(0)):
+        deriv = _dz_component(f, j, bar).swapaxes(0, axis)
+        for _, k, k_out, sign in rows:
+            dst[k_out] += (shift * sign) * deriv[k]
+    return out
 
 
 def dbar_flat(f: MatrixFormField) -> MatrixFormField:
     """Background dbar: raises antiholomorphic degree by one."""
-    n = f.base.n
-    if f.q + 1 > n:
-        raise ValueError(f"dbar overflows bidegree: q={f.q} with n={n}")
-    out = MatrixFormField.zeros(f.base, f.p, f.q + 1, f.rows, f.cols)
-    p_sign = -1 if f.p % 2 else 1  # dzbar^j crosses p holomorphic slots
-    for j in range(n):
-        deriv = _dz_component(f, j, bar=True)
-        for iq, J in enumerate(f.q_indices()):
-            ins = _insert_index(j, J)
-            if ins is None:
-                continue
-            sign, Jnew = ins
-            out.comps[:, out.pos_q(Jnew)] += (p_sign * sign) * deriv[:, iq]
-    return out
+    return _raise_degree(f, bar=True)
 
 
 def d_flat(f: MatrixFormField) -> MatrixFormField:
     """Background del: raises holomorphic degree by one."""
-    n = f.base.n
-    if f.p + 1 > n:
-        raise ValueError(f"d overflows bidegree: p={f.p} with n={n}")
-    out = MatrixFormField.zeros(f.base, f.p + 1, f.q, f.rows, f.cols)
-    for i in range(n):
-        deriv = _dz_component(f, i, bar=False)
-        for ip, I in enumerate(f.p_indices()):
-            ins = _insert_index(i, I)
-            if ins is None:
-                continue
-            sign, Inew = ins
-            out.comps[out.pos_p(Inew)] += sign * deriv[ip]
-    return out
+    return _raise_degree(f, bar=False)
 
 
 def wedge(a: MatrixFormField, b: MatrixFormField) -> MatrixFormField:
@@ -343,19 +303,11 @@ def wedge(a: MatrixFormField, b: MatrixFormField) -> MatrixFormField:
         raise ValueError(f"wedge overflows bidegree: ({p},{q}) with n={n}")
     out = MatrixFormField.zeros(a.base, p, q, a.rows, b.cols)
     cross = -1 if (a.q * b.p) % 2 else 1
-    for ip1, I1 in enumerate(a.p_indices()):
-        for iq1, J1 in enumerate(a.q_indices()):
-            for ip2, I2 in enumerate(b.p_indices()):
-                mi = _merge_indices(I1, I2)
-                if mi is None:
-                    continue
-                for iq2, J2 in enumerate(b.q_indices()):
-                    mj = _merge_indices(J1, J2)
-                    if mj is None:
-                        continue
-                    sign = cross * mi[0] * mj[0]
-                    out.comps[out.pos_p(mi[1]), out.pos_q(mj[1])] += \
-                        sign * (a.comps[ip1, iq1] @ b.comps[ip2, iq2])
+    q_rows = _wedge_table(n, a.q, b.q)
+    for ip1, ip2, ip, sign_p in _wedge_table(n, a.p, b.p):
+        for iq1, iq2, iq, sign_q in q_rows:
+            out.comps[ip, iq] += (cross * sign_p * sign_q) * \
+                (a.comps[ip1, iq1] @ b.comps[ip2, iq2])
     return out
 
 
@@ -388,20 +340,15 @@ def dbar_adjoint(f: MatrixFormField, H: np.ndarray | None = None) -> MatrixFormF
         raise ValueError("metric-weighted adjoint expects square blocks")
     out = MatrixFormField.zeros(f.base, f.p, f.q - 1, f.rows, f.cols)
     Hinv = None if H is None else inv(H)
+    g = f if H is None else f.sandwich(H, Hinv)
     p_sign = -1 if f.p % 2 else 1
-    h = f.base.spacing
-    for iq, J in enumerate(f.q_indices()):
-        for j in J:
-            ins = _insert_index(j, tuple(k for k in J if k != j))
-            sign, _ = ins
-            comp = f.comps[:, iq]
-            sandwich = comp if H is None else H @ comp @ Hinv
-            dx = (np.roll(sandwich, -1, axis=1 + 2 * j) - np.roll(sandwich, 1, axis=1 + 2 * j)) / (2 * h)
-            dy = (np.roll(sandwich, -1, axis=2 + 2 * j) - np.roll(sandwich, 1, axis=2 + 2 * j)) / (2 * h)
-            dz = 0.5 * (dx - 1j * dy)
-            term = dz if H is None else Hinv @ dz @ H
-            out.comps[:, out.pos_q(tuple(k for k in J if k != j))] += \
-                (2.0 * p_sign * sign) * term
+    # rows of dzbar^j wedge dzbar^K = dzbar^J, grouped by j
+    for j, rows in itertools.groupby(_wedge_table(f.base.n, 1, f.q - 1), itemgetter(0)):
+        dz = MatrixFormField(f.base, f.p, f.q, _dz_component(g, j, bar=False))
+        if H is not None:
+            dz = dz.sandwich(Hinv, H)
+        for _, k, k_full, sign in rows:
+            out.comps[:, k] += (2.0 * p_sign * sign) * dz.comps[:, k_full]
     return out
 
 

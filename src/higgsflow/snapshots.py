@@ -9,11 +9,14 @@ Layout (all integers little-endian):
                  little-endian complex double arrays
 
 The Hermitian metric is stored as the (0,0) section named "H"; reloading
-validates positive definiteness.
+validates positive definiteness. A file that is truncated, has trailing
+bytes, declares a body larger than what follows its header, or holds a
+non-finite value is rejected with ValueError.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -26,40 +29,38 @@ __all__ = ["save_field", "load_field", "save_state", "load_state"]
 
 MAGIC = b"HBSNAP01"
 VERSION = 1
+_HEAD = struct.Struct("<7I")
 
 
 def _pack_field(f: MatrixFormField) -> bytes:
     if f.rows != f.cols:
         raise ValueError("snapshots store square-block fields")
     P, Q = f.comps.shape[0], f.comps.shape[1]
-    head = struct.pack("<7I", VERSION, f.base.n, f.base.N, f.rows, f.p, f.q,
-                       P * Q)
-    body = b"".join(
-        np.ascontiguousarray(f.comps[ip, iq]).astype("<c16").tobytes()
-        for ip in range(P) for iq in range(Q))
-    return head + body
+    head = _HEAD.pack(VERSION, f.base.n, f.base.N, f.rows, f.p, f.q, P * Q)
+    # comps is C-contiguous, so its bytes run component by component
+    return head + f.comps.astype("<c16").tobytes()
 
 
 def _unpack_field(buf: bytes, offset: int) -> tuple[MatrixFormField, int]:
-    version, n, N, rank, p, q, ncomp = struct.unpack_from("<7I", buf, offset)
+    version, n, N, rank, p, q, ncomp = _HEAD.unpack_from(buf, offset)
     if version != VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
-    offset += struct.calcsize("<7I")
+    offset += _HEAD.size
     base = TorusBase(n, N)
-    out = MatrixFormField.zeros(base, p, q, rank)
-    P, Q = out.comps.shape[0], out.comps.shape[1]
+    P, Q = math.comb(n, p), math.comb(n, q)
     if ncomp != P * Q:
         raise ValueError(f"component count {ncomp} does not match bidegree "
                          f"({p},{q}) at n={n}")
-    block = base.num_points * rank * rank * 16
-    k = 0
-    for ip in range(P):
-        for iq in range(Q):
-            arr = np.frombuffer(buf, dtype="<c16", count=base.num_points * rank * rank,
-                                offset=offset + k * block)
-            out.comps[ip, iq] = arr.reshape(base.shape + (rank, rank))
-            k += 1
-    return out, offset + ncomp * block
+    # the header comes from outside: check the size it declares against the
+    # bytes that are there before allocating anything
+    count = ncomp * base.num_points * rank * rank
+    if 16 * count > len(buf) - offset:
+        raise ValueError(f"snapshot truncated: a field body of {16 * count} "
+                         f"bytes has {len(buf) - offset} left")
+    comps = np.frombuffer(buf, dtype="<c16", count=count, offset=offset)
+    # astype copies the read-only buffer view into a writable native array
+    comps = comps.reshape((P, Q) + base.shape + (rank, rank)).astype(np.complex128)
+    return MatrixFormField(base, p, q, comps), offset + 16 * count
 
 
 def save_field(f: MatrixFormField, path) -> None:
@@ -88,16 +89,21 @@ def _read_sections(path) -> list[tuple[str, MatrixFormField]]:
     buf = Path(path).read_bytes()
     if buf[:8] != MAGIC:
         raise ValueError(f"{path} is not a snapshot container")
-    (count,) = struct.unpack_from("<I", buf, 8)
-    offset = 12
     out = []
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        name = buf[offset:offset + nlen].decode("ascii")
-        offset += nlen
-        fieldm, offset = _unpack_field(buf, offset)
-        out.append((name, fieldm))
+    try:
+        (count,) = struct.unpack_from("<I", buf, 8)
+        offset = 12
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", buf, offset)
+            offset += 2
+            name = buf[offset:offset + nlen].decode("ascii")
+            offset += nlen
+            fieldm, offset = _unpack_field(buf, offset)
+            out.append((name, fieldm))
+    except struct.error as exc:
+        raise ValueError(f"snapshot {path} is truncated: {exc}") from exc
+    if offset != len(buf):
+        raise ValueError(f"snapshot {path} has {len(buf) - offset} trailing bytes")
     return out
 
 
@@ -113,7 +119,13 @@ def load_state(path) -> HiggsBundleState:
     missing = {"a", "phi", "H"} - set(sections)
     if missing:
         raise ValueError(f"state snapshot is missing sections {sorted(missing)}")
+    for name, f in sections.items():
+        if not np.isfinite(f.comps).all():
+            raise ValueError(f"snapshot section '{name}' holds non-finite values")
     H_field = sections["H"]
+    if (H_field.p, H_field.q) != (0, 0):
+        raise ValueError(f"metric section has bidegree ({H_field.p},{H_field.q}), "
+                         f"not (0,0)")
     metric = HermitianMetric(H_field.base, H_field.comps[0, 0])
     metric.check_positive()
     return HiggsBundleState(HiggsStructure(sections["a"], sections["phi"]),

@@ -224,3 +224,17 @@ def test_metric_positivity_enforced():
         H.check_positive()
     with pytest.raises(ValueError):
         chern_connection(H, MatrixFormField.zeros(base, 0, 1, 2))
+
+
+def test_non_finite_metric_is_not_positive():
+    # eigvalsh of a NaN matrix is NaN, which no comparison places above tol
+    base = TorusBase(1, 8)
+    for bad in (np.nan, np.inf):
+        mat = np.broadcast_to(np.eye(2, dtype=complex), base.shape + (2, 2)).copy()
+        mat[3, 4] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="positive definite"):
+            HermitianMetric(base, mat).check_positive()
+    H = HermitianMetric(base, np.full(base.shape + (2, 2), np.nan, complex))
+    with pytest.raises(ValueError, match="positive definite"):
+        H.check_positive()

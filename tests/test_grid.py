@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from higgsflow import (MatrixFormField, TorusBase, contract_lambda, d_flat,
                        dbar_adjoint, dbar_flat, integrate, integrate_top_form,
                        l2_norm, pointwise_inner, pointwise_norm2, sup_norm,
                        tr_field, wedge)
+from higgsflow.grid import _wedge_table
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
 E21 = E12.T.copy()
@@ -81,6 +84,51 @@ def test_dbar_squared_vanishes():
                         + 1j * rng.standard_normal((1, 1) + base.shape + (2, 2)))
     assert sup_norm(dbar_flat(dbar_flat(f))) < 1e-12
     assert sup_norm(d_flat(d_flat(f))) < 1e-12
+
+
+def test_d_and_dbar_square_to_zero_and_anticommute_n2():
+    base = TorusBase(2, 8)
+    rng = np.random.default_rng(4)
+    for p, q in itertools.product(range(3), repeat=2):
+        shape = MatrixFormField.zeros(base, p, q, 2).comps.shape
+        f = MatrixFormField(base, p, q, rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape))
+        if p == 0:
+            assert sup_norm(d_flat(d_flat(f))) < 1e-12, (p, q)
+        if q == 0:
+            assert sup_norm(dbar_flat(dbar_flat(f))) < 1e-12, (p, q)
+        if p < 2 and q < 2:
+            anti = d_flat(dbar_flat(f)) + dbar_flat(d_flat(f))
+            assert sup_norm(anti) < 1e-12, (p, q)
+
+
+def _sort_parity(seq):
+    """Sign of the permutation sorting seq, from its cycle decomposition."""
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    sign, seen = 1, set()
+    for start in range(len(seq)):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            k = order[k]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_wedge_table_signs_are_permutation_parities(n):
+    def combs(deg):
+        return list(itertools.combinations(range(n), deg))
+
+    for deg_a in range(n + 1):
+        for deg_b in range(n + 1 - deg_a):
+            expected = [(ia, ib, combs(deg_a + deg_b).index(tuple(sorted(A + B))),
+                         _sort_parity(A + B))
+                        for ia, A in enumerate(combs(deg_a))
+                        for ib, B in enumerate(combs(deg_b)) if not set(A) & set(B)]
+            assert _wedge_table(n, deg_a, deg_b) == expected, (deg_a, deg_b)
 
 
 def test_wedge_nilpotent_one_form_squares_to_zero():

@@ -1,9 +1,16 @@
+import functools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from higgsflow import (MatrixFormField, TorusBase, build_scenario, load_field,
-                       load_state, save_field, save_state)
+from higgsflow import (HiggsBundleState, HiggsStructure, MatrixFormField,
+                       TorusBase, build_scenario, load_field, load_state,
+                       save_field, save_state)
 from higgsflow.scenarios import random_valid_state
+from higgsflow.snapshots import _write_sections
 
 
 def test_field_roundtrip(tmp_path):
@@ -61,3 +68,113 @@ def test_deterministic_bytes(tmp_path):
     save_state(st, p1)
     save_state(st, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# -- corrupt input ----------------------------------------------------------------
+
+
+def _valid_snapshot(tmp_path):
+    path = tmp_path / "state.snap"
+    save_state(build_scenario("nilpotent-r2", N=16), path)
+    return path, path.read_bytes()
+
+
+def test_truncated_snapshot_rejected(tmp_path):
+    path, raw = _valid_snapshot(tmp_path)
+    # inside the section count, a section header, a field header, a body
+    for cut in (10, 14, 20, 40, len(raw) - 5):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_state(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path, raw = _valid_snapshot(tmp_path)
+    path.write_bytes(raw + b"\0" * 7)
+    with pytest.raises(ValueError, match="7 trailing bytes"):
+        load_state(path)
+
+
+def test_declared_body_size_checked_before_allocation(tmp_path):
+    # a header that declares N = 2^14 (a 16 GB body) in a file of a few
+    # kilobytes is rejected from its size, without allocating the body
+    path, raw = _valid_snapshot(tmp_path)
+    header_at = 8 + 4 + 2 + 1  # magic, section count, name length, "a"
+    N_at = header_at + 8        # after version and n
+    assert int.from_bytes(raw[N_at:N_at + 4], "little") == 16
+    path.write_bytes(raw[:N_at] + (2**14).to_bytes(4, "little") + raw[N_at + 4:])
+    with pytest.raises(ValueError, match="truncated"):
+        load_state(path)
+
+
+def test_non_finite_section_rejected(tmp_path):
+    st = build_scenario("nilpotent-r2", N=16)
+    bad_phi = st.structure.phi.copy()
+    bad_phi.comps[0, 0, 3, 5, 0, 1] = np.nan
+    path = tmp_path / "state.snap"
+    save_state(HiggsBundleState(HiggsStructure(st.structure.a, bad_phi),
+                                st.metric), path)
+    with pytest.raises(ValueError, match="non-finite"):
+        load_state(path)
+
+
+def test_metric_section_must_be_a_function(tmp_path):
+    st = build_scenario("nilpotent-r2", N=16)
+    path = tmp_path / "state.snap"
+    H_as_form = MatrixFormField(st.base, 1, 0, st.metric.mat[None, None])
+    _write_sections(path, [("a", st.structure.a), ("phi", st.structure.phi),
+                           ("H", H_as_form)])
+    with pytest.raises(ValueError, match="bidegree"):
+        load_state(path)
+
+
+def test_inconsistent_sections_rejected(tmp_path):
+    st = build_scenario("nilpotent-r2", N=16)
+    coarse = build_scenario("nilpotent-r2", N=8)
+    rank3 = random_valid_state(TorusBase(1, 16), 3, seed=1)
+    path = tmp_path / "state.snap"
+    for sections in ([("a", st.structure.a), ("phi", coarse.structure.phi),
+                      ("H", st.metric.as_field())],
+                     [("a", st.structure.a), ("phi", st.structure.phi),
+                      ("H", rank3.metric.as_field())]):
+        _write_sections(path, sections)
+        with pytest.raises(ValueError):
+            load_state(path)
+
+
+def test_loaded_fields_are_writable(tmp_path):
+    path, _ = _valid_snapshot(tmp_path)
+    st = load_state(path)
+    st.structure.phi.comps[0, 0, 0, 0] += 1.0
+    st.metric.mat[0, 0] *= 2.0
+
+
+@functools.cache
+def _small_snapshot(rank: int) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.snap"
+        save_state(random_valid_state(TorusBase(1, 8), rank, seed=rank), path)
+        return path.read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(rank=strategies.integers(1, 2),
+       flips=strategies.lists(strategies.tuples(strategies.integers(0, 2**20),
+                                                strategies.integers(1, 255)),
+                              max_size=3),
+       cut=strategies.one_of(strategies.none(), strategies.integers(0, 2**20)))
+def test_corrupt_snapshots_fail_with_value_error(tmp_path_factory, rank, flips, cut):
+    data = bytearray(_small_snapshot(rank))
+    for pos, mask in flips:
+        data[pos % len(data)] ^= mask
+    if cut is not None:
+        data = data[:cut % len(data)]
+    path = tmp_path_factory.mktemp("fuzz") / "state.snap"
+    path.write_bytes(bytes(data))
+    try:
+        state = load_state(path)
+    except ValueError:
+        return
+    for arr in (state.metric.mat, state.structure.a.comps,
+                state.structure.phi.comps):
+        assert np.isfinite(arr).all()
