@@ -24,7 +24,7 @@ from .geometry import (HermitianMetric, HiggsBundleState, HiggsStructure,
                        hitchin_simpson_curvature)
 from .grid import (MatrixFormField, MixedField, contract_lambda, d_flat,
                    dbar_flat, integrate, sup_norm, tr_field, wedge)
-from .linalg import dagger, sqrtm_hpd, trace
+from .linalg import dagger, inv, sqrtm_hpd, trace
 
 __all__ = [
     "HiggsSubbundle", "SubbundleReport", "subbundle_report",
@@ -138,7 +138,7 @@ def _orthonormal_frame(H: HermitianMetric, pi: np.ndarray, p: int,
     except np.linalg.LinAlgError as exc:
         raise ValueError("sub-bundle frame degenerates on the grid; cannot "
                          "build a global smooth frame") from exc
-    return U @ np.linalg.inv(dagger(L))
+    return U @ inv(dagger(L))
 
 
 def _block(H: HermitianMetric, U: np.ndarray, f: MatrixFormField,
@@ -300,8 +300,8 @@ def gauss_codazzi_blocks(state: HiggsBundleState, sub: HiggsSubbundle,
     s, q = ext.rank_s, ext.rank_q
     ident_s, ident_q = ext.identities
     b_s, b_q = ext.connections
-    f_s = curvature(ident_s, ext.a_s)
-    f_q = curvature(ident_q, ext.a_q)
+    f_s = curvature(ident_s, ext.a_s, b_s)
+    f_q = curvature(ident_q, ext.a_q, b_q)
 
     gamma, zeta = ext.gamma, ext.zeta
     gamma_st, zeta_st = ext.hom_adjoints
@@ -364,7 +364,7 @@ def scaled_extension_metric(ext: ExtensionData, H_s: np.ndarray | None,
     Hblock[..., :s, :s] = np.eye(s) if H_s is None else H_s
     Hblock[..., s:, s:] = (np.eye(q) if H_q is None else H_q) / rho**2
     U = np.concatenate([ext.frame_s, ext.frame_q], axis=-1)
-    U_inv = np.linalg.inv(U)
+    U_inv = inv(U)
     return HermitianMetric(base, dagger(U_inv) @ Hblock @ U_inv)
 
 
@@ -675,7 +675,7 @@ def assemble_filtration_metric(state: HiggsBundleState,
     Hblock = np.zeros(base.shape + (r, r), np.complex128)
     idx = np.arange(r)
     Hblock[..., idx, idx] = weights
-    U_inv = np.linalg.inv(U_full)
+    U_inv = inv(U_full)
     metric = HermitianMetric(base, dagger(U_inv) @ Hblock @ U_inv)
     return HiggsBundleState(state.structure, metric)
 
@@ -732,7 +732,7 @@ def suggest_subbundles(H0: HermitianMetric, H_t: HermitianMetric,
     output carries no correctness claim and must still pass verification.
     """
     w0 = sqrtm_hpd(H0.mat)
-    w0_inv = np.linalg.inv(w0)
+    w0_inv = inv(w0)
     m = w0_inv @ H_t.mat @ w0_inv
     vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
     mean_log = np.log(np.maximum(vals, 1e-300)).reshape(-1, vals.shape[-1]).mean(axis=0)

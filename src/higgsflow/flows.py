@@ -25,7 +25,7 @@ from .geometry import (HermitianMetric, HiggsBundleState, HiggsStructure,
                        hitchin_simpson_curvature, validate_structure)
 from .grid import (MatrixFormField, contract_lambda, dbar_flat, integrate,
                    pointwise_norm2, sup_norm)
-from .linalg import expm_batched, hermitize, sqrtm_hpd
+from .linalg import expm_batched, hermitize, inv, mm, sqrtm_hpd
 
 __all__ = [
     "HiggsPair", "FlowTrace", "FlowResult", "FlowBlowup",
@@ -91,7 +91,7 @@ def donaldson_step(state: HiggsBundleState, dt: float,
     if K is None:
         K = einstein_deviation(state)
     Ks = _symmetrize_in_H(K.comps[0, 0], state.metric)
-    Hnew = state.metric.mat @ expm_batched(-2.0 * dt * Ks)
+    Hnew = mm(state.metric.mat, expm_batched(-2.0 * dt * Ks))
     return HiggsBundleState(state.structure,
                             HermitianMetric(state.base, hermitize(Hnew)))
 
@@ -115,7 +115,7 @@ def complex_gauge_apply(sigma: np.ndarray,
     part follows from the Chern formula and transforms by the
     metric-adjoint conjugation.
     """
-    sig_inv = np.linalg.inv(sigma)
+    sig_inv = inv(sigma)
     dbar_sig = dbar_flat(MatrixFormField(state.base, 0, 0, sigma[None, None]))
     a, phi = state.structure.a, state.structure.phi
     a_new = a.sandwich(sigma, sig_inv) - dbar_sig.sandwich(None, sig_inv)
@@ -146,7 +146,7 @@ def gauge_from_metric(H0: HermitianMetric, H: HermitianMetric) -> np.ndarray:
     H0.check_positive()
     H.check_positive()
     w = sqrtm_hpd(H0.mat)
-    w_inv = np.linalg.inv(w)
+    w_inv = inv(w)
     middle = sqrtm_hpd(hermitize(w_inv @ H.mat @ w_inv))
     return w_inv @ middle @ w
 
@@ -222,9 +222,9 @@ class FlowResult:
 
 class FlowBlowup(RuntimeError):
     """A step produced non-finite fields or a non-positive metric and could
-    not be rescued.
+    not be rescued, or an accepted state gave a non-finite sample row.
 
-    Carries the last healthy state and the partial trace so callers can
+    Carries the last accepted state and the partial trace so callers can
     persist them.
     """
 
@@ -294,18 +294,22 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
         raise ValueError("need T >= 0 and dt > 0")
     validity0 = validate_structure(start.structure)
 
-    def row_of(obj, dt_now):
+    def sample(obj, t_now, dt_now):
         # the metric flow never replaces the structure, so its validity
         # residuals are those of the start
         validity = validity0 if obj.structure is start.structure else \
             validate_structure(obj.structure)
-        return _metric_trace_row(obj, dt_now, validity)
+        row = _metric_trace_row(obj, dt_now, validity)
+        if not all(math.isfinite(v) for v in row.values()):
+            raise FlowBlowup(f"non-finite sample row at t={t_now:.6g}",
+                             obj, trace, t_now)
+        trace.append(t=t_now, **row)
 
     schedule = _sample_schedule(T, sample_times)
     trace = FlowTrace()
     current = start
     t = 0.0
-    trace.append(t=0.0, **row_of(current, dt))
+    sample(current, 0.0, dt)
     sampled = [(0.0, current)]
     next_idx = 1  # the schedule starts at t = 0, sampled above
 
@@ -353,7 +357,7 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
         t += dt_step
         steps += 1
         if next_idx < len(schedule) and t >= schedule[next_idx] - 1e-12:
-            trace.append(t=t, **row_of(current, dt_step))
+            sample(current, t, dt_step)
             sampled.append((t, current))
             next_idx += 1
     return FlowResult(current, trace, sampled, steps, rejected)

@@ -166,7 +166,7 @@ class CurvatureParts:
     """Chern curvature split by bidegree; f20/f02 are None when n = 1.
 
     For valid inputs the (2,0) and (0,2) parts vanish to truncation order;
-    they are kept as explicit residual reports, never assumed zero.
+    they are computed, never assumed zero.
     """
 
     f11: MatrixFormField
@@ -174,14 +174,15 @@ class CurvatureParts:
     f02: MatrixFormField | None
     b: MatrixFormField
 
-    def residual_sup(self) -> float:
-        vals = [sup_norm(f) for f in (self.f20, self.f02) if f is not None]
-        return max(vals, default=0.0)
 
+def curvature(H: HermitianMetric, a: MatrixFormField,
+              b: MatrixFormField | None = None) -> CurvatureParts:
+    """Full curvature of the Chern connection of (H, dbar + a).
 
-def curvature(H: HermitianMetric, a: MatrixFormField) -> CurvatureParts:
-    """Full curvature of the Chern connection of (H, dbar + a)."""
-    b = chern_connection(H, a)
+    b is that connection's (1,0) form when the caller already holds it.
+    """
+    if b is None:
+        b = chern_connection(H, a)
     f11 = dbar_flat(b) + d_flat(a) + wedge(a, b) + wedge(b, a)
     if H.base.n >= 2:
         f20 = d_flat(b) + wedge(b, b)

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .linalg import dagger, inv, trace
+from .linalg import dagger, inv, mm, trace
 
 __all__ = [
     "TorusBase", "MatrixFormField", "MixedField",
@@ -191,7 +191,7 @@ class MatrixFormField:
 
     def sandwich(self, left: np.ndarray | None = None,
                  right: np.ndarray | None = None) -> "MatrixFormField":
-        """The field with components (left @ c) @ right, c over all components.
+        """The field with components mm(mm(left, c), right), c over all components.
 
         left and right are matrices or grid arrays of matrices, broadcast
         over the form axes; either may be None, and the blocks may be Hom
@@ -200,9 +200,9 @@ class MatrixFormField:
         """
         comps = self.comps
         if left is not None:
-            comps = left @ comps
+            comps = mm(left, comps)
         if right is not None:
-            comps = comps @ right
+            comps = mm(comps, right)
         return MatrixFormField(self.base, self.p, self.q, comps)
 
 
@@ -248,12 +248,30 @@ class MixedField(dict):
 # -- differential operators ------------------------------------------------------
 
 
+def _periodic_diff(c: np.ndarray, axis: int, h2: float) -> np.ndarray:
+    """(c[i+1] - c[i-1]) / h2 along one axis with periodic wrap."""
+    out = np.empty_like(c)
+    src, dst = np.moveaxis(c, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(src[2:], src[:-2], out=dst[1:-1])
+    np.subtract(src[1], src[-1], out=dst[0])
+    np.subtract(src[0], src[-2], out=dst[-1])
+    out /= h2
+    return out
+
+
 def _dz_component(f: MatrixFormField, j: int, bar: bool) -> np.ndarray:
     """d/dz^j (or d/dzbar^j) of every component, centered differences."""
     # comps layout is (P, Q, *grid, r, r): x_j and y_j are axes 2 + 2j, 3 + 2j
-    dx, dy = ((np.roll(f.comps, -1, axis=ax) - np.roll(f.comps, 1, axis=ax))
-              / (2.0 * f.base.spacing) for ax in (2 + 2 * j, 3 + 2 * j))
-    return 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
+    h2 = 2.0 * f.base.spacing
+    out = _periodic_diff(f.comps, 2 + 2 * j, h2)
+    dy = _periodic_diff(f.comps, 3 + 2 * j, h2)
+    dy *= 1j
+    if bar:
+        out += dy
+    else:
+        out -= dy
+    out *= 0.5
+    return out
 
 
 def _raise_degree(f: MatrixFormField, bar: bool) -> MatrixFormField:
@@ -307,7 +325,7 @@ def wedge(a: MatrixFormField, b: MatrixFormField) -> MatrixFormField:
     for ip1, ip2, ip, sign_p in _wedge_table(n, a.p, b.p):
         for iq1, iq2, iq, sign_q in q_rows:
             out.comps[ip, iq] += (cross * sign_p * sign_q) * \
-                (a.comps[ip1, iq1] @ b.comps[ip2, iq2])
+                mm(a.comps[ip1, iq1], b.comps[ip2, iq2])
     return out
 
 

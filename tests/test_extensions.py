@@ -251,3 +251,22 @@ def test_suggest_subbundles_recovers_destabilizing_line():
     assert np.abs(got.projector - e1_proj).max() < 1e-6
     # and the suggestion passes verification
     assert verify_filtration(st, [got], 1e-6).passed
+
+
+def test_gauss_codazzi_builds_each_chern_connection_once(monkeypatch):
+    import higgsflow.extensions
+    import higgsflow.geometry
+    ranks = []
+    original = higgsflow.geometry.chern_connection
+
+    def counting(H, a):
+        ranks.append(H.rank)
+        return original(H, a)
+
+    for module in (higgsflow.geometry, higgsflow.extensions):
+        monkeypatch.setattr(module, "chern_connection", counting)
+    st, sub = random_state_with_subbundle(TorusBase(1, 16), 3, 1, seed=2,
+                                          amplitude=0.001)
+    gauss_codazzi_blocks(st, sub)
+    # the two factors, then the ambient bundle
+    assert ranks == [1, 2, 3]

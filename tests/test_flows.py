@@ -316,3 +316,25 @@ def test_trace_append_rejects_a_row_without_keeping_it():
     with pytest.raises(ValueError):
         trace.append(**row)  # time does not increase
     assert all(len(getattr(trace, col)) == 1 for col in FlowTrace.COLUMNS)
+
+
+def test_non_finite_sample_row_blows_up_with_that_state(monkeypatch):
+    import higgsflow.flows
+    from higgsflow.flows import FlowBlowup
+    real = higgsflow.flows._metric_trace_row
+    calls = []
+
+    def nan_after_first(state, dt, validity):
+        row = real(state, dt, validity)
+        calls.append(state)
+        return row if len(calls) == 1 else dict(row, dev_sup=float("nan"))
+
+    monkeypatch.setattr(higgsflow.flows, "_metric_trace_row", nan_after_first)
+    st = nilpotent_state()
+    with pytest.raises(FlowBlowup) as excinfo:
+        run_donaldson_flow(st, 0.25, 0.01, fixed_dt=True)
+    exc = excinfo.value
+    assert exc.t == pytest.approx(0.0625)  # the first sample after t = 0
+    assert exc.state is calls[-1] and exc.state is not st
+    assert np.isfinite(exc.state.metric.mat).all()
+    assert exc.trace.t == [0.0]

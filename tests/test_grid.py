@@ -7,7 +7,7 @@ from higgsflow import (MatrixFormField, TorusBase, contract_lambda, d_flat,
                        dbar_adjoint, dbar_flat, integrate, integrate_top_form,
                        l2_norm, pointwise_inner, pointwise_norm2, sup_norm,
                        tr_field, wedge)
-from higgsflow.grid import _wedge_table
+from higgsflow.grid import _dz_component, _wedge_table
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
 E21 = E12.T.copy()
@@ -298,3 +298,18 @@ def test_tr_field():
     base = TorusBase(1, 16)
     f = MatrixFormField.constant(base, np.diag([2.0, 3.0]).astype(complex))
     assert np.allclose(tr_field(f).comps[0, 0, ..., 0, 0], 5.0)
+
+
+@pytest.mark.parametrize("n, p, q, rows, cols", [(1, 0, 1, 3, 3), (1, 1, 0, 2, 1),
+                                                  (2, 1, 1, 2, 2), (2, 2, 0, 1, 3)])
+def test_dz_component_matches_the_roll_formula_exactly(n, p, q, rows, cols):
+    rng = np.random.default_rng(10 * n + p + q)
+    base = TorusBase(n, 8)
+    shape = MatrixFormField.zeros(base, p, q, rows, cols).comps.shape
+    f = MatrixFormField(base, p, q, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+    for j in range(n):
+        dx, dy = ((np.roll(f.comps, -1, axis=ax) - np.roll(f.comps, 1, axis=ax))
+                  / (2.0 * base.spacing) for ax in (2 + 2 * j, 3 + 2 * j))
+        assert np.array_equal(_dz_component(f, j, bar=True), 0.5 * (dx + 1j * dy))
+        assert np.array_equal(_dz_component(f, j, bar=False), 0.5 * (dx - 1j * dy))

@@ -1,0 +1,165 @@
+"""Property tests for the pointwise r x r kernels: mm, inv, expm_batched.
+
+Batches have the grid shapes of n = 1 and n = 2 fields (two or four axes);
+blocks run over ranks 1-4 and non-square Hom shapes.
+"""
+
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import higgsflow
+from higgsflow.linalg import dagger, expm_batched, inv, mm
+
+PROPERTY = settings(max_examples=25, deadline=None)
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def grid_batches(draw, side=st.integers(2, 3)):
+    n = draw(st.sampled_from([1, 2]))
+    return (draw(side),) * (2 * n), draw(st.integers(0, 2**32 - 1))
+
+
+def random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_hpd(rng, batch, r, log_spread=3.0):
+    """HPD blocks with eigenvalues spread over up to 10^log_spread."""
+    q, _ = np.linalg.qr(random_stack(rng, batch + (r, r)))
+    w = 10.0 ** rng.uniform(-log_spread, 0.0, batch + (r,))
+    return (q * w[..., None, :]) @ dagger(q)
+
+
+@PROPERTY
+@given(grid_batches(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.booleans())
+def test_mm_matches_a_per_element_loop_exactly(case, r, c, s, single_left):
+    batch, seed = case
+    rng = np.random.default_rng(seed)
+    a = random_stack(rng, (r, c) if single_left else batch + (r, c))
+    b = random_stack(rng, batch + (c, s))
+    out = mm(a, b)
+    assert out.shape == batch + (r, s)
+    # one-element arrays: numpy's scalar complex product may round
+    # differently (no fused multiply-add) from its array loops
+    expected = np.empty_like(out)
+    for idx in np.ndindex(*batch):
+        ai = () if single_left else idx
+        for i in range(r):
+            for j in range(s):
+                acc = a[ai + (i, slice(0, 1))] * b[idx + (slice(0, 1), j)]
+                for k in range(1, c):
+                    acc = acc + a[ai + (i, slice(k, k + 1))] * b[idx + (slice(k, k + 1), j)]
+                expected[idx + (i, j)] = acc[0]
+    assert np.array_equal(out, expected)
+
+
+@PROPERTY
+@given(grid_batches(st.integers(2, 8)), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 4))
+def test_mm_agrees_with_matmul_to_rounding(case, r, c, s):
+    batch, seed = case
+    rng = np.random.default_rng(seed)
+    a = random_stack(rng, batch + (r, c))
+    b = random_stack(rng, batch + (c, s)) * 10.0 ** rng.uniform(-3, 3)
+    bound = 8 * c * EPS * (np.abs(a) @ np.abs(b))
+    assert (np.abs(mm(a, b) - a @ b) <= bound).all()
+
+
+@PROPERTY
+@given(grid_batches(st.integers(2, 6)), st.integers(1, 4))
+def test_inv_matches_lapack_on_hpd_stacks(case, r):
+    batch, seed = case
+    rng = np.random.default_rng(seed)
+    m = random_hpd(rng, batch, r)
+    cond = np.linalg.cond(m)[..., None, None]
+    out = inv(m)
+    residual = np.abs(m @ out - np.eye(r)).max(axis=(-2, -1), keepdims=True)
+    assert (residual <= 1e-12 * cond).all()
+    ref = np.linalg.inv(m)
+    scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+    assert (np.abs(out - ref) <= 1e-12 * cond * scale).all()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["row", "column"])
+def test_exactly_singular_block_raises(r, kind):
+    rng = np.random.default_rng(r)
+    m = random_hpd(rng, (3, 3), r)
+    if kind == "row":
+        m[1, 2, r - 1, :] = 0.0
+    else:
+        m[1, 2, :, 0] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(m)
+    with pytest.raises(np.linalg.LinAlgError):
+        inv(m)
+
+
+def _eigh_exp(h):
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(w)[..., None, :]) @ dagger(v)
+
+
+@PROPERTY
+@given(grid_batches(st.integers(2, 6)), st.integers(1, 4),
+       st.floats(0.01, 4.0))
+def test_expm_matches_eigh_on_hermitian_input(case, r, size):
+    batch, seed = case
+    rng = np.random.default_rng(seed)
+    x = random_stack(rng, batch + (r, r))
+    h = x + dagger(x)
+    h *= size / np.abs(h).max()
+    ref = _eigh_exp(h)
+    assert np.abs(expm_batched(h) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@PROPERTY
+@given(grid_batches(st.integers(2, 6)), st.integers(1, 4),
+       st.floats(0.01, 4.0))
+def test_expm_matches_eigh_on_h_self_adjoint_input(case, r, size):
+    # K = H^{-1} S with S Hermitian satisfies H^{-1} K^dag H = K; with
+    # w = H^{1/2}, w K w^{-1} = w^{-1} S w^{-1} is Hermitian
+    batch, seed = case
+    rng = np.random.default_rng(seed)
+    H = random_hpd(rng, batch, r, log_spread=1.0)
+    x = random_stack(rng, batch + (r, r))
+    S = x + dagger(x)
+    K = np.linalg.solve(H, S)
+    K *= size / np.abs(K).max()
+    lam, v = np.linalg.eigh(H)
+    w = (v * np.sqrt(lam)[..., None, :]) @ dagger(v)
+    w_inv = (v / np.sqrt(lam)[..., None, :]) @ dagger(v)
+    inner = w @ K @ w_inv
+    ref = w_inv @ _eigh_exp(0.5 * (inner + dagger(inner))) @ w
+    assert np.abs(expm_batched(K) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_propagates_without_warning(r, bad):
+    rng = np.random.default_rng(r)
+    m = random_hpd(rng, (4, 4), r)
+    m[2, 1, 0, r - 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = [mm(m, m), mm(m[..., :, :1], m[..., :1, :]), expm_batched(m)]
+        m_inv = inv(m)
+    for out in outs:
+        assert not np.isfinite(out).all()
+    if (r, bad) == (1, np.inf):
+        assert m_inv[2, 1, 0, 0] == 0.0  # 1/inf, exactly
+    else:
+        assert not np.isfinite(m_inv[2, 1]).all()
+
+
+def test_no_lapack_inverse_outside_the_kernel_layer():
+    src = Path(higgsflow.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py"))
+                 if p.name != "linalg.py" and "np.linalg.inv(" in p.read_text()]
+    assert offenders == []

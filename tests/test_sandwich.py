@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from higgsflow import HermitianMetric, MatrixFormField, TorusBase, adjoint_field
+from higgsflow.linalg import mm
 
 N = 8
 PROPERTY = settings(max_examples=20, deadline=None)
@@ -51,9 +52,9 @@ def test_sandwich_matches_per_component_products_exactly(case, has_left, has_rig
         for iq in range(f.comps.shape[1]):
             expected = f.comps[ip, iq]
             if left is not None:
-                expected = left @ expected
+                expected = mm(left, expected)
             if right is not None:
-                expected = expected @ right
+                expected = mm(expected, right)
             assert np.array_equal(out.comps[ip, iq], expected)
 
 
