@@ -18,8 +18,8 @@ import numpy as np
 
 from .diagnostics import flatness_certificate
 from .extensions import rho_sweep, verify_filtration
-from .flows import (FlowBlowup, flow_equivalence_check, run_donaldson_flow,
-                    run_ymh_flow)
+from .flows import (FlowBlowup, check_flow_times, flow_equivalence_check,
+                    run_donaldson_flow, run_ymh_flow)
 from .geometry import validate_structure
 from .scenarios import (build_scenario, get_scenario, scenario_catalog,
                         scenario_subbundles)
@@ -116,6 +116,7 @@ def cmd_run(args) -> int:
     try:
         cfg = _merged(args, {"flow.kind": "donaldson", "flow.dt": 1e-3,
                              "flow.T": 1.0, "flow.fixed": 0})
+        check_flow_times(cfg["flow.T"], cfg["flow.dt"])
         state, scenario = _load_state_from(cfg)
         out_dir = Path(cfg.get("out.dir", "out"))
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,12 +256,18 @@ def cmd_flow_equivalence(args) -> int:
     try:
         cfg = _merged(args, {"flow.T": 1.0, "flow.dt": 1e-3,
                              "tolerance": 1e-3})
+        check_flow_times(cfg["flow.T"], cfg["flow.dt"])
         state, _ = _load_state_from(cfg)
         out_dir = Path(cfg.get("out.dir", "out"))
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, KeyError, OSError) as exc:
         return _fail(str(exc))
-    report = flow_equivalence_check(state, cfg["flow.T"], cfg["flow.dt"])
+    try:
+        report = flow_equivalence_check(state, cfg["flow.T"], cfg["flow.dt"])
+    except FlowBlowup as exc:
+        return _fail(f"flow blew up: {exc}", {"reached_t": exc.t}, code=3)
+    except ValueError as exc:
+        return _fail(f"flow-equivalence failed: {exc}", code=3)
     _json_dump(report.as_dict(), out_dir / "flow_equivalence.json")
     tol = cfg["tolerance"]
     ok = report.max_norm_residual() <= tol

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import einstein_deviation, energy_density
-from .geometry import (HiggsBundleState, curvature, degree_slope_lambda,
-                       hitchin_simpson_curvature)
+from .geometry import (CurvatureParts, HiggsBundleState, curvature,
+                       degree_slope_lambda, hitchin_simpson_curvature)
 from .grid import (TorusBase, integrate, integrate_top_form, pointwise_norm2,
                    sup_norm, tr_field, wedge)
 
@@ -59,15 +59,18 @@ class ChernWeilReport:
                 "lambda": self.lam, "degree": self.degree}
 
 
-def _char_class_integrals(state: HiggsBundleState) -> tuple[float, float]:
+def _char_class_integrals(state: HiggsBundleState,
+                          parts: CurvatureParts | None = None) -> tuple[float, float]:
     """Integrals of (2c2 - c1^2) and ch2 against omega^{n-2}/(n-2)!.
 
-    Built from tr F wedge tr F and tr(F wedge F) of the Chern curvature;
-    identically zero for n = 1 where the wedge square has no slot.
+    Built from tr F wedge tr F and tr(F wedge F) of the Chern curvature
+    (parts, when the caller already holds it); identically zero for n = 1
+    where the wedge square has no slot.
     """
     if state.base.n < 2:
         return 0.0, 0.0
-    parts = curvature(state.metric, state.structure.a)
+    if parts is None:
+        parts = curvature(state.metric, state.structure.a)
     fields = [parts.f11, parts.f20, parts.f02]
     tr_f = [tr_field(f) for f in fields]
     trf_wedge_trf = 0.0
@@ -92,10 +95,10 @@ def chern_weil_report(state: HiggsBundleState) -> ChernWeilReport:
     hs = hitchin_simpson_curvature(state)
     H = state.metric
     lhs = integrate(hs.pointwise_energy(H), state.base)
-    K = einstein_deviation(state)
+    K = einstein_deviation(state, hs)
     deviation = integrate(pointwise_norm2(K, H.mat), state.base)
     deg, _, lam = degree_slope_lambda(state, hs)
-    two_c2_minus_c1sq, _ = _char_class_integrals(state)
+    two_c2_minus_c1sq, _ = _char_class_integrals(state, hs.chern)
     topological = 4.0 * math.pi**2 * two_c2_minus_c1sq
     lam_term = lam * lam * state.rank * state.base.volume
     residual = lhs - deviation - topological - lam_term

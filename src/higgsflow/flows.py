@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (HermitianMetric, HiggsBundleState, HiggsStructure,
-                       adjoint_field, degree_slope_lambda,
+                       HitchinSimpsonParts, adjoint_field, degree_slope_lambda,
                        hitchin_simpson_curvature, validate_structure)
 from .grid import (MatrixFormField, contract_lambda, dbar_flat, integrate,
                    pointwise_norm2, sup_norm)
@@ -32,7 +32,7 @@ __all__ = [
     "einstein_deviation", "donaldson_step", "ymh_energy", "energy_density",
     "ymh_step", "complex_gauge_apply", "gauge_from_metric",
     "run_donaldson_flow", "run_ymh_flow", "flow_equivalence_check",
-    "EquivalenceReport",
+    "EquivalenceReport", "check_flow_times",
 ]
 
 # adaptive step control: the step is capped by SAFETY / sup|K| and grows by
@@ -55,17 +55,17 @@ class HiggsPair(HiggsBundleState):
         return self.metric
 
 
-def einstein_deviation(state: HiggsBundleState) -> MatrixFormField:
+def einstein_deviation(state: HiggsBundleState,
+                       hs: HitchinSimpsonParts | None = None) -> MatrixFormField:
     """K = i Lambda(F_H + [phi, phi^{*H}]) - lambda Id, a (0,0) field.
 
-    K is H-self-adjoint up to truncation error; donaldson_step symmetrizes
-    before exponentiating so positivity is exact.
+    hs is the state's Hitchin-Simpson curvature when the caller already
+    holds it; only its (1,1) part is read. K is H-self-adjoint up to
+    truncation error; donaldson_step symmetrizes before exponentiating so
+    positivity is exact.
     """
-    hs = hitchin_simpson_curvature(state)
-    return _deviation_from_parts(state, hs)
-
-
-def _deviation_from_parts(state, hs) -> MatrixFormField:
+    if hs is None:
+        hs = hitchin_simpson_curvature(state)
     _, _, lam = degree_slope_lambda(state, hs)
     K = 1j * contract_lambda(hs.part11)
     eye = np.eye(state.rank, dtype=np.complex128)
@@ -218,6 +218,9 @@ class FlowResult:
     sampled_states: list    # (t, state) at the sample schedule
     steps: int
     rejected: int
+    # per sample, the pointwise |del_H phi|^2, |F + [phi,phi*]|^2 and
+    # |i Lambda(F + [phi,phi*])|^2 (see _sample_norms)
+    sampled_norms: list
 
 
 class FlowBlowup(RuntimeError):
@@ -248,12 +251,41 @@ def _sample_schedule(T: float, extra=None) -> list[float]:
     return sorted(pts)
 
 
-def _metric_trace_row(state: HiggsBundleState, dt: float, validity) -> dict:
+def check_flow_times(T: float, dt: float) -> None:
+    """Raise ValueError unless T is finite and >= 0 and dt finite and > 0."""
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"flow time T must be finite and >= 0, got {T!r}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
+
+
+def _sample_norms(state: HiggsBundleState, hs: HitchinSimpsonParts):
+    """Pointwise |del_H phi|^2, |F + [phi,phi*]|^2 and |i Lambda(F + [phi,phi*])|^2.
+
+    The trace row and the two-flow check read these; del_H phi is zero for
+    n = 1.
+    """
+    H = state.metric.mat
+    f = hs.part11
+    dphi2 = np.zeros(state.base.shape) if hs.del_phi is None else \
+        pointwise_norm2(hs.del_phi, H)
+    return dphi2, pointwise_norm2(f, H), pointwise_norm2(1j * contract_lambda(f), H)
+
+
+def _evaluate(state: HiggsBundleState, with_norms: bool):
+    """K of the state and, if asked, its sample norms, from one
+    Hitchin-Simpson evaluation; the curvature itself is not kept."""
     hs = hitchin_simpson_curvature(state)
-    K = _deviation_from_parts(state, hs)
+    K = einstein_deviation(state, hs)
+    return K, (_sample_norms(state, hs) if with_norms else None)
+
+
+def _metric_trace_row(state: HiggsBundleState, dt: float, validity,
+                      K: MatrixFormField, norms) -> dict:
     H = state.metric
+    dphi2, curv2, _ = norms
     dev2 = pointwise_norm2(K, H.mat)
-    e = hs.pointwise_energy(H)
+    e = curv2 + 2.0 * dphi2   # the YMH integrand, as in pointwise_energy
     phi2 = pointwise_norm2(state.structure.phi, H.mat)
     return dict(
         ymh_energy=integrate(e, state.base),
@@ -290,33 +322,36 @@ def _advance(state: HiggsBundleState, dt: float, step_fn, K0):
 
 def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
               sample_times):
-    if T < 0 or dt <= 0:
-        raise ValueError("need T >= 0 and dt > 0")
+    check_flow_times(T, dt)
     validity0 = validate_structure(start.structure)
+    trace = FlowTrace()
+    sampled, sampled_norms = [], []
 
-    def sample(obj, t_now, dt_now):
+    def sample(obj, K, norms, t_now, dt_now):
         # the metric flow never replaces the structure, so its validity
         # residuals are those of the start
         validity = validity0 if obj.structure is start.structure else \
             validate_structure(obj.structure)
-        row = _metric_trace_row(obj, dt_now, validity)
+        row = _metric_trace_row(obj, dt_now, validity, K, norms)
         if not all(math.isfinite(v) for v in row.values()):
             raise FlowBlowup(f"non-finite sample row at t={t_now:.6g}",
                              obj, trace, t_now)
         trace.append(t=t_now, **row)
+        sampled.append((t_now, obj))
+        sampled_norms.append(norms)
 
+    # every accepted state is evaluated once: its K drives the next step
+    # and, at a sample time, its row reuses K and the norms
     schedule = _sample_schedule(T, sample_times)
-    trace = FlowTrace()
     current = start
     t = 0.0
-    sample(current, 0.0, dt)
-    sampled = [(0.0, current)]
+    K_current, norms = _evaluate(current, True)
+    sample(current, K_current, norms, 0.0, dt)
     next_idx = 1  # the schedule starts at t = 0, sampled above
 
     dev_prev = trace.dev_sup[-1]
     steps = rejected = 0
     dt_now = dt
-    K_current = None
     while t < T - 1e-12 and steps < MAX_STEPS:
         dt_step = min(dt_now, T - t)
         if not fixed_dt and dev_prev > 0:
@@ -325,21 +360,21 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
         if next_idx < len(schedule):
             dt_step = min(dt_step, schedule[next_idx] - t)
         dt_step = max(dt_step, 1e-15)
+        t_next = t + dt_step
+        due = next_idx < len(schedule) and t_next >= schedule[next_idx] - 1e-12
 
-        if K_current is None:
-            K_current = einstein_deviation(current)
         candidate = _advance(current, dt_step, step_fn, K_current)
         if candidate is None and fixed_dt:
             raise FlowBlowup(f"flow produced non-finite fields or a "
                              f"non-positive metric at t={t:.6g} with "
                              f"dt={dt_step:.3e}", current, trace, t)
-        K_next = None
-        if candidate is not None and not fixed_dt:
-            K_next = einstein_deviation(candidate)
-            dev_new = math.sqrt(max(
-                pointwise_norm2(K_next, candidate.metric.mat).max(), 0.0))
-            if dev_prev > 0 and dev_new > 2.0 * dev_prev + 1e-12:
-                candidate = None  # diagnostic blow-up
+        if candidate is not None:
+            K_next, norms = _evaluate(candidate, due)
+            if not fixed_dt:
+                dev_new = math.sqrt(max(
+                    pointwise_norm2(K_next, candidate.metric.mat).max(), 0.0))
+                if dev_prev > 0 and dev_new > 2.0 * dev_prev + 1e-12:
+                    candidate = None  # diagnostic blow-up
         if candidate is None:
             # reject and halve
             dt_now = 0.5 * dt_step
@@ -352,15 +387,12 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
             dev_prev = dev_new
             dt_now = dt_step * GROWTH
 
-        current = candidate
-        K_current = K_next
-        t += dt_step
+        current, K_current, t = candidate, K_next, t_next
         steps += 1
-        if next_idx < len(schedule) and t >= schedule[next_idx] - 1e-12:
-            sample(current, t, dt_step)
-            sampled.append((t, current))
+        if due:
+            sample(current, K_current, norms, t, dt_step)
             next_idx += 1
-    return FlowResult(current, trace, sampled, steps, rejected)
+    return FlowResult(current, trace, sampled, steps, rejected, sampled_norms)
 
 
 def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
@@ -389,20 +421,6 @@ def run_ymh_flow(state: HiggsBundleState, T: float, dt: float, *,
 
 
 # -- the two-flow correspondence ---------------------------------------------------
-
-
-def _metric_side_fields(structure0: HiggsStructure, H: HermitianMetric):
-    """The three compared quantities computed on the metric side."""
-    state = HiggsBundleState(structure0, H)
-    hs = hitchin_simpson_curvature(state)
-    f = hs.part11
-    lam_field = 1j * contract_lambda(f)
-    curv2 = pointwise_norm2(f, H.mat)
-    lam2 = pointwise_norm2(lam_field, H.mat)
-    dphi = hs.parts.get((2, 0))
-    dphi2 = pointwise_norm2(dphi, H.mat) if dphi is not None else \
-        np.zeros(structure0.base.shape)
-    return dphi2, curv2, lam2
 
 
 def _rel_sup(x: np.ndarray, y: np.ndarray, floor: float = 0.0) -> float:
@@ -463,20 +481,20 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     res_m = run_donaldson_flow(state0, T, dt, fixed_dt=True,
                                sample_times=samples)
     res_p = run_ymh_flow(state0, T, dt, fixed_dt=True, sample_times=samples)
-    metric_at = {round(t, 9): s for t, s in res_m.sampled_states}
-    pair_at = {round(t, 9): s for t, s in res_p.sampled_states}
+    # the compared fields are the sample norms each runner already took
+    metric_at = {round(t, 9): (s, norms) for (t, s), norms
+                 in zip(res_m.sampled_states, res_m.sampled_norms)}
+    pair_at = {round(t, 9): (s, norms) for (t, s), norms
+               in zip(res_p.sampled_states, res_p.sampled_norms)}
     common = sorted(set(metric_at) & set(pair_at))
 
-    # decayed-scale floors: 1e-6 of each quantity's initial size
-    floors = tuple(1e-6 * float(f.max())
-                   for f in _metric_side_fields(state0.structure, state0.metric))
+    # decayed-scale floors: 1e-6 of each quantity's size at t = 0
+    floors = tuple(1e-6 * float(f.max()) for f in res_m.sampled_norms[0])
 
     report = EquivalenceReport([], [], [], [], [], [])
     raw = []  # (phi_diff, phi_scale, a_diff, a_scale) per sample
     for tk in common:
-        st, pr = metric_at[tk], pair_at[tk]
-        metric_fields = _metric_side_fields(state0.structure, st.metric)
-        pair_fields = _metric_side_fields(pr.structure, pr.metric)
+        (st, metric_fields), (pr, pair_fields) = metric_at[tk], pair_at[tk]
         g = gauge_from_metric(state0.metric, st.metric)
         transported = complex_gauge_apply(g, state0)
         report.times.append(float(tk))

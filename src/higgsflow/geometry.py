@@ -163,33 +163,40 @@ def chern_connection(H: HermitianMetric, a: MatrixFormField) -> MatrixFormField:
 
 @dataclass(eq=False)
 class CurvatureParts:
-    """Chern curvature split by bidegree; f20/f02 are None when n = 1.
+    """Chern curvature split by bidegree, from the connection (dbar + a, d + b).
 
-    For valid inputs the (2,0) and (0,2) parts vanish to truncation order;
-    they are computed, never assumed zero.
+    f11 is built with the object; f20 and f02 are built from b and a on
+    first access, and are None when n = 1. For valid inputs they vanish to
+    truncation order; they are computed, never assumed zero.
     """
 
     f11: MatrixFormField
-    f20: MatrixFormField | None
-    f02: MatrixFormField | None
     b: MatrixFormField
+    a: MatrixFormField
+
+    @cached_property
+    def f20(self) -> MatrixFormField | None:
+        if self.b.base.n < 2:
+            return None
+        return d_flat(self.b) + wedge(self.b, self.b)
+
+    @cached_property
+    def f02(self) -> MatrixFormField | None:
+        if self.a.base.n < 2:
+            return None
+        return dbar_flat(self.a) + wedge(self.a, self.a)
 
 
 def curvature(H: HermitianMetric, a: MatrixFormField,
               b: MatrixFormField | None = None) -> CurvatureParts:
-    """Full curvature of the Chern connection of (H, dbar + a).
+    """Curvature of the Chern connection of (H, dbar + a).
 
     b is that connection's (1,0) form when the caller already holds it.
     """
     if b is None:
         b = chern_connection(H, a)
     f11 = dbar_flat(b) + d_flat(a) + wedge(a, b) + wedge(b, a)
-    if H.base.n >= 2:
-        f20 = d_flat(b) + wedge(b, b)
-        f02 = dbar_flat(a) + wedge(a, a)
-    else:
-        f20 = f02 = None
-    return CurvatureParts(f11, f20, f02, b)
+    return CurvatureParts(f11, b, a)
 
 
 def adjoint_field(f: MatrixFormField, H: HermitianMetric | None = None,
@@ -217,25 +224,42 @@ def higgs_adjoint(phi: MatrixFormField, H: HermitianMetric) -> MatrixFormField:
 class HitchinSimpsonParts:
     """The Hitchin-Simpson curvature by bidegree, with its ingredients.
 
-    parts holds F_H + [phi, phi^{*H}] (1,1), del_H phi (2,0) and
-    dbar_E phi^{*H} (0,2) in that order; the last two are absent when n = 1.
+    part11 = F_H + [phi, phi^{*H}] is built with the object. del_H phi (2,0)
+    and dbar_E phi^{*H} (0,2) are built from b, a, phi and phi^{*H} on first
+    access, and are None when n = 1; parts holds every part that exists.
     """
 
     chern: CurvatureParts
-    bracket: MatrixFormField          # [phi, phi^{*H}], type (1,1)
+    phi: MatrixFormField
     phistar: MatrixFormField
-    parts: MixedField
+    bracket: MatrixFormField          # [phi, phi^{*H}], type (1,1)
+    part11: MatrixFormField
+
+    @cached_property
+    def del_phi(self) -> MatrixFormField | None:
+        b, phi = self.chern.b, self.phi
+        if phi.base.n < 2:
+            return None
+        return d_flat(phi) + wedge(b, phi) + wedge(phi, b)
+
+    @cached_property
+    def dbar_phistar(self) -> MatrixFormField | None:
+        a, phistar = self.chern.a, self.phistar
+        if phistar.base.n < 2:
+            return None
+        return dbar_flat(phistar) + wedge(a, phistar) + wedge(phistar, a)
 
     @property
-    def part11(self) -> MatrixFormField:
-        return self.parts[(1, 1)]
+    def parts(self) -> MixedField:
+        """part11, del_H phi and dbar_E phi^{*H}, in that order, as they exist."""
+        return MixedField(f for f in (self.part11, self.del_phi, self.dbar_phistar)
+                          if f is not None)
 
     def pointwise_energy(self, H: HermitianMetric) -> np.ndarray:
         """|F + [phi,phi*]|^2 + 2|del phi|^2, the YMH integrand."""
         e = pointwise_norm2(self.part11, H.mat)
-        dphi = self.parts.get((2, 0))
-        if dphi is not None:
-            e = e + 2.0 * pointwise_norm2(dphi, H.mat)
+        if self.del_phi is not None:
+            e = e + 2.0 * pointwise_norm2(self.del_phi, H.mat)
         return e
 
     def sup_norm(self, H: HermitianMetric) -> float:
@@ -244,16 +268,12 @@ class HitchinSimpsonParts:
 
 
 def hitchin_simpson_curvature(state: HiggsBundleState) -> HitchinSimpsonParts:
-    """Chern curvature, Higgs bracket, del_H phi and dbar_E phi*, separately."""
+    """Chern curvature, Higgs bracket and the (1,1) part; the rest on demand."""
     a, phi, H = state.structure.a, state.structure.phi, state.metric
     chern = curvature(H, a)
     phistar = higgs_adjoint(phi, H)
     bracket = wedge(phi, phistar) + wedge(phistar, phi)
-    parts = [chern.f11 + bracket]
-    if state.base.n >= 2:
-        parts += [d_flat(phi) + wedge(chern.b, phi) + wedge(phi, chern.b),
-                  dbar_flat(phistar) + wedge(a, phistar) + wedge(phistar, a)]
-    return HitchinSimpsonParts(chern, bracket, phistar, MixedField(parts))
+    return HitchinSimpsonParts(chern, phi, phistar, bracket, chern.f11 + bracket)
 
 
 def degree_slope_lambda(state: HiggsBundleState,

@@ -374,14 +374,14 @@ def dbar_adjoint(f: MatrixFormField, H: np.ndarray | None = None) -> MatrixFormF
 
 
 def _endo_inner(a: np.ndarray, b: np.ndarray, H: np.ndarray | None,
-                H_col: np.ndarray | None) -> np.ndarray:
-    """Pointwise tr(a b^{*}) with the metric adjoint b^{*} = H_col^{-1} b^dag H."""
+                Hc_inv: np.ndarray | None) -> np.ndarray:
+    """Pointwise tr(a b^{*}) with the metric adjoint b^{*} = Hc_inv b^dag H."""
     bh = dagger(b)
-    if H is None and H_col is None:
+    if H is None and Hc_inv is None:
         return np.einsum("...ij,...ji->...", a, bh)
     Hr = H if H is not None else np.eye(a.shape[-2])
-    Hc_inv = inv(H_col) if H_col is not None else np.eye(a.shape[-1])
-    return np.einsum("...ij,...jk,...kl,...li->...", a, Hc_inv, bh, Hr)
+    Hc = Hc_inv if Hc_inv is not None else np.eye(a.shape[-1])
+    return np.einsum("...ij,...jk,...kl,...li->...", a, Hc, bh, Hr)
 
 
 def pointwise_inner(a: MatrixFormField, b: MatrixFormField,
@@ -397,11 +397,12 @@ def pointwise_inner(a: MatrixFormField, b: MatrixFormField,
         raise ValueError("inner product needs matching degrees and block shape")
     if H_col is None and a.rows == a.cols:
         H_col = H
+    Hc_inv = None if H_col is None else inv(H_col)   # once for all components
     weight = 2.0 ** (a.p + a.q)
     acc = np.zeros(a.base.shape, np.complex128)
     for ip in range(a.comps.shape[0]):
         for iq in range(a.comps.shape[1]):
-            acc += _endo_inner(a.comps[ip, iq], b.comps[ip, iq], H, H_col)
+            acc += _endo_inner(a.comps[ip, iq], b.comps[ip, iq], H, Hc_inv)
     return weight * acc
 
 

@@ -193,3 +193,27 @@ def test_flow_equivalence_cli(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "flow_equivalence.json").read_text())
     assert payload["max_norm_residual"] <= 1e-3
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--flow-T", "nan"), ("--flow-T", "-1"), ("--flow-T", "inf"),
+    ("--flow-dt", "nan"), ("--flow-dt", "-1"), ("--flow-dt", "0")])
+@pytest.mark.parametrize("verb", ["run", "flow-equivalence"])
+def test_bad_flow_T_or_dt_is_rejected_before_running(verb, flag, value, tmp_path,
+                                                     capsys):
+    out = tmp_path / "out"
+    code = run_cli(verb, "--scenario", "nilpotent-r2", flag, value,
+                   "--out-dir", str(out))
+    assert code == 2
+    name = flag.removeprefix("--flow-")
+    assert f"{name} must be finite" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()   # no last_healthy.snap, nothing else either
+
+
+def test_flow_equivalence_blowup_is_a_json_reason(tmp_path, capsys):
+    code = run_cli("flow-equivalence", "--scenario", "conformal-r1",
+                   "--flow-T", "20.0", "--flow-dt", "0.5",
+                   "--out-dir", str(tmp_path))
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert "blew up" in err["error"] and err["detail"]["reached_t"] >= 0.0

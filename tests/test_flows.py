@@ -324,8 +324,8 @@ def test_non_finite_sample_row_blows_up_with_that_state(monkeypatch):
     real = higgsflow.flows._metric_trace_row
     calls = []
 
-    def nan_after_first(state, dt, validity):
-        row = real(state, dt, validity)
+    def nan_after_first(state, dt, validity, *rest):
+        row = real(state, dt, validity, *rest)
         calls.append(state)
         return row if len(calls) == 1 else dict(row, dev_sup=float("nan"))
 
@@ -338,3 +338,54 @@ def test_non_finite_sample_row_blows_up_with_that_state(monkeypatch):
     assert exc.state is calls[-1] and exc.state is not st
     assert np.isfinite(exc.state.metric.mat).all()
     assert exc.trace.t == [0.0]
+
+
+@pytest.mark.parametrize("T, dt, name", [
+    (float("nan"), 0.01, "T"), (float("inf"), 0.01, "T"), (-1.0, 0.01, "T"),
+    (0.25, float("nan"), "dt"), (0.25, float("inf"), "dt"), (0.25, 0.0, "dt")])
+def test_runner_rejects_bad_T_or_dt_by_name(T, dt, name):
+    st = nilpotent_state(8)
+    for fixed in (False, True):
+        with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+            run_donaldson_flow(st, T, dt, fixed_dt=fixed)
+
+
+def _count_calls(monkeypatch, *fns):
+    """Count the calls of fns made from any higgsflow module."""
+    import sys
+    counts = {fn.__name__: 0 for fn in fns}
+    for fn in fns:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] != "higgsflow":
+                continue
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch):
+    from higgsflow.geometry import hitchin_simpson_curvature
+    from higgsflow.grid import dbar_flat
+    from higgsflow.scenarios import random_state_with_subbundle
+    st, _ = random_state_with_subbundle(TorusBase(2, 8), 2, 1, 5,
+                                        amplitude=0.0015)
+    counts = _count_calls(monkeypatch, hitchin_simpson_curvature, d_flat,
+                          dbar_flat)
+
+    # K reads only the (1,1) part: d of H and of a, dbar of b
+    einstein_deviation(st)
+    assert counts == {"hitchin_simpson_curvature": 1, "d_flat": 2,
+                      "dbar_flat": 1}
+
+    counts.update(dict.fromkeys(counts, 0))
+    flow_equivalence_check(st, 2e-3, 1e-3, sample_times=[2e-3])
+    # each run evaluates its start, two midpoints and two accepted states;
+    # the four samples (t = 0 and T per run) add del_H phi. dbar_flat: one
+    # per evaluation, two per validate_structure (both starts and the
+    # pair's sample at T), one per ymh_step (4) and per transported pair (2)
+    assert counts == {"hitchin_simpson_curvature": 10, "d_flat": 2 * 10 + 4,
+                      "dbar_flat": 10 + 6 + 4 + 2}

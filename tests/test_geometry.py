@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from higgsflow import (HermitianMetric, HiggsBundleState, HiggsStructure,
                        MatrixFormField, TorusBase, chern_connection,
                        curvature, degree_slope_lambda, hermiticity_residual,
                        higgs_adjoint, hitchin_simpson_curvature, sup_norm,
                        validate_structure)
+from higgsflow.flows import einstein_deviation
+from higgsflow.grid import contract_lambda, d_flat, dbar_flat, wedge
 from higgsflow.scenarios import random_valid_state
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
@@ -238,3 +241,48 @@ def test_non_finite_metric_is_not_positive():
     H = HermitianMetric(base, np.full(base.shape + (2, 2), np.nan, complex))
     with pytest.raises(ValueError, match="positive definite"):
         H.check_positive()
+
+
+def _random_field(base, p, q, rank, rng, scale):
+    f = MatrixFormField.zeros(base, p, q, rank)
+    f.comps[...] = scale * (rng.standard_normal(f.comps.shape)
+                            + 1j * rng.standard_normal(f.comps.shape))
+    return f
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    base = TorusBase(n, 8)
+    a = _random_field(base, 0, 1, rank, rng, 0.3)
+    phi = _random_field(base, 1, 0, rank, rng, 0.3)
+    x = _random_field(base, 0, 0, rank, rng, 0.3).comps[0, 0]
+    H = HermitianMetric(base, np.eye(rank) + x @ np.swapaxes(x.conj(), -1, -2))
+    state = HiggsBundleState(HiggsStructure(a, phi), H)
+    hs = hitchin_simpson_curvature(state)
+
+    # the eager route, every part built up front in the order of the formulas
+    b = chern_connection(H, a)
+    phistar = higgs_adjoint(phi, H)
+    f11 = dbar_flat(b) + d_flat(a) + wedge(a, b) + wedge(b, a)
+    part11 = f11 + (wedge(phi, phistar) + wedge(phistar, phi))
+    K = 1j * contract_lambda(part11)
+    K.comps[0, 0] -= degree_slope_lambda(state)[2] * np.eye(rank)
+    assert np.array_equal(einstein_deviation(state).comps, K.comps)
+    assert np.array_equal(hs.part11.comps, part11.comps)
+
+    lazy = {"f02": lambda: hs.chern.f02, "dbar_phistar": lambda: hs.dbar_phistar,
+            "f20": lambda: hs.chern.f20, "del_phi": lambda: hs.del_phi}
+    if n == 1:
+        assert all(get() is None for get in lazy.values())
+        assert list(hs.parts) == [(1, 1)]
+        return
+    eager = {"f20": d_flat(b) + wedge(b, b),
+             "f02": dbar_flat(a) + wedge(a, a),
+             "del_phi": d_flat(phi) + wedge(b, phi) + wedge(phi, b),
+             "dbar_phistar": dbar_flat(phistar) + wedge(a, phistar) + wedge(phistar, a)}
+    for name, get in lazy.items():
+        assert np.array_equal(get().comps, eager[name].comps), name
+    assert list(hs.parts) == [(1, 1), (2, 0), (0, 2)]
+    assert np.array_equal(hs.parts[(2, 0)].comps, eager["del_phi"].comps)

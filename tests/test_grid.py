@@ -313,3 +313,27 @@ def test_dz_component_matches_the_roll_formula_exactly(n, p, q, rows, cols):
                   / (2.0 * base.spacing) for ax in (2 + 2 * j, 3 + 2 * j))
         assert np.array_equal(_dz_component(f, j, bar=True), 0.5 * (dx + 1j * dy))
         assert np.array_equal(_dz_component(f, j, bar=False), 0.5 * (dx - 1j * dy))
+
+
+def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):
+    import higgsflow.grid
+    from higgsflow.linalg import dagger, inv
+    rng = np.random.default_rng(3)
+    base = TorusBase(2, 8)
+    shape = (2, 2) + base.shape + (2, 2)
+    a = MatrixFormField(base, 1, 1, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    b = MatrixFormField(base, 1, 1, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    x = rng.standard_normal(base.shape + (2, 2)) + 1j * rng.standard_normal(base.shape + (2, 2))
+    H = np.eye(2) + x @ dagger(x)
+
+    calls = []
+    monkeypatch.setattr(higgsflow.grid, "inv",
+                        lambda m: calls.append(m) or inv(m))
+    got = pointwise_inner(a, b, H)
+    assert len(calls) == 1
+    # per-component reference: tr(a H^{-1} b^dag H), summed in component order
+    acc = np.zeros(base.shape, np.complex128)
+    for ip, iq in itertools.product(range(2), range(2)):
+        acc += np.einsum("...ij,...jk,...kl,...li->...", a.comps[ip, iq], inv(H),
+                         dagger(b.comps[ip, iq]), H)
+    assert np.array_equal(got, 4.0 * acc)
