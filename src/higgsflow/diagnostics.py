@@ -60,17 +60,15 @@ class ChernWeilReport:
 
 
 def _char_class_integrals(state: HiggsBundleState,
-                          parts: CurvatureParts | None = None) -> tuple[float, float]:
+                          parts: CurvatureParts) -> tuple[float, float]:
     """Integrals of (2c2 - c1^2) and ch2 against omega^{n-2}/(n-2)!.
 
-    Built from tr F wedge tr F and tr(F wedge F) of the Chern curvature
-    (parts, when the caller already holds it); identically zero for n = 1
-    where the wedge square has no slot.
+    Built from tr F wedge tr F and tr(F wedge F) of the state's Chern
+    curvature parts; identically zero for n = 1 where the wedge square has
+    no slot.
     """
     if state.base.n < 2:
         return 0.0, 0.0
-    if parts is None:
-        parts = curvature(state.metric, state.structure.a)
     fields = [parts.f11, parts.f20, parts.f02]
     tr_f = [tr_field(f) for f in fields]
     trf_wedge_trf = 0.0
@@ -97,7 +95,7 @@ def chern_weil_report(state: HiggsBundleState) -> ChernWeilReport:
     lhs = integrate(hs.pointwise_energy(H), state.base)
     K = einstein_deviation(state, hs)
     deviation = integrate(pointwise_norm2(K, H.mat), state.base)
-    deg, _, lam = degree_slope_lambda(state, hs)
+    deg, _, lam = degree_slope_lambda(state, hs.chern.f11)
     two_c2_minus_c1sq, _ = _char_class_integrals(state, hs.chern)
     topological = 4.0 * math.pi**2 * two_c2_minus_c1sq
     lam_term = lam * lam * state.rank * state.base.volume
@@ -119,8 +117,9 @@ class TopologicalIntegrals:
 
 def topological_integrals(state: HiggsBundleState) -> TopologicalIntegrals:
     """Chern-Weil integrands of the Chern curvature; ch2 entries are 0 for n=1."""
-    deg, _, _ = degree_slope_lambda(state)
-    two_c2, ch2 = _char_class_integrals(state)
+    parts = curvature(state.metric, state.structure.a)
+    deg, _, _ = degree_slope_lambda(state, parts.f11)
+    two_c2, ch2 = _char_class_integrals(state, parts)
     return TopologicalIntegrals(deg, two_c2, ch2)
 
 

@@ -66,7 +66,7 @@ def einstein_deviation(state: HiggsBundleState,
     """
     if hs is None:
         hs = hitchin_simpson_curvature(state)
-    _, _, lam = degree_slope_lambda(state, hs)
+    _, _, lam = degree_slope_lambda(state, hs.chern.f11)
     K = 1j * contract_lambda(hs.part11)
     eye = np.eye(state.rank, dtype=np.complex128)
     K.comps[0, 0] -= lam * eye
@@ -147,8 +147,8 @@ def gauge_from_metric(H0: HermitianMetric, H: HermitianMetric) -> np.ndarray:
     H.check_positive()
     w = sqrtm_hpd(H0.mat)
     w_inv = inv(w)
-    middle = sqrtm_hpd(hermitize(w_inv @ H.mat @ w_inv))
-    return w_inv @ middle @ w
+    middle = sqrtm_hpd(mm(mm(w_inv, H.mat), w_inv))
+    return mm(mm(w_inv, middle), w)
 
 
 # -- traces and runners ------------------------------------------------------------

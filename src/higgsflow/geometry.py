@@ -16,7 +16,7 @@ import numpy as np
 from .grid import (MatrixFormField, MixedField, TorusBase, contract_lambda,
                    d_flat, dbar_flat, integrate, pointwise_norm2, sup_norm,
                    tr_field, wedge)
-from .linalg import dagger, inv, min_eigvalsh
+from .linalg import dagger, inv, is_positive_definite, min_eigvalsh
 
 __all__ = [
     "HermitianMetric", "HiggsStructure", "HiggsBundleState", "ValidityReport",
@@ -53,15 +53,14 @@ class HermitianMetric:
         return inv(self.mat)
 
     @cached_property
-    def _min_eig(self) -> float:
-        return min_eigvalsh(self.mat)
+    def _positive(self) -> bool:
+        return is_positive_definite(self.mat)
 
-    def check_positive(self, tol: float = 0.0) -> float:
-        """Smallest eigenvalue over the grid; raises unless above tol (NaN never is)."""
-        lo = self._min_eig
-        if not lo > tol:
-            raise ValueError(f"metric not positive definite: min eigenvalue {lo:.3e}")
-        return lo
+    def check_positive(self) -> None:
+        """Raise unless every block is positive definite (a NaN block never is)."""
+        if not self._positive:
+            raise ValueError("metric not positive definite: min eigenvalue "
+                             f"{min_eigvalsh(self.mat):.3e}")
 
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.mat - dagger(self.mat)).max())
@@ -277,16 +276,15 @@ def hitchin_simpson_curvature(state: HiggsBundleState) -> HitchinSimpsonParts:
 
 
 def degree_slope_lambda(state: HiggsBundleState,
-                        hs: HitchinSimpsonParts | None = None) -> tuple[float, float, float]:
+                        f11: MatrixFormField | None = None) -> tuple[float, float, float]:
     """Degree, slope and the Einstein constant of the state.
 
     deg = (1/2pi) integral of tr(i Lambda F); the Higgs bracket is traceless
-    so it never contributes. lambda = 2 pi * slope / Vol.
+    so it never contributes. lambda = 2 pi * slope / Vol. f11 is the (1,1)
+    Chern curvature when the caller already holds it.
     """
-    if hs is None:
+    if f11 is None:
         f11 = curvature(state.metric, state.structure.a).f11
-    else:
-        f11 = hs.chern.f11
     s = tr_field(contract_lambda(f11))
     deg = integrate(np.real(1j * s.comps[0, 0, ..., 0, 0]), state.base) / (2.0 * np.pi)
     mu = deg / state.rank

@@ -251,10 +251,11 @@ class MixedField(dict):
 def _periodic_diff(c: np.ndarray, axis: int, h2: float) -> np.ndarray:
     """(c[i+1] - c[i-1]) / h2 along one axis with periodic wrap."""
     out = np.empty_like(c)
-    src, dst = np.moveaxis(c, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(src[2:], src[:-2], out=dst[1:-1])
-    np.subtract(src[1], src[-1], out=dst[0])
-    np.subtract(src[0], src[-2], out=dst[-1])
+    lead = (slice(None),) * axis
+    # (out, plus, minus) along axis: the interior, then the two wrapped ends
+    for o, p, m in ((slice(1, -1), slice(2, None), slice(None, -2)),
+                    (0, 1, -1), (-1, 0, -2)):
+        np.subtract(c[lead + (p,)], c[lead + (m,)], out=out[lead + (o,)])
     out /= h2
     return out
 

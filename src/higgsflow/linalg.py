@@ -15,13 +15,17 @@ Kernel contract:
 * inv uses a closed form for r <= 3 (1/m, then the adjugate over the
   determinant) and np.linalg.inv for r = 4; a block whose determinant is
   exactly zero raises np.linalg.LinAlgError, as np.linalg.inv does;
-* expm_batched is np.exp for r = 1 and a scaling-and-squaring Taylor
-  method on top of mm for r >= 2;
+* expm_batched is np.exp for r = 1 and, for r >= 2, a Taylor polynomial
+  of norm-selected degree evaluated by Paterson-Stockmeyer on mm;
+* is_positive_definite reads the leading principal minors for r <= 3 and
+  eigvalsh for r = 4;
 * non-finite input propagates to non-finite output without a
   RuntimeWarning: flow runners detect blown-up steps from their output.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -84,12 +88,37 @@ def inv(m: np.ndarray) -> np.ndarray:
         return adj / det[..., None, None]
 
 
+# (m, theta_m): the degree-m Taylor polynomial has backward error below the
+# unit roundoff up to norm theta_m (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+# 2011, Table 3.1); each m is the highest Paterson-Stockmeyer reaches with its
+# number of products, 2 to 6
+_TAYLOR_DEGREES = ((3, 1.39e-5), (4, 3.40e-4), (6, 9.07e-3), (9, 8.96e-2),
+                   (12, 3.00e-1), (16, 7.80e-1))
+
+
+def _taylor_ps(a: np.ndarray, m: int) -> np.ndarray:
+    """sum_{k <= m} a^k / k! by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973):
+    blocks of p = ceil(sqrt(m)) powers, combined by Horner's rule in a^p. The
+    top block also takes a^p / m! when p divides m, which saves a product."""
+    p = math.isqrt(m - 1) + 1
+    powers = [np.eye(a.shape[-1]), a]
+    while len(powers) <= p:
+        powers.append(mm(powers[-1], a))
+    top = (m - 1) // p
+    for j in range(top, -1, -1):
+        # block j holds degrees jp .. jp + p - 1; the top block runs to m
+        size = m + 1 - j * p if j == top else p
+        blk = sum(powers[i] / math.factorial(j * p + i) for i in range(size))
+        out = blk if j == top else mm(out, powers[p]) + blk
+    return out
+
+
 def expm_batched(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Taylor core.
 
-    np.exp at r = 1. Accurate to ~1e-14 for the well-conditioned small
-    matrices produced by the flows (Hermitian up to discretization noise,
-    moderate norm).
+    np.exp at r = 1. For r >= 2 the batch's largest Frobenius norm picks the
+    lowest degree of _TAYLOR_DEGREES that reaches it; past the last theta the
+    argument is halved until it does, then squared back.
     """
     m = np.asarray(m, dtype=np.complex128)
     with np.errstate(**_QUIET):
@@ -102,16 +131,10 @@ def expm_batched(m: np.ndarray) -> np.ndarray:
         norm = np.linalg.norm(m, axis=(-2, -1)).max() if m.size else 0.0
         if not np.isfinite(norm):
             return np.full_like(m, np.nan)
-        # scale so the Taylor argument has norm <= 0.25
-        s = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.25)))) \
-            if norm > 0.25 else 0
-        a = m / (2.0**s)
-        eye = np.eye(m.shape[-1], dtype=np.complex128)
-        term = a
-        out = eye + a
-        for k in range(2, 15):
-            term = mm(term, a) / k
-            out = out + term
+        degree, theta = next((d for d in _TAYLOR_DEGREES if norm <= d[1]),
+                             _TAYLOR_DEGREES[-1])
+        s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+        out = _taylor_ps(m / 2.0**s, degree)
         for _ in range(s):
             out = mm(out, out)
     return out
@@ -123,12 +146,41 @@ def sqrtm_hpd(m: np.ndarray) -> np.ndarray:
     if np.any(w <= 0):
         raise ValueError("matrix not positive definite: min eigenvalue "
                          f"{w.min():.3e}")
-    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    return mm(v * np.sqrt(w)[..., None, :], dagger(v))
 
 
 def min_eigvalsh(m: np.ndarray) -> float:
     """Smallest eigenvalue over the whole batch of Hermitian matrices."""
     return float(np.linalg.eigvalsh(hermitize(m)).min())
+
+
+def is_positive_definite(m: np.ndarray) -> bool:
+    """Whether every block of the Hermitian part of m is positive definite.
+
+    Sylvester's criterion for r <= 3: every leading principal minor, in
+    closed form, is positive; eigvalsh at r = 4. Non-finite blocks never are.
+    """
+    m = np.asarray(m)
+    if not np.isfinite(m).all():
+        return False
+    r = m.shape[-1]
+    if r > 3:
+        return min_eigvalsh(m) > 0.0
+
+    def h(i, j):  # entry (i, j) of the Hermitian part
+        return 0.5 * (m[..., i, j] + np.conj(m[..., j, i]))
+
+    with np.errstate(**_QUIET):
+        a = m[..., 0, 0].real
+        minors = [a]
+        if r >= 2:
+            b, d = h(0, 1), m[..., 1, 1].real
+            minors.append(a * d - abs(b) ** 2)
+        if r == 3:
+            c, e, f = h(0, 2), h(1, 2), m[..., 2, 2].real
+            minors.append(a * (d * f - abs(e) ** 2) - f * abs(b) ** 2
+                          - d * abs(c) ** 2 + 2.0 * (b * e * np.conj(c)).real)
+        return all(bool((x > 0).all()) for x in minors)
 
 
 def trace(m: np.ndarray) -> np.ndarray:

@@ -152,3 +152,22 @@ def test_flatness_certificate_verdicts():
     assert cert1.passed
     assert cert1.eps_achieved == pytest.approx(2.0 * math.sqrt(2.0) / 801.0,
                                                rel=0.05)
+
+
+def test_topological_integrals_builds_one_chern_curvature(monkeypatch):
+    import higgsflow.diagnostics
+    import higgsflow.geometry
+    counts = {"chern_connection": 0, "curvature": 0}
+    for name in counts:
+        original = getattr(higgsflow.geometry, name)
+
+        def counting(*args, _fn=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (higgsflow.geometry, higgsflow.diagnostics):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    st = random_valid_state(TorusBase(2, 8), 2, 5)
+    topological_integrals(st)
+    assert counts == {"chern_connection": 1, "curvature": 1}

@@ -286,3 +286,13 @@ def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
         assert np.array_equal(get().comps, eager[name].comps), name
     assert list(hs.parts) == [(1, 1), (2, 0), (0, 2)]
     assert np.array_equal(hs.parts[(2, 0)].comps, eager["del_phi"].comps)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_check_positive_error_names_the_min_eigenvalue(r):
+    base = TorusBase(1, 8)
+    mat = np.broadcast_to(np.eye(r, dtype=complex), base.shape + (r, r)).copy()
+    mat[2, 5, r - 1, r - 1] = -0.25
+    with pytest.raises(ValueError,
+                       match=r"positive definite: min eigenvalue -2\.500e-01"):
+        HermitianMetric(base, mat).check_positive()

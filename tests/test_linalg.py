@@ -1,4 +1,5 @@
-"""Property tests for the pointwise r x r kernels: mm, inv, expm_batched.
+"""Property tests for the pointwise r x r kernels: mm, inv, expm_batched and
+the positivity verdict is_positive_definite.
 
 Batches have the grid shapes of n = 1 and n = 2 fields (two or four axes);
 blocks run over ranks 1-4 and non-square Hom shapes.
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import higgsflow
-from higgsflow.linalg import dagger, expm_batched, inv, mm
+from higgsflow.linalg import (_TAYLOR_DEGREES, dagger, expm_batched, inv,
+                              is_positive_definite, mm)
 
 PROPERTY = settings(max_examples=25, deadline=None)
 EPS = np.finfo(np.float64).eps
@@ -163,3 +165,106 @@ def test_no_lapack_inverse_outside_the_kernel_layer():
     offenders = [p.name for p in sorted(src.glob("*.py"))
                  if p.name != "linalg.py" and "np.linalg.inv(" in p.read_text()]
     assert offenders == []
+
+
+# -- norm-selected Taylor degrees and the positivity verdict ----------------------
+
+THETAS = [theta for _, theta in _TAYLOR_DEGREES]
+# mm products of the degree-m Paterson-Stockmeyer evaluation
+PS_PRODUCTS = {3: 2, 4: 2, 6: 3, 9: 4, 12: 5, 16: 6}
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("target", [1e-8, *THETAS, 4.0])
+@settings(max_examples=10, deadline=None)
+@given(grid_batches(st.integers(2, 4)), st.integers(2, 4),
+       st.one_of(st.sampled_from([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0]),
+                 st.floats(0.5, 2.0)))
+def test_expm_matches_eigh_on_each_side_of_every_theta(target, hermitian, case,
+                                                        r, factor):
+    # the batch's largest Frobenius norm, which picks the degree, is set to
+    # just below or above each theta; non-Hermitian input is H-self-adjoint
+    batch, seed = case
+    rng = np.random.default_rng(seed)
+    x = random_stack(rng, batch + (r, r))
+    S = x + dagger(x)
+    size = min(max(target * factor, 1e-8), 4.0)
+    if hermitian:
+        K = S * (size / np.linalg.norm(S, axis=(-2, -1)).max())
+        ref, bound = _eigh_exp(K), 1e-13
+    else:
+        H = random_hpd(rng, batch, r, log_spread=1.0)
+        K = np.linalg.solve(H, S)
+        K *= size / np.linalg.norm(K, axis=(-2, -1)).max()
+        lam, v = np.linalg.eigh(H)
+        w = (v * np.sqrt(lam)[..., None, :]) @ dagger(v)
+        w_inv = (v / np.sqrt(lam)[..., None, :]) @ dagger(v)
+        inner = w @ K @ w_inv
+        ref = w_inv @ _eigh_exp(0.5 * (inner + dagger(inner))) @ w
+        bound = 1e-12
+    assert np.abs(expm_batched(K) - ref).max() <= bound * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_expm_product_count_follows_the_batch_norm(monkeypatch, r):
+    import higgsflow.linalg
+    calls = []
+    original = higgsflow.linalg.mm
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(higgsflow.linalg, "mm", counting)
+    rng = np.random.default_rng(r)
+
+    def products(size):
+        x = random_stack(rng, (8, 8, r, r))
+        calls.clear()
+        expm_batched(x * (size / np.linalg.norm(x, axis=(-2, -1)).max()))
+        return len(calls)
+
+    assert products(1e-8) == PS_PRODUCTS[3]
+    for m, theta in _TAYLOR_DEGREES:
+        assert products(theta * (1.0 - 1e-9)) == PS_PRODUCTS[m]
+    assert products(THETAS[3] * (1.0 - 1e-9)) <= 4
+    # past theta_16 every halving costs one squaring: 4 / 2^3 < theta_16
+    assert products(4.0) == PS_PRODUCTS[16] + 3
+
+
+@PROPERTY
+@given(grid_batches(st.integers(2, 5)), st.integers(1, 4),
+       st.sampled_from(["hpd", "indefinite", "singular"]))
+def test_positivity_verdict_matches_eigvalsh(case, r, plant):
+    # condition numbers up to 1e6; one planted block with a negative or an
+    # exactly zero eigenvalue at a random grid point
+    batch, seed = case
+    rng = np.random.default_rng(seed)
+    m = random_hpd(rng, batch, r, log_spread=6.0)
+    if plant != "hpd":
+        idx = tuple(int(rng.integers(n)) for n in batch)
+        w = 10.0 ** rng.uniform(-6.0, 0.0, r)
+        k = int(rng.integers(r))
+        if plant == "indefinite":
+            w[k] = -w[k]
+            q, _ = np.linalg.qr(random_stack(rng, (r, r)))
+            m[idx] = (q * w) @ dagger(q)
+        else:
+            w[k] = 0.0
+            m[idx] = np.diag(w)
+    expected = bool(np.linalg.eigvalsh(m).min() > 0)
+    assert expected == (plant == "hpd")
+    assert is_positive_definite(m) == expected
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_non_finite_block_is_not_positive_definite(r, bad, diagonal):
+    # an inf on the diagonal would make a leading minor +inf, not negative
+    m = random_hpd(np.random.default_rng(r), (4, 4), r)
+    i, j = (r - 1, r - 1) if diagonal else (0, r - 1)
+    m[1, 3, i, j] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_positive_definite(m) is False
