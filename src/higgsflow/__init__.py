@@ -15,7 +15,7 @@ from .geometry import (HermitianMetric, HiggsStructure, HiggsBundleState,
                        adjoint_field, hitchin_simpson_curvature,
                        HitchinSimpsonParts, degree_slope_lambda,
                        hermiticity_residual)
-from .flows import (HiggsPair, FlowTrace, FlowResult, einstein_deviation,
+from .flows import (FlowTrace, FlowResult, einstein_deviation,
                     donaldson_step, ymh_energy, energy_density, ymh_step,
                     complex_gauge_apply, gauge_from_metric,
                     run_donaldson_flow, run_ymh_flow, flow_equivalence_check,
@@ -26,8 +26,7 @@ from .diagnostics import (ChernWeilReport, chern_weil_report,
                           flatness_certificate)
 from .extensions import (HiggsSubbundle, SubbundleReport, subbundle_report,
                          ExtensionData, split_extension, GaussCodazziReport,
-                         gauss_codazzi_blocks, scaled_extension_metric,
-                         scaled_adjoint_check, assemble_block_state,
+                         gauss_codazzi_blocks, scaled_adjoint_check,
                          RhoSweepRow, rho_sweep, InvariantSectionReport,
                          invariant_section_check, FiltrationReport,
                          verify_filtration, assemble_filtration_metric,

@@ -87,6 +87,18 @@ def _load_state_from(cfg):
     return build_scenario(name, cfg.get("N")), get_scenario(name)
 
 
+def _declared_subbundles(cfg, state):
+    """The sub-bundles that the configured scenario declares, on state."""
+    name = cfg.get("scenario")
+    if not name:
+        raise ValueError("a state file needs a scenario: the scenario names "
+                         "the declared sub-bundles")
+    subs = scenario_subbundles(name, state)
+    if not subs:
+        raise ValueError(f"scenario '{name}' declares no sub-bundle")
+    return subs
+
+
 def cmd_catalog(args) -> int:
     rows = [{"name": sc.name, "n": sc.n, "N": sc.N, "rank": sc.rank,
              "description": sc.description, "expects": sc.expects}
@@ -181,19 +193,18 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_rho(args) -> int:
     try:
-        cfg = _merged(args, {"scenario": "extension-sweep",
-                             "rho.values": "0.5,0.25,0.125,0.0625,0.03125"})
+        cfg = _merged(args, {"rho.values": "0.5,0.25,0.125,0.0625,0.03125"})
+        if not cfg.get("state.file"):
+            cfg.setdefault("scenario", "extension-sweep")
         state, scenario = _load_state_from(cfg)
-        subs = scenario_subbundles(cfg["scenario"], state)
-        if not subs:
-            return _fail(f"scenario '{cfg['scenario']}' declares no sub-bundle")
+        subs = _declared_subbundles(cfg, state)
         rhos = [float(x) for x in cfg["rho.values"].split(",")]
+        rows, slope = rho_sweep(state, subs[0], rhos)
         out_dir = Path(cfg.get("out.dir", "out"))
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, KeyError, OSError) as exc:
         return _fail(str(exc))
 
-    rows, slope = rho_sweep(state, subs[0], rhos)
     with open(out_dir / "rho_sweep.csv", "w", newline="\n") as fh:
         fh.write("rho,sup_a,sup_b1,sup_c1,sup_f\n")
         for row in rows:
@@ -231,10 +242,8 @@ def cmd_verify_filtration(args) -> int:
     try:
         cfg = _merged(args, {"target.epsilon": 1e-6, "flow.T": 0.0,
                              "flow.dt": 1e-2})
-        state, scenario = _load_state_from(cfg)
-        subs = scenario_subbundles(cfg["scenario"], state)
-        if not subs:
-            return _fail(f"scenario '{cfg['scenario']}' declares no filtration")
+        state, _ = _load_state_from(cfg)
+        subs = _declared_subbundles(cfg, state)
         out_dir = Path(cfg.get("out.dir", "out"))
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, KeyError, OSError) as exc:

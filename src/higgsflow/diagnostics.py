@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import einstein_deviation, energy_density
+from .flows import einstein_deviation
 from .geometry import (CurvatureParts, HiggsBundleState, curvature,
                        degree_slope_lambda, hitchin_simpson_curvature)
 from .grid import (TorusBase, integrate, integrate_top_form, pointwise_norm2,
@@ -21,8 +21,7 @@ from .grid import (TorusBase, integrate, integrate_top_form, pointwise_norm2,
 
 __all__ = [
     "ChernWeilReport", "chern_weil_report",
-    "TopologicalIntegrals", "topological_integrals", "energy_density",
-    "parabolic_energy", "regularity_monitor_pairs",
+    "TopologicalIntegrals", "topological_integrals", "parabolic_energy", "regularity_monitor_pairs",
     "FlatnessCertificate", "flatness_certificate",
 ]
 
@@ -123,6 +122,16 @@ def topological_integrals(state: HiggsBundleState) -> TopologicalIntegrals:
     return TopologicalIntegrals(deg, two_c2, ch2)
 
 
+def _ball_mask(base: TorusBase, x0: tuple[float, ...], radius: float) -> np.ndarray:
+    """Grid points within radius of x0 in the periodic Euclidean distance."""
+    dist2 = np.zeros(base.shape)
+    for ax in range(2 * base.n):
+        d = np.abs(base.axis_coordinate(ax) - (x0[ax] % 1.0))
+        d = np.minimum(d, 1.0 - d)
+        dist2 = dist2 + d * d
+    return dist2 <= radius * radius
+
+
 def parabolic_energy(snapshots: list[tuple[float, np.ndarray]],
                      x0: tuple[float, ...], t0: float, R: float,
                      base: TorusBase) -> float:
@@ -144,12 +153,7 @@ def parabolic_energy(snapshots: list[tuple[float, np.ndarray]],
     if not times or times[0] > t_lo + 1e-12 or times[-1] < t_hi - 1e-12:
         raise ValueError(f"density snapshots must cover [{t_lo:.6g}, {t_hi:.6g}]")
 
-    dist2 = np.zeros(base.shape)
-    for ax in range(2 * base.n):
-        d = np.abs(base.axis_coordinate(ax) - (x0[ax] % 1.0))
-        d = np.minimum(d, 1.0 - d)
-        dist2 = dist2 + d * d
-    mask = dist2 <= R * R
+    mask = _ball_mask(base, x0, R)
 
     def ball_integral(density):
         return integrate(np.where(mask, density, 0.0), base)
@@ -179,22 +183,18 @@ def parabolic_energy(snapshots: list[tuple[float, np.ndarray]],
 
 def regularity_monitor_pairs(snapshots: list[tuple[float, np.ndarray]],
                              x0: tuple[float, ...], t0: float, R: float,
-                             base: TorusBase, delta: float = 0.25) -> dict:
+                             base: TorusBase) -> dict:
     """Record an (energy on the cylinder, subsequent sup of density) pair.
 
     The eps-regularity constants are not modeled; this monitor only records
     the quantities whose qualitative implication (small parabolic energy
     precedes bounded pointwise energy) the shipped scenarios exhibit. The
-    sup is taken over the shrunk cylinder of radius delta R.
+    sup is taken over the shrunk cylinder of radius delta R, delta = 1/4.
     """
     energy = parabolic_energy(snapshots, x0, t0, R, base)
+    delta = 0.25
     r = delta * R
-    dist2 = np.zeros(base.shape)
-    for ax in range(2 * base.n):
-        d = np.abs(base.axis_coordinate(ax) - (x0[ax] % 1.0))
-        d = np.minimum(d, 1.0 - d)
-        dist2 = dist2 + d * d
-    mask = dist2 <= r * r
+    mask = _ball_mask(base, x0, r)
     sup_e = 0.0
     for t, dens in snapshots:
         if t0 - r * r - 1e-12 <= t <= t0 + r * r + 1e-12:

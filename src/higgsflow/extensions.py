@@ -29,8 +29,7 @@ from .linalg import dagger, inv, sqrtm_hpd, trace
 __all__ = [
     "HiggsSubbundle", "SubbundleReport", "subbundle_report",
     "ExtensionData", "split_extension", "GaussCodazziReport",
-    "gauss_codazzi_blocks", "scaled_extension_metric", "scaled_adjoint_check",
-    "assemble_block_state", "RhoSweepRow", "rho_sweep",
+    "gauss_codazzi_blocks", "scaled_adjoint_check", "RhoSweepRow", "rho_sweep",
     "InvariantSectionReport", "invariant_section_check",
     "FiltrationLevel", "FiltrationReport", "verify_filtration",
     "assemble_filtration_metric", "SlopePositivityReport",
@@ -86,8 +85,7 @@ class SubbundleReport:
         return asdict(self)
 
 
-def subbundle_report(state: HiggsBundleState, sub: HiggsSubbundle,
-                     tol: float | None = None) -> SubbundleReport:
+def subbundle_report(state: HiggsBundleState, sub: HiggsSubbundle) -> SubbundleReport:
     """Residuals of the sub-bundle invariants against the ambient state.
 
     Holomorphy is measured through the projector as
@@ -96,10 +94,9 @@ def subbundle_report(state: HiggsBundleState, sub: HiggsSubbundle,
     a, phi, H = state.structure.a, state.structure.phi, state.metric
     base = state.base
     pi = sub.projector
-    if tol is None:
-        # grid-represented sub-bundles are holomorphic only to truncation
-        # order, so the default gate scales with h^2
-        tol = max(1e-8, 10.0 * base.spacing**2) * (1.0 + sup_norm(phi) + sup_norm(a))
+    # grid-represented sub-bundles are holomorphic only to truncation order,
+    # so the gate scales with h^2
+    tol = max(1e-8, 10.0 * base.spacing**2) * (1.0 + sup_norm(phi) + sup_norm(a))
     idem = float(np.abs(pi @ pi - pi).max())
     sadj = float(np.abs(H.inv @ dagger(pi) @ H.mat - pi).max())
     rank_const = float(np.abs(np.real(trace(pi)) - sub.rank).max())
@@ -139,6 +136,28 @@ def _orthonormal_frame(H: HermitianMetric, pi: np.ndarray, p: int,
         raise ValueError("sub-bundle frame degenerates on the grid; cannot "
                          "build a global smooth frame") from exc
     return U @ inv(dagger(L))
+
+
+def _quotient_frames(H: HermitianMetric, subs: list[HiggsSubbundle]):
+    """H-orthonormal frames of the successive quotients of a filtration.
+
+    subs lists the proper levels in increasing rank and the full bundle is
+    the implicit last level; each frame is H-orthogonal to all earlier ones.
+    The frames are yielded one level at a time.
+    """
+    r = H.rank
+    eye = np.broadcast_to(np.eye(r, dtype=np.complex128),
+                          H.base.shape + (r, r)).copy()
+    prev_frame, prev_proj, prev_rank = None, np.zeros_like(eye), 0
+    for pi, rank in [(sub.projector, sub.rank) for sub in subs] + [(eye, r)]:
+        # nested H-orthogonal projectors commute, so pi - prev is again an
+        # H-orthogonal projector, onto the quotient of this level
+        U = _orthonormal_frame(H, pi - prev_proj, rank - prev_rank,
+                               against=prev_frame)
+        yield U
+        prev_frame = U if prev_frame is None else \
+            np.concatenate([prev_frame, U], axis=-1)
+        prev_proj, prev_rank = pi, rank
 
 
 def _block(H: HermitianMetric, U: np.ndarray, f: MatrixFormField,
@@ -219,21 +238,17 @@ class ExtensionData:
         return HiggsBundleState(HiggsStructure(self.a_q, self.phi_q), self.identities[1])
 
 
-def split_extension(state: HiggsBundleState, sub: HiggsSubbundle,
-                    tol: float | None = None) -> ExtensionData:
+def split_extension(state: HiggsBundleState, sub: HiggsSubbundle) -> ExtensionData:
     """H-orthogonal block decomposition of dbar_E and phi along S + S^perp.
 
     The lower-left blocks vanish in the continuum by invariance and
     holomorphy; their discrete sup-norms are returned as residuals.
     """
-    report = subbundle_report(state, sub, tol)
+    report = subbundle_report(state, sub)
     if not report.valid:
         raise ValueError(f"sub-bundle violates its invariants: {report.as_dict()}")
     a, phi, H = state.structure.a, state.structure.phi, state.metric
-    U_s = _orthonormal_frame(H, sub.projector, sub.rank)
-    eye = np.eye(state.rank, dtype=np.complex128)
-    U_q = _orthonormal_frame(H, eye - sub.projector, state.rank - sub.rank,
-                             against=U_s)
+    U_s, U_q = _quotient_frames(H, [sub])
 
     dbar_Us, dbar_Uq = _dbar_of_frame(a, U_s), _dbar_of_frame(a, U_q)
     a_s = _block(H, U_s, dbar_Us)
@@ -289,13 +304,13 @@ class GaussCodazziReport:
         return self.residual / max(self.scale, 1e-30)
 
 
-def gauss_codazzi_blocks(state: HiggsBundleState, sub: HiggsSubbundle,
-                         tol: float | None = None) -> GaussCodazziReport:
+def gauss_codazzi_blocks(state: HiggsBundleState,
+                         sub: HiggsSubbundle) -> GaussCodazziReport:
     """Assemble all sixteen block entries of the split curvature and compare
     them with the ambient Hitchin-Simpson curvature conjugated into the
     splitting; the two sides share no code path beyond the primitives.
     """
-    ext = split_extension(state, sub, tol)
+    ext = split_extension(state, sub)
     base = state.base
     s, q = ext.rank_s, ext.rank_q
     ident_s, ident_q = ext.identities
@@ -344,46 +359,38 @@ def gauss_codazzi_blocks(state: HiggsBundleState, sub: HiggsSubbundle,
     return GaussCodazziReport(assembled, ambient, residual, scale)
 
 
-# -- the scaled extension metric and the rho sweep ----------------------------------
+# -- the scaled block metric and the rho sweep ---------------------------------------
 
 
-def scaled_extension_metric(ext: ExtensionData, H_s: np.ndarray | None,
-                            H_q: np.ndarray | None, rho: float,
-                            base) -> HermitianMetric:
-    """Block metric diag(H_S, H_Q / rho^2) transported to the total bundle.
+def _scaled_block_metric(frames: list[np.ndarray], rho: float) -> np.ndarray:
+    """Metric that is rho^{-2k} Id on the k-th frame, in the original basis.
 
-    H_s and H_q are factor metrics in the extension frames (identity when
-    None). Under this family the off-diagonal adjoints scale as rho^2,
-    which scaled_adjoint_check verifies.
+    The frames side by side form U, and the metric is U^{-dag} W U^{-1}
+    with W the diagonal of the weights. For two frames this is the extension
+    metric diag(Id_S, Id_Q / rho^2), under which the off-diagonal adjoints
+    scale as rho^2 (see scaled_adjoint_check).
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    s, q = ext.rank_s, ext.rank_q
-    r = s + q
-    Hblock = np.zeros(base.shape + (r, r), np.complex128)
-    Hblock[..., :s, :s] = np.eye(s) if H_s is None else H_s
-    Hblock[..., s:, s:] = (np.eye(q) if H_q is None else H_q) / rho**2
-    U = np.concatenate([ext.frame_s, ext.frame_q], axis=-1)
+    U = np.concatenate(frames, axis=-1)
+    weights = np.concatenate([np.full(V.shape[-1], 1.0 / rho ** (2 * k))
+                              for k, V in enumerate(frames)])
+    Hblock = np.zeros(U.shape, np.complex128)
+    idx = np.arange(U.shape[-1])
+    Hblock[..., idx, idx] = weights
     U_inv = inv(U)
-    return HermitianMetric(base, dagger(U_inv) @ Hblock @ U_inv)
+    return dagger(U_inv) @ Hblock @ U_inv
 
 
-def scaled_adjoint_check(ext: ExtensionData, rho: float, base) -> float:
+def scaled_adjoint_check(ext: ExtensionData, rho: float) -> float:
     """sup|gamma*_rho - rho^2 gamma*_1| and the same for zeta."""
     ident_s, ident_q = ext.identities
-    Hq_rho = HermitianMetric(base, ident_q.mat / rho**2)
+    Hq_rho = HermitianMetric(ext.a_q.base, ident_q.mat / rho**2)
     worst = 0.0
     for f, a_one in zip((ext.gamma, ext.zeta), ext.hom_adjoints):
         a_rho = adjoint_field(f, ident_s, Hq_rho)
         worst = max(worst, sup_norm(a_rho - rho**2 * a_one))
     return worst
-
-
-def assemble_block_state(ext: ExtensionData, state: HiggsBundleState,
-                         rho: float) -> HiggsBundleState:
-    """Original structure equipped with the rho-scaled extension metric."""
-    H = scaled_extension_metric(ext, None, None, rho, state.base)
-    return HiggsBundleState(state.structure, H)
 
 
 @dataclass(frozen=True)
@@ -442,9 +449,11 @@ def rho_sweep(state: HiggsBundleState, sub: HiggsSubbundle,
         + [_blockify(None, None, f, None, s, q) for f in bot_c.values()]
     sup_c1 = MixedField(c_fields).sup() if c_fields else 0.0
 
+    frames = [ext.frame_s, ext.frame_q]
     rows = []
     for rho in rhos:
-        total = assemble_block_state(ext, state, rho)
+        total = HiggsBundleState(state.structure, HermitianMetric(
+            base, _scaled_block_metric(frames, rho)))
         hs = hitchin_simpson_curvature(total)
         rows.append(RhoSweepRow(rho, sup_a, sup_b1, sup_c1,
                                 hs.sup_norm(total.metric)))
@@ -564,32 +573,9 @@ class FiltrationReport:
         }
 
 
-def _quotient_frames(H: HermitianMetric, subs: list[HiggsSubbundle]):
-    """H-orthonormal frames of the successive quotients of a filtration.
-
-    subs lists the proper levels in increasing rank and the full bundle is
-    the implicit last level; each frame is H-orthogonal to all earlier ones.
-    The frames are yielded one level at a time.
-    """
-    r = H.rank
-    eye = np.broadcast_to(np.eye(r, dtype=np.complex128),
-                          H.base.shape + (r, r)).copy()
-    prev_frame, prev_proj, prev_rank = None, np.zeros_like(eye), 0
-    for pi, rank in [(sub.projector, sub.rank) for sub in subs] + [(eye, r)]:
-        # nested H-orthogonal projectors commute, so pi - prev is again an
-        # H-orthogonal projector, onto the quotient of this level
-        U = _orthonormal_frame(H, pi - prev_proj, rank - prev_rank,
-                               against=prev_frame)
-        yield U
-        prev_frame = U if prev_frame is None else \
-            np.concatenate([prev_frame, U], axis=-1)
-        prev_proj, prev_rank = pi, rank
-
-
 def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
                       eps_target: float, flow_time: float = 0.0,
-                      flow_dt: float = 1e-2,
-                      tol: float | None = None) -> FiltrationReport:
+                      flow_dt: float = 1e-2) -> FiltrationReport:
     """Certify that every quotient of a nested chain of sub-bundles is
     (approximately) Hermitian flat.
 
@@ -614,7 +600,7 @@ def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
                                     - lo.projector).max()))
     reports = []
     for k, sub in enumerate(subs):
-        rep = subbundle_report(state, sub, tol)
+        rep = subbundle_report(state, sub)
         if not rep.valid:
             raise ValueError(f"filtration level {k} (rank {sub.rank}) violates "
                              f"sub-bundle invariants: {rep.as_dict()}")
@@ -663,21 +649,12 @@ def assemble_filtration_metric(state: HiggsBundleState,
 
     Applying the two-factor scaling inductively down the filtration with a
     common rho reassembles a total metric; for certified flat quotients the
-    total curvature decays like rho^2.
+    total curvature decays like rho^2. With one level this is the extension
+    metric that rho_sweep uses.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    H, base, r = state.metric, state.base, state.rank
-    frames = list(_quotient_frames(H, subs))
-    U_full = np.concatenate(frames, axis=-1)
-    weights = np.concatenate([
-        np.full(U.shape[-1], rho ** (-2 * k)) for k, U in enumerate(frames)])
-    Hblock = np.zeros(base.shape + (r, r), np.complex128)
-    idx = np.arange(r)
-    Hblock[..., idx, idx] = weights
-    U_inv = inv(U_full)
-    metric = HermitianMetric(base, dagger(U_inv) @ Hblock @ U_inv)
-    return HiggsBundleState(state.structure, metric)
+    frames = list(_quotient_frames(state.metric, subs))
+    return HiggsBundleState(state.structure, HermitianMetric(
+        state.base, _scaled_block_metric(frames, rho)))
 
 
 # -- slope/positivity diagnostics and the suggestion heuristic -----------------------
@@ -722,8 +699,8 @@ def slope_positivity_report(state: HiggsBundleState,
                                  deg_sub, eps, margin)
 
 
-def suggest_subbundles(H0: HermitianMetric, H_t: HermitianMetric,
-                       max_candidates: int = 3) -> list[HiggsSubbundle]:
+def suggest_subbundles(H0: HermitianMetric,
+                       H_t: HermitianMetric) -> list[HiggsSubbundle]:
     """Experimental: eigen-clustering of H0^{-1} H(t) as a sub-bundle guess.
 
     Along the metric flow the directions that destabilize collapse in
@@ -740,7 +717,7 @@ def suggest_subbundles(H0: HermitianMetric, H_t: HermitianMetric,
     gaps = mean_log[1:] - mean_log[:-1]
     order = np.argsort(gaps)[::-1]
     out = []
-    for cut in order[:max_candidates]:
+    for cut in order:
         p = cut + 1
         if p >= r or gaps[cut] <= 1e-9:
             continue

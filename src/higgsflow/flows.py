@@ -28,7 +28,7 @@ from .grid import (MatrixFormField, contract_lambda, dbar_flat, integrate,
 from .linalg import expm_batched, hermitize, inv, mm, sqrtm_hpd
 
 __all__ = [
-    "HiggsPair", "FlowTrace", "FlowResult", "FlowBlowup",
+    "FlowTrace", "FlowResult", "FlowBlowup",
     "einstein_deviation", "donaldson_step", "ymh_energy", "energy_density",
     "ymh_step", "complex_gauge_apply", "gauge_from_metric",
     "run_donaldson_flow", "run_ymh_flow", "flow_equivalence_check",
@@ -40,19 +40,6 @@ __all__ = [
 SAFETY = 0.05
 GROWTH = 1.1
 MAX_STEPS = 2_000_000
-
-
-class HiggsPair(HiggsBundleState):
-    """A state read as the Higgs pair (a, phi) over its frozen metric.
-
-    Pair evolution never changes the metric, which is then called the
-    background; the unitary connection is determined by (background, a)
-    through the Chern formula.
-    """
-
-    @property
-    def background(self) -> HermitianMetric:
-        return self.metric
 
 
 def einstein_deviation(state: HiggsBundleState,
@@ -191,11 +178,11 @@ class FlowTrace:
             for row in self.rows():
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
 
-    def fitted_exponent(self, column: str, t_min: float = 0.5) -> float | None:
-        """Log-log slope of a decaying column against t, late samples only."""
+    def fitted_exponent(self, column: str) -> float | None:
+        """Log-log slope of a decaying column against t, samples at t >= 0.5."""
         tt = np.asarray(self.t)
         yy = np.asarray(getattr(self, column))
-        mask = (tt >= t_min) & (yy > 1e-300)
+        mask = (tt >= 0.5) & (yy > 1e-300)
         if mask.sum() < 2:
             return None
         slope = np.polyfit(np.log(tt[mask]), np.log(yy[mask]), 1)[0]

@@ -128,11 +128,6 @@ class ValidityReport:
                 "symmetry": self.symmetry, "tol": self.tol, "valid": self.valid}
 
 
-def default_tolerance(*fields: MatrixFormField) -> float:
-    scale = max((sup_norm(f) for f in fields), default=0.0)
-    return 1e-8 * (1.0 + scale)
-
-
 def validate_structure(s: HiggsStructure, tol: float | None = None) -> ValidityReport:
     """Residual sup-norms of the three Higgs-structure constraints.
 
@@ -141,7 +136,7 @@ def validate_structure(s: HiggsStructure, tol: float | None = None) -> ValidityR
     since validity is independent of H.
     """
     if tol is None:
-        tol = default_tolerance(s.a, s.phi)
+        tol = 1e-8 * (1.0 + max(sup_norm(s.a), sup_norm(s.phi)))
     n = s.base.n
     integ = sup_norm(dbar_flat(s.a) + wedge(s.a, s.a)) if n >= 2 else 0.0
     holo = sup_norm(dbar_flat(s.phi) + wedge(s.a, s.phi) + wedge(s.phi, s.a))

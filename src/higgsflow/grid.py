@@ -378,27 +378,25 @@ def _endo_inner(a: np.ndarray, b: np.ndarray, H: np.ndarray | None,
                 Hc_inv: np.ndarray | None) -> np.ndarray:
     """Pointwise tr(a b^{*}) with the metric adjoint b^{*} = Hc_inv b^dag H."""
     bh = dagger(b)
-    if H is None and Hc_inv is None:
+    if H is None:
         return np.einsum("...ij,...ji->...", a, bh)
-    Hr = H if H is not None else np.eye(a.shape[-2])
     Hc = Hc_inv if Hc_inv is not None else np.eye(a.shape[-1])
-    return np.einsum("...ij,...jk,...kl,...li->...", a, Hc, bh, Hr)
+    return np.einsum("...ij,...jk,...kl,...li->...", a, Hc, bh, H)
 
 
 def pointwise_inner(a: MatrixFormField, b: MatrixFormField,
-                    H: np.ndarray | None = None,
-                    H_col: np.ndarray | None = None) -> np.ndarray:
+                    H: np.ndarray | None = None) -> np.ndarray:
     """Pointwise Hermitian inner product <a, b>_H as a complex grid field.
 
-    Form indices carry the flat metric with |dz^i|^2 = 2; endomorphism values
-    use the metric H on the row factor and H_col on the column factor (both
-    default to the identity, and H_col defaults to H for square blocks).
+    Form indices carry the flat metric with |dz^i|^2 = 2. Endomorphism
+    values use the metric H (identity when None) on both factors of a square
+    block; a Hom block takes H on its row factor and the identity on its
+    column factor.
     """
     if (a.p, a.q, a.rows, a.cols) != (b.p, b.q, b.rows, b.cols):
         raise ValueError("inner product needs matching degrees and block shape")
-    if H_col is None and a.rows == a.cols:
-        H_col = H
-    Hc_inv = None if H_col is None else inv(H_col)   # once for all components
+    # once for all components
+    Hc_inv = inv(H) if H is not None and a.rows == a.cols else None
     weight = 2.0 ** (a.p + a.q)
     acc = np.zeros(a.base.shape, np.complex128)
     for ip in range(a.comps.shape[0]):
@@ -407,10 +405,9 @@ def pointwise_inner(a: MatrixFormField, b: MatrixFormField,
     return weight * acc
 
 
-def pointwise_norm2(a: MatrixFormField, H: np.ndarray | None = None,
-                    H_col: np.ndarray | None = None) -> np.ndarray:
+def pointwise_norm2(a: MatrixFormField, H: np.ndarray | None = None) -> np.ndarray:
     """Pointwise |a|^2_H as a real grid field."""
-    return np.real(pointwise_inner(a, a, H, H_col))
+    return np.real(pointwise_inner(a, a, H))
 
 
 def integrate(s: np.ndarray | float, base: TorusBase) -> float:
@@ -421,14 +418,12 @@ def integrate(s: np.ndarray | float, base: TorusBase) -> float:
     return float(np.real(arr.sum())) * base.spacing ** (2 * base.n)
 
 
-def l2_norm(a: MatrixFormField, H: np.ndarray | None = None,
-            H_col: np.ndarray | None = None) -> float:
-    return float(np.sqrt(max(integrate(pointwise_norm2(a, H, H_col), a.base), 0.0)))
+def l2_norm(a: MatrixFormField, H: np.ndarray | None = None) -> float:
+    return float(np.sqrt(max(integrate(pointwise_norm2(a, H), a.base), 0.0)))
 
 
-def sup_norm(a: MatrixFormField, H: np.ndarray | None = None,
-             H_col: np.ndarray | None = None) -> float:
-    return float(np.sqrt(max(pointwise_norm2(a, H, H_col).max(), 0.0)))
+def sup_norm(a: MatrixFormField, H: np.ndarray | None = None) -> float:
+    return float(np.sqrt(max(pointwise_norm2(a, H).max(), 0.0)))
 
 
 def tr_field(a: MatrixFormField) -> MatrixFormField:

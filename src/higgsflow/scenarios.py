@@ -67,29 +67,13 @@ class Scenario:
     rank: int
     expects: dict = field(default_factory=dict)
 
-    def build(self, N: int | None = None) -> HiggsBundleState:
-        return build_scenario(self.name, N)
 
-
-def _flat_trivial(base: TorusBase, rank: int) -> HiggsBundleState:
-    return HiggsBundleState(_constant_structure(base, rank),
-                            HermitianMetric.identity(base, rank))
-
-
-def _nilpotent_r2(base: TorusBase) -> HiggsBundleState:
-    structure = _constant_structure(base, 2, phi_consts={0: _e(0, 1, 2)})
-    return HiggsBundleState(structure, HermitianMetric.identity(base, 2))
-
-
-def _chain_r3(base: TorusBase) -> HiggsBundleState:
-    structure = _constant_structure(base, 3,
-                                    phi_consts={0: _e(0, 1, 3) + _e(1, 2, 3)})
-    return HiggsBundleState(structure, HermitianMetric.identity(base, 3))
-
-
-def _diagonal_polystable(base: TorusBase) -> HiggsBundleState:
-    structure = _constant_structure(base, 2, phi_consts={0: np.diag([1.0, -1.0])})
-    return HiggsBundleState(structure, HermitianMetric.identity(base, 2))
+def _constant_state(base: TorusBase, rank: int,
+                    phi0: np.ndarray | None = None) -> HiggsBundleState:
+    """a = 0 and phi = phi0 dz^1 (zero when None), under the identity metric."""
+    structure = _constant_structure(base, rank,
+                                    phi_consts=None if phi0 is None else {0: phi0})
+    return HiggsBundleState(structure, HermitianMetric.identity(base, rank))
 
 
 def _conformal_r1(base: TorusBase) -> HiggsBundleState:
@@ -176,6 +160,18 @@ _CATALOG: list[Scenario] = [
 
 _BY_NAME = {sc.name: sc for sc in _CATALOG}
 
+_BUILDERS = {
+    "flat-trivial-r1": lambda base: _constant_state(base, 1),
+    "flat-trivial-r2": lambda base: _constant_state(base, 2),
+    "nilpotent-r2": lambda base: _constant_state(base, 2, _e(0, 1, 2)),
+    "chain-r3": lambda base: _constant_state(base, 3, _e(0, 1, 3) + _e(1, 2, 3)),
+    "diagonal-polystable": lambda base: _constant_state(base, 2,
+                                                        np.diag([1.0, -1.0])),
+    "conformal-r1": _conformal_r1,
+    "t4-commuting": _t4_commuting,
+    "extension-sweep": _extension_sweep,
+}
+
 
 def scenario_catalog() -> list[Scenario]:
     return list(_CATALOG)
@@ -190,18 +186,7 @@ def get_scenario(name: str) -> Scenario:
 
 def build_scenario(name: str, N: int | None = None) -> HiggsBundleState:
     sc = get_scenario(name)
-    base = TorusBase(sc.n, N or sc.N)
-    builders = {
-        "flat-trivial-r1": lambda: _flat_trivial(base, 1),
-        "flat-trivial-r2": lambda: _flat_trivial(base, 2),
-        "nilpotent-r2": lambda: _nilpotent_r2(base),
-        "chain-r3": lambda: _chain_r3(base),
-        "diagonal-polystable": lambda: _diagonal_polystable(base),
-        "conformal-r1": lambda: _conformal_r1(base),
-        "t4-commuting": lambda: _t4_commuting(base),
-        "extension-sweep": lambda: _extension_sweep(base),
-    }
-    return builders[name]()
+    return _BUILDERS[name](TorusBase(sc.n, N or sc.N))
 
 
 def scenario_subbundles(name: str, state: HiggsBundleState) -> list[HiggsSubbundle]:
@@ -220,12 +205,12 @@ def scenario_subbundles(name: str, state: HiggsBundleState) -> list[HiggsSubbund
 # -- seeded random generators --------------------------------------------------------
 
 
-def _random_trig(base: TorusBase, rng: np.random.Generator, amplitude: float,
-                 n_waves: int = 2, max_mode: int = 1) -> np.ndarray:
+def _random_trig(base: TorusBase, rng: np.random.Generator,
+                 amplitude: float) -> np.ndarray:
+    """Two waves of random amplitude and phase, wave numbers in {-1, 0, 1}."""
     waves = []
-    for _ in range(n_waves):
-        kvec = tuple(int(rng.integers(-max_mode, max_mode + 1))
-                     for _ in range(2 * base.n))
+    for _ in range(2):
+        kvec = tuple(int(rng.integers(-1, 2)) for _ in range(2 * base.n))
         if not any(kvec):
             kvec = (1,) + (0,) * (2 * base.n - 1)
         waves.append((amplitude * float(rng.uniform(0.4, 1.0)), kvec,

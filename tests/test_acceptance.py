@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from higgsflow import (HiggsPair, TorusBase, build_scenario,
+from higgsflow import (TorusBase, build_scenario,
                        chern_weil_report, flatness_certificate,
                        flow_equivalence_check, gauss_codazzi_blocks,
                        hitchin_simpson_curvature, invariant_section_check,
@@ -259,7 +259,7 @@ def test_criterion_9_ymh_monitors():
         N = 16 if sc.n == 1 else 8
         T = 0.3 if sc.n == 1 else 0.05
         st = build_scenario(sc.name, N=N)
-        pair = HiggsPair(st.structure, st.metric)
+        pair = st
         res = run_ymh_flow(pair, T, dt, fixed_dt=True)
         runs.append((sc.name, res))
 

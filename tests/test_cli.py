@@ -217,3 +217,35 @@ def test_flow_equivalence_blowup_is_a_json_reason(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert "blew up" in err["error"] and err["detail"]["reached_t"] >= 0.0
+
+
+def test_sweep_rho_rejects_bad_input_with_a_json_reason(tmp_path, capsys):
+    import numpy as np
+
+    from higgsflow import (HiggsBundleState, HiggsStructure, MatrixFormField,
+                           build_scenario, save_state)
+    out = tmp_path / "out"
+    assert run_cli("sweep-rho", "--rho-values", "2.0", "--out-dir", str(out)) == 2
+    assert "(0, 1]" in json.loads(capsys.readouterr().err)["error"]
+
+    # phi = e21 dz does not leave the declared span(e1) invariant
+    st = build_scenario("nilpotent-r2", N=16)
+    phi = MatrixFormField(st.base, 1, 0, np.swapaxes(st.structure.phi.comps, -1, -2))
+    snap = tmp_path / "lower.snap"
+    save_state(HiggsBundleState(HiggsStructure(st.structure.a, phi), st.metric), snap)
+    assert run_cli("sweep-rho", "--state-file", str(snap), "--scenario",
+                   "nilpotent-r2", "--out-dir", str(out)) == 2
+    assert "violates its invariants" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["sweep-rho", "verify-filtration"])
+def test_state_file_without_scenario_names_no_subbundle(verb, tmp_path, capsys):
+    from higgsflow import build_scenario, save_state
+    snap = tmp_path / "chain.snap"
+    save_state(build_scenario("chain-r3", N=8), snap)
+    out = tmp_path / "out"
+    assert run_cli(verb, "--state-file", str(snap), "--out-dir", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "scenario names the declared sub-bundles" in err
+    assert not out.exists()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from higgsflow import (HiggsPair, TorusBase, build_scenario, chern_weil_report,
+from higgsflow import (TorusBase, build_scenario, chern_weil_report,
                        energy_density, flatness_certificate, parabolic_energy,
                        run_donaldson_flow, topological_integrals, ymh_energy)
 from higgsflow.scenarios import random_valid_state
@@ -64,7 +64,7 @@ def test_topological_integrals_trivial_and_invariant():
 def test_energy_density_nonnegative_and_consistent():
     for name in ("nilpotent-r2", "conformal-r1", "chain-r3"):
         st = build_scenario(name)
-        pair = HiggsPair(st.structure, st.metric)
+        pair = st
         dens = energy_density(pair)
         assert dens.min() >= 0.0
         from higgsflow.grid import integrate
@@ -110,7 +110,7 @@ def test_parabolic_energy_decays_along_nilpotent_flow():
                              sample_times=[0.75, 1.0, 1.25, 3.75, 4.0, 4.25])
     snaps = []
     for t, state in res.sampled_states:
-        pair = HiggsPair(state.structure, state.metric)
+        pair = state
         # metric-side energy density through the correspondence
         from higgsflow.geometry import hitchin_simpson_curvature
         hs = hitchin_simpson_curvature(state)

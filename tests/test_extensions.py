@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from higgsflow import (HiggsSubbundle, TorusBase,
-                       assemble_block_state, assemble_filtration_metric,
+from higgsflow import (HiggsSubbundle, TorusBase, assemble_filtration_metric,
                        build_scenario, gauss_codazzi_blocks,
                        hitchin_simpson_curvature, invariant_section_check,
-                       rho_sweep, scaled_adjoint_check, scaled_extension_metric,
+                       rho_sweep, scaled_adjoint_check,
                        scenario_subbundles, slope_positivity_report,
                        split_extension, subbundle_report, sup_norm,
                        suggest_subbundles, verify_filtration)
@@ -93,19 +92,19 @@ def test_scaled_extension_metric_family():
     sub = scenario_subbundles("extension-sweep", st)[0]
     ext = split_extension(st, sub)
 
-    plain = scaled_extension_metric(ext, None, None, 1.0, st.base)
+    plain = assemble_filtration_metric(st, [sub], 1.0).metric
     assert np.allclose(plain.mat, np.eye(2))
 
     rho = 0.25
-    scaled = assemble_block_state(ext, st, rho)
+    scaled = assemble_filtration_metric(st, [sub], rho)
     assert np.allclose(scaled.metric.mat, np.diag([1.0, 1.0 / rho**2]))
     hs = hitchin_simpson_curvature(scaled)
     assert hs.sup_norm(scaled.metric) == pytest.approx(
         2.0 * math.sqrt(2.0) * rho**2)
 
-    assert scaled_adjoint_check(ext, 0.3, st.base) < 1e-13
+    assert scaled_adjoint_check(ext, 0.3) < 1e-13
     with pytest.raises(ValueError):
-        scaled_extension_metric(ext, None, None, 0.0, st.base)
+        assemble_filtration_metric(st, [sub], 0.0)
 
 
 def test_rho_sweep_flat_factors():
@@ -127,6 +126,18 @@ def test_rho_sweep_quadratic_regime():
     # monotone in rho
     sups = [r.sup_f for r in rows]
     assert all(a > b for a, b in zip(sups, sups[1:]))
+
+
+def test_rho_sweep_uses_the_one_level_filtration_metric():
+    st = build_scenario("extension-sweep")
+    cases = [(st, scenario_subbundles("extension-sweep", st)[0]),
+             random_state_with_subbundle(TorusBase(1, 16), 3, 1, seed=5,
+                                         amplitude=0.01)]
+    for st, sub in cases:
+        rows, _ = rho_sweep(st, sub, [0.5, 0.3, 0.1, 0.05])
+        for row in rows:
+            total = assemble_filtration_metric(st, [sub], row.rho)
+            assert row.sup_f == hitchin_simpson_curvature(total).sup_norm(total.metric)
 
 
 def test_rho_sweep_linear_regime_with_gamma():

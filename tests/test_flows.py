@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from higgsflow import (HermitianMetric, HiggsBundleState, HiggsPair,
+from higgsflow import (HermitianMetric, HiggsBundleState,
                        HiggsStructure, MatrixFormField, TorusBase,
                        build_scenario, complex_gauge_apply, donaldson_step,
                        einstein_deviation, energy_density, flow_equivalence_check,
@@ -22,7 +22,7 @@ def nilpotent_state(N=16):
 
 def nilpotent_pair(N=16):
     st = nilpotent_state(N)
-    return HiggsPair(st.structure, st.metric)
+    return st
 
 
 def test_einstein_deviation_oracles():
@@ -79,11 +79,11 @@ def test_donaldson_conformal_heat_decay():
 def test_ymh_energy_oracles():
     assert ymh_energy(nilpotent_pair()) == pytest.approx(8.0)
     flat = build_scenario("flat-trivial-r2")
-    assert ymh_energy(HiggsPair(flat.structure, flat.metric)) == 0.0
+    assert ymh_energy(flat) == 0.0
     # unitary phase rescaling of phi leaves the energy unchanged
     pair = nilpotent_pair()
     phi2 = 1j * pair.structure.phi
-    pair2 = HiggsPair(HiggsStructure(pair.structure.a, phi2), pair.background)
+    pair2 = HiggsBundleState(HiggsStructure(pair.structure.a, phi2), pair.metric)
     assert ymh_energy(pair2) == pytest.approx(8.0)
 
 
@@ -97,7 +97,7 @@ def test_ymh_step_bracket_rate():
 
 def test_ymh_critical_pair_fixed():
     st = build_scenario("diagonal-polystable")
-    pair = HiggsPair(st.structure, st.metric)
+    pair = st
     stepped = ymh_step(pair, 0.1)
     assert np.allclose(stepped.structure.phi.comps, pair.structure.phi.comps)
     assert sup_norm(stepped.structure.a) < 1e-13
@@ -141,7 +141,7 @@ def test_varying_unitary_gauge_covariance_second_order():
     # the discrete Leibniz defect, which refines at second order
     def energy_shift(N):
         st = build_scenario("nilpotent-r2", N=N)
-        pair = HiggsPair(st.structure, st.metric)
+        pair = st
         x = st.base.axis_coordinate(0) * np.ones(st.base.shape)
         theta = 0.3 * np.cos(2 * np.pi * x)
         sig = np.zeros(st.base.shape + (2, 2), complex)
@@ -160,15 +160,15 @@ def test_gauge_transform_of_connection_part():
     # conjugation rule to truncation order
     base = TorusBase(1, 32)
     st = build_scenario("nilpotent-r2", N=32)
-    pair = HiggsPair(st.structure, st.metric)
+    pair = st
     x = base.axis_coordinate(0) * np.ones(base.shape)
     g = 0.2 * np.cos(2 * np.pi * x)
     sig = np.eye(2, dtype=complex) + g[..., None, None] * E12
     out = complex_gauge_apply(sig, pair)
-    b_new = chern_connection(pair.background, out.structure.a)
+    b_new = chern_connection(pair.metric, out.structure.a)
     sig_star = dagger(sig)  # background is the identity metric
     sig_star_inv = np.linalg.inv(sig_star)
-    b_old = chern_connection(pair.background, pair.structure.a)
+    b_old = chern_connection(pair.metric, pair.structure.a)
     dss = d_flat(MatrixFormField(base, 0, 0, sig_star[None, None]))
     expected = MatrixFormField.zeros(base, 1, 0, 2)
     expected.comps[0, 0] = sig_star_inv @ b_old.comps[0, 0] @ sig_star \

@@ -337,3 +337,20 @@ def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):
         acc += np.einsum("...ij,...jk,...kl,...li->...", a.comps[ip, iq], inv(H),
                          dagger(b.comps[ip, iq]), H)
     assert np.array_equal(got, 4.0 * acc)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 1), (3, 2)])
+def test_hom_block_norm_takes_the_metric_on_rows_only(rows, cols):
+    from higgsflow.linalg import dagger
+    rng = np.random.default_rng(rows)
+    base = TorusBase(1, 8)
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a = MatrixFormField(base, 1, 0, draw((1, 1) + base.shape + (rows, cols)))
+    x = draw(base.shape + (rows, rows))
+    H = np.eye(rows) + x @ dagger(x)
+    # |a|^2_H = |dz|^2 tr(a^dag H a): H weighs the rows, the columns carry none
+    c = a.comps[0, 0]
+    expected = 2.0 * np.real(np.trace(dagger(c) @ H @ c, axis1=-2, axis2=-1))
+    assert np.allclose(pointwise_norm2(a, H), expected, rtol=1e-13, atol=0.0)

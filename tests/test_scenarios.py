@@ -3,8 +3,7 @@ import pytest
 
 from higgsflow import (TorusBase, build_scenario, degree_slope_lambda,
                        get_scenario, scenario_catalog, scenario_subbundles,
-                       subbundle_report, validate_structure, ymh_energy,
-                       HiggsPair)
+                       subbundle_report, validate_structure, ymh_energy)
 from higgsflow.scenarios import random_state_with_subbundle, random_valid_state
 
 
@@ -29,7 +28,7 @@ def test_declared_energies_match():
         if "ymh_energy" not in sc.expects:
             continue
         state = build_scenario(sc.name)
-        e = ymh_energy(HiggsPair(state.structure, state.metric))
+        e = ymh_energy(state)
         assert e == pytest.approx(sc.expects["ymh_energy"], abs=1e-10), sc.name
 
 
