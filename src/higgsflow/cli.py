@@ -1,10 +1,10 @@
 """Configuration-driven experiment runner.
 
 Verbs: run, catalog, validate, sweep-rho, verify-filtration,
-flow-equivalence. A flat key = value config file can seed any verb's
-options; explicit flags override config entries. Exit code 0 means every
-configured target passed; failures print a machine-readable JSON reason to
-stderr.
+flow-equivalence. Each verb takes the config keys it reads, as flags or
+from a flat key = value config file; explicit flags override config
+entries. Exit code 0 means every configured target passed; failures print
+a machine-readable JSON reason to stderr.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import flatness_certificate
-from .extensions import rho_sweep, verify_filtration
+from .extensions import assemble_filtration_metric, rho_sweep, verify_filtration
 from .flows import (FlowBlowup, check_flow_times, flow_equivalence_check,
                     run_donaldson_flow, run_ymh_flow)
-from .geometry import validate_structure
+from .geometry import hitchin_simpson_curvature, validate_structure
 from .scenarios import (build_scenario, get_scenario, scenario_catalog,
                         scenario_subbundles)
 from .snapshots import load_state, save_state
@@ -28,8 +28,8 @@ from .snapshots import load_state, save_state
 CONFIG_KEYS = {
     "scenario": str, "state.file": str, "N": int,
     "flow.kind": str, "flow.dt": float, "flow.T": float, "flow.fixed": int,
-    "target.epsilon": float, "out.dir": str, "seed": int,
-    "rho.values": str, "tolerance": float,
+    "target.epsilon": float, "out.dir": str, "rho.values": str,
+    "tolerance": float,
 }
 
 
@@ -57,15 +57,21 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _merged(args, keys: dict) -> dict:
-    cfg = dict(keys)
-    if getattr(args, "config", None):
-        cfg.update(load_config(args.config))
-    for key in CONFIG_KEYS:
-        flag = key.replace(".", "_")
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg[key] = val
+def _config(args) -> dict:
+    """The verb's defaults, then the config file, then the flags, checked."""
+    keys = VERBS[args.command][2]
+    cfg = {key: default for key, default in keys.items() if default is not None}
+    if args.config:
+        loaded = load_config(args.config)
+        for key in loaded:
+            if key not in keys:
+                raise ValueError(f"{args.config}: '{args.command}' does not "
+                                 f"read key '{key}'")
+        cfg.update(loaded)
+    cfg.update((key, getattr(args, key)) for key in keys
+               if getattr(args, key) is not None)
+    if "flow.T" in keys:
+        check_flow_times(cfg["flow.T"], cfg["flow.dt"])
     return cfg
 
 
@@ -78,10 +84,21 @@ def _json_dump(obj, path: Path) -> None:
                     + "\n")
 
 
-def _load_state_from(cfg):
-    if cfg.get("state.file"):
-        return load_state(cfg["state.file"]), None
-    name = cfg.get("scenario")
+def _load_state_from(cfg, declarations: bool = False):
+    """The configured state and its scenario (None for a bare state file).
+
+    A state file fixes its own grid, so N contradicts it. A scenario beside
+    a state file only names its declarations (sub-bundles and targets), so
+    only verbs that read them (declarations=True) accept the pair.
+    """
+    name, path = cfg.get("scenario"), cfg.get("state.file")
+    if path:
+        if "N" in cfg:
+            raise ValueError("N contradicts state.file: the file fixes the grid")
+        if name and not declarations:
+            raise ValueError("scenario contradicts state.file: this verb reads "
+                             "no scenario declarations for a state file")
+        return load_state(path), get_scenario(name) if name else None
     if not name:
         raise ValueError("config needs either scenario or state.file")
     return build_scenario(name, cfg.get("N")), get_scenario(name)
@@ -112,41 +129,32 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    try:
-        cfg = _merged(args, {})
-        state, _ = _load_state_from(cfg)
-    except (ValueError, KeyError, OSError) as exc:
-        return _fail(str(exc))
-    tol = cfg.get("tolerance")
-    report = validate_structure(state.structure, tol)
+def cmd_validate(cfg) -> int:
+    state, _ = _load_state_from(cfg)
+    report = validate_structure(state.structure, cfg.get("tolerance"))
     print(json.dumps(report.as_dict(), sort_keys=True))
     return 0 if report.valid else 1
 
 
-def cmd_run(args) -> int:
-    try:
-        cfg = _merged(args, {"flow.kind": "donaldson", "flow.dt": 1e-3,
-                             "flow.T": 1.0, "flow.fixed": 0})
-        check_flow_times(cfg["flow.T"], cfg["flow.dt"])
-        state, scenario = _load_state_from(cfg)
-        out_dir = Path(cfg.get("out.dir", "out"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (ValueError, KeyError, OSError) as exc:
-        return _fail(str(exc))
+def cmd_run(cfg) -> int:
+    kind, T, dt = cfg["flow.kind"], cfg["flow.T"], cfg["flow.dt"]
+    if kind not in ("donaldson", "ymh", "none"):
+        raise ValueError(f"unknown flow kind '{kind}'; known kinds: "
+                         "donaldson, ymh, none")
+    state, scenario = _load_state_from(cfg)
+    out_dir = Path(cfg["out.dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    kind = cfg["flow.kind"]
-    T, dt = cfg["flow.T"], cfg["flow.dt"]
-    fixed = bool(cfg.get("flow.fixed", 0))
+    fixed = bool(cfg["flow.fixed"])
+    # the runners are looked up by name at call time, so that wrappers bound
+    # over the module's names (the benchmark's step counter) see the calls
     try:
         if kind == "donaldson":
             result = run_donaldson_flow(state, T, dt, fixed_dt=fixed)
         elif kind == "ymh":
             result = run_ymh_flow(state, T, dt, fixed_dt=fixed)
-        elif kind == "none":
-            result = None
         else:
-            return _fail(f"unknown flow kind '{kind}'")
+            result = None
     except FlowBlowup as exc:
         save_state(exc.state, out_dir / "last_healthy.snap")
         exc.trace.write_csv(out_dir / "trace.csv")
@@ -191,19 +199,15 @@ def cmd_run(args) -> int:
     return 0 if targets_ok else 1
 
 
-def cmd_sweep_rho(args) -> int:
-    try:
-        cfg = _merged(args, {"rho.values": "0.5,0.25,0.125,0.0625,0.03125"})
-        if not cfg.get("state.file"):
-            cfg.setdefault("scenario", "extension-sweep")
-        state, scenario = _load_state_from(cfg)
-        subs = _declared_subbundles(cfg, state)
-        rhos = [float(x) for x in cfg["rho.values"].split(",")]
-        rows, slope = rho_sweep(state, subs[0], rhos)
-        out_dir = Path(cfg.get("out.dir", "out"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (ValueError, KeyError, OSError) as exc:
-        return _fail(str(exc))
+def cmd_sweep_rho(cfg) -> int:
+    if not cfg.get("state.file"):
+        cfg.setdefault("scenario", "extension-sweep")
+    state, scenario = _load_state_from(cfg, declarations=True)
+    subs = _declared_subbundles(cfg, state)
+    rhos = [float(x) for x in cfg["rho.values"].split(",")]
+    rows, slope = rho_sweep(state, subs[0], rhos)
+    out_dir = Path(cfg["out.dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     with open(out_dir / "rho_sweep.csv", "w", newline="\n") as fh:
         fh.write("rho,sup_a,sup_b1,sup_c1,sup_f\n")
@@ -217,16 +221,15 @@ def cmd_sweep_rho(args) -> int:
             fh.write("%.17g,%.17g\n" % (row.rho, row.sup_f))
     payload = {"rows": [row.as_dict() for row in rows], "fitted_slope": slope}
     ok = True
-    expected = scenario.expects.get("slope") if scenario else None
+    expected = scenario.expects.get("slope")
     if expected is not None:
         ok = slope is not None and abs(slope - expected) <= 0.2
         payload["slope_target"] = expected
-    for eps, rho in (scenario.expects.get("epsilon_rho_pairs", [])
-                     if scenario else []):
+    for eps, rho in scenario.expects.get("epsilon_rho_pairs", []):
         achieved = next((r.sup_f for r in rows if abs(r.rho - rho) < 1e-12), None)
-        if achieved is None:
-            rows_extra, _ = rho_sweep(state, subs[0], [rho])
-            achieved = rows_extra[0].sup_f
+        if achieved is None:  # the one-level metric that rho_sweep assembles
+            total = assemble_filtration_metric(state, subs[:1], rho)
+            achieved = hitchin_simpson_curvature(total).sup_norm(total.metric)
         ok &= achieved < 3.0 * eps
         payload.setdefault("epsilon_checks", []).append(
             {"epsilon": eps, "rho": rho, "sup_f": achieved,
@@ -238,16 +241,11 @@ def cmd_sweep_rho(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify_filtration(args) -> int:
-    try:
-        cfg = _merged(args, {"target.epsilon": 1e-6, "flow.T": 0.0,
-                             "flow.dt": 1e-2})
-        state, _ = _load_state_from(cfg)
-        subs = _declared_subbundles(cfg, state)
-        out_dir = Path(cfg.get("out.dir", "out"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (ValueError, KeyError, OSError) as exc:
-        return _fail(str(exc))
+def cmd_verify_filtration(cfg) -> int:
+    state, _ = _load_state_from(cfg, declarations=True)
+    subs = _declared_subbundles(cfg, state)
+    out_dir = Path(cfg["out.dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         report = verify_filtration(state, subs, cfg["target.epsilon"],
                                    flow_time=cfg["flow.T"],
@@ -261,16 +259,10 @@ def cmd_verify_filtration(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_flow_equivalence(args) -> int:
-    try:
-        cfg = _merged(args, {"flow.T": 1.0, "flow.dt": 1e-3,
-                             "tolerance": 1e-3})
-        check_flow_times(cfg["flow.T"], cfg["flow.dt"])
-        state, _ = _load_state_from(cfg)
-        out_dir = Path(cfg.get("out.dir", "out"))
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (ValueError, KeyError, OSError) as exc:
-        return _fail(str(exc))
+def cmd_flow_equivalence(cfg) -> int:
+    state, _ = _load_state_from(cfg)
+    out_dir = Path(cfg["out.dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         report = flow_equivalence_check(state, cfg["flow.T"], cfg["flow.dt"])
     except FlowBlowup as exc:
@@ -285,22 +277,28 @@ def cmd_flow_equivalence(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--scenario", dest="scenario")
-    p.add_argument("--state-file", dest="state_file")
-    p.add_argument("--N", dest="N", type=int)
-    p.add_argument("--flow-kind", dest="flow_kind",
-                   choices=["donaldson", "ymh", "none"])
-    p.add_argument("--flow-dt", dest="flow_dt", type=float)
-    p.add_argument("--flow-T", dest="flow_T", type=float)
-    p.add_argument("--flow-fixed", dest="flow_fixed", type=int)
-    p.add_argument("--target-epsilon", dest="target_epsilon", type=float)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--seed", dest="seed", type=int,
-                   help="reserved: accepted, and unused by every verb")
-    p.add_argument("--rho-values", dest="rho_values")
-    p.add_argument("--tolerance", dest="tolerance", type=float)
+# the keys each verb reads, with their defaults (None: no default); flags,
+# defaults and config checks all come from this table
+_SOURCE = {"scenario": None, "state.file": None, "N": None}
+VERBS = {
+    "run": (cmd_run, "run a flow and certify the result",
+            {**_SOURCE, "flow.kind": "donaldson", "flow.dt": 1e-3,
+             "flow.T": 1.0, "flow.fixed": 0, "target.epsilon": None,
+             "out.dir": "out"}),
+    "validate": (cmd_validate, "check structure validity residuals",
+                 {**_SOURCE, "tolerance": None}),
+    "sweep-rho": (cmd_sweep_rho, "scaled extension metric sweep",
+                  {**_SOURCE, "rho.values": "0.5,0.25,0.125,0.0625,0.03125",
+                   "out.dir": "out"}),
+    "verify-filtration": (cmd_verify_filtration,
+                          "certify flat quotients of a declared filtration",
+                          {**_SOURCE, "target.epsilon": 1e-6, "flow.T": 0.0,
+                           "flow.dt": 1e-2, "out.dir": "out"}),
+    "flow-equivalence": (cmd_flow_equivalence,
+                         "compare the metric flow with the pair flow",
+                         {**_SOURCE, "flow.T": 1.0, "flow.dt": 1e-3,
+                          "tolerance": 1e-3, "out.dir": "out"}),
+}
 
 
 def main(argv=None) -> int:
@@ -308,25 +306,23 @@ def main(argv=None) -> int:
         prog="higgsflow",
         description="desk-scale experiments on Higgs bundle gradient flows")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_catalog = sub.add_parser("catalog", help="list shipped scenarios")
-    p_catalog.add_argument("--json", action="store_true")
-    p_catalog.set_defaults(fn=cmd_catalog)
-
-    for name, fn, desc in (
-            ("run", cmd_run, "run a flow and certify the result"),
-            ("validate", cmd_validate, "check structure validity residuals"),
-            ("sweep-rho", cmd_sweep_rho, "scaled extension metric sweep"),
-            ("verify-filtration", cmd_verify_filtration,
-             "certify flat quotients of a declared filtration"),
-            ("flow-equivalence", cmd_flow_equivalence,
-             "compare the metric flow with the pair flow")):
-        p = sub.add_parser(name, help=desc)
-        _add_common(p)
-        p.set_defaults(fn=fn)
+    sub.add_parser("catalog", help="list shipped scenarios").add_argument(
+        "--json", action="store_true")
+    for verb, (_, desc, keys) in VERBS.items():
+        p = sub.add_parser(verb, help=desc)
+        p.add_argument("--config", help="flat key = value config file")
+        for key, default in keys.items():
+            p.add_argument("--" + key.replace(".", "-"), dest=key,
+                           type=CONFIG_KEYS[key],
+                           help=None if default is None else f"default {default}")
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    if args.command == "catalog":
+        return cmd_catalog(args)
+    try:
+        return VERBS[args.command][0](_config(args))
+    except (ValueError, KeyError, OSError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

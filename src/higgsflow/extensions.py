@@ -546,7 +546,7 @@ class FiltrationLevel:
     certificate: FlatnessCertificate
     flowed_time: float
     nesting_residual: float
-    report: SubbundleReport
+    subbundle: SubbundleReport
     topology: TopologicalIntegrals
 
 
@@ -558,19 +558,7 @@ class FiltrationReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "levels": [{
-                "index": lv.index, "rank": lv.rank,
-                "certificate": lv.certificate.as_dict(),
-                "flowed_time": lv.flowed_time,
-                "nesting_residual": lv.nesting_residual,
-                "subbundle": lv.report.as_dict(),
-                "topology": lv.topology.as_dict(),
-            } for lv in self.levels],
-            "additivity_c1": self.additivity_c1,
-            "additivity_ch2": self.additivity_ch2,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],

@@ -16,7 +16,7 @@ of the single steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -440,16 +440,8 @@ class EquivalenceReport:
         return max(self.transport_phi + self.transport_a, default=0.0)
 
     def as_dict(self) -> dict:
-        return {
-            "times": self.times,
-            "res_dphi": self.res_dphi,
-            "res_curvature": self.res_curvature,
-            "res_contracted": self.res_contracted,
-            "transport_phi": self.transport_phi,
-            "transport_a": self.transport_a,
-            "max_norm_residual": self.max_norm_residual(),
-            "max_transport_discrepancy": self.max_transport_discrepancy(),
-        }
+        return {**asdict(self), "max_norm_residual": self.max_norm_residual(),
+                "max_transport_discrepancy": self.max_transport_discrepancy()}
 
 
 def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,

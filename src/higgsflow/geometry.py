@@ -8,7 +8,7 @@ checkable postcondition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -124,8 +124,7 @@ class ValidityReport:
     valid: bool
 
     def as_dict(self) -> dict:
-        return {"integrability": self.integrability, "holomorphy": self.holomorphy,
-                "symmetry": self.symmetry, "tol": self.tol, "valid": self.valid}
+        return asdict(self)
 
 
 def validate_structure(s: HiggsStructure, tol: float | None = None) -> ValidityReport:

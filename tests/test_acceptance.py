@@ -286,7 +286,7 @@ def test_criterion_10_determinism(tmp_path):
         code = cli_main(["run", "--scenario", "nilpotent-r2", "--N", "16",
                          "--flow-kind", "ymh", "--flow-T", "0.25",
                          "--flow-dt", "1e-2", "--flow-fixed", "1",
-                         "--seed", "7", "--target-epsilon", "10.0",
+                         "--target-epsilon", "10.0",
                          "--out-dir", str(out)])
         assert code == 0
         outs.append(out)

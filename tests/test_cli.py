@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -84,7 +85,7 @@ def test_run_determinism_byte_identical(tmp_path):
         code = run_cli("run", "--scenario", "nilpotent-r2", "--N", "16",
                        "--flow-kind", "ymh", "--flow-T", "0.25",
                        "--flow-dt", "1e-2", "--flow-fixed", "1",
-                       "--target-epsilon", "10.0", "--seed", "0",
+                       "--target-epsilon", "10.0",
                        "--out-dir", str(d))
         assert code == 0
     assert (dirs[0] / "trace.csv").read_bytes() == (dirs[1] / "trace.csv").read_bytes()
@@ -144,8 +145,7 @@ def test_config_file_and_flag_override(tmp_path):
         "flow.kind = donaldson\n"
         "flow.dt = 1e-2\n"
         "flow.T = 0.5\n"
-        "target.epsilon = 10.0\n"
-        "seed = 1\n")
+        "target.epsilon = 10.0\n")
     out = tmp_path / "out"
     code = run_cli("run", "--config", str(cfg), "--out-dir", str(out),
                    "--flow-T", "0.25")
@@ -249,3 +249,111 @@ def test_state_file_without_scenario_names_no_subbundle(verb, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert "scenario names the declared sub-bundles" in err
     assert not out.exists()
+
+
+def test_sweep_rho_state_file_keeps_the_scenario_targets(tmp_path):
+    from higgsflow import TorusBase, save_state
+    from higgsflow.scenarios import _extension_sweep
+    snap = tmp_path / "gamma.snap"
+    save_state(_extension_sweep(TorusBase(1, 32), gamma_amp=0.3), snap)
+    out = tmp_path / "out"
+    # a varying gamma makes the decay linear in rho: the slope-2 target fails
+    assert run_cli("sweep-rho", "--state-file", str(snap), "--scenario",
+                   "extension-sweep", "--out-dir", str(out)) == 1
+    payload = json.loads((out / "rho_sweep.json").read_text())
+    assert payload["slope_target"] == 2.0
+    assert len(payload["epsilon_checks"]) == 3
+    assert payload["passed"] is False
+
+
+def test_default_sweep_rho_sweeps_once(tmp_path, monkeypatch):
+    import higgsflow.cli
+    import higgsflow.extensions
+    import higgsflow.geometry
+    counts = dict.fromkeys(("rho_sweep", "split_extension",
+                            "hitchin_simpson_curvature"), 0)
+    for name in counts:
+        original = getattr(higgsflow.extensions, name)
+
+        def counting(*args, _fn=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (higgsflow.cli, higgsflow.extensions, higgsflow.geometry):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    assert run_cli("sweep-rho", "--out-dir", str(tmp_path)) == 0
+    # two factor curvatures, five swept rho, and the epsilon pair rho = 0.1
+    assert counts == {"rho_sweep": 1, "split_extension": 1,
+                      "hitchin_simpson_curvature": 8}
+
+
+VERB_KEYS = {
+    "run": {"scenario", "state-file", "N", "flow-kind", "flow-dt", "flow-T",
+            "flow-fixed", "target-epsilon", "out-dir"},
+    "validate": {"scenario", "state-file", "N", "tolerance"},
+    "sweep-rho": {"scenario", "state-file", "N", "rho-values", "out-dir"},
+    "verify-filtration": {"scenario", "state-file", "N", "target-epsilon",
+                          "flow-T", "flow-dt", "out-dir"},
+    "flow-equivalence": {"scenario", "state-file", "N", "flow-T", "flow-dt",
+                         "tolerance", "out-dir"},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_KEYS))
+def test_each_verb_takes_only_the_keys_it_reads(verb, tmp_path, monkeypatch,
+                                                capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(verb, "--help")
+    assert excinfo.value.code == 0
+    flags = set(re.findall(r"--([A-Za-z][\w-]*)", capsys.readouterr().out))
+    assert flags == VERB_KEYS[verb] | {"config", "help"}
+
+    monkeypatch.chdir(tmp_path)
+    for key in sorted(set().union(*VERB_KEYS.values()) - VERB_KEYS[verb]) \
+            + ["seed"]:
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(verb, "--scenario", "nilpotent-r2", f"--{key}", "1")
+        assert excinfo.value.code == 2, key
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb, argv, config, reason", [
+    ("validate", [], "scenario = nilpotent-r2\nflow.T = 1\n",
+     "'validate' does not read key 'flow.T'"),
+    ("verify-filtration", [],
+     "scenario = nilpotent-r2\nrho.values = 0.5\nflow.kind = ymh\n",
+     "'verify-filtration' does not read key"),
+    ("sweep-rho", [], "seed = 1\n", "unknown key 'seed'"),
+    ("verify-filtration", ["--scenario", "nilpotent-r2", "--flow-T", "-1"],
+     None, "T must be finite"),
+    ("run", ["--state-file", "SNAP", "--N", "64"], None,
+     "N contradicts state.file"),
+    ("sweep-rho", ["--state-file", "SNAP", "--scenario", "nilpotent-r2"],
+     "N = 8\n", "N contradicts state.file"),
+    ("run", ["--state-file", "SNAP", "--scenario", "nilpotent-r2"], None,
+     "scenario contradicts state.file"),
+    ("validate", ["--state-file", "SNAP", "--scenario", "nilpotent-r2"], None,
+     "scenario contradicts state.file"),
+    ("flow-equivalence", ["--state-file", "SNAP"],
+     "scenario = nilpotent-r2\n", "scenario contradicts state.file"),
+    ("run", ["--scenario", "nilpotent-r2", "--flow-kind", "bogus"], None,
+     "unknown flow kind 'bogus'"),
+    ("run", [], "scenario = nilpotent-r2\nflow.kind = bogus\n",
+     "unknown flow kind 'bogus'"),
+])
+def test_contradictory_config_exits_2_and_writes_nothing(
+        verb, argv, config, reason, tmp_path, monkeypatch, capsys):
+    from higgsflow import build_scenario, save_state
+    snap = tmp_path / "state.snap"
+    save_state(build_scenario("nilpotent-r2", N=16), snap)
+    argv = [str(snap) if a == "SNAP" else a for a in argv]
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "exp.cfg")]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run_cli(verb, *argv) == 2
+    assert reason in json.loads(capsys.readouterr().err)["error"]
+    assert list(cwd.iterdir()) == []

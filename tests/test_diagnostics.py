@@ -171,3 +171,28 @@ def test_topological_integrals_builds_one_chern_curvature(monkeypatch):
     st = random_valid_state(TorusBase(2, 8), 2, 5)
     topological_integrals(st)
     assert counts == {"chern_connection": 1, "curvature": 1}
+
+
+@pytest.mark.parametrize("n, calls", [(1, 1), (2, 3)])
+def test_flatness_certificate_takes_each_part_norm_once(n, calls, monkeypatch):
+    import higgsflow.diagnostics
+    import higgsflow.grid
+    from higgsflow import hitchin_simpson_curvature, sup_norm
+    st = random_valid_state(TorusBase(n, 8), 2, 3)
+    hs = hitchin_simpson_curvature(st)
+    expected = [hs.sup_norm(st.metric)] + [sup_norm(f, st.metric.mat)
+                                            for f in hs.parts.values()]
+    count = [0]
+    original = higgsflow.grid.pointwise_norm2
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for module in (higgsflow.grid, higgsflow.diagnostics):
+        monkeypatch.setattr(module, "pointwise_norm2", counting)
+    cert = flatness_certificate(st, 1.0)
+    assert count[0] == calls
+    got = [cert.eps_achieved, cert.sup_curvature_part, cert.sup_dphi,
+           cert.sup_dbar_phistar][:calls + 1]
+    assert got == expected   # the same sums in the same order, bit for bit
