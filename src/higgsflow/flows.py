@@ -35,10 +35,22 @@ __all__ = [
     "EquivalenceReport", "check_flow_times",
 ]
 
-# adaptive step control: the step is capped by SAFETY / sup|K| and grows by
-# GROWTH per accepted step; MAX_STEPS guards the loop of either runner
+# adaptive step control. SAFETY / sup|K| caps the step, which bounds the
+# exponent that expm_batched sees. A candidate is rejected when its local
+# error estimate (_local_error) exceeds TOL, or when its sup|K|_H rises
+# above the previous accepted value by more than the roundoff margin
+# MP_RTOL * sup|K| + MP_ATOL: along the flow sup|K| never rises (Simpson,
+# J. AMS 1, 1988, section 6), so a rise marks an unstable explicit step.
+# The next step follows a PI controller (_pi_factor). After a
+# maximum-principle rejection at dt_r, the proposals are capped at
+# STABILITY_BACKOFF * dt_r, and the cap relaxes by STABILITY_RELAX per
+# accepted step. MAX_STEPS guards the loop of either runner.
 SAFETY = 0.05
-GROWTH = 1.1
+TOL = 1e-2
+MP_RTOL = 1e-9
+MP_ATOL = 1e-12
+STABILITY_BACKOFF = 0.7
+STABILITY_RELAX = 1.01
 MAX_STEPS = 2_000_000
 
 
@@ -204,10 +216,15 @@ class FlowResult:
     trace: FlowTrace
     sampled_states: list    # (t, state) at the sample schedule
     steps: int
-    rejected: int
     # per sample, the pointwise |del_H phi|^2, |F + [phi,phi*]|^2 and
     # |i Lambda(F + [phi,phi*])|^2 (see _sample_norms)
     sampled_norms: list
+    # rejected attempts by reason: breakdown, max_principle, error_estimate
+    rejected_by: dict
+
+    @property
+    def rejected(self) -> int:
+        return sum(self.rejected_by.values())
 
 
 class FlowBlowup(RuntimeError):
@@ -287,24 +304,54 @@ def _metric_trace_row(state: HiggsBundleState, dt: float, validity,
     )
 
 
-def _advance(state: HiggsBundleState, dt: float, step_fn, K0):
+def _local_error(K_half: MatrixFormField, K0: MatrixFormField,
+                 H: HermitianMetric, dt: float) -> float:
+    """dt * sup|K(half) - K0|_H: the midpoint step's exponent minus the
+    Euler step's, the controller's local error estimate."""
+    return dt * math.sqrt(max(pointwise_norm2(K_half - K0, H.mat).max(), 0.0))
+
+
+def _advance(state: HiggsBundleState, dt: float, step_fn, K0, tol=None):
     """Midpoint composition of the structure-preserving update.
 
-    Returns None when the candidate broke down: a non-finite field, or a
-    metric (of the candidate or of its midpoint) that lost positivity.
+    Returns (candidate, err). err is the local error estimate, taken only
+    when tol is given (None otherwise); a step whose estimate exceeds tol
+    stops before its second exponential and returns (None, err). A step
+    that broke down returns (None, None): a non-finite field, or a metric
+    (of the candidate or of its midpoint) that lost positivity.
     """
+    err = None
     try:
         half = step_fn(state, 0.5 * dt, K0)
-        candidate = step_fn(state, dt, einstein_deviation(half))
+        K_half = einstein_deviation(half)
+        if tol is not None:
+            err = _local_error(K_half, K0, state.metric, dt)
+            if not math.isfinite(err):
+                return None, None
+            if err > tol:
+                return None, err
+        candidate = step_fn(state, dt, K_half)
         if not (np.isfinite(candidate.metric.mat).all()
                 and np.isfinite(candidate.structure.phi.comps).all()
                 and np.isfinite(candidate.structure.a.comps).all()):
-            return None
+            return None, None
         # cached on the metric, so the next curvature reuses it
         candidate.metric.check_positive()
     except (FloatingPointError, np.linalg.LinAlgError, ValueError):
-        return None
-    return candidate
+        return None, None
+    return candidate, err
+
+
+def _pi_factor(err: float, err_prev: float) -> float:
+    """Soderlind's PI.3.4 step ratio for a second-order method (ACM TOMS
+    29, 2003), 0.9 (TOL/e)^(0.3/2) (e_prev/e)^(0.4/2) clamped to [0.2, 2].
+
+    Errors are floored far below TOL, so a state with K = 0 grows its step
+    at the largest ratio instead of dividing by zero.
+    """
+    err, err_prev = max(err, 1e-10 * TOL), max(err_prev, 1e-10 * TOL)
+    ratio = 0.9 * (TOL / err) ** (0.3 / 2) * (err_prev / err) ** (0.4 / 2)
+    return min(max(ratio, 0.2), 2.0)
 
 
 def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
@@ -336,13 +383,20 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
     sample(current, K_current, norms, 0.0, dt)
     next_idx = 1  # the schedule starts at t = 0, sampled above
 
+    adaptive = not fixed_dt
+    tol = TOL if adaptive else None
     dev_prev = trace.dev_sup[-1]
-    steps = rejected = 0
-    dt_now = dt
+    steps = 0
+    rejected_by = dict.fromkeys(("breakdown", "max_principle",
+                                 "error_estimate"), 0)
+    # dt_prop is the controller's proposal; a step clipped to land on a
+    # sample time or on T does not shrink it
+    dt_prop, err_prev, dt_cap = dt, TOL, math.inf
     while t < T - 1e-12 and steps < MAX_STEPS:
-        dt_step = min(dt_now, T - t)
-        if not fixed_dt and dev_prev > 0:
-            dt_step = min(dt_step, SAFETY / dev_prev)
+        dt_free = dt_prop
+        if adaptive and dev_prev > 0:
+            dt_free = min(dt_free, SAFETY / dev_prev)
+        dt_step = min(dt_free, T - t)
         # land exactly on the next sample time
         if next_idx < len(schedule):
             dt_step = min(dt_step, schedule[next_idx] - t)
@@ -350,36 +404,47 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
         t_next = t + dt_step
         due = next_idx < len(schedule) and t_next >= schedule[next_idx] - 1e-12
 
-        candidate = _advance(current, dt_step, step_fn, K_current)
-        if candidate is None and fixed_dt:
-            raise FlowBlowup(f"flow produced non-finite fields or a "
-                             f"non-positive metric at t={t:.6g} with "
-                             f"dt={dt_step:.3e}", current, trace, t)
-        if candidate is not None:
+        candidate, err = _advance(current, dt_step, step_fn, K_current, tol)
+        if candidate is None:
+            reason = "breakdown" if err is None else "error_estimate"
+        else:
+            reason = None
             K_next, norms = _evaluate(candidate, due)
-            if not fixed_dt:
+            if adaptive:
                 dev_new = math.sqrt(max(
                     pointwise_norm2(K_next, candidate.metric.mat).max(), 0.0))
-                if dev_prev > 0 and dev_new > 2.0 * dev_prev + 1e-12:
-                    candidate = None  # diagnostic blow-up
-        if candidate is None:
-            # reject and halve
-            dt_now = 0.5 * dt_step
-            rejected += 1
-            if dt_now < 1e-12:
+                if dev_new > dev_prev * (1.0 + MP_RTOL) + MP_ATOL:
+                    reason = "max_principle"
+        if reason is not None:
+            if fixed_dt:
+                raise FlowBlowup(f"flow produced non-finite fields or a "
+                                 f"non-positive metric at t={t:.6g} with "
+                                 f"dt={dt_step:.3e}", current, trace, t)
+            rejected_by[reason] += 1
+            if reason == "breakdown":
+                dt_prop = 0.5 * dt_step
+            else:
+                dt_prop = dt_step * _pi_factor(err, err_prev)
+            if reason == "max_principle":
+                dt_cap = STABILITY_BACKOFF * dt_step
+            dt_prop = min(dt_prop, dt_cap)
+            if dt_prop < 1e-12:
                 raise FlowBlowup(f"flow step size collapsed at t={t:.6g}",
                                  current, trace, t)
             continue
-        if not fixed_dt:
+        if adaptive:
             dev_prev = dev_new
-            dt_now = dt_step * GROWTH
+            dt_cap *= STABILITY_RELAX
+            dt_prop = min(dt_free * _pi_factor(err, err_prev), dt_cap)
+            err_prev = err
 
         current, K_current, t = candidate, K_next, t_next
         steps += 1
         if due:
             sample(current, K_current, norms, t, dt_step)
             next_idx += 1
-    return FlowResult(current, trace, sampled, steps, rejected, sampled_norms)
+    return FlowResult(current, trace, sampled, steps, sampled_norms,
+                      rejected_by)
 
 
 def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
@@ -388,9 +453,11 @@ def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
     """Integrate the metric flow to time T and record a FlowTrace.
 
     With fixed_dt the step is exactly dt (pinned-accuracy experiments);
-    otherwise the step grows by GROWTH per accepted step, is capped by
-    SAFETY/sup|K|, and is halved whenever the deviation sup-norm more than
-    doubles in one step.
+    otherwise dt is the first proposal of the error-controlled step
+    controller: the step is capped by SAFETY/sup|K|, a candidate is
+    rejected when its local error estimate exceeds TOL or its sup|K|_H
+    rises (the maximum principle), and the next step follows a PI
+    controller (see the module constants).
     """
     return _run_flow(state, T, dt, donaldson_step, fixed_dt=fixed_dt,
                      sample_times=sample_times)

@@ -186,7 +186,7 @@ def get_scenario(name: str) -> Scenario:
 
 def build_scenario(name: str, N: int | None = None) -> HiggsBundleState:
     sc = get_scenario(name)
-    return _BUILDERS[name](TorusBase(sc.n, N or sc.N))
+    return _BUILDERS[name](TorusBase(sc.n, sc.N if N is None else N))
 
 
 def scenario_subbundles(name: str, state: HiggsBundleState) -> list[HiggsSubbundle]:

@@ -79,6 +79,22 @@ def test_run_long_flow_reaches_flatness_target(tmp_path):
     assert summary["trace"]["decay_exponent_ymh"] == pytest.approx(-2.0, abs=0.3)
 
 
+def test_adaptive_run_on_conformal_scenario_is_energy_monotone(tmp_path):
+    code = run_cli("run", "--scenario", "conformal-r1", "--N", "64",
+                   "--flow-T", "0.05", "--flow-dt", "1e-3",
+                   "--out-dir", str(tmp_path))
+    assert code == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["energy_monotone"] is True
+    assert "rejected_by" not in summary
+
+
+def test_zero_grid_resolution_is_rejected(capsys):
+    assert run_cli("validate", "--scenario", "nilpotent-r2", "--N", "0") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "grid resolution must be even and >= 8" in err["error"]
+
+
 def test_run_determinism_byte_identical(tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:

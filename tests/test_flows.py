@@ -288,6 +288,51 @@ def test_adaptive_flow_reaches_target_time():
     assert all(b <= a + 1e-12 for a, b in zip(dev, dev[1:]))
 
 
+def test_adaptive_step_keeps_its_proposal_across_sample_landings():
+    # the 12 geometric sample landings clip the step without shrinking the
+    # proposal that follows them
+    res = run_donaldson_flow(nilpotent_state(), 100.0, 1e-3)
+    assert res.trace.t[-1] == pytest.approx(100.0)
+    assert res.steps <= 110
+
+
+def test_adaptive_flow_respects_the_maximum_principle():
+    # explicit steps past the stability bound grow sup|K| and the energy;
+    # the controller rejects them and remembers the bound
+    res = run_donaldson_flow(build_scenario("conformal-r1", N=64), 0.05, 1e-3)
+    assert res.trace.t[-1] == pytest.approx(0.05)
+    for column in (res.trace.ymh_energy, res.trace.dev_sup):
+        assert all(b <= a for a, b in zip(column, column[1:]))
+    assert set(res.rejected_by) == {"breakdown", "max_principle",
+                                    "error_estimate"}
+    assert sum(res.rejected_by.values()) == res.rejected
+    assert res.rejected <= 0.1 * (res.steps + res.rejected)
+
+
+def test_flat_state_passes_the_maximum_principle_floor():
+    res = run_donaldson_flow(build_scenario("flat-trivial-r2"), 1.0, 1e-2)
+    assert res.rejected == 0
+    assert res.trace.t[-1] == pytest.approx(1.0)
+
+
+def test_only_the_adaptive_runner_takes_the_error_estimate(monkeypatch):
+    import higgsflow.flows
+    real = higgsflow.flows._local_error
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(higgsflow.flows, "_local_error", counted)
+    st = nilpotent_state(8)
+    fixed = run_donaldson_flow(st, 0.25, 1e-2, fixed_dt=True)
+    assert fixed.steps > 0 and calls == []
+    res = run_donaldson_flow(st, 0.25, 1e-2)
+    # one estimate per attempt that reached its midpoint deviation
+    assert len(calls) == res.steps + res.rejected - res.rejected_by["breakdown"]
+
+
 def _positivity_breakdown_state():
     # a fixed step this size drives the rank-3 metric to lose positivity
     # at its second step while every field stays finite
