@@ -24,7 +24,7 @@ from .geometry import (HermitianMetric, HiggsBundleState, HiggsStructure,
                        hitchin_simpson_curvature)
 from .grid import (MatrixFormField, MixedField, contract_lambda, d_flat,
                    dbar_flat, integrate, sup_norm, tr_field, wedge)
-from .linalg import dagger, inv, sqrtm_hpd, trace
+from .linalg import dagger, inv, mm, sqrtm_hpd, trace
 
 __all__ = [
     "HiggsSubbundle", "SubbundleReport", "subbundle_report",
@@ -56,9 +56,8 @@ class HiggsSubbundle:
     @classmethod
     def from_frame(cls, H: HermitianMetric, U: np.ndarray) -> "HiggsSubbundle":
         """H-orthogonal projector onto the pointwise span of the frame U."""
-        gram = dagger(U) @ H.mat @ U
-        pi = U @ np.linalg.solve(gram, dagger(U) @ H.mat)
-        return cls(np.ascontiguousarray(pi), U.shape[-1])
+        UH = mm(dagger(U), H.mat)
+        return cls(mm(U, mm(inv(mm(UH, U)), UH)), U.shape[-1])
 
     def complement(self) -> np.ndarray:
         eye = np.eye(self.projector.shape[-1], dtype=np.complex128)
@@ -97,8 +96,8 @@ def subbundle_report(state: HiggsBundleState, sub: HiggsSubbundle) -> SubbundleR
     # grid-represented sub-bundles are holomorphic only to truncation order,
     # so the gate scales with h^2
     tol = max(1e-8, 10.0 * base.spacing**2) * (1.0 + sup_norm(phi) + sup_norm(a))
-    idem = float(np.abs(pi @ pi - pi).max())
-    sadj = float(np.abs(H.inv @ dagger(pi) @ H.mat - pi).max())
+    idem = float(np.abs(mm(pi, pi) - pi).max())
+    sadj = float(np.abs(mm(mm(H.inv, dagger(pi)), H.mat) - pi).max())
     rank_const = float(np.abs(np.real(trace(pi)) - sub.rank).max())
 
     pi_f = sub.as_field(base)
@@ -126,16 +125,16 @@ def _orthonormal_frame(H: HermitianMetric, pi: np.ndarray, p: int,
     mean_pi = pi.reshape(-1, *pi.shape[-2:]).mean(axis=0)
     w, v = np.linalg.eigh(0.5 * (mean_pi + dagger(mean_pi)))
     ref = v[:, np.argsort(w)[::-1][:p]]
-    U = pi @ ref
+    U = mm(pi, ref)
     if against is not None:
-        U = U - against @ (dagger(against) @ H.mat @ U)
-    gram = dagger(U) @ H.mat @ U
+        U = U - mm(against, mm(mm(dagger(against), H.mat), U))
+    gram = mm(mm(dagger(U), H.mat), U)
     try:
         L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise ValueError("sub-bundle frame degenerates on the grid; cannot "
                          "build a global smooth frame") from exc
-    return U @ inv(dagger(L))
+    return mm(U, inv(dagger(L)))
 
 
 def _quotient_frames(H: HermitianMetric, subs: list[HiggsSubbundle]):
@@ -167,7 +166,7 @@ def _block(H: HermitianMetric, U: np.ndarray, f: MatrixFormField,
     Without V the result is the coefficient field U^{+H} f of a
     frame-valued f.
     """
-    return f.sandwich(dagger(U) @ H.mat, V)
+    return f.sandwich(mm(dagger(U), H.mat), V)
 
 
 def _dbar_of_frame(a: MatrixFormField, U: np.ndarray) -> MatrixFormField:
@@ -379,7 +378,7 @@ def _scaled_block_metric(frames: list[np.ndarray], rho: float) -> np.ndarray:
     idx = np.arange(U.shape[-1])
     Hblock[..., idx, idx] = weights
     U_inv = inv(U)
-    return dagger(U_inv) @ Hblock @ U_inv
+    return mm(mm(dagger(U_inv), Hblock), U_inv)
 
 
 def scaled_adjoint_check(ext: ExtensionData, rho: float) -> float:
@@ -502,13 +501,13 @@ def invariant_section_check(state: HiggsBundleState,
     if s.shape != base.shape + (r,):
         raise ValueError(f"section shape {s.shape} does not match the grid")
     s_col = s[..., None]
-    s_dual = dagger(s_col) @ H.mat
-    length2 = np.real(s_dual @ s_col)[..., 0, 0]
+    s_dual = mm(dagger(s_col), H.mat)
+    length2 = np.real(mm(s_dual, s_col))[..., 0, 0]
     if length2.max() <= 0:
         raise ValueError("section is identically zero")
 
     def norm2_per_component(x):  # H(x_k, x_k) for column blocks x_k
-        return np.real(dagger(x) @ H.mat @ x)[..., 0, 0]
+        return np.real(mm(mm(dagger(x), H.mat), x))[..., 0, 0]
 
     # holomorphy: dbar s + a s
     sf = MatrixFormField(base, 0, 0, s_col[None, None])
@@ -518,7 +517,7 @@ def invariant_section_check(state: HiggsBundleState,
 
     # eta_i = H(phi_i s, s) / |s|^2, one row per (1,0) component i
     phi_s = phi.sandwich(None, s_col).comps[:, 0]
-    eta = (s_dual @ phi_s)[..., 0, 0] / (length2 + 1e-30)
+    eta = mm(s_dual, phi_s)[..., 0, 0] / (length2 + 1e-30)
     resid = phi_s - eta[..., None, None] * s_col
     invariance = math.sqrt(max(float(
         norm2_per_component(resid).sum(axis=0).max()), 0.0) * 2.0)
@@ -527,7 +526,7 @@ def invariant_section_check(state: HiggsBundleState,
     # 2 * smallest eigenvalue of M
     phistar = adjoint_field(phi, H)
     bracket = wedge(phi, phistar) + wedge(phistar, phi)
-    M = np.moveaxis((s_dual @ bracket.sandwich(None, s_col).comps)[..., 0, 0],
+    M = np.moveaxis(mm(s_dual, bracket.sandwich(None, s_col).comps)[..., 0, 0],
                     (0, 1), (-2, -1))
     eigs = np.linalg.eigvalsh(0.5 * (M + dagger(M)))
     form_min = 2.0 * float(eigs.min())
@@ -584,7 +583,7 @@ def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
     # nesting and per-level invariants
     nesting = [0.0]
     for lo, hi in zip(subs, subs[1:]):
-        nesting.append(float(np.abs(hi.projector @ lo.projector
+        nesting.append(float(np.abs(mm(hi.projector, lo.projector)
                                     - lo.projector).max()))
     reports = []
     for k, sub in enumerate(subs):
@@ -698,7 +697,7 @@ def suggest_subbundles(H0: HermitianMetric,
     """
     w0 = sqrtm_hpd(H0.mat)
     w0_inv = inv(w0)
-    m = w0_inv @ H_t.mat @ w0_inv
+    m = mm(mm(w0_inv, H_t.mat), w0_inv)
     vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
     mean_log = np.log(np.maximum(vals, 1e-300)).reshape(-1, vals.shape[-1]).mean(axis=0)
     r = vals.shape[-1]
@@ -709,6 +708,6 @@ def suggest_subbundles(H0: HermitianMetric,
         p = cut + 1
         if p >= r or gaps[cut] <= 1e-9:
             continue
-        U = w0_inv @ vecs[..., :p]
+        U = mm(w0_inv, vecs[..., :p])
         out.append(HiggsSubbundle.from_frame(H0, U))
     return out

@@ -16,7 +16,7 @@ import numpy as np
 from .grid import (MatrixFormField, MixedField, TorusBase, contract_lambda,
                    d_flat, dbar_flat, integrate, pointwise_norm2, sup_norm,
                    tr_field, wedge)
-from .linalg import dagger, inv, is_positive_definite, min_eigvalsh
+from .linalg import _trailing, dagger, inv, is_positive_definite, min_eigvalsh
 
 __all__ = [
     "HermitianMetric", "HiggsStructure", "HiggsBundleState", "ValidityReport",
@@ -28,21 +28,25 @@ __all__ = [
 
 @dataclass(eq=False)
 class HermitianMetric:
-    """Grid of Hermitian positive-definite r x r matrices."""
+    """Grid of Hermitian positive-definite r x r matrices.
+
+    mat has shape (*grid, r, r) and is a view of one C-contiguous complex
+    array of shape (r, r, *grid), as MatrixFormField.comps is.
+    """
 
     base: TorusBase
     mat: np.ndarray
 
     def __post_init__(self):
-        self.mat = np.ascontiguousarray(self.mat, dtype=np.complex128)
-        if self.mat.shape[:-2] != self.base.shape or self.mat.shape[-1] != self.mat.shape[-2]:
-            raise ValueError(f"metric array shape {self.mat.shape} does not match the grid")
+        mat = np.asarray(self.mat)
+        if mat.shape[:-2] != self.base.shape or mat.shape[-1] != mat.shape[-2]:
+            raise ValueError(f"metric array shape {mat.shape} does not match the grid")
+        self.mat = _trailing(mat)
 
     @classmethod
     def identity(cls, base: TorusBase, rank: int) -> "HermitianMetric":
-        mat = np.broadcast_to(np.eye(rank, dtype=np.complex128),
-                              base.shape + (rank, rank)).copy()
-        return cls(base, mat)
+        return cls(base, np.broadcast_to(np.eye(rank, dtype=np.complex128),
+                                         base.shape + (rank, rank)))
 
     @property
     def rank(self) -> int:
@@ -202,7 +206,7 @@ def adjoint_field(f: MatrixFormField, H: HermitianMetric | None = None,
     """
     if H_col is None:
         H_col = H
-    star = MatrixFormField(f.base, f.q, f.p, np.swapaxes(dagger(f.comps), 0, 1))
+    star = MatrixFormField(f.base, f.q, f.p, dagger(np.swapaxes(f.comps, 0, 1)))
     return star.sandwich(None if H_col is None else H_col.inv,
                          None if H is None else H.mat)
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
-from .linalg import dagger, inv, mm, trace
+from .linalg import _store_axes, _trailing, _trailing_array, dagger, inv, mm, trace
 
 __all__ = [
     "TorusBase", "MatrixFormField", "MixedField",
@@ -112,15 +113,19 @@ class TorusBase:
 class MatrixFormField:
     """Endomorphism- (or hom-) valued (p,q)-form sampled on the grid.
 
-    Components are stored as one complex array of shape
-    (C(n,p), C(n,q), *grid, rows, cols), indexed by ordered multi-indices in
-    lexicographic order. The coefficient of component (I, J) multiplies
-    dz^I wedge dzbar^J with all holomorphic differentials first.
+    comps has shape (C(n,p), C(n,q), *grid, rows, cols), indexed by ordered
+    multi-indices in lexicographic order. The coefficient of component
+    (I, J) multiplies dz^I wedge dzbar^J with all holomorphic differentials
+    first. comps is a writable view of one C-contiguous complex array of
+    shape (rows, cols, C(n,p), C(n,q), *grid): grid-trailing storage, so
+    every pointwise kernel runs over contiguous grid slabs. The constructor
+    keeps an array that is already such a view and copies any other once.
     """
 
     __slots__ = ("base", "p", "q", "comps", "rows", "cols")
 
     def __init__(self, base: TorusBase, p: int, q: int, comps: np.ndarray):
+        comps = np.asarray(comps)
         if not (0 <= p <= base.n and 0 <= q <= base.n):
             raise ValueError(f"bidegree ({p},{q}) out of range for n={base.n}")
         P, Q = len(_combs(base.n, p)), len(_combs(base.n, q))
@@ -131,12 +136,21 @@ class MatrixFormField:
         rows, cols = comps.shape[-2], comps.shape[-1]
         if not (1 <= rows <= MAX_RANK and 1 <= cols <= MAX_RANK):
             raise ValueError(f"matrix block {rows}x{cols} exceeds the rank cap {MAX_RANK}")
+        self._adopt(base, p, q, comps)
+
+    def _adopt(self, base: TorusBase, p: int, q: int, comps: np.ndarray):
         self.base = base
         self.p = p
         self.q = q
-        self.comps = np.ascontiguousarray(comps, dtype=np.complex128)
-        self.rows = rows
-        self.cols = cols
+        self.comps = _trailing(comps)
+        self.rows, self.cols = comps.shape[-2:]
+        return self
+
+    @classmethod
+    def _new(cls, base: TorusBase, p: int, q: int, comps: np.ndarray):
+        """The field over comps without the constructor's checks, for
+        arrays that the form calculus computed from valid fields."""
+        return cls.__new__(cls)._adopt(base, p, q, comps)
 
     # -- construction helpers -------------------------------------------------
 
@@ -144,7 +158,10 @@ class MatrixFormField:
     def zeros(cls, base: TorusBase, p: int, q: int, rows: int, cols: int | None = None):
         cols = rows if cols is None else cols
         P, Q = len(_combs(base.n, p)), len(_combs(base.n, q))
-        return cls(base, p, q, np.zeros((P, Q) + base.shape + (rows, cols), np.complex128))
+        # checked like any input from outside: the array is trailing, so the
+        # constructor adopts it without a copy
+        return cls(base, p, q, _trailing_array((P, Q) + base.shape + (rows, cols),
+                                               init=np.zeros))
 
     @classmethod
     def constant(cls, base: TorusBase, matrix: np.ndarray, p: int = 0, q: int = 0,
@@ -156,7 +173,7 @@ class MatrixFormField:
         return out
 
     def copy(self) -> "MatrixFormField":
-        return MatrixFormField(self.base, self.p, self.q, self.comps.copy())
+        return self._new(self.base, self.p, self.q, self.comps.copy(order="K"))
 
     # -- index bookkeeping -----------------------------------------------------
 
@@ -175,17 +192,17 @@ class MatrixFormField:
 
     def __add__(self, other):
         self._compatible(other)
-        return MatrixFormField(self.base, self.p, self.q, self.comps + other.comps)
+        return self._new(self.base, self.p, self.q, self.comps + other.comps)
 
     def __sub__(self, other):
         self._compatible(other)
-        return MatrixFormField(self.base, self.p, self.q, self.comps - other.comps)
+        return self._new(self.base, self.p, self.q, self.comps - other.comps)
 
     def __neg__(self):
-        return MatrixFormField(self.base, self.p, self.q, -self.comps)
+        return self._new(self.base, self.p, self.q, -self.comps)
 
     def __mul__(self, scalar):
-        return MatrixFormField(self.base, self.p, self.q, self.comps * scalar)
+        return self._new(self.base, self.p, self.q, self.comps * scalar)
 
     __rmul__ = __mul__
 
@@ -203,7 +220,7 @@ class MatrixFormField:
             comps = mm(left, comps)
         if right is not None:
             comps = mm(comps, right)
-        return MatrixFormField(self.base, self.p, self.q, comps)
+        return self._new(self.base, self.p, self.q, comps)
 
 
 class MixedField(dict):
@@ -249,12 +266,19 @@ class MixedField(dict):
 
 
 def _periodic_diff(c: np.ndarray, axis: int, h2: float) -> np.ndarray:
-    """(c[i+1] - c[i-1]) / h2 along one axis with periodic wrap."""
-    out = np.empty_like(c)
+    """(c[i+1] - c[i-1]) / h2 along one grid axis of an (..., r, c) array,
+    with periodic wrap; the result is grid-trailing."""
+    out = _trailing_array(c.shape, c.dtype)
+    # over the flattened (r, c, ...) storage, the entries one stride apart
+    # are the neighbours along axis, except at its two ends: one pass over
+    # the whole storage, then the two wrapped ends are written again
+    to_store = _store_axes(c.ndim)
+    flat = c.transpose(to_store).reshape(-1)
+    step = math.prod(c.shape[axis + 1:-2])
+    np.subtract(flat[2 * step:], flat[:-2 * step],
+                out=out.transpose(to_store).reshape(-1)[step:-step])
     lead = (slice(None),) * axis
-    # (out, plus, minus) along axis: the interior, then the two wrapped ends
-    for o, p, m in ((slice(1, -1), slice(2, None), slice(None, -2)),
-                    (0, 1, -1), (-1, 0, -2)):
+    for o, p, m in ((0, 1, -1), (-1, 0, -2)):
         np.subtract(c[lead + (p,)], c[lead + (m,)], out=out[lead + (o,)])
     out /= h2
     return out
@@ -262,7 +286,7 @@ def _periodic_diff(c: np.ndarray, axis: int, h2: float) -> np.ndarray:
 
 def _dz_component(f: MatrixFormField, j: int, bar: bool) -> np.ndarray:
     """d/dz^j (or d/dzbar^j) of every component, centered differences."""
-    # comps layout is (P, Q, *grid, r, r): x_j and y_j are axes 2 + 2j, 3 + 2j
+    # comps axes are (P, Q, *grid, r, r): x_j and y_j are axes 2 + 2j, 3 + 2j
     h2 = 2.0 * f.base.spacing
     out = _periodic_diff(f.comps, 2 + 2 * j, h2)
     dy = _periodic_diff(f.comps, 3 + 2 * j, h2)
@@ -338,7 +362,7 @@ def contract_lambda(f: MatrixFormField) -> MatrixFormField:
     """
     if (f.p, f.q) != (1, 1):
         raise ValueError(f"contraction needs bidegree (1,1), got ({f.p},{f.q})")
-    acc = np.zeros(f.base.shape + (f.rows, f.cols), np.complex128)
+    acc = _trailing_array(f.base.shape + (f.rows, f.cols), init=np.zeros)
     for i in range(f.base.n):
         acc += f.comps[i, i]
     out = MatrixFormField.zeros(f.base, 0, 0, f.rows, f.cols)
@@ -363,7 +387,7 @@ def dbar_adjoint(f: MatrixFormField, H: np.ndarray | None = None) -> MatrixFormF
     p_sign = -1 if f.p % 2 else 1
     # rows of dzbar^j wedge dzbar^K = dzbar^J, grouped by j
     for j, rows in itertools.groupby(_wedge_table(f.base.n, 1, f.q - 1), itemgetter(0)):
-        dz = MatrixFormField(f.base, f.p, f.q, _dz_component(g, j, bar=False))
+        dz = MatrixFormField._new(f.base, f.p, f.q, _dz_component(g, j, bar=False))
         if H is not None:
             dz = dz.sandwich(Hinv, H)
         for _, k, k_full, sign in rows:

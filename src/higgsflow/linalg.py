@@ -3,15 +3,17 @@
 All routines act on arrays of shape (..., r, c) with small r, c (at most 4)
 and are deterministic: no randomized algorithms, no thread-dependent
 reductions. numpy's `@` and `np.linalg.inv` handle a stack of tiny matrices
-one matrix at a time; the kernels here run each step over the whole batch
-at once.
+one matrix at a time; the kernels here run each scalar operation over the
+whole batch at once. They return grid-trailing arrays: an (..., r, c) view
+of C-contiguous (r, c, ...) storage, so each of those operations is one
+pass over a contiguous slab of the batch. Any input layout is accepted.
 
 Kernel contract:
 
 * mm(a, b) sums the broadcast column-times-row products
   a[..., :, k:k+1] * b[..., k:k+1, :] over k = 0..c-1 in that order, so its
   result is fixed by that order and numpy's elementwise arithmetic, not by
-  a BLAS;
+  a BLAS or by the layout of its operands;
 * inv uses a closed form for r <= 3 (1/m, then the adjugate over the
   determinant) and np.linalg.inv for r = 4; a block whose determinant is
   exactly zero raises np.linalg.LinAlgError, as np.linalg.inv does;
@@ -25,6 +27,7 @@ Kernel contract:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,13 +36,63 @@ import numpy as np
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
+@functools.cache
+def _view_axes(ndim: int) -> tuple[int, ...]:
+    """Axes that turn (r, c, ...) storage into its (..., r, c) view."""
+    return tuple(range(2, ndim)) + (0, 1)
+
+
+@functools.cache
+def _store_axes(ndim: int) -> tuple[int, ...]:
+    """Axes that turn an (..., r, c) array into its (r, c, ...) storage order."""
+    return (ndim - 2, ndim - 1) + tuple(range(ndim - 2))
+
+
+def _trailing_array(shape: tuple[int, ...], dtype=np.complex128,
+                    init=np.empty) -> np.ndarray:
+    """An (..., r, c) array of the given shape over C-contiguous (r, c, ...)
+    storage, made by init (np.empty or np.zeros)."""
+    return init(shape[-2:] + shape[:-2], dtype).transpose(_view_axes(len(shape)))
+
+
+def _trailing(x, dtype=np.complex128) -> np.ndarray:
+    """x itself when it is a writable grid-trailing array of dtype; else a
+    grid-trailing copy of it."""
+    x = np.asarray(x)
+    if x.dtype == dtype and x.flags.writeable and \
+            x.transpose(_store_axes(x.ndim)).flags.c_contiguous:
+        return x
+    out = _trailing_array(x.shape, dtype)
+    out[...] = x
+    return out
+
+
+def _from_entries(rows: list[list[np.ndarray]]) -> np.ndarray:
+    """Blocks whose (i, j) entries are the grid arrays rows[i][j]."""
+    store = np.array(rows)
+    return store.transpose(_view_axes(store.ndim))
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose on the trailing two axes."""
-    return np.conj(np.swapaxes(m, -1, -2))
+    m = np.asarray(m)
+    out = _trailing_array(m.shape[:-2] + (m.shape[-1], m.shape[-2]), m.dtype)
+    return np.conjugate(np.swapaxes(m, -1, -2), out=out)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + dagger(m))
+
+
+def _batch_shape(sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
+    """np.broadcast_shapes(sa, sb), without its cost in the common case of
+    one shape ending with the other (a grid of blocks against a stack of
+    form components over that grid, or a constant block)."""
+    if len(sa) < len(sb):
+        sa, sb = sb, sa
+    if sa[len(sa) - len(sb):] == sb:
+        return sa
+    return np.broadcast_shapes(sa, sb)
 
 
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -50,24 +103,35 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape[-2] != a.shape[-1]:
         raise ValueError(f"matrix blocks do not compose: {a.shape[-2:]} @ {b.shape[-2:]}")
     with np.errstate(**_QUIET):
-        out = a[..., :, 0:1] * b[..., 0:1, :]
+        if a.shape[-2:] == b.shape[-2:] == (1, 1):
+            # 1x1 blocks have one layout, and their product is elementwise
+            return a * b
+        shape = _batch_shape(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        out = _trailing_array(shape, a.dtype if a.dtype == b.dtype else np.result_type(a, b))
+        np.multiply(a[..., :, 0:1], b[..., 0:1, :], out=out)
+        if a.shape[-1] > 1:
+            term = np.empty_like(out)
         for k in range(1, a.shape[-1]):
-            out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+            out += np.multiply(a[..., :, k:k + 1], b[..., k:k + 1, :], out=term)
     return out
 
 
 def _det_and_adjugate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Determinant and adjugate of 2x2 or 3x3 blocks."""
+    e = [[m[..., i, j] for j in range(m.shape[-1])] for i in range(m.shape[-1])]
     if m.shape[-1] == 2:
-        a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-        adj = np.stack([d, -b, -c, a], axis=-1).reshape(m.shape)
-        return a * d - b * c, adj
+        (a, b), (c, d) = e
+        return a * d - b * c, _from_entries([[d, -b], [-c, a]])
+
     # rows of the adjugate are the cross products of the columns
-    c0, c1, c2 = m[..., :, 0], m[..., :, 1], m[..., :, 2]
-    adj = np.stack([np.cross(c1, c2), np.cross(c2, c0), np.cross(c0, c1)], axis=-2)
-    det = c0[..., 0] * adj[..., 0, 0] + c0[..., 1] * adj[..., 0, 1] \
-        + c0[..., 2] * adj[..., 0, 2]
-    return det, adj
+    def cross(j, k):
+        u, v = [row[j] for row in e], [row[k] for row in e]
+        return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0]]
+
+    adj = [cross(1, 2), cross(2, 0), cross(0, 1)]
+    det = e[0][0] * adj[0][0] + e[1][0] * adj[0][1] + e[2][0] * adj[0][2]
+    return det, _from_entries(adj)
 
 
 def inv(m: np.ndarray) -> np.ndarray:
@@ -77,7 +141,8 @@ def inv(m: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError("last 2 dimensions of the array must be square")
     r = m.shape[-1]
     if r > 3:
-        return np.linalg.inv(m)
+        m_inv = np.linalg.inv(m)
+        return _trailing(m_inv, m_inv.dtype)
     with np.errstate(**_QUIET):
         if r == 1:
             det, adj = m[..., 0, 0], np.ones_like(m)
@@ -85,7 +150,8 @@ def inv(m: np.ndarray) -> np.ndarray:
             det, adj = _det_and_adjugate(m)
         if np.any(det == 0):
             raise np.linalg.LinAlgError("Singular matrix")
-        return adj / det[..., None, None]
+        out = _trailing_array(m.shape, np.result_type(m, 1.0))
+        return np.divide(adj, det[..., None, None], out=out)
 
 
 # (m, theta_m): the degree-m Taylor polynomial has backward error below the
@@ -109,7 +175,11 @@ def _taylor_ps(a: np.ndarray, m: int) -> np.ndarray:
         # block j holds degrees jp .. jp + p - 1; the top block runs to m
         size = m + 1 - j * p if j == top else p
         blk = sum(powers[i] / math.factorial(j * p + i) for i in range(size))
-        out = blk if j == top else mm(out, powers[p]) + blk
+        if j == top:
+            out = blk
+        else:
+            out = mm(out, powers[p])
+            out += blk
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .extensions import HiggsSubbundle
 from .geometry import HermitianMetric, HiggsBundleState, HiggsStructure
 from .grid import MatrixFormField, TorusBase, dbar_flat
-from .linalg import dagger, expm_batched
+from .linalg import dagger, expm_batched, mm
 
 __all__ = [
     "Scenario", "scenario_catalog", "get_scenario", "build_scenario",
@@ -241,7 +241,7 @@ def _commutant_structure(base: TorusBase, rank: int,
         m = coeffs[0] * np.eye(rank, dtype=np.complex128)
         power = np.eye(rank, dtype=np.complex128)
         for k in range(1, rank):
-            power = power @ shift
+            power = mm(power, shift)
             m = m + coeffs[k] * power
         return 0.5 * m
 
@@ -281,8 +281,8 @@ def _random_state_and_gauge(base: TorusBase, rank: int, seed: int,
         factor = eye + gc * gen
         dsigma = dsigma.sandwich(None, factor) \
             + MatrixFormField(base, 0, 1, dbar_g.comps * gen).sandwich(sigma)
-        sigma = sigma @ factor
-        sigma_inv = (eye - gc * gen) @ sigma_inv
+        sigma = mm(sigma, factor)
+        sigma_inv = mm(eye - gc * gen, sigma_inv)
 
     a_new = seed_structure.a.sandwich(sigma, sigma_inv) \
         - dsigma.sandwich(None, sigma_inv)
@@ -296,7 +296,7 @@ def _random_state_and_gauge(base: TorusBase, rank: int, seed: int,
         L = L + w * _rank1_nilpotent(rng, rank)
     Cm = eye + 0.3 * (rng.standard_normal((rank, rank))
                       + 1j * rng.standard_normal((rank, rank))) / math.sqrt(rank)
-    H = HermitianMetric(base, dagger(Cm) @ L @ dagger(L) @ Cm)
+    H = HermitianMetric(base, mm(mm(mm(dagger(Cm), L), dagger(L)), Cm))
     H.check_positive()
     state = HiggsBundleState(HiggsStructure(a_new, phi_new), H)
     return state, sigma
@@ -339,5 +339,5 @@ def random_state_with_subbundle(base: TorusBase, rank: int, sub_rank: int,
     state, sigma = _random_state_and_gauge(base, rank, seed, amplitude)
     cols = np.broadcast_to(np.eye(rank, dtype=np.complex128)[:, :sub_rank],
                            base.shape + (rank, sub_rank))
-    sub = HiggsSubbundle.from_frame(state.metric, sigma @ cols)
+    sub = HiggsSubbundle.from_frame(state.metric, mm(sigma, cols))
     return state, sub

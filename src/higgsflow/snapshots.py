@@ -37,7 +37,8 @@ def _pack_field(f: MatrixFormField) -> bytes:
         raise ValueError("snapshots store square-block fields")
     P, Q = f.comps.shape[0], f.comps.shape[1]
     head = _HEAD.pack(VERSION, f.base.n, f.base.N, f.rows, f.p, f.q, P * Q)
-    # comps is C-contiguous, so its bytes run component by component
+    # tobytes emits the (P, Q, *grid, r, r) view in C order, whatever the
+    # storage order: the body runs component by component
     return head + f.comps.astype("<c16").tobytes()
 
 
@@ -58,8 +59,9 @@ def _unpack_field(buf: bytes, offset: int) -> tuple[MatrixFormField, int]:
         raise ValueError(f"snapshot truncated: a field body of {16 * count} "
                          f"bytes has {len(buf) - offset} left")
     comps = np.frombuffer(buf, dtype="<c16", count=count, offset=offset)
-    # astype copies the read-only buffer view into a writable native array
-    comps = comps.reshape((P, Q) + base.shape + (rank, rank)).astype(np.complex128)
+    # the constructor copies the read-only buffer view, once, into writable
+    # native storage
+    comps = comps.reshape((P, Q) + base.shape + (rank, rank))
     return MatrixFormField(base, p, q, comps), offset + 16 * count
 
 

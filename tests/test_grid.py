@@ -354,3 +354,105 @@ def test_hom_block_norm_takes_the_metric_on_rows_only(rows, cols):
     c = a.comps[0, 0]
     expected = 2.0 * np.real(np.trace(dagger(c) @ H @ c, axis1=-2, axis2=-1))
     assert np.allclose(pointwise_norm2(a, H), expected, rtol=1e-13, atol=0.0)
+
+
+# -- grid-trailing storage ------------------------------------------------------
+
+
+def _is_trailing(x):
+    """x is an (..., r, c) view of C-contiguous (r, c, ...) storage."""
+    return np.moveaxis(x, (-2, -1), (0, 1)).flags.c_contiguous
+
+
+def _random_field(rng, base, p, q, rows, cols):
+    shape = MatrixFormField.zeros(base, p, q, rows, cols).comps.shape
+    return MatrixFormField(base, p, q, rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("p, q, shape, match", [
+    (2, 0, (1, 1, 8, 8, 2, 2), "bidegree"),        # no (2,0) slot at n = 1
+    (0, -1, (1, 1, 8, 8, 2, 2), "bidegree"),
+    (1, 0, (1, 1, 8, 4, 2, 2), "does not match"),  # wrong grid axes
+    (1, 1, (2, 1, 8, 8, 2, 2), "does not match"),  # wrong form axes
+    (0, 0, (1, 1, 8, 8, 5, 5), "rank cap"),
+    (0, 0, (1, 1, 8, 8, 2, 0), "rank cap"),
+])
+def test_public_constructor_still_validates(p, q, shape, match):
+    with pytest.raises(ValueError, match=match):
+        MatrixFormField(TorusBase(1, 8), p, q, np.zeros(shape, np.complex128))
+    if shape[:4] == (1, 1, 8, 8) and q >= 0:
+        with pytest.raises(ValueError, match=match):
+            MatrixFormField.zeros(TorusBase(1, 8), p, q, *shape[-2:])
+
+
+def test_constructor_keeps_trailing_views_and_copies_other_layouts():
+    rng = np.random.default_rng(1)
+    base = TorusBase(1, 8)
+    f = _random_field(rng, base, 0, 1, 2, 3)
+    assert _is_trailing(f.comps) and f.comps.flags.writeable
+    # a view of trailing storage is adopted as it is
+    assert MatrixFormField(base, 0, 1, f.comps).comps is f.comps
+    # a C-contiguous array is copied once into trailing storage
+    arr = np.ascontiguousarray(f.comps)
+    g = MatrixFormField(base, 0, 1, arr)
+    assert _is_trailing(g.comps) and not np.shares_memory(g.comps, arr)
+    assert np.array_equal(g.comps, arr)
+    # so is a read-only view of trailing storage, which comes out writable
+    ro = f.comps.view()
+    ro.flags.writeable = False
+    h = MatrixFormField(base, 0, 1, ro)
+    assert h.comps.flags.writeable and np.array_equal(h.comps, f.comps)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_form_calculus_keeps_trailing_storage(n):
+    rng = np.random.default_rng(n)
+    base = TorusBase(n, 8)
+    a = _random_field(rng, base, 0, 1, 2, 2)
+    b = _random_field(rng, base, 1, 0, 2, 2)
+    hom = _random_field(rng, base, 1, 0, 2, 3)
+    c = _random_field(rng, base, 1, 1, 2, 2)
+    left = rng.standard_normal(base.shape + (2, 2)) + 0j
+    outs = {
+        "add": a + a, "sub": a - a, "neg": -a, "mul": 2.0 * a, "rmul": a * 1j,
+        "copy": a.copy(), "wedge": wedge(a, b), "hom wedge": wedge(a, hom),
+        "dbar": dbar_flat(hom), "d": d_flat(a), "dbar adjoint": dbar_adjoint(a),
+        "weighted adjoint": dbar_adjoint(a, np.eye(2) + 0.1 * left @ left.swapaxes(-1, -2)),
+        "sandwich": hom.sandwich(left, np.eye(3)), "constant sandwich": hom.sandwich(np.eye(2)),
+        "contract": contract_lambda(c), "trace": tr_field(c),
+        "zeros": MatrixFormField.zeros(base, 1, 1, 3, 2),
+        "constant": MatrixFormField.constant(base, np.eye(2), 0, 1, ((), (0,))),
+    }
+    for name, out in outs.items():
+        assert _is_trailing(out.comps), name
+        assert out.comps.dtype == np.complex128, name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_pointwise_inner_matches_the_einsum_reference(n, rows, cols, weighted):
+    from higgsflow.linalg import dagger, inv
+    rng = np.random.default_rng(100 * n + 10 * rows + cols)
+    base = TorusBase(n, 8)
+    a = _random_field(rng, base, 1, 1, rows, cols)
+    b = _random_field(rng, base, 1, 1, rows, cols)
+    H = None
+    if weighted:
+        x = rng.standard_normal(base.shape + (rows, rows)) \
+            + 1j * rng.standard_normal(base.shape + (rows, rows))
+        H = np.eye(rows) + x @ dagger(x)
+    # the reference reads C-contiguous copies, the layout before
+    # grid-trailing storage: tr(a Hc^{-1} b^dag H) per component
+    acc = np.zeros(base.shape, np.complex128)
+    for ip, iq in itertools.product(range(n), range(n)):
+        ca, cb = (np.ascontiguousarray(f.comps[ip, iq]) for f in (a, b))
+        if H is None:
+            acc += np.einsum("...ij,...ji->...", ca, dagger(cb))
+        else:
+            Hc = inv(H) if rows == cols else np.eye(cols)
+            acc += np.einsum("...ij,...jk,...kl,...li->...", ca, Hc, dagger(cb), H)
+    expected = 4.0 * acc
+    got = pointwise_inner(a, b, H)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()

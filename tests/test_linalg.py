@@ -5,6 +5,8 @@ Batches have the grid shapes of n = 1 and n = 2 fields (two or four axes);
 blocks run over ranks 1-4 and non-square Hom shapes.
 """
 
+import itertools
+import re
 import warnings
 from pathlib import Path
 
@@ -165,6 +167,64 @@ def test_no_lapack_inverse_outside_the_kernel_layer():
     offenders = [p.name for p in sorted(src.glob("*.py"))
                  if p.name != "linalg.py" and "np.linalg.inv(" in p.read_text()]
     assert offenders == []
+
+
+def test_no_stacked_matmul_outside_the_kernel_layer():
+    # `@` between operands; decorators and the "r x c @ r x c" error
+    # messages do not match
+    src = Path(higgsflow.__file__).parent
+    product = re.compile(r"[\w)\]] @ [\w(]")
+    offenders = [f"{p.name}:{k}" for p in sorted(src.glob("*.py")) if p.name != "linalg.py"
+                 for k, line in enumerate(p.read_text().splitlines(), 1)
+                 if product.search(line)]
+    assert offenders == []
+
+
+# -- grid-trailing layout ------------------------------------------------------------
+
+
+def trailing(x):
+    """The values of x in grid-trailing storage: an (..., r, c) view of a
+    C-contiguous (r, c, ...) array."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1))),
+                       (0, 1), (-2, -1))
+
+
+def is_trailing(x):
+    return np.moveaxis(x, (-2, -1), (0, 1)).flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r, c, s", list(itertools.product(range(1, 5), repeat=3)))
+def test_mm_on_trailing_views_equals_mm_on_contiguous_copies(n, r, c, s):
+    rng = np.random.default_rng(100 * r + 10 * c + s)
+    batch = (2, 3) if n == 1 else (2, 3, 2, 2)
+    a = random_stack(rng, batch + (r, c))
+    b = random_stack(rng, batch + (c, s))
+    const_a, const_b = random_stack(rng, (r, c)), random_stack(rng, (c, s))
+    # stacks, constant blocks on either side and broadcast batch axes
+    for x, y in ((a, b), (const_a, b), (a, const_b), (a[None], b[:1])):
+        ref = mm(np.ascontiguousarray(x), np.ascontiguousarray(y))
+        for tx in (x, trailing(x)) if x.ndim > 2 else (x,):
+            for ty in (y, trailing(y)) if y.ndim > 2 else (y,):
+                out = mm(tx, ty)
+                assert np.array_equal(out, ref)
+                assert is_trailing(out)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_kernels_return_trailing_arrays(r):
+    rng = np.random.default_rng(r)
+    batch = (3, 2, 2, 2)
+    m = random_hpd(rng, batch, r)
+    for x in (m, trailing(m)):
+        outs = {"inv": inv(x), "expm": expm_batched(0.1 * x), "dagger": dagger(x),
+                "mm": mm(x, x), "constant mm": mm(np.eye(r), x)}
+        for name, out in outs.items():
+            assert is_trailing(out), name
+        # the same values whatever the input layout
+        assert np.array_equal(outs["inv"], inv(np.ascontiguousarray(m)))
+        assert np.array_equal(outs["expm"], expm_batched(0.1 * np.ascontiguousarray(m)))
 
 
 # -- norm-selected Taylor degrees and the positivity verdict ----------------------

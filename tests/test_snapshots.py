@@ -27,6 +27,24 @@ def test_field_roundtrip(tmp_path):
     assert np.array_equal(f.comps, g.comps)
 
 
+def test_body_is_the_c_order_bytes_of_the_component_array(tmp_path):
+    # the format is the (P, Q, *grid, r, c) array in C order, independent
+    # of the grid-trailing storage behind MatrixFormField.comps
+    base = TorusBase(2, 8)
+    rng = np.random.default_rng(4)
+    shape = (2, 2) + base.shape + (2, 2)
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    path = tmp_path / "field.snap"
+    save_field(MatrixFormField(base, 1, 1, arr), path)
+    # magic, section count, name length, the name "field", seven u32
+    body = path.read_bytes()[8 + 4 + 2 + 5 + 7 * 4:]
+    assert body == arr.astype("<c16").tobytes()
+    g = load_field(path)
+    assert np.moveaxis(g.comps, (-2, -1), (0, 1)).flags.c_contiguous
+    assert g.comps.flags.writeable
+    assert np.array_equal(g.comps, arr)
+
+
 def test_state_roundtrip(tmp_path):
     st = random_valid_state(TorusBase(1, 16), 2, seed=7)
     path = tmp_path / "state.snap"
