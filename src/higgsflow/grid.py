@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
-from .linalg import _store_axes, _trailing, _trailing_array, dagger, inv, mm, trace
+from .linalg import _trailing, _trailing_array, dagger, inv, mm, trace
 
 __all__ = [
     "TorusBase", "MatrixFormField", "MixedField",
@@ -136,21 +135,12 @@ class MatrixFormField:
         rows, cols = comps.shape[-2], comps.shape[-1]
         if not (1 <= rows <= MAX_RANK and 1 <= cols <= MAX_RANK):
             raise ValueError(f"matrix block {rows}x{cols} exceeds the rank cap {MAX_RANK}")
-        self._adopt(base, p, q, comps)
-
-    def _adopt(self, base: TorusBase, p: int, q: int, comps: np.ndarray):
         self.base = base
         self.p = p
         self.q = q
         self.comps = _trailing(comps)
-        self.rows, self.cols = comps.shape[-2:]
-        return self
-
-    @classmethod
-    def _new(cls, base: TorusBase, p: int, q: int, comps: np.ndarray):
-        """The field over comps without the constructor's checks, for
-        arrays that the form calculus computed from valid fields."""
-        return cls.__new__(cls)._adopt(base, p, q, comps)
+        self.rows = rows
+        self.cols = cols
 
     # -- construction helpers -------------------------------------------------
 
@@ -158,8 +148,6 @@ class MatrixFormField:
     def zeros(cls, base: TorusBase, p: int, q: int, rows: int, cols: int | None = None):
         cols = rows if cols is None else cols
         P, Q = len(_combs(base.n, p)), len(_combs(base.n, q))
-        # checked like any input from outside: the array is trailing, so the
-        # constructor adopts it without a copy
         return cls(base, p, q, _trailing_array((P, Q) + base.shape + (rows, cols),
                                                init=np.zeros))
 
@@ -173,7 +161,7 @@ class MatrixFormField:
         return out
 
     def copy(self) -> "MatrixFormField":
-        return self._new(self.base, self.p, self.q, self.comps.copy(order="K"))
+        return MatrixFormField(self.base, self.p, self.q, self.comps.copy(order="K"))
 
     # -- index bookkeeping -----------------------------------------------------
 
@@ -192,17 +180,17 @@ class MatrixFormField:
 
     def __add__(self, other):
         self._compatible(other)
-        return self._new(self.base, self.p, self.q, self.comps + other.comps)
+        return MatrixFormField(self.base, self.p, self.q, self.comps + other.comps)
 
     def __sub__(self, other):
         self._compatible(other)
-        return self._new(self.base, self.p, self.q, self.comps - other.comps)
+        return MatrixFormField(self.base, self.p, self.q, self.comps - other.comps)
 
     def __neg__(self):
-        return self._new(self.base, self.p, self.q, -self.comps)
+        return MatrixFormField(self.base, self.p, self.q, -self.comps)
 
     def __mul__(self, scalar):
-        return self._new(self.base, self.p, self.q, self.comps * scalar)
+        return MatrixFormField(self.base, self.p, self.q, self.comps * scalar)
 
     __rmul__ = __mul__
 
@@ -220,7 +208,7 @@ class MatrixFormField:
             comps = mm(left, comps)
         if right is not None:
             comps = mm(comps, right)
-        return self._new(self.base, self.p, self.q, comps)
+        return MatrixFormField(self.base, self.p, self.q, comps)
 
 
 class MixedField(dict):
@@ -269,16 +257,10 @@ def _periodic_diff(c: np.ndarray, axis: int, h2: float) -> np.ndarray:
     """(c[i+1] - c[i-1]) / h2 along one grid axis of an (..., r, c) array,
     with periodic wrap; the result is grid-trailing."""
     out = _trailing_array(c.shape, c.dtype)
-    # over the flattened (r, c, ...) storage, the entries one stride apart
-    # are the neighbours along axis, except at its two ends: one pass over
-    # the whole storage, then the two wrapped ends are written again
-    to_store = _store_axes(c.ndim)
-    flat = c.transpose(to_store).reshape(-1)
-    step = math.prod(c.shape[axis + 1:-2])
-    np.subtract(flat[2 * step:], flat[:-2 * step],
-                out=out.transpose(to_store).reshape(-1)[step:-step])
     lead = (slice(None),) * axis
-    for o, p, m in ((0, 1, -1), (-1, 0, -2)):
+    # (out, plus, minus) along axis: the interior, then the two wrapped ends
+    for o, p, m in ((slice(1, -1), slice(2, None), slice(None, -2)),
+                    (0, 1, -1), (-1, 0, -2)):
         np.subtract(c[lead + (p,)], c[lead + (m,)], out=out[lead + (o,)])
     out /= h2
     return out
@@ -387,7 +369,7 @@ def dbar_adjoint(f: MatrixFormField, H: np.ndarray | None = None) -> MatrixFormF
     p_sign = -1 if f.p % 2 else 1
     # rows of dzbar^j wedge dzbar^K = dzbar^J, grouped by j
     for j, rows in itertools.groupby(_wedge_table(f.base.n, 1, f.q - 1), itemgetter(0)):
-        dz = MatrixFormField._new(f.base, f.p, f.q, _dz_component(g, j, bar=False))
+        dz = MatrixFormField(f.base, f.p, f.q, _dz_component(g, j, bar=False))
         if H is not None:
             dz = dz.sandwich(Hinv, H)
         for _, k, k_full, sign in rows:

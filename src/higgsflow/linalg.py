@@ -84,17 +84,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + dagger(m))
 
 
-def _batch_shape(sa: tuple[int, ...], sb: tuple[int, ...]) -> tuple[int, ...]:
-    """np.broadcast_shapes(sa, sb), without its cost in the common case of
-    one shape ending with the other (a grid of blocks against a stack of
-    form components over that grid, or a constant block)."""
-    if len(sa) < len(sb):
-        sa, sb = sb, sa
-    if sa[len(sa) - len(sb):] == sb:
-        return sa
-    return np.broadcast_shapes(sa, sb)
-
-
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of (broadcast) stacks of small matrices, a (..., r, c) and
     b (..., c, s): the column-times-row products summed over k in order."""
@@ -106,7 +95,7 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.shape[-2:] == b.shape[-2:] == (1, 1):
             # 1x1 blocks have one layout, and their product is elementwise
             return a * b
-        shape = _batch_shape(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
         out = _trailing_array(shape, a.dtype if a.dtype == b.dtype else np.result_type(a, b))
         np.multiply(a[..., :, 0:1], b[..., 0:1, :], out=out)
         if a.shape[-1] > 1:

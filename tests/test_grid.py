@@ -386,6 +386,14 @@ def test_public_constructor_still_validates(p, q, shape, match):
             MatrixFormField.zeros(TorusBase(1, 8), p, q, *shape[-2:])
 
 
+def test_arithmetic_on_caller_operands_still_validates():
+    f = MatrixFormField.zeros(TorusBase(1, 8), 0, 1, 2)
+    with pytest.raises(ValueError, match="rank cap"):
+        f.sandwich(np.ones((5, 2)))
+    with pytest.raises(ValueError, match="does not match"):
+        f * np.ones((2, 1, 1, 1, 1, 1, 1))
+
+
 def test_constructor_keeps_trailing_views_and_copies_other_layouts():
     rng = np.random.default_rng(1)
     base = TorusBase(1, 8)
