@@ -6,15 +6,13 @@ extension constructions and filtration certificates at desk scale.
 """
 
 from .grid import (TorusBase, MatrixFormField, dbar_flat, d_flat, wedge,
-                   contract_lambda, dbar_adjoint, pointwise_inner,
-                   pointwise_norm2, l2_norm, sup_norm, integrate,
-                   integrate_top_form, tr_field)
+                   contract_lambda, pointwise_inner, pointwise_norm2, l2_norm,
+                   sup_norm, integrate, integrate_top_form, tr_field)
 from .geometry import (HermitianMetric, HiggsStructure, HiggsBundleState,
                        ValidityReport, validate_structure, chern_connection,
                        curvature, CurvatureParts, higgs_adjoint,
                        adjoint_field, hitchin_simpson_curvature,
-                       HitchinSimpsonParts, degree_slope_lambda,
-                       hermiticity_residual)
+                       HitchinSimpsonParts, degree_slope_lambda)
 from .flows import (FlowTrace, FlowResult, einstein_deviation,
                     donaldson_step, ymh_energy, energy_density, ymh_step,
                     complex_gauge_apply, gauge_from_metric,
@@ -22,15 +20,13 @@ from .flows import (FlowTrace, FlowResult, einstein_deviation,
                     EquivalenceReport)
 from .diagnostics import (ChernWeilReport, chern_weil_report,
                           TopologicalIntegrals, topological_integrals,
-                          parabolic_energy, FlatnessCertificate,
-                          flatness_certificate)
+                          FlatnessCertificate, flatness_certificate)
 from .extensions import (HiggsSubbundle, SubbundleReport, subbundle_report,
                          ExtensionData, split_extension, GaussCodazziReport,
-                         gauss_codazzi_blocks, scaled_adjoint_check,
-                         RhoSweepRow, rho_sweep, InvariantSectionReport,
-                         invariant_section_check, FiltrationReport,
-                         verify_filtration, assemble_filtration_metric,
-                         slope_positivity_report, suggest_subbundles)
+                         gauss_codazzi_blocks, RhoSweepRow, rho_sweep,
+                         InvariantSectionReport, invariant_section_check,
+                         FiltrationReport, verify_filtration,
+                         assemble_filtration_metric)
 from .scenarios import (Scenario, scenario_catalog, get_scenario,
                         build_scenario, scenario_subbundles,
                         random_valid_state, random_state_with_subbundle)

@@ -1,5 +1,4 @@
-"""Chern-Weil accounting, topological integrals, flatness certificates and
-the parabolic energy monitor.
+"""Chern-Weil accounting, topological integrals and flatness certificates.
 
 The energy identity is evaluated as a residual report, never assumed: every
 term is computed by its own route, so a nonzero residual localizes errors in
@@ -16,12 +15,12 @@ import numpy as np
 from .flows import einstein_deviation
 from .geometry import (CurvatureParts, HiggsBundleState, curvature,
                        degree_slope_lambda, hitchin_simpson_curvature)
-from .grid import (TorusBase, integrate, integrate_top_form, pointwise_norm2,
-                   tr_field, wedge)
+from .grid import (integrate, integrate_top_form, pointwise_norm2, tr_field,
+                   wedge)
 
 __all__ = [
     "ChernWeilReport", "chern_weil_report",
-    "TopologicalIntegrals", "topological_integrals", "parabolic_energy", "regularity_monitor_pairs",
+    "TopologicalIntegrals", "topological_integrals",
     "FlatnessCertificate", "flatness_certificate",
 ]
 
@@ -119,87 +118,6 @@ def topological_integrals(state: HiggsBundleState) -> TopologicalIntegrals:
     deg, _, _ = degree_slope_lambda(state, parts.f11)
     two_c2, ch2 = _char_class_integrals(state, parts)
     return TopologicalIntegrals(deg, two_c2, ch2)
-
-
-def _ball_mask(base: TorusBase, x0: tuple[float, ...], radius: float) -> np.ndarray:
-    """Grid points within radius of x0 in the periodic Euclidean distance."""
-    dist2 = np.zeros(base.shape)
-    for ax in range(2 * base.n):
-        d = np.abs(base.axis_coordinate(ax) - (x0[ax] % 1.0))
-        d = np.minimum(d, 1.0 - d)
-        dist2 = dist2 + d * d
-    return dist2 <= radius * radius
-
-
-def parabolic_energy(snapshots: list[tuple[float, np.ndarray]],
-                     x0: tuple[float, ...], t0: float, R: float,
-                     base: TorusBase) -> float:
-    """R^{2-2n} times the space-time energy on the parabolic cylinder.
-
-    The cylinder is the periodic Euclidean ball of radius R around x0 times
-    [t0 - R^2, t0 + R^2]; snapshots are (time, density field) pairs covering
-    that window. Trapezoidal rule in time, Riemann sum in space.
-    """
-    if not (0 < R < min(base.injectivity_radius, math.sqrt(t0) / 2.0)):
-        raise ValueError(
-            "parabolic radius out of range: need 0 < R < min(injectivity "
-            f"radius, sqrt(t0)/2) = min({base.injectivity_radius}, "
-            f"{math.sqrt(max(t0, 0.0)) / 2.0:.6g}), got R={R}")
-    if len(x0) != 2 * base.n:
-        raise ValueError(f"x0 needs {2 * base.n} coordinates")
-    t_lo, t_hi = t0 - R * R, t0 + R * R
-    times = [t for t, _ in snapshots]
-    if not times or times[0] > t_lo + 1e-12 or times[-1] < t_hi - 1e-12:
-        raise ValueError(f"density snapshots must cover [{t_lo:.6g}, {t_hi:.6g}]")
-
-    mask = _ball_mask(base, x0, R)
-
-    def ball_integral(density):
-        return integrate(np.where(mask, density, 0.0), base)
-
-    # linear interpolation onto the exact window endpoints, trapezoid inside
-    ts, vals = [], []
-    for k, (t, dens) in enumerate(snapshots):
-        if t < t_lo - 1e-12:
-            nxt_t, nxt_d = snapshots[k + 1]
-            if nxt_t > t_lo + 1e-12:
-                w = (t_lo - t) / (nxt_t - t)
-                ts.append(t_lo)
-                vals.append((1 - w) * ball_integral(dens) + w * ball_integral(nxt_d))
-            continue
-        if t > t_hi + 1e-12:
-            prev_t, prev_d = snapshots[k - 1]
-            if prev_t < t_hi - 1e-12:
-                w = (t_hi - prev_t) / (t - prev_t)
-                ts.append(t_hi)
-                vals.append((1 - w) * ball_integral(prev_d) + w * ball_integral(dens))
-            break
-        ts.append(t)
-        vals.append(ball_integral(dens))
-    space_time = float(np.trapezoid(vals, ts)) if len(ts) >= 2 else 0.0
-    return R ** (2 - 2 * base.n) * space_time
-
-
-def regularity_monitor_pairs(snapshots: list[tuple[float, np.ndarray]],
-                             x0: tuple[float, ...], t0: float, R: float,
-                             base: TorusBase) -> dict:
-    """Record an (energy on the cylinder, subsequent sup of density) pair.
-
-    The eps-regularity constants are not modeled; this monitor only records
-    the quantities whose qualitative implication (small parabolic energy
-    precedes bounded pointwise energy) the shipped scenarios exhibit. The
-    sup is taken over the shrunk cylinder of radius delta R, delta = 1/4.
-    """
-    energy = parabolic_energy(snapshots, x0, t0, R, base)
-    delta = 0.25
-    r = delta * R
-    mask = _ball_mask(base, x0, r)
-    sup_e = 0.0
-    for t, dens in snapshots:
-        if t0 - r * r - 1e-12 <= t <= t0 + r * r + 1e-12:
-            sup_e = max(sup_e, float(np.where(mask, dens, 0.0).max()))
-    return {"t0": t0, "R": R, "delta": delta, "parabolic_energy": energy,
-            "sup_density_small_cylinder": sup_e}
 
 
 @dataclass(frozen=True)

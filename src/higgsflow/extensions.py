@@ -22,18 +22,16 @@ from .flows import run_donaldson_flow
 from .geometry import (HermitianMetric, HiggsBundleState, HiggsStructure,
                        adjoint_field, chern_connection, curvature,
                        hitchin_simpson_curvature)
-from .grid import (MatrixFormField, MixedField, contract_lambda, d_flat,
-                   dbar_flat, integrate, sup_norm, tr_field, wedge)
-from .linalg import dagger, inv, mm, sqrtm_hpd, trace
+from .grid import MatrixFormField, MixedField, d_flat, dbar_flat, sup_norm, wedge
+from .linalg import dagger, inv, mm, trace
 
 __all__ = [
     "HiggsSubbundle", "SubbundleReport", "subbundle_report",
     "ExtensionData", "split_extension", "GaussCodazziReport",
-    "gauss_codazzi_blocks", "scaled_adjoint_check", "RhoSweepRow", "rho_sweep",
+    "gauss_codazzi_blocks", "RhoSweepRow", "rho_sweep",
     "InvariantSectionReport", "invariant_section_check",
     "FiltrationLevel", "FiltrationReport", "verify_filtration",
-    "assemble_filtration_metric", "SlopePositivityReport",
-    "slope_positivity_report", "suggest_subbundles",
+    "assemble_filtration_metric",
 ]
 
 
@@ -367,9 +365,9 @@ def _scaled_block_metric(frames: list[np.ndarray], rho: float) -> np.ndarray:
     The frames side by side form U, and the metric is U^{-dag} W U^{-1}
     with W the diagonal of the weights. For two frames this is the extension
     metric diag(Id_S, Id_Q / rho^2), under which the off-diagonal adjoints
-    scale as rho^2 (see scaled_adjoint_check).
+    scale as rho^2.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     U = np.concatenate(frames, axis=-1)
     weights = np.concatenate([np.full(V.shape[-1], 1.0 / rho ** (2 * k))
@@ -379,17 +377,6 @@ def _scaled_block_metric(frames: list[np.ndarray], rho: float) -> np.ndarray:
     Hblock[..., idx, idx] = weights
     U_inv = inv(U)
     return mm(mm(dagger(U_inv), Hblock), U_inv)
-
-
-def scaled_adjoint_check(ext: ExtensionData, rho: float) -> float:
-    """sup|gamma*_rho - rho^2 gamma*_1| and the same for zeta."""
-    ident_s, ident_q = ext.identities
-    Hq_rho = HermitianMetric(ext.a_q.base, ident_q.mat / rho**2)
-    worst = 0.0
-    for f, a_one in zip((ext.gamma, ext.zeta), ext.hom_adjoints):
-        a_rho = adjoint_field(f, ident_s, Hq_rho)
-        worst = max(worst, sup_norm(a_rho - rho**2 * a_one))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -419,10 +406,12 @@ def rho_sweep(state: HiggsBundleState, sub: HiggsSubbundle,
     and the mixed first-order part C (both at rho = 1), and the total sup|F|
     of the assembled state under the scaled metric, computed independently
     of the decomposition. The fitted value is the log-log slope of
-    (sup|F| - sup|A|) against rho.
+    (sup|F| - sup|A|) against rho, or None unless two distinct rho values
+    have an excess above roundoff.
     """
-    if any(r <= 0 or r > 1 for r in rhos):
-        raise ValueError("rho values must lie in (0, 1]")
+    bad = [r for r in rhos if not 0 < r <= 1]
+    if bad:
+        raise ValueError(f"rho values must lie in (0, 1], got {bad[0]}")
     ext = split_extension(state, sub)
     base = state.base
     s, q = ext.rank_s, ext.rank_q
@@ -466,7 +455,7 @@ def _fit_rho_slope(rows: list[RhoSweepRow]) -> float | None:
         if excess > 1e-13 * (1.0 + row.sup_a):
             xs.append(math.log(row.rho))
             ys.append(math.log(excess))
-    if len(xs) < 2:
+    if len(set(xs)) < 2:
         return None
     return float(np.polyfit(xs, ys, 1)[0])
 
@@ -642,72 +631,3 @@ def assemble_filtration_metric(state: HiggsBundleState,
     frames = list(_quotient_frames(state.metric, subs))
     return HiggsBundleState(state.structure, HermitianMetric(
         state.base, _scaled_block_metric(frames, rho)))
-
-
-# -- slope/positivity diagnostics and the suggestion heuristic -----------------------
-
-
-@dataclass(frozen=True)
-class SlopePositivityReport:
-    """Sign structure of the second-fundamental-form trace terms.
-
-    After the omega-trace the gamma term is nonpositive and the zeta term
-    nonnegative, so the sub-bundle degree is squeezed once the ambient state
-    is nearly flat: deg(S) <= epsilon * n * Vol with epsilon = sup|F_HS|.
-    """
-
-    gamma_trace_max: float      # max over grid of tr(i Lambda gamma^gamma*)
-    zeta_trace_min: float       # min over grid of tr(i Lambda zeta^zeta*)
-    deg_sub: float
-    epsilon: float
-    degree_margin: float        # epsilon * n * Vol - deg(S)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def slope_positivity_report(state: HiggsBundleState,
-                            sub: HiggsSubbundle) -> SlopePositivityReport:
-    ext = split_extension(state, sub)
-    base = state.base
-
-    def omega_trace(f11: MatrixFormField) -> np.ndarray:
-        return np.real(1j * tr_field(contract_lambda(f11)).comps[0, 0, ..., 0, 0])
-
-    gamma_st, zeta_st = ext.hom_adjoints
-    g_tr = omega_trace(wedge(ext.gamma, gamma_st))
-    z_tr = omega_trace(wedge(ext.zeta, zeta_st))
-    f_s = curvature(ext.identities[0], ext.a_s).f11
-    deg_sub = integrate(omega_trace(f_s), base) / (2.0 * math.pi)
-    hs = hitchin_simpson_curvature(state)
-    eps = hs.sup_norm(state.metric)
-    margin = eps * base.n * base.volume - deg_sub
-    return SlopePositivityReport(float(g_tr.max()), float(z_tr.min()),
-                                 deg_sub, eps, margin)
-
-
-def suggest_subbundles(H0: HermitianMetric,
-                       H_t: HermitianMetric) -> list[HiggsSubbundle]:
-    """Experimental: eigen-clustering of H0^{-1} H(t) as a sub-bundle guess.
-
-    Along the metric flow the directions that destabilize collapse in
-    H0^{-1} H(t); grouping its pointwise spectrum by the largest gaps in the
-    grid-averaged log eigenvalues suggests candidate ranks and frames. The
-    output carries no correctness claim and must still pass verification.
-    """
-    w0 = sqrtm_hpd(H0.mat)
-    w0_inv = inv(w0)
-    m = mm(mm(w0_inv, H_t.mat), w0_inv)
-    vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
-    mean_log = np.log(np.maximum(vals, 1e-300)).reshape(-1, vals.shape[-1]).mean(axis=0)
-    r = vals.shape[-1]
-    gaps = mean_log[1:] - mean_log[:-1]
-    order = np.argsort(gaps)[::-1]
-    out = []
-    for cut in order:
-        p = cut + 1
-        if p >= r or gaps[cut] <= 1e-9:
-            continue
-        U = mm(w0_inv, vecs[..., :p])
-        out.append(HiggsSubbundle.from_frame(H0, U))
-    return out

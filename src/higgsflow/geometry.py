@@ -22,7 +22,7 @@ __all__ = [
     "HermitianMetric", "HiggsStructure", "HiggsBundleState", "ValidityReport",
     "validate_structure", "chern_connection", "curvature", "CurvatureParts",
     "higgs_adjoint", "adjoint_field", "hitchin_simpson_curvature",
-    "HitchinSimpsonParts", "degree_slope_lambda", "hermiticity_residual",
+    "HitchinSimpsonParts", "degree_slope_lambda",
 ]
 
 
@@ -61,13 +61,26 @@ class HermitianMetric:
         return is_positive_definite(self.mat)
 
     def check_positive(self) -> None:
-        """Raise unless every block is positive definite (a NaN block never is)."""
-        if not self._positive:
-            raise ValueError("metric not positive definite: min eigenvalue "
-                             f"{min_eigvalsh(self.mat):.3e}")
+        """Raise ValueError unless every block is positive definite.
 
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.mat - dagger(self.mat)).max())
+        The message counts the non-finite blocks, or else gives the smallest
+        eigenvalue; that one is positive only when a block is so large that
+        the leading minors of the positivity test overflow.
+        """
+        try:
+            if self._positive:
+                return
+            bad = np.count_nonzero(~np.isfinite(self.mat).all(axis=(-2, -1)))
+            if bad:
+                reason = f"{bad} non-finite blocks"
+            else:
+                lam = min_eigvalsh(self.mat)
+                reason = f"min eigenvalue {lam:.3e}"
+                if lam > 0:
+                    reason += ", but the leading minors overflow"
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"metric not positive definite: {exc}") from exc
+        raise ValueError(f"metric not positive definite: {reason}")
 
     def as_field(self) -> MatrixFormField:
         out = MatrixFormField.zeros(self.base, 0, 0, self.rank)
@@ -289,11 +302,3 @@ def degree_slope_lambda(state: HiggsBundleState,
     lam = 2.0 * np.pi * mu / state.base.volume
     return deg, mu, lam
 
-
-def hermiticity_residual(f11: MatrixFormField, H: HermitianMetric) -> float:
-    """Deviation from the curvature-type relation (F_{ij})^{*H} = F_{ji}.
-
-    Zero in the continuum for Chern curvatures and Higgs brackets; the
-    discrete value is pure truncation error.
-    """
-    return float(np.abs((adjoint_field(f11, H) - f11).comps).max())

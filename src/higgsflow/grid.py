@@ -27,7 +27,7 @@ from .linalg import _trailing, _trailing_array, dagger, inv, mm, trace
 
 __all__ = [
     "TorusBase", "MatrixFormField", "MixedField",
-    "dbar_flat", "d_flat", "wedge", "contract_lambda", "dbar_adjoint",
+    "dbar_flat", "d_flat", "wedge", "contract_lambda",
     "pointwise_inner", "pointwise_norm2", "l2_norm", "sup_norm",
     "integrate", "integrate_top_form", "tr_field",
 ]
@@ -93,10 +93,6 @@ class TorusBase:
         # integral of omega^n / n! over the grid; with unit periods and the
         # Euclidean convention this is exactly the Riemann sum of 1
         return self.num_points * self.spacing ** (2 * self.n)
-
-    @property
-    def injectivity_radius(self) -> float:
-        return 0.5
 
     def axis_coordinate(self, axis: int) -> np.ndarray:
         """Coordinate values along one real axis, broadcastable to the grid."""
@@ -349,31 +345,6 @@ def contract_lambda(f: MatrixFormField) -> MatrixFormField:
         acc += f.comps[i, i]
     out = MatrixFormField.zeros(f.base, 0, 0, f.rows, f.cols)
     out.comps[0, 0] = -2j * acc
-    return out
-
-
-def dbar_adjoint(f: MatrixFormField, H: np.ndarray | None = None) -> MatrixFormField:
-    """Discrete adjoint-type operator lowering q by one.
-
-    Sign convention matches the integration-by-parts identity
-    <dbar a, b> + <a, dbar_adjoint(b)> = 0 in the H-weighted L^2 pairing;
-    on the periodic grid the identity holds to roundoff for any metric.
-    """
-    if f.q == 0:
-        raise ValueError("adjoint needs q >= 1")
-    if f.rows != f.cols:
-        raise ValueError("metric-weighted adjoint expects square blocks")
-    out = MatrixFormField.zeros(f.base, f.p, f.q - 1, f.rows, f.cols)
-    Hinv = None if H is None else inv(H)
-    g = f if H is None else f.sandwich(H, Hinv)
-    p_sign = -1 if f.p % 2 else 1
-    # rows of dzbar^j wedge dzbar^K = dzbar^J, grouped by j
-    for j, rows in itertools.groupby(_wedge_table(f.base.n, 1, f.q - 1), itemgetter(0)):
-        dz = MatrixFormField(f.base, f.p, f.q, _dz_component(g, j, bar=False))
-        if H is not None:
-            dz = dz.sandwich(Hinv, H)
-        for _, k, k_full, sign in rows:
-            out.comps[:, k] += (2.0 * p_sign * sign) * dz.comps[:, k_full]
     return out
 
 

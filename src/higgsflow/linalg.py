@@ -209,8 +209,18 @@ def sqrtm_hpd(m: np.ndarray) -> np.ndarray:
 
 
 def min_eigvalsh(m: np.ndarray) -> float:
-    """Smallest eigenvalue over the whole batch of Hermitian matrices."""
-    return float(np.linalg.eigvalsh(hermitize(m)).min())
+    """Smallest eigenvalue over the whole batch of Hermitian matrices.
+
+    Each block is first scaled exactly, by a power of two, to entries below
+    2 in size, so that finite blocks near the float limit cannot overflow.
+    A result beyond the float range rounds to -inf or inf.
+    """
+    m = np.asarray(m)
+    big = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1))
+    scale = np.ldexp(1.0, np.frexp(big)[1] - 1)
+    w = np.linalg.eigvalsh(hermitize(m / scale[..., None, None]))[..., 0]
+    with np.errstate(over="ignore"):
+        return float((w * scale).min())
 
 
 def is_positive_definite(m: np.ndarray) -> bool:

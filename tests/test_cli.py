@@ -241,8 +241,9 @@ def test_sweep_rho_rejects_bad_input_with_a_json_reason(tmp_path, capsys):
     from higgsflow import (HiggsBundleState, HiggsStructure, MatrixFormField,
                            build_scenario, save_state)
     out = tmp_path / "out"
-    assert run_cli("sweep-rho", "--rho-values", "2.0", "--out-dir", str(out)) == 2
-    assert "(0, 1]" in json.loads(capsys.readouterr().err)["error"]
+    for values, bad in (("2.0", "2.0"), ("nan,0.5", "nan")):
+        assert run_cli("sweep-rho", "--rho-values", values, "--out-dir", str(out)) == 2
+        assert f"(0, 1], got {bad}" in json.loads(capsys.readouterr().err)["error"]
 
     # phi = e21 dz does not leave the declared span(e1) invariant
     st = build_scenario("nilpotent-r2", N=16)
@@ -253,6 +254,18 @@ def test_sweep_rho_rejects_bad_input_with_a_json_reason(tmp_path, capsys):
                    "nilpotent-r2", "--out-dir", str(out)) == 2
     assert "violates its invariants" in json.loads(capsys.readouterr().err)["error"]
     assert not out.exists()
+
+
+def test_sweep_rho_fits_no_slope_to_one_repeated_rho(tmp_path):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("sweep-rho", "--rho-values", "0.5,0.5", "--out-dir", str(tmp_path))
+    payload = json.loads((tmp_path / "rho_sweep.json").read_text())
+    assert payload["fitted_slope"] is None
+    # extension-sweep targets slope 2, which one distinct rho cannot show
+    assert code == 1 and payload["passed"] is False
 
 
 @pytest.mark.parametrize("verb", ["sweep-rho", "verify-filtration"])

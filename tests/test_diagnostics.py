@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from higgsflow import (TorusBase, build_scenario, chern_weil_report,
-                       energy_density, flatness_certificate, parabolic_energy,
+                       energy_density, flatness_certificate,
                        run_donaldson_flow, topological_integrals, ymh_energy)
 from higgsflow.scenarios import random_valid_state
 
@@ -69,71 +69,6 @@ def test_energy_density_nonnegative_and_consistent():
         assert dens.min() >= 0.0
         from higgsflow.grid import integrate
         assert integrate(dens, st.base) == ymh_energy(pair)
-
-
-def test_parabolic_energy_zero_flow():
-    base = TorusBase(1, 32)
-    snaps = [(t, np.zeros(base.shape)) for t in np.linspace(0.5, 1.5, 9)]
-    assert parabolic_energy(snaps, (0.3, 0.4), 1.0, 0.3, base) == 0.0
-
-
-def test_parabolic_energy_constant_density():
-    # e = c gives R^{2-2n} * c * vol(B_R) * 2 R^2 = 2 c R^2 pi R^2 for n = 1
-    base = TorusBase(1, 64)
-    c = 3.0
-    snaps = [(t, c * np.ones(base.shape)) for t in np.linspace(0.5, 1.5, 17)]
-    R = 0.3
-    got = parabolic_energy(snaps, (0.5, 0.5), 1.0, R, base)
-    expected = 2.0 * c * R * R * math.pi * R * R
-    assert got == pytest.approx(expected, rel=0.05)
-
-
-def test_parabolic_energy_rejects_bad_radius():
-    base = TorusBase(1, 32)
-    snaps = [(t, np.ones(base.shape)) for t in np.linspace(0.0, 2.0, 9)]
-    with pytest.raises(ValueError, match="injectivity"):
-        parabolic_energy(snaps, (0.0, 0.0), 1.0, 0.6, base)  # above i_X
-    with pytest.raises(ValueError, match="injectivity"):
-        parabolic_energy(snaps, (0.0, 0.0), 0.01, 0.2, base)  # above sqrt(t0)/2
-
-
-def test_parabolic_energy_requires_window_coverage():
-    base = TorusBase(1, 32)
-    snaps = [(t, np.ones(base.shape)) for t in np.linspace(0.95, 1.05, 5)]
-    with pytest.raises(ValueError, match="cover"):
-        parabolic_energy(snaps, (0.0, 0.0), 1.0, 0.4, base)
-
-
-def test_parabolic_energy_decays_along_nilpotent_flow():
-    st = build_scenario("nilpotent-r2", N=16)
-    res = run_donaldson_flow(st, 5.0, 1e-2, fixed_dt=True,
-                             sample_times=[0.75, 1.0, 1.25, 3.75, 4.0, 4.25])
-    snaps = []
-    for t, state in res.sampled_states:
-        pair = state
-        # metric-side energy density through the correspondence
-        from higgsflow.geometry import hitchin_simpson_curvature
-        hs = hitchin_simpson_curvature(state)
-        snaps.append((t, hs.pointwise_energy(state.metric)))
-    R = 0.4
-    early = parabolic_energy(snaps, (0.0, 0.0), 1.0, R, st.base)
-    late = parabolic_energy(snaps, (0.0, 0.0), 4.0, R, st.base)
-    assert 0.0 < late < early
-
-
-def test_regularity_monitor_pairs_qualitative():
-    # smaller cylinder energy at later t0 comes with smaller local sup e
-    from higgsflow.diagnostics import regularity_monitor_pairs
-    from higgsflow.geometry import hitchin_simpson_curvature
-    st = build_scenario("nilpotent-r2", N=16)
-    res = run_donaldson_flow(st, 5.0, 1e-2, fixed_dt=True,
-                             sample_times=[0.75, 1.0, 1.25, 3.75, 4.0, 4.25])
-    snaps = [(t, hitchin_simpson_curvature(s).pointwise_energy(s.metric))
-             for t, s in res.sampled_states]
-    early = regularity_monitor_pairs(snaps, (0.2, 0.7), 1.0, 0.4, st.base)
-    late = regularity_monitor_pairs(snaps, (0.2, 0.7), 4.0, 0.4, st.base)
-    assert late["parabolic_energy"] < early["parabolic_energy"]
-    assert late["sup_density_small_cylinder"] < early["sup_density_small_cylinder"]
 
 
 def test_flatness_certificate_verdicts():

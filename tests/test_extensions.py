@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from higgsflow import (HiggsSubbundle, TorusBase, assemble_filtration_metric,
+from higgsflow import (HermitianMetric, HiggsSubbundle, TorusBase,
+                       adjoint_field, assemble_filtration_metric,
                        build_scenario, gauss_codazzi_blocks,
                        hitchin_simpson_curvature, invariant_section_check,
-                       rho_sweep, scaled_adjoint_check,
-                       scenario_subbundles, slope_positivity_report,
-                       split_extension, subbundle_report, sup_norm,
-                       suggest_subbundles, verify_filtration)
+                       rho_sweep, scenario_subbundles, split_extension,
+                       subbundle_report, sup_norm, verify_filtration)
 from higgsflow.scenarios import _extension_sweep, random_state_with_subbundle
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
@@ -102,9 +101,15 @@ def test_scaled_extension_metric_family():
     assert hs.sup_norm(scaled.metric) == pytest.approx(
         2.0 * math.sqrt(2.0) * rho**2)
 
-    assert scaled_adjoint_check(ext, 0.3) < 1e-13
-    with pytest.raises(ValueError):
-        assemble_filtration_metric(st, [sub], 0.0)
+    # under ident_q / rho^2 the off-diagonal adjoints scale as rho^2
+    ident_s, ident_q = ext.identities
+    rho = 0.3
+    Hq_rho = HermitianMetric(st.base, ident_q.mat / rho**2)
+    for f, adj_one in zip((ext.gamma, ext.zeta), ext.hom_adjoints):
+        assert sup_norm(adjoint_field(f, ident_s, Hq_rho) - rho**2 * adj_one) < 1e-13
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            assemble_filtration_metric(st, [sub], bad)
 
 
 def test_rho_sweep_flat_factors():
@@ -238,30 +243,6 @@ def test_filtration_verdict_stable_under_refinement():
             st = build_scenario(name, N=N)
             subs = scenario_subbundles(name, st)
             assert verify_filtration(st, subs, 1e-6).passed
-
-
-def test_slope_positivity_signs():
-    st = _extension_sweep(TorusBase(1, 32), gamma_amp=0.3)
-    sub = HiggsSubbundle.from_constant_span(st, np.eye(2, dtype=complex)[:, :1])
-    rep = slope_positivity_report(st, sub)
-    assert rep.gamma_trace_max <= 1e-12   # omega-trace of gamma^gamma* is <= 0
-    assert rep.zeta_trace_min >= -1e-12   # omega-trace of zeta^zeta* is >= 0
-    assert rep.degree_margin > 0.0
-
-
-def test_suggest_subbundles_recovers_destabilizing_line():
-    st = build_scenario("nilpotent-r2", N=16)
-    from higgsflow import run_donaldson_flow
-    res = run_donaldson_flow(st, 2.0, 1e-2, fixed_dt=True)
-    suggestions = suggest_subbundles(st.metric, res.final.metric)
-    assert suggestions
-    got = suggestions[0]
-    assert got.rank == 1
-    e1_proj = np.zeros((2, 2), complex)
-    e1_proj[0, 0] = 1.0
-    assert np.abs(got.projector - e1_proj).max() < 1e-6
-    # and the suggestion passes verification
-    assert verify_filtration(st, [got], 1e-6).passed
 
 
 def test_gauss_codazzi_builds_each_chern_connection_once(monkeypatch):

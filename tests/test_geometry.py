@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from higgsflow import (HermitianMetric, HiggsBundleState, HiggsStructure,
-                       MatrixFormField, TorusBase, chern_connection,
-                       curvature, degree_slope_lambda, hermiticity_residual,
+                       MatrixFormField, TorusBase, adjoint_field,
+                       chern_connection, curvature, degree_slope_lambda,
                        higgs_adjoint, hitchin_simpson_curvature, sup_norm,
                        validate_structure)
 from higgsflow.flows import einstein_deviation
@@ -146,7 +148,6 @@ def test_curvature_invariant_under_constant_rescaling():
 
 
 def test_higgs_adjoint_oracles():
-    from higgsflow import adjoint_field
     base = TorusBase(1, 16)
     phi = MatrixFormField.constant(base, E12, p=1, q=0, index=((0,), ()))
     H = HermitianMetric.identity(base, 2)
@@ -214,8 +215,9 @@ def test_bracket_traceless_and_hermiticity():
     hs = hitchin_simpson_curvature(state)
     from higgsflow.grid import tr_field
     assert sup_norm(tr_field(hs.bracket)) < 1e-13
-    # curvature-type relation holds to truncation order
-    assert hermiticity_residual(hs.part11, state.metric) < 0.05
+    # the curvature-type relation (F_ij)^{*H} = F_ji holds to truncation order
+    residual = np.abs((adjoint_field(hs.part11, state.metric) - hs.part11).comps)
+    assert residual.max() < 0.05
 
 
 def test_metric_positivity_enforced():
@@ -295,4 +297,41 @@ def test_check_positive_error_names_the_min_eigenvalue(r):
     mat[2, 5, r - 1, r - 1] = -0.25
     with pytest.raises(ValueError,
                        match=r"positive definite: min eigenvalue -2\.500e-01"):
+        HermitianMetric(base, mat).check_positive()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_check_positive_names_non_finite_and_overflowing_blocks(r):
+    base = TorusBase(1, 8)
+    eye = np.broadcast_to(np.eye(r, dtype=complex), base.shape + (r, r))
+    cases = [((-1, 0), bad, r"1 non-finite blocks") for bad in (np.nan, np.inf, -np.inf)]
+    if r >= 2:
+        # indefinite; its 2x2 leading minor is inf - inf
+        cases.append((slice(0, 2), 1e308 * np.array([[0.5, 1.0], [1.0, 0.5]]),
+                      r"min eigenvalue -5\.000e\+307$"))
+    if r in (2, 3):
+        # positive definite, but the closed-form minors overflow; the other
+        # blocks are the identity
+        cases.append((slice(0, 2), 1e308 * np.array([[1.0, 0.5], [0.5, 1.0]]),
+                      r"min eigenvalue 1\.000e\+00, but the leading minors overflow"))
+    for where, value, reason in cases:
+        mat = eye.copy()
+        if isinstance(where, slice):
+            mat[3, 4, where, where] = value
+        else:
+            mat[(3, 4) + where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive definite: " + reason):
+                HermitianMetric(base, mat).check_positive()
+
+
+def test_check_positive_turns_a_failed_eigensolve_into_a_value_error(monkeypatch):
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    base = TorusBase(1, 8)
+    mat = np.broadcast_to(np.diag([1.0, -1.0]).astype(complex), base.shape + (2, 2))
+    with pytest.raises(ValueError, match="positive definite: Eigenvalues did not converge"):
         HermitianMetric(base, mat).check_positive()
