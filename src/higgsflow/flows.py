@@ -1,31 +1,38 @@
 """Time integration of the two gradient flows and the gauge correspondence.
 
-The metric flow evolves H on a fixed Higgs structure through the
-multiplicative update H -> H exp(-2 dt K), which preserves positive
-definiteness unconditionally. The pair flow evolves (a, phi) over a fixed
-background metric through the complex gauge factor exp(-dt K); to first
-order in dt this realizes the gradient flow with the codifferential reduced
-by the Kahler identities to first-order operators,
-D_A* F = i (del_A - dbar_A) Lambda F on (1,1)-forms.
+The metric flow evolves H on a fixed Higgs structure by H^{-1} dH/dt = -2K.
+The pair flow evolves (a, phi) over a fixed background metric by complex
+gauge factors; to first order in dt the factor exp(-dt K) realizes the
+gradient flow with the codifferential reduced by the Kahler identities to
+first-order operators, D_A* F = i (del_A - dbar_A) Lambda F on (1,1)-forms.
 
-Both flow runners take a midpoint composition of these updates, which
-is second-order accurate in dt while keeping the structure-preserving form
-of the single steps.
+Both runners take one ETDRK2 step (Cox & Matthews, J. Comput. Phys. 176,
+2002) in the log-metric frame of the current metric: with W = H^{1/2},
+the next metric is W e^s W, where the Hermitian field s obeys
+ds/dt = -2 K~ and K~ = W K W^{-1}. The stiff part of K~ is linear, sigma s
+in Fourier space, where sigma is the exact symbol of the composed centred
+differences (_symbol); the step solves it exactly, with scalar
+phi-functions per mode, and treats only the remainder explicitly. The
+metric flow sets H' = W e^s W, positive by construction. The pair flow
+applies the gauge W^{-1} e^{s/2} W, whose transported metric is the same
+W e^s W. Neither step has an h^2 stability bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .geometry import (HermitianMetric, HiggsBundleState, HiggsStructure,
-                       HitchinSimpsonParts, adjoint_field, degree_slope_lambda,
+                       HitchinSimpsonParts, degree_slope_lambda,
                        hitchin_simpson_curvature, validate_structure)
-from .grid import (MatrixFormField, contract_lambda, dbar_flat, integrate,
-                   pointwise_norm2, sup_norm)
-from .linalg import expm_batched, hermitize, inv, mm, sqrtm_hpd
+from .grid import (MatrixFormField, TorusBase, contract_lambda, dbar_flat,
+                   integrate, pointwise_norm2, sup_norm)
+from .linalg import (_store_axes, _view_axes, dagger, expm_batched, hermitize,
+                     inv, mm, sqrtm_hpd)
 
 __all__ = [
     "FlowTrace", "FlowResult", "FlowBlowup",
@@ -37,10 +44,10 @@ __all__ = [
 
 # adaptive step control. SAFETY / sup|K| caps the step, which bounds the
 # exponent that expm_batched sees. A candidate is rejected when its local
-# error estimate (_local_error) exceeds TOL, or when its sup|K|_H rises
+# error estimate (_etd_error) exceeds TOL, or when its sup|K|_H rises
 # above the previous accepted value by more than the roundoff margin
 # MP_RTOL * sup|K| + MP_ATOL: along the flow sup|K| never rises (Simpson,
-# J. AMS 1, 1988, section 6), so a rise marks an unstable explicit step.
+# J. AMS 1, 1988, section 6), so a rise marks a step that lost the flow.
 # The next step follows a PI controller (_pi_factor). After a
 # maximum-principle rejection at dt_r, the proposals are capped at
 # STABILITY_BACKOFF * dt_r, and the cap relaxes by STABILITY_RELAX per
@@ -52,6 +59,9 @@ MP_ATOL = 1e-12
 STABILITY_BACKOFF = 0.7
 STABILITY_RELAX = 1.01
 MAX_STEPS = 2_000_000
+# below this z the phi-functions are summed from their Taylor series, which
+# avoids the cancellation in expm1(-z) + z; both branches agree to ~4e-15
+PHI_TAYLOR_Z = 0.05
 
 
 def einstein_deviation(state: HiggsBundleState,
@@ -60,8 +70,8 @@ def einstein_deviation(state: HiggsBundleState,
 
     hs is the state's Hitchin-Simpson curvature when the caller already
     holds it; only its (1,1) part is read. K is H-self-adjoint up to
-    truncation error; donaldson_step symmetrizes before exponentiating so
-    positivity is exact.
+    truncation error; the steps read it in the frame W = H^{1/2}, where its
+    Hermitian part is taken, so positivity is exact.
     """
     if hs is None:
         hs = hitchin_simpson_curvature(state)
@@ -72,27 +82,171 @@ def einstein_deviation(state: HiggsBundleState,
     return K
 
 
-def _symmetrize_in_H(K: np.ndarray, H: HermitianMetric) -> np.ndarray:
-    K_star = adjoint_field(MatrixFormField(H.base, 0, 0, K[None, None]), H)
-    return 0.5 * (K + K_star.comps[0, 0])
+# -- the ETDRK2 step ---------------------------------------------------------------
+
+
+@functools.cache
+def _symbol(base: TorusBase) -> np.ndarray:
+    """sigma(k) = sum over the 2n real axes of sin^2(2 pi k_j h) / (2 h^2).
+
+    At rank 1, H = e^u has K = sigma u mode by mode up to the nonlinear
+    remainder: sigma is the symbol of the composed centred differences. It
+    vanishes at the zero and Nyquist modes, and its maximum is n / h^2.
+    """
+    h = base.spacing
+    along = np.sin(2.0 * np.pi * np.fft.fftfreq(base.N)) ** 2 / (2.0 * h * h)
+    sigma = sum(np.meshgrid(*[along] * len(base.shape), indexing="ij",
+                            sparse=True))
+    sigma.flags.writeable = False
+    return sigma
+
+
+def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi1(z) = (1 - e^-z) / z and phi2(z) = (e^-z - 1 + z) / z^2 for z >= 0.
+
+    expm1 gives both above PHI_TAYLOR_Z, their Taylor series (eight terms)
+    below it, where phi1(0) = 1 and phi2(0) = 1/2.
+    """
+    small = z < PHI_TAYLOR_Z
+    zz = np.where(small, 1.0, z)
+    em1 = np.expm1(-zz)
+    phi1, phi2 = -em1 / zz, (em1 + zz) / (zz * zz)
+    zs = -z[small]
+    t1, t2 = np.zeros_like(zs), np.zeros_like(zs)
+    for k in range(7, -1, -1):  # Horner in -z
+        t1 = t1 * zs + 1.0 / math.factorial(k + 1)
+        t2 = t2 * zs + 1.0 / math.factorial(k + 2)
+    phi1[small], phi2[small] = t1, t2
+    return phi1, phi2
+
+
+def _spectrum(x: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of the upper-triangle entries of a Hermitian
+    grid-trailing field x (..., r, r): an (r(r+1)/2, *grid) array."""
+    store = x.transpose(_store_axes(x.ndim))
+    rows, cols = np.triu_indices(x.shape[-1])
+    return np.fft.fftn(store[rows, cols], axes=range(1, store.ndim - 1))
+
+
+def _field(xh: np.ndarray, r: int) -> np.ndarray:
+    """The Hermitian grid-trailing field whose upper-triangle spectrum is xh.
+
+    The multipliers the step applies are real and even in k, so the result
+    is Hermitian up to roundoff; it is made so exactly here.
+    """
+    vals = np.fft.ifftn(xh, axes=range(1, xh.ndim))
+    store = np.empty((r, r) + xh.shape[1:], np.complex128)
+    for v, i, j in zip(vals, *np.triu_indices(r)):
+        if i == j:
+            store[i, i] = v.real
+        else:
+            store[i, j] = v
+            np.conjugate(v, out=store[j, i])
+    return store.transpose(_view_axes(store.ndim))
+
+
+def _in_frame(K: MatrixFormField, L: np.ndarray, L_inv: np.ndarray) -> np.ndarray:
+    """The Hermitian part of L K L^{-1}. With L^dag L = H and K
+    H-self-adjoint, L K L^{-1} is Hermitian up to K's truncation error."""
+    return hermitize(mm(mm(L, K.comps[0, 0]), L_inv))
+
+
+def _metric_update(state: HiggsBundleState, W: np.ndarray, x: np.ndarray):
+    """The state with metric W e^x W = L^dag L, and its frame L = e^{x/2} W.
+
+    The Gram form L^dag L is positive whenever L is invertible; its
+    Hermitian part is taken to make it Hermitian exactly.
+    """
+    L = mm(expm_batched(0.5 * x), W)
+    H = HermitianMetric(state.base, hermitize(mm(dagger(L), L)))
+    return HiggsBundleState(state.structure, H), L
+
+
+def _gauge_update(state: HiggsBundleState, W: np.ndarray, x: np.ndarray):
+    """The pair gauged by g = W^{-1} e^{x/2} W over the frozen metric H = W W,
+    and its frame W.
+
+    g^{*H} g = H^{-1} W e^x W, so the gauged pair is the metric flow's
+    state at W e^x W transported by g, and its deviation g K g^{-1} reads
+    in the frame W as the metric flow's reads in the frame e^{x/2} W.
+    """
+    g = mm(mm(state.metric.sqrt_inv, expm_batched(0.5 * x)), W)
+    return complex_gauge_apply(g, state), W
+
+
+def _etd_error(correction: np.ndarray) -> float:
+    """0.5 sup |s - a|, the Frobenius norm of the ETD2 result minus the ETD1
+    result: the adaptive controller's local error estimate."""
+    norm2 = (correction.real ** 2 + correction.imag ** 2).sum(axis=(-2, -1))
+    return 0.5 * math.sqrt(float(norm2.max()))
+
+
+def _log_steps(state: HiggsBundleState, dt: float, K0: MatrixFormField,
+               update) -> tuple[np.ndarray, np.ndarray]:
+    """The ETD1 log-step a and the ETD2 correction s - a of one step.
+
+    With W = H^{1/2}, K~0 = W K0 W^{-1}, z = 2 dt sigma and F the Fourier
+    transform over the grid:
+    - the predictor is a = F^{-1}[-2 dt phi1(z) F K~0] (exponential Euler);
+    - the corrector is s = a + F^{-1}[dt phi2(z) (-2 (F K~a - F K~0)
+      + 2 sigma F a)], with K~a the deviation at the predictor, read in
+      the frame that update returns for it.
+    Both are exact on the linear part ds/dt = -2 sigma s. The spectra and
+    the predictor state are freed on return, before the step's update.
+    """
+    W = state.metric.sqrt
+    sigma = _symbol(state.base)
+    phi1, phi2 = _phi_functions((2.0 * dt) * sigma)
+    K0_hat = _spectrum(_in_frame(K0, W, state.metric.sqrt_inv))
+    a_hat = (-2.0 * dt * phi1) * K0_hat
+    a = _field(a_hat, state.rank)
+    predicted, L = update(state, W, a)
+    # the corrector's spectrum, built in place in that of K~a
+    c_hat = _spectrum(_in_frame(einstein_deviation(predicted), L, inv(L)))
+    c_hat -= K0_hat
+    c_hat *= -2.0
+    c_hat += (2.0 * sigma) * a_hat
+    c_hat *= dt * phi2
+    return a, _field(c_hat, state.rank)
+
+
+def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, step_fn,
+          tol: float | None = None):
+    """One ETDRK2 step (_log_steps) of the flow that step_fn (donaldson_step
+    or ymh_step) advances, from the state with deviation K0.
+
+    Returns (candidate, err). err = _etd_error(s - a) is taken only when tol
+    is given (None otherwise); a step whose estimate exceeds tol, or is not
+    finite, stops before its update and returns (None, err).
+    """
+    update = _gauge_update if step_fn is ymh_step else _metric_update
+    a, correction = _log_steps(state, dt, K0, update)
+    err = None
+    if tol is not None:
+        err = _etd_error(correction)
+        if not err <= tol:
+            return None, err
+    correction += a
+    return update(state, state.metric.sqrt, correction)[0], err
+
+
+def _step_args(state: HiggsBundleState, dt: float,
+               K: MatrixFormField | None) -> MatrixFormField:
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return einstein_deviation(state) if K is None else K
 
 
 def donaldson_step(state: HiggsBundleState, dt: float,
                    K: MatrixFormField | None = None) -> HiggsBundleState:
-    """One multiplicative metric update H' = H exp(-2 dt K).
+    """One ETDRK2 metric update H' = W e^s W (see _etd2), W = H^{1/2}.
 
-    The structure (a, phi) is unchanged; H' is Hermitian positive-definite
-    by construction. Step rejection on diagnostic blow-up is handled by the
+    K is the state's deviation when the caller already holds it. The
+    structure (a, phi) is unchanged; H' is Hermitian positive-definite by
+    construction. Step rejection on diagnostic blow-up is handled by the
     flow runner.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if K is None:
-        K = einstein_deviation(state)
-    Ks = _symmetrize_in_H(K.comps[0, 0], state.metric)
-    Hnew = mm(state.metric.mat, expm_batched(-2.0 * dt * Ks))
-    return HiggsBundleState(state.structure,
-                            HermitianMetric(state.base, hermitize(Hnew)))
+    return _etd2(state, dt, _step_args(state, dt, K), donaldson_step)[0]
 
 
 def energy_density(state: HiggsBundleState) -> np.ndarray:
@@ -124,28 +278,21 @@ def complex_gauge_apply(sigma: np.ndarray,
 
 def ymh_step(state: HiggsBundleState, dt: float,
              K: MatrixFormField | None = None) -> HiggsBundleState:
-    """One explicit pair update by the gauge factor exp(-dt K).
+    """One ETDRK2 pair update by the gauge W^{-1} e^{s/2} W (see _etd2).
 
-    Expanding in dt reproduces the gradient-flow equations: the Higgs field
-    moves by -[K, phi] dt and the (0,1) connection part by dbar_A(K) dt.
-    The update stays exactly in the complex gauge orbit of the pair, and
-    the metric stays frozen.
+    To first order in dt the gauge is exp(-dt K), which reproduces the
+    gradient-flow equations: the Higgs field moves by -[K, phi] dt and the
+    (0,1) connection part by dbar_A(K) dt. The update stays exactly in the
+    complex gauge orbit of the pair, and the metric stays frozen.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if K is None:
-        K = einstein_deviation(state)
-    Ks = _symmetrize_in_H(K.comps[0, 0], state.metric)
-    sigma = expm_batched(-dt * Ks)
-    return complex_gauge_apply(sigma, state)
+    return _etd2(state, dt, _step_args(state, dt, K), ymh_step)[0]
 
 
 def gauge_from_metric(H0: HermitianMetric, H: HermitianMetric) -> np.ndarray:
     """g with g^{*H0} g = H0^{-1} H, the square root in the H0-positive cone."""
     H0.check_positive()
     H.check_positive()
-    w = sqrtm_hpd(H0.mat)
-    w_inv = inv(w)
+    w, w_inv = H0.sqrt, H0.sqrt_inv
     middle = sqrtm_hpd(mm(mm(w_inv, H.mat), w_inv))
     return mm(mm(w_inv, middle), w)
 
@@ -284,6 +431,13 @@ def _evaluate(state: HiggsBundleState, with_norms: bool):
     return K, (_sample_norms(state, hs) if with_norms else None)
 
 
+# flow_equivalence_check runs both flows from one start: its evaluation,
+# keyed by the start's id, is made once and read by both runners. The
+# runners are still called by name, so that wrappers bound over the
+# module's names see both runs.
+_shared_starts: dict[int, tuple] = {}
+
+
 def _metric_trace_row(state: HiggsBundleState, dt: float, validity,
                       K: MatrixFormField, norms) -> dict:
     H = state.metric
@@ -304,33 +458,18 @@ def _metric_trace_row(state: HiggsBundleState, dt: float, validity,
     )
 
 
-def _local_error(K_half: MatrixFormField, K0: MatrixFormField,
-                 H: HermitianMetric, dt: float) -> float:
-    """dt * sup|K(half) - K0|_H: the midpoint step's exponent minus the
-    Euler step's, the controller's local error estimate."""
-    return dt * math.sqrt(max(pointwise_norm2(K_half - K0, H.mat).max(), 0.0))
-
-
 def _advance(state: HiggsBundleState, dt: float, step_fn, K0, tol=None):
-    """Midpoint composition of the structure-preserving update.
+    """One ETDRK2 attempt (_etd2), with the breakdowns caught.
 
-    Returns (candidate, err). err is the local error estimate, taken only
-    when tol is given (None otherwise); a step whose estimate exceeds tol
-    stops before its second exponential and returns (None, err). A step
-    that broke down returns (None, None): a non-finite field, or a metric
-    (of the candidate or of its midpoint) that lost positivity.
+    Returns (candidate, err), or (None, err) for a step whose estimate
+    exceeds tol. A step that broke down returns (None, None): a non-finite
+    field, or a metric (of the candidate or of its predictor) that lost
+    positivity.
     """
-    err = None
     try:
-        half = step_fn(state, 0.5 * dt, K0)
-        K_half = einstein_deviation(half)
-        if tol is not None:
-            err = _local_error(K_half, K0, state.metric, dt)
-            if not math.isfinite(err):
-                return None, None
-            if err > tol:
-                return None, err
-        candidate = step_fn(state, dt, K_half)
+        candidate, err = _etd2(state, dt, K0, step_fn, tol)
+        if candidate is None:
+            return None, (err if math.isfinite(err) else None)
         if not (np.isfinite(candidate.metric.mat).all()
                 and np.isfinite(candidate.structure.phi.comps).all()
                 and np.isfinite(candidate.structure.a.comps).all()):
@@ -379,7 +518,7 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
     schedule = _sample_schedule(T, sample_times)
     current = start
     t = 0.0
-    K_current, norms = _evaluate(current, True)
+    K_current, norms = _shared_starts.get(id(start)) or _evaluate(start, True)
     sample(current, K_current, norms, 0.0, dt)
     next_idx = 1  # the schedule starts at t = 0, sampled above
 
@@ -450,7 +589,8 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
 def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
                        fixed_dt: bool = False,
                        sample_times=None) -> FlowResult:
-    """Integrate the metric flow to time T and record a FlowTrace.
+    """Integrate the metric flow to time T by ETDRK2 steps (donaldson_step)
+    and record a FlowTrace.
 
     With fixed_dt the step is exactly dt (pinned-accuracy experiments);
     otherwise dt is the first proposal of the error-controlled step
@@ -465,7 +605,8 @@ def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
 
 def run_ymh_flow(state: HiggsBundleState, T: float, dt: float, *,
                  fixed_dt: bool = False, sample_times=None) -> FlowResult:
-    """Integrate the pair flow to time T over the frozen metric of the state.
+    """Integrate the pair flow to time T over the frozen metric of the state,
+    by ETDRK2 steps (ymh_step) under the controller of run_donaldson_flow.
 
     Validity residuals of the evolved pair are recorded at every sample and
     never re-projected: constraint drift is evidence, not noise to hide.
@@ -524,9 +665,13 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     """
     samples = sample_times if sample_times is not None else \
         [k * T / 4.0 for k in range(1, 5)]
-    res_m = run_donaldson_flow(state0, T, dt, fixed_dt=True,
-                               sample_times=samples)
-    res_p = run_ymh_flow(state0, T, dt, fixed_dt=True, sample_times=samples)
+    _shared_starts[id(state0)] = _evaluate(state0, True)
+    try:
+        res_m = run_donaldson_flow(state0, T, dt, fixed_dt=True,
+                                   sample_times=samples)
+        res_p = run_ymh_flow(state0, T, dt, fixed_dt=True, sample_times=samples)
+    finally:
+        _shared_starts.pop(id(state0), None)
     # the compared fields are the sample norms each runner already took
     metric_at = {round(t, 9): (s, norms) for (t, s), norms
                  in zip(res_m.sampled_states, res_m.sampled_norms)}

@@ -16,7 +16,8 @@ import numpy as np
 from .grid import (MatrixFormField, MixedField, TorusBase, contract_lambda,
                    d_flat, dbar_flat, integrate, pointwise_norm2, sup_norm,
                    tr_field, wedge)
-from .linalg import _trailing, dagger, inv, is_positive_definite, min_eigvalsh
+from .linalg import (_trailing, dagger, inv, is_positive_definite, min_eigvalsh,
+                     sqrtm_hpd)
 
 __all__ = [
     "HermitianMetric", "HiggsStructure", "HiggsBundleState", "ValidityReport",
@@ -55,6 +56,15 @@ class HermitianMetric:
     @cached_property
     def inv(self) -> np.ndarray:
         return inv(self.mat)
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """The principal square root W of every block, W W = H."""
+        return sqrtm_hpd(self.mat)
+
+    @cached_property
+    def sqrt_inv(self) -> np.ndarray:
+        return inv(self.sqrt)
 
     @cached_property
     def _positive(self) -> bool:

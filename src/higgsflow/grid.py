@@ -353,12 +353,19 @@ def contract_lambda(f: MatrixFormField) -> MatrixFormField:
 
 def _endo_inner(a: np.ndarray, b: np.ndarray, H: np.ndarray | None,
                 Hc_inv: np.ndarray | None) -> np.ndarray:
-    """Pointwise tr(a b^{*}) with the metric adjoint b^{*} = Hc_inv b^dag H."""
-    bh = dagger(b)
-    if H is None:
-        return np.einsum("...ij,...ji->...", a, bh)
-    Hc = Hc_inv if Hc_inv is not None else np.eye(a.shape[-1])
-    return np.einsum("...ij,...jk,...kl,...li->...", a, Hc, bh, H)
+    """Pointwise tr(a b^{*}) with the metric adjoint b^{*} = Hc_inv b^dag H.
+
+    The trace tr(x y) of x = a Hc_inv and y = b^dag H is summed over the
+    entry pairs x_ik y_ki in (i, k) order.
+    """
+    x = a if Hc_inv is None else mm(a, Hc_inv)
+    y = dagger(b) if H is None else mm(dagger(b), H)
+    rows, cols = x.shape[-2:]
+    acc = x[..., 0, 0] * y[..., 0, 0]
+    for i, k in itertools.product(range(rows), range(cols)):
+        if i or k:
+            acc += x[..., i, k] * y[..., k, i]
+    return acc
 
 
 def pointwise_inner(a: MatrixFormField, b: MatrixFormField,

@@ -21,6 +21,8 @@ Kernel contract:
   of norm-selected degree evaluated by Paterson-Stockmeyer on mm;
 * is_positive_definite reads the leading principal minors for r <= 3 and
   eigvalsh for r = 4;
+* sqrtm_hpd is the scalar root at r = 1, the Cayley-Hamilton closed form
+  (M + sqrt(det) I) / sqrt(tr M + 2 sqrt(det)) at r = 2 and eigh for r >= 3;
 * non-finite input propagates to non-finite output without a
   RuntimeWarning: flow runners detect blown-up steps from their output.
 """
@@ -200,12 +202,39 @@ def expm_batched(m: np.ndarray) -> np.ndarray:
 
 
 def sqrtm_hpd(m: np.ndarray) -> np.ndarray:
-    """Principal square root of Hermitian positive-definite matrices."""
-    w, v = np.linalg.eigh(hermitize(m))
-    if np.any(w <= 0):
-        raise ValueError("matrix not positive definite: min eigenvalue "
-                         f"{w.min():.3e}")
-    return mm(v * np.sqrt(w)[..., None, :], dagger(v))
+    """Principal square root of Hermitian positive-definite matrices.
+
+    Reads the Hermitian part of m. At r = 2 the root is (M + sqrt(det) I)
+    / sqrt(tr M + 2 sqrt(det)), by Cayley-Hamilton; r = 1 is the scalar
+    root and r >= 3 goes through eigh. Raises ValueError unless every block
+    is positive definite.
+    """
+    m = np.asarray(m)
+    r = m.shape[-1]
+    if r > 2:
+        if not np.isfinite(m).all():
+            raise ValueError("matrix not positive definite: non-finite blocks")
+        w, v = np.linalg.eigh(hermitize(m))
+        if not np.all(w > 0):
+            raise ValueError("matrix not positive definite: min eigenvalue "
+                             f"{w.min():.3e}")
+        return mm(v * np.sqrt(w)[..., None, :], dagger(v))
+    with np.errstate(**_QUIET):
+        a = m[..., 0, 0].real
+        if r == 2:
+            b, d = 0.5 * (m[..., 0, 1] + np.conj(m[..., 1, 0])), m[..., 1, 1].real
+            det = a * d - (b.real ** 2 + b.imag ** 2)
+        else:
+            det = a
+        bad = np.count_nonzero(~((a > 0) & (det > 0)))
+        if bad:
+            raise ValueError(f"matrix not positive definite: {bad} blocks")
+        if r == 1:
+            return _trailing(np.sqrt(a)[..., None, None])
+        s = np.sqrt(det)
+        t = np.sqrt(a + d + 2.0 * s)
+        return _from_entries([[(a + s) / t + 0j, b / t],
+                              [np.conj(b) / t, (d + s) / t + 0j]])
 
 
 def min_eigvalsh(m: np.ndarray) -> float:

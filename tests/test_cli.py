@@ -109,28 +109,32 @@ def test_run_determinism_byte_identical(tmp_path):
         (dirs[1] / "final_state.snap").read_bytes()
 
 
-def test_run_blowup_saves_last_healthy_snapshot(tmp_path, capsys):
-    # a fixed step far above the parabolic stability bound must blow up,
-    # exit nonzero, and leave the last healthy state on disk
+def test_run_blowup_saves_last_healthy_snapshot(tmp_path, capsys, break_expm):
+    # a step that blows up (its third predictor is planted non-finite) must
+    # exit nonzero and leave the last healthy state on disk
+    break_expm(float("nan"), first=5)
     code = run_cli("run", "--scenario", "conformal-r1",
                    "--flow-kind", "donaldson", "--flow-T", "20.0",
                    "--flow-dt", "0.5", "--flow-fixed", "1",
                    "--out-dir", str(tmp_path))
     assert code == 3
     err = json.loads(capsys.readouterr().err)
-    assert "blew up" in err["error"]
+    assert "blew up" in err["error"] and err["detail"]["reached_t"] > 0.0
     from higgsflow import load_state
     healthy = load_state(tmp_path / "last_healthy.snap")
     healthy.metric.check_positive()
 
 
-def test_run_lost_positivity_saves_the_last_healthy_state(tmp_path, capsys):
+def test_run_lost_positivity_saves_the_last_healthy_state(tmp_path, capsys,
+                                                          break_expm):
     from higgsflow import TorusBase, load_state, save_state
     from higgsflow.scenarios import random_valid_state
     snap = tmp_path / "start.snap"
     save_state(random_valid_state(TorusBase(1, 16), 3, seed=1, amplitude=0.3),
                snap)
     out = tmp_path / "out"
+    # from the second step's result on, H' = 0: finite, not positive
+    break_expm(0.0, first=4)
     code = run_cli("run", "--state-file", str(snap), "--flow-fixed", "1",
                    "--flow-dt", "0.02", "--flow-T", "0.8", "--out-dir", str(out))
     assert code == 3
@@ -226,7 +230,8 @@ def test_bad_flow_T_or_dt_is_rejected_before_running(verb, flag, value, tmp_path
     assert not out.exists()   # no last_healthy.snap, nothing else either
 
 
-def test_flow_equivalence_blowup_is_a_json_reason(tmp_path, capsys):
+def test_flow_equivalence_blowup_is_a_json_reason(tmp_path, capsys, break_expm):
+    break_expm(float("nan"), first=5)
     code = run_cli("flow-equivalence", "--scenario", "conformal-r1",
                    "--flow-T", "20.0", "--flow-dt", "0.5",
                    "--out-dir", str(tmp_path))

@@ -7,8 +7,7 @@ from higgsflow import (HermitianMetric, HiggsBundleState,
                        einstein_deviation, energy_density, flow_equivalence_check,
                        gauge_from_metric, run_donaldson_flow, run_ymh_flow,
                        sup_norm, ymh_energy, ymh_step)
-from higgsflow.flows import _symmetrize_in_H
-from higgsflow.geometry import chern_connection
+from higgsflow.geometry import adjoint_field, chern_connection
 from higgsflow.grid import d_flat, integrate, tr_field
 from higgsflow.linalg import dagger, min_eigvalsh
 
@@ -207,7 +206,7 @@ def test_gauge_from_metric_rejects_corrupt_input():
 def test_deviation_is_H_self_adjoint_to_truncation():
     st = build_scenario("conformal-r1")
     K = einstein_deviation(st)
-    sym = _symmetrize_in_H(K.comps[0, 0], st.metric)
+    sym = 0.5 * (K.comps[0, 0] + adjoint_field(K, st.metric).comps[0, 0])
     assert np.abs(K.comps[0, 0] - sym).max() < 1e-10
 
 
@@ -256,23 +255,27 @@ def test_flow_equivalence_nilpotent():
     assert rep.max_transport_discrepancy() < 1e-3
 
 
-def test_blowup_carries_last_healthy_state():
+def test_blowup_carries_last_healthy_state(break_expm):
     from higgsflow.flows import FlowBlowup
     st = build_scenario("conformal-r1")
+    # the third step's predictor is non-finite
+    break_expm(np.nan, first=5)
     with pytest.raises(FlowBlowup) as excinfo:
         run_donaldson_flow(st, 20.0, 0.5, fixed_dt=True)
     exc = excinfo.value
     assert np.isfinite(exc.state.metric.mat).all()
-    assert exc.t >= 0.0
+    exc.state.metric.check_positive()
+    assert exc.t > 0.0 and exc.state is not st
     assert len(exc.trace.t) >= 1
 
 
-def test_adaptive_flow_rescues_oversized_step():
-    # the adaptive runner halves its way below the stability bound instead
-    # of blowing up
+def test_adaptive_flow_rescues_oversized_step(break_expm):
+    # the adaptive runner halves a step that broke down and goes on; the
+    # step has no stability bound, so the breakdown is planted
     st = build_scenario("conformal-r1")
+    break_expm(np.nan, first=3, last=3)
     res = run_donaldson_flow(st, 0.5, 0.5)
-    assert res.rejected > 0
+    assert res.rejected_by["breakdown"] == 1 and res.rejected == 1
     assert res.trace.t[-1] == pytest.approx(0.5)
     assert np.isfinite(res.final.metric.mat).all()
 
@@ -315,34 +318,34 @@ def test_flat_state_passes_the_maximum_principle_floor():
     assert res.trace.t[-1] == pytest.approx(1.0)
 
 
-def test_only_the_adaptive_runner_takes_the_error_estimate(monkeypatch):
+def test_only_the_adaptive_runner_takes_the_error_estimate(monkeypatch,
+                                                           break_expm):
     import higgsflow.flows
-    real = higgsflow.flows._local_error
+    real = higgsflow.flows._etd_error
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(higgsflow.flows, "_local_error", counted)
+    monkeypatch.setattr(higgsflow.flows, "_etd_error", counted)
     st = nilpotent_state(8)
     fixed = run_donaldson_flow(st, 0.25, 1e-2, fixed_dt=True)
     assert fixed.steps > 0 and calls == []
+    # the second attempt's predictor breaks down before its estimate
+    break_expm(np.nan, first=3, last=3)
     res = run_donaldson_flow(st, 0.25, 1e-2)
-    # one estimate per attempt that reached its midpoint deviation
+    assert res.rejected_by["breakdown"] == 1
+    # one estimate per attempt that reached its predictor deviation
     assert len(calls) == res.steps + res.rejected - res.rejected_by["breakdown"]
 
 
-def _positivity_breakdown_state():
-    # a fixed step this size drives the rank-3 metric to lose positivity
-    # at its second step while every field stays finite
-    from higgsflow.scenarios import random_valid_state
-    return random_valid_state(TorusBase(1, 16), 3, seed=1, amplitude=0.3)
-
-
-def test_lost_positivity_blows_up_with_last_healthy_state():
+def test_lost_positivity_blows_up_with_last_healthy_state(break_expm):
     from higgsflow.flows import FlowBlowup
-    st = _positivity_breakdown_state()
+    from higgsflow.scenarios import random_valid_state
+    st = random_valid_state(TorusBase(1, 16), 3, seed=1, amplitude=0.3)
+    # from the second step's result on, H' = 0: finite, not positive
+    break_expm(0.0, first=4)
     with pytest.raises(FlowBlowup) as excinfo:
         run_donaldson_flow(st, 0.8, 0.02, fixed_dt=True)
     exc = excinfo.value
@@ -428,9 +431,95 @@ def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch):
 
     counts.update(dict.fromkeys(counts, 0))
     flow_equivalence_check(st, 2e-3, 1e-3, sample_times=[2e-3])
-    # each run evaluates its start, two midpoints and two accepted states;
-    # the four samples (t = 0 and T per run) add del_H phi. dbar_flat: one
-    # per evaluation, two per validate_structure (both starts and the
-    # pair's sample at T), one per ymh_step (4) and per transported pair (2)
-    assert counts == {"hitchin_simpson_curvature": 10, "d_flat": 2 * 10 + 4,
-                      "dbar_flat": 10 + 6 + 4 + 2}
+    # the start is evaluated once for both runs; each run adds two
+    # predictors and two accepted states. The samples (t = 0 once, T per
+    # run) add del_H phi. dbar_flat: one per evaluation, two per
+    # validate_structure (both starts and the pair's sample at T), one per
+    # gauge update of the pair (predictor and result: 4) and per
+    # transported pair (2)
+    assert counts == {"hitchin_simpson_curvature": 9, "d_flat": 2 * 9 + 3,
+                      "dbar_flat": 9 + 6 + 4 + 2}
+
+
+# -- the ETDRK2 step -----------------------------------------------------------------
+
+
+def heat_reference(u0, base, T):
+    """exp(T Lap_h) u0 by FFT, Lap_h the composed centred-difference
+    Laplacian with symbol -sum_axes (sin(2 pi k h) / h)^2."""
+    h = base.spacing
+    along = -(np.sin(2.0 * np.pi * np.fft.fftfreq(base.N)) / h) ** 2
+    symbol = sum(along.reshape([-1 if j == axis else 1 for j in range(u0.ndim)])
+                 for axis in range(u0.ndim))
+    return np.fft.ifftn(np.exp(T * symbol) * np.fft.fftn(u0)).real
+
+
+def test_phi_functions_match_a_high_precision_reference():
+    from decimal import Decimal, localcontext
+
+    from higgsflow.flows import PHI_TAYLOR_Z, _phi_functions
+    z = np.array([1e-9, 1e-3, 0.999 * PHI_TAYLOR_Z, PHI_TAYLOR_Z, 0.3, 7.0, 1e4])
+    phi1, phi2 = _phi_functions(z)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for k, zk in enumerate(z):
+            d = Decimal(float(zk))
+            e = (-d).exp()
+            assert phi1[k] == pytest.approx(float((1 - e) / d), rel=1e-14)
+            assert phi2[k] == pytest.approx(float((e - 1 + d) / (d * d)), rel=1e-14)
+    at_zero = _phi_functions(np.zeros(1))
+    assert at_zero[0][0] == 1.0 and at_zero[1][0] == 0.5
+
+
+def test_rank_one_flow_follows_the_discrete_heat_equation():
+    # at rank 1 the step is exact on the linear part, so the adaptive run
+    # is held to the discrete heat flow far below the explicit scheme's
+    # 5.4e-4
+    st = build_scenario("conformal-r1", N=64)
+    T = 0.05
+    res = run_donaldson_flow(st, T, 1e-3)
+    u0 = np.log(st.metric.mat[..., 0, 0].real)
+    uT = np.log(res.final.metric.mat[..., 0, 0].real)
+    err = np.abs(uT - heat_reference(u0, st.base, T)).max() / np.abs(u0 - u0.mean()).max()
+    assert err <= 1e-5
+
+
+def test_fixed_step_error_is_second_order():
+    from higgsflow.scenarios import random_valid_state
+    st = random_valid_state(TorusBase(1, 32), 3, seed=1)
+    h2 = st.base.spacing ** 2
+    T = 8 * h2
+    final = {div: run_donaldson_flow(st, T, h2 / div, fixed_dt=True).final.metric.mat
+             for div in (1, 2, 8)}
+    ref = final[8]
+    err = {div: np.abs(final[div] - ref).max() for div in (1, 2)}
+    assert err[1] >= 3.0 * err[2]
+
+
+def test_steps_do_not_scale_with_the_grid():
+    # the explicit step was bound by h^2: doubling N took 3.85x the steps
+    from higgsflow.scenarios import random_state_with_subbundle
+    steps = {}
+    for N in (16, 32):
+        st, _ = random_state_with_subbundle(TorusBase(1, N), 3, 1, 1,
+                                            amplitude=0.004)
+        res = run_donaldson_flow(st, 5.0, 1e-3)
+        assert res.trace.t[-1] == pytest.approx(5.0)
+        steps[N] = res.steps
+    assert steps[32] <= 1.3 * steps[16]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_step_keeps_the_metric_positive_and_hermitian(n, rank, seed):
+    from higgsflow.scenarios import random_valid_state
+    from higgsflow.flows import SAFETY
+    st = random_valid_state(TorusBase(n, 8), rank, seed=seed, amplitude=0.3)
+    for _ in range(3):
+        # ten times the adaptive runner's cap SAFETY / sup|K|
+        K = einstein_deviation(st)
+        st = donaldson_step(st, 10.0 * SAFETY / sup_norm(K, st.metric.mat), K)
+        H = st.metric.mat
+        assert np.array_equal(H, dagger(H))
+        assert min_eigvalsh(H) > 0.0

@@ -317,7 +317,8 @@ def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):
     for ip, iq in itertools.product(range(2), range(2)):
         acc += np.einsum("...ij,...jk,...kl,...li->...", a.comps[ip, iq], inv(H),
                          dagger(b.comps[ip, iq]), H)
-    assert np.array_equal(got, 4.0 * acc)
+    expected = 4.0 * acc
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 1), (3, 2)])

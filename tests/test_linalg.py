@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import higgsflow
 from higgsflow.linalg import (_TAYLOR_DEGREES, dagger, expm_batched, inv,
-                              is_positive_definite, mm)
+                              is_positive_definite, mm, sqrtm_hpd)
 
 PROPERTY = settings(max_examples=25, deadline=None)
 EPS = np.finfo(np.float64).eps
@@ -328,3 +328,31 @@ def test_non_finite_block_is_not_positive_definite(r, bad, diagonal):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert is_positive_definite(m) is False
+
+
+# -- the square root -----------------------------------------------------------------
+
+
+@PROPERTY
+@given(grid_batches(), st.integers(1, 2))
+def test_sqrtm_closed_forms_match_the_eigh_root(case, r):
+    shape, seed = case
+    m = random_hpd(np.random.default_rng(seed), shape, r)
+    w, v = np.linalg.eigh(m)
+    ref = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    root = sqrtm_hpd(m)
+    scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+    assert (np.abs(root - ref) / scale).max() <= 1e-13
+    assert np.array_equal(root, dagger(root))
+    assert np.moveaxis(root, (-2, -1), (0, 1)).flags.c_contiguous
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
+def test_sqrtm_rejects_blocks_that_are_not_positive(r, bad):
+    m = np.broadcast_to(np.eye(r, dtype=complex), (4, 4, r, r)).copy()
+    m[1, 2, -1, -1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not positive definite"):
+            sqrtm_hpd(m)
