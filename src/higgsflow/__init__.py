@@ -14,7 +14,7 @@ from .geometry import (HermitianMetric, HiggsStructure, HiggsBundleState,
                        adjoint_field, hitchin_simpson_curvature,
                        HitchinSimpsonParts, degree_slope_lambda)
 from .flows import (FlowTrace, FlowResult, einstein_deviation,
-                    donaldson_step, ymh_energy, energy_density, ymh_step,
+                    ymh_energy, energy_density,
                     complex_gauge_apply, gauge_from_metric,
                     run_donaldson_flow, run_ymh_flow, flow_equivalence_check,
                     EquivalenceReport)

@@ -36,8 +36,8 @@ from .linalg import (_store_axes, _view_axes, dagger, expm_batched, hermitize,
 
 __all__ = [
     "FlowTrace", "FlowResult", "FlowBlowup",
-    "einstein_deviation", "donaldson_step", "ymh_energy", "energy_density",
-    "ymh_step", "complex_gauge_apply", "gauge_from_metric",
+    "einstein_deviation", "ymh_energy", "energy_density",
+    "complex_gauge_apply", "gauge_from_metric",
     "run_donaldson_flow", "run_ymh_flow", "flow_equivalence_check",
     "EquivalenceReport", "check_flow_times",
 ]
@@ -151,26 +151,33 @@ def _in_frame(K: MatrixFormField, L: np.ndarray, L_inv: np.ndarray) -> np.ndarra
     return hermitize(mm(mm(L, K.comps[0, 0]), L_inv))
 
 
-def _metric_update(state: HiggsBundleState, W: np.ndarray, x: np.ndarray):
-    """The state with metric W e^x W = L^dag L, and its frame L = e^{x/2} W.
+def _metric_update(state: HiggsBundleState, frame, x: np.ndarray):
+    """For frame = (W, W^{-1}), the state with metric W e^x W = L^dag L and
+    its frame L = e^{x/2} W.
 
     The Gram form L^dag L is positive whenever L is invertible; its
     Hermitian part is taken to make it Hermitian exactly.
     """
-    L = mm(expm_batched(0.5 * x), W)
+    L = mm(expm_batched(0.5 * x), frame[0])
     H = HermitianMetric(state.base, hermitize(mm(dagger(L), L)))
     return HiggsBundleState(state.structure, H), L
 
 
-def _gauge_update(state: HiggsBundleState, W: np.ndarray, x: np.ndarray):
+def _gauge_update(state: HiggsBundleState, frame, x: np.ndarray):
     """The pair gauged by g = W^{-1} e^{x/2} W over the frozen metric H = W W,
-    and its frame W.
+    and its frame W, where frame is (W, W^{-1}).
 
     g^{*H} g = H^{-1} W e^x W, so the gauged pair is the metric flow's
     state at W e^x W transported by g, and its deviation g K g^{-1} reads
     in the frame W as the metric flow's reads in the frame e^{x/2} W.
+
+    To first order in dt the step's gauge is exp(-dt K), which reproduces
+    the gradient-flow equations: the Higgs field moves by -[K, phi] dt and
+    the (0,1) connection part by dbar_A(K) dt. The update stays exactly in
+    the complex gauge orbit of the pair, and the metric stays frozen.
     """
-    g = mm(mm(state.metric.sqrt_inv, expm_batched(0.5 * x)), W)
+    W, W_inv = frame
+    g = mm(mm(W_inv, expm_batched(0.5 * x)), W)
     return complex_gauge_apply(g, state), W
 
 
@@ -181,72 +188,59 @@ def _etd_error(correction: np.ndarray) -> float:
     return 0.5 * math.sqrt(float(norm2.max()))
 
 
-def _log_steps(state: HiggsBundleState, dt: float, K0: MatrixFormField,
-               update) -> tuple[np.ndarray, np.ndarray]:
-    """The ETD1 log-step a and the ETD2 correction s - a of one step.
+def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, frame,
+          update, tol: float | None):
+    """One ETDRK2 attempt from the state with deviation K0, in the frame
+    (W, W^{-1}) of its metric, W = H^{1/2}; update (_metric_update or
+    _gauge_update) picks the flow.
 
-    With W = H^{1/2}, K~0 = W K0 W^{-1}, z = 2 dt sigma and F the Fourier
-    transform over the grid:
+    With K~0 = W K0 W^{-1}, z = 2 dt sigma and F the Fourier transform over
+    the grid:
     - the predictor is a = F^{-1}[-2 dt phi1(z) F K~0] (exponential Euler);
     - the corrector is s = a + F^{-1}[dt phi2(z) (-2 (F K~a - F K~0)
       + 2 sigma F a)], with K~a the deviation at the predictor, read in
       the frame that update returns for it.
-    Both are exact on the linear part ds/dt = -2 sigma s. The spectra and
-    the predictor state are freed on return, before the step's update.
+    Both are exact on the linear part ds/dt = -2 sigma s.
+
+    Returns (candidate, err, reason). err = _etd_error(s - a) is taken only
+    when tol is given (None otherwise). reason is None for a candidate;
+    otherwise candidate is None and reason is "error_estimate" for a finite
+    err above tol, or "breakdown" for a non-finite err or field, or a
+    metric (of the candidate or of its predictor) that lost positivity.
     """
-    W = state.metric.sqrt
-    sigma = _symbol(state.base)
-    phi1, phi2 = _phi_functions((2.0 * dt) * sigma)
-    K0_hat = _spectrum(_in_frame(K0, W, state.metric.sqrt_inv))
-    a_hat = (-2.0 * dt * phi1) * K0_hat
-    a = _field(a_hat, state.rank)
-    predicted, L = update(state, W, a)
-    # the corrector's spectrum, built in place in that of K~a
-    c_hat = _spectrum(_in_frame(einstein_deviation(predicted), L, inv(L)))
-    c_hat -= K0_hat
-    c_hat *= -2.0
-    c_hat += (2.0 * sigma) * a_hat
-    c_hat *= dt * phi2
-    return a, _field(c_hat, state.rank)
-
-
-def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, step_fn,
-          tol: float | None = None):
-    """One ETDRK2 step (_log_steps) of the flow that step_fn (donaldson_step
-    or ymh_step) advances, from the state with deviation K0.
-
-    Returns (candidate, err). err = _etd_error(s - a) is taken only when tol
-    is given (None otherwise); a step whose estimate exceeds tol, or is not
-    finite, stops before its update and returns (None, err).
-    """
-    update = _gauge_update if step_fn is ymh_step else _metric_update
-    a, correction = _log_steps(state, dt, K0, update)
     err = None
-    if tol is not None:
-        err = _etd_error(correction)
-        if not err <= tol:
-            return None, err
-    correction += a
-    return update(state, state.metric.sqrt, correction)[0], err
-
-
-def _step_args(state: HiggsBundleState, dt: float,
-               K: MatrixFormField | None) -> MatrixFormField:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return einstein_deviation(state) if K is None else K
-
-
-def donaldson_step(state: HiggsBundleState, dt: float,
-                   K: MatrixFormField | None = None) -> HiggsBundleState:
-    """One ETDRK2 metric update H' = W e^s W (see _etd2), W = H^{1/2}.
-
-    K is the state's deviation when the caller already holds it. The
-    structure (a, phi) is unchanged; H' is Hermitian positive-definite by
-    construction. Step rejection on diagnostic blow-up is handled by the
-    flow runner.
-    """
-    return _etd2(state, dt, _step_args(state, dt, K), donaldson_step)[0]
+    try:
+        sigma = _symbol(state.base)
+        phi1, phi2 = _phi_functions((2.0 * dt) * sigma)
+        K0_hat = _spectrum(_in_frame(K0, *frame))
+        a_hat = (-2.0 * dt * phi1) * K0_hat
+        a = _field(a_hat, state.rank)
+        predicted, L = update(state, frame, a)
+        # the corrector's spectrum, built in place in that of K~a
+        c_hat = _spectrum(_in_frame(einstein_deviation(predicted), L, inv(L)))
+        c_hat -= K0_hat
+        c_hat *= -2.0
+        c_hat += (2.0 * sigma) * a_hat
+        c_hat *= dt * phi2
+        correction = _field(c_hat, state.rank)
+        # the spectra and the predictor state are freed before the update
+        del phi1, phi2, K0_hat, a_hat, predicted, L, c_hat
+        if tol is not None:
+            err = _etd_error(correction)
+            if not err <= tol:
+                return None, err, ("error_estimate" if math.isfinite(err)
+                                   else "breakdown")
+        correction += a
+        candidate = update(state, frame, correction)[0]
+        # a non-finite metric fails its positivity test below
+        if not (np.isfinite(candidate.structure.phi.comps).all()
+                and np.isfinite(candidate.structure.a.comps).all()):
+            return None, err, "breakdown"
+        # cached on the metric, so the next curvature reuses it
+        candidate.metric.check_positive()
+    except (FloatingPointError, np.linalg.LinAlgError, ValueError):
+        return None, err, "breakdown"
+    return candidate, err, None
 
 
 def energy_density(state: HiggsBundleState) -> np.ndarray:
@@ -276,23 +270,12 @@ def complex_gauge_apply(sigma: np.ndarray,
                             state.metric)
 
 
-def ymh_step(state: HiggsBundleState, dt: float,
-             K: MatrixFormField | None = None) -> HiggsBundleState:
-    """One ETDRK2 pair update by the gauge W^{-1} e^{s/2} W (see _etd2).
-
-    To first order in dt the gauge is exp(-dt K), which reproduces the
-    gradient-flow equations: the Higgs field moves by -[K, phi] dt and the
-    (0,1) connection part by dbar_A(K) dt. The update stays exactly in the
-    complex gauge orbit of the pair, and the metric stays frozen.
-    """
-    return _etd2(state, dt, _step_args(state, dt, K), ymh_step)[0]
-
-
 def gauge_from_metric(H0: HermitianMetric, H: HermitianMetric) -> np.ndarray:
     """g with g^{*H0} g = H0^{-1} H, the square root in the H0-positive cone."""
     H0.check_positive()
     H.check_positive()
-    w, w_inv = H0.sqrt, H0.sqrt_inv
+    w = sqrtm_hpd(H0.mat)
+    w_inv = inv(w)
     middle = sqrtm_hpd(mm(mm(w_inv, H.mat), w_inv))
     return mm(mm(w_inv, middle), w)
 
@@ -458,29 +441,6 @@ def _metric_trace_row(state: HiggsBundleState, dt: float, validity,
     )
 
 
-def _advance(state: HiggsBundleState, dt: float, step_fn, K0, tol=None):
-    """One ETDRK2 attempt (_etd2), with the breakdowns caught.
-
-    Returns (candidate, err), or (None, err) for a step whose estimate
-    exceeds tol. A step that broke down returns (None, None): a non-finite
-    field, or a metric (of the candidate or of its predictor) that lost
-    positivity.
-    """
-    try:
-        candidate, err = _etd2(state, dt, K0, step_fn, tol)
-        if candidate is None:
-            return None, (err if math.isfinite(err) else None)
-        if not (np.isfinite(candidate.metric.mat).all()
-                and np.isfinite(candidate.structure.phi.comps).all()
-                and np.isfinite(candidate.structure.a.comps).all()):
-            return None, None
-        # cached on the metric, so the next curvature reuses it
-        candidate.metric.check_positive()
-    except (FloatingPointError, np.linalg.LinAlgError, ValueError):
-        return None, None
-    return candidate, err
-
-
 def _pi_factor(err: float, err_prev: float) -> float:
     """Soderlind's PI.3.4 step ratio for a second-order method (ACM TOMS
     29, 2003), 0.9 (TOL/e)^(0.3/2) (e_prev/e)^(0.4/2) clamped to [0.2, 2].
@@ -493,7 +453,7 @@ def _pi_factor(err: float, err_prev: float) -> float:
     return min(max(ratio, 0.2), 2.0)
 
 
-def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
+def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
               sample_times):
     check_flow_times(T, dt)
     validity0 = validate_structure(start.structure)
@@ -531,6 +491,9 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
     # dt_prop is the controller's proposal; a step clipped to land on a
     # sample time or on T does not shrink it
     dt_prop, err_prev, dt_cap = dt, TOL, math.inf
+    # (W, W^{-1}) of the current metric, W = H^{1/2}, built at its first
+    # attempt: the pair flow's frozen metric takes one root per run
+    frame = None
     while t < T - 1e-12 and steps < MAX_STEPS:
         dt_free = dt_prop
         if adaptive and dev_prev > 0:
@@ -543,11 +506,12 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
         t_next = t + dt_step
         due = next_idx < len(schedule) and t_next >= schedule[next_idx] - 1e-12
 
-        candidate, err = _advance(current, dt_step, step_fn, K_current, tol)
-        if candidate is None:
-            reason = "breakdown" if err is None else "error_estimate"
-        else:
-            reason = None
+        if frame is None:
+            W = sqrtm_hpd(current.metric.mat)
+            frame = W, inv(W)
+        candidate, err, reason = _etd2(current, dt_step, K_current, frame,
+                                       update, tol)
+        if reason is None:
             K_next, norms = _evaluate(candidate, due)
             if adaptive:
                 dev_new = math.sqrt(max(
@@ -577,6 +541,8 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
             dt_prop = min(dt_free * _pi_factor(err, err_prev), dt_cap)
             err_prev = err
 
+        if candidate.metric is not current.metric:
+            frame = None
         current, K_current, t = candidate, K_next, t_next
         steps += 1
         if due:
@@ -589,8 +555,8 @@ def _run_flow(start: HiggsBundleState, T, dt, step_fn, *, fixed_dt,
 def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
                        fixed_dt: bool = False,
                        sample_times=None) -> FlowResult:
-    """Integrate the metric flow to time T by ETDRK2 steps (donaldson_step)
-    and record a FlowTrace.
+    """Integrate the metric flow to time T by ETDRK2 steps (_etd2 with
+    _metric_update) and record a FlowTrace.
 
     With fixed_dt the step is exactly dt (pinned-accuracy experiments);
     otherwise dt is the first proposal of the error-controlled step
@@ -599,19 +565,20 @@ def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
     rises (the maximum principle), and the next step follows a PI
     controller (see the module constants).
     """
-    return _run_flow(state, T, dt, donaldson_step, fixed_dt=fixed_dt,
+    return _run_flow(state, T, dt, _metric_update, fixed_dt=fixed_dt,
                      sample_times=sample_times)
 
 
 def run_ymh_flow(state: HiggsBundleState, T: float, dt: float, *,
                  fixed_dt: bool = False, sample_times=None) -> FlowResult:
     """Integrate the pair flow to time T over the frozen metric of the state,
-    by ETDRK2 steps (ymh_step) under the controller of run_donaldson_flow.
+    by ETDRK2 steps (_etd2 with _gauge_update) under the controller of
+    run_donaldson_flow.
 
     Validity residuals of the evolved pair are recorded at every sample and
     never re-projected: constraint drift is evidence, not noise to hide.
     """
-    return _run_flow(state, T, dt, ymh_step, fixed_dt=fixed_dt,
+    return _run_flow(state, T, dt, _gauge_update, fixed_dt=fixed_dt,
                      sample_times=sample_times)
 
 

@@ -16,8 +16,7 @@ import numpy as np
 from .grid import (MatrixFormField, MixedField, TorusBase, contract_lambda,
                    d_flat, dbar_flat, integrate, pointwise_norm2, sup_norm,
                    tr_field, wedge)
-from .linalg import (_trailing, dagger, inv, is_positive_definite, min_eigvalsh,
-                     sqrtm_hpd)
+from .linalg import _trailing, dagger, inv, is_positive_definite, min_eigvalsh
 
 __all__ = [
     "HermitianMetric", "HiggsStructure", "HiggsBundleState", "ValidityReport",
@@ -58,15 +57,6 @@ class HermitianMetric:
         return inv(self.mat)
 
     @cached_property
-    def sqrt(self) -> np.ndarray:
-        """The principal square root W of every block, W W = H."""
-        return sqrtm_hpd(self.mat)
-
-    @cached_property
-    def sqrt_inv(self) -> np.ndarray:
-        return inv(self.sqrt)
-
-    @cached_property
     def _positive(self) -> bool:
         return is_positive_definite(self.mat)
 
@@ -74,8 +64,7 @@ class HermitianMetric:
         """Raise ValueError unless every block is positive definite.
 
         The message counts the non-finite blocks, or else gives the smallest
-        eigenvalue; that one is positive only when a block is so large that
-        the leading minors of the positivity test overflow.
+        eigenvalue.
         """
         try:
             if self._positive:
@@ -84,10 +73,7 @@ class HermitianMetric:
             if bad:
                 reason = f"{bad} non-finite blocks"
             else:
-                lam = min_eigvalsh(self.mat)
-                reason = f"min eigenvalue {lam:.3e}"
-                if lam > 0:
-                    reason += ", but the leading minors overflow"
+                reason = f"min eigenvalue {min_eigvalsh(self.mat):.3e}"
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"metric not positive definite: {exc}") from exc
         raise ValueError(f"metric not positive definite: {reason}")

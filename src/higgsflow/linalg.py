@@ -20,7 +20,7 @@ Kernel contract:
 * expm_batched is np.exp for r = 1 and, for r >= 2, a Taylor polynomial
   of norm-selected degree evaluated by Paterson-Stockmeyer on mm;
 * is_positive_definite reads the leading principal minors for r <= 3 and
-  eigvalsh for r = 4;
+  eigvalsh for r = 4 or when a minor overflows;
 * sqrtm_hpd is the scalar root at r = 1, the Cayley-Hamilton closed form
   (M + sqrt(det) I) / sqrt(tr M + 2 sqrt(det)) at r = 2 and eigh for r >= 3;
 * non-finite input propagates to non-finite output without a
@@ -256,7 +256,8 @@ def is_positive_definite(m: np.ndarray) -> bool:
     """Whether every block of the Hermitian part of m is positive definite.
 
     Sylvester's criterion for r <= 3: every leading principal minor, in
-    closed form, is positive; eigvalsh at r = 4. Non-finite blocks never are.
+    closed form, is positive; eigvalsh at r = 4, and for the whole batch
+    when a minor of finite blocks overflows. Non-finite blocks never are.
     """
     m = np.asarray(m)
     if not np.isfinite(m).all():
@@ -278,7 +279,9 @@ def is_positive_definite(m: np.ndarray) -> bool:
             c, e, f = h(0, 2), h(1, 2), m[..., 2, 2].real
             minors.append(a * (d * f - abs(e) ** 2) - f * abs(b) ** 2
                           - d * abs(c) ** 2 + 2.0 * (b * e * np.conj(c)).real)
-        return all(bool((x > 0).all()) for x in minors)
+    if not all(np.isfinite(x).all() for x in minors):
+        return min_eigvalsh(m) > 0.0  # on blocks scaled by a power of two
+    return all(bool((x > 0).all()) for x in minors)
 
 
 def trace(m: np.ndarray) -> np.ndarray:

@@ -3,13 +3,14 @@ import pytest
 
 from higgsflow import (HermitianMetric, HiggsBundleState,
                        HiggsStructure, MatrixFormField, TorusBase,
-                       build_scenario, complex_gauge_apply, donaldson_step,
+                       build_scenario, complex_gauge_apply,
                        einstein_deviation, energy_density, flow_equivalence_check,
                        gauge_from_metric, run_donaldson_flow, run_ymh_flow,
-                       sup_norm, ymh_energy, ymh_step)
+                       sup_norm, ymh_energy)
+from higgsflow.flows import _etd2, _gauge_update, _metric_update
 from higgsflow.geometry import adjoint_field, chern_connection
 from higgsflow.grid import d_flat, integrate, tr_field
-from higgsflow.linalg import dagger, min_eigvalsh
+from higgsflow.linalg import dagger, inv, min_eigvalsh, sqrtm_hpd
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
 E21 = E12.T.copy()
@@ -22,6 +23,16 @@ def nilpotent_state(N=16):
 def nilpotent_pair(N=16):
     st = nilpotent_state(N)
     return st
+
+
+def etd2_step(state, dt, update=_metric_update, K=None):
+    """One fixed ETDRK2 step of the flow that update picks, from the state
+    with deviation K (computed when not given); it must not break down."""
+    W = sqrtm_hpd(state.metric.mat)
+    K = einstein_deviation(state) if K is None else K
+    candidate, err, reason = _etd2(state, dt, K, (W, inv(W)), update, None)
+    assert reason is None and err is None
+    return candidate
 
 
 def test_einstein_deviation_oracles():
@@ -43,19 +54,14 @@ def test_einstein_deviation_oracles():
 
 def test_donaldson_fixed_point_and_positivity():
     flat = build_scenario("flat-trivial-r2")
-    stepped = donaldson_step(flat, 0.1)
+    stepped = etd2_step(flat, 0.1)
     assert np.allclose(stepped.metric.mat, flat.metric.mat)
 
     st = nilpotent_state()
     for _ in range(5):
-        st = donaldson_step(st, 0.3)  # aggressively large step
+        st = etd2_step(st, 0.3)  # aggressively large step
         assert min_eigvalsh(st.metric.mat) > 0.0
         assert np.abs(st.metric.mat - dagger(st.metric.mat)).max() < 1e-12
-
-
-def test_donaldson_step_requires_positive_dt():
-    with pytest.raises(ValueError):
-        donaldson_step(nilpotent_state(), 0.0)
 
 
 def test_donaldson_nilpotent_closed_form():
@@ -89,7 +95,7 @@ def test_ymh_energy_oracles():
 def test_ymh_step_bracket_rate():
     pair = nilpotent_pair()
     dt = 1e-6
-    stepped = ymh_step(pair, dt)
+    stepped = etd2_step(pair, dt, _gauge_update)
     rate = (stepped.structure.phi.comps[0, 0] - pair.structure.phi.comps[0, 0]) / dt
     assert np.allclose(rate[0, 0], -4.0 * E12, atol=1e-4)
 
@@ -97,7 +103,7 @@ def test_ymh_step_bracket_rate():
 def test_ymh_critical_pair_fixed():
     st = build_scenario("diagonal-polystable")
     pair = st
-    stepped = ymh_step(pair, 0.1)
+    stepped = etd2_step(pair, 0.1, _gauge_update)
     assert np.allclose(stepped.structure.phi.comps, pair.structure.phi.comps)
     assert sup_norm(stepped.structure.a) < 1e-13
 
@@ -300,8 +306,9 @@ def test_adaptive_step_keeps_its_proposal_across_sample_landings():
 
 
 def test_adaptive_flow_respects_the_maximum_principle():
-    # explicit steps past the stability bound grow sup|K| and the energy;
-    # the controller rejects them and remembers the bound
+    # sup|K| and the energy never rise along the accepted states; the step
+    # has no stability bound, so this run takes 6 steps and rejects none
+    # (the rejection paths are planted in the tests below)
     res = run_donaldson_flow(build_scenario("conformal-r1", N=64), 0.05, 1e-3)
     assert res.trace.t[-1] == pytest.approx(0.05)
     for column in (res.trace.ymh_energy, res.trace.dev_sup):
@@ -310,6 +317,81 @@ def test_adaptive_flow_respects_the_maximum_principle():
                                     "error_estimate"}
     assert sum(res.rejected_by.values()) == res.rejected
     assert res.rejected <= 0.1 * (res.steps + res.rejected)
+
+
+def _record_attempts(monkeypatch):
+    """The (dt, err, reason) of every attempt the runners make."""
+    import higgsflow.flows
+    real = higgsflow.flows._etd2
+    attempts = []
+
+    def recorded(state, dt, *args):
+        candidate, err, reason = real(state, dt, *args)
+        attempts.append((dt, err, reason))
+        return candidate, err, reason
+
+    monkeypatch.setattr(higgsflow.flows, "_etd2", recorded)
+    return attempts
+
+
+def test_a_rise_of_sup_K_is_rejected_and_caps_the_next_steps(monkeypatch):
+    import higgsflow.flows
+    from higgsflow.flows import STABILITY_BACKOFF, STABILITY_RELAX
+    real = higgsflow.flows.expm_batched
+    calls = []
+
+    def backwards(m):
+        # the 4th exponential, the second attempt's result, is e^{-x}: it
+        # undoes the decay of the step, so sup|K| rises
+        calls.append(None)
+        return real(-m if len(calls) == 4 else m)
+
+    monkeypatch.setattr(higgsflow.flows, "expm_batched", backwards)
+    attempts = _record_attempts(monkeypatch)
+    res = run_donaldson_flow(build_scenario("conformal-r1", N=64), 0.05, 1e-3)
+    assert res.rejected_by == {"breakdown": 0, "max_principle": 1,
+                               "error_estimate": 0}
+    assert res.steps == 32 and len(attempts) == 33
+    assert res.trace.t[-1] == pytest.approx(0.05)
+    for column in (res.trace.ymh_energy, res.trace.dev_sup):
+        assert all(b <= a for a, b in zip(column, column[1:]))
+    # every later step is held under STABILITY_BACKOFF dt_r, a cap that
+    # relaxes by STABILITY_RELAX per accepted step, and the first one meets it
+    cap = STABILITY_BACKOFF * attempts[1][0]
+    assert attempts[2][0] == pytest.approx(cap, rel=1e-12)
+    for k, (dt, _, _) in enumerate(attempts[2:]):
+        assert dt <= cap * STABILITY_RELAX ** k * (1.0 + 1e-12)
+
+
+def test_a_step_above_the_error_tolerance_is_rejected(monkeypatch):
+    import higgsflow.flows
+    monkeypatch.setattr(higgsflow.flows, "TOL", 1e-3)
+    attempts = _record_attempts(monkeypatch)
+    res = run_donaldson_flow(nilpotent_state(8), 0.25, 0.5)
+    assert res.rejected_by == {"breakdown": 0, "max_principle": 0,
+                               "error_estimate": 3}
+    assert res.steps == 26 and len(attempts) == 29
+    assert res.trace.t[-1] == pytest.approx(0.25)
+    for (dt, err, reason), (dt_next, _, _) in zip(attempts, attempts[1:]):
+        if reason is not None:
+            # the estimate exceeded TOL, and the retry is shorter
+            assert reason == "error_estimate" and err > 1e-3
+            assert dt_next < dt
+
+
+@pytest.mark.parametrize("name, N, T", [("nilpotent-r2", None, 10.0),
+                                        ("conformal-r1", 64, 2.0)])
+def test_adaptive_pair_flow_takes_the_metric_flows_steps(name, N, T):
+    st = build_scenario(name, N=N)
+    res = run_ymh_flow(st, T, 1e-3)
+    assert res.trace.t[-1] == pytest.approx(T)
+    assert res.rejected == 0
+    # the energy does not increase, up to roundoff once it has decayed
+    e = res.trace.ymh_energy
+    assert all(b <= a + 1e-15 * e[0] for a, b in zip(e, e[1:]))
+    # the transported metric is the metric flow's, so the controller sees
+    # the same sup|K| and errors
+    assert res.steps == run_donaldson_flow(st, T, 1e-3).steps
 
 
 def test_flat_state_passes_the_maximum_principle_floor():
@@ -441,6 +523,22 @@ def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch):
                       "dbar_flat": 9 + 6 + 4 + 2}
 
 
+def test_the_runner_takes_one_root_per_metric(monkeypatch):
+    # W = H^{1/2} is built at the first attempt from each metric: once per
+    # accepted step of the metric flow (retries reuse it), once per run of
+    # the pair flow, whose metric is frozen. No root is cached on the start,
+    # so the pair run from it takes its own
+    import higgsflow.flows
+    monkeypatch.setattr(higgsflow.flows, "TOL", 1e-3)
+    counts = _count_calls(monkeypatch, sqrtm_hpd)
+    st = nilpotent_state(8)
+    res = run_donaldson_flow(st, 0.25, 0.5)
+    assert res.rejected > 0 and counts["sqrtm_hpd"] == res.steps
+    counts["sqrtm_hpd"] = 0
+    res = run_ymh_flow(st, 0.25, 0.5)
+    assert res.rejected > 0 and counts["sqrtm_hpd"] == 1
+
+
 # -- the ETDRK2 step -----------------------------------------------------------------
 
 
@@ -519,7 +617,7 @@ def test_every_step_keeps_the_metric_positive_and_hermitian(n, rank, seed):
     for _ in range(3):
         # ten times the adaptive runner's cap SAFETY / sup|K|
         K = einstein_deviation(st)
-        st = donaldson_step(st, 10.0 * SAFETY / sup_norm(K, st.metric.mat), K)
+        st = etd2_step(st, 10.0 * SAFETY / sup_norm(K, st.metric.mat), K=K)
         H = st.metric.mat
         assert np.array_equal(H, dagger(H))
         assert min_eigvalsh(H) > 0.0

@@ -356,3 +356,16 @@ def test_sqrtm_rejects_blocks_that_are_not_positive(r, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not positive definite"):
             sqrtm_hpd(m)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_positivity_verdict_survives_overflowing_minors(r):
+    # 1e308 blocks overflow the closed-form minors (inf - inf); the verdict
+    # is taken again by eigvalsh on blocks scaled exactly by a power of two
+    m = np.broadcast_to(np.eye(r, dtype=complex), (4, 4, r, r)).copy()
+    m[1, 2, :2, :2] = 1e308 * np.array([[1.0, 0.5], [0.5, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_positive_definite(m) is True
+        m[1, 2, :2, :2] = 1e308 * np.array([[0.5, 1.0], [1.0, 0.5]])
+        assert is_positive_definite(m) is False
