@@ -27,10 +27,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .geometry import (HermitianMetric, HiggsBundleState, HiggsStructure,
-                       HitchinSimpsonParts, degree_slope_lambda,
+                       HitchinSimpsonParts, chern_connection,
+                       degree_slope_lambda, higgs_adjoint,
                        hitchin_simpson_curvature, validate_structure)
-from .grid import (MatrixFormField, TorusBase, contract_lambda, dbar_flat,
-                   integrate, pointwise_norm2, sup_norm)
+from .grid import (MatrixFormField, TorusBase, _dz_component, contract_lambda,
+                   dbar_flat, integrate, pointwise_norm2, sup_norm)
 from .linalg import (_store_axes, _view_axes, dagger, expm_batched, hermitize,
                      inv, mm, sqrtm_hpd)
 
@@ -69,17 +70,50 @@ def einstein_deviation(state: HiggsBundleState,
     """K = i Lambda(F_H + [phi, phi^{*H}]) - lambda Id, a (0,0) field.
 
     hs is the state's Hitchin-Simpson curvature when the caller already
-    holds it; only its (1,1) part is read. K is H-self-adjoint up to
-    truncation error; the steps read it in the frame W = H^{1/2}, where its
-    Hermitian part is taken, so positivity is exact.
+    holds it; only its (1,1) part is read. Without it, only the slots that
+    Lambda reads are built (_diagonal_slots), and K is the same to the bit.
+    K is H-self-adjoint up to truncation error; the steps read it in the
+    frame W = H^{1/2}, where its Hermitian part is taken, so positivity is
+    exact.
     """
     if hs is None:
-        hs = hitchin_simpson_curvature(state)
-    _, _, lam = degree_slope_lambda(state, hs.chern.f11)
-    K = 1j * contract_lambda(hs.part11)
+        f11, part11 = _diagonal_slots(state)
+    else:
+        f11, part11 = hs.chern.f11, hs.part11
+    _, _, lam = degree_slope_lambda(state, f11)
+    K = 1j * contract_lambda(part11)
     eye = np.eye(state.rank, dtype=np.complex128)
     K.comps[0, 0] -= lam * eye
     return K
+
+
+def _diagonal_slots(state: HiggsBundleState):
+    """The slots (i, i) of curvature(...).f11 and of f11 + [phi, phi^{*H}],
+    as (1,1) fields that are zero elsewhere: all that the Lambda-contraction
+    and lambda read.
+
+    Slot i is -dbar_i b_i + del_i a_i - a_i b_i + b_i a_i, plus the bracket
+    phi_i phi*_i - phi*_i phi_i: the terms of dbar_flat, d_flat and wedge,
+    taken and summed in their order, so the slots equal those of
+    hitchin_simpson_curvature to the bit.
+    """
+    a, phi, H = state.structure.a, state.structure.phi, state.metric
+    base = state.base
+    b, phistar = chern_connection(H, a), higgs_adjoint(phi, H)
+    f11 = MatrixFormField.zeros(base, 1, 1, state.rank)
+    part11 = MatrixFormField.zeros(base, 1, 1, state.rank)
+    for i in range(base.n):
+        a_i, b_i = a.comps[0, i], b.comps[i, 0]
+        phi_i, phistar_i = phi.comps[i, 0], phistar.comps[0, i]
+        slot = f11.comps[i, i]
+        slot -= _dz_component(b_i, base, i, True)
+        slot += _dz_component(a_i, base, i, False)
+        slot -= mm(a_i, b_i)
+        slot += mm(b_i, a_i)
+        bracket = mm(phi_i, phistar_i)
+        bracket -= mm(phistar_i, phi_i)
+        np.add(slot, bracket, out=part11.comps[i, i])
+    return f11, part11
 
 
 # -- the ETDRK2 step ---------------------------------------------------------------
@@ -373,15 +407,19 @@ class FlowBlowup(RuntimeError):
 
 
 def _sample_schedule(T: float, extra=None) -> list[float]:
-    """Geometric schedule 0, t0, 2 t0, ... plus user samples and T."""
+    """Geometric schedule 0, t0, 2 t0, ... plus user samples and T.
+
+    Raises ValueError for a user sample outside [0, T] or NaN.
+    """
     pts = {0.0, float(T)}
     t = 0.0625
     while t < T:
         pts.add(t)
         t *= 2.0
     for s in (extra or []):
-        if 0.0 <= s <= T:
-            pts.add(float(s))
+        if not 0.0 <= s <= T:
+            raise ValueError(f"sample time {s!r} is not in [0, T] = [0, {T!r}]")
+        pts.add(float(s))
     return sorted(pts)
 
 
@@ -407,17 +445,19 @@ def _sample_norms(state: HiggsBundleState, hs: HitchinSimpsonParts):
 
 
 def _evaluate(state: HiggsBundleState, with_norms: bool):
-    """K of the state and, if asked, its sample norms, from one
-    Hitchin-Simpson evaluation; the curvature itself is not kept."""
+    """K of the state and, if asked, its sample norms. The norms take one
+    Hitchin-Simpson evaluation, which K then reads; K alone builds only the
+    slots that Lambda reads. The curvature itself is not kept."""
+    if not with_norms:
+        return einstein_deviation(state), None
     hs = hitchin_simpson_curvature(state)
-    K = einstein_deviation(state, hs)
-    return K, (_sample_norms(state, hs) if with_norms else None)
+    return einstein_deviation(state, hs), _sample_norms(state, hs)
 
 
-# flow_equivalence_check runs both flows from one start: its evaluation,
-# keyed by the start's id, is made once and read by both runners. The
-# runners are still called by name, so that wrappers bound over the
-# module's names see both runs.
+# flow_equivalence_check runs both flows from one start: its evaluation and
+# its ValidityReport, keyed by the start's id, are made once and read by
+# both runners. The runners are still called by name, so that wrappers
+# bound over the module's names see both runs.
 _shared_starts: dict[int, tuple] = {}
 
 
@@ -456,7 +496,11 @@ def _pi_factor(err: float, err_prev: float) -> float:
 def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
               sample_times):
     check_flow_times(T, dt)
-    validity0 = validate_structure(start.structure)
+    schedule = _sample_schedule(T, sample_times)
+    # every accepted state is evaluated once: its K drives the next step
+    # and, at a sample time, its row reuses K and the norms
+    K_current, norms, validity0 = _shared_starts.get(id(start)) or \
+        (*_evaluate(start, True), validate_structure(start.structure))
     trace = FlowTrace()
     sampled, sampled_norms = [], []
 
@@ -473,12 +517,8 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
         sampled.append((t_now, obj))
         sampled_norms.append(norms)
 
-    # every accepted state is evaluated once: its K drives the next step
-    # and, at a sample time, its row reuses K and the norms
-    schedule = _sample_schedule(T, sample_times)
     current = start
     t = 0.0
-    K_current, norms = _shared_starts.get(id(start)) or _evaluate(start, True)
     sample(current, K_current, norms, 0.0, dt)
     next_idx = 1  # the schedule starts at t = 0, sampled above
 
@@ -632,7 +672,8 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     """
     samples = sample_times if sample_times is not None else \
         [k * T / 4.0 for k in range(1, 5)]
-    _shared_starts[id(state0)] = _evaluate(state0, True)
+    _shared_starts[id(state0)] = (*_evaluate(state0, True),
+                                  validate_structure(state0.structure))
     try:
         res_m = run_donaldson_flow(state0, T, dt, fixed_dt=True,
                                    sample_times=samples)

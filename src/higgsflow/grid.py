@@ -262,12 +262,14 @@ def _periodic_diff(c: np.ndarray, axis: int, h2: float) -> np.ndarray:
     return out
 
 
-def _dz_component(f: MatrixFormField, j: int, bar: bool) -> np.ndarray:
-    """d/dz^j (or d/dzbar^j) of every component, centered differences."""
-    # comps axes are (P, Q, *grid, r, r): x_j and y_j are axes 2 + 2j, 3 + 2j
-    h2 = 2.0 * f.base.spacing
-    out = _periodic_diff(f.comps, 2 + 2 * j, h2)
-    dy = _periodic_diff(f.comps, 3 + 2 * j, h2)
+def _dz_component(c: np.ndarray, base: TorusBase, j: int, bar: bool) -> np.ndarray:
+    """d/dz^j (or d/dzbar^j) of a (..., *grid, rows, cols) array, centered
+    differences."""
+    # x_j and y_j are the grid's axes 2j and 2j + 1
+    axis = c.ndim - 2 - len(base.shape) + 2 * j
+    h2 = 2.0 * base.spacing
+    out = _periodic_diff(c, axis, h2)
+    dy = _periodic_diff(c, axis + 1, h2)
     dy *= 1j
     if bar:
         out += dy
@@ -291,7 +293,7 @@ def _raise_degree(f: MatrixFormField, bar: bool) -> MatrixFormField:
     dst = out.comps.swapaxes(0, axis)
     # rows of dz^j wedge dz^K, grouped by j: one derivative per axis
     for j, rows in itertools.groupby(_wedge_table(n, 1, deg), itemgetter(0)):
-        deriv = _dz_component(f, j, bar).swapaxes(0, axis)
+        deriv = _dz_component(f.comps, f.base, j, bar).swapaxes(0, axis)
         for _, k, k_out, sign in rows:
             dst[k_out] += (shift * sign) * deriv[k]
     return out

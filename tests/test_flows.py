@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,21 @@ def test_flow_equivalence_nilpotent():
     assert rep.max_transport_discrepancy() < 1e-3
 
 
+@pytest.mark.parametrize("bad", [0.5, -1e-3, float("nan")])
+def test_a_sample_time_outside_the_run_is_rejected(bad):
+    st = nilpotent_state(8)
+    runs = (lambda: run_donaldson_flow(st, 0.01, 1e-3, sample_times=[bad]),
+            lambda: run_ymh_flow(st, 0.01, 1e-3, sample_times=[0.01, bad]),
+            lambda: flow_equivalence_check(st, 0.01, 1e-3,
+                                           sample_times=[bad, float("nan")]))
+    for run in runs:
+        with pytest.raises(ValueError, match=re.escape(f"sample time {bad!r} ")):
+            run()
+    # the ends of the run stay valid
+    rep = flow_equivalence_check(st, 0.01, 1e-3, sample_times=[0.0, 0.01])
+    assert rep.times == [0.0, 0.01]
+
+
 def test_blowup_carries_last_healthy_state(break_expm):
     from higgsflow.flows import FlowBlowup
     st = build_scenario("conformal-r1")
@@ -498,29 +515,35 @@ def _count_calls(monkeypatch, *fns):
 
 
 def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch):
-    from higgsflow.geometry import hitchin_simpson_curvature
+    from higgsflow.geometry import (hitchin_simpson_curvature,
+                                    validate_structure)
     from higgsflow.grid import dbar_flat
     from higgsflow.scenarios import random_state_with_subbundle
     st, _ = random_state_with_subbundle(TorusBase(2, 8), 2, 1, 5,
                                         amplitude=0.0015)
     counts = _count_calls(monkeypatch, hitchin_simpson_curvature, d_flat,
-                          dbar_flat)
+                          dbar_flat, validate_structure)
 
-    # K reads only the (1,1) part: d of H and of a, dbar of b
+    # K alone builds only the slots that Lambda reads: d of H for the Chern
+    # connection; the diagonal derivatives of a and b take no d_flat/dbar_flat
     einstein_deviation(st)
-    assert counts == {"hitchin_simpson_curvature": 1, "d_flat": 2,
-                      "dbar_flat": 1}
+    assert counts == {"hitchin_simpson_curvature": 0, "d_flat": 1,
+                      "dbar_flat": 0, "validate_structure": 0}
 
     counts.update(dict.fromkeys(counts, 0))
     flow_equivalence_check(st, 2e-3, 1e-3, sample_times=[2e-3])
-    # the start is evaluated once for both runs; each run adds two
-    # predictors and two accepted states. The samples (t = 0 once, T per
-    # run) add del_H phi. dbar_flat: one per evaluation, two per
-    # validate_structure (both starts and the pair's sample at T), one per
-    # gauge update of the pair (predictor and result: 4) and per
-    # transported pair (2)
-    assert counts == {"hitchin_simpson_curvature": 9, "d_flat": 2 * 9 + 3,
-                      "dbar_flat": 9 + 6 + 4 + 2}
+    # the full curvature is built only where the sample norms are read: the
+    # start, evaluated once for both runs, and the state at T of each run.
+    # The two predictors and the first accepted state of each run build only
+    # the diagonal slots (6 evaluations). d_flat: one per evaluation (d of
+    # H), one more per full curvature (d of a) and one per del_H phi of a
+    # sample (3). The structure is validated at the start, once for both
+    # runs, and at the pair's sample at T. dbar_flat: one per full
+    # curvature, two per validate_structure, one per gauge update of the
+    # pair (predictor and result: 4) and per transported pair (2)
+    assert counts == {"hitchin_simpson_curvature": 3,
+                      "d_flat": 9 + 3 + 3, "dbar_flat": 3 + 2 * 2 + 4 + 2,
+                      "validate_structure": 2}
 
 
 def test_the_runner_takes_one_root_per_metric(monkeypatch):

@@ -11,7 +11,8 @@ from higgsflow import (HermitianMetric, HiggsBundleState, HiggsStructure,
                        validate_structure)
 from higgsflow.flows import einstein_deviation
 from higgsflow.grid import contract_lambda, d_flat, dbar_flat, wedge
-from higgsflow.scenarios import random_valid_state
+from higgsflow.scenarios import (build_scenario, random_valid_state,
+                                  scenario_catalog)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
 E21 = E12.T.copy()
@@ -288,6 +289,34 @@ def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
         assert np.array_equal(get().comps, eager[name].comps), name
     assert list(hs.parts) == [(1, 1), (2, 0), (0, 2)]
     assert np.array_equal(hs.parts[(2, 0)].comps, eager["del_phi"].comps)
+
+
+def _assert_contracted_deviation_is_exact(state):
+    # K without hs builds only the slots (i, i) that Lambda reads; it must
+    # equal the contraction of the full Hitchin-Simpson (1,1) part
+    hs = hitchin_simpson_curvature(state)
+    K = 1j * contract_lambda(hs.part11)
+    lam = degree_slope_lambda(state, hs.chern.f11)[2]
+    K.comps[0, 0] -= lam * np.eye(state.rank)
+    assert np.array_equal(einstein_deviation(state).comps, K.comps)
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_contracted_deviation_equals_the_full_contraction(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    base = TorusBase(n, 8)
+    a = _random_field(base, 0, 1, rank, rng, 0.3)
+    phi = _random_field(base, 1, 0, rank, rng, 0.3)
+    x = _random_field(base, 0, 0, rank, rng, 0.3).comps[0, 0]
+    H = HermitianMetric(base, np.eye(rank) + x @ np.swapaxes(x.conj(), -1, -2))
+    _assert_contracted_deviation_is_exact(
+        HiggsBundleState(HiggsStructure(a, phi), H))
+
+
+@pytest.mark.parametrize("name", [sc.name for sc in scenario_catalog()])
+def test_contracted_deviation_is_exact_on_every_scenario(name):
+    _assert_contracted_deviation_is_exact(build_scenario(name))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -292,8 +292,8 @@ def test_dz_component_matches_the_roll_formula_exactly(n, p, q, rows, cols):
     for j in range(n):
         dx, dy = ((np.roll(f.comps, -1, axis=ax) - np.roll(f.comps, 1, axis=ax))
                   / (2.0 * base.spacing) for ax in (2 + 2 * j, 3 + 2 * j))
-        assert np.array_equal(_dz_component(f, j, bar=True), 0.5 * (dx + 1j * dy))
-        assert np.array_equal(_dz_component(f, j, bar=False), 0.5 * (dx - 1j * dy))
+        assert np.array_equal(_dz_component(f.comps, base, j, bar=True), 0.5 * (dx + 1j * dy))
+        assert np.array_equal(_dz_component(f.comps, base, j, bar=False), 0.5 * (dx - 1j * dy))
 
 
 def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):
