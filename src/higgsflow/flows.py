@@ -52,7 +52,8 @@ __all__ = [
 # The next step follows a PI controller (_pi_factor). After a
 # maximum-principle rejection at dt_r, the proposals are capped at
 # STABILITY_BACKOFF * dt_r, and the cap relaxes by STABILITY_RELAX per
-# accepted step. MAX_STEPS guards the loop of either runner.
+# accepted step. MAX_STEPS caps the accepted steps of either runner: a run
+# that reaches it before T raises FlowBlowup.
 SAFETY = 0.05
 TOL = 1e-2
 MP_RTOL = 1e-9
@@ -393,7 +394,8 @@ class FlowResult:
 
 class FlowBlowup(RuntimeError):
     """A step produced non-finite fields or a non-positive metric and could
-    not be rescued, or an accepted state gave a non-finite sample row.
+    not be rescued, an accepted state gave a non-finite sample row, or the
+    step cap MAX_STEPS ended the run before T.
 
     Carries the last accepted state and the partial trace so callers can
     persist them.
@@ -534,7 +536,10 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
     # (W, W^{-1}) of the current metric, W = H^{1/2}, built at its first
     # attempt: the pair flow's frozen metric takes one root per run
     frame = None
-    while t < T - 1e-12 and steps < MAX_STEPS:
+    while t < T - 1e-12:
+        if steps >= MAX_STEPS:
+            raise FlowBlowup(f"step cap MAX_STEPS = {MAX_STEPS} reached at "
+                             f"t={t:.6g} before T={T:.6g}", current, trace, t)
         dt_free = dt_prop
         if adaptive and dev_prev > 0:
             dt_free = min(dt_free, SAFETY / dev_prev)
@@ -672,6 +677,9 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     """
     samples = sample_times if sample_times is not None else \
         [k * T / 4.0 for k in range(1, 5)]
+    # checked before the shared start is evaluated; the runners repeat it
+    check_flow_times(T, dt)
+    _sample_schedule(T, samples)
     _shared_starts[id(state0)] = (*_evaluate(state0, True),
                                   validate_structure(state0.structure))
     try:

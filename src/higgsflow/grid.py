@@ -10,6 +10,10 @@ Conventions, fixed once and used by every downstream module:
   Lambda(a_{ij} dz^i wedge dzbar^j) = -2i sum_i a_{ii};
 * derivatives are second-order centered differences with periodic wrap,
   d/dz = (D_x - i D_y)/2 and d/dzbar = (D_x + i D_y)/2;
+* a complex field is scaled by a real constant c as a multiply by 1.0 / c:
+  numpy's complex / real division multiplies both parts by that same
+  reciprocal, so the values are those of the division (only an exact zero
+  may differ in sign) at a fraction of its cost;
 * reductions run in numpy's fixed row-major order, so identical inputs give
   bit-identical outputs.
 """
@@ -249,8 +253,8 @@ class MixedField(dict):
 # -- differential operators ------------------------------------------------------
 
 
-def _periodic_diff(c: np.ndarray, axis: int, h2: float) -> np.ndarray:
-    """(c[i+1] - c[i-1]) / h2 along one grid axis of an (..., r, c) array,
+def _periodic_diff(c: np.ndarray, axis: int, scale: float) -> np.ndarray:
+    """(c[i+1] - c[i-1]) * scale along one grid axis of an (..., r, c) array,
     with periodic wrap; the result is grid-trailing."""
     out = _trailing_array(c.shape, c.dtype)
     lead = (slice(None),) * axis
@@ -258,24 +262,30 @@ def _periodic_diff(c: np.ndarray, axis: int, h2: float) -> np.ndarray:
     for o, p, m in ((slice(1, -1), slice(2, None), slice(None, -2)),
                     (0, 1, -1), (-1, 0, -2)):
         np.subtract(c[lead + (p,)], c[lead + (m,)], out=out[lead + (o,)])
-    out /= h2
+    out *= scale
     return out
 
 
 def _dz_component(c: np.ndarray, base: TorusBase, j: int, bar: bool) -> np.ndarray:
     """d/dz^j (or d/dzbar^j) of a (..., *grid, rows, cols) array, centered
-    differences."""
+    differences.
+
+    (D_x -+ i D_y) / 2 with D = (c[i+1] - c[i-1]) / (2h), in one scaling
+    per difference: both are scaled by 0.5 / (2h), an exact halving of
+    1 / (2h), and i D_y is added on the real and imaginary parts. Every
+    value equals that of the unfused formula; only an exact zero may differ
+    in sign."""
     # x_j and y_j are the grid's axes 2j and 2j + 1
     axis = c.ndim - 2 - len(base.shape) + 2 * j
-    h2 = 2.0 * base.spacing
-    out = _periodic_diff(c, axis, h2)
-    dy = _periodic_diff(c, axis + 1, h2)
-    dy *= 1j
+    scale = 0.5 / (2.0 * base.spacing)
+    out = _periodic_diff(c, axis, scale)
+    dy = _periodic_diff(c, axis + 1, scale)
     if bar:
-        out += dy
+        out.real -= dy.imag
+        out.imag += dy.real
     else:
-        out -= dy
-    out *= 0.5
+        out.real += dy.imag
+        out.imag -= dy.real
     return out
 
 

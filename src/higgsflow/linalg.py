@@ -23,6 +23,10 @@ Kernel contract:
   eigvalsh for r = 4 or when a minor overflows;
 * sqrtm_hpd is the scalar root at r = 1, the Cayley-Hamilton closed form
   (M + sqrt(det) I) / sqrt(tr M + 2 sqrt(det)) at r = 2 and eigh for r >= 3;
+* a complex array is scaled by a real constant (or real array) c as a
+  multiply by 1.0 / c: numpy's complex / real division computes that
+  reciprocal and multiplies both parts by it, at several times the cost,
+  so the values are the division's (only an exact zero may differ in sign);
 * non-finite input propagates to non-finite output without a
   RuntimeWarning: flow runners detect blown-up steps from their output.
 """
@@ -165,7 +169,8 @@ def _taylor_ps(a: np.ndarray, m: int) -> np.ndarray:
     for j in range(top, -1, -1):
         # block j holds degrees jp .. jp + p - 1; the top block runs to m
         size = m + 1 - j * p if j == top else p
-        blk = sum(powers[i] / math.factorial(j * p + i) for i in range(size))
+        blk = sum(powers[i] * (1.0 / math.factorial(j * p + i))
+                  for i in range(size))
         if j == top:
             out = blk
         else:
@@ -195,7 +200,7 @@ def expm_batched(m: np.ndarray) -> np.ndarray:
         degree, theta = next((d for d in _TAYLOR_DEGREES if norm <= d[1]),
                              _TAYLOR_DEGREES[-1])
         s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
-        out = _taylor_ps(m / 2.0**s, degree)
+        out = _taylor_ps(m * (1.0 / 2.0**s), degree)
         for _ in range(s):
             out = mm(out, out)
     return out
@@ -233,8 +238,9 @@ def sqrtm_hpd(m: np.ndarray) -> np.ndarray:
             return _trailing(np.sqrt(a)[..., None, None])
         s = np.sqrt(det)
         t = np.sqrt(a + d + 2.0 * s)
-        return _from_entries([[(a + s) / t + 0j, b / t],
-                              [np.conj(b) / t, (d + s) / t + 0j]])
+        t_inv = 1.0 / t
+        return _from_entries([[(a + s) / t + 0j, b * t_inv],
+                              [np.conj(b) * t_inv, (d + s) / t + 0j]])
 
 
 def min_eigvalsh(m: np.ndarray) -> float:

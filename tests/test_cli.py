@@ -125,6 +125,24 @@ def test_run_blowup_saves_last_healthy_snapshot(tmp_path, capsys, break_expm):
     healthy.metric.check_positive()
 
 
+@pytest.mark.parametrize("kind", ["donaldson", "ymh"])
+def test_run_stopped_by_the_step_cap_exits_3_with_the_last_state(
+        tmp_path, capsys, monkeypatch, kind):
+    import higgsflow.flows
+    from higgsflow import load_state
+    monkeypatch.setattr(higgsflow.flows, "MAX_STEPS", 2)
+    code = run_cli("run", "--scenario", "nilpotent-r2", "--N", "8",
+                   "--flow-kind", kind, "--flow-T", "0.25",
+                   "--flow-dt", "1e-2", "--out-dir", str(tmp_path))
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert "MAX_STEPS = 2 reached" in err["error"]
+    assert 0.0 < err["detail"]["reached_t"] < 0.25
+    assert (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "summary.json").exists()
+    load_state(tmp_path / "last_healthy.snap").metric.check_positive()
+
+
 def test_run_lost_positivity_saves_the_last_healthy_state(tmp_path, capsys,
                                                           break_expm):
     from higgsflow import TorusBase, load_state, save_state

@@ -644,3 +644,47 @@ def test_every_step_keeps_the_metric_positive_and_hermitian(n, rank, seed):
         H = st.metric.mat
         assert np.array_equal(H, dagger(H))
         assert min_eigvalsh(H) > 0.0
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("run", [run_donaldson_flow, run_ymh_flow])
+def test_the_step_cap_ends_no_run_short(monkeypatch, run, fixed):
+    import higgsflow.flows
+    from higgsflow.flows import FlowBlowup
+    monkeypatch.setattr(higgsflow.flows, "MAX_STEPS", 3)
+    st = nilpotent_state(8)
+    dt = 2.0 ** -7   # three steps land exactly on 3 dt
+    with pytest.raises(FlowBlowup, match=r"MAX_STEPS = 3 reached at t=\S+ "
+                                         r"before T=0\.25") as excinfo:
+        run(st, 0.25, dt, fixed_dt=fixed)
+    exc = excinfo.value
+    assert 0.0 < exc.t < 0.25 and exc.state is not st
+    assert exc.trace.t[0] == 0.0 and exc.trace.t[-1] <= exc.t
+    if fixed:
+        # the carried state is the third accepted one, and a run that
+        # reaches T at the cap returns normally
+        res = run(st, 3 * dt, dt, fixed_dt=True)
+        assert exc.t == 3 * dt and res.steps == 3
+        for x, y in ((exc.state.metric.mat, res.final.metric.mat),
+                     (exc.state.structure.a.comps, res.final.structure.a.comps),
+                     (exc.state.structure.phi.comps,
+                      res.final.structure.phi.comps)):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("T, dt, samples, match", [
+    (float("nan"), 1e-3, None, "flow time T must be finite"),
+    (-1.0, 1e-3, None, "flow time T must be finite"),
+    (0.01, 0.0, None, "step dt must be finite"),
+    (0.01, float("inf"), None, "step dt must be finite"),
+    (0.01, 1e-3, [0.02], "sample time 0.02 "),
+    (0.01, 1e-3, [float("nan")], "sample time nan "),
+])
+def test_flow_equivalence_checks_its_arguments_before_evaluating(
+        monkeypatch, T, dt, samples, match):
+    from higgsflow.geometry import hitchin_simpson_curvature
+    st = nilpotent_state(8)
+    counts = _count_calls(monkeypatch, hitchin_simpson_curvature)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        flow_equivalence_check(st, T, dt, sample_times=samples)
+    assert counts == {"hitchin_simpson_curvature": 0}

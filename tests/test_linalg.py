@@ -6,6 +6,7 @@ blocks run over ranks 1-4 and non-square Hom shapes.
 """
 
 import itertools
+import math
 import re
 import warnings
 from pathlib import Path
@@ -290,6 +291,45 @@ def test_expm_product_count_follows_the_batch_norm(monkeypatch, r):
     assert products(THETAS[3] * (1.0 - 1e-9)) <= 4
     # past theta_16 every halving costs one squaring: 4 / 2^3 < theta_16
     assert products(4.0) == PS_PRODUCTS[16] + 3
+
+
+def _expm_by_division(m):
+    """expm_batched's scaling, Paterson-Stockmeyer core and squarings, with
+    the scalings written as divisions: the arithmetic that the kernel's
+    reciprocal multiplies must reproduce. Returns (exp(m), degree, s)."""
+    norm = np.linalg.norm(m, axis=(-2, -1)).max()
+    degree, theta = next((d for d in _TAYLOR_DEGREES if norm <= d[1]),
+                         _TAYLOR_DEGREES[-1])
+    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    a = m / 2.0**s
+    p = math.isqrt(degree - 1) + 1
+    powers = [np.eye(m.shape[-1]), a]
+    while len(powers) <= p:
+        powers.append(mm(powers[-1], a))
+    top = (degree - 1) // p
+    for j in range(top, -1, -1):
+        size = degree + 1 - j * p if j == top else p
+        blk = sum(powers[i] / math.factorial(j * p + i) for i in range(size))
+        out = blk if j == top else mm(out, powers[p]) + blk
+    for _ in range(s):
+        out = mm(out, out)
+    return out, degree, s
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_expm_scalings_equal_the_divisions_bit_for_bit(r):
+    # one batch per Taylor degree, its norm just below that degree's theta,
+    # and one past the last theta that takes squarings
+    rng = np.random.default_rng(40 + r)
+    degrees, squarings = set(), 0
+    for size in [theta * (1.0 - 1e-9) for theta in THETAS] + [4.0]:
+        x = random_stack(rng, (3, 3, 3, 3, r, r))
+        m = x * (size / np.linalg.norm(x, axis=(-2, -1)).max())
+        ref, degree, s = _expm_by_division(m)
+        degrees.add(degree)
+        squarings = max(squarings, s)
+        assert np.array_equal(expm_batched(m), ref)
+    assert degrees == {d for d, _ in _TAYLOR_DEGREES} and squarings >= 1
 
 
 @PROPERTY
