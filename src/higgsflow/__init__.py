@@ -10,9 +10,8 @@ from .grid import (TorusBase, MatrixFormField, dbar_flat, d_flat, wedge,
                    sup_norm, integrate, integrate_top_form, tr_field)
 from .geometry import (HermitianMetric, HiggsStructure, HiggsBundleState,
                        ValidityReport, validate_structure, chern_connection,
-                       curvature, CurvatureParts, higgs_adjoint,
-                       adjoint_field, hitchin_simpson_curvature,
-                       HitchinSimpsonParts, degree_slope_lambda)
+                       higgs_adjoint, adjoint_field, Curvature,
+                       degree_slope_lambda)
 from .flows import (FlowTrace, FlowResult, einstein_deviation,
                     ymh_energy, energy_density,
                     complex_gauge_apply, gauge_from_metric,

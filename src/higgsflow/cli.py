@@ -20,7 +20,7 @@ from .diagnostics import flatness_certificate
 from .extensions import assemble_filtration_metric, rho_sweep, verify_filtration
 from .flows import (FlowBlowup, check_flow_times, flow_equivalence_check,
                     run_donaldson_flow, run_ymh_flow)
-from .geometry import hitchin_simpson_curvature, validate_structure
+from .geometry import Curvature, validate_structure
 from .scenarios import (build_scenario, get_scenario, scenario_catalog,
                         scenario_subbundles)
 from .snapshots import load_state, save_state
@@ -39,6 +39,18 @@ def _fail(reason: str, detail: dict | None = None, code: int = 2) -> int:
         payload["detail"] = detail
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
+
+
+def _flow_stopped(exc: FlowBlowup, detail: dict, out_dir: Path | None = None) -> int:
+    """Exit 3 naming why the flow stopped and the time it reached. With
+    out_dir, the last accepted state and the partial trace are saved there."""
+    if out_dir is not None:
+        save_state(exc.state, out_dir / "last_healthy.snap")
+        exc.trace.write_csv(out_dir / "trace.csv")
+        detail["snapshot"] = str(out_dir / "last_healthy.snap")
+    what = "stopped at the step cap" if exc.reason == "step_cap" else "blew up"
+    return _fail(f"flow {what}: {exc}",
+                 {**detail, "reached_t": exc.t, "reason": exc.reason}, code=3)
 
 
 def load_config(path: str) -> dict:
@@ -156,11 +168,7 @@ def cmd_run(cfg) -> int:
         else:
             result = None
     except FlowBlowup as exc:
-        save_state(exc.state, out_dir / "last_healthy.snap")
-        exc.trace.write_csv(out_dir / "trace.csv")
-        return _fail(f"flow blew up: {exc}",
-                     {"snapshot": str(out_dir / "last_healthy.snap"),
-                      "reached_t": exc.t}, code=3)
+        return _flow_stopped(exc, {}, out_dir)
     except (RuntimeError, FloatingPointError, ValueError) as exc:
         save_state(state, out_dir / "last_healthy.snap")
         return _fail(f"flow failed: {exc}",
@@ -229,7 +237,7 @@ def cmd_sweep_rho(cfg) -> int:
         achieved = next((r.sup_f for r in rows if abs(r.rho - rho) < 1e-12), None)
         if achieved is None:  # the one-level metric that rho_sweep assembles
             total = assemble_filtration_metric(state, subs[:1], rho)
-            achieved = hitchin_simpson_curvature(total).sup_norm(total.metric)
+            achieved = Curvature(total).sup_norm()
         ok &= achieved < 3.0 * eps
         payload.setdefault("epsilon_checks", []).append(
             {"epsilon": eps, "rho": rho, "sup_f": achieved,
@@ -250,6 +258,9 @@ def cmd_verify_filtration(cfg) -> int:
         report = verify_filtration(state, subs, cfg["target.epsilon"],
                                    flow_time=cfg["flow.T"],
                                    flow_dt=cfg["flow.dt"])
+    except FlowBlowup as exc:
+        # the state and trace saved are those of the quotient's flow
+        return _flow_stopped(exc, {"level": exc.level}, out_dir)
     except ValueError as exc:
         return _fail(f"filtration rejected: {exc}")
     _json_dump(report.as_dict(), out_dir / "filtration.json")
@@ -266,7 +277,7 @@ def cmd_flow_equivalence(cfg) -> int:
     try:
         report = flow_equivalence_check(state, cfg["flow.T"], cfg["flow.dt"])
     except FlowBlowup as exc:
-        return _fail(f"flow blew up: {exc}", {"reached_t": exc.t}, code=3)
+        return _flow_stopped(exc, {})
     except ValueError as exc:
         return _fail(f"flow-equivalence failed: {exc}", code=3)
     _json_dump(report.as_dict(), out_dir / "flow_equivalence.json")

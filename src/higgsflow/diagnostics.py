@@ -13,8 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .flows import einstein_deviation
-from .geometry import (CurvatureParts, HiggsBundleState, curvature,
-                       degree_slope_lambda, hitchin_simpson_curvature)
+from .geometry import Curvature, HiggsBundleState, degree_slope_lambda
 from .grid import (integrate, integrate_top_form, pointwise_norm2, tr_field,
                    wedge)
 
@@ -57,17 +56,16 @@ class ChernWeilReport:
                 "lambda": self.lam, "degree": self.degree}
 
 
-def _char_class_integrals(state: HiggsBundleState,
-                          parts: CurvatureParts) -> tuple[float, float]:
+def _char_class_integrals(curv: Curvature) -> tuple[float, float]:
     """Integrals of (2c2 - c1^2) and ch2 against omega^{n-2}/(n-2)!.
 
-    Built from tr F wedge tr F and tr(F wedge F) of the state's Chern
-    curvature parts; identically zero for n = 1 where the wedge square has
+    Built from tr F wedge tr F and tr(F wedge F) of the Chern curvature
+    (f11, f20, f02); identically zero for n = 1 where the wedge square has
     no slot.
     """
-    if state.base.n < 2:
+    if curv.state.base.n < 2:
         return 0.0, 0.0
-    fields = [parts.f11, parts.f20, parts.f02]
+    fields = [curv.f11, curv.f20, curv.f02]
     tr_f = [tr_field(f) for f in fields]
     trf_wedge_trf = 0.0
     trff = 0.0
@@ -88,13 +86,12 @@ def _char_class_integrals(state: HiggsBundleState,
 
 def chern_weil_report(state: HiggsBundleState) -> ChernWeilReport:
     """Evaluate every term of the energy identity independently."""
-    hs = hitchin_simpson_curvature(state)
-    H = state.metric
-    lhs = integrate(hs.pointwise_energy(H), state.base)
+    hs = Curvature(state)
+    lhs = integrate(hs.pointwise_energy(), state.base)
     K = einstein_deviation(state, hs)
-    deviation = integrate(pointwise_norm2(K, H.mat), state.base)
-    deg, _, lam = degree_slope_lambda(state, hs.chern.f11)
-    two_c2_minus_c1sq, _ = _char_class_integrals(state, hs.chern)
+    deviation = integrate(pointwise_norm2(K, state.metric.mat), state.base)
+    deg, _, lam = degree_slope_lambda(state, hs.f11)
+    two_c2_minus_c1sq, _ = _char_class_integrals(hs)
     topological = 4.0 * math.pi**2 * two_c2_minus_c1sq
     lam_term = lam * lam * state.rank * state.base.volume
     residual = lhs - deviation - topological - lam_term
@@ -113,11 +110,11 @@ class TopologicalIntegrals:
 
 
 def topological_integrals(state: HiggsBundleState) -> TopologicalIntegrals:
-    """Chern-Weil integrands of the Chern curvature; ch2 entries are 0 for n=1."""
-    parts = curvature(state.metric, state.structure.a)
-    deg, _, _ = degree_slope_lambda(state, parts.f11)
-    two_c2, ch2 = _char_class_integrals(state, parts)
-    return TopologicalIntegrals(deg, two_c2, ch2)
+    """Chern-Weil integrands of the Chern curvature; ch2 entries are 0 for
+    n=1. No Higgs part of the curvature is built."""
+    curv = Curvature(state)
+    return TopologicalIntegrals(degree_slope_lambda(state, curv.f11)[0],
+                                *_char_class_integrals(curv))
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,7 @@ def flatness_certificate(state: HiggsBundleState,
     """Per-part sup norms of the Hitchin-Simpson curvature and the verdict."""
     H = state.metric.mat
     norm2 = {key: pointwise_norm2(f, H)
-             for key, f in hitchin_simpson_curvature(state).parts.items()}
+             for key, f in Curvature(state).parts.items()}
     # distinct degrees are orthogonal, so the total sums the parts in order
     norm2["total"] = sum(norm2.values())
     sups = {key: float(np.sqrt(max(n2.max(), 0.0))) for key, n2 in norm2.items()}

@@ -18,10 +18,9 @@ import numpy as np
 
 from .diagnostics import (FlatnessCertificate, TopologicalIntegrals,
                           flatness_certificate, topological_integrals)
-from .flows import run_donaldson_flow
-from .geometry import (HermitianMetric, HiggsBundleState, HiggsStructure,
-                       adjoint_field, chern_connection, curvature,
-                       hitchin_simpson_curvature)
+from .flows import FlowBlowup, run_donaldson_flow
+from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
+                       HiggsStructure, adjoint_field)
 from .grid import MatrixFormField, MixedField, d_flat, dbar_flat, sup_norm, wedge
 from .linalg import dagger, inv, mm, trace
 
@@ -179,9 +178,8 @@ class ExtensionData:
 
     In the H-orthonormal frames the induced metrics are the identity, so
     block norms are plain and the adjoints of gamma and zeta are conjugate
-    transposes (until a scaled metric reweights them). Those identity
-    metrics, the factor connections and the adjoints are built on first use
-    and then shared.
+    transposes (until a scaled metric reweights them). The factors'
+    curvatures and the Hom adjoints are built on first use and then shared.
     """
 
     frame_s: np.ndarray
@@ -204,35 +202,18 @@ class ExtensionData:
         return self.frame_q.shape[-1]
 
     @cached_property
-    def identities(self) -> tuple[HermitianMetric, HermitianMetric]:
-        """The induced metrics of S and Q, the identity in their frames."""
-        return (HermitianMetric.identity(self.a_s.base, self.rank_s),
-                HermitianMetric.identity(self.a_q.base, self.rank_q))
-
-    @cached_property
-    def connections(self) -> tuple[MatrixFormField, MatrixFormField]:
-        """The (1,0) Chern connection forms b_S and b_Q of the factors."""
-        ident_s, ident_q = self.identities
-        return chern_connection(ident_s, self.a_s), chern_connection(ident_q, self.a_q)
+    def factors(self) -> tuple[Curvature, Curvature]:
+        """The curvatures of S and Q under their induced metrics, the
+        identity in their frames."""
+        return tuple(Curvature(HiggsBundleState(
+            HiggsStructure(a, phi), HermitianMetric.identity(a.base, a.rows)))
+            for a, phi in ((self.a_s, self.phi_s), (self.a_q, self.phi_q)))
 
     @cached_property
     def hom_adjoints(self) -> tuple[MatrixFormField, MatrixFormField]:
         """gamma* of type (1,0) and zeta* of type (0,1), both Hom(S,Q)."""
-        ident_s, ident_q = self.identities
-        return (adjoint_field(self.gamma, ident_s, ident_q),
-                adjoint_field(self.zeta, ident_s, ident_q))
-
-    @cached_property
-    def higgs_adjoints(self) -> tuple[MatrixFormField, MatrixFormField]:
-        """phi_S* and phi_Q*."""
-        ident_s, ident_q = self.identities
-        return adjoint_field(self.phi_s, ident_s), adjoint_field(self.phi_q, ident_q)
-
-    def sub_state(self) -> HiggsBundleState:
-        return HiggsBundleState(HiggsStructure(self.a_s, self.phi_s), self.identities[0])
-
-    def quotient_state(self) -> HiggsBundleState:
-        return HiggsBundleState(HiggsStructure(self.a_q, self.phi_q), self.identities[1])
+        ident_s, ident_q = (c.state.metric for c in self.factors)
+        return tuple(adjoint_field(f, ident_s, ident_q) for f in (self.gamma, self.zeta))
 
 
 def split_extension(state: HiggsBundleState, sub: HiggsSubbundle) -> ExtensionData:
@@ -301,54 +282,56 @@ class GaussCodazziReport:
         return self.residual / max(self.scale, 1e-30)
 
 
+def _extension_parts(ext: ExtensionData) -> tuple[MixedField, ...]:
+    """The Hitchin-Simpson curvature of the extension in the splitting, as
+    A + B + C, each a block field of every degree that occurs.
+
+    A is the direct sum of the factors' own curvatures and B the quadratic
+    terms of the second fundamental forms,
+    (zeta + gamma) ^ (zeta* - gamma*) (+) (zeta* - gamma*) ^ (zeta + gamma),
+    both on the diagonal. C holds the first-order terms, off the diagonal:
+    D(gamma + zeta) + (gamma + zeta) ^ phi_Q* + phi_S* ^ (gamma + zeta)
+    in Hom(Q,S), and dbar(zeta* - gamma*) + (zeta* - gamma*) ^ phi_S
+    + phi_Q ^ (zeta* - gamma*) in Hom(S,Q), with the derivatives of the
+    induced connections. Under the metric diag(Id_S, Id_Q / rho^2), in
+    frames orthonormal for it, the curvature is A + rho^2 B + rho C.
+    """
+    s, q = ext.rank_s, ext.rank_q
+    n = ext.a_s.base.n
+    f_s, f_q = ext.factors
+    a_part = _blockdiag_mixed(f_s.parts, f_q.parts, s, q)
+
+    gamma_st, zeta_st = ext.hom_adjoints
+    gpz = MixedField([ext.gamma, ext.zeta])                       # gamma + zeta
+    zmg_st = MixedField([zeta_st]) - MixedField([gamma_st])       # zeta* - gamma*
+    b_part = _blockdiag_mixed(gpz.wedge(zmg_st), zmg_st.wedge(gpz), s, q)
+
+    # derivative terms whose raised degree has no slot vanish identically
+    top_c = MixedField([_hom_d(d_flat, f, f_s.b, f_q.b) for f in gpz.values()
+                        if f.p + 1 <= n]) \
+        + gpz.wedge(MixedField([f_q.phistar])) + MixedField([f_s.phistar]).wedge(gpz)
+    bot_c = MixedField([_hom_d(dbar_flat, f, ext.a_q, ext.a_s)
+                        for f in zmg_st.values() if f.q + 1 <= n]) \
+        + zmg_st.wedge(MixedField([ext.phi_s])) + MixedField([ext.phi_q]).wedge(zmg_st)
+    c_part = MixedField([_blockify(None, f, None, None, s, q) for f in top_c.values()]
+                        + [_blockify(None, None, f, None, s, q) for f in bot_c.values()])
+    return a_part, b_part, c_part
+
+
 def gauss_codazzi_blocks(state: HiggsBundleState,
                          sub: HiggsSubbundle) -> GaussCodazziReport:
-    """Assemble all sixteen block entries of the split curvature and compare
-    them with the ambient Hitchin-Simpson curvature conjugated into the
-    splitting; the two sides share no code path beyond the primitives.
+    """Assemble the split curvature A + B + C (_extension_parts) and compare
+    it with the ambient Hitchin-Simpson curvature conjugated into the
+    splitting. Curvature runs on the factors for A and on the ambient state
+    for the other side; beyond it and the primitives, the sides share no code.
     """
     ext = split_extension(state, sub)
-    base = state.base
-    s, q = ext.rank_s, ext.rank_q
-    ident_s, ident_q = ext.identities
-    b_s, b_q = ext.connections
-    f_s = curvature(ident_s, ext.a_s, b_s)
-    f_q = curvature(ident_q, ext.a_q, b_q)
-
-    gamma, zeta = ext.gamma, ext.zeta
-    gamma_st, zeta_st = ext.hom_adjoints
-    phi_s_st, phi_q_st = ext.higgs_adjoints
-
-    parts: list[MatrixFormField] = []
-
-    def put(tl, tr, bl, br):
-        parts.append(_blockify(tl, tr, bl, br, s, q))
-
-    # Chern curvature group
-    put(f_s.f11 - wedge(gamma, gamma_st), _hom_d(d_flat, gamma, b_s, b_q),
-        -1.0 * _hom_d(dbar_flat, gamma_st, ext.a_q, ext.a_s),
-        f_q.f11 - wedge(gamma_st, gamma))
-    # Higgs bracket group
-    put(wedge(ext.phi_s, phi_s_st) + wedge(phi_s_st, ext.phi_s) + wedge(zeta, zeta_st),
-        wedge(zeta, phi_q_st) + wedge(phi_s_st, zeta),
-        wedge(zeta_st, ext.phi_s) + wedge(ext.phi_q, zeta_st),
-        wedge(ext.phi_q, phi_q_st) + wedge(phi_q_st, ext.phi_q) + wedge(zeta_st, zeta))
-    if base.n >= 2:
-        # del_H phi group, type (2,0)
-        put(_hom_d(d_flat, ext.phi_s, b_s, b_s) - wedge(zeta, gamma_st),
-            _hom_d(d_flat, zeta, b_s, b_q),
-            -1.0 * (wedge(gamma_st, ext.phi_s) + wedge(ext.phi_q, gamma_st)),
-            _hom_d(d_flat, ext.phi_q, b_q, b_q) - wedge(gamma_st, zeta))
-        # dbar_E phi* group, type (0,2)
-        put(_hom_d(dbar_flat, phi_s_st, ext.a_s, ext.a_s) + wedge(gamma, zeta_st),
-            wedge(gamma, phi_q_st) + wedge(phi_s_st, gamma),
-            _hom_d(dbar_flat, zeta_st, ext.a_q, ext.a_s),
-            _hom_d(dbar_flat, phi_q_st, ext.a_q, ext.a_q) + wedge(zeta_st, gamma))
-    assembled = MixedField(parts)
+    a_part, b_part, c_part = _extension_parts(ext)
+    assembled = a_part + b_part + c_part
 
     U = np.concatenate([ext.frame_s, ext.frame_q], axis=-1)
     ambient = MixedField(_block(state.metric, U, f, U) for f in
-                         hitchin_simpson_curvature(state).parts.values())
+                         Curvature(state).parts.values())
 
     # a degree missing on one side compares against zero
     residual = max(sup_norm(f) for f in (assembled - ambient).values())
@@ -391,60 +374,29 @@ class RhoSweepRow:
         return asdict(self)
 
 
-def _factor_flat_parts(ext: ExtensionData) -> MixedField:
-    """Direct-sum part: full Hitchin-Simpson curvature of each factor."""
-    return _blockdiag_mixed(hitchin_simpson_curvature(ext.sub_state()).parts,
-                            hitchin_simpson_curvature(ext.quotient_state()).parts,
-                            ext.rank_s, ext.rank_q)
-
-
 def rho_sweep(state: HiggsBundleState, sub: HiggsSubbundle,
               rhos: list[float]) -> tuple[list[RhoSweepRow], float | None]:
     """Sweep the block-metric scale and fit the flatness decay slope.
 
-    Rows report the rho-independent direct-sum part A, the quadratic part B
-    and the mixed first-order part C (both at rho = 1), and the total sup|F|
-    of the assembled state under the scaled metric, computed independently
-    of the decomposition. The fitted value is the log-log slope of
-    (sup|F| - sup|A|) against rho, or None unless two distinct rho values
-    have an excess above roundoff.
+    Rows report the sup of each part of _extension_parts (A, and B and C at
+    rho = 1), and the total sup|F| of the assembled state under the scaled
+    metric, computed independently of the decomposition. The fitted value is
+    the log-log slope of (sup|F| - sup|A|) against rho, or None unless two
+    distinct rho values have an excess above roundoff.
     """
     bad = [r for r in rhos if not 0 < r <= 1]
     if bad:
         raise ValueError(f"rho values must lie in (0, 1], got {bad[0]}")
     ext = split_extension(state, sub)
-    base = state.base
-    s, q = ext.rank_s, ext.rank_q
-    sup_a = _factor_flat_parts(ext).sup()
-    gamma_st, zeta_st = ext.hom_adjoints
-
-    zmg = MixedField([ext.zeta]) - MixedField([ext.gamma])        # zeta - gamma
-    zpg_st = MixedField([zeta_st, gamma_st])                      # zeta* + gamma*
-    b_mixed = _blockdiag_mixed(zmg.wedge(zpg_st), zpg_st.wedge(zmg), s, q)
-    sup_b1 = b_mixed.sup()
-
-    gpz = MixedField([ext.gamma, ext.zeta])                       # gamma + zeta
-    zmg_st = MixedField([zeta_st]) - MixedField([gamma_st])       # zeta* - gamma*
-    phi_s_st, phi_q_st = ext.higgs_adjoints
-    # derivative terms whose raised degree has no slot vanish identically
-    top_c = MixedField([_hom_d(d_flat, f, *ext.connections) for f in gpz.values()
-                        if f.p + 1 <= base.n]) \
-        + gpz.wedge(MixedField([phi_q_st])) + MixedField([phi_s_st]).wedge(gpz)
-    bot_c = MixedField([_hom_d(dbar_flat, f, ext.a_q, ext.a_s)
-                        for f in zmg_st.values() if f.q + 1 <= base.n]) \
-        + zmg_st.wedge(MixedField([ext.phi_s])) + MixedField([ext.phi_q]).wedge(zmg_st)
-    c_fields = [_blockify(None, f, None, None, s, q) for f in top_c.values()] \
-        + [_blockify(None, None, f, None, s, q) for f in bot_c.values()]
-    sup_c1 = MixedField(c_fields).sup() if c_fields else 0.0
+    sup_a, sup_b1, sup_c1 = (part.sup() for part in _extension_parts(ext))
 
     frames = [ext.frame_s, ext.frame_q]
     rows = []
     for rho in rhos:
         total = HiggsBundleState(state.structure, HermitianMetric(
-            base, _scaled_block_metric(frames, rho)))
-        hs = hitchin_simpson_curvature(total)
+            state.base, _scaled_block_metric(frames, rho)))
         rows.append(RhoSweepRow(rho, sup_a, sup_b1, sup_c1,
-                                hs.sup_norm(total.metric)))
+                                Curvature(total).sup_norm()))
     return rows, _fit_rho_slope(rows)
 
 
@@ -513,8 +465,7 @@ def invariant_section_check(state: HiggsBundleState,
 
     # M_ij = H([phi_i, phi_j*] s, s); form value on g-unit vectors is
     # 2 * smallest eigenvalue of M
-    phistar = adjoint_field(phi, H)
-    bracket = wedge(phi, phistar) + wedge(phistar, phi)
+    bracket = Curvature(state).bracket
     M = np.moveaxis(mm(s_dual, bracket.sandwich(None, s_col).comps)[..., 0, 0],
                     (0, 1), (-2, -1))
     eigs = np.linalg.eigvalsh(0.5 * (M + dagger(M)))
@@ -601,7 +552,11 @@ def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
         cert = flatness_certificate(qstate, eps_target)
         flowed = 0.0
         if not cert.passed and flow_time > 0.0:
-            res = run_donaldson_flow(qstate, flow_time, flow_dt)
+            try:
+                res = run_donaldson_flow(qstate, flow_time, flow_dt)
+            except FlowBlowup as exc:
+                exc.level = k
+                raise
             qstate = res.final
             cert = flatness_certificate(qstate, eps_target)
             flowed = flow_time

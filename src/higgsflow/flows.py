@@ -26,10 +26,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import (HermitianMetric, HiggsBundleState, HiggsStructure,
-                       HitchinSimpsonParts, chern_connection,
-                       degree_slope_lambda, higgs_adjoint,
-                       hitchin_simpson_curvature, validate_structure)
+from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
+                       HiggsStructure, chern_connection, degree_slope_lambda,
+                       higgs_adjoint, validate_structure)
 from .grid import (MatrixFormField, TorusBase, _dz_component, contract_lambda,
                    dbar_flat, integrate, pointwise_norm2, sup_norm)
 from .linalg import (_store_axes, _view_axes, dagger, expm_batched, hermitize,
@@ -67,12 +66,12 @@ PHI_TAYLOR_Z = 0.05
 
 
 def einstein_deviation(state: HiggsBundleState,
-                       hs: HitchinSimpsonParts | None = None) -> MatrixFormField:
+                       hs: Curvature | None = None) -> MatrixFormField:
     """K = i Lambda(F_H + [phi, phi^{*H}]) - lambda Id, a (0,0) field.
 
-    hs is the state's Hitchin-Simpson curvature when the caller already
-    holds it; only its (1,1) part is read. Without it, only the slots that
-    Lambda reads are built (_diagonal_slots), and K is the same to the bit.
+    hs is the state's Curvature when the caller already holds it; only its
+    (1,1) parts are read. Without it, only the slots that Lambda reads are
+    built (_diagonal_slots), and K is the same to the bit.
     K is H-self-adjoint up to truncation error; the steps read it in the
     frame W = H^{1/2}, where its Hermitian part is taken, so positivity is
     exact.
@@ -80,7 +79,7 @@ def einstein_deviation(state: HiggsBundleState,
     if hs is None:
         f11, part11 = _diagonal_slots(state)
     else:
-        f11, part11 = hs.chern.f11, hs.part11
+        f11, part11 = hs.f11, hs.part11
     _, _, lam = degree_slope_lambda(state, f11)
     K = 1j * contract_lambda(part11)
     eye = np.eye(state.rank, dtype=np.complex128)
@@ -89,14 +88,14 @@ def einstein_deviation(state: HiggsBundleState,
 
 
 def _diagonal_slots(state: HiggsBundleState):
-    """The slots (i, i) of curvature(...).f11 and of f11 + [phi, phi^{*H}],
-    as (1,1) fields that are zero elsewhere: all that the Lambda-contraction
-    and lambda read.
+    """The slots (i, i) of Curvature.f11 and Curvature.part11, as (1,1)
+    fields that are zero elsewhere: all that the Lambda-contraction and
+    lambda read.
 
     Slot i is -dbar_i b_i + del_i a_i - a_i b_i + b_i a_i, plus the bracket
     phi_i phi*_i - phi*_i phi_i: the terms of dbar_flat, d_flat and wedge,
-    taken and summed in their order, so the slots equal those of
-    hitchin_simpson_curvature to the bit.
+    taken and summed in their order, so the slots equal those of Curvature
+    to the bit.
     """
     a, phi, H = state.structure.a, state.structure.phi, state.metric
     base = state.base
@@ -280,7 +279,7 @@ def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, frame,
 
 def energy_density(state: HiggsBundleState) -> np.ndarray:
     """Pointwise e(A, phi) = |F_A + [phi, phi*]|^2 + 2 |del_A phi|^2."""
-    return hitchin_simpson_curvature(state).pointwise_energy(state.metric)
+    return Curvature(state).pointwise_energy()
 
 
 def ymh_energy(state: HiggsBundleState) -> float:
@@ -382,7 +381,7 @@ class FlowResult:
     sampled_states: list    # (t, state) at the sample schedule
     steps: int
     # per sample, the pointwise |del_H phi|^2, |F + [phi,phi*]|^2 and
-    # |i Lambda(F + [phi,phi*])|^2 (see _sample_norms)
+    # |i Lambda(F + [phi,phi*])|^2 (see _evaluate)
     sampled_norms: list
     # rejected attempts by reason: breakdown, max_principle, error_estimate
     rejected_by: dict
@@ -398,14 +397,19 @@ class FlowBlowup(RuntimeError):
     step cap MAX_STEPS ended the run before T.
 
     Carries the last accepted state and the partial trace so callers can
-    persist them.
+    persist them, and the reason: "breakdown" (a fixed-dt step failed),
+    "sample_row", "step_collapse" or "step_cap". verify_filtration sets
+    level to the index of the quotient whose flow raised.
     """
 
-    def __init__(self, message, state, trace, t):
+    level: int | None = None
+
+    def __init__(self, message, state, trace, t, reason):
         super().__init__(message)
         self.state = state
         self.trace = trace
         self.t = t
+        self.reason = reason
 
 
 def _sample_schedule(T: float, extra=None) -> list[float]:
@@ -433,27 +437,20 @@ def check_flow_times(T: float, dt: float) -> None:
         raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
 
 
-def _sample_norms(state: HiggsBundleState, hs: HitchinSimpsonParts):
-    """Pointwise |del_H phi|^2, |F + [phi,phi*]|^2 and |i Lambda(F + [phi,phi*])|^2.
-
-    The trace row and the two-flow check read these; del_H phi is zero for
-    n = 1.
-    """
-    H = state.metric.mat
-    f = hs.part11
-    dphi2 = np.zeros(state.base.shape) if hs.del_phi is None else \
-        pointwise_norm2(hs.del_phi, H)
-    return dphi2, pointwise_norm2(f, H), pointwise_norm2(1j * contract_lambda(f), H)
-
-
 def _evaluate(state: HiggsBundleState, with_norms: bool):
-    """K of the state and, if asked, its sample norms. The norms take one
-    Hitchin-Simpson evaluation, which K then reads; K alone builds only the
-    slots that Lambda reads. The curvature itself is not kept."""
+    """K of the state and, if asked, its sample norms: the pointwise
+    |del_H phi|^2 (zero for n = 1), |F + [phi,phi*]|^2 and
+    |i Lambda(F + [phi,phi*])|^2, which the trace row and the two-flow check
+    read. The norms take one Curvature, which K then reads; K alone builds
+    only the slots that Lambda reads. The curvature itself is not kept."""
     if not with_norms:
         return einstein_deviation(state), None
-    hs = hitchin_simpson_curvature(state)
-    return einstein_deviation(state, hs), _sample_norms(state, hs)
+    hs, H = Curvature(state), state.metric.mat
+    dphi2 = np.zeros(state.base.shape) if hs.del_phi is None else \
+        pointwise_norm2(hs.del_phi, H)
+    return einstein_deviation(state, hs), (
+        dphi2, pointwise_norm2(hs.part11, H),
+        pointwise_norm2(1j * contract_lambda(hs.part11), H))
 
 
 # flow_equivalence_check runs both flows from one start: its evaluation and
@@ -514,7 +511,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
         row = _metric_trace_row(obj, dt_now, validity, K, norms)
         if not all(math.isfinite(v) for v in row.values()):
             raise FlowBlowup(f"non-finite sample row at t={t_now:.6g}",
-                             obj, trace, t_now)
+                             obj, trace, t_now, "sample_row")
         trace.append(t=t_now, **row)
         sampled.append((t_now, obj))
         sampled_norms.append(norms)
@@ -539,7 +536,8 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
     while t < T - 1e-12:
         if steps >= MAX_STEPS:
             raise FlowBlowup(f"step cap MAX_STEPS = {MAX_STEPS} reached at "
-                             f"t={t:.6g} before T={T:.6g}", current, trace, t)
+                             f"t={t:.6g} before T={T:.6g}", current, trace, t,
+                             "step_cap")
         dt_free = dt_prop
         if adaptive and dev_prev > 0:
             dt_free = min(dt_free, SAFETY / dev_prev)
@@ -567,7 +565,8 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
             if fixed_dt:
                 raise FlowBlowup(f"flow produced non-finite fields or a "
                                  f"non-positive metric at t={t:.6g} with "
-                                 f"dt={dt_step:.3e}", current, trace, t)
+                                 f"dt={dt_step:.3e}", current, trace, t,
+                                 "breakdown")
             rejected_by[reason] += 1
             if reason == "breakdown":
                 dt_prop = 0.5 * dt_step
@@ -578,7 +577,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
             dt_prop = min(dt_prop, dt_cap)
             if dt_prop < 1e-12:
                 raise FlowBlowup(f"flow step size collapsed at t={t:.6g}",
-                                 current, trace, t)
+                                 current, trace, t, "step_collapse")
             continue
         if adaptive:
             dev_prev = dev_new

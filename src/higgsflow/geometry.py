@@ -20,9 +20,8 @@ from .linalg import _trailing, dagger, inv, is_positive_definite, min_eigvalsh
 
 __all__ = [
     "HermitianMetric", "HiggsStructure", "HiggsBundleState", "ValidityReport",
-    "validate_structure", "chern_connection", "curvature", "CurvatureParts",
-    "higgs_adjoint", "adjoint_field", "hitchin_simpson_curvature",
-    "HitchinSimpsonParts", "degree_slope_lambda",
+    "validate_structure", "chern_connection", "higgs_adjoint", "adjoint_field",
+    "Curvature", "degree_slope_lambda",
 ]
 
 
@@ -167,44 +166,6 @@ def chern_connection(H: HermitianMetric, a: MatrixFormField) -> MatrixFormField:
     return d_flat(H.as_field()).sandwich(H.inv) - adjoint_field(a, H)
 
 
-@dataclass(eq=False)
-class CurvatureParts:
-    """Chern curvature split by bidegree, from the connection (dbar + a, d + b).
-
-    f11 is built with the object; f20 and f02 are built from b and a on
-    first access, and are None when n = 1. For valid inputs they vanish to
-    truncation order; they are computed, never assumed zero.
-    """
-
-    f11: MatrixFormField
-    b: MatrixFormField
-    a: MatrixFormField
-
-    @cached_property
-    def f20(self) -> MatrixFormField | None:
-        if self.b.base.n < 2:
-            return None
-        return d_flat(self.b) + wedge(self.b, self.b)
-
-    @cached_property
-    def f02(self) -> MatrixFormField | None:
-        if self.a.base.n < 2:
-            return None
-        return dbar_flat(self.a) + wedge(self.a, self.a)
-
-
-def curvature(H: HermitianMetric, a: MatrixFormField,
-              b: MatrixFormField | None = None) -> CurvatureParts:
-    """Curvature of the Chern connection of (H, dbar + a).
-
-    b is that connection's (1,0) form when the caller already holds it.
-    """
-    if b is None:
-        b = chern_connection(H, a)
-    f11 = dbar_flat(b) + d_flat(a) + wedge(a, b) + wedge(b, a)
-    return CurvatureParts(f11, b, a)
-
-
 def adjoint_field(f: MatrixFormField, H: HermitianMetric | None = None,
                   H_col: HermitianMetric | None = None) -> MatrixFormField:
     """Metric adjoint: X -> H_col^{-1} X^dag H_row with dz <-> dzbar.
@@ -227,32 +188,69 @@ def higgs_adjoint(phi: MatrixFormField, H: HermitianMetric) -> MatrixFormField:
 
 
 @dataclass(eq=False)
-class HitchinSimpsonParts:
-    """The Hitchin-Simpson curvature by bidegree, with its ingredients.
+class Curvature:
+    """The Hitchin-Simpson curvature of a state by bidegree, with its
+    ingredients.
 
-    part11 = F_H + [phi, phi^{*H}] is built with the object. del_H phi (2,0)
-    and dbar_E phi^{*H} (0,2) are built from b, a, phi and phi^{*H} on first
-    access, and are None when n = 1; parts holds every part that exists.
+    Each part is built on first read and then kept: the Chern connection
+    form b, phi^{*H}, the Chern curvature f11 (and f20, f02), the bracket
+    [phi, phi^{*H}], part11 = f11 + bracket, del_H phi (2,0) and
+    dbar_E phi^{*H} (0,2). The parts of degree (2,0) or (0,2) are None when
+    n = 1; for valid inputs they vanish to truncation order, and they are
+    computed, never assumed zero. Norms are taken in the state's metric.
     """
 
-    chern: CurvatureParts
-    phi: MatrixFormField
-    phistar: MatrixFormField
-    bracket: MatrixFormField          # [phi, phi^{*H}], type (1,1)
-    part11: MatrixFormField
+    state: HiggsBundleState
+
+    @cached_property
+    def b(self) -> MatrixFormField:
+        return chern_connection(self.state.metric, self.state.structure.a)
+
+    @cached_property
+    def phistar(self) -> MatrixFormField:
+        return higgs_adjoint(self.state.structure.phi, self.state.metric)
+
+    @cached_property
+    def f11(self) -> MatrixFormField:
+        a, b = self.state.structure.a, self.b
+        return dbar_flat(b) + d_flat(a) + wedge(a, b) + wedge(b, a)
+
+    @cached_property
+    def f20(self) -> MatrixFormField | None:
+        if self.state.base.n < 2:
+            return None
+        return d_flat(self.b) + wedge(self.b, self.b)
+
+    @cached_property
+    def f02(self) -> MatrixFormField | None:
+        if self.state.base.n < 2:
+            return None
+        a = self.state.structure.a
+        return dbar_flat(a) + wedge(a, a)
+
+    @cached_property
+    def bracket(self) -> MatrixFormField:
+        """[phi, phi^{*H}], type (1,1)."""
+        phi, phistar = self.state.structure.phi, self.phistar
+        return wedge(phi, phistar) + wedge(phistar, phi)
+
+    @cached_property
+    def part11(self) -> MatrixFormField:
+        """F_H + [phi, phi^{*H}]."""
+        return self.f11 + self.bracket
 
     @cached_property
     def del_phi(self) -> MatrixFormField | None:
-        b, phi = self.chern.b, self.phi
-        if phi.base.n < 2:
+        if self.state.base.n < 2:
             return None
+        b, phi = self.b, self.state.structure.phi
         return d_flat(phi) + wedge(b, phi) + wedge(phi, b)
 
     @cached_property
     def dbar_phistar(self) -> MatrixFormField | None:
-        a, phistar = self.chern.a, self.phistar
-        if phistar.base.n < 2:
+        if self.state.base.n < 2:
             return None
+        a, phistar = self.state.structure.a, self.phistar
         return dbar_flat(phistar) + wedge(a, phistar) + wedge(phistar, a)
 
     @property
@@ -261,25 +259,17 @@ class HitchinSimpsonParts:
         return MixedField(f for f in (self.part11, self.del_phi, self.dbar_phistar)
                           if f is not None)
 
-    def pointwise_energy(self, H: HermitianMetric) -> np.ndarray:
+    def pointwise_energy(self) -> np.ndarray:
         """|F + [phi,phi*]|^2 + 2|del phi|^2, the YMH integrand."""
-        e = pointwise_norm2(self.part11, H.mat)
+        H = self.state.metric.mat
+        e = pointwise_norm2(self.part11, H)
         if self.del_phi is not None:
-            e = e + 2.0 * pointwise_norm2(self.del_phi, H.mat)
+            e = e + 2.0 * pointwise_norm2(self.del_phi, H)
         return e
 
-    def sup_norm(self, H: HermitianMetric) -> float:
+    def sup_norm(self) -> float:
         """sup |F_HS| over all parts (distinct degrees are orthogonal)."""
-        return self.parts.sup(H.mat)
-
-
-def hitchin_simpson_curvature(state: HiggsBundleState) -> HitchinSimpsonParts:
-    """Chern curvature, Higgs bracket and the (1,1) part; the rest on demand."""
-    a, phi, H = state.structure.a, state.structure.phi, state.metric
-    chern = curvature(H, a)
-    phistar = higgs_adjoint(phi, H)
-    bracket = wedge(phi, phistar) + wedge(phistar, phi)
-    return HitchinSimpsonParts(chern, phi, phistar, bracket, chern.f11 + bracket)
+        return self.parts.sup(self.state.metric.mat)
 
 
 def degree_slope_lambda(state: HiggsBundleState,
@@ -291,7 +281,7 @@ def degree_slope_lambda(state: HiggsBundleState,
     Chern curvature when the caller already holds it.
     """
     if f11 is None:
-        f11 = curvature(state.metric, state.structure.a).f11
+        f11 = Curvature(state).f11
     s = tr_field(contract_lambda(f11))
     deg = integrate(np.real(1j * s.comps[0, 0, ..., 0, 0]), state.base) / (2.0 * np.pi)
     mu = deg / state.rank

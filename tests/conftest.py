@@ -31,3 +31,23 @@ def break_expm(monkeypatch):
         return calls
 
     return plant
+
+
+@pytest.fixture
+def part11_builds(monkeypatch):
+    """Count the builds of Curvature.part11, F_H + [phi, phi*], which every
+    full Hitchin-Simpson evaluation reads. Returns a one-item list."""
+    from functools import cached_property
+
+    from higgsflow.geometry import Curvature
+    count = [0]
+    build = Curvature.part11.func
+
+    def counted(self):
+        count[0] += 1
+        return build(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Curvature, "part11")
+    monkeypatch.setattr(Curvature, "part11", prop)
+    return count

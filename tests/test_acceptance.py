@@ -20,7 +20,7 @@ import pytest
 from higgsflow import (TorusBase, build_scenario,
                        chern_weil_report, flatness_certificate,
                        flow_equivalence_check, gauss_codazzi_blocks,
-                       hitchin_simpson_curvature, invariant_section_check,
+                       Curvature, invariant_section_check,
                        rho_sweep, run_donaldson_flow, run_ymh_flow,
                        scenario_catalog, scenario_subbundles,
                        verify_filtration, assemble_filtration_metric)
@@ -243,8 +243,7 @@ def test_criterion_8_filtration_round_trip():
         assert rep.additivity_c1 < 1e-6 and rep.additivity_ch2 < 1e-6
 
         rebuilt = assemble_filtration_metric(st, subs, 0.1)
-        hs = hitchin_simpson_curvature(rebuilt)
-        achieved = hs.sup_norm(rebuilt.metric)
+        achieved = Curvature(rebuilt).sup_norm()
         assert achieved < 3e-2, f"{name}: reassembled sup|F| {achieved:.4f}"
     print("criterion 8 PASS: filtrations certify at 1e-6 with additivity "
           "< 1e-6; scaled reassembly at rho=0.1 has sup|F| < 3e-2")

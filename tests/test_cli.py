@@ -120,6 +120,7 @@ def test_run_blowup_saves_last_healthy_snapshot(tmp_path, capsys, break_expm):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert "blew up" in err["error"] and err["detail"]["reached_t"] > 0.0
+    assert err["detail"]["reason"] == "breakdown"
     from higgsflow import load_state
     healthy = load_state(tmp_path / "last_healthy.snap")
     healthy.metric.check_positive()
@@ -136,7 +137,10 @@ def test_run_stopped_by_the_step_cap_exits_3_with_the_last_state(
                    "--flow-dt", "1e-2", "--out-dir", str(tmp_path))
     assert code == 3
     err = json.loads(capsys.readouterr().err)
-    assert "MAX_STEPS = 2 reached" in err["error"]
+    # a stop at the cap keeps a healthy state: it is named, not a blowup
+    assert err["error"].startswith("flow stopped at the step cap: step cap "
+                                   "MAX_STEPS = 2 reached")
+    assert err["detail"]["reason"] == "step_cap"
     assert 0.0 < err["detail"]["reached_t"] < 0.25
     assert (tmp_path / "trace.csv").exists()
     assert not (tmp_path / "summary.json").exists()
@@ -256,6 +260,37 @@ def test_flow_equivalence_blowup_is_a_json_reason(tmp_path, capsys, break_expm):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert "blew up" in err["error"] and err["detail"]["reached_t"] >= 0.0
+    assert err["detail"]["reason"] == "breakdown"
+
+
+def test_verify_filtration_stopped_by_the_step_cap_exits_3(tmp_path, capsys,
+                                                          monkeypatch):
+    import higgsflow.flows
+    from higgsflow import (HiggsBundleState, TorusBase, build_scenario,
+                           load_state, save_state)
+    from higgsflow.scenarios import random_valid_state
+    # nilpotent-r2 under a random metric: its rank-1 quotients are not flat,
+    # so verify-filtration flows the first one
+    structure = build_scenario("nilpotent-r2", N=16).structure
+    metric = random_valid_state(TorusBase(1, 16), 2, 3).metric
+    snap = tmp_path / "start.snap"
+    save_state(HiggsBundleState(structure, metric), snap)
+    monkeypatch.setattr(higgsflow.flows, "MAX_STEPS", 2)
+    out = tmp_path / "out"
+    code = run_cli("verify-filtration", "--state-file", str(snap),
+                   "--scenario", "nilpotent-r2", "--flow-T", "0.5",
+                   "--target-epsilon", "1e-9", "--out-dir", str(out))
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"].startswith("flow stopped at the step cap")
+    detail = err["detail"]
+    assert detail["reason"] == "step_cap" and detail["level"] == 0
+    assert 0.0 < detail["reached_t"] < 0.5
+    assert (out / "trace.csv").exists()
+    assert not (out / "filtration.json").exists()
+    quotient = load_state(out / "last_healthy.snap")
+    assert quotient.rank == 1
+    quotient.metric.check_positive()
 
 
 def test_sweep_rho_rejects_bad_input_with_a_json_reason(tmp_path, capsys):
@@ -318,12 +353,10 @@ def test_sweep_rho_state_file_keeps_the_scenario_targets(tmp_path):
     assert payload["passed"] is False
 
 
-def test_default_sweep_rho_sweeps_once(tmp_path, monkeypatch):
+def test_default_sweep_rho_sweeps_once(tmp_path, monkeypatch, part11_builds):
     import higgsflow.cli
     import higgsflow.extensions
-    import higgsflow.geometry
-    counts = dict.fromkeys(("rho_sweep", "split_extension",
-                            "hitchin_simpson_curvature"), 0)
+    counts = dict.fromkeys(("rho_sweep", "split_extension"), 0)
     for name in counts:
         original = getattr(higgsflow.extensions, name)
 
@@ -331,13 +364,13 @@ def test_default_sweep_rho_sweeps_once(tmp_path, monkeypatch):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        for module in (higgsflow.cli, higgsflow.extensions, higgsflow.geometry):
+        for module in (higgsflow.cli, higgsflow.extensions):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     assert run_cli("sweep-rho", "--out-dir", str(tmp_path)) == 0
+    assert counts == {"rho_sweep": 1, "split_extension": 1}
     # two factor curvatures, five swept rho, and the epsilon pair rho = 0.1
-    assert counts == {"rho_sweep": 1, "split_extension": 1,
-                      "hitchin_simpson_curvature": 8}
+    assert part11_builds == [8]
 
 
 VERB_KEYS = {

@@ -89,10 +89,10 @@ def test_flatness_certificate_verdicts():
                                                rel=0.05)
 
 
-def test_topological_integrals_builds_one_chern_curvature(monkeypatch):
-    import higgsflow.diagnostics
+def test_topological_integrals_builds_one_chern_curvature(monkeypatch,
+                                                         part11_builds):
     import higgsflow.geometry
-    counts = {"chern_connection": 0, "curvature": 0}
+    counts = {"chern_connection": 0, "higgs_adjoint": 0}
     for name in counts:
         original = getattr(higgsflow.geometry, name)
 
@@ -100,23 +100,23 @@ def test_topological_integrals_builds_one_chern_curvature(monkeypatch):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        for module in (higgsflow.geometry, higgsflow.diagnostics):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(higgsflow.geometry, name, counting)
     st = random_valid_state(TorusBase(2, 8), 2, 5)
     topological_integrals(st)
-    assert counts == {"chern_connection": 1, "curvature": 1}
+    # the Chern connection once, and no Higgs part
+    assert counts == {"chern_connection": 1, "higgs_adjoint": 0}
+    assert part11_builds == [0]
 
 
 @pytest.mark.parametrize("n, calls", [(1, 1), (2, 3)])
 def test_flatness_certificate_takes_each_part_norm_once(n, calls, monkeypatch):
     import higgsflow.diagnostics
     import higgsflow.grid
-    from higgsflow import hitchin_simpson_curvature, sup_norm
+    from higgsflow import Curvature, sup_norm
     st = random_valid_state(TorusBase(n, 8), 2, 3)
-    hs = hitchin_simpson_curvature(st)
-    expected = [hs.sup_norm(st.metric)] + [sup_norm(f, st.metric.mat)
-                                            for f in hs.parts.values()]
+    hs = Curvature(st)
+    expected = [hs.sup_norm()] + [sup_norm(f, st.metric.mat)
+                                  for f in hs.parts.values()]
     count = [0]
     original = higgsflow.grid.pointwise_norm2
 

@@ -6,7 +6,7 @@ import pytest
 from higgsflow import (HermitianMetric, HiggsSubbundle, TorusBase,
                        adjoint_field, assemble_filtration_metric,
                        build_scenario, gauss_codazzi_blocks,
-                       hitchin_simpson_curvature, invariant_section_check,
+                       Curvature, invariant_section_check,
                        rho_sweep, scenario_subbundles, split_extension,
                        subbundle_report, sup_norm, verify_filtration)
 from higgsflow.scenarios import _extension_sweep, random_state_with_subbundle
@@ -97,12 +97,11 @@ def test_scaled_extension_metric_family():
     rho = 0.25
     scaled = assemble_filtration_metric(st, [sub], rho)
     assert np.allclose(scaled.metric.mat, np.diag([1.0, 1.0 / rho**2]))
-    hs = hitchin_simpson_curvature(scaled)
-    assert hs.sup_norm(scaled.metric) == pytest.approx(
+    assert Curvature(scaled).sup_norm() == pytest.approx(
         2.0 * math.sqrt(2.0) * rho**2)
 
     # under ident_q / rho^2 the off-diagonal adjoints scale as rho^2
-    ident_s, ident_q = ext.identities
+    ident_s, ident_q = (f.state.metric for f in ext.factors)
     rho = 0.3
     Hq_rho = HermitianMetric(st.base, ident_q.mat / rho**2)
     for f, adj_one in zip((ext.gamma, ext.zeta), ext.hom_adjoints):
@@ -142,7 +141,7 @@ def test_rho_sweep_uses_the_one_level_filtration_metric():
         rows, _ = rho_sweep(st, sub, [0.5, 0.3, 0.1, 0.05])
         for row in rows:
             total = assemble_filtration_metric(st, [sub], row.rho)
-            assert row.sup_f == hitchin_simpson_curvature(total).sup_norm(total.metric)
+            assert row.sup_f == Curvature(total).sup_norm()
 
 
 def test_rho_sweep_linear_regime_with_gamma():
@@ -232,8 +231,7 @@ def test_filtration_reassembly_is_approximately_flat():
         st = build_scenario(name)
         subs = scenario_subbundles(name, st)
         out = assemble_filtration_metric(st, subs, 0.1)
-        hs = hitchin_simpson_curvature(out)
-        assert hs.sup_norm(out.metric) < 3e-2
+        assert Curvature(out).sup_norm() < 3e-2
 
 
 def test_filtration_verdict_stable_under_refinement():
@@ -246,7 +244,8 @@ def test_filtration_verdict_stable_under_refinement():
 
 
 def test_gauss_codazzi_builds_each_chern_connection_once(monkeypatch):
-    import higgsflow.extensions
+    import sys
+
     import higgsflow.geometry
     ranks = []
     original = higgsflow.geometry.chern_connection
@@ -255,10 +254,16 @@ def test_gauss_codazzi_builds_each_chern_connection_once(monkeypatch):
         ranks.append(H.rank)
         return original(H, a)
 
-    for module in (higgsflow.geometry, higgsflow.extensions):
-        monkeypatch.setattr(module, "chern_connection", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("higgsflow") and \
+                getattr(module, "chern_connection", None) is original:
+            monkeypatch.setattr(module, "chern_connection", counting)
     st, sub = random_state_with_subbundle(TorusBase(1, 16), 3, 1, seed=2,
                                           amplitude=0.001)
     gauss_codazzi_blocks(st, sub)
     # the two factors, then the ambient bundle
     assert ranks == [1, 2, 3]
+    ranks.clear()
+    rho_sweep(st, sub, [0.5, 0.25])
+    # the two factors, shared by the parts A and C, then each scaled metric
+    assert ranks == [1, 2, 3, 3]

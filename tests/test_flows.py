@@ -286,10 +286,23 @@ def test_blowup_carries_last_healthy_state(break_expm):
     with pytest.raises(FlowBlowup) as excinfo:
         run_donaldson_flow(st, 20.0, 0.5, fixed_dt=True)
     exc = excinfo.value
+    assert exc.reason == "breakdown"
     assert np.isfinite(exc.state.metric.mat).all()
     exc.state.metric.check_positive()
     assert exc.t > 0.0 and exc.state is not st
     assert len(exc.trace.t) >= 1
+
+
+def test_adaptive_flow_names_a_collapsed_step(break_expm):
+    from higgsflow.flows import FlowBlowup
+    st = build_scenario("conformal-r1")
+    # every attempt breaks down, so the halved step falls below 1e-12
+    calls = break_expm(np.nan, first=1)
+    with pytest.raises(FlowBlowup, match="step size collapsed") as excinfo:
+        run_donaldson_flow(st, 1.0, 0.5)
+    exc = excinfo.value
+    assert exc.reason == "step_collapse" and exc.t == 0.0
+    assert exc.state is st and len(calls) > 30
 
 
 def test_adaptive_flow_rescues_oversized_step(break_expm):
@@ -481,6 +494,7 @@ def test_non_finite_sample_row_blows_up_with_that_state(monkeypatch):
     with pytest.raises(FlowBlowup) as excinfo:
         run_donaldson_flow(st, 0.25, 0.01, fixed_dt=True)
     exc = excinfo.value
+    assert exc.reason == "sample_row"
     assert exc.t == pytest.approx(0.0625)  # the first sample after t = 0
     assert exc.state is calls[-1] and exc.state is not st
     assert np.isfinite(exc.state.metric.mat).all()
@@ -514,21 +528,20 @@ def _count_calls(monkeypatch, *fns):
     return counts
 
 
-def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch):
-    from higgsflow.geometry import (hitchin_simpson_curvature,
-                                    validate_structure)
+def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch,
+                                                            part11_builds):
+    from higgsflow.geometry import validate_structure
     from higgsflow.grid import dbar_flat
     from higgsflow.scenarios import random_state_with_subbundle
     st, _ = random_state_with_subbundle(TorusBase(2, 8), 2, 1, 5,
                                         amplitude=0.0015)
-    counts = _count_calls(monkeypatch, hitchin_simpson_curvature, d_flat,
-                          dbar_flat, validate_structure)
+    counts = _count_calls(monkeypatch, d_flat, dbar_flat, validate_structure)
 
     # K alone builds only the slots that Lambda reads: d of H for the Chern
     # connection; the diagonal derivatives of a and b take no d_flat/dbar_flat
     einstein_deviation(st)
-    assert counts == {"hitchin_simpson_curvature": 0, "d_flat": 1,
-                      "dbar_flat": 0, "validate_structure": 0}
+    assert part11_builds == [0]
+    assert counts == {"d_flat": 1, "dbar_flat": 0, "validate_structure": 0}
 
     counts.update(dict.fromkeys(counts, 0))
     flow_equivalence_check(st, 2e-3, 1e-3, sample_times=[2e-3])
@@ -541,8 +554,8 @@ def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch):
     # runs, and at the pair's sample at T. dbar_flat: one per full
     # curvature, two per validate_structure, one per gauge update of the
     # pair (predictor and result: 4) and per transported pair (2)
-    assert counts == {"hitchin_simpson_curvature": 3,
-                      "d_flat": 9 + 3 + 3, "dbar_flat": 3 + 2 * 2 + 4 + 2,
+    assert part11_builds == [3]
+    assert counts == {"d_flat": 9 + 3 + 3, "dbar_flat": 3 + 2 * 2 + 4 + 2,
                       "validate_structure": 2}
 
 
@@ -658,6 +671,7 @@ def test_the_step_cap_ends_no_run_short(monkeypatch, run, fixed):
                                          r"before T=0\.25") as excinfo:
         run(st, 0.25, dt, fixed_dt=fixed)
     exc = excinfo.value
+    assert exc.reason == "step_cap"
     assert 0.0 < exc.t < 0.25 and exc.state is not st
     assert exc.trace.t[0] == 0.0 and exc.trace.t[-1] <= exc.t
     if fixed:
@@ -681,10 +695,8 @@ def test_the_step_cap_ends_no_run_short(monkeypatch, run, fixed):
     (0.01, 1e-3, [float("nan")], "sample time nan "),
 ])
 def test_flow_equivalence_checks_its_arguments_before_evaluating(
-        monkeypatch, T, dt, samples, match):
-    from higgsflow.geometry import hitchin_simpson_curvature
+        part11_builds, T, dt, samples, match):
     st = nilpotent_state(8)
-    counts = _count_calls(monkeypatch, hitchin_simpson_curvature)
     with pytest.raises(ValueError, match=re.escape(match)):
         flow_equivalence_check(st, T, dt, sample_times=samples)
-    assert counts == {"hitchin_simpson_curvature": 0}
+    assert part11_builds == [0]

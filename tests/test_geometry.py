@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from higgsflow import (HermitianMetric, HiggsBundleState, HiggsStructure,
                        MatrixFormField, TorusBase, adjoint_field,
-                       chern_connection, curvature, degree_slope_lambda,
-                       higgs_adjoint, hitchin_simpson_curvature, sup_norm,
+                       chern_connection, Curvature, degree_slope_lambda,
+                       higgs_adjoint, sup_norm,
                        validate_structure)
 from higgsflow.flows import einstein_deviation
 from higgsflow.grid import contract_lambda, d_flat, dbar_flat, wedge
@@ -122,19 +122,25 @@ def test_chern_connection_pairing_identity():
     assert errs[32] < errs[16] / 3.0
 
 
+def chern_f11(H, a):
+    """The (1,1) Chern curvature of (H, dbar + a)."""
+    phi = MatrixFormField.zeros(a.base, 1, 0, a.rows)
+    return Curvature(HiggsBundleState(HiggsStructure(a, phi), H)).f11
+
+
 def test_curvature_flat_and_conformal():
     base = TorusBase(1, 32)
     H = HermitianMetric.identity(base, 2)
     a = MatrixFormField.zeros(base, 0, 1, 2)
-    assert sup_norm(curvature(H, a).f11) == 0.0
+    assert sup_norm(chern_f11(H, a)) == 0.0
 
     x = base.axis_coordinate(0) * np.ones(base.shape)
     u = 0.2 * np.cos(2 * np.pi * x)
-    F = curvature(conformal_metric(base, u), MatrixFormField.zeros(base, 0, 1, 1))
+    F = chern_f11(conformal_metric(base, u), MatrixFormField.zeros(base, 0, 1, 1))
     # F = dbar del u; for u = eps cos(2 pi x) the coefficient of dz^dzbar is
     # -u_zzbar = -Lap(u)/4 = pi^2 eps cos(2 pi x)
     expected = np.pi**2 * 0.2 * np.cos(2 * np.pi * x)
-    err = np.abs(F.f11.comps[0, 0, ..., 0, 0] - expected).max()
+    err = np.abs(F.comps[0, 0, ..., 0, 0] - expected).max()
     assert err < 0.05 * np.pi**2 * 0.2
 
 
@@ -143,9 +149,9 @@ def test_curvature_invariant_under_constant_rescaling():
     x = base.axis_coordinate(0) * np.ones(base.shape)
     u = 0.2 * np.cos(2 * np.pi * x)
     a = MatrixFormField.zeros(base, 0, 1, 1)
-    F1 = curvature(conformal_metric(base, u), a)
-    F2 = curvature(conformal_metric(base, u + 1.7), a)
-    assert np.allclose(F1.f11.comps, F2.f11.comps)
+    F1 = chern_f11(conformal_metric(base, u), a)
+    F2 = chern_f11(conformal_metric(base, u + 1.7), a)
+    assert np.allclose(F1.comps, F2.comps)
 
 
 def test_higgs_adjoint_oracles():
@@ -165,14 +171,14 @@ def test_hitchin_simpson_nilpotent_oracles():
     base = TorusBase(1, 16)
     s = constant_structure(base, 2, phi_mats={0: E12})
     state = HiggsBundleState(s, HermitianMetric.identity(base, 2))
-    hs = hitchin_simpson_curvature(state)
-    assert sup_norm(hs.chern.f11) == 0.0
+    hs = Curvature(state)
+    assert sup_norm(hs.f11) == 0.0
     assert np.allclose(hs.part11.comps[0, 0], np.diag([1.0, -1.0]))
-    assert hs.sup_norm(state.metric) == pytest.approx(2.0 * np.sqrt(2.0))
+    assert hs.sup_norm() == pytest.approx(2.0 * np.sqrt(2.0))
 
     Hd = HermitianMetric(base, np.broadcast_to(
         np.diag([2.0, 0.4]).astype(complex), base.shape + (2, 2)).copy())
-    hs2 = hitchin_simpson_curvature(HiggsBundleState(s, Hd))
+    hs2 = Curvature(HiggsBundleState(s, Hd))
     assert np.allclose(hs2.part11.comps[0, 0], (2.0 / 0.4) * np.diag([1.0, -1.0]))
 
 
@@ -180,7 +186,7 @@ def test_hitchin_simpson_flat_state():
     base = TorusBase(1, 16)
     s = constant_structure(base, 2)
     state = HiggsBundleState(s, HermitianMetric.identity(base, 2))
-    assert hitchin_simpson_curvature(state).sup_norm(state.metric) == 0.0
+    assert Curvature(state).sup_norm() == 0.0
 
 
 def test_degree_slope_lambda():
@@ -213,7 +219,7 @@ def test_degree_metric_independence():
 def test_bracket_traceless_and_hermiticity():
     base = TorusBase(1, 16)
     state = random_valid_state(base, 2, seed=11)
-    hs = hitchin_simpson_curvature(state)
+    hs = Curvature(state)
     from higgsflow.grid import tr_field
     assert sup_norm(tr_field(hs.bracket)) < 1e-13
     # the curvature-type relation (F_ij)^{*H} = F_ji holds to truncation order
@@ -263,7 +269,7 @@ def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
     x = _random_field(base, 0, 0, rank, rng, 0.3).comps[0, 0]
     H = HermitianMetric(base, np.eye(rank) + x @ np.swapaxes(x.conj(), -1, -2))
     state = HiggsBundleState(HiggsStructure(a, phi), H)
-    hs = hitchin_simpson_curvature(state)
+    hs = Curvature(state)
 
     # the eager route, every part built up front in the order of the formulas
     b = chern_connection(H, a)
@@ -275,8 +281,8 @@ def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
     assert np.array_equal(einstein_deviation(state).comps, K.comps)
     assert np.array_equal(hs.part11.comps, part11.comps)
 
-    lazy = {"f02": lambda: hs.chern.f02, "dbar_phistar": lambda: hs.dbar_phistar,
-            "f20": lambda: hs.chern.f20, "del_phi": lambda: hs.del_phi}
+    lazy = {"f02": lambda: hs.f02, "dbar_phistar": lambda: hs.dbar_phistar,
+            "f20": lambda: hs.f20, "del_phi": lambda: hs.del_phi}
     if n == 1:
         assert all(get() is None for get in lazy.values())
         assert list(hs.parts) == [(1, 1)]
@@ -294,9 +300,9 @@ def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
 def _assert_contracted_deviation_is_exact(state):
     # K without hs builds only the slots (i, i) that Lambda reads; it must
     # equal the contraction of the full Hitchin-Simpson (1,1) part
-    hs = hitchin_simpson_curvature(state)
+    hs = Curvature(state)
     K = 1j * contract_lambda(hs.part11)
-    lam = degree_slope_lambda(state, hs.chern.f11)[2]
+    lam = degree_slope_lambda(state, hs.f11)[2]
     K.comps[0, 0] -= lam * np.eye(state.rank)
     assert np.array_equal(einstein_deviation(state).comps, K.comps)
 
