@@ -89,7 +89,7 @@ def chern_weil_report(state: HiggsBundleState) -> ChernWeilReport:
     hs = Curvature(state)
     lhs = integrate(hs.pointwise_energy(), state.base)
     K = einstein_deviation(state, hs)
-    deviation = integrate(pointwise_norm2(K, state.metric.mat), state.base)
+    deviation = integrate(pointwise_norm2(K, state.metric), state.base)
     deg, _, lam = degree_slope_lambda(state, hs.f11)
     two_c2_minus_c1sq, _ = _char_class_integrals(hs)
     topological = 4.0 * math.pi**2 * two_c2_minus_c1sq
@@ -144,7 +144,7 @@ class FlatnessCertificate:
 def flatness_certificate(state: HiggsBundleState,
                          eps_target: float) -> FlatnessCertificate:
     """Per-part sup norms of the Hitchin-Simpson curvature and the verdict."""
-    H = state.metric.mat
+    H = state.metric
     norm2 = {key: pointwise_norm2(f, H)
              for key, f in Curvature(state).parts.items()}
     # distinct degrees are orthogonal, so the total sums the parts in order

@@ -99,9 +99,9 @@ def subbundle_report(state: HiggsBundleState, sub: HiggsSubbundle) -> SubbundleR
 
     pi_f = sub.as_field(base)
     one_minus = sub.complement()
-    inv_res = sup_norm(phi.sandwich(one_minus, pi), H.mat)
+    inv_res = sup_norm(phi.sandwich(one_minus, pi), H)
     dbar_pi = dbar_flat(pi_f) + wedge(a, pi_f) - wedge(pi_f, a)
-    holo_res = sup_norm(dbar_pi.sandwich(one_minus, pi), H.mat)
+    holo_res = sup_norm(dbar_pi.sandwich(one_minus, pi), H)
     return SubbundleReport(idem, sadj, rank_const, inv_res, holo_res,
                            sub.rank, tol,
                            valid=max(idem, sadj, rank_const, inv_res,

@@ -27,10 +27,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
-                       HiggsStructure, chern_connection, degree_slope_lambda,
-                       higgs_adjoint, validate_structure)
-from .grid import (MatrixFormField, TorusBase, _dz_component, contract_lambda,
-                   dbar_flat, integrate, pointwise_norm2, sup_norm)
+                       HiggsStructure, _degree_slope_lambda, _metric_connection,
+                       adjoint_field, chern_connection, higgs_adjoint,
+                       validate_structure)
+from .grid import (MatrixFormField, TorusBase, _contract_slots, _dz_component,
+                   contract_lambda, dbar_flat, integrate, pointwise_norm2,
+                   sup_norm)
 from .linalg import (_store_axes, _view_axes, dagger, expm_batched, hermitize,
                      inv, mm, sqrtm_hpd)
 
@@ -71,49 +73,74 @@ def einstein_deviation(state: HiggsBundleState,
 
     hs is the state's Curvature when the caller already holds it; only its
     (1,1) parts are read. Without it, only the slots that Lambda reads are
-    built (_diagonal_slots), and K is the same to the bit.
+    built (_deviation), and K is the same to the bit.
     K is H-self-adjoint up to truncation error; the steps read it in the
     frame W = H^{1/2}, where its Hermitian part is taken, so positivity is
     exact.
     """
     if hs is None:
-        f11, part11 = _diagonal_slots(state)
-    else:
-        f11, part11 = hs.f11, hs.part11
-    _, _, lam = degree_slope_lambda(state, f11)
-    K = 1j * contract_lambda(part11)
+        return _deviation(state, (None, None))
+    return _from_contractions(state, contract_lambda(hs.f11).comps[0, 0],
+                              contract_lambda(hs.part11).comps[0, 0] * 1j)
+
+
+def _from_contractions(state: HiggsBundleState, lambda_f11: np.ndarray,
+                       i_lambda_part11: np.ndarray) -> MatrixFormField:
+    """K from Lambda F_H, which sets lambda, and i Lambda(F_H + [phi, phi*]),
+    a (*grid, r, r) array whose storage K takes."""
+    _, _, lam = _degree_slope_lambda(state, lambda_f11)
+    K = MatrixFormField(state.base, 0, 0, i_lambda_part11[None, None])
     eye = np.eye(state.rank, dtype=np.complex128)
     K.comps[0, 0] -= lam * eye
     return K
 
 
-def _diagonal_slots(state: HiggsBundleState):
-    """The slots (i, i) of Curvature.f11 and Curvature.part11, as (1,1)
-    fields that are zero elsewhere: all that the Lambda-contraction and
-    lambda read.
+def _deviation(state: HiggsBundleState, held) -> MatrixFormField:
+    """K from the slots (i, i) of Curvature.f11 and Curvature.part11 alone:
+    all that the Lambda-contraction and lambda read.
 
     Slot i is -dbar_i b_i + del_i a_i - a_i b_i + b_i a_i, plus the bracket
     phi_i phi*_i - phi*_i phi_i: the terms of dbar_flat, d_flat and wedge,
-    taken and summed in their order, so the slots equal those of Curvature
-    to the bit.
+    taken and summed in their order, so K equals that of Curvature to the
+    bit. held = (del_a, conn) is the half of the state that a flow holds
+    fixed (_hold_structure, _hold_metric); a None in it is built here.
     """
     a, phi, H = state.structure.a, state.structure.phi, state.metric
     base = state.base
-    b, phistar = chern_connection(H, a), higgs_adjoint(phi, H)
-    f11 = MatrixFormField.zeros(base, 1, 1, state.rank)
-    part11 = MatrixFormField.zeros(base, 1, 1, state.rank)
+    del_a, conn = held
+    b = chern_connection(H, a) if conn is None else conn - adjoint_field(a, H)
+    phistar = higgs_adjoint(phi, H)
+    f11, part11 = [], []
     for i in range(base.n):
         a_i, b_i = a.comps[0, i], b.comps[i, 0]
         phi_i, phistar_i = phi.comps[i, 0], phistar.comps[0, i]
-        slot = f11.comps[i, i]
-        slot -= _dz_component(b_i, base, i, True)
-        slot += _dz_component(a_i, base, i, False)
+        # 0 - x, not -x, as in the zero-filled sums of dbar_flat and wedge
+        slot = _dz_component(b_i, base, i, True)
+        np.subtract(0.0, slot, out=slot)
+        slot += _dz_component(a_i, base, i, False) if del_a is None else del_a[i]
         slot -= mm(a_i, b_i)
         slot += mm(b_i, a_i)
         bracket = mm(phi_i, phistar_i)
         bracket -= mm(phistar_i, phi_i)
-        np.add(slot, bracket, out=part11.comps[i, i])
-    return f11, part11
+        f11.append(slot)
+        part11.append(slot + bracket)
+    return _from_contractions(state, _contract_slots(f11),
+                              _contract_slots(part11) * 1j)
+
+
+def _hold_structure(start: HiggsBundleState):
+    """(del_a, None): the metric flow's structure is frozen, so the slots'
+    derivatives del_i a_i are taken once per run."""
+    a, base = start.structure.a, start.base
+    return [_dz_component(a.comps[0, i], base, i, False)
+            for i in range(base.n)], None
+
+
+def _hold_metric(start: HiggsBundleState):
+    """(None, conn): the pair flow's metric is frozen, so conn = H^{-1} del H,
+    the part of the Chern connection form it alone sets, is built once per
+    run."""
+    return None, _metric_connection(start.metric)
 
 
 # -- the ETDRK2 step ---------------------------------------------------------------
@@ -154,12 +181,19 @@ def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi1, phi2
 
 
+@functools.cache
+def _triu(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(r), made once per rank."""
+    rows, cols = np.triu_indices(r)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _spectrum(x: np.ndarray) -> np.ndarray:
     """Fourier coefficients of the upper-triangle entries of a Hermitian
     grid-trailing field x (..., r, r): an (r(r+1)/2, *grid) array."""
     store = x.transpose(_store_axes(x.ndim))
-    rows, cols = np.triu_indices(x.shape[-1])
-    return np.fft.fftn(store[rows, cols], axes=range(1, store.ndim - 1))
+    return np.fft.fftn(store[_triu(x.shape[-1])], axes=range(1, store.ndim - 1))
 
 
 def _field(xh: np.ndarray, r: int) -> np.ndarray:
@@ -170,7 +204,7 @@ def _field(xh: np.ndarray, r: int) -> np.ndarray:
     """
     vals = np.fft.ifftn(xh, axes=range(1, xh.ndim))
     store = np.empty((r, r) + xh.shape[1:], np.complex128)
-    for v, i, j in zip(vals, *np.triu_indices(r)):
+    for v, i, j in zip(vals, *_triu(r)):
         if i == j:
             store[i, i] = v.real
         else:
@@ -223,10 +257,11 @@ def _etd_error(correction: np.ndarray) -> float:
 
 
 def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, frame,
-          update, tol: float | None):
+          update, held, tol: float | None):
     """One ETDRK2 attempt from the state with deviation K0, in the frame
     (W, W^{-1}) of its metric, W = H^{1/2}; update (_metric_update or
-    _gauge_update) picks the flow.
+    _gauge_update) picks the flow, and held is the half of the state that
+    the flow holds fixed (see _deviation).
 
     With K~0 = W K0 W^{-1}, z = 2 dt sigma and F the Fourier transform over
     the grid:
@@ -251,7 +286,7 @@ def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, frame,
         a = _field(a_hat, state.rank)
         predicted, L = update(state, frame, a)
         # the corrector's spectrum, built in place in that of K~a
-        c_hat = _spectrum(_in_frame(einstein_deviation(predicted), L, inv(L)))
+        c_hat = _spectrum(_in_frame(_deviation(predicted, held), L, inv(L)))
         c_hat -= K0_hat
         c_hat *= -2.0
         c_hat += (2.0 * sigma) * a_hat
@@ -437,20 +472,25 @@ def check_flow_times(T: float, dt: float) -> None:
         raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
 
 
-def _evaluate(state: HiggsBundleState, with_norms: bool):
-    """K of the state and, if asked, its sample norms: the pointwise
-    |del_H phi|^2 (zero for n = 1), |F + [phi,phi*]|^2 and
-    |i Lambda(F + [phi,phi*])|^2, which the trace row and the two-flow check
-    read. The norms take one Curvature, which K then reads; K alone builds
-    only the slots that Lambda reads. The curvature itself is not kept."""
-    if not with_norms:
-        return einstein_deviation(state), None
-    hs, H = Curvature(state), state.metric.mat
+def _evaluate(state: HiggsBundleState, held):
+    """K of the state and its sample norms: the pointwise |del_H phi|^2
+    (zero for n = 1), |F + [phi,phi*]|^2 and |i Lambda(F + [phi,phi*])|^2,
+    which the trace row and the two-flow check read. The norms take one
+    Curvature, which K then reads; the curvature itself is not kept. held
+    is as in _deviation: when it holds the pair flow's H^{-1} del H, the
+    Chern connection form is built from it, as chern_connection would."""
+    hs, H = Curvature(state), state.metric
+    conn = held[1]
+    if conn is not None:
+        hs.b = conn - adjoint_field(state.structure.a, H)
     dphi2 = np.zeros(state.base.shape) if hs.del_phi is None else \
         pointwise_norm2(hs.del_phi, H)
-    return einstein_deviation(state, hs), (
-        dphi2, pointwise_norm2(hs.part11, H),
-        pointwise_norm2(1j * contract_lambda(hs.part11), H))
+    # i Lambda(F + [phi,phi*]) is K before lambda Id is subtracted: its norm
+    # is taken first, and then K takes its storage
+    i_lambda = contract_lambda(hs.part11) * 1j
+    norms = (dphi2, pointwise_norm2(hs.part11, H), pointwise_norm2(i_lambda, H))
+    return _from_contractions(state, contract_lambda(hs.f11).comps[0, 0],
+                              i_lambda.comps[0, 0]), norms
 
 
 # flow_equivalence_check runs both flows from one start: its evaluation and
@@ -461,12 +501,14 @@ _shared_starts: dict[int, tuple] = {}
 
 
 def _metric_trace_row(state: HiggsBundleState, dt: float, validity,
-                      K: MatrixFormField, norms) -> dict:
+                      K: MatrixFormField, norms, dev2) -> dict:
+    """The trace row of a state; dev2 is |K|^2_H when the caller holds it."""
     H = state.metric
     dphi2, curv2, _ = norms
-    dev2 = pointwise_norm2(K, H.mat)
+    if dev2 is None:
+        dev2 = pointwise_norm2(K, H)
     e = curv2 + 2.0 * dphi2   # the YMH integrand, as in pointwise_energy
-    phi2 = pointwise_norm2(state.structure.phi, H.mat)
+    phi2 = pointwise_norm2(state.structure.phi, H)
     return dict(
         ymh_energy=integrate(e, state.base),
         dev_l2=math.sqrt(max(integrate(dev2, state.base), 0.0)),
@@ -492,23 +534,26 @@ def _pi_factor(err: float, err_prev: float) -> float:
     return min(max(ratio, 0.2), 2.0)
 
 
-def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
+def _run_flow(start: HiggsBundleState, T, dt, update, hold, *, fixed_dt,
               sample_times):
     check_flow_times(T, dt)
     schedule = _sample_schedule(T, sample_times)
+    # the half of the state that the flow holds fixed, built once for this
+    # run and read by every evaluation in it
+    held = hold(start)
     # every accepted state is evaluated once: its K drives the next step
     # and, at a sample time, its row reuses K and the norms
     K_current, norms, validity0 = _shared_starts.get(id(start)) or \
-        (*_evaluate(start, True), validate_structure(start.structure))
+        (*_evaluate(start, held), validate_structure(start.structure))
     trace = FlowTrace()
     sampled, sampled_norms = [], []
 
-    def sample(obj, K, norms, t_now, dt_now):
+    def sample(obj, K, norms, dev2, t_now, dt_now):
         # the metric flow never replaces the structure, so its validity
         # residuals are those of the start
         validity = validity0 if obj.structure is start.structure else \
             validate_structure(obj.structure)
-        row = _metric_trace_row(obj, dt_now, validity, K, norms)
+        row = _metric_trace_row(obj, dt_now, validity, K, norms, dev2)
         if not all(math.isfinite(v) for v in row.values()):
             raise FlowBlowup(f"non-finite sample row at t={t_now:.6g}",
                              obj, trace, t_now, "sample_row")
@@ -518,7 +563,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
 
     current = start
     t = 0.0
-    sample(current, K_current, norms, 0.0, dt)
+    sample(current, K_current, norms, None, 0.0, dt)
     next_idx = 1  # the schedule starts at t = 0, sampled above
 
     adaptive = not fixed_dt
@@ -553,12 +598,14 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
             W = sqrtm_hpd(current.metric.mat)
             frame = W, inv(W)
         candidate, err, reason = _etd2(current, dt_step, K_current, frame,
-                                       update, tol)
+                                       update, held, tol)
+        dev2 = None  # |K|^2_H of the candidate, taken only when adaptive
         if reason is None:
-            K_next, norms = _evaluate(candidate, due)
+            K_next, norms = _evaluate(candidate, held) if due else \
+                (_deviation(candidate, held), None)
             if adaptive:
-                dev_new = math.sqrt(max(
-                    pointwise_norm2(K_next, candidate.metric.mat).max(), 0.0))
+                dev2 = pointwise_norm2(K_next, candidate.metric)
+                dev_new = math.sqrt(max(dev2.max(), 0.0))
                 if dev_new > dev_prev * (1.0 + MP_RTOL) + MP_ATOL:
                     reason = "max_principle"
         if reason is not None:
@@ -590,7 +637,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
         current, K_current, t = candidate, K_next, t_next
         steps += 1
         if due:
-            sample(current, K_current, norms, t, dt_step)
+            sample(current, K_current, norms, dev2, t, dt_step)
             next_idx += 1
     return FlowResult(current, trace, sampled, steps, sampled_norms,
                       rejected_by)
@@ -609,8 +656,8 @@ def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
     rises (the maximum principle), and the next step follows a PI
     controller (see the module constants).
     """
-    return _run_flow(state, T, dt, _metric_update, fixed_dt=fixed_dt,
-                     sample_times=sample_times)
+    return _run_flow(state, T, dt, _metric_update, _hold_structure,
+                     fixed_dt=fixed_dt, sample_times=sample_times)
 
 
 def run_ymh_flow(state: HiggsBundleState, T: float, dt: float, *,
@@ -622,8 +669,8 @@ def run_ymh_flow(state: HiggsBundleState, T: float, dt: float, *,
     Validity residuals of the evolved pair are recorded at every sample and
     never re-projected: constraint drift is evidence, not noise to hide.
     """
-    return _run_flow(state, T, dt, _gauge_update, fixed_dt=fixed_dt,
-                     sample_times=sample_times)
+    return _run_flow(state, T, dt, _gauge_update, _hold_metric,
+                     fixed_dt=fixed_dt, sample_times=sample_times)
 
 
 # -- the two-flow correspondence ---------------------------------------------------
@@ -679,7 +726,7 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     # checked before the shared start is evaluated; the runners repeat it
     check_flow_times(T, dt)
     _sample_schedule(T, samples)
-    _shared_starts[id(state0)] = (*_evaluate(state0, True),
+    _shared_starts[id(state0)] = (*_evaluate(state0, (None, None)),
                                   validate_structure(state0.structure))
     try:
         res_m = run_donaldson_flow(state0, T, dt, fixed_dt=True,

@@ -15,8 +15,9 @@ import numpy as np
 
 from .grid import (MatrixFormField, MixedField, TorusBase, contract_lambda,
                    d_flat, dbar_flat, integrate, pointwise_norm2, sup_norm,
-                   tr_field, wedge)
-from .linalg import _trailing, dagger, inv, is_positive_definite, min_eigvalsh
+                   wedge)
+from .linalg import (_trailing, dagger, inv, is_positive_definite, min_eigvalsh,
+                     trace)
 
 __all__ = [
     "HermitianMetric", "HiggsStructure", "HiggsBundleState", "ValidityReport",
@@ -162,8 +163,14 @@ def chern_connection(H: HermitianMetric, a: MatrixFormField) -> MatrixFormField:
     b = H^{-1} del H - H^{-1} a^dag H, the unique form with
     del H(s,t) = H(D^{1,0}s, t) + H(s, dbar_E t).
     """
+    return _metric_connection(H) - adjoint_field(a, H)
+
+
+def _metric_connection(H: HermitianMetric) -> MatrixFormField:
+    """H^{-1} del H, the part of the Chern connection form that the metric
+    alone sets; the pair flow, whose metric is frozen, builds it once."""
     H.check_positive()
-    return d_flat(H.as_field()).sandwich(H.inv) - adjoint_field(a, H)
+    return d_flat(H.as_field()).sandwich(H.inv)
 
 
 def adjoint_field(f: MatrixFormField, H: HermitianMetric | None = None,
@@ -261,7 +268,7 @@ class Curvature:
 
     def pointwise_energy(self) -> np.ndarray:
         """|F + [phi,phi*]|^2 + 2|del phi|^2, the YMH integrand."""
-        H = self.state.metric.mat
+        H = self.state.metric
         e = pointwise_norm2(self.part11, H)
         if self.del_phi is not None:
             e = e + 2.0 * pointwise_norm2(self.del_phi, H)
@@ -269,7 +276,7 @@ class Curvature:
 
     def sup_norm(self) -> float:
         """sup |F_HS| over all parts (distinct degrees are orthogonal)."""
-        return self.parts.sup(self.state.metric.mat)
+        return self.parts.sup(self.state.metric)
 
 
 def degree_slope_lambda(state: HiggsBundleState,
@@ -282,8 +289,13 @@ def degree_slope_lambda(state: HiggsBundleState,
     """
     if f11 is None:
         f11 = Curvature(state).f11
-    s = tr_field(contract_lambda(f11))
-    deg = integrate(np.real(1j * s.comps[0, 0, ..., 0, 0]), state.base) / (2.0 * np.pi)
+    return _degree_slope_lambda(state, contract_lambda(f11).comps[0, 0])
+
+
+def _degree_slope_lambda(state: HiggsBundleState,
+                         lambda_f11: np.ndarray) -> tuple[float, float, float]:
+    """degree_slope_lambda from Lambda F_H, a (*grid, r, r) array."""
+    deg = integrate(np.real(1j * trace(lambda_f11)), state.base) / (2.0 * np.pi)
     mu = deg / state.rank
     lam = 2.0 * np.pi * mu / state.base.volume
     return deg, mu, lam

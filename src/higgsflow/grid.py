@@ -24,10 +24,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import _trailing, _trailing_array, dagger, inv, mm, trace
+from .linalg import _trailing, _trailing_array, dagger, mm, trace
+
+if TYPE_CHECKING:
+    from .geometry import HermitianMetric
 
 __all__ = [
     "TorusBase", "MatrixFormField", "MixedField",
@@ -236,7 +240,7 @@ class MixedField(dict):
         return MixedField(wedge(f, g) for f in self.values() for g in other.values()
                           if f.p + g.p <= f.base.n and f.q + g.q <= f.base.n)
 
-    def pointwise_norm2(self, H: np.ndarray | None = None) -> np.ndarray:
+    def pointwise_norm2(self, H: HermitianMetric | None = None) -> np.ndarray:
         """Sum of the parts' pointwise |.|^2_H (distinct degrees are orthogonal)."""
         acc = None
         for f in self.values():
@@ -246,7 +250,7 @@ class MixedField(dict):
             raise ValueError("empty mixed field")
         return acc
 
-    def sup(self, H: np.ndarray | None = None) -> float:
+    def sup(self, H: HermitianMetric | None = None) -> float:
         return float(np.sqrt(max(self.pointwise_norm2(H).max(), 0.0)))
 
 
@@ -352,12 +356,18 @@ def contract_lambda(f: MatrixFormField) -> MatrixFormField:
     """
     if (f.p, f.q) != (1, 1):
         raise ValueError(f"contraction needs bidegree (1,1), got ({f.p},{f.q})")
-    acc = _trailing_array(f.base.shape + (f.rows, f.cols), init=np.zeros)
-    for i in range(f.base.n):
-        acc += f.comps[i, i]
-    out = MatrixFormField.zeros(f.base, 0, 0, f.rows, f.cols)
-    out.comps[0, 0] = -2j * acc
-    return out
+    diagonal = [f.comps[i, i] for i in range(f.base.n)]
+    return MatrixFormField(f.base, 0, 0, _contract_slots(diagonal)[None, None])
+
+
+def _contract_slots(diagonal: list[np.ndarray]) -> np.ndarray:
+    """-2i sum_i a_ii, the contraction of a (1,1) form from its diagonal
+    components a_ii alone, as one (*grid, rows, cols) array; the sum starts
+    from zero and adds them in order."""
+    acc = _trailing_array(diagonal[0].shape, init=np.zeros)
+    for slot in diagonal:
+        acc += slot
+    return -2j * acc
 
 
 # -- inner products, norms, integration -------------------------------------------
@@ -381,27 +391,27 @@ def _endo_inner(a: np.ndarray, b: np.ndarray, H: np.ndarray | None,
 
 
 def pointwise_inner(a: MatrixFormField, b: MatrixFormField,
-                    H: np.ndarray | None = None) -> np.ndarray:
+                    H: HermitianMetric | None = None) -> np.ndarray:
     """Pointwise Hermitian inner product <a, b>_H as a complex grid field.
 
     Form indices carry the flat metric with |dz^i|^2 = 2. Endomorphism
     values use the metric H (identity when None) on both factors of a square
-    block; a Hom block takes H on its row factor and the identity on its
-    column factor.
+    block, which reads the metric's cached inverse H.inv; a Hom block takes
+    H on its row factor and the identity on its column factor.
     """
     if (a.p, a.q, a.rows, a.cols) != (b.p, b.q, b.rows, b.cols):
         raise ValueError("inner product needs matching degrees and block shape")
-    # once for all components
-    Hc_inv = inv(H) if H is not None and a.rows == a.cols else None
+    Hc_inv = H.inv if H is not None and a.rows == a.cols else None
+    H_row = None if H is None else H.mat
     weight = 2.0 ** (a.p + a.q)
     acc = np.zeros(a.base.shape, np.complex128)
     for ip in range(a.comps.shape[0]):
         for iq in range(a.comps.shape[1]):
-            acc += _endo_inner(a.comps[ip, iq], b.comps[ip, iq], H, Hc_inv)
+            acc += _endo_inner(a.comps[ip, iq], b.comps[ip, iq], H_row, Hc_inv)
     return weight * acc
 
 
-def pointwise_norm2(a: MatrixFormField, H: np.ndarray | None = None) -> np.ndarray:
+def pointwise_norm2(a: MatrixFormField, H: HermitianMetric | None = None) -> np.ndarray:
     """Pointwise |a|^2_H as a real grid field."""
     return np.real(pointwise_inner(a, a, H))
 
@@ -414,11 +424,11 @@ def integrate(s: np.ndarray | float, base: TorusBase) -> float:
     return float(np.real(arr.sum())) * base.spacing ** (2 * base.n)
 
 
-def l2_norm(a: MatrixFormField, H: np.ndarray | None = None) -> float:
+def l2_norm(a: MatrixFormField, H: HermitianMetric | None = None) -> float:
     return float(np.sqrt(max(integrate(pointwise_norm2(a, H), a.base), 0.0)))
 
 
-def sup_norm(a: MatrixFormField, H: np.ndarray | None = None) -> float:
+def sup_norm(a: MatrixFormField, H: HermitianMetric | None = None) -> float:
     return float(np.sqrt(max(pointwise_norm2(a, H).max(), 0.0)))
 
 

@@ -101,8 +101,11 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.shape[-2:] == b.shape[-2:] == (1, 1):
             # 1x1 blocks have one layout, and their product is elementwise
             return a * b
-        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-        out = _trailing_array(shape, a.dtype if a.dtype == b.dtype else np.result_type(a, b))
+        batch = a.shape[:-2]
+        if b.shape[:-2] != batch:
+            batch = np.broadcast_shapes(batch, b.shape[:-2])
+        out = _trailing_array(batch + (a.shape[-2], b.shape[-1]),
+                              a.dtype if a.dtype == b.dtype else np.result_type(a, b))
         np.multiply(a[..., :, 0:1], b[..., 0:1, :], out=out)
         if a.shape[-1] > 1:
             term = np.empty_like(out)

@@ -115,7 +115,7 @@ def test_flatness_certificate_takes_each_part_norm_once(n, calls, monkeypatch):
     from higgsflow import Curvature, sup_norm
     st = random_valid_state(TorusBase(n, 8), 2, 3)
     hs = Curvature(st)
-    expected = [hs.sup_norm()] + [sup_norm(f, st.metric.mat)
+    expected = [hs.sup_norm()] + [sup_norm(f, st.metric)
                                   for f in hs.parts.values()]
     count = [0]
     original = higgsflow.grid.pointwise_norm2

@@ -10,7 +10,7 @@ from higgsflow import (HermitianMetric, HiggsBundleState,
                        gauge_from_metric, run_donaldson_flow, run_ymh_flow,
                        sup_norm, ymh_energy)
 from higgsflow.flows import _etd2, _gauge_update, _metric_update
-from higgsflow.geometry import adjoint_field, chern_connection
+from higgsflow.geometry import Curvature, adjoint_field, chern_connection
 from higgsflow.grid import d_flat, integrate, tr_field
 from higgsflow.linalg import dagger, inv, min_eigvalsh, sqrtm_hpd
 
@@ -32,7 +32,8 @@ def etd2_step(state, dt, update=_metric_update, K=None):
     with deviation K (computed when not given); it must not break down."""
     W = sqrtm_hpd(state.metric.mat)
     K = einstein_deviation(state) if K is None else K
-    candidate, err, reason = _etd2(state, dt, K, (W, inv(W)), update, None)
+    candidate, err, reason = _etd2(state, dt, K, (W, inv(W)), update,
+                                   (None, None), None)
     assert reason is None and err is None
     return candidate
 
@@ -548,15 +549,16 @@ def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch,
     # the full curvature is built only where the sample norms are read: the
     # start, evaluated once for both runs, and the state at T of each run.
     # The two predictors and the first accepted state of each run build only
-    # the diagonal slots (6 evaluations). d_flat: one per evaluation (d of
-    # H), one more per full curvature (d of a) and one per del_H phi of a
-    # sample (3). The structure is validated at the start, once for both
-    # runs, and at the pair's sample at T. dbar_flat: one per full
-    # curvature, two per validate_structure, one per gauge update of the
-    # pair (predictor and result: 4) and per transported pair (2)
+    # the diagonal slots (6 evaluations). d_flat: d of H per evaluation of
+    # the start and of the metric flow (5) and once for the whole pair run,
+    # whose metric is frozen (1); d of a per full curvature (3) and one per
+    # del_H phi of a sample (3). The structure is validated at the start,
+    # once for both runs, and at the pair's sample at T. dbar_flat: one per
+    # full curvature, two per validate_structure, one per gauge update of
+    # the pair (predictor and result: 4) and per transported pair (2)
     assert part11_builds == [3]
-    assert counts == {"d_flat": 9 + 3 + 3, "dbar_flat": 3 + 2 * 2 + 4 + 2,
-                      "validate_structure": 2}
+    assert counts == {"d_flat": 5 + 1 + 3 + 3,
+                      "dbar_flat": 3 + 2 * 2 + 4 + 2, "validate_structure": 2}
 
 
 def test_the_runner_takes_one_root_per_metric(monkeypatch):
@@ -573,6 +575,93 @@ def test_the_runner_takes_one_root_per_metric(monkeypatch):
     counts["sqrtm_hpd"] = 0
     res = run_ymh_flow(st, 0.25, 0.5)
     assert res.rejected > 0 and counts["sqrtm_hpd"] == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_sample_row_inverts_its_metric_once(n, monkeypatch):
+    # the Chern connection, phi^{*H} and the four norms of a row all read
+    # the metric's cached inverse
+    from higgsflow.flows import _evaluate, _metric_trace_row
+    from higgsflow.geometry import validate_structure
+    from higgsflow.scenarios import random_valid_state
+    st = random_valid_state(TorusBase(n, 8), 2, 4)
+    validity = validate_structure(st.structure)
+    counts = _count_calls(monkeypatch, inv)
+    K, norms = _evaluate(st, (None, None))
+    _metric_trace_row(st, 1e-3, validity, K, norms, None)
+    assert counts == {"inv": 1}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_held_half_gives_the_same_deviation_to_the_bit(n):
+    # each flow builds the half of the state it never changes once per run;
+    # K from it equals K from the full curvature byte for byte, signed
+    # zeros too, on states that share that half with the start but not the
+    # other
+    from higgsflow.flows import _deviation, _hold_metric, _hold_structure
+    from higgsflow.scenarios import random_valid_state
+    base = TorusBase(n, 8)
+    st, other = (random_valid_state(base, 2, seed) for seed in (5, 6))
+    cases = [(_hold_structure, st, HiggsBundleState(st.structure, other.metric)),
+             (_hold_metric, st, HiggsBundleState(other.structure, st.metric))]
+    if n == 1:  # all zeros: every sign of zero shows
+        flat = build_scenario("flat-trivial-r2", N=8)
+        cases += [(_hold_structure, flat, flat), (_hold_metric, flat, flat)]
+    for hold, start, state in cases:
+        full = einstein_deviation(state, Curvature(state)).comps.tobytes()
+        assert _deviation(state, hold(start)).comps.tobytes() == full
+        assert einstein_deviation(state).comps.tobytes() == full
+
+
+def _count_del_of(monkeypatch, array):
+    """Count the derivatives d/dz^j taken of array or of a view into it."""
+    import higgsflow.flows
+    import higgsflow.grid
+    real = higgsflow.grid._dz_component
+    count = [0]
+
+    def counted(c, base, j, bar):
+        count[0] += not bar and np.shares_memory(c, array)
+        return real(c, base, j, bar)
+
+    for module in (higgsflow.grid, higgsflow.flows):
+        monkeypatch.setattr(module, "_dz_component", counted)
+    return count
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_flow_builds_its_frozen_half_once_per_run(n, monkeypatch):
+    # the metric flow takes del_i a_i of its frozen a once per run for the
+    # slots (n derivatives), and past that only in the full curvatures of
+    # its two samples (t = 0 and T); the pair flow builds H^{-1} del H of its
+    # frozen metric once, and its samples read it too. Neither count grows
+    # with the steps
+    from higgsflow.scenarios import random_valid_state
+    st = random_valid_state(TorusBase(n, 8), 2, 7)
+    da = _count_del_of(monkeypatch, st.structure.a.comps)
+    import higgsflow.geometry
+    counts = _count_calls(monkeypatch, higgsflow.geometry._metric_connection)
+    for steps in (2, 4):
+        da[0] = 0
+        run_donaldson_flow(st, steps * 1e-3, 1e-3, fixed_dt=True)
+        assert da[0] == n + 2 * n
+        counts["_metric_connection"] = 0
+        run_ymh_flow(st, steps * 1e-3, 1e-3, fixed_dt=True)
+        assert counts["_metric_connection"] == 1
+
+
+def test_the_spectra_make_the_upper_triangle_once_per_rank(monkeypatch):
+    import higgsflow.flows
+    higgsflow.flows._triu.cache_clear()
+    real = np.triu_indices
+    ranks = []
+    monkeypatch.setattr(np, "triu_indices",
+                        lambda r, *args: ranks.append(r) or real(r, *args))
+    for N in (8, 12):
+        run_donaldson_flow(nilpotent_state(N), 4e-3, 1e-3, fixed_dt=True)
+        run_donaldson_flow(build_scenario("conformal-r1", N=N), 4e-3, 1e-3,
+                           fixed_dt=True)
+    assert sorted(ranks) == [1, 2]
 
 
 # -- the ETDRK2 step -----------------------------------------------------------------
@@ -653,7 +742,7 @@ def test_every_step_keeps_the_metric_positive_and_hermitian(n, rank, seed):
     for _ in range(3):
         # ten times the adaptive runner's cap SAFETY / sup|K|
         K = einstein_deviation(st)
-        st = etd2_step(st, 10.0 * SAFETY / sup_norm(K, st.metric.mat), K=K)
+        st = etd2_step(st, 10.0 * SAFETY / sup_norm(K, st.metric), K=K)
         H = st.metric.mat
         assert np.array_equal(H, dagger(H))
         assert min_eigvalsh(H) > 0.0

@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from higgsflow import (MatrixFormField, TorusBase, contract_lambda, d_flat,
-                       dbar_flat, integrate, integrate_top_form, l2_norm,
-                       pointwise_inner, pointwise_norm2, sup_norm, tr_field,
-                       wedge)
-from higgsflow.grid import _dz_component, _wedge_table
+from higgsflow import (HermitianMetric, MatrixFormField, TorusBase,
+                       contract_lambda, d_flat, dbar_flat, integrate,
+                       integrate_top_form, l2_norm, pointwise_inner,
+                       pointwise_norm2, sup_norm, tr_field, wedge)
+from higgsflow.grid import _dz_component, _endo_inner, _wedge_table
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
 E21 = E12.T.copy()
@@ -208,7 +209,8 @@ def test_n1_contraction_preserves_norm():
                         rng.standard_normal((1, 1) + base.shape + (2, 2))
                         + 1j * rng.standard_normal((1, 1) + base.shape + (2, 2)))
     H = np.eye(2) + 0.2 * np.diag([1.0, -1.0])
-    Hf = np.broadcast_to(H.astype(complex), base.shape + (2, 2)).copy()
+    Hf = HermitianMetric(base, np.broadcast_to(H.astype(complex),
+                                               base.shape + (2, 2)).copy())
     assert np.allclose(pointwise_norm2(F, Hf),
                        pointwise_norm2(contract_lambda(F), Hf))
 
@@ -302,7 +304,7 @@ def test_dz_component_matches_the_roll_formula_exactly(n, p, q, rows, cols):
 
 
 def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):
-    import higgsflow.grid
+    import higgsflow.geometry
     from higgsflow.linalg import dagger, inv
     rng = np.random.default_rng(3)
     base = TorusBase(2, 8)
@@ -312,10 +314,14 @@ def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):
     x = rng.standard_normal(base.shape + (2, 2)) + 1j * rng.standard_normal(base.shape + (2, 2))
     H = np.eye(2) + x @ dagger(x)
 
+    # the norms read the metric's cached inverse: one inverse for every
+    # component and every later norm in that metric
     calls = []
-    monkeypatch.setattr(higgsflow.grid, "inv",
+    monkeypatch.setattr(higgsflow.geometry, "inv",
                         lambda m: calls.append(m) or inv(m))
-    got = pointwise_inner(a, b, H)
+    metric = HermitianMetric(base, H)
+    got = pointwise_inner(a, b, metric)
+    assert np.array_equal(pointwise_inner(a, b, metric), got)
     assert len(calls) == 1
     # per-component reference: tr(a H^{-1} b^dag H), summed in component order
     acc = np.zeros(base.shape, np.complex128)
@@ -324,6 +330,38 @@ def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):
                          dagger(b.comps[ip, iq]), H)
     expected = 4.0 * acc
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@st.composite
+def _blocks_in_a_metric(draw):
+    n = draw(st.sampled_from([1, 2]))
+    rows = draw(st.integers(1, 4))
+    cols = rows if draw(st.booleans()) else \
+        draw(st.integers(1, 4).filter(lambda c: c != rows))
+    p, q = draw(st.integers(0, n)), draw(st.integers(0, n))
+    return n, rows, cols, p, q, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_blocks_in_a_metric())
+def test_a_norm_in_a_metric_equals_the_explicit_inverse_result(case):
+    # the norm reads the metric's cached inverse: the same bits as
+    # inverting the metric on the spot, for square and Hom blocks
+    from higgsflow.linalg import dagger, inv
+    n, rows, cols, p, q, seed = case
+    rng = np.random.default_rng(seed)
+    base = TorusBase(n, 8)
+    f = _random_field(rng, base, p, q, rows, cols)
+    x = rng.standard_normal(base.shape + (rows, rows)) \
+        + 1j * rng.standard_normal(base.shape + (rows, rows))
+    metric = HermitianMetric(base, np.eye(rows) + x @ dagger(x))
+    H = metric.mat
+    Hc_inv = inv(H) if rows == cols else None
+    acc = np.zeros(base.shape, np.complex128)
+    for ip, iq in itertools.product(*map(range, f.comps.shape[:2])):
+        acc += _endo_inner(f.comps[ip, iq], f.comps[ip, iq], H, Hc_inv)
+    assert np.array_equal(pointwise_norm2(f, metric),
+                          np.real(2.0 ** (p + q) * acc))
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 1), (3, 2)])
@@ -340,7 +378,8 @@ def test_hom_block_norm_takes_the_metric_on_rows_only(rows, cols):
     # |a|^2_H = |dz|^2 tr(a^dag H a): H weighs the rows, the columns carry none
     c = a.comps[0, 0]
     expected = 2.0 * np.real(np.trace(dagger(c) @ H @ c, axis1=-2, axis2=-1))
-    assert np.allclose(pointwise_norm2(a, H), expected, rtol=1e-13, atol=0.0)
+    assert np.allclose(pointwise_norm2(a, HermitianMetric(base, H)), expected,
+                       rtol=1e-13, atol=0.0)
 
 
 # -- grid-trailing storage ------------------------------------------------------
@@ -448,5 +487,5 @@ def test_pointwise_inner_matches_the_einsum_reference(n, rows, cols, weighted):
             Hc = inv(H) if rows == cols else np.eye(cols)
             acc += np.einsum("...ij,...jk,...kl,...li->...", ca, Hc, dagger(cb), H)
     expected = 4.0 * acc
-    got = pointwise_inner(a, b, H)
+    got = pointwise_inner(a, b, None if H is None else HermitianMetric(base, H))
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
