@@ -23,13 +23,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
-                       HiggsStructure, _degree_slope_lambda, _metric_connection,
-                       adjoint_field, chern_connection, higgs_adjoint,
-                       validate_structure)
+                       HiggsStructure, _degree_slope_lambda, _form_dagger,
+                       _metric_connection, validate_structure)
 from .grid import (MatrixFormField, TorusBase, _contract_slots, _dz_component,
                    contract_lambda, dbar_flat, integrate, pointwise_norm2,
                    sup_norm)
@@ -79,7 +79,7 @@ def einstein_deviation(state: HiggsBundleState,
     exact.
     """
     if hs is None:
-        return _deviation(state, (None, None))
+        return _deviation(state, _Held())
     return _from_contractions(state, contract_lambda(hs.f11).comps[0, 0],
                               contract_lambda(hs.part11).comps[0, 0] * 1j)
 
@@ -95,21 +95,48 @@ def _from_contractions(state: HiggsBundleState, lambda_f11: np.ndarray,
     return K
 
 
-def _deviation(state: HiggsBundleState, held) -> MatrixFormField:
+class _Held(NamedTuple):
+    """The half of a state that a flow holds fixed, built once per run
+    (_hold_structure, _hold_metric); a None in it is built from the state
+    where it is read, so _Held() holds nothing.
+
+    del_a: the slots' del_i a_i; conn: H^{-1} del H (_metric_connection);
+    a_dag, phi_dag: a and phi daggered with dz <-> dzbar (_form_dagger).
+    """
+
+    del_a: list | None = None
+    conn: MatrixFormField | None = None
+    a_dag: MatrixFormField | None = None
+    phi_dag: MatrixFormField | None = None
+
+
+def _connection_and_adjoint(state: HiggsBundleState, held: _Held):
+    """The Chern connection form b = H^{-1} del H - H^{-1} a^dag H and
+    phi^{*H} = H^{-1} phi^dag H of the state, by the products of
+    chern_connection and higgs_adjoint in their order, so both equal theirs
+    to the bit; the parts that held carries are not built again."""
+    a, phi, H = state.structure.a, state.structure.phi, state.metric
+    H.check_positive()
+    conn = _metric_connection(H) if held.conn is None else held.conn
+    a_dag = _form_dagger(a) if held.a_dag is None else held.a_dag
+    phi_dag = _form_dagger(phi) if held.phi_dag is None else held.phi_dag
+    return conn - a_dag.sandwich(H.inv, H.mat), phi_dag.sandwich(H.inv, H.mat)
+
+
+def _deviation(state: HiggsBundleState, held: _Held) -> MatrixFormField:
     """K from the slots (i, i) of Curvature.f11 and Curvature.part11 alone:
     all that the Lambda-contraction and lambda read.
 
     Slot i is -dbar_i b_i + del_i a_i - a_i b_i + b_i a_i, plus the bracket
     phi_i phi*_i - phi*_i phi_i: the terms of dbar_flat, d_flat and wedge,
     taken and summed in their order, so K equals that of Curvature to the
-    bit. held = (del_a, conn) is the half of the state that a flow holds
-    fixed (_hold_structure, _hold_metric); a None in it is built here.
+    bit. held is the half of the state that a flow holds fixed: the metric
+    flow's del_i a_i and daggers of a and phi, or the pair flow's
+    H^{-1} del H; a None in it is built here.
     """
-    a, phi, H = state.structure.a, state.structure.phi, state.metric
+    a, phi = state.structure.a, state.structure.phi
     base = state.base
-    del_a, conn = held
-    b = chern_connection(H, a) if conn is None else conn - adjoint_field(a, H)
-    phistar = higgs_adjoint(phi, H)
+    b, phistar = _connection_and_adjoint(state, held)
     f11, part11 = [], []
     for i in range(base.n):
         a_i, b_i = a.comps[0, i], b.comps[i, 0]
@@ -117,7 +144,8 @@ def _deviation(state: HiggsBundleState, held) -> MatrixFormField:
         # 0 - x, not -x, as in the zero-filled sums of dbar_flat and wedge
         slot = _dz_component(b_i, base, i, True)
         np.subtract(0.0, slot, out=slot)
-        slot += _dz_component(a_i, base, i, False) if del_a is None else del_a[i]
+        slot += _dz_component(a_i, base, i, False) if held.del_a is None \
+            else held.del_a[i]
         slot -= mm(a_i, b_i)
         slot += mm(b_i, a_i)
         bracket = mm(phi_i, phistar_i)
@@ -128,19 +156,21 @@ def _deviation(state: HiggsBundleState, held) -> MatrixFormField:
                               _contract_slots(part11) * 1j)
 
 
-def _hold_structure(start: HiggsBundleState):
-    """(del_a, None): the metric flow's structure is frozen, so the slots'
-    derivatives del_i a_i are taken once per run."""
-    a, base = start.structure.a, start.base
-    return [_dz_component(a.comps[0, i], base, i, False)
-            for i in range(base.n)], None
+def _hold_structure(start: HiggsBundleState) -> _Held:
+    """The metric flow's structure is frozen, so the slots' derivatives
+    del_i a_i and the daggers of a and phi (dz <-> dzbar), from which every
+    state's b and phi^{*H} are built, are taken once per run. The full
+    d_flat(a) of a sample curvature is not held."""
+    a, phi, base = start.structure.a, start.structure.phi, start.base
+    return _Held(del_a=[_dz_component(a.comps[0, i], base, i, False)
+                        for i in range(base.n)],
+                 a_dag=_form_dagger(a), phi_dag=_form_dagger(phi))
 
 
-def _hold_metric(start: HiggsBundleState):
-    """(None, conn): the pair flow's metric is frozen, so conn = H^{-1} del H,
-    the part of the Chern connection form it alone sets, is built once per
-    run."""
-    return None, _metric_connection(start.metric)
+def _hold_metric(start: HiggsBundleState) -> _Held:
+    """The pair flow's metric is frozen, so conn = H^{-1} del H, the part of
+    the Chern connection form it alone sets, is built once per run."""
+    return _Held(conn=_metric_connection(start.metric))
 
 
 # -- the ETDRK2 step ---------------------------------------------------------------
@@ -472,17 +502,15 @@ def check_flow_times(T: float, dt: float) -> None:
         raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
 
 
-def _evaluate(state: HiggsBundleState, held):
+def _evaluate(state: HiggsBundleState, held: _Held):
     """K of the state and its sample norms: the pointwise |del_H phi|^2
     (zero for n = 1), |F + [phi,phi*]|^2 and |i Lambda(F + [phi,phi*])|^2,
     which the trace row and the two-flow check read. The norms take one
     Curvature, which K then reads; the curvature itself is not kept. held
-    is as in _deviation: when it holds the pair flow's H^{-1} del H, the
-    Chern connection form is built from it, as chern_connection would."""
+    is as in _deviation: the curvature's b and phi^{*H} are built from it,
+    to the bits of chern_connection and higgs_adjoint."""
     hs, H = Curvature(state), state.metric
-    conn = held[1]
-    if conn is not None:
-        hs.b = conn - adjoint_field(state.structure.a, H)
+    hs.b, hs.phistar = _connection_and_adjoint(state, held)
     dphi2 = np.zeros(state.base.shape) if hs.del_phi is None else \
         pointwise_norm2(hs.del_phi, H)
     # i Lambda(F + [phi,phi*]) is K before lambda Id is subtracted: its norm
@@ -726,7 +754,7 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     # checked before the shared start is evaluated; the runners repeat it
     check_flow_times(T, dt)
     _sample_schedule(T, samples)
-    _shared_starts[id(state0)] = (*_evaluate(state0, (None, None)),
+    _shared_starts[id(state0)] = (*_evaluate(state0, _Held()),
                                   validate_structure(state0.structure))
     try:
         res_m = run_donaldson_flow(state0, T, dt, fixed_dt=True,

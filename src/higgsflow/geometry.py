@@ -183,9 +183,14 @@ def adjoint_field(f: MatrixFormField, H: HermitianMetric | None = None,
     """
     if H_col is None:
         H_col = H
-    star = MatrixFormField(f.base, f.q, f.p, dagger(np.swapaxes(f.comps, 0, 1)))
-    return star.sandwich(None if H_col is None else H_col.inv,
-                         None if H is None else H.mat)
+    return _form_dagger(f).sandwich(None if H_col is None else H_col.inv,
+                                    None if H is None else H.mat)
+
+
+def _form_dagger(f: MatrixFormField) -> MatrixFormField:
+    """f^dag with dz <-> dzbar, the metric-free half of adjoint_field; the
+    metric flow, whose structure is frozen, takes it of a and phi once."""
+    return MatrixFormField(f.base, f.q, f.p, dagger(np.swapaxes(f.comps, 0, 1)))
 
 
 def higgs_adjoint(phi: MatrixFormField, H: HermitianMetric) -> MatrixFormField:

@@ -17,7 +17,11 @@ Kernel contract:
 * inv uses a closed form for r <= 3 (1/m, then the adjugate over the
   determinant) and np.linalg.inv for r = 4; a block whose determinant is
   exactly zero raises np.linalg.LinAlgError, as np.linalg.inv does;
-* expm_batched is np.exp for r = 1 and, for r >= 2, a Taylor polynomial
+* expm_batched is np.exp for r = 1; for a batch of exactly Hermitian 2x2
+  blocks X = [[a, b], [b*, c]] (checked on the input) it is the closed
+  form e^m [cosh delta I + (sinh delta / delta)(X - m I)], with
+  m = (a + c)/2 and delta = sqrt(((a - c)/2)^2 + |b|^2), accurate in
+  every entry; for any other input with r >= 2 it is a Taylor polynomial
   of norm-selected degree evaluated by Paterson-Stockmeyer on mm;
 * is_positive_definite reads the leading principal minors for r <= 3 and
   eigvalsh for r = 4 or when a minor overflows;
@@ -182,12 +186,63 @@ def _taylor_ps(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def expm_batched(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Taylor core.
+def _is_hermitian2(m: np.ndarray) -> bool:
+    """Whether every 2x2 block of m is exactly Hermitian: entry (1, 0) equal
+    to the conjugate of entry (0, 1), and a zero imaginary diagonal. A NaN
+    entry fails the test."""
+    return not (m[..., 0, 0].imag.any() or m[..., 1, 1].imag.any()) and \
+        np.array_equal(m[..., 1, 0], np.conj(m[..., 0, 1]))
 
-    np.exp at r = 1. For r >= 2 the batch's largest Frobenius norm picks the
-    lowest degree of _TAYLOR_DEGREES that reaches it; past the last theta the
-    argument is halved until it does, then squared back.
+
+def _expm_hermitian2(m: np.ndarray) -> np.ndarray:
+    """e^X of exactly Hermitian 2x2 blocks X = [[a, b], [b*, d]] in closed
+    form (Moler & Van Loan, SIAM Rev. 45, 2003): with m = (a + d)/2 and
+    delta = sqrt(((a - d)/2)^2 + |b|^2), e^X = e^m [cosh delta I
+    + (sinh delta / delta)(X - m I)], where sinh delta / delta = 1 at 0.
+
+    The factors are taken relative to e^{m + delta}, the larger
+    eigenvalue's exponential, through x = expm1(-2 delta), so nothing
+    overflows unless it does. The diagonal entry on the side of the sign
+    of a - d is a sum of positive terms; the other one, where the formula
+    cancels, is taken from det e^X = e^{2m} instead. So every entry, not
+    only the largest, is accurate to a few roundings, and the diagonal is
+    positive. The result is exactly Hermitian; a block with a non-finite
+    entry is all NaN, as at r = 1.
+    """
+    a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]
+    half_diff = 0.5 * (a - d)
+    abs_b = np.abs(b)
+    delta = np.hypot(half_diff, abs_b)
+    mean = 0.5 * (a + d)
+    x = np.expm1(-2.0 * delta)
+    # e^m sinh(delta) / delta and the larger diagonal entry, both over
+    # big = e^{m + delta}; the latter is at least 1/2
+    sinhc = np.where(delta == 0.0, 1.0, -0.5 * x / delta)
+    ratio = (1.0 + 0.5 * x) + sinhc * np.abs(half_diff)
+    big = np.exp(mean + delta)
+    off = sinhc * abs_b
+    # larger * smaller - |big off|^2 = e^{2m} = big e^{m - delta}
+    smaller = (np.exp(mean - delta) + (big * off) * off) / ratio
+    larger = big * ratio
+    upper = half_diff >= 0.0
+    store = np.empty((2, 2) + m.shape[:-2], np.complex128)
+    store[0, 0, ...] = np.where(upper, larger, smaller)
+    store[1, 1, ...] = np.where(upper, smaller, larger)
+    np.multiply(big * sinhc, b, out=store[0, 1, ...])
+    np.conjugate(store[0, 1], out=store[1, 0, ...])
+    if not np.isfinite(store).all():
+        store[:, :, ~np.isfinite(store).all(axis=(0, 1))] = np.nan
+    return store.transpose(_view_axes(store.ndim))
+
+
+def expm_batched(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential: closed form or scaling-and-squaring with a
+    Taylor core.
+
+    np.exp at r = 1, and _expm_hermitian2 for a batch of exactly Hermitian
+    2x2 blocks. Otherwise the batch's largest Frobenius norm picks the
+    lowest degree of _TAYLOR_DEGREES that reaches it; past the last theta
+    the argument is halved until it does, then squared back.
     """
     m = np.asarray(m, dtype=np.complex128)
     with np.errstate(**_QUIET):
@@ -197,6 +252,8 @@ def expm_batched(m: np.ndarray) -> np.ndarray:
             out = np.exp(m)
             out[~np.isfinite(out)] = np.nan
             return out
+        if m.shape[-1] == 2 and _is_hermitian2(m):
+            return _expm_hermitian2(m)
         norm = np.linalg.norm(m, axis=(-2, -1)).max() if m.size else 0.0
         if not np.isfinite(norm):
             return np.full_like(m, np.nan)

@@ -9,7 +9,7 @@ from higgsflow import (HermitianMetric, HiggsBundleState,
                        einstein_deviation, energy_density, flow_equivalence_check,
                        gauge_from_metric, run_donaldson_flow, run_ymh_flow,
                        sup_norm, ymh_energy)
-from higgsflow.flows import _etd2, _gauge_update, _metric_update
+from higgsflow.flows import _etd2, _gauge_update, _Held, _metric_update
 from higgsflow.geometry import Curvature, adjoint_field, chern_connection
 from higgsflow.grid import d_flat, integrate, tr_field
 from higgsflow.linalg import dagger, inv, min_eigvalsh, sqrtm_hpd
@@ -33,7 +33,7 @@ def etd2_step(state, dt, update=_metric_update, K=None):
     W = sqrtm_hpd(state.metric.mat)
     K = einstein_deviation(state) if K is None else K
     candidate, err, reason = _etd2(state, dt, K, (W, inv(W)), update,
-                                   (None, None), None)
+                                   _Held(), None)
     assert reason is None and err is None
     return candidate
 
@@ -587,7 +587,7 @@ def test_a_sample_row_inverts_its_metric_once(n, monkeypatch):
     st = random_valid_state(TorusBase(n, 8), 2, 4)
     validity = validate_structure(st.structure)
     counts = _count_calls(monkeypatch, inv)
-    K, norms = _evaluate(st, (None, None))
+    K, norms = _evaluate(st, _Held())
     _metric_trace_row(st, 1e-3, validity, K, norms, None)
     assert counts == {"inv": 1}
 
@@ -629,25 +629,50 @@ def _count_del_of(monkeypatch, array):
     return count
 
 
+def _count_daggers_of(monkeypatch, *arrays):
+    """Count the daggers that geometry takes of each array or of a view
+    into it (the metric adjoints)."""
+    import higgsflow.geometry
+    real = higgsflow.geometry.dagger
+    counts = [0] * len(arrays)
+
+    def counted(m):
+        for k, array in enumerate(arrays):
+            counts[k] += np.shares_memory(m, array)
+        return real(m)
+
+    monkeypatch.setattr(higgsflow.geometry, "dagger", counted)
+    return counts
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_each_flow_builds_its_frozen_half_once_per_run(n, monkeypatch):
     # the metric flow takes del_i a_i of its frozen a once per run for the
     # slots (n derivatives), and past that only in the full curvatures of
-    # its two samples (t = 0 and T); the pair flow builds H^{-1} del H of its
-    # frozen metric once, and its samples read it too. Neither count grows
-    # with the steps
+    # its two samples (t = 0 and T); it daggers a and phi once per run for
+    # the b and phi^{*H} of every state, samples included. The pair flow
+    # builds H^{-1} del H of its frozen metric once, and its samples read
+    # it too. No count grows with the steps. The exponentials of both
+    # rank-2 flows take the closed form, never the Taylor polynomial
     from higgsflow.scenarios import random_valid_state
     st = random_valid_state(TorusBase(n, 8), 2, 7)
     da = _count_del_of(monkeypatch, st.structure.a.comps)
+    daggers = _count_daggers_of(monkeypatch, st.structure.a.comps,
+                                st.structure.phi.comps)
     import higgsflow.geometry
-    counts = _count_calls(monkeypatch, higgsflow.geometry._metric_connection)
+    import higgsflow.linalg
+    counts = _count_calls(monkeypatch, higgsflow.geometry._metric_connection,
+                          higgsflow.linalg._taylor_ps)
     for steps in (2, 4):
         da[0] = 0
+        daggers[:] = [0, 0]
         run_donaldson_flow(st, steps * 1e-3, 1e-3, fixed_dt=True)
         assert da[0] == n + 2 * n
+        assert daggers == [1, 1]
         counts["_metric_connection"] = 0
         run_ymh_flow(st, steps * 1e-3, 1e-3, fixed_dt=True)
         assert counts["_metric_connection"] == 1
+    assert counts["_taylor_ps"] == 0
 
 
 def test_the_spectra_make_the_upper_triangle_once_per_rank(monkeypatch):

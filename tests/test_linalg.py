@@ -9,6 +9,7 @@ import itertools
 import math
 import re
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,144 @@ def test_expm_matches_eigh_on_h_self_adjoint_input(case, r, size):
     inner = w @ K @ w_inv
     ref = w_inv @ _eigh_exp(0.5 * (inner + dagger(inner))) @ w
     assert np.abs(expm_batched(K) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# -- the closed form for Hermitian 2x2 blocks ----------------------------------------
+
+
+def _assert_blockwise_close(out, ref, size):
+    """Each block within 1e-14 of its largest reference entry, widened past
+    a norm of 10 in proportion to it: a rounding of X by eps moves e^X by
+    eps |X| relative, for eigh's result as for any other."""
+    scale = np.abs(ref).max(axis=(-2, -1))
+    err = np.abs(out - ref).max(axis=(-2, -1))
+    assert (err <= 1e-14 * max(1.0, size / 10.0) * scale).all()
+
+
+@PROPERTY
+@given(grid_batches(st.integers(2, 6)),
+       st.floats(-8.0, math.log10(700.0)), st.booleans())
+def test_expm_closed_form_matches_eigh_on_hermitian_2x2(case, log_size, tiny_b):
+    # sizes from 1e-8 to 700, where e^m is near the float limit; with
+    # tiny_b, |b| is 1e-12 of |a - d|
+    batch, seed = case
+    rng = np.random.default_rng(seed)
+    x = random_stack(rng, batch + (2, 2))
+    h = x + dagger(x)
+    if tiny_b:
+        h[..., 0, 1] *= 1e-12
+        h[..., 1, 0] *= 1e-12
+    size = 10.0 ** log_size
+    h *= size / np.linalg.norm(h, axis=(-2, -1)).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = expm_batched(h)
+    _assert_blockwise_close(out, _eigh_exp(h), size)
+    assert np.array_equal(out, dagger(out))
+
+
+def _decimal_expm2(block):
+    """e^X of one Hermitian 2x2 block in 60-digit decimals, as
+    e^{l+} P+ + e^{l-} P- with the eigenprojectors' diagonals written
+    without cancellation."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, d = Decimal(block[0, 0].real), Decimal(block[1, 1].real)
+        br, bi = Decimal(block[0, 1].real), Decimal(block[0, 1].imag)
+        m, h, b2 = (a + d) / 2, (a - d) / 2, br * br + bi * bi
+        delta = (h * h + b2).sqrt()
+        if delta == 0:
+            return np.exp(float(m)) * np.eye(2)
+        up, down = (m + delta).exp(), (m - delta).exp()
+        p = (1 + abs(h) / delta) / 2
+        q = b2 / (2 * delta * (delta + abs(h)))
+        larger, smaller = up * p + down * q, up * q + down * p
+        sinhc = m.exp() * (delta.exp() - (-delta).exp()) / (2 * delta)
+        diag = (larger, smaller) if h >= 0 else (smaller, larger)
+        off = complex(float(sinhc * br), float(sinhc * bi))
+        return np.array([[float(diag[0]), off], [off.conjugate(), float(diag[1])]])
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.floats(-2.0, math.log10(700.0)),
+       st.floats(-14.0, 0.0))
+def test_expm_closed_form_is_accurate_in_every_entry(seed, log_size, log_b):
+    # |b| down to 1e-14 of |a - d|, where e^m (cosh delta - sinh delta
+    # (a - d) / (2 delta)) cancels: the smaller diagonal entry, which can
+    # be far below the largest, holds its own relative accuracy too
+    rng = np.random.default_rng(seed)
+    x = random_stack(rng, (16, 2, 2))
+    h = x + dagger(x)
+    h[..., 0, 1] *= 10.0 ** log_b
+    h[..., 1, 0] *= 10.0 ** log_b
+    size = 10.0 ** log_size
+    h *= size / np.linalg.norm(h, axis=(-2, -1)).max()
+    out = expm_batched(h)
+    for k in range(len(h)):
+        ref = _decimal_expm2(h[k])
+        bound = 1e-14 * max(1.0, size / 10.0) * np.abs(ref)
+        assert (np.abs(out[k] - ref) <= bound).all()
+
+
+@PROPERTY
+@given(grid_batches(), st.floats(-745.0, 709.0))
+def test_expm_closed_form_of_a_multiple_of_the_identity_is_exact(case, c):
+    # delta = 0 exactly: sinh(delta) / delta is 1 and e^{cI} = e^c I
+    batch, seed = case
+    scale = np.random.default_rng(seed).uniform(0.0, 1.0, batch)
+    m = (c * scale)[..., None, None] * np.eye(2)
+    expected = np.exp(c * scale)[..., None, None] * np.eye(2)
+    assert np.array_equal(expm_batched(m), expected)
+
+
+def test_expm_closed_form_overflows_to_nan_blockwise_without_warning():
+    # e^m overflows past m = log(DBL_MAX) = 709.78; a block whose larger
+    # eigenvalue is past it becomes all NaN, its neighbours are untouched
+    rng = np.random.default_rng(5)
+    x = random_stack(rng, (4, 4, 2, 2))
+    h = 0.5 * (x + dagger(x))
+    blocks = {(0, 0): [[710.0, 0.0], [0.0, 710.0]],
+              (1, 2): [[709.0, 2.0], [2.0, 709.0]],
+              (2, 1): [[1e308, 1e308], [1e308, -1e308]],
+              (3, 3): [[np.inf, 0.0], [0.0, 1.0]],
+              (3, 0): [[700.0, 0.5], [0.5, 700.0]]}
+    for idx, block in blocks.items():
+        h[idx] = block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = expm_batched(h)
+    for idx in [(0, 0), (1, 2), (2, 1), (3, 3)]:
+        assert np.isnan(out[idx]).all()
+    finite = np.isfinite(out).all(axis=(-2, -1))
+    assert finite.sum() == 16 - 4
+    _assert_blockwise_close(out[finite], _eigh_exp(h[finite]), 700.0)
+
+
+def test_expm_takes_the_taylor_path_unless_every_block_is_hermitian(monkeypatch):
+    import higgsflow.linalg
+    calls = []
+    real = higgsflow.linalg._taylor_ps
+    monkeypatch.setattr(higgsflow.linalg, "_taylor_ps",
+                        lambda a, m: calls.append(m) or real(a, m))
+    rng = np.random.default_rng(6)
+    x = 0.1 * random_stack(rng, (4, 4, 2, 2))
+    h = x + dagger(x)
+    expm_batched(h)
+    assert calls == []
+    # a general stack, one off-diagonal entry a bit off its conjugate, and
+    # one diagonal entry with an imaginary part
+    near = h.copy()
+    near[1, 2, 1, 0] = np.nextafter(near[1, 2, 1, 0].real, np.inf) + \
+        1j * near[1, 2, 1, 0].imag
+    imag = h.copy()
+    imag[3, 0, 1, 1] += 1e-300j
+    for m in (x, near, imag):
+        calls.clear()
+        out = expm_batched(m)
+        assert len(calls) == 1
+        w, v = np.linalg.eig(m)
+        expected = (v * np.exp(w)[..., None, :]) @ np.linalg.inv(v)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
