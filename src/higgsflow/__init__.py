@@ -6,14 +6,12 @@ extension constructions and filtration certificates at desk scale.
 """
 
 from .grid import (TorusBase, MatrixFormField, dbar_flat, d_flat, wedge,
-                   contract_lambda, pointwise_inner, pointwise_norm2, l2_norm,
-                   sup_norm, integrate, integrate_top_form, tr_field)
+                   pointwise_inner, pointwise_norm2, l2_norm, sup_norm,
+                   integrate, integrate_top_form, tr_field)
 from .geometry import (HermitianMetric, HiggsStructure, HiggsBundleState,
-                       ValidityReport, validate_structure, chern_connection,
-                       higgs_adjoint, adjoint_field, Curvature,
-                       degree_slope_lambda)
+                       ValidityReport, validate_structure, adjoint_field,
+                       Curvature)
 from .flows import (FlowTrace, FlowResult, einstein_deviation,
-                    ymh_energy, energy_density,
                     complex_gauge_apply, gauge_from_metric,
                     run_donaldson_flow, run_ymh_flow, flow_equivalence_check,
                     EquivalenceReport)

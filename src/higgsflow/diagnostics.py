@@ -12,8 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .flows import einstein_deviation
-from .geometry import Curvature, HiggsBundleState, degree_slope_lambda
+from .geometry import Curvature, HiggsBundleState
 from .grid import (integrate, integrate_top_form, pointwise_norm2, tr_field,
                    wedge)
 
@@ -88,9 +87,9 @@ def chern_weil_report(state: HiggsBundleState) -> ChernWeilReport:
     """Evaluate every term of the energy identity independently."""
     hs = Curvature(state)
     lhs = integrate(hs.pointwise_energy(), state.base)
-    K = einstein_deviation(state, hs)
-    deviation = integrate(pointwise_norm2(K, state.metric), state.base)
-    deg, _, lam = degree_slope_lambda(state, hs.f11)
+    deviation = integrate(pointwise_norm2(hs.deviation(), state.metric),
+                          state.base)
+    deg, lam = hs.degree, hs.lam
     two_c2_minus_c1sq, _ = _char_class_integrals(hs)
     topological = 4.0 * math.pi**2 * two_c2_minus_c1sq
     lam_term = lam * lam * state.rank * state.base.volume
@@ -113,8 +112,7 @@ def topological_integrals(state: HiggsBundleState) -> TopologicalIntegrals:
     """Chern-Weil integrands of the Chern curvature; ch2 entries are 0 for
     n=1. No Higgs part of the curvature is built."""
     curv = Curvature(state)
-    return TopologicalIntegrals(degree_slope_lambda(state, curv.f11)[0],
-                                *_char_class_integrals(curv))
+    return TopologicalIntegrals(curv.degree, *_char_class_integrals(curv))
 
 
 @dataclass(frozen=True)

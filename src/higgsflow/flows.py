@@ -23,22 +23,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
-                       HiggsStructure, _degree_slope_lambda, _form_dagger,
-                       _metric_connection, validate_structure)
-from .grid import (MatrixFormField, TorusBase, _contract_slots, _dz_component,
-                   contract_lambda, dbar_flat, integrate, pointwise_norm2,
-                   sup_norm)
+                       HiggsStructure, _Held, validate_structure)
+from .grid import (MatrixFormField, TorusBase, dbar_flat, integrate,
+                   pointwise_norm2, sup_norm)
 from .linalg import (_store_axes, _view_axes, dagger, expm_batched, hermitize,
                      inv, mm, sqrtm_hpd)
 
 __all__ = [
     "FlowTrace", "FlowResult", "FlowBlowup",
-    "einstein_deviation", "ymh_energy", "energy_density",
+    "einstein_deviation",
     "complex_gauge_apply", "gauge_from_metric",
     "run_donaldson_flow", "run_ymh_flow", "flow_equivalence_check",
     "EquivalenceReport", "check_flow_times",
@@ -67,110 +64,11 @@ MAX_STEPS = 2_000_000
 PHI_TAYLOR_Z = 0.05
 
 
-def einstein_deviation(state: HiggsBundleState,
-                       hs: Curvature | None = None) -> MatrixFormField:
-    """K = i Lambda(F_H + [phi, phi^{*H}]) - lambda Id, a (0,0) field.
-
-    hs is the state's Curvature when the caller already holds it; only its
-    (1,1) parts are read. Without it, only the slots that Lambda reads are
-    built (_deviation), and K is the same to the bit.
-    K is H-self-adjoint up to truncation error; the steps read it in the
-    frame W = H^{1/2}, where its Hermitian part is taken, so positivity is
-    exact.
-    """
-    if hs is None:
-        return _deviation(state, _Held())
-    return _from_contractions(state, contract_lambda(hs.f11).comps[0, 0],
-                              contract_lambda(hs.part11).comps[0, 0] * 1j)
-
-
-def _from_contractions(state: HiggsBundleState, lambda_f11: np.ndarray,
-                       i_lambda_part11: np.ndarray) -> MatrixFormField:
-    """K from Lambda F_H, which sets lambda, and i Lambda(F_H + [phi, phi*]),
-    a (*grid, r, r) array whose storage K takes."""
-    _, _, lam = _degree_slope_lambda(state, lambda_f11)
-    K = MatrixFormField(state.base, 0, 0, i_lambda_part11[None, None])
-    eye = np.eye(state.rank, dtype=np.complex128)
-    K.comps[0, 0] -= lam * eye
-    return K
-
-
-class _Held(NamedTuple):
-    """The half of a state that a flow holds fixed, built once per run
-    (_hold_structure, _hold_metric); a None in it is built from the state
-    where it is read, so _Held() holds nothing.
-
-    del_a: the slots' del_i a_i; conn: H^{-1} del H (_metric_connection);
-    a_dag, phi_dag: a and phi daggered with dz <-> dzbar (_form_dagger).
-    """
-
-    del_a: list | None = None
-    conn: MatrixFormField | None = None
-    a_dag: MatrixFormField | None = None
-    phi_dag: MatrixFormField | None = None
-
-
-def _connection_and_adjoint(state: HiggsBundleState, held: _Held):
-    """The Chern connection form b = H^{-1} del H - H^{-1} a^dag H and
-    phi^{*H} = H^{-1} phi^dag H of the state, by the products of
-    chern_connection and higgs_adjoint in their order, so both equal theirs
-    to the bit; the parts that held carries are not built again."""
-    a, phi, H = state.structure.a, state.structure.phi, state.metric
-    H.check_positive()
-    conn = _metric_connection(H) if held.conn is None else held.conn
-    a_dag = _form_dagger(a) if held.a_dag is None else held.a_dag
-    phi_dag = _form_dagger(phi) if held.phi_dag is None else held.phi_dag
-    return conn - a_dag.sandwich(H.inv, H.mat), phi_dag.sandwich(H.inv, H.mat)
-
-
-def _deviation(state: HiggsBundleState, held: _Held) -> MatrixFormField:
-    """K from the slots (i, i) of Curvature.f11 and Curvature.part11 alone:
-    all that the Lambda-contraction and lambda read.
-
-    Slot i is -dbar_i b_i + del_i a_i - a_i b_i + b_i a_i, plus the bracket
-    phi_i phi*_i - phi*_i phi_i: the terms of dbar_flat, d_flat and wedge,
-    taken and summed in their order, so K equals that of Curvature to the
-    bit. held is the half of the state that a flow holds fixed: the metric
-    flow's del_i a_i and daggers of a and phi, or the pair flow's
-    H^{-1} del H; a None in it is built here.
-    """
-    a, phi = state.structure.a, state.structure.phi
-    base = state.base
-    b, phistar = _connection_and_adjoint(state, held)
-    f11, part11 = [], []
-    for i in range(base.n):
-        a_i, b_i = a.comps[0, i], b.comps[i, 0]
-        phi_i, phistar_i = phi.comps[i, 0], phistar.comps[0, i]
-        # 0 - x, not -x, as in the zero-filled sums of dbar_flat and wedge
-        slot = _dz_component(b_i, base, i, True)
-        np.subtract(0.0, slot, out=slot)
-        slot += _dz_component(a_i, base, i, False) if held.del_a is None \
-            else held.del_a[i]
-        slot -= mm(a_i, b_i)
-        slot += mm(b_i, a_i)
-        bracket = mm(phi_i, phistar_i)
-        bracket -= mm(phistar_i, phi_i)
-        f11.append(slot)
-        part11.append(slot + bracket)
-    return _from_contractions(state, _contract_slots(f11),
-                              _contract_slots(part11) * 1j)
-
-
-def _hold_structure(start: HiggsBundleState) -> _Held:
-    """The metric flow's structure is frozen, so the slots' derivatives
-    del_i a_i and the daggers of a and phi (dz <-> dzbar), from which every
-    state's b and phi^{*H} are built, are taken once per run. The full
-    d_flat(a) of a sample curvature is not held."""
-    a, phi, base = start.structure.a, start.structure.phi, start.base
-    return _Held(del_a=[_dz_component(a.comps[0, i], base, i, False)
-                        for i in range(base.n)],
-                 a_dag=_form_dagger(a), phi_dag=_form_dagger(phi))
-
-
-def _hold_metric(start: HiggsBundleState) -> _Held:
-    """The pair flow's metric is frozen, so conn = H^{-1} del H, the part of
-    the Chern connection form it alone sets, is built once per run."""
-    return _Held(conn=_metric_connection(start.metric))
+def einstein_deviation(state: HiggsBundleState) -> MatrixFormField:
+    """K = i Lambda(F_H + [phi, phi^{*H}]) - lambda Id, a (0,0) field
+    (Curvature.deviation): only the diagonal slots that Lambda reads are
+    built."""
+    return Curvature(state).deviation()
 
 
 # -- the ETDRK2 step ---------------------------------------------------------------
@@ -290,8 +188,8 @@ def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, frame,
           update, held, tol: float | None):
     """One ETDRK2 attempt from the state with deviation K0, in the frame
     (W, W^{-1}) of its metric, W = H^{1/2}; update (_metric_update or
-    _gauge_update) picks the flow, and held is the half of the state that
-    the flow holds fixed (see _deviation).
+    _gauge_update) picks the flow, and held is the run's _Held, the parts
+    of the half of the state that the flow holds fixed (see Curvature).
 
     With K~0 = W K0 W^{-1}, z = 2 dt sigma and F the Fourier transform over
     the grid:
@@ -315,15 +213,18 @@ def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, frame,
         a_hat = (-2.0 * dt * phi1) * K0_hat
         a = _field(a_hat, state.rank)
         predicted, L = update(state, frame, a)
+        # the pair flow's frame is the runner's own, whose inverse it holds
+        L_inv = frame[1] if L is frame[0] else inv(L)
         # the corrector's spectrum, built in place in that of K~a
-        c_hat = _spectrum(_in_frame(_deviation(predicted, held), L, inv(L)))
+        c_hat = _spectrum(_in_frame(Curvature(predicted, held).deviation(),
+                                    L, L_inv))
         c_hat -= K0_hat
         c_hat *= -2.0
         c_hat += (2.0 * sigma) * a_hat
         c_hat *= dt * phi2
         correction = _field(c_hat, state.rank)
         # the spectra and the predictor state are freed before the update
-        del phi1, phi2, K0_hat, a_hat, predicted, L, c_hat
+        del phi1, phi2, K0_hat, a_hat, predicted, L, L_inv, c_hat
         if tol is not None:
             err = _etd_error(correction)
             if not err <= tol:
@@ -340,16 +241,6 @@ def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, frame,
     except (FloatingPointError, np.linalg.LinAlgError, ValueError):
         return None, err, "breakdown"
     return candidate, err, None
-
-
-def energy_density(state: HiggsBundleState) -> np.ndarray:
-    """Pointwise e(A, phi) = |F_A + [phi, phi*]|^2 + 2 |del_A phi|^2."""
-    return Curvature(state).pointwise_energy()
-
-
-def ymh_energy(state: HiggsBundleState) -> float:
-    """Integral of the energy density; shares its computation path exactly."""
-    return integrate(energy_density(state), state.base)
 
 
 def complex_gauge_apply(sigma: np.ndarray,
@@ -446,7 +337,7 @@ class FlowResult:
     sampled_states: list    # (t, state) at the sample schedule
     steps: int
     # per sample, the pointwise |del_H phi|^2, |F + [phi,phi*]|^2 and
-    # |i Lambda(F + [phi,phi*])|^2 (see _evaluate)
+    # |i Lambda(F + [phi,phi*])|^2 of the state's Curvature
     sampled_norms: list
     # rejected attempts by reason: breakdown, max_principle, error_estimate
     rejected_by: dict
@@ -502,23 +393,17 @@ def check_flow_times(T: float, dt: float) -> None:
         raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
 
 
-def _evaluate(state: HiggsBundleState, held: _Held):
+def _evaluate(state: HiggsBundleState, held: _Held | None):
     """K of the state and its sample norms: the pointwise |del_H phi|^2
     (zero for n = 1), |F + [phi,phi*]|^2 and |i Lambda(F + [phi,phi*])|^2,
-    which the trace row and the two-flow check read. The norms take one
-    Curvature, which K then reads; the curvature itself is not kept. held
-    is as in _deviation: the curvature's b and phi^{*H} are built from it,
-    to the bits of chern_connection and higgs_adjoint."""
-    hs, H = Curvature(state), state.metric
-    hs.b, hs.phistar = _connection_and_adjoint(state, held)
+    which the trace row and the two-flow check read. The norms and K read
+    one Curvature, which is not kept; held is the run's _Held, if any."""
+    hs, H = Curvature(state, held), state.metric
     dphi2 = np.zeros(state.base.shape) if hs.del_phi is None else \
         pointwise_norm2(hs.del_phi, H)
-    # i Lambda(F + [phi,phi*]) is K before lambda Id is subtracted: its norm
-    # is taken first, and then K takes its storage
-    i_lambda = contract_lambda(hs.part11) * 1j
-    norms = (dphi2, pointwise_norm2(hs.part11, H), pointwise_norm2(i_lambda, H))
-    return _from_contractions(state, contract_lambda(hs.f11).comps[0, 0],
-                              i_lambda.comps[0, 0]), norms
+    norms = (dphi2, pointwise_norm2(hs.part11, H),
+             pointwise_norm2(hs.contracted(), H))
+    return hs.deviation(), norms
 
 
 # flow_equivalence_check runs both flows from one start: its evaluation and
@@ -562,13 +447,13 @@ def _pi_factor(err: float, err_prev: float) -> float:
     return min(max(ratio, 0.2), 2.0)
 
 
-def _run_flow(start: HiggsBundleState, T, dt, update, hold, *, fixed_dt,
+def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
               sample_times):
     check_flow_times(T, dt)
     schedule = _sample_schedule(T, sample_times)
-    # the half of the state that the flow holds fixed, built once for this
-    # run and read by every evaluation in it
-    held = hold(start)
+    # the parts of the start that the flow never changes, each built once
+    # for this run and read by every evaluation in it
+    held = _Held(start)
     # every accepted state is evaluated once: its K drives the next step
     # and, at a sample time, its row reuses K and the norms
     K_current, norms, validity0 = _shared_starts.get(id(start)) or \
@@ -630,7 +515,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, hold, *, fixed_dt,
         dev2 = None  # |K|^2_H of the candidate, taken only when adaptive
         if reason is None:
             K_next, norms = _evaluate(candidate, held) if due else \
-                (_deviation(candidate, held), None)
+                (Curvature(candidate, held).deviation(), None)
             if adaptive:
                 dev2 = pointwise_norm2(K_next, candidate.metric)
                 dev_new = math.sqrt(max(dev2.max(), 0.0))
@@ -684,8 +569,8 @@ def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
     rises (the maximum principle), and the next step follows a PI
     controller (see the module constants).
     """
-    return _run_flow(state, T, dt, _metric_update, _hold_structure,
-                     fixed_dt=fixed_dt, sample_times=sample_times)
+    return _run_flow(state, T, dt, _metric_update, fixed_dt=fixed_dt,
+                     sample_times=sample_times)
 
 
 def run_ymh_flow(state: HiggsBundleState, T: float, dt: float, *,
@@ -697,8 +582,8 @@ def run_ymh_flow(state: HiggsBundleState, T: float, dt: float, *,
     Validity residuals of the evolved pair are recorded at every sample and
     never re-projected: constraint drift is evidence, not noise to hide.
     """
-    return _run_flow(state, T, dt, _gauge_update, _hold_metric,
-                     fixed_dt=fixed_dt, sample_times=sample_times)
+    return _run_flow(state, T, dt, _gauge_update, fixed_dt=fixed_dt,
+                     sample_times=sample_times)
 
 
 # -- the two-flow correspondence ---------------------------------------------------
@@ -754,7 +639,7 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     # checked before the shared start is evaluated; the runners repeat it
     check_flow_times(T, dt)
     _sample_schedule(T, samples)
-    _shared_starts[id(state0)] = (*_evaluate(state0, _Held()),
+    _shared_starts[id(state0)] = (*_evaluate(state0, None),
                                   validate_structure(state0.structure))
     try:
         res_m = run_donaldson_flow(state0, T, dt, fixed_dt=True,

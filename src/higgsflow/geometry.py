@@ -8,21 +8,21 @@ checkable postcondition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grid import (MatrixFormField, MixedField, TorusBase, contract_lambda,
-                   d_flat, dbar_flat, integrate, pointwise_norm2, sup_norm,
-                   wedge)
+from .grid import (MatrixFormField, MixedField, TorusBase, _contract_slots,
+                   _dz_component, d_flat, dbar_flat, integrate, pointwise_norm2,
+                   sup_norm, wedge)
 from .linalg import (_trailing, dagger, inv, is_positive_definite, min_eigvalsh,
-                     trace)
+                     mm, trace)
 
 __all__ = [
     "HermitianMetric", "HiggsStructure", "HiggsBundleState", "ValidityReport",
-    "validate_structure", "chern_connection", "higgs_adjoint", "adjoint_field",
-    "Curvature", "degree_slope_lambda",
+    "validate_structure", "adjoint_field", "Curvature",
 ]
 
 
@@ -157,18 +157,9 @@ def validate_structure(s: HiggsStructure, tol: float | None = None) -> ValidityR
                           valid=max(integ, holo, symm) <= tol)
 
 
-def chern_connection(H: HermitianMetric, a: MatrixFormField) -> MatrixFormField:
-    """(1,0) connection form b making dbar+a, d+b compatible with H.
-
-    b = H^{-1} del H - H^{-1} a^dag H, the unique form with
-    del H(s,t) = H(D^{1,0}s, t) + H(s, dbar_E t).
-    """
-    return _metric_connection(H) - adjoint_field(a, H)
-
-
 def _metric_connection(H: HermitianMetric) -> MatrixFormField:
     """H^{-1} del H, the part of the Chern connection form that the metric
-    alone sets; the pair flow, whose metric is frozen, builds it once."""
+    alone sets."""
     H.check_positive()
     return d_flat(H.as_field()).sandwich(H.inv)
 
@@ -188,15 +179,25 @@ def adjoint_field(f: MatrixFormField, H: HermitianMetric | None = None,
 
 
 def _form_dagger(f: MatrixFormField) -> MatrixFormField:
-    """f^dag with dz <-> dzbar, the metric-free half of adjoint_field; the
-    metric flow, whose structure is frozen, takes it of a and phi once."""
+    """f^dag with dz <-> dzbar, the metric-free half of adjoint_field."""
     return MatrixFormField(f.base, f.q, f.p, dagger(np.swapaxes(f.comps, 0, 1)))
 
 
-def higgs_adjoint(phi: MatrixFormField, H: HermitianMetric) -> MatrixFormField:
-    """phi^{*H} = H^{-1} phi^dag H on matrix parts, dz -> dzbar on form parts."""
-    H.check_positive()
-    return adjoint_field(phi, H)
+class _Held:
+    """The parts of a flow's start that one half of it alone sets, each
+    built on first read and then kept (Curvature._frozen): parts["metric"]
+    holds H^{-1} del H, parts["structure"] a and phi daggered with
+    dz <-> dzbar and the derivatives del_i a_j, keyed (i, j).
+
+    A Curvature reads a part here only when its state shares that half
+    with the start, compared by identity: the metric flow never replaces
+    the structure, and the pair flow never replaces the metric. The first
+    state that has replaced a half clears that half's parts.
+    """
+
+    def __init__(self, start: HiggsBundleState):
+        self.start = start
+        self.parts = {"metric": {}, "structure": {}}
 
 
 @dataclass(eq=False)
@@ -207,25 +208,103 @@ class Curvature:
     Each part is built on first read and then kept: the Chern connection
     form b, phi^{*H}, the Chern curvature f11 (and f20, f02), the bracket
     [phi, phi^{*H}], part11 = f11 + bracket, del_H phi (2,0) and
-    dbar_E phi^{*H} (0,2). The parts of degree (2,0) or (0,2) are None when
-    n = 1; for valid inputs they vanish to truncation order, and they are
-    computed, never assumed zero. Norms are taken in the state's metric.
+    dbar_E phi^{*H} (0,2). f11 and the bracket are assembled from their
+    slots (_slot); deviation(), degree and lam read only the diagonal
+    ones. The parts of degree (2,0) or (0,2) are None when n = 1; for valid
+    inputs they vanish to truncation order, and they are computed, never
+    assumed zero. Norms are taken in the state's metric.
+
+    held is a flow run's _Held: the parts that the state's unchanged half
+    sets are read from it, and any other is built here and not kept. It
+    never changes a bit of the result.
     """
 
     state: HiggsBundleState
+    held: _Held | None = None
+
+    def __post_init__(self):
+        self._kept = {}  # (k, i, j) -> slot, see _slot
+
+    def _frozen(self, half: str, key, build):
+        """The part key = build(state) that the state's metric or structure
+        (half) alone sets: read from held when the state shares that half
+        with held's start, else built here and not kept."""
+        if self.held is None:
+            return build(self.state)
+        parts = self.held.parts[half]
+        if getattr(self.held.start, half) is not getattr(self.state, half):
+            # the run has replaced this half: the start's parts of it, which
+            # the start's own evaluation may have built, are read no more
+            parts.clear()
+            return build(self.state)
+        if key not in parts:
+            parts[key] = build(self.state)
+        return parts[key]
 
     @cached_property
     def b(self) -> MatrixFormField:
-        return chern_connection(self.state.metric, self.state.structure.a)
+        """(1,0) connection form b making dbar+a, d+b compatible with H.
+
+        b = H^{-1} del H - H^{-1} a^dag H, the unique form with
+        del H(s,t) = H(D^{1,0}s, t) + H(s, dbar_E t).
+        """
+        H = self.state.metric
+        H.check_positive()
+        conn = self._frozen("metric", "conn", lambda s: _metric_connection(s.metric))
+        a_dag = self._frozen("structure", "a_dag",
+                             lambda s: _form_dagger(s.structure.a))
+        return conn - a_dag.sandwich(H.inv, H.mat)
 
     @cached_property
     def phistar(self) -> MatrixFormField:
-        return higgs_adjoint(self.state.structure.phi, self.state.metric)
+        """phi^{*H} = H^{-1} phi^dag H on matrix parts, dz -> dzbar on form
+        parts."""
+        H = self.state.metric
+        H.check_positive()
+        return self._frozen("structure", "phi_dag", lambda s: _form_dagger(
+            s.structure.phi)).sandwich(H.inv, H.mat)
+
+    def _slot(self, k: int, i: int, j: int) -> np.ndarray:
+        """Slot (i, j) of F_H (k = 0) or of [phi, phi^{*H}] (k = 1), built on
+        first read and kept.
+
+        Slot (i, j) of F_H is -dbar_j b_i + del_i a_j - a_j b_i + b_i a_j,
+        and that of the bracket phi_i phi*_j - phi*_j phi_i: the terms of
+        dbar_flat, d_flat and wedge, taken and summed in their order, so
+        every slot of f11 and of part11 equals that of the generic form
+        calculus to the bit.
+        """
+        if (k, i, j) not in self._kept:
+            if k == 0:
+                a_j, b_i = self.state.structure.a.comps[0, j], self.b.comps[i, 0]
+                slot = _dz_component(b_i, self.state.base, j, True)
+                # 0 - x, not -x, as in the zero-filled sums of dbar_flat and wedge
+                np.subtract(0.0, slot, out=slot)
+                slot += self._frozen("structure", (i, j), lambda s: _dz_component(
+                    s.structure.a.comps[0, j], s.base, i, False))
+                slot -= mm(a_j, b_i)
+                slot += mm(b_i, a_j)
+            else:
+                phi_i = self.state.structure.phi.comps[i, 0]
+                phistar_j = self.phistar.comps[0, j]
+                slot = mm(phi_i, phistar_j)
+                slot -= mm(phistar_j, phi_i)
+            self._kept[k, i, j] = slot
+        return self._kept[k, i, j]
+
+    def _assemble(self, k: int) -> MatrixFormField:
+        """F_H (k = 0) or the bracket (k = 1) from its slots; each kept slot
+        then becomes a view into the assembled field."""
+        base = self.state.base
+        out = MatrixFormField.zeros(base, 1, 1, self.state.rank)
+        for i, j in itertools.product(range(base.n), repeat=2):
+            out.comps[i, j] = self._slot(k, i, j)
+            self._kept[k, i, j] = out.comps[i, j]
+        return out
 
     @cached_property
     def f11(self) -> MatrixFormField:
-        a, b = self.state.structure.a, self.b
-        return dbar_flat(b) + d_flat(a) + wedge(a, b) + wedge(b, a)
+        return self._assemble(0)
 
     @cached_property
     def f20(self) -> MatrixFormField | None:
@@ -243,8 +322,7 @@ class Curvature:
     @cached_property
     def bracket(self) -> MatrixFormField:
         """[phi, phi^{*H}], type (1,1)."""
-        phi, phistar = self.state.structure.phi, self.phistar
-        return wedge(phi, phistar) + wedge(phistar, phi)
+        return self._assemble(1)
 
     @cached_property
     def part11(self) -> MatrixFormField:
@@ -271,6 +349,40 @@ class Curvature:
         return MixedField(f for f in (self.part11, self.del_phi, self.dbar_phistar)
                           if f is not None)
 
+    @cached_property
+    def degree(self) -> float:
+        """deg = (1/2pi) integral of tr(i Lambda F_H), from the diagonal
+        slots of F_H; the Higgs bracket is traceless, so it never
+        contributes."""
+        lambda_f11 = _contract_slots([self._slot(0, i, i)
+                                      for i in range(self.state.base.n)])
+        return integrate(np.real(1j * trace(lambda_f11)),
+                         self.state.base) / (2.0 * np.pi)
+
+    @property
+    def lam(self) -> float:
+        """The Einstein constant lambda = 2 pi slope / Vol, slope = deg / rank."""
+        return 2.0 * np.pi * (self.degree / self.state.rank) / self.state.base.volume
+
+    def contracted(self) -> MatrixFormField:
+        """i Lambda(F_H + [phi, phi^{*H}]), a new (0,0) field, from the
+        diagonal slots alone."""
+        slots = [self._slot(0, i, i) + self._slot(1, i, i)
+                 for i in range(self.state.base.n)]
+        return MatrixFormField(self.state.base, 0, 0,
+                               (_contract_slots(slots) * 1j)[None, None])
+
+    def deviation(self) -> MatrixFormField:
+        """K = i Lambda(F_H + [phi, phi^{*H}]) - lambda Id, a (0,0) field.
+
+        K is H-self-adjoint up to truncation error; the flow steps read it
+        in the frame W = H^{1/2}, where its Hermitian part is taken, so
+        positivity is exact.
+        """
+        K = self.contracted()
+        K.comps[0, 0] -= self.lam * np.eye(self.state.rank, dtype=np.complex128)
+        return K
+
     def pointwise_energy(self) -> np.ndarray:
         """|F + [phi,phi*]|^2 + 2|del phi|^2, the YMH integrand."""
         H = self.state.metric
@@ -282,26 +394,3 @@ class Curvature:
     def sup_norm(self) -> float:
         """sup |F_HS| over all parts (distinct degrees are orthogonal)."""
         return self.parts.sup(self.state.metric)
-
-
-def degree_slope_lambda(state: HiggsBundleState,
-                        f11: MatrixFormField | None = None) -> tuple[float, float, float]:
-    """Degree, slope and the Einstein constant of the state.
-
-    deg = (1/2pi) integral of tr(i Lambda F); the Higgs bracket is traceless
-    so it never contributes. lambda = 2 pi * slope / Vol. f11 is the (1,1)
-    Chern curvature when the caller already holds it.
-    """
-    if f11 is None:
-        f11 = Curvature(state).f11
-    return _degree_slope_lambda(state, contract_lambda(f11).comps[0, 0])
-
-
-def _degree_slope_lambda(state: HiggsBundleState,
-                         lambda_f11: np.ndarray) -> tuple[float, float, float]:
-    """degree_slope_lambda from Lambda F_H, a (*grid, r, r) array."""
-    deg = integrate(np.real(1j * trace(lambda_f11)), state.base) / (2.0 * np.pi)
-    mu = deg / state.rank
-    lam = 2.0 * np.pi * mu / state.base.volume
-    return deg, mu, lam
-

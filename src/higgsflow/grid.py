@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TorusBase", "MatrixFormField", "MixedField",
-    "dbar_flat", "d_flat", "wedge", "contract_lambda",
+    "dbar_flat", "d_flat", "wedge",
     "pointwise_inner", "pointwise_norm2", "l2_norm", "sup_norm",
     "integrate", "integrate_top_form", "tr_field",
 ]
@@ -348,22 +348,11 @@ def wedge(a: MatrixFormField, b: MatrixFormField) -> MatrixFormField:
     return out
 
 
-def contract_lambda(f: MatrixFormField) -> MatrixFormField:
-    """Contraction by the Kahler form: (1,1)-forms to (0,0)-fields.
-
-    Lambda(a_{ij} dz^i wedge dzbar^j) = -2i sum_i a_{ii}, which makes
-    Lambda(omega M) = n M under the fixed omega convention.
-    """
-    if (f.p, f.q) != (1, 1):
-        raise ValueError(f"contraction needs bidegree (1,1), got ({f.p},{f.q})")
-    diagonal = [f.comps[i, i] for i in range(f.base.n)]
-    return MatrixFormField(f.base, 0, 0, _contract_slots(diagonal)[None, None])
-
-
 def _contract_slots(diagonal: list[np.ndarray]) -> np.ndarray:
-    """-2i sum_i a_ii, the contraction of a (1,1) form from its diagonal
-    components a_ii alone, as one (*grid, rows, cols) array; the sum starts
-    from zero and adds them in order."""
+    """Lambda(a_{ij} dz^i wedge dzbar^j) = -2i sum_i a_ii, the contraction
+    of a (1,1) form by the Kahler form from its diagonal components a_ii
+    alone, as one (*grid, rows, cols) array; the sum starts from zero and
+    adds them in order. It makes Lambda(omega M) = n M."""
     acc = _trailing_array(diagonal[0].shape, init=np.zeros)
     for slot in diagonal:
         acc += slot

@@ -34,20 +34,31 @@ def break_expm(monkeypatch):
 
 
 @pytest.fixture
-def part11_builds(monkeypatch):
-    """Count the builds of Curvature.part11, F_H + [phi, phi*], which every
-    full Hitchin-Simpson evaluation reads. Returns a one-item list."""
+def curvature_builds(monkeypatch):
+    """count(name) counts the builds of the cached part Curvature.<name>
+    from then on, in a one-item list that it returns."""
     from functools import cached_property
 
     from higgsflow.geometry import Curvature
-    count = [0]
-    build = Curvature.part11.func
 
-    def counted(self):
-        count[0] += 1
-        return build(self)
+    def count(name):
+        counter = [0]
+        build = getattr(Curvature, name).func
 
-    prop = cached_property(counted)
-    prop.__set_name__(Curvature, "part11")
-    monkeypatch.setattr(Curvature, "part11", prop)
+        def counted(self):
+            counter[0] += 1
+            return build(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Curvature, name)
+        monkeypatch.setattr(Curvature, name, prop)
+        return counter
+
     return count
+
+
+@pytest.fixture
+def part11_builds(curvature_builds):
+    """Count the builds of Curvature.part11, F_H + [phi, phi*], which every
+    full Hitchin-Simpson evaluation reads. Returns a one-item list."""
+    return curvature_builds("part11")

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from higgsflow import (TorusBase, build_scenario, chern_weil_report,
-                       energy_density, flatness_certificate,
-                       run_donaldson_flow, topological_integrals, ymh_energy)
+from higgsflow import (Curvature, TorusBase, build_scenario, chern_weil_report,
+                       flatness_certificate, run_donaldson_flow,
+                       topological_integrals)
 from higgsflow.scenarios import random_valid_state
 
 
@@ -65,10 +65,10 @@ def test_energy_density_nonnegative_and_consistent():
     for name in ("nilpotent-r2", "conformal-r1", "chain-r3"):
         st = build_scenario(name)
         pair = st
-        dens = energy_density(pair)
+        dens = Curvature(pair).pointwise_energy()
         assert dens.min() >= 0.0
         from higgsflow.grid import integrate
-        assert integrate(dens, st.base) == ymh_energy(pair)
+        assert integrate(dens, st.base) == chern_weil_report(pair).lhs
 
 
 def test_flatness_certificate_verdicts():
@@ -90,22 +90,19 @@ def test_flatness_certificate_verdicts():
 
 
 def test_topological_integrals_builds_one_chern_curvature(monkeypatch,
-                                                         part11_builds):
+                                                         curvature_builds):
     import higgsflow.geometry
-    counts = {"chern_connection": 0, "higgs_adjoint": 0}
-    for name in counts:
-        original = getattr(higgsflow.geometry, name)
-
-        def counting(*args, _fn=original, _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(higgsflow.geometry, name, counting)
+    d_of_metric = []
+    original = higgsflow.geometry._metric_connection
+    monkeypatch.setattr(higgsflow.geometry, "_metric_connection",
+                        lambda H: d_of_metric.append(None) or original(H))
+    builds = {name: curvature_builds(name)
+              for name in ("b", "phistar", "part11")}
     st = random_valid_state(TorusBase(2, 8), 2, 5)
     topological_integrals(st)
     # the Chern connection once, and no Higgs part
-    assert counts == {"chern_connection": 1, "higgs_adjoint": 0}
-    assert part11_builds == [0]
+    assert len(d_of_metric) == 1
+    assert builds == {"b": [1], "phistar": [0], "part11": [0]}
 
 
 @pytest.mark.parametrize("n, calls", [(1, 1), (2, 3)])

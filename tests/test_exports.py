@@ -84,7 +84,8 @@ def _bound_imports(tree: ast.Module) -> dict[str, str]:
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
 def test_module_uses_every_name_it_imports(module):
     tree = _tree(module)
-    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    loaded = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert sorted(set(_bound_imports(tree)) - loaded) == []
 
 
@@ -92,8 +93,9 @@ def _references(tree: ast.Module) -> list[set[str]]:
     """Per top-level statement, the names of package members its code uses.
 
     A use is a load of a module-level or imported name (through its import
-    alias), or an attribute of an imported package module; imports and
-    __all__ entries alone do not count.
+    alias), or an attribute of an imported package module; imports,
+    __all__ entries and stores (a dataclass field of the same name) do not
+    count.
     """
     bound = _bound_imports(tree)
     bound.update((name, name) for name in _defined_names(tree))
@@ -103,7 +105,8 @@ def _references(tree: ast.Module) -> list[set[str]]:
     for top in tree.body:
         refs = set()
         for n in ast.walk(top):
-            if isinstance(n, ast.Name) and n.id in bound:
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) \
+                    and n.id in bound:
                 refs.add(bound[n.id])
             elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                     and n.value.id in modules):

@@ -248,16 +248,16 @@ def test_gauss_codazzi_builds_each_chern_connection_once(monkeypatch):
 
     import higgsflow.geometry
     ranks = []
-    original = higgsflow.geometry.chern_connection
+    original = higgsflow.geometry._metric_connection
 
-    def counting(H, a):
+    def counting(H):
         ranks.append(H.rank)
-        return original(H, a)
+        return original(H)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("higgsflow") and \
-                getattr(module, "chern_connection", None) is original:
-            monkeypatch.setattr(module, "chern_connection", counting)
+                getattr(module, "_metric_connection", None) is original:
+            monkeypatch.setattr(module, "_metric_connection", counting)
     st, sub = random_state_with_subbundle(TorusBase(1, 16), 3, 1, seed=2,
                                           amplitude=0.001)
     gauss_codazzi_blocks(st, sub)

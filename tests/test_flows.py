@@ -6,11 +6,11 @@ import pytest
 from higgsflow import (HermitianMetric, HiggsBundleState,
                        HiggsStructure, MatrixFormField, TorusBase,
                        build_scenario, complex_gauge_apply,
-                       einstein_deviation, energy_density, flow_equivalence_check,
+                       einstein_deviation, flow_equivalence_check,
                        gauge_from_metric, run_donaldson_flow, run_ymh_flow,
-                       sup_norm, ymh_energy)
-from higgsflow.flows import _etd2, _gauge_update, _Held, _metric_update
-from higgsflow.geometry import Curvature, adjoint_field, chern_connection
+                       sup_norm)
+from higgsflow.flows import _etd2, _gauge_update, _metric_update
+from higgsflow.geometry import Curvature, _Held, adjoint_field
 from higgsflow.grid import d_flat, integrate, tr_field
 from higgsflow.linalg import dagger, inv, min_eigvalsh, sqrtm_hpd
 
@@ -27,13 +27,18 @@ def nilpotent_pair(N=16):
     return st
 
 
+def energy_of(state):
+    """The integral of the YMH energy density |F + [phi,phi*]|^2 + 2 |del phi|^2."""
+    return integrate(Curvature(state).pointwise_energy(), state.base)
+
+
 def etd2_step(state, dt, update=_metric_update, K=None):
     """One fixed ETDRK2 step of the flow that update picks, from the state
     with deviation K (computed when not given); it must not break down."""
     W = sqrtm_hpd(state.metric.mat)
     K = einstein_deviation(state) if K is None else K
     candidate, err, reason = _etd2(state, dt, K, (W, inv(W)), update,
-                                   _Held(), None)
+                                   _Held(state), None)
     assert reason is None and err is None
     return candidate
 
@@ -85,14 +90,14 @@ def test_donaldson_conformal_heat_decay():
 
 
 def test_ymh_energy_oracles():
-    assert ymh_energy(nilpotent_pair()) == pytest.approx(8.0)
+    assert energy_of(nilpotent_pair()) == pytest.approx(8.0)
     flat = build_scenario("flat-trivial-r2")
-    assert ymh_energy(flat) == 0.0
+    assert energy_of(flat) == 0.0
     # unitary phase rescaling of phi leaves the energy unchanged
     pair = nilpotent_pair()
     phi2 = 1j * pair.structure.phi
     pair2 = HiggsBundleState(HiggsStructure(pair.structure.a, phi2), pair.metric)
-    assert ymh_energy(pair2) == pytest.approx(8.0)
+    assert energy_of(pair2) == pytest.approx(8.0)
 
 
 def test_ymh_step_bracket_rate():
@@ -114,7 +119,7 @@ def test_ymh_critical_pair_fixed():
 def test_ymh_nilpotent_energy_decay():
     pair = nilpotent_pair()
     res = run_ymh_flow(pair, 1.0, 1e-3, fixed_dt=True)
-    assert ymh_energy(res.final) == pytest.approx(8.0 / 81.0, rel=0.02)
+    assert energy_of(res.final) == pytest.approx(8.0 / 81.0, rel=0.02)
     e = res.trace.ymh_energy
     assert all(e[k + 1] <= e[k] + 1e-9 for k in range(len(e) - 1))
 
@@ -141,7 +146,7 @@ def test_unitary_gauge_invariance_of_energy():
     u = np.array([[np.cos(theta), np.sin(theta)],
                   [-np.sin(theta), np.cos(theta)]], complex)
     sig = np.broadcast_to(u, pair.base.shape + (2, 2)).copy()
-    assert ymh_energy(complex_gauge_apply(sig, pair)) == pytest.approx(8.0, abs=1e-12)
+    assert energy_of(complex_gauge_apply(sig, pair)) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_varying_unitary_gauge_covariance_second_order():
@@ -157,7 +162,7 @@ def test_varying_unitary_gauge_covariance_second_order():
         sig[..., 0, 1] = np.sin(theta)
         sig[..., 1, 0] = -np.sin(theta)
         sig[..., 1, 1] = np.cos(theta) + 0j
-        return abs(ymh_energy(complex_gauge_apply(sig, pair)) - 8.0)
+        return abs(energy_of(complex_gauge_apply(sig, pair)) - 8.0)
 
     coarse, fine = energy_shift(16), energy_shift(32)
     assert fine < coarse / 3.0
@@ -173,10 +178,10 @@ def test_gauge_transform_of_connection_part():
     g = 0.2 * np.cos(2 * np.pi * x)
     sig = np.eye(2, dtype=complex) + g[..., None, None] * E12
     out = complex_gauge_apply(sig, pair)
-    b_new = chern_connection(pair.metric, out.structure.a)
+    b_new = Curvature(out).b
     sig_star = dagger(sig)  # background is the identity metric
     sig_star_inv = np.linalg.inv(sig_star)
-    b_old = chern_connection(pair.metric, pair.structure.a)
+    b_old = Curvature(pair).b
     dss = d_flat(MatrixFormField(base, 0, 0, sig_star[None, None]))
     expected = MatrixFormField.zeros(base, 1, 0, 2)
     expected.comps[0, 0] = sig_star_inv @ b_old.comps[0, 0] @ sig_star \
@@ -229,10 +234,12 @@ def test_trace_of_deviation_integrates_to_zero():
 
 
 def test_energy_density_matches_energy_exactly():
+    # the trace row's energy is the integral of Curvature.pointwise_energy
     pair = nilpotent_pair()
-    dens = energy_density(pair)
+    dens = Curvature(pair).pointwise_energy()
     assert np.allclose(dens, 8.0)
-    assert integrate(dens, pair.base) == ymh_energy(pair)
+    res = run_ymh_flow(pair, 1e-3, 1e-3, fixed_dt=True)
+    assert res.trace.ymh_energy[0] == integrate(dens, pair.base)
 
 
 def test_pair_validity_drift_is_small():
@@ -539,7 +546,7 @@ def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch,
     counts = _count_calls(monkeypatch, d_flat, dbar_flat, validate_structure)
 
     # K alone builds only the slots that Lambda reads: d of H for the Chern
-    # connection; the diagonal derivatives of a and b take no d_flat/dbar_flat
+    # connection; the slots' derivatives of a and b take no d_flat/dbar_flat
     einstein_deviation(st)
     assert part11_builds == [0]
     assert counts == {"d_flat": 1, "dbar_flat": 0, "validate_structure": 0}
@@ -549,16 +556,17 @@ def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch,
     # the full curvature is built only where the sample norms are read: the
     # start, evaluated once for both runs, and the state at T of each run.
     # The two predictors and the first accepted state of each run build only
-    # the diagonal slots (6 evaluations). d_flat: d of H per evaluation of
-    # the start and of the metric flow (5) and once for the whole pair run,
-    # whose metric is frozen (1); d of a per full curvature (3) and one per
+    # the diagonal slots (6 evaluations). Every slot, full curvatures
+    # included, takes its derivatives without d_flat or dbar_flat. d_flat:
+    # d of H per evaluation of the start and of the metric flow (5) and once
+    # for the whole pair run, whose metric is frozen (1), and one per
     # del_H phi of a sample (3). The structure is validated at the start,
-    # once for both runs, and at the pair's sample at T. dbar_flat: one per
-    # full curvature, two per validate_structure, one per gauge update of
-    # the pair (predictor and result: 4) and per transported pair (2)
+    # once for both runs, and at the pair's sample at T. dbar_flat: two per
+    # validate_structure, one per gauge update of the pair (predictor and
+    # result: 4) and per transported pair (2)
     assert part11_builds == [3]
-    assert counts == {"d_flat": 5 + 1 + 3 + 3,
-                      "dbar_flat": 3 + 2 * 2 + 4 + 2, "validate_structure": 2}
+    assert counts == {"d_flat": 5 + 1 + 3,
+                      "dbar_flat": 2 * 2 + 4 + 2, "validate_structure": 2}
 
 
 def test_the_runner_takes_one_root_per_metric(monkeypatch):
@@ -587,35 +595,72 @@ def test_a_sample_row_inverts_its_metric_once(n, monkeypatch):
     st = random_valid_state(TorusBase(n, 8), 2, 4)
     validity = validate_structure(st.structure)
     counts = _count_calls(monkeypatch, inv)
-    K, norms = _evaluate(st, _Held())
+    K, norms = _evaluate(st, None)
     _metric_trace_row(st, 1e-3, validity, K, norms, None)
     assert counts == {"inv": 1}
 
 
+def test_the_pair_flow_inverts_its_frozen_frame_once(monkeypatch):
+    # the runner inverts W once per run, and every attempt reads that
+    # inverse from the frame that _gauge_update hands back; what is left
+    # are the two inverses of complex_gauge_apply per attempt (predictor
+    # and result)
+    import higgsflow.flows
+    calls = []
+    real = higgsflow.flows.inv
+    monkeypatch.setattr(higgsflow.flows, "inv",
+                        lambda m: calls.append(None) or real(m))
+    res = run_ymh_flow(nilpotent_state(16), 100.0, 1e-3)
+    assert (res.steps, res.rejected) == (72, 0)
+    assert len(calls) == 1 + 2 * 72
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_the_held_half_gives_the_same_deviation_to_the_bit(n):
-    # each flow builds the half of the state it never changes once per run;
-    # K from it equals K from the full curvature byte for byte, signed
-    # zeros too, on states that share that half with the start but not the
-    # other
-    from higgsflow.flows import _deviation, _hold_metric, _hold_structure
+    # a run holds the parts of its start that one half sets; K and the
+    # full (1,1) part of a state that shares that half with the start, but
+    # not the other, equal those of a fresh Curvature byte for byte, signed
+    # zeros too
     from higgsflow.scenarios import random_valid_state
     base = TorusBase(n, 8)
     st, other = (random_valid_state(base, 2, seed) for seed in (5, 6))
-    cases = [(_hold_structure, st, HiggsBundleState(st.structure, other.metric)),
-             (_hold_metric, st, HiggsBundleState(other.structure, st.metric))]
+    cases = [(st, HiggsBundleState(st.structure, other.metric)),
+             (st, HiggsBundleState(other.structure, st.metric))]
     if n == 1:  # all zeros: every sign of zero shows
         flat = build_scenario("flat-trivial-r2", N=8)
-        cases += [(_hold_structure, flat, flat), (_hold_metric, flat, flat)]
-    for hold, start, state in cases:
-        full = einstein_deviation(state, Curvature(state)).comps.tobytes()
-        assert _deviation(state, hold(start)).comps.tobytes() == full
-        assert einstein_deviation(state).comps.tobytes() == full
+        cases += [(flat, flat)]
+    for start, state in cases:
+        fresh = Curvature(state)
+        held = Curvature(state, _Held(start))
+        assert held.deviation().comps.tobytes() == \
+            fresh.deviation().comps.tobytes()
+        assert einstein_deviation(state).comps.tobytes() == \
+            fresh.deviation().comps.tobytes()
+        assert held.part11.comps.tobytes() == fresh.part11.comps.tobytes()
+
+
+def test_a_replaced_half_drops_its_held_parts():
+    # the start's evaluation builds the parts of both halves; the first
+    # state that replaces a half drops that half's parts, which its run
+    # reads no more, and keeps the other's
+    from higgsflow.scenarios import random_valid_state
+    base = TorusBase(2, 8)
+    st, other = (random_valid_state(base, 2, seed) for seed in (5, 6))
+    structure_parts = {"a_dag", "phi_dag", (0, 0), (0, 1), (1, 0), (1, 1)}
+    for state, dropped, kept in (
+            (HiggsBundleState(st.structure, other.metric), "metric", "structure"),
+            (HiggsBundleState(other.structure, st.metric), "structure", "metric")):
+        held = _Held(st)
+        Curvature(st, held).part11
+        assert (set(held.parts["metric"]), set(held.parts["structure"])) == \
+            ({"conn"}, structure_parts)
+        Curvature(state, held).deviation()
+        assert held.parts[dropped] == {} and held.parts[kept] != {}
 
 
 def _count_del_of(monkeypatch, array):
     """Count the derivatives d/dz^j taken of array or of a view into it."""
-    import higgsflow.flows
+    import higgsflow.geometry
     import higgsflow.grid
     real = higgsflow.grid._dz_component
     count = [0]
@@ -624,7 +669,7 @@ def _count_del_of(monkeypatch, array):
         count[0] += not bar and np.shares_memory(c, array)
         return real(c, base, j, bar)
 
-    for module in (higgsflow.grid, higgsflow.flows):
+    for module in (higgsflow.grid, higgsflow.geometry):
         monkeypatch.setattr(module, "_dz_component", counted)
     return count
 
@@ -647,12 +692,12 @@ def _count_daggers_of(monkeypatch, *arrays):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_each_flow_builds_its_frozen_half_once_per_run(n, monkeypatch):
-    # the metric flow takes del_i a_i of its frozen a once per run for the
-    # slots (n derivatives), and past that only in the full curvatures of
-    # its two samples (t = 0 and T); it daggers a and phi once per run for
-    # the b and phi^{*H} of every state, samples included. The pair flow
-    # builds H^{-1} del H of its frozen metric once, and its samples read
-    # it too. No count grows with the steps. The exponentials of both
+    # the metric flow takes each del_i a_j of its frozen a once per run (n^2
+    # derivatives): the diagonal slots of every state and the full
+    # curvatures of its samples read them; it daggers a and phi once per run
+    # for the b and phi^{*H} of every state, samples included. The pair
+    # flow builds H^{-1} del H of its frozen metric once, and its samples
+    # read it too. No count grows with the steps. The exponentials of both
     # rank-2 flows take the closed form, never the Taylor polynomial
     from higgsflow.scenarios import random_valid_state
     st = random_valid_state(TorusBase(n, 8), 2, 7)
@@ -667,7 +712,7 @@ def test_each_flow_builds_its_frozen_half_once_per_run(n, monkeypatch):
         da[0] = 0
         daggers[:] = [0, 0]
         run_donaldson_flow(st, steps * 1e-3, 1e-3, fixed_dt=True)
-        assert da[0] == n + 2 * n
+        assert da[0] == n * n
         assert daggers == [1, 1]
         counts["_metric_connection"] = 0
         run_ymh_flow(st, steps * 1e-3, 1e-3, fixed_dt=True)

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from higgsflow import (HermitianMetric, HiggsBundleState, HiggsStructure,
-                       MatrixFormField, TorusBase, adjoint_field,
-                       chern_connection, Curvature, degree_slope_lambda,
-                       higgs_adjoint, sup_norm,
-                       validate_structure)
+                       MatrixFormField, TorusBase, adjoint_field, Curvature,
+                       integrate, sup_norm, validate_structure)
 from higgsflow.flows import einstein_deviation
-from higgsflow.grid import contract_lambda, d_flat, dbar_flat, wedge
+from higgsflow.grid import _contract_slots, d_flat, dbar_flat, wedge
+from higgsflow.linalg import trace
 from higgsflow.scenarios import (build_scenario, random_valid_state,
                                   scenario_catalog)
 
@@ -30,6 +29,14 @@ def constant_structure(base, rank, phi_mats=None, a_mats=None):
 
 def conformal_metric(base, u):
     return HermitianMetric(base, np.exp(u)[..., None, None] * np.eye(1, dtype=complex))
+
+
+def curvature_of(H, a=None, phi=None):
+    """The Curvature of (H, dbar + a, phi); a missing a or phi is zero."""
+    base, rank = H.base, H.rank
+    a = MatrixFormField.zeros(base, 0, 1, rank) if a is None else a
+    phi = MatrixFormField.zeros(base, 1, 0, rank) if phi is None else phi
+    return Curvature(HiggsBundleState(HiggsStructure(a, phi), H))
 
 
 def test_validate_constant_nilpotent():
@@ -65,10 +72,10 @@ def test_chern_connection_flat_cases():
     base = TorusBase(1, 16)
     H = HermitianMetric.identity(base, 2)
     a = MatrixFormField.zeros(base, 0, 1, 2)
-    assert sup_norm(chern_connection(H, a)) == 0.0
+    assert sup_norm(curvature_of(H, a).b) == 0.0
     Hd = HermitianMetric(base, np.broadcast_to(
         np.diag([2.0, 0.5]).astype(complex), base.shape + (2, 2)).copy())
-    assert sup_norm(chern_connection(Hd, a)) == 0.0
+    assert sup_norm(curvature_of(Hd, a).b) == 0.0
 
 
 def test_chern_connection_conformal_oracle():
@@ -78,7 +85,7 @@ def test_chern_connection_conformal_oracle():
         x = base.axis_coordinate(0) * np.ones(base.shape)
         u = 0.3 * np.cos(2 * np.pi * x)
         H = conformal_metric(base, u)
-        b = chern_connection(H, MatrixFormField.zeros(base, 0, 1, 1))
+        b = curvature_of(H).b
         du = 0.5 * (-0.3 * 2 * np.pi * np.sin(2 * np.pi * x))  # d/dz = dx/2 here
         errs[N] = np.abs(b.comps[0, 0, ..., 0, 0] - du).max()
     assert errs[32] < errs[16] / 3.0
@@ -98,7 +105,7 @@ def test_chern_connection_pairing_identity():
         H = HermitianMetric(base, Hmat)
         a = MatrixFormField.zeros(base, 0, 1, 2)
         a.comps[0, 0] = 0.3 * np.cos(2 * np.pi * y)[..., None, None] * E12
-        b = chern_connection(H, a)
+        b = curvature_of(H, a).b
         s = np.stack([np.exp(np.sin(2 * np.pi * x)), np.cos(2 * np.pi * y)],
                      axis=-1).astype(complex)[..., None]
         t = np.stack([np.ones(base.shape), np.sin(2 * np.pi * (x + y))],
@@ -124,8 +131,7 @@ def test_chern_connection_pairing_identity():
 
 def chern_f11(H, a):
     """The (1,1) Chern curvature of (H, dbar + a)."""
-    phi = MatrixFormField.zeros(a.base, 1, 0, a.rows)
-    return Curvature(HiggsBundleState(HiggsStructure(a, phi), H)).f11
+    return curvature_of(H, a).f11
 
 
 def test_curvature_flat_and_conformal():
@@ -158,10 +164,11 @@ def test_higgs_adjoint_oracles():
     base = TorusBase(1, 16)
     phi = MatrixFormField.constant(base, E12, p=1, q=0, index=((0,), ()))
     H = HermitianMetric.identity(base, 2)
-    assert np.allclose(higgs_adjoint(phi, H).comps[0, 0], E21)
+    assert np.allclose(curvature_of(H, phi=phi).phistar.comps[0, 0], E21)
     Hd = HermitianMetric(base, np.broadcast_to(
         np.diag([3.0, 0.5]).astype(complex), base.shape + (2, 2)).copy())
-    assert np.allclose(higgs_adjoint(phi, Hd).comps[0, 0], (3.0 / 0.5) * E21)
+    assert np.allclose(curvature_of(Hd, phi=phi).phistar.comps[0, 0],
+                       (3.0 / 0.5) * E21)
     # the adjoint is an involution: applying it twice recovers phi exactly
     again = adjoint_field(adjoint_field(phi, Hd), Hd)
     assert np.allclose(again.comps, phi.comps)
@@ -193,14 +200,14 @@ def test_degree_slope_lambda():
     base = TorusBase(1, 16)
     s = constant_structure(base, 2)
     state = HiggsBundleState(s, HermitianMetric.identity(base, 2))
-    assert degree_slope_lambda(state) == (0.0, 0.0, 0.0)
+    hs = Curvature(state)
+    assert (hs.degree, hs.lam) == (0.0, 0.0)
 
     # rank-1 conformal: total integral of the Laplacian vanishes exactly
     x = base.axis_coordinate(0) * np.ones(base.shape)
     st1 = HiggsBundleState(constant_structure(base, 1),
                            conformal_metric(base, 0.3 * np.cos(2 * np.pi * x)))
-    deg, _, _ = degree_slope_lambda(st1)
-    assert abs(deg) < 1e-13
+    assert abs(Curvature(st1).degree) < 1e-13
 
 
 def test_degree_metric_independence():
@@ -211,8 +218,7 @@ def test_degree_metric_independence():
     H2 = HermitianMetric(base, np.exp(0.3 * np.sin(2 * np.pi * x))[..., None, None]
                          * np.eye(2) + 0.1 * np.cos(2 * np.pi * x)[..., None, None]
                          * (E12 + E21))
-    d1, _, _ = degree_slope_lambda(HiggsBundleState(s, H1))
-    d2, _, _ = degree_slope_lambda(HiggsBundleState(s, H2))
+    d1, d2 = (Curvature(HiggsBundleState(s, H)).degree for H in (H1, H2))
     assert abs(d1 - d2) < 1e-3
 
 
@@ -235,7 +241,7 @@ def test_metric_positivity_enforced():
     with pytest.raises(ValueError):
         H.check_positive()
     with pytest.raises(ValueError):
-        chern_connection(H, MatrixFormField.zeros(base, 0, 1, 2))
+        curvature_of(H).b
 
 
 def test_non_finite_metric_is_not_positive():
@@ -250,6 +256,19 @@ def test_non_finite_metric_is_not_positive():
     H = HermitianMetric(base, np.full(base.shape + (2, 2), np.nan, complex))
     with pytest.raises(ValueError, match="positive definite"):
         H.check_positive()
+
+
+def _eager_deviation(state, f11, part11):
+    """K = i Lambda(part11) - lambda Id, with lambda from the degree of f11:
+    the contraction of every (1,1) field the formulas build."""
+    n, base = state.base.n, state.base
+    K = MatrixFormField(base, 0, 0, _contract_slots(
+        [part11.comps[i, i] for i in range(n)])[None, None]) * 1j
+    deg = integrate(np.real(1j * trace(_contract_slots(
+        [f11.comps[i, i] for i in range(n)]))), base) / (2.0 * np.pi)
+    lam = 2.0 * np.pi * (deg / state.rank) / base.volume
+    K.comps[0, 0] -= lam * np.eye(state.rank)
+    return K
 
 
 def _random_field(base, p, q, rank, rng, scale):
@@ -271,15 +290,22 @@ def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
     state = HiggsBundleState(HiggsStructure(a, phi), H)
     hs = Curvature(state)
 
-    # the eager route, every part built up front in the order of the formulas
-    b = chern_connection(H, a)
-    phistar = higgs_adjoint(phi, H)
+    # the eager route, every part built up front by the generic form
+    # calculus in the order of the formulas
+    b = d_flat(H.as_field()).sandwich(H.inv) - adjoint_field(a, H)
+    phistar = adjoint_field(phi, H)
     f11 = dbar_flat(b) + d_flat(a) + wedge(a, b) + wedge(b, a)
-    part11 = f11 + (wedge(phi, phistar) + wedge(phistar, phi))
-    K = 1j * contract_lambda(part11)
-    K.comps[0, 0] -= degree_slope_lambda(state)[2] * np.eye(rank)
-    assert np.array_equal(einstein_deviation(state).comps, K.comps)
-    assert np.array_equal(hs.part11.comps, part11.comps)
+    bracket = wedge(phi, phistar) + wedge(phistar, phi)
+    part11 = f11 + bracket
+    assert np.array_equal(hs.b.comps, b.comps)
+    assert np.array_equal(hs.phistar.comps, phistar.comps)
+    K = _eager_deviation(state, f11, part11)
+    assert einstein_deviation(state).comps.tobytes() == K.comps.tobytes()
+    # every slot, off-diagonal ones included; f11 and part11 to the bit
+    assert hs.f11.comps.tobytes() == f11.comps.tobytes()
+    assert np.array_equal(hs.bracket.comps, bracket.comps)
+    assert hs.part11.comps.tobytes() == part11.comps.tobytes()
+    assert hs.deviation().comps.tobytes() == K.comps.tobytes()
 
     lazy = {"f02": lambda: hs.f02, "dbar_phistar": lambda: hs.dbar_phistar,
             "f20": lambda: hs.f20, "del_phi": lambda: hs.del_phi}
@@ -298,13 +324,11 @@ def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
 
 
 def _assert_contracted_deviation_is_exact(state):
-    # K without hs builds only the slots (i, i) that Lambda reads; it must
+    # K alone builds only the slots (i, i) that Lambda reads; it must
     # equal the contraction of the full Hitchin-Simpson (1,1) part
     hs = Curvature(state)
-    K = 1j * contract_lambda(hs.part11)
-    lam = degree_slope_lambda(state, hs.f11)[2]
-    K.comps[0, 0] -= lam * np.eye(state.rank)
-    assert np.array_equal(einstein_deviation(state).comps, K.comps)
+    K = _eager_deviation(state, hs.f11, hs.part11)
+    assert einstein_deviation(state).comps.tobytes() == K.comps.tobytes()
 
 
 @settings(max_examples=16, deadline=None)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from higgsflow import (HermitianMetric, MatrixFormField, TorusBase,
-                       contract_lambda, d_flat, dbar_flat, integrate,
-                       integrate_top_form, l2_norm, pointwise_inner,
-                       pointwise_norm2, sup_norm, tr_field, wedge)
-from higgsflow.grid import _dz_component, _endo_inner, _wedge_table
+                       d_flat, dbar_flat, integrate, integrate_top_form,
+                       l2_norm, pointwise_inner, pointwise_norm2, sup_norm,
+                       tr_field, wedge)
+from higgsflow.grid import (_contract_slots, _dz_component, _endo_inner,
+                            _wedge_table)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
 E21 = E12.T.copy()
@@ -160,6 +161,13 @@ def test_wedge_with_zero_is_zero():
     assert sup_norm(wedge(A, Z)) == 0.0
 
 
+def lambda_of(f):
+    """Lambda f of a (1,1) form f, a (0,0) field, from its diagonal slots
+    (_contract_slots)."""
+    diagonal = [f.comps[i, i] for i in range(f.base.n)]
+    return MatrixFormField(f.base, 0, 0, _contract_slots(diagonal)[None, None])
+
+
 def test_contract_lambda_normalization():
     # Lambda(omega M) = n M under the fixed convention
     for n, N in ((1, 16), (2, 8)):
@@ -168,27 +176,21 @@ def test_contract_lambda_normalization():
         omega_m = MatrixFormField.zeros(base, 1, 1, 2)
         for i in range(n):
             omega_m.comps[i, i] = 0.5j * M
-        lam = contract_lambda(omega_m)
+        lam = lambda_of(omega_m)
         assert np.allclose(lam.comps[0, 0], n * M)
 
 
 def test_contract_lambda_single_component():
     base = TorusBase(1, 16)
     F = MatrixFormField.constant(base, E12, p=1, q=1, index=((0,), (0,)))
-    lam = contract_lambda(F)
+    lam = lambda_of(F)
     assert np.allclose(lam.comps[0, 0], -2j * E12)
 
 
 def test_contract_lambda_off_diagonal_vanishes():
     base = TorusBase(2, 8)
     F = MatrixFormField.constant(base, E12, p=1, q=1, index=((0,), (1,)))
-    assert sup_norm(contract_lambda(F)) == 0.0
-
-
-def test_contract_lambda_wrong_degree_rejected():
-    base = TorusBase(1, 16)
-    with pytest.raises(ValueError):
-        contract_lambda(MatrixFormField.zeros(base, 0, 1, 2))
+    assert sup_norm(lambda_of(F)) == 0.0
 
 
 def test_norm_conventions():
@@ -212,7 +214,7 @@ def test_n1_contraction_preserves_norm():
     Hf = HermitianMetric(base, np.broadcast_to(H.astype(complex),
                                                base.shape + (2, 2)).copy())
     assert np.allclose(pointwise_norm2(F, Hf),
-                       pointwise_norm2(contract_lambda(F), Hf))
+                       pointwise_norm2(lambda_of(F), Hf))
 
 
 def test_integrate_conventions():
@@ -453,13 +455,15 @@ def test_form_calculus_keeps_trailing_storage(n):
         "copy": a.copy(), "wedge": wedge(a, b), "hom wedge": wedge(a, hom),
         "dbar": dbar_flat(hom), "d": d_flat(a),
         "sandwich": hom.sandwich(left, np.eye(3)), "constant sandwich": hom.sandwich(np.eye(2)),
-        "contract": contract_lambda(c), "trace": tr_field(c),
+        "trace": tr_field(c),
         "zeros": MatrixFormField.zeros(base, 1, 1, 3, 2),
         "constant": MatrixFormField.constant(base, np.eye(2), 0, 1, ((), (0,))),
     }
     for name, out in outs.items():
         assert _is_trailing(out.comps), name
         assert out.comps.dtype == np.complex128, name
+    contracted = _contract_slots([c.comps[i, i] for i in range(n)])
+    assert _is_trailing(contracted) and contracted.dtype == np.complex128
 
 
 @pytest.mark.parametrize("n", [1, 2])

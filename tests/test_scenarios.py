@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from higgsflow import (TorusBase, build_scenario, degree_slope_lambda,
-                       get_scenario, scenario_catalog, scenario_subbundles,
-                       subbundle_report, validate_structure, ymh_energy)
+from higgsflow import (Curvature, TorusBase, build_scenario, get_scenario,
+                       integrate, scenario_catalog, scenario_subbundles,
+                       subbundle_report, validate_structure)
 from higgsflow.scenarios import random_state_with_subbundle, random_valid_state
 
 
@@ -28,7 +28,7 @@ def test_declared_energies_match():
         if "ymh_energy" not in sc.expects:
             continue
         state = build_scenario(sc.name)
-        e = ymh_energy(state)
+        e = integrate(Curvature(state).pointwise_energy(), state.base)
         assert e == pytest.approx(sc.expects["ymh_energy"], abs=1e-10), sc.name
 
 
@@ -42,7 +42,7 @@ def test_nilpotent_metadata_by_enumeration():
     phi0 = state.structure.phi.comps[0, 0][(0,) * 2]
     # invariant lines of a constant phi are its eigenvectors
     vals, vecs = np.linalg.eig(phi0)
-    deg_total, mu_total, _ = degree_slope_lambda(state)
+    mu_total = Curvature(state).degree / state.rank
     invariant_spans = []
     for k in range(2):
         v = vecs[:, k]
