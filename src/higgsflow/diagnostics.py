@@ -30,29 +30,28 @@ class ChernWeilReport:
     """Term-by-term decomposition of the curvature energy identity.
 
     lhs is the YMH energy of the state; the right-hand side splits into the
-    Einstein-deviation square, the characteristic-class term (zero for
-    n = 1 by convention) and lambda^2 rk Vol. residual = lhs - sum(rhs).
+    Einstein-deviation square and the characteristic-class term (zero for
+    n = 1 by convention): residual = lhs - deviation_term - topological_term.
+    degree, 0 on a bundle trivialized over the torus, is reported as a check.
     """
 
     lhs: float
     deviation_term: float
     topological_term: float
-    lambda_term: float
     residual: float
-    lam: float
     degree: float
 
     def relative_residual(self) -> float:
         scale = max(abs(self.lhs), abs(self.deviation_term),
-                    abs(self.topological_term), abs(self.lambda_term), 1e-12)
+                    abs(self.topological_term), 1e-12)
         return abs(self.residual) / scale
 
     def as_dict(self) -> dict:
         return {"lhs": self.lhs, "deviation_term": self.deviation_term,
                 "topological_term": self.topological_term,
-                "lambda_term": self.lambda_term, "residual": self.residual,
+                "residual": self.residual,
                 "relative_residual": self.relative_residual(),
-                "lambda": self.lam, "degree": self.degree}
+                "degree": self.degree}
 
 
 def _char_class_integrals(curv: Curvature) -> tuple[float, float]:
@@ -89,13 +88,10 @@ def chern_weil_report(state: HiggsBundleState) -> ChernWeilReport:
     lhs = integrate(hs.pointwise_energy(), state.base)
     deviation = integrate(pointwise_norm2(hs.deviation(), state.metric),
                           state.base)
-    deg, lam = hs.degree, hs.lam
     two_c2_minus_c1sq, _ = _char_class_integrals(hs)
     topological = 4.0 * math.pi**2 * two_c2_minus_c1sq
-    lam_term = lam * lam * state.rank * state.base.volume
-    residual = lhs - deviation - topological - lam_term
-    return ChernWeilReport(lhs, deviation, topological, lam_term, residual,
-                           lam, deg)
+    return ChernWeilReport(lhs, deviation, topological,
+                           lhs - deviation - topological, hs.degree)
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,10 @@ def split_extension(state: HiggsBundleState, sub: HiggsSubbundle) -> ExtensionDa
 
     The lower-left blocks vanish in the continuum by invariance and
     holomorphy; their discrete sup-norms are returned as residuals.
+    Raises ValueError unless 1 <= sub.rank < state.rank.
     """
+    if not 1 <= sub.rank < state.rank:
+        raise ValueError(f"sub-bundle rank {sub.rank} must lie in [1, {state.rank})")
     report = subbundle_report(state, sub)
     if not report.valid:
         raise ValueError(f"sub-bundle violates its invariants: {report.as_dict()}")

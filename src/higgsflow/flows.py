@@ -65,7 +65,7 @@ PHI_TAYLOR_Z = 0.05
 
 
 def einstein_deviation(state: HiggsBundleState) -> MatrixFormField:
-    """K = i Lambda(F_H + [phi, phi^{*H}]) - lambda Id, a (0,0) field
+    """K = i Lambda(F_H + [phi, phi^{*H}]), a (0,0) field
     (Curvature.deviation): only the diagonal slots that Lambda reads are
     built."""
     return Curvature(state).deviation()
@@ -395,15 +395,15 @@ def check_flow_times(T: float, dt: float) -> None:
 
 def _evaluate(state: HiggsBundleState, held: _Held | None):
     """K of the state and its sample norms: the pointwise |del_H phi|^2
-    (zero for n = 1), |F + [phi,phi*]|^2 and |i Lambda(F + [phi,phi*])|^2,
-    which the trace row and the two-flow check read. The norms and K read
-    one Curvature, which is not kept; held is the run's _Held, if any."""
+    (zero for n = 1), |F + [phi,phi*]|^2 and |K|^2_H, which the trace row
+    and the two-flow check read. The norms and K read one Curvature, which
+    is not kept; held is the run's _Held, if any."""
     hs, H = Curvature(state, held), state.metric
     dphi2 = np.zeros(state.base.shape) if hs.del_phi is None else \
         pointwise_norm2(hs.del_phi, H)
-    norms = (dphi2, pointwise_norm2(hs.part11, H),
-             pointwise_norm2(hs.contracted(), H))
-    return hs.deviation(), norms
+    curv2 = pointwise_norm2(hs.part11, H)
+    K = hs.deviation()  # after part11, so K reads the slots it assembled
+    return K, (dphi2, curv2, pointwise_norm2(K, H))
 
 
 # flow_equivalence_check runs both flows from one start: its evaluation and
@@ -414,14 +414,11 @@ _shared_starts: dict[int, tuple] = {}
 
 
 def _metric_trace_row(state: HiggsBundleState, dt: float, validity,
-                      K: MatrixFormField, norms, dev2) -> dict:
-    """The trace row of a state; dev2 is |K|^2_H when the caller holds it."""
-    H = state.metric
-    dphi2, curv2, _ = norms
-    if dev2 is None:
-        dev2 = pointwise_norm2(K, H)
+                      norms) -> dict:
+    """The trace row of a state from its sample norms (_evaluate)."""
+    dphi2, curv2, dev2 = norms
     e = curv2 + 2.0 * dphi2   # the YMH integrand, as in pointwise_energy
-    phi2 = pointwise_norm2(state.structure.phi, H)
+    phi2 = pointwise_norm2(state.structure.phi, state.metric)
     return dict(
         ymh_energy=integrate(e, state.base),
         dev_l2=math.sqrt(max(integrate(dev2, state.base), 0.0)),
@@ -461,12 +458,12 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
     trace = FlowTrace()
     sampled, sampled_norms = [], []
 
-    def sample(obj, K, norms, dev2, t_now, dt_now):
+    def sample(obj, norms, t_now, dt_now):
         # the metric flow never replaces the structure, so its validity
         # residuals are those of the start
         validity = validity0 if obj.structure is start.structure else \
             validate_structure(obj.structure)
-        row = _metric_trace_row(obj, dt_now, validity, K, norms, dev2)
+        row = _metric_trace_row(obj, dt_now, validity, norms)
         if not all(math.isfinite(v) for v in row.values()):
             raise FlowBlowup(f"non-finite sample row at t={t_now:.6g}",
                              obj, trace, t_now, "sample_row")
@@ -476,7 +473,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
 
     current = start
     t = 0.0
-    sample(current, K_current, norms, None, 0.0, dt)
+    sample(current, norms, 0.0, dt)
     next_idx = 1  # the schedule starts at t = 0, sampled above
 
     adaptive = not fixed_dt
@@ -512,12 +509,12 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
             frame = W, inv(W)
         candidate, err, reason = _etd2(current, dt_step, K_current, frame,
                                        update, held, tol)
-        dev2 = None  # |K|^2_H of the candidate, taken only when adaptive
         if reason is None:
             K_next, norms = _evaluate(candidate, held) if due else \
                 (Curvature(candidate, held).deviation(), None)
             if adaptive:
-                dev2 = pointwise_norm2(K_next, candidate.metric)
+                # |K|^2_H of the candidate, held by a sample's norms
+                dev2 = norms[2] if due else pointwise_norm2(K_next, candidate.metric)
                 dev_new = math.sqrt(max(dev2.max(), 0.0))
                 if dev_new > dev_prev * (1.0 + MP_RTOL) + MP_ATOL:
                     reason = "max_principle"
@@ -550,7 +547,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
         current, K_current, t = candidate, K_next, t_next
         steps += 1
         if due:
-            sample(current, K_current, norms, dev2, t, dt_step)
+            sample(current, norms, t, dt_step)
             next_idx += 1
     return FlowResult(current, trace, sampled, steps, sampled_norms,
                       rejected_by)

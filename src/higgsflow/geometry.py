@@ -209,8 +209,8 @@ class Curvature:
     form b, phi^{*H}, the Chern curvature f11 (and f20, f02), the bracket
     [phi, phi^{*H}], part11 = f11 + bracket, del_H phi (2,0) and
     dbar_E phi^{*H} (0,2). f11 and the bracket are assembled from their
-    slots (_slot); deviation(), degree and lam read only the diagonal
-    ones. The parts of degree (2,0) or (0,2) are None when n = 1; for valid
+    slots (_slot); deviation() and degree read only the diagonal ones.
+    The parts of degree (2,0) or (0,2) are None when n = 1; for valid
     inputs they vanish to truncation order, and they are computed, never
     assumed zero. Norms are taken in the state's metric.
 
@@ -353,35 +353,25 @@ class Curvature:
     def degree(self) -> float:
         """deg = (1/2pi) integral of tr(i Lambda F_H), from the diagonal
         slots of F_H; the Higgs bracket is traceless, so it never
-        contributes."""
+        contributes. A reported check, never an input of K."""
         lambda_f11 = _contract_slots([self._slot(0, i, i)
                                       for i in range(self.state.base.n)])
         return integrate(np.real(1j * trace(lambda_f11)),
                          self.state.base) / (2.0 * np.pi)
 
-    @property
-    def lam(self) -> float:
-        """The Einstein constant lambda = 2 pi slope / Vol, slope = deg / rank."""
-        return 2.0 * np.pi * (self.degree / self.state.rank) / self.state.base.volume
-
-    def contracted(self) -> MatrixFormField:
-        """i Lambda(F_H + [phi, phi^{*H}]), a new (0,0) field, from the
-        diagonal slots alone."""
-        slots = [self._slot(0, i, i) + self._slot(1, i, i)
-                 for i in range(self.state.base.n)]
-        return MatrixFormField(self.state.base, 0, 0,
-                               (_contract_slots(slots) * 1j)[None, None])
-
     def deviation(self) -> MatrixFormField:
-        """K = i Lambda(F_H + [phi, phi^{*H}]) - lambda Id, a (0,0) field.
+        """K = i Lambda(F_H + [phi, phi^{*H}]), a new (0,0) field, from the
+        diagonal slots alone: a bundle trivialized over the torus has degree
+        0, so the Einstein constant lambda is 0 and K has no lambda Id term.
 
         K is H-self-adjoint up to truncation error; the flow steps read it
         in the frame W = H^{1/2}, where its Hermitian part is taken, so
         positivity is exact.
         """
-        K = self.contracted()
-        K.comps[0, 0] -= self.lam * np.eye(self.state.rank, dtype=np.complex128)
-        return K
+        slots = [self._slot(0, i, i) + self._slot(1, i, i)
+                 for i in range(self.state.base.n)]
+        return MatrixFormField(self.state.base, 0, 0,
+                               (_contract_slots(slots) * 1j)[None, None])
 
     def pointwise_energy(self) -> np.ndarray:
         """|F + [phi,phi*]|^2 + 2|del phi|^2, the YMH integrand."""

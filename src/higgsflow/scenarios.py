@@ -154,7 +154,7 @@ _CATALOG: list[Scenario] = [
     Scenario("extension-sweep", "flat line sub and quotient glued by "
              "zeta = dz; the scaled-metric family has sup|F| = 2 sqrt(2) "
              "rho^2 exactly", 1, 32, 2,
-             {"sub_rank": 1, "supf_coefficient": SQRT8, "slope": 2.0,
+             {"filtration_ranks": [1], "supf_coefficient": SQRT8, "slope": 2.0,
               "epsilon_rho_pairs": [[0.1, 0.25], [0.05, 0.125], [0.01, 0.1]]}),
 ]
 
@@ -191,15 +191,9 @@ def build_scenario(name: str, N: int | None = None) -> HiggsBundleState:
 
 def scenario_subbundles(name: str, state: HiggsBundleState) -> list[HiggsSubbundle]:
     """The documented filtration levels of a scenario, as projector fields."""
-    sc = get_scenario(name)
-    ranks = list(sc.expects.get("filtration_ranks", []))
-    if name == "extension-sweep":
-        ranks = [sc.expects["sub_rank"]]
-    out = []
-    for p in ranks:
-        cols = np.eye(state.rank, dtype=np.complex128)[:, :p]
-        out.append(HiggsSubbundle.from_constant_span(state, cols))
-    return out
+    ranks = get_scenario(name).expects.get("filtration_ranks", [])
+    return [HiggsSubbundle.from_constant_span(
+        state, np.eye(state.rank, dtype=np.complex128)[:, :p]) for p in ranks]
 
 
 # -- seeded random generators --------------------------------------------------------

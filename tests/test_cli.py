@@ -314,6 +314,19 @@ def test_sweep_rho_rejects_bad_input_with_a_json_reason(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rho_rejects_a_sub_bundle_of_full_rank(tmp_path, capsys):
+    from higgsflow import build_scenario, save_state
+    # extension-sweep declares a rank-1 sub-bundle: all of a line bundle
+    snap = tmp_path / "line.snap"
+    save_state(build_scenario("conformal-r1"), snap)
+    out = tmp_path / "out"
+    assert run_cli("sweep-rho", "--state-file", str(snap), "--scenario",
+                   "extension-sweep", "--out-dir", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "sub-bundle rank 1 must lie in [1, 1)" in err
+    assert not out.exists()
+
+
 def test_sweep_rho_fits_no_slope_to_one_repeated_rho(tmp_path):
     import warnings
 

@@ -20,7 +20,6 @@ def test_chern_weil_nilpotent_oracle():
     assert cw.lhs == pytest.approx(8.0)
     assert cw.deviation_term == pytest.approx(8.0)
     assert cw.topological_term == 0.0
-    assert cw.lambda_term == pytest.approx(0.0, abs=1e-20)
     assert abs(cw.residual) < 1e-12
 
 

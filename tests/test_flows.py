@@ -595,8 +595,8 @@ def test_a_sample_row_inverts_its_metric_once(n, monkeypatch):
     st = random_valid_state(TorusBase(n, 8), 2, 4)
     validity = validate_structure(st.structure)
     counts = _count_calls(monkeypatch, inv)
-    K, norms = _evaluate(st, None)
-    _metric_trace_row(st, 1e-3, validity, K, norms, None)
+    _, norms = _evaluate(st, None)
+    _metric_trace_row(st, 1e-3, validity, norms)
     assert counts == {"inv": 1}
 
 

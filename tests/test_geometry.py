@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from higgsflow import (HermitianMetric, HiggsBundleState, HiggsStructure,
                        MatrixFormField, TorusBase, adjoint_field, Curvature,
-                       integrate, sup_norm, validate_structure)
+                       sup_norm, validate_structure)
 from higgsflow.flows import einstein_deviation
 from higgsflow.grid import _contract_slots, d_flat, dbar_flat, wedge
-from higgsflow.linalg import trace
 from higgsflow.scenarios import (build_scenario, random_valid_state,
                                   scenario_catalog)
 
@@ -196,12 +195,11 @@ def test_hitchin_simpson_flat_state():
     assert Curvature(state).sup_norm() == 0.0
 
 
-def test_degree_slope_lambda():
+def test_degree_of_flat_and_conformal_states():
     base = TorusBase(1, 16)
     s = constant_structure(base, 2)
     state = HiggsBundleState(s, HermitianMetric.identity(base, 2))
-    hs = Curvature(state)
-    assert (hs.degree, hs.lam) == (0.0, 0.0)
+    assert Curvature(state).degree == 0.0
 
     # rank-1 conformal: total integral of the Laplacian vanishes exactly
     x = base.axis_coordinate(0) * np.ones(base.shape)
@@ -258,17 +256,11 @@ def test_non_finite_metric_is_not_positive():
         H.check_positive()
 
 
-def _eager_deviation(state, f11, part11):
-    """K = i Lambda(part11) - lambda Id, with lambda from the degree of f11:
-    the contraction of every (1,1) field the formulas build."""
-    n, base = state.base.n, state.base
-    K = MatrixFormField(base, 0, 0, _contract_slots(
-        [part11.comps[i, i] for i in range(n)])[None, None]) * 1j
-    deg = integrate(np.real(1j * trace(_contract_slots(
-        [f11.comps[i, i] for i in range(n)]))), base) / (2.0 * np.pi)
-    lam = 2.0 * np.pi * (deg / state.rank) / base.volume
-    K.comps[0, 0] -= lam * np.eye(state.rank)
-    return K
+def _eager_deviation(state, part11):
+    """K = i Lambda(part11): the contraction of every (1,1) field the
+    formulas build."""
+    return MatrixFormField(state.base, 0, 0, _contract_slots(
+        [part11.comps[i, i] for i in range(state.base.n)])[None, None]) * 1j
 
 
 def _random_field(base, p, q, rank, rng, scale):
@@ -278,16 +270,24 @@ def _random_field(base, p, q, rank, rng, scale):
     return f
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.sampled_from([1, 2]), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
+def _random_state(n, rank, seed):
+    """A state at N = 8 that need not be valid: a and phi of scale 0.3,
+    H = Id + x x^dag."""
     rng = np.random.default_rng(seed)
     base = TorusBase(n, 8)
     a = _random_field(base, 0, 1, rank, rng, 0.3)
     phi = _random_field(base, 1, 0, rank, rng, 0.3)
     x = _random_field(base, 0, 0, rank, rng, 0.3).comps[0, 0]
     H = HermitianMetric(base, np.eye(rank) + x @ np.swapaxes(x.conj(), -1, -2))
-    state = HiggsBundleState(HiggsStructure(a, phi), H)
+    return HiggsBundleState(HiggsStructure(a, phi), H)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
+    state = _random_state(n, rank, seed)
+    H = state.metric
+    a, phi = state.structure.a, state.structure.phi
     hs = Curvature(state)
 
     # the eager route, every part built up front by the generic form
@@ -299,7 +299,7 @@ def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
     part11 = f11 + bracket
     assert np.array_equal(hs.b.comps, b.comps)
     assert np.array_equal(hs.phistar.comps, phistar.comps)
-    K = _eager_deviation(state, f11, part11)
+    K = _eager_deviation(state, part11)
     assert einstein_deviation(state).comps.tobytes() == K.comps.tobytes()
     # every slot, off-diagonal ones included; f11 and part11 to the bit
     assert hs.f11.comps.tobytes() == f11.comps.tobytes()
@@ -327,26 +327,33 @@ def _assert_contracted_deviation_is_exact(state):
     # K alone builds only the slots (i, i) that Lambda reads; it must
     # equal the contraction of the full Hitchin-Simpson (1,1) part
     hs = Curvature(state)
-    K = _eager_deviation(state, hs.f11, hs.part11)
+    K = _eager_deviation(state, hs.part11)
     assert einstein_deviation(state).comps.tobytes() == K.comps.tobytes()
 
 
 @settings(max_examples=16, deadline=None)
 @given(st.sampled_from([1, 2]), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_contracted_deviation_equals_the_full_contraction(n, rank, seed):
-    rng = np.random.default_rng(seed)
-    base = TorusBase(n, 8)
-    a = _random_field(base, 0, 1, rank, rng, 0.3)
-    phi = _random_field(base, 1, 0, rank, rng, 0.3)
-    x = _random_field(base, 0, 0, rank, rng, 0.3).comps[0, 0]
-    H = HermitianMetric(base, np.eye(rank) + x @ np.swapaxes(x.conj(), -1, -2))
-    _assert_contracted_deviation_is_exact(
-        HiggsBundleState(HiggsStructure(a, phi), H))
+    _assert_contracted_deviation_is_exact(_random_state(n, rank, seed))
 
 
 @pytest.mark.parametrize("name", [sc.name for sc in scenario_catalog()])
 def test_contracted_deviation_is_exact_on_every_scenario(name):
     _assert_contracted_deviation_is_exact(build_scenario(name))
+
+
+def test_the_deviation_carries_no_lambda_term():
+    # a random state that is not valid has a degree of pure roundoff, not
+    # 0.0; K is the contraction of part11's diagonal slots all the same
+    state = _random_state(1, 2, 3)
+    assert not validate_structure(state.structure).valid
+    deg = Curvature(state).degree
+    assert deg != 0.0
+    _assert_contracted_deviation_is_exact(state)
+    # the Einstein constant of that degree would move some bit of K
+    K = einstein_deviation(state).comps[0, 0]
+    lam = 2.0 * np.pi * (deg / state.rank) / state.base.volume
+    assert (K - lam * np.eye(state.rank)).tobytes() != K.tobytes()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
