@@ -54,8 +54,8 @@ def _flow_stopped(exc: FlowBlowup, detail: dict, out_dir: Path | None = None) ->
 
 
 def load_config(path: str) -> dict:
-    """Flat key = value text format; '#' starts a comment."""
-    out = {}
+    """Flat key = value text format, each key set once; '#' starts a comment."""
+    out, line_of = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -65,7 +65,10 @@ def load_config(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
-        out[key] = CONFIG_KEYS[key](value)
+        if key in line_of:
+            raise ValueError(f"{path}: key '{key}' is set twice, on lines "
+                             f"{line_of[key]} and {lineno}")
+        out[key], line_of[key] = CONFIG_KEYS[key](value), lineno
     return out
 
 
@@ -84,6 +87,12 @@ def _config(args) -> dict:
                if getattr(args, key) is not None)
     if "flow.T" in keys:
         check_flow_times(cfg["flow.T"], cfg["flow.dt"])
+    for key, rule, ok in (
+            ("flow.fixed", "0 or 1", lambda v: v in (0, 1)),
+            ("target.epsilon", "finite and > 0", lambda v: np.isfinite(v) and v > 0),
+            ("tolerance", "finite and >= 0", lambda v: np.isfinite(v) and v >= 0)):
+        if key in cfg and not ok(cfg[key]):
+            raise ValueError(f"{key} must be {rule}, got {cfg[key]!r}")
     return cfg
 
 

@@ -203,7 +203,8 @@ def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, frame,
     when tol is given (None otherwise). reason is None for a candidate;
     otherwise candidate is None and reason is "error_estimate" for a finite
     err above tol, or "breakdown" for a non-finite err or field, or a
-    metric (of the candidate or of its predictor) that lost positivity.
+    metric (of the candidate or of its predictor) that is not positive,
+    which HermitianMetric rejects when _metric_update builds it.
     """
     err = None
     try:
@@ -232,12 +233,9 @@ def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, frame,
                                    else "breakdown")
         correction += a
         candidate = update(state, frame, correction)[0]
-        # a non-finite metric fails its positivity test below
         if not (np.isfinite(candidate.structure.phi.comps).all()
                 and np.isfinite(candidate.structure.a.comps).all()):
             return None, err, "breakdown"
-        # cached on the metric, so the next curvature reuses it
-        candidate.metric.check_positive()
     except (FloatingPointError, np.linalg.LinAlgError, ValueError):
         return None, err, "breakdown"
     return candidate, err, None
@@ -262,8 +260,6 @@ def complex_gauge_apply(sigma: np.ndarray,
 
 def gauge_from_metric(H0: HermitianMetric, H: HermitianMetric) -> np.ndarray:
     """g with g^{*H0} g = H0^{-1} H, the square root in the H0-positive cone."""
-    H0.check_positive()
-    H.check_positive()
     w = sqrtm_hpd(H0.mat)
     w_inv = inv(w)
     middle = sqrtm_hpd(mm(mm(w_inv, H.mat), w_inv))
@@ -334,11 +330,10 @@ class FlowTrace:
 class FlowResult:
     final: HiggsBundleState
     trace: FlowTrace
-    sampled_states: list    # (t, state) at the sample schedule
+    # (t, state, norms) per sample: norms are the pointwise |del_H phi|^2,
+    # |F + [phi,phi*]|^2 and |i Lambda(F + [phi,phi*])|^2 of its Curvature
+    samples: list
     steps: int
-    # per sample, the pointwise |del_H phi|^2, |F + [phi,phi*]|^2 and
-    # |i Lambda(F + [phi,phi*])|^2 of the state's Curvature
-    sampled_norms: list
     # rejected attempts by reason: breakdown, max_principle, error_estimate
     rejected_by: dict
 
@@ -456,7 +451,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
     K_current, norms, validity0 = _shared_starts.get(id(start)) or \
         (*_evaluate(start, held), validate_structure(start.structure))
     trace = FlowTrace()
-    sampled, sampled_norms = [], []
+    samples = []
 
     def sample(obj, norms, t_now, dt_now):
         # the metric flow never replaces the structure, so its validity
@@ -468,8 +463,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
             raise FlowBlowup(f"non-finite sample row at t={t_now:.6g}",
                              obj, trace, t_now, "sample_row")
         trace.append(t=t_now, **row)
-        sampled.append((t_now, obj))
-        sampled_norms.append(norms)
+        samples.append((t_now, obj, norms))
 
     current = start
     t = 0.0
@@ -549,8 +543,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
         if due:
             sample(current, norms, t, dt_step)
             next_idx += 1
-    return FlowResult(current, trace, sampled, steps, sampled_norms,
-                      rejected_by)
+    return FlowResult(current, trace, samples, steps, rejected_by)
 
 
 def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
@@ -644,23 +637,18 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
         res_p = run_ymh_flow(state0, T, dt, fixed_dt=True, sample_times=samples)
     finally:
         _shared_starts.pop(id(state0), None)
-    # the compared fields are the sample norms each runner already took
-    metric_at = {round(t, 9): (s, norms) for (t, s), norms
-                 in zip(res_m.sampled_states, res_m.sampled_norms)}
-    pair_at = {round(t, 9): (s, norms) for (t, s), norms
-               in zip(res_p.sampled_states, res_p.sampled_norms)}
-    common = sorted(set(metric_at) & set(pair_at))
-
     # decayed-scale floors: 1e-6 of each quantity's size at t = 0
-    floors = tuple(1e-6 * float(f.max()) for f in res_m.sampled_norms[0])
+    floors = tuple(1e-6 * float(f.max()) for f in res_m.samples[0][2])
 
     report = EquivalenceReport([], [], [], [], [], [])
     raw = []  # (phi_diff, phi_scale, a_diff, a_scale) per sample
-    for tk in common:
-        (st, metric_fields), (pr, pair_fields) = metric_at[tk], pair_at[tk]
+    # both runs share one sample schedule; the compared fields are the
+    # sample norms each runner already took
+    for (tk, st, metric_fields), (_, pr, pair_fields) in zip(res_m.samples,
+                                                            res_p.samples):
         g = gauge_from_metric(state0.metric, st.metric)
         transported = complex_gauge_apply(g, state0)
-        report.times.append(float(tk))
+        report.times.append(round(tk, 9))
         for sink, mfield, pfield, floor in zip(
                 (report.res_dphi, report.res_curvature, report.res_contracted),
                 metric_fields, pair_fields, floors):

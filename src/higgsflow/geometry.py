@@ -31,7 +31,9 @@ class HermitianMetric:
     """Grid of Hermitian positive-definite r x r matrices.
 
     mat has shape (*grid, r, r) and is a view of one C-contiguous complex
-    array of shape (r, r, *grid), as MatrixFormField.comps is.
+    array of shape (r, r, *grid), as MatrixFormField.comps is. Positivity is
+    checked once, here: a ValueError counts the non-finite blocks, or else
+    gives the smallest eigenvalue.
     """
 
     base: TorusBase
@@ -42,6 +44,17 @@ class HermitianMetric:
         if mat.shape[:-2] != self.base.shape or mat.shape[-1] != mat.shape[-2]:
             raise ValueError(f"metric array shape {mat.shape} does not match the grid")
         self.mat = _trailing(mat)
+        try:
+            if is_positive_definite(self.mat):
+                return
+            bad = np.count_nonzero(~np.isfinite(self.mat).all(axis=(-2, -1)))
+            if bad:
+                reason = f"{bad} non-finite blocks"
+            else:
+                reason = f"min eigenvalue {min_eigvalsh(self.mat):.3e}"
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"metric not positive definite: {exc}") from exc
+        raise ValueError(f"metric not positive definite: {reason}")
 
     @classmethod
     def identity(cls, base: TorusBase, rank: int) -> "HermitianMetric":
@@ -55,28 +68,6 @@ class HermitianMetric:
     @cached_property
     def inv(self) -> np.ndarray:
         return inv(self.mat)
-
-    @cached_property
-    def _positive(self) -> bool:
-        return is_positive_definite(self.mat)
-
-    def check_positive(self) -> None:
-        """Raise ValueError unless every block is positive definite.
-
-        The message counts the non-finite blocks, or else gives the smallest
-        eigenvalue.
-        """
-        try:
-            if self._positive:
-                return
-            bad = np.count_nonzero(~np.isfinite(self.mat).all(axis=(-2, -1)))
-            if bad:
-                reason = f"{bad} non-finite blocks"
-            else:
-                reason = f"min eigenvalue {min_eigvalsh(self.mat):.3e}"
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"metric not positive definite: {exc}") from exc
-        raise ValueError(f"metric not positive definite: {reason}")
 
     def as_field(self) -> MatrixFormField:
         out = MatrixFormField.zeros(self.base, 0, 0, self.rank)
@@ -160,7 +151,6 @@ def validate_structure(s: HiggsStructure, tol: float | None = None) -> ValidityR
 def _metric_connection(H: HermitianMetric) -> MatrixFormField:
     """H^{-1} del H, the part of the Chern connection form that the metric
     alone sets."""
-    H.check_positive()
     return d_flat(H.as_field()).sandwich(H.inv)
 
 
@@ -249,7 +239,6 @@ class Curvature:
         del H(s,t) = H(D^{1,0}s, t) + H(s, dbar_E t).
         """
         H = self.state.metric
-        H.check_positive()
         conn = self._frozen("metric", "conn", lambda s: _metric_connection(s.metric))
         a_dag = self._frozen("structure", "a_dag",
                              lambda s: _form_dagger(s.structure.a))
@@ -260,7 +249,6 @@ class Curvature:
         """phi^{*H} = H^{-1} phi^dag H on matrix parts, dz -> dzbar on form
         parts."""
         H = self.state.metric
-        H.check_positive()
         return self._frozen("structure", "phi_dag", lambda s: _form_dagger(
             s.structure.phi)).sandwich(H.inv, H.mat)
 

@@ -291,7 +291,6 @@ def _random_state_and_gauge(base: TorusBase, rank: int, seed: int,
     Cm = eye + 0.3 * (rng.standard_normal((rank, rank))
                       + 1j * rng.standard_normal((rank, rank))) / math.sqrt(rank)
     H = HermitianMetric(base, mm(mm(mm(dagger(Cm), L), dagger(L)), Cm))
-    H.check_positive()
     state = HiggsBundleState(HiggsStructure(a_new, phi_new), H)
     return state, sigma
 

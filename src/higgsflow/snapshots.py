@@ -128,7 +128,5 @@ def load_state(path) -> HiggsBundleState:
     if (H_field.p, H_field.q) != (0, 0):
         raise ValueError(f"metric section has bidegree ({H_field.p},{H_field.q}), "
                          f"not (0,0)")
-    metric = HermitianMetric(H_field.base, H_field.comps[0, 0])
-    metric.check_positive()
     return HiggsBundleState(HiggsStructure(sections["a"], sections["phi"]),
-                            metric)
+                            HermitianMetric(H_field.base, H_field.comps[0, 0]))

