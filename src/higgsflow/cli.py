@@ -341,7 +341,9 @@ def main(argv=None) -> int:
         return cmd_catalog(args)
     try:
         return VERBS[args.command][0](_config(args))
-    except (ValueError, KeyError, OSError) as exc:
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        return _fail(str(exc.args[0]))
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
 

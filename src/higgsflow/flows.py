@@ -7,15 +7,18 @@ gradient flow with the codifferential reduced by the Kahler identities to
 first-order operators, D_A* F = i (del_A - dbar_A) Lambda F on (1,1)-forms.
 
 Both runners take one ETDRK2 step (Cox & Matthews, J. Comput. Phys. 176,
-2002) in the log-metric frame of the current metric: with W = H^{1/2},
-the next metric is W e^s W, where the Hermitian field s obeys
-ds/dt = -2 K~ and K~ = W K W^{-1}. The stiff part of K~ is linear, sigma s
-in Fourier space, where sigma is the exact symbol of the composed centred
-differences (_symbol); the step solves it exactly, with scalar
-phi-functions per mode, and treats only the remainder explicitly. The
-metric flow sets H' = W e^s W, positive by construction. The pair flow
-applies the gauge W^{-1} e^{s/2} W, whose transported metric is the same
-W e^s W. Neither step has an h^2 stability bound.
+2002) in the log-metric frame of the current metric: with L its frame
+(HermitianMetric.frame, L^dag L = H), the next metric is L^dag e^s L,
+where the Hermitian field s obeys ds/dt = -2 K~ and K~ = L K L^{-1}. The
+stiff part of K~ is linear, sigma s in Fourier space, where sigma is the
+exact symbol of the composed centred differences (_symbol); the step
+solves it exactly, with scalar phi-functions per mode, and treats only the
+remainder explicitly. The metric flow sets H' = L^dag e^s L, positive by
+construction, with the frame L' = e^{s/2} L: a run takes one matrix root,
+at its start (W0 = H0^{1/2}), and its frames are L_k = W0 G_k, those of
+the complex gauge G_k that carries H0 to H_k (Simpson, J. AMS 1, 1988).
+The pair flow applies the gauge L^{-1} e^{s/2} L, whose transported metric
+is the same L^dag e^s L. Neither step has an h^2 stability bound.
 """
 
 from __future__ import annotations
@@ -147,34 +150,30 @@ def _in_frame(K: MatrixFormField, L: np.ndarray, L_inv: np.ndarray) -> np.ndarra
     return hermitize(mm(mm(L, K.comps[0, 0]), L_inv))
 
 
-def _metric_update(state: HiggsBundleState, frame, x: np.ndarray):
-    """For frame = (W, W^{-1}), the state with metric W e^x W = L^dag L and
-    its frame L = e^{x/2} W.
-
-    The Gram form L^dag L is positive whenever L is invertible; its
-    Hermitian part is taken to make it Hermitian exactly.
-    """
-    L = mm(expm_batched(0.5 * x), frame[0])
-    H = HermitianMetric(state.base, hermitize(mm(dagger(L), L)))
-    return HiggsBundleState(state.structure, H), L
+def _metric_update(state: HiggsBundleState, x: np.ndarray) -> HiggsBundleState:
+    """The state with metric L^dag e^x L, built from its frame e^{x/2} L
+    (HermitianMetric.from_frame), where L is the frame of the state's
+    metric: the frame is carried, never rooted."""
+    L = mm(expm_batched(0.5 * x), state.metric.frame[0])
+    return HiggsBundleState(state.structure,
+                            HermitianMetric.from_frame(state.base, L))
 
 
-def _gauge_update(state: HiggsBundleState, frame, x: np.ndarray):
-    """The pair gauged by g = W^{-1} e^{x/2} W over the frozen metric H = W W,
-    and its frame W, where frame is (W, W^{-1}).
+def _gauge_update(state: HiggsBundleState, x: np.ndarray) -> HiggsBundleState:
+    """The pair gauged by g = L^{-1} e^{x/2} L over the frozen metric H, where
+    L is H's frame (L^dag L = H); the gauged state keeps H and so its frame.
 
-    g^{*H} g = H^{-1} W e^x W, so the gauged pair is the metric flow's
-    state at W e^x W transported by g, and its deviation g K g^{-1} reads
-    in the frame W as the metric flow's reads in the frame e^{x/2} W.
+    g^{*H} g = H^{-1} L^dag e^x L, so the gauged pair is the metric flow's
+    state at L^dag e^x L transported by g, and its deviation g K g^{-1}
+    reads in the frame L as the metric flow's reads in the frame e^{x/2} L.
 
     To first order in dt the step's gauge is exp(-dt K), which reproduces
     the gradient-flow equations: the Higgs field moves by -[K, phi] dt and
     the (0,1) connection part by dbar_A(K) dt. The update stays exactly in
     the complex gauge orbit of the pair, and the metric stays frozen.
     """
-    W, W_inv = frame
-    g = mm(mm(W_inv, expm_batched(0.5 * x)), W)
-    return complex_gauge_apply(g, state), W
+    L, L_inv = state.metric.frame
+    return complex_gauge_apply(mm(mm(L_inv, expm_batched(0.5 * x)), L), state)
 
 
 def _etd_error(correction: np.ndarray) -> float:
@@ -184,19 +183,21 @@ def _etd_error(correction: np.ndarray) -> float:
     return 0.5 * math.sqrt(float(norm2.max()))
 
 
-def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, frame,
-          update, held, tol: float | None):
+def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, update,
+          held, tol: float | None):
     """One ETDRK2 attempt from the state with deviation K0, in the frame
-    (W, W^{-1}) of its metric, W = H^{1/2}; update (_metric_update or
-    _gauge_update) picks the flow, and held is the run's _Held, the parts
-    of the half of the state that the flow holds fixed (see Curvature).
+    (L, L^{-1}) of its metric (HermitianMetric.frame); update
+    (_metric_update or _gauge_update) picks the flow, and held is the run's
+    _Held, the parts of the half of the state that the flow holds fixed
+    (see Curvature).
 
-    With K~0 = W K0 W^{-1}, z = 2 dt sigma and F the Fourier transform over
+    With K~0 = L K0 L^{-1}, z = 2 dt sigma and F the Fourier transform over
     the grid:
     - the predictor is a = F^{-1}[-2 dt phi1(z) F K~0] (exponential Euler);
     - the corrector is s = a + F^{-1}[dt phi2(z) (-2 (F K~a - F K~0)
       + 2 sigma F a)], with K~a the deviation at the predictor, read in
-      the frame that update returns for it.
+      the frame of the predictor's metric: e^{a/2} L for the metric flow,
+      L itself for the pair flow, whose inverse is already held.
     Both are exact on the linear part ds/dt = -2 sigma s.
 
     Returns (candidate, err, reason). err = _etd_error(s - a) is taken only
@@ -210,29 +211,27 @@ def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, frame,
     try:
         sigma = _symbol(state.base)
         phi1, phi2 = _phi_functions((2.0 * dt) * sigma)
-        K0_hat = _spectrum(_in_frame(K0, *frame))
+        K0_hat = _spectrum(_in_frame(K0, *state.metric.frame))
         a_hat = (-2.0 * dt * phi1) * K0_hat
         a = _field(a_hat, state.rank)
-        predicted, L = update(state, frame, a)
-        # the pair flow's frame is the runner's own, whose inverse it holds
-        L_inv = frame[1] if L is frame[0] else inv(L)
+        predicted = update(state, a)
         # the corrector's spectrum, built in place in that of K~a
         c_hat = _spectrum(_in_frame(Curvature(predicted, held).deviation(),
-                                    L, L_inv))
+                                    *predicted.metric.frame))
         c_hat -= K0_hat
         c_hat *= -2.0
         c_hat += (2.0 * sigma) * a_hat
         c_hat *= dt * phi2
         correction = _field(c_hat, state.rank)
         # the spectra and the predictor state are freed before the update
-        del phi1, phi2, K0_hat, a_hat, predicted, L, L_inv, c_hat
+        del phi1, phi2, K0_hat, a_hat, predicted, c_hat
         if tol is not None:
             err = _etd_error(correction)
             if not err <= tol:
                 return None, err, ("error_estimate" if math.isfinite(err)
                                    else "breakdown")
         correction += a
-        candidate = update(state, frame, correction)[0]
+        candidate = update(state, correction)
         if not (np.isfinite(candidate.structure.phi.comps).all()
                 and np.isfinite(candidate.structure.a.comps).all()):
             return None, err, "breakdown"
@@ -259,11 +258,13 @@ def complex_gauge_apply(sigma: np.ndarray,
 
 
 def gauge_from_metric(H0: HermitianMetric, H: HermitianMetric) -> np.ndarray:
-    """g with g^{*H0} g = H0^{-1} H, the square root in the H0-positive cone."""
-    w = sqrtm_hpd(H0.mat)
-    w_inv = inv(w)
-    middle = sqrtm_hpd(mm(mm(w_inv, H.mat), w_inv))
-    return mm(mm(w_inv, middle), w)
+    """g with g^{*H0} g = H0^{-1} H, the square root in the H0-positive cone.
+
+    For any frame L of H0 (L^dag L = H0), g = L^{-1} (L^{-dag} H L^{-1})^{1/2} L
+    is that root, so H0's own frame serves and H0 is not rooted again.
+    """
+    L, L_inv = H0.frame
+    return mm(mm(L_inv, sqrtm_hpd(mm(mm(dagger(L_inv), H.mat), L_inv))), L)
 
 
 # -- traces and runners ------------------------------------------------------------
@@ -479,9 +480,6 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
     # dt_prop is the controller's proposal; a step clipped to land on a
     # sample time or on T does not shrink it
     dt_prop, err_prev, dt_cap = dt, TOL, math.inf
-    # (W, W^{-1}) of the current metric, W = H^{1/2}, built at its first
-    # attempt: the pair flow's frozen metric takes one root per run
-    frame = None
     while t < T - 1e-12:
         if steps >= MAX_STEPS:
             raise FlowBlowup(f"step cap MAX_STEPS = {MAX_STEPS} reached at "
@@ -498,11 +496,8 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
         t_next = t + dt_step
         due = next_idx < len(schedule) and t_next >= schedule[next_idx] - 1e-12
 
-        if frame is None:
-            W = sqrtm_hpd(current.metric.mat)
-            frame = W, inv(W)
-        candidate, err, reason = _etd2(current, dt_step, K_current, frame,
-                                       update, held, tol)
+        candidate, err, reason = _etd2(current, dt_step, K_current, update,
+                                       held, tol)
         if reason is None:
             K_next, norms = _evaluate(candidate, held) if due else \
                 (Curvature(candidate, held).deviation(), None)
@@ -536,8 +531,6 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
             dt_prop = min(dt_free * _pi_factor(err, err_prev), dt_cap)
             err_prev = err
 
-        if candidate.metric is not current.metric:
-            frame = None
         current, K_current, t = candidate, K_next, t_next
         steps += 1
         if due:

@@ -17,8 +17,8 @@ import numpy as np
 from .grid import (MatrixFormField, MixedField, TorusBase, _contract_slots,
                    _dz_component, d_flat, dbar_flat, integrate, pointwise_norm2,
                    sup_norm, wedge)
-from .linalg import (_trailing, dagger, inv, is_positive_definite, min_eigvalsh,
-                     mm, trace)
+from .linalg import (_trailing, dagger, hermitize, inv, is_positive_definite,
+                     min_eigvalsh, mm, sqrtm_hpd, trace)
 
 __all__ = [
     "HermitianMetric", "HiggsStructure", "HiggsBundleState", "ValidityReport",
@@ -34,10 +34,16 @@ class HermitianMetric:
     array of shape (r, r, *grid), as MatrixFormField.comps is. Positivity is
     checked once, here: a ValueError counts the non-finite blocks, or else
     gives the smallest eigenvalue.
+
+    frame is (L, L^{-1}) with L^dag L = H, built on first read and kept: L
+    is the factor of a metric built as L^dag L (from_frame), else the
+    Hermitian root H^{1/2}. The flows step in it, so a metric flow takes
+    one root per run, at its start.
     """
 
     base: TorusBase
     mat: np.ndarray
+    _factor = None  # L of from_frame
 
     def __post_init__(self):
         mat = np.asarray(self.mat)
@@ -61,9 +67,23 @@ class HermitianMetric:
         return cls(base, np.broadcast_to(np.eye(rank, dtype=np.complex128),
                                          base.shape + (rank, rank)))
 
+    @classmethod
+    def from_frame(cls, base: TorusBase, L: np.ndarray) -> "HermitianMetric":
+        """The metric L^dag L, whose frame is L. The Gram form is positive
+        whenever L is invertible; its Hermitian part is taken to make it
+        Hermitian exactly."""
+        metric = cls(base, hermitize(mm(dagger(L), L)))
+        metric._factor = L
+        return metric
+
     @property
     def rank(self) -> int:
         return self.mat.shape[-1]
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        L = sqrtm_hpd(self.mat) if self._factor is None else self._factor
+        return L, inv(L)
 
     @cached_property
     def inv(self) -> np.ndarray:
@@ -353,8 +373,8 @@ class Curvature:
         0, so the Einstein constant lambda is 0 and K has no lambda Id term.
 
         K is H-self-adjoint up to truncation error; the flow steps read it
-        in the frame W = H^{1/2}, where its Hermitian part is taken, so
-        positivity is exact.
+        in the metric's frame L (L^dag L = H), where its Hermitian part is
+        taken, so positivity is exact.
         """
         slots = [self._slot(0, i, i) + self._slot(1, i, i)
                  for i in range(self.state.base.n)]

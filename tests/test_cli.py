@@ -31,6 +31,17 @@ def test_validate_unknown_scenario(capsys):
     assert json.loads(err)["error"]
 
 
+def test_unknown_scenario_error_is_the_bare_message(tmp_path, capsys):
+    # the message of get_scenario's KeyError, without the quotes that
+    # str() of a KeyError adds
+    from higgsflow import scenario_catalog
+    known = ", ".join(sorted(sc.name for sc in scenario_catalog()))
+    assert run_cli("run", "--scenario", "nosuch", "--out-dir",
+                   str(tmp_path)) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == \
+        f"unknown scenario 'nosuch'; known scenarios: {known}"
+
+
 def test_state_file_roundtrip_through_cli(tmp_path, capsys):
     from higgsflow import build_scenario, save_state
     snap = tmp_path / "state.snap"

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from higgsflow import (HermitianMetric, HiggsBundleState,
                        HiggsStructure, MatrixFormField, TorusBase,
@@ -35,10 +36,8 @@ def energy_of(state):
 def etd2_step(state, dt, update=_metric_update, K=None):
     """One fixed ETDRK2 step of the flow that update picks, from the state
     with deviation K (computed when not given); it must not break down."""
-    W = sqrtm_hpd(state.metric.mat)
     K = einstein_deviation(state) if K is None else K
-    candidate, err, reason = _etd2(state, dt, K, (W, inv(W)), update,
-                                   _Held(state), None)
+    candidate, err, reason = _etd2(state, dt, K, update, _Held(state), None)
     assert reason is None and err is None
     return candidate
 
@@ -558,20 +557,24 @@ def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch,
                       "dbar_flat": 2 * 2 + 4 + 2, "validate_structure": 2}
 
 
-def test_the_runner_takes_one_root_per_metric(monkeypatch):
-    # W = H^{1/2} is built at the first attempt from each metric: once per
-    # accepted step of the metric flow (retries reuse it), once per run of
-    # the pair flow, whose metric is frozen. No root is cached on the start,
-    # so the pair run from it takes its own
+def test_the_runner_takes_one_root_per_run(monkeypatch):
+    # a metric keeps its frame, and the metric flow carries it, L' = e^{s/2} L:
+    # one root per run, of its start, whatever its steps and rejections.
+    # The pair flow roots its frozen metric once. Each run starts from a
+    # fresh state, whose metric has no frame yet
     import higgsflow.flows
     monkeypatch.setattr(higgsflow.flows, "TOL", 1e-3)
     counts = _count_calls(monkeypatch, sqrtm_hpd)
-    st = nilpotent_state(8)
-    res = run_donaldson_flow(st, 0.25, 0.5)
-    assert res.rejected > 0 and counts["sqrtm_hpd"] == res.steps
+    res = run_donaldson_flow(nilpotent_state(8), 0.25, 0.5)
+    assert res.steps > 1 and res.rejected > 0 and counts["sqrtm_hpd"] == 1
     counts["sqrtm_hpd"] = 0
-    res = run_ymh_flow(st, 0.25, 0.5)
+    res = run_ymh_flow(nilpotent_state(8), 0.25, 0.5)
     assert res.rejected > 0 and counts["sqrtm_hpd"] == 1
+    # both runs of a check and its transports read the start's one root;
+    # what is left is the middle root of gauge_from_metric per sample
+    counts["sqrtm_hpd"] = 0
+    report = flow_equivalence_check(nilpotent_state(8), 4e-3, 1e-3)
+    assert len(report.times) == 5 and counts["sqrtm_hpd"] == 1 + 5
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -590,18 +593,69 @@ def test_a_sample_row_inverts_its_metric_once(n, monkeypatch):
 
 
 def test_the_pair_flow_inverts_its_frozen_frame_once(monkeypatch):
-    # the runner inverts W once per run, and every attempt reads that
-    # inverse from the frame that _gauge_update hands back; what is left
-    # are the two inverses of complex_gauge_apply per attempt (predictor
-    # and result)
+    # the frozen metric inverts itself and its frame once per run, and
+    # every attempt reads both; what is left are the two inverses of
+    # complex_gauge_apply per attempt (predictor and result)
     import higgsflow.flows
-    calls = []
-    real = higgsflow.flows.inv
-    monkeypatch.setattr(higgsflow.flows, "inv",
-                        lambda m: calls.append(None) or real(m))
+    import higgsflow.geometry
+    calls = {"flows": 0, "geometry": 0}
+    for name, mod in (("flows", higgsflow.flows),
+                      ("geometry", higgsflow.geometry)):
+        def counted(m, _name=name, _real=mod.inv):
+            calls[_name] += 1
+            return _real(m)
+        monkeypatch.setattr(mod, "inv", counted)
     res = run_ymh_flow(nilpotent_state(16), 100.0, 1e-3)
     assert (res.steps, res.rejected) == (72, 0)
-    assert len(calls) == 1 + 2 * 72
+    assert calls == {"flows": 2 * 72, "geometry": 2}
+
+
+def _relative(x, y):
+    return np.abs(x - y).max() / np.abs(y).max()
+
+
+@settings(max_examples=10, deadline=None)
+@given(strategies.sampled_from([1, 2]), strategies.integers(1, 4),
+       strategies.integers(0, 2**32 - 1))
+def test_every_flow_metric_carries_a_frame_of_itself(n, rank, seed):
+    # every metric the metric flow builds (predictors, rejected candidates
+    # and accepted states) is L^dag L of the frame it keeps
+    import higgsflow.flows
+    from higgsflow.scenarios import random_valid_state
+    built = []
+
+    def recorded(state, x):
+        built.append(_metric_update(state, x))
+        return built[-1]
+
+    start = random_valid_state(TorusBase(n, 8), rank, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(higgsflow.flows, "_metric_update", recorded)
+        res = run_donaldson_flow(start, 0.02, 1e-3)
+    assert res.steps >= 1 and res.final.metric in [s.metric for s in built]
+    for metric in [start.metric] + [s.metric for s in built]:
+        L, L_inv = metric.frame
+        assert _relative(dagger(L) @ L, metric.mat) <= 1e-13
+        assert np.abs(L @ L_inv - np.eye(rank)).max() <= 1e-12
+
+
+def test_gauge_from_metric_reads_any_frame_of_its_start():
+    # a flow-built H0 keeps its carried frame, which is not Hermitian; g is
+    # still the H0-self-adjoint root of H0^{-1} H, the one the Hermitian
+    # root H0^{1/2} gives
+    from higgsflow.scenarios import random_valid_state
+    base = TorusBase(1, 16)
+    H0 = run_donaldson_flow(random_valid_state(base, 3, 4), 0.05, 1e-3
+                            ).final.metric
+    L = H0.frame[0]
+    assert np.abs(L - dagger(L)).max() > 1e-3
+    H = random_valid_state(base, 3, 5).metric
+    g = gauge_from_metric(H0, H)
+    g_star = H0.inv @ dagger(g) @ H0.mat
+    assert _relative(g_star, g) < 1e-13
+    assert _relative(g_star @ g, H0.inv @ H.mat) < 1e-13
+    rooted = HermitianMetric(base, H0.mat)
+    assert _relative(gauge_from_metric(rooted, H), g) < 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2])

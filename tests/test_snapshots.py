@@ -63,6 +63,24 @@ def test_state_roundtrip_n2(tmp_path):
     assert np.array_equal(st.metric.mat, st2.metric.mat)
 
 
+def test_a_flow_built_state_roundtrips_to_the_same_bytes(tmp_path):
+    # the snapshot keeps the metric, not the frame the flow carried; the
+    # reloaded metric roots itself
+    from higgsflow import run_donaldson_flow
+    from higgsflow.linalg import dagger, sqrtm_hpd
+    st = run_donaldson_flow(random_valid_state(TorusBase(1, 16), 3, seed=7),
+                            0.05, 1e-3).final
+    p1, p2 = tmp_path / "a.snap", tmp_path / "b.snap"
+    save_state(st, p1)
+    st2 = load_state(p1)
+    save_state(st2, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    L = st2.metric.frame[0]
+    assert np.array_equal(L, sqrtm_hpd(st.metric.mat))
+    assert np.abs(L - dagger(L)).max() < 1e-14
+    assert np.abs(st.metric.frame[0] - L).max() > 1e-3
+
+
 def test_header_is_self_describing(tmp_path):
     st = build_scenario("nilpotent-r2", N=16)
     path = tmp_path / "state.snap"
