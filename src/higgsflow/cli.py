@@ -286,7 +286,8 @@ def cmd_flow_equivalence(cfg) -> int:
     try:
         report = flow_equivalence_check(state, cfg["flow.T"], cfg["flow.dt"])
     except FlowBlowup as exc:
-        return _flow_stopped(exc, {})
+        # the state and trace saved are those of the flow that stopped
+        return _flow_stopped(exc, {"flow": exc.flow}, out_dir)
     except ValueError as exc:
         return _fail(f"flow-equivalence failed: {exc}", code=3)
     _json_dump(report.as_dict(), out_dir / "flow_equivalence.json")

@@ -351,10 +351,13 @@ class FlowBlowup(RuntimeError):
     Carries the last accepted state and the partial trace so callers can
     persist them, and the reason: "breakdown" (a fixed-dt step failed),
     "sample_row", "step_collapse" or "step_cap". verify_filtration sets
-    level to the index of the quotient whose flow raised.
+    level to the index of the quotient whose flow raised, and
+    flow_equivalence_check sets flow to the flow that raised, "donaldson"
+    or "ymh".
     """
 
     level: int | None = None
+    flow: str | None = None
 
     def __init__(self, message, state, trace, t, reason):
         super().__init__(message)
@@ -624,10 +627,15 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     _sample_schedule(T, samples)
     _shared_starts[id(state0)] = (*_evaluate(state0, None),
                                   validate_structure(state0.structure))
+    flow = "donaldson"
     try:
         res_m = run_donaldson_flow(state0, T, dt, fixed_dt=True,
                                    sample_times=samples)
+        flow = "ymh"
         res_p = run_ymh_flow(state0, T, dt, fixed_dt=True, sample_times=samples)
+    except FlowBlowup as exc:
+        exc.flow = flow
+        raise
     finally:
         _shared_starts.pop(id(state0), None)
     # decayed-scale floors: 1e-6 of each quantity's size at t = 0

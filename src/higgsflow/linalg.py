@@ -21,8 +21,15 @@ Kernel contract:
   blocks X = [[a, b], [b*, c]] (checked on the input) it is the closed
   form e^m [cosh delta I + (sinh delta / delta)(X - m I)], with
   m = (a + c)/2 and delta = sqrt(((a - c)/2)^2 + |b|^2), accurate in
-  every entry; for any other input with r >= 2 it is a Taylor polynomial
-  of norm-selected degree evaluated by Paterson-Stockmeyer on mm;
+  every entry; for a batch of exactly Hermitian 3x3 blocks it is the
+  closed form e^{q + mu0} [I + f1 C + f2 C (C - a I)] on the eigenvalues
+  of B = X - qI from the trigonometric formula (C = B - mu0 I), accurate
+  in norm; a multiple c I of the identity maps to e^c I exactly at r = 2
+  and 3, and the closed forms return exactly Hermitian blocks, each all
+  NaN if it holds a non-finite entry; for any other input with r >= 2
+  (r = 4, or blocks that are not exactly Hermitian) it is a Taylor
+  polynomial of norm-selected degree evaluated by Paterson-Stockmeyer
+  on mm;
 * is_positive_definite reads the leading principal minors for r <= 3 and
   eigvalsh for r = 4 or when a minor overflows;
 * sqrtm_hpd is the scalar root at r = 1, the Cayley-Hamilton closed form
@@ -186,12 +193,22 @@ def _taylor_ps(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _is_hermitian2(m: np.ndarray) -> bool:
-    """Whether every 2x2 block of m is exactly Hermitian: entry (1, 0) equal
-    to the conjugate of entry (0, 1), and a zero imaginary diagonal. A NaN
-    entry fails the test."""
-    return not (m[..., 0, 0].imag.any() or m[..., 1, 1].imag.any()) and \
-        np.array_equal(m[..., 1, 0], np.conj(m[..., 0, 1]))
+def _is_hermitian(m: np.ndarray) -> bool:
+    """Whether every block of m is exactly Hermitian: each entry below the
+    diagonal equal to the conjugate of its mirror, and a zero imaginary
+    diagonal. A NaN entry fails the test."""
+    r = m.shape[-1]
+    return not any(m[..., i, i].imag.any() for i in range(r)) and \
+        all(np.array_equal(m[..., i, j], np.conj(m[..., j, i]))
+            for i in range(r) for j in range(i))
+
+
+def _blocks(store: np.ndarray) -> np.ndarray:
+    """The (..., r, r) view of (r, r, ...) storage, with every block that
+    holds a non-finite entry set to all NaN."""
+    if not np.isfinite(store).all():
+        store[:, :, ~np.isfinite(store).all(axis=(0, 1))] = np.nan
+    return store.transpose(_view_axes(store.ndim))
 
 
 def _expm_hermitian2(m: np.ndarray) -> np.ndarray:
@@ -230,19 +247,93 @@ def _expm_hermitian2(m: np.ndarray) -> np.ndarray:
     store[1, 1, ...] = np.where(upper, smaller, larger)
     np.multiply(big * sinhc, b, out=store[0, 1, ...])
     np.conjugate(store[0, 1], out=store[1, 0, ...])
-    if not np.isfinite(store).all():
-        store[:, :, ~np.isfinite(store).all(axis=(0, 1))] = np.nan
-    return store.transpose(_view_axes(store.ndim))
+    return _blocks(store)
+
+
+# rows and columns of the entries x01, x02, x12 above the diagonal
+_UPPER, _LOWER = np.array([0, 0, 1]), np.array([1, 2, 2])
+
+
+def _expm_hermitian3(m: np.ndarray) -> np.ndarray:
+    """e^X of exactly Hermitian 3x3 blocks in closed form (Moler & Van Loan,
+    SIAM Rev. 45, 2003, method 17; Morningstar & Peardon, Phys. Rev. D 69,
+    054501, 2004).
+
+    With q = x00 + ((x11 - x00) + (x22 - x00))/3, so that c I maps to
+    e^c I exactly, B = X - q I has the eigenvalues mu0 >= mu2 >= mu1, that
+    is 2p cos(theta + 2 pi k/3) for k = 0, 2, 1, where p = sqrt(tr(B^2)/6)
+    and theta = arccos(det(B/p)/2)/3, the cosine clipped to [-1, 1].
+    Newton's interpolation on those nodes gives, with C = B - mu0 I,
+
+        e^X = e^{q + mu0} [I + f1 C + f2 C (C - a I)],
+
+    where a = mu2 - mu0, b = mu1 - mu0 and f1 = expm1(a)/a,
+    f2 = (e^a expm1(b - a)/(b - a) - f1)/b are the divided differences of
+    exp relative to e^{mu0} (1 and 1/2 where their nodes coincide). Nearly
+    coincident eigenvalues, which the arccos splits to only half the
+    digits, enter the result at second order, and the cancellation in f2
+    is multiplied by C (C - a I), which is as small as the spread b.
+
+    Only the six upper entries are built; the lower ones are their
+    conjugates, so the result is exactly Hermitian. A block with a
+    non-finite entry is all NaN, as at r = 1 and 2.
+    """
+    st = m.transpose(_store_axes(m.ndim))
+    x = st.real[(0, 1, 2), (0, 1, 2)]
+    off = st[_UPPER, _LOWER]
+    b01, b02, b12 = off
+    q = x[0] + ((x[1] - x[0]) + (x[2] - x[0])) / 3.0
+    d = x - q
+    n = off.real * off.real + off.imag * off.imag
+    p = np.sqrt(((d * d).sum(axis=0) + 2.0 * n.sum(axis=0)) * (1.0 / 6.0))
+    # det(B/p)/2 from terms of order one, each scaled by 1/p as it is
+    # formed; every term is zero where p is
+    s = 1.0 / np.where(p > 0.0, p, np.inf)
+    u = d * s
+    b01b12 = b01 * b12
+    re_prod = b01b12.real * b02.real + b01b12.imag * b02.imag
+    half_det = 0.5 * (u[0] * u[1] * u[2] - ((u * n[::-1]) * s).sum(axis=0) * s) \
+        + ((re_prod * s) * s) * s
+    theta = np.arccos(np.clip(half_det, -1.0, 1.0)) * (1.0 / 3.0)
+    cos3, sin3 = 3.0 * np.cos(theta), math.sqrt(3.0) * np.sin(theta)
+    mu0 = (2.0 / 3.0) * p * cos3
+    a = p * (sin3 - cos3)         # -2 sqrt(3) p sin(pi/3 - theta)
+    b = -p * (cos3 + sin3)        # -2 sqrt(3) p sin(pi/3 + theta)
+    gap = (-2.0 * p) * sin3       # b - a
+    f1 = _expm1_ratio(a)
+    f2 = np.exp(a) * _expm1_ratio(gap) - f1
+    f2 = np.where(b == 0.0, 0.5, f2 / b)
+    alpha = f1 - a * f2           # e^X / e^{q + mu0} = I + alpha C + f2 C^2
+    c = d - mu0
+    scale = np.exp(q + mu0)
+    store = np.empty((3, 3) + m.shape[:-2], np.complex128)
+    store[(0, 1, 2), (0, 1, 2)] = scale * (
+        1.0 + alpha * c + f2 * (c * c + (n[_UPPER] + n[_LOWER])))
+    # (C^2)_ij = x_ij (c_i + c_j) + the product through the third index
+    through = np.empty_like(off)
+    np.multiply(b02, np.conj(b12), out=through[0])
+    through[1] = b01b12
+    np.multiply(np.conj(b01), b02, out=through[2])
+    upper = scale * (alpha * off + f2 * (off * (c[_UPPER] + c[_LOWER]) + through))
+    store[_UPPER, _LOWER] = upper
+    store[_LOWER, _UPPER] = np.conj(upper)
+    return _blocks(store)
+
+
+def _expm1_ratio(x: np.ndarray) -> np.ndarray:
+    """expm1(x)/x, and 1 where x is zero."""
+    return np.where(x == 0.0, 1.0, np.expm1(x) / x)
 
 
 def expm_batched(m: np.ndarray) -> np.ndarray:
     """Matrix exponential: closed form or scaling-and-squaring with a
     Taylor core.
 
-    np.exp at r = 1, and _expm_hermitian2 for a batch of exactly Hermitian
-    2x2 blocks. Otherwise the batch's largest Frobenius norm picks the
-    lowest degree of _TAYLOR_DEGREES that reaches it; past the last theta
-    the argument is halved until it does, then squared back.
+    np.exp at r = 1, and _expm_hermitian2 or _expm_hermitian3 for a batch
+    of exactly Hermitian 2x2 or 3x3 blocks. Otherwise the batch's largest
+    Frobenius norm picks the lowest degree of _TAYLOR_DEGREES that reaches
+    it; past the last theta the argument is halved until it does, then
+    squared back.
     """
     m = np.asarray(m, dtype=np.complex128)
     with np.errstate(**_QUIET):
@@ -252,8 +343,8 @@ def expm_batched(m: np.ndarray) -> np.ndarray:
             out = np.exp(m)
             out[~np.isfinite(out)] = np.nan
             return out
-        if m.shape[-1] == 2 and _is_hermitian2(m):
-            return _expm_hermitian2(m)
+        if m.shape[-1] in (2, 3) and _is_hermitian(m):
+            return (_expm_hermitian2 if m.shape[-1] == 2 else _expm_hermitian3)(m)
         norm = np.linalg.norm(m, axis=(-2, -1)).max() if m.size else 0.0
         if not np.isfinite(norm):
             return np.full_like(m, np.nan)

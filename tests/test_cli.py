@@ -297,14 +297,28 @@ def test_bad_config_value_is_rejected_before_running(verb, flag, value, rule,
 
 
 def test_flow_equivalence_blowup_is_a_json_reason(tmp_path, capsys, break_expm):
-    break_expm(float("nan"), first=5)
-    code = run_cli("flow-equivalence", "--scenario", "conformal-r1",
-                   "--flow-T", "20.0", "--flow-dt", "0.5",
-                   "--out-dir", str(tmp_path))
-    assert code == 3
-    err = json.loads(capsys.readouterr().err)
-    assert "blew up" in err["error"] and err["detail"]["reached_t"] >= 0.0
-    assert err["detail"]["reason"] == "breakdown"
+    from higgsflow import load_state
+    args = ("flow-equivalence", "--scenario", "conformal-r1", "--flow-T",
+            "2.0", "--flow-dt", "0.5")
+    # the metric flow runs first, and both flows take as many exponentials,
+    # counted in a whole check; the third step of each flow in turn is
+    # planted non-finite
+    calls = break_expm(float("nan"), first=10**9)
+    assert run_cli(*args, "--out-dir", str(tmp_path / "whole")) in (0, 1)
+    capsys.readouterr()
+    for flow, first in (("donaldson", 5), ("ymh", len(calls) // 2 + 5)):
+        break_expm(float("nan"), first=first)
+        out = tmp_path / flow
+        code = run_cli(*args, "--out-dir", str(out))
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert "blew up" in err["error"] and err["detail"]["reached_t"] > 0.0
+        assert err["detail"]["reason"] == "breakdown"
+        assert err["detail"]["flow"] == flow
+        assert err["detail"]["snapshot"] == str(out / "last_healthy.snap")
+        assert (out / "trace.csv").exists()
+        assert not (out / "flow_equivalence.json").exists()
+        load_state(out / "last_healthy.snap")  # its metric is positive
 
 
 def test_verify_filtration_stopped_by_the_step_cap_exits_3(tmp_path, capsys,

@@ -10,6 +10,7 @@ from higgsflow import (HermitianMetric, MatrixFormField, TorusBase,
                        tr_field, wedge)
 from higgsflow.grid import (_contract_slots, _dz_component, _endo_inner,
                             _wedge_table)
+from higgsflow.linalg import _trailing_array
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
 E21 = E12.T.copy()
@@ -303,6 +304,52 @@ def test_dz_component_matches_the_roll_formula_exactly(n, p, q, rows, cols):
                                   0.5 * (dx + 1j * dy))
             assert np.array_equal(_dz_component(f.comps, base, j, bar=False),
                                   0.5 * (dx - 1j * dy))
+
+
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 12), (2, 8)])
+def test_dz_component_is_the_same_on_every_layout(n, N):
+    # grid-trailing fields, a stack of them and a component view take the
+    # subtraction over the flattened grid slab; a C-ordered array, whose
+    # grid is not contiguous, takes the slices: every value is the roll
+    # formula's, to the bit
+    rng = np.random.default_rng(20 + N)
+    base = TorusBase(n, N)
+    shape = MatrixFormField.zeros(base, 1, 0, 2, 3).comps.shape
+    comps = MatrixFormField(base, 1, 0, rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape)).comps
+    stacked = _trailing_array((2,) + shape)
+    stacked[...] = np.stack([comps, 2.0 * comps])
+    for c in (comps, stacked, comps[-1], np.ascontiguousarray(comps)):
+        grid = range(c.ndim - 2 - 2 * n, c.ndim - 2)
+        for j in range(n):
+            dx, dy = ((np.roll(c, -1, axis=ax) - np.roll(c, 1, axis=ax))
+                      / (2.0 * base.spacing) for ax in list(grid)[2 * j:2 * j + 2])
+            assert np.array_equal(_dz_component(c, base, j, bar=True),
+                                  0.5 * (dx + 1j * dy))
+            assert np.array_equal(_dz_component(c, base, j, bar=False),
+                                  0.5 * (dx - 1j * dy))
+
+
+@pytest.mark.parametrize("p, q", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
+def test_raise_degree_differentiates_only_the_components_it_reads(p, q,
+                                                                   monkeypatch):
+    # one derivative per row of its wedge table, each of the one component
+    # K the row reads
+    import higgsflow.grid
+    base = TorusBase(2, 8)
+    f = MatrixFormField.zeros(base, p, q, 2)
+    for op, axis, deg in ((dbar_flat, 1, q), (d_flat, 0, p)):
+        if deg == 2:
+            continue
+        shapes = []
+        real = higgsflow.grid._dz_component
+        monkeypatch.setattr(higgsflow.grid, "_dz_component",
+                            lambda c, b, j, bar: shapes.append(c.shape)
+                            or real(c, b, j, bar))
+        op(f)
+        monkeypatch.undo()
+        component = f.comps.swapaxes(0, axis)[0].shape
+        assert shapes == [component] * len(_wedge_table(2, 1, deg))
 
 
 def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):

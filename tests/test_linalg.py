@@ -257,31 +257,142 @@ def test_expm_closed_form_overflows_to_nan_blockwise_without_warning():
     _assert_blockwise_close(out[finite], _eigh_exp(h[finite]), 700.0)
 
 
-def test_expm_takes_the_taylor_path_unless_every_block_is_hermitian(monkeypatch):
+def _count_taylor_calls(monkeypatch):
     import higgsflow.linalg
     calls = []
     real = higgsflow.linalg._taylor_ps
     monkeypatch.setattr(higgsflow.linalg, "_taylor_ps",
                         lambda a, m: calls.append(m) or real(a, m))
-    rng = np.random.default_rng(6)
-    x = 0.1 * random_stack(rng, (4, 4, 2, 2))
-    h = x + dagger(x)
-    expm_batched(h)
-    assert calls == []
-    # a general stack, one off-diagonal entry a bit off its conjugate, and
-    # one diagonal entry with an imaginary part
-    near = h.copy()
-    near[1, 2, 1, 0] = np.nextafter(near[1, 2, 1, 0].real, np.inf) + \
-        1j * near[1, 2, 1, 0].imag
-    imag = h.copy()
-    imag[3, 0, 1, 1] += 1e-300j
-    for m in (x, near, imag):
+    return calls
+
+
+def test_expm_takes_the_taylor_path_unless_every_block_is_hermitian(monkeypatch):
+    calls = _count_taylor_calls(monkeypatch)
+    for r in (2, 3):
+        rng = np.random.default_rng(6)
+        x = 0.1 * random_stack(rng, (4, 4, r, r))
+        h = x + dagger(x)
         calls.clear()
-        out = expm_batched(m)
-        assert len(calls) == 1
-        w, v = np.linalg.eig(m)
-        expected = (v * np.exp(w)[..., None, :]) @ np.linalg.inv(v)
-        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+        expm_batched(h)
+        assert calls == []
+        # a general stack, one entry below the diagonal a bit off its
+        # conjugate, and one diagonal entry with an imaginary part
+        near = h.copy()
+        near[1, 2, r - 1, 0] = np.nextafter(near[1, 2, r - 1, 0].real, np.inf) + \
+            1j * near[1, 2, r - 1, 0].imag
+        imag = h.copy()
+        imag[3, 0, r - 1, r - 1] += 1e-300j
+        for m in (x, near, imag):
+            calls.clear()
+            out = expm_batched(m)
+            assert len(calls) == 1
+            w, v = np.linalg.eig(m)
+            expected = (v * np.exp(w)[..., None, :]) @ np.linalg.inv(v)
+            assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+# -- the closed form for Hermitian 3x3 blocks ----------------------------------------
+
+
+def _hermitian3(rng, batch, spectrum):
+    """Exactly Hermitian 3x3 blocks with the given eigenvalues, one
+    (..., 3) row per block, in random unitary frames."""
+    q, _ = np.linalg.qr(random_stack(rng, batch + (3, 3)))
+    h = (q * spectrum[..., None, :]) @ dagger(q)
+    return 0.5 * (h + dagger(h))
+
+
+@PROPERTY
+@given(grid_batches(st.integers(2, 5)),
+       st.floats(-8.0, math.log10(40.0)),
+       st.sampled_from(["distinct", "double", "triple"]),
+       st.floats(-12.0, 0.0))
+def test_expm_closed_form_matches_eigh_on_hermitian_3x3(case, log_size, cluster,
+                                                        log_gap):
+    # Frobenius norms from 1e-8 to 40; a double or triple eigenvalue is
+    # split by gaps down to 1e-12 of the spread, at the top or the bottom
+    batch, seed = case
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(batch + (3,))
+    gap = 10.0 ** log_gap * np.abs(w).max(axis=-1)
+    if cluster != "distinct":
+        w[..., 1] = w[..., 0] + gap * rng.uniform(-1.0, 1.0, batch)
+    if cluster == "triple":
+        w[..., 2] = w[..., 0] - gap
+    h = _hermitian3(rng, batch, w)
+    h *= 10.0 ** log_size / np.linalg.norm(h, axis=(-2, -1)).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = expm_batched(h)
+    ref = _eigh_exp(h)
+    err = np.abs(out - ref).max(axis=(-2, -1))
+    assert (err <= 1e-13 * np.abs(ref).max(axis=(-2, -1))).all()
+    assert np.array_equal(out, dagger(out))
+
+
+@PROPERTY
+@given(grid_batches(), st.floats(-745.0, 709.0))
+def test_expm_closed_form_3x3_of_a_multiple_of_the_identity_is_exact(case, c):
+    # B = X - qI is exactly zero: e^{cI} = e^c I, and e^0 = I
+    batch, seed = case
+    scale = np.random.default_rng(seed).uniform(0.0, 1.0, batch)
+    m = (c * scale)[..., None, None] * np.eye(3)
+    expected = np.exp(c * scale)[..., None, None] * np.eye(3)
+    assert np.array_equal(expm_batched(m), expected)
+    assert np.array_equal(expm_batched(np.zeros(batch + (3, 3))),
+                          np.broadcast_to(np.eye(3), batch + (3, 3)))
+
+
+def test_expm_closed_form_3x3_overflows_to_nan_blockwise_without_warning():
+    # a block whose largest eigenvalue is past log(DBL_MAX) = 709.78, or
+    # whose entries overflow tr(B^2), or that holds a non-finite entry,
+    # becomes all NaN; its neighbours are untouched
+    rng = np.random.default_rng(7)
+    h = _hermitian3(rng, (4, 4), rng.standard_normal((4, 4, 3)))
+    blocks = {(0, 0): np.diag([710.0, 0.0, -3.0]),
+              (1, 2): 709.0 * np.eye(3) + np.diag([1.0, 0.0, 0.0]),
+              (2, 1): 1e200 * np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0],
+                                        [0.0, 0.0, 1.0]]),
+              (3, 3): np.diag([np.inf, 0.0, 1.0]),
+              (2, 2): np.diag([np.nan, 0.0, 1.0]),
+              (3, 0): np.diag([709.0, 700.0, -5.0])}
+    for idx, block in blocks.items():
+        h[idx] = block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = expm_batched(h)
+    for idx in [(0, 0), (1, 2), (2, 1), (3, 3), (2, 2)]:
+        assert np.isnan(out[idx]).all()
+    finite = np.isfinite(out).all(axis=(-2, -1))
+    assert finite.sum() == 16 - 5
+    ref = _eigh_exp(h[finite])
+    err = np.abs(out[finite] - ref).max(axis=(-2, -1))
+    assert (err <= 1e-13 * 709.0 * np.abs(ref).max(axis=(-2, -1))).all()
+
+
+def test_expm_closed_form_3x3_of_tiny_entries_is_finite():
+    # tr(B^2) near 1e-220 and det(B) below the float range: the cosine is
+    # formed from entries scaled by 1/p, so e^X = I + X to every digit
+    rng = np.random.default_rng(8)
+    h = _hermitian3(rng, (3, 3), rng.standard_normal((3, 3, 3)))
+    for size in (1e-110, 1e-160, 1e-300):
+        x = h * size
+        out = expm_batched(x)
+        assert np.isfinite(out).all()
+        assert np.abs(out - (np.eye(3) + x)).max() <= 1e-15 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("kind", ["donaldson", "ymh"])
+def test_rank3_flows_make_no_taylor_call(monkeypatch, kind):
+    # every field that either flow exponentiates at rank 3 is exactly
+    # Hermitian: the closed form serves them all
+    from higgsflow import TorusBase, run_donaldson_flow, run_ymh_flow
+    from higgsflow.scenarios import random_valid_state
+    calls = _count_taylor_calls(monkeypatch)
+    state = random_valid_state(TorusBase(1, 16), 3, 1)
+    run = run_donaldson_flow if kind == "donaldson" else run_ymh_flow
+    res = run(state, 0.05, 0.01)
+    assert res.steps > 1 and calls == []
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
