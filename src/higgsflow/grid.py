@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import _store_axes, _trailing, _trailing_array, dagger, mm, trace
+from .linalg import _trailing, _trailing_array, dagger, mm, trace
 
 if TYPE_CHECKING:
     from .geometry import HermitianMetric
@@ -257,32 +256,14 @@ class MixedField(dict):
 # -- differential operators ------------------------------------------------------
 
 
-def _periodic_diff(c: np.ndarray, axis: int, scale: float, ngrid: int) -> np.ndarray:
+def _periodic_diff(c: np.ndarray, axis: int, scale: float) -> np.ndarray:
     """(c[i+1] - c[i-1]) * scale along one grid axis of an (..., r, c) array,
-    with periodic wrap; the result is grid-trailing. The ngrid grid axes
-    precede the (r, c) block.
-
-    Along the first grid axis the interior is one subtraction of slices,
-    each a contiguous run when the grid slabs of c are contiguous. Along any
-    later axis those slices are many short rows, so when each grid slab of
-    c is contiguous every interior point is instead one subtraction over
-    the flattened slab, shifted by the axis stride: a shifted difference
-    that crosses a row boundary lands only on the two wrapped planes, which
-    are then written over."""
+    with periodic wrap; the result is grid-trailing."""
     out = _trailing_array(c.shape, c.dtype)
     lead = (slice(None),) * axis
     # (out, plus, minus) along axis: the interior, then the two wrapped ends
-    rows = [(slice(1, -1), slice(2, None), slice(None, -2)), (0, 1, -1), (-1, 0, -2)]
-    src = c.transpose(_store_axes(c.ndim))
-    if axis > c.ndim - 2 - ngrid and src[(0,) * (c.ndim - ngrid)].flags.c_contiguous:
-        flat = src.shape[:-ngrid] + (-1,)
-        stride = math.prod(c.shape[axis + 1:-2])
-        c_flat = src.reshape(flat)
-        out_flat = out.transpose(_store_axes(c.ndim)).reshape(flat)
-        np.subtract(c_flat[..., 2 * stride:], c_flat[..., :-2 * stride],
-                    out=out_flat[..., stride:-stride])
-        rows = rows[1:]
-    for o, p, m in rows:
+    for o, p, m in ((slice(1, -1), slice(2, None), slice(None, -2)),
+                    (0, 1, -1), (-1, 0, -2)):
         np.subtract(c[lead + (p,)], c[lead + (m,)], out=out[lead + (o,)])
     out *= scale
     return out
@@ -298,11 +279,10 @@ def _dz_component(c: np.ndarray, base: TorusBase, j: int, bar: bool) -> np.ndarr
     value equals that of the unfused formula; only an exact zero may differ
     in sign."""
     # x_j and y_j are the grid's axes 2j and 2j + 1
-    ngrid = len(base.shape)
-    axis = c.ndim - 2 - ngrid + 2 * j
+    axis = c.ndim - 2 - len(base.shape) + 2 * j
     scale = 0.5 / (2.0 * base.spacing)
-    out = _periodic_diff(c, axis, scale, ngrid)
-    dy = _periodic_diff(c, axis + 1, scale, ngrid)
+    out = _periodic_diff(c, axis, scale)
+    dy = _periodic_diff(c, axis + 1, scale)
     if bar:
         out.real -= dy.imag
         out.imag += dy.real
