@@ -22,7 +22,7 @@ from .flows import FlowBlowup, run_donaldson_flow
 from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
                        HiggsStructure, adjoint_field)
 from .grid import MatrixFormField, MixedField, d_flat, dbar_flat, sup_norm, wedge
-from .linalg import dagger, inv, mm, trace
+from .linalg import _store_axes, _trailing, _trailing_array, dagger, inv, mm, trace
 
 __all__ = [
     "HiggsSubbundle", "SubbundleReport", "subbundle_report",
@@ -117,9 +117,12 @@ def _orthonormal_frame(H: HermitianMetric, pi: np.ndarray, p: int,
 
     Uses the top eigenvectors of the grid-averaged projector as a constant
     reference, projects pointwise, and H-orthonormalizes by Cholesky. Raises
-    if the projected reference degenerates anywhere.
+    if the projected reference degenerates anywhere. The average sums each
+    entry over one contiguous grid slab, so it does not depend on the
+    layout of pi.
     """
-    mean_pi = pi.reshape(-1, *pi.shape[-2:]).mean(axis=0)
+    r = pi.shape[-1]
+    mean_pi = _trailing(pi).transpose(_store_axes(pi.ndim)).reshape(r, r, -1).mean(axis=-1)
     w, v = np.linalg.eigh(0.5 * (mean_pi + dagger(mean_pi)))
     ref = v[:, np.argsort(w)[::-1][:p]]
     U = mm(pi, ref)
@@ -142,8 +145,8 @@ def _quotient_frames(H: HermitianMetric, subs: list[HiggsSubbundle]):
     The frames are yielded one level at a time.
     """
     r = H.rank
-    eye = np.broadcast_to(np.eye(r, dtype=np.complex128),
-                          H.base.shape + (r, r)).copy()
+    eye = _trailing(np.broadcast_to(np.eye(r, dtype=np.complex128),
+                                    H.base.shape + (r, r)))
     prev_frame, prev_proj, prev_rank = None, np.zeros_like(eye), 0
     for pi, rank in [(sub.projector, sub.rank) for sub in subs] + [(eye, r)]:
         # nested H-orthogonal projectors commute, so pi - prev is again an
@@ -151,9 +154,14 @@ def _quotient_frames(H: HermitianMetric, subs: list[HiggsSubbundle]):
         U = _orthonormal_frame(H, pi - prev_proj, rank - prev_rank,
                                against=prev_frame)
         yield U
-        prev_frame = U if prev_frame is None else \
-            np.concatenate([prev_frame, U], axis=-1)
+        prev_frame = U if prev_frame is None else _side_by_side([prev_frame, U])
         prev_proj, prev_rank = pi, rank
+
+
+def _side_by_side(frames: list[np.ndarray]) -> np.ndarray:
+    """The columns of the frames side by side, in grid-trailing storage."""
+    out = _trailing_array(frames[0].shape[:-1] + (sum(V.shape[-1] for V in frames),))
+    return np.concatenate(frames, axis=-1, out=out)
 
 
 def _block(H: HermitianMetric, U: np.ndarray, f: MatrixFormField,
@@ -332,7 +340,7 @@ def gauss_codazzi_blocks(state: HiggsBundleState,
     a_part, b_part, c_part = _extension_parts(ext)
     assembled = a_part + b_part + c_part
 
-    U = np.concatenate([ext.frame_s, ext.frame_q], axis=-1)
+    U = _side_by_side([ext.frame_s, ext.frame_q])
     ambient = MixedField(_block(state.metric, U, f, U) for f in
                          Curvature(state).parts.values())
 
@@ -355,14 +363,10 @@ def _scaled_block_metric(frames: list[np.ndarray], rho: float) -> np.ndarray:
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    U = np.concatenate(frames, axis=-1)
     weights = np.concatenate([np.full(V.shape[-1], 1.0 / rho ** (2 * k))
                               for k, V in enumerate(frames)])
-    Hblock = np.zeros(U.shape, np.complex128)
-    idx = np.arange(U.shape[-1])
-    Hblock[..., idx, idx] = weights
-    U_inv = inv(U)
-    return mm(mm(dagger(U_inv), Hblock), U_inv)
+    U_inv = inv(_side_by_side(frames))
+    return mm(mm(dagger(U_inv), np.diag(weights).astype(np.complex128)), U_inv)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,12 @@ reductions. numpy's `@` and `np.linalg.inv` handle a stack of tiny matrices
 one matrix at a time; the kernels here run each scalar operation over the
 whole batch at once. They return grid-trailing arrays: an (..., r, c) view
 of C-contiguous (r, c, ...) storage, so each of those operations is one
-pass over a contiguous slab of the batch. Any input layout is accepted.
+pass over a contiguous slab of the batch. Any input layout is accepted,
+but a grid-leading (..., r, c) operand costs mm 2 to 6x as much as a
+grid-trailing one (1.41 against 0.68 ms at (64, 64, 3, 3), 399 against
+64 us at (64, 64, 2, 2), on a 2-core Xeon host); a broadcast constant,
+stride 0 on every grid axis, costs no more. The package's builders hand
+the kernels only grid slabs or broadcast constants.
 
 Kernel contract:
 
@@ -374,7 +379,10 @@ def sqrtm_hpd(m: np.ndarray) -> np.ndarray:
         if not np.all(w > 0):
             raise ValueError("matrix not positive definite: min eigenvalue "
                              f"{w.min():.3e}")
-        return mm(v * np.sqrt(w)[..., None, :], dagger(v))
+        # the scaled eigenvectors in grid-trailing storage, as mm reads them
+        # fastest; eigh returns grid-leading arrays
+        scaled = np.multiply(v, np.sqrt(w)[..., None, :], out=_trailing_array(v.shape))
+        return mm(scaled, dagger(v))
     with np.errstate(**_QUIET):
         a = m[..., 0, 0].real
         if r == 2:

@@ -16,7 +16,7 @@ import numpy as np
 from .extensions import HiggsSubbundle
 from .geometry import HermitianMetric, HiggsBundleState, HiggsStructure
 from .grid import MatrixFormField, TorusBase, dbar_flat
-from .linalg import dagger, expm_batched, mm
+from .linalg import _store_axes, _trailing_array, dagger, expm_batched, mm
 
 __all__ = [
     "Scenario", "scenario_catalog", "get_scenario", "build_scenario",
@@ -30,6 +30,16 @@ def _e(i: int, j: int, r: int) -> np.ndarray:
     m = np.zeros((r, r), np.complex128)
     m[i, j] = 1.0
     return m
+
+
+def _grid_times(g: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The blocks g(x) m of a grid scalar g and a constant block m, each
+    entry the product g * m_ij, as a grid-trailing (*grid, r, c) array."""
+    m = np.asarray(m, np.complex128)
+    out = _trailing_array(g.shape + m.shape)
+    np.multiply(g, m.reshape(m.shape + (1,) * g.ndim),
+                out=out.transpose(_store_axes(out.ndim)))
+    return out
 
 
 def _constant_structure(base: TorusBase, rank: int,
@@ -95,8 +105,8 @@ def _t4_commuting(base: TorusBase) -> HiggsBundleState:
         phi_consts={0: 0.40 * nil + 0.10 * eye, 1: 0.25 * nil - 0.05 * eye})
     g1 = _trig(base, [(0.10, (1, 0, 0, 0), 0.0)])
     g2 = _trig(base, [(0.06, (0, 0, 1, 0), 0.7)])
-    gen = g1[..., None, None] * np.diag([1.0, -1.0]).astype(np.complex128) \
-        + g2[..., None, None] * np.array([[0.0, 1.0], [1.0, 0.0]], np.complex128)
+    gen = _grid_times(g1, np.diag([1.0, -1.0])) \
+        + _grid_times(g2, np.array([[0.0, 1.0], [1.0, 0.0]]))
     H = HermitianMetric(base, expm_batched(gen))
     return HiggsBundleState(structure, H)
 
@@ -253,41 +263,40 @@ def _random_state_and_gauge(base: TorusBase, rank: int, seed: int,
     sigma = Id + E g(x) with E^2 = 0, so sigma, its inverse and the metric
     factors are exact trig polynomials: the state is band-limited and its
     discrete residuals scale cleanly at second order. Validity is exact in
-    the continuum.
+    the continuum. Needs rank >= 2.
     """
     rng = np.random.default_rng(seed)
     seed_structure = _commutant_structure(base, rank, rng)
 
     eye = np.eye(rank, dtype=np.complex128)
-    factors = []  # (generator, scalar grid field) per gauge factor
-    if rank > 1:
-        for _ in range(2):
-            factors.append((_rank1_nilpotent(rng, rank),
-                            _random_trig(base, rng, amplitude)))
-
-    sigma = np.broadcast_to(eye, base.shape + (rank, rank)).copy()
-    sigma_inv = sigma.copy()
-    # dbar sigma as a (0,1)-field, built by the Leibniz rule factor by factor
-    dsigma = MatrixFormField.zeros(base, 0, 1, rank)
-    for gen, g in factors:
-        gc = g[..., None, None]
-        dbar_g = dbar_flat(MatrixFormField(base, 0, 0, gc[None, None]))
-        factor = eye + gc * gen
-        dsigma = dsigma.sandwich(None, factor) \
-            + MatrixFormField(base, 0, 1, dbar_g.comps * gen).sandwich(sigma)
-        sigma = mm(sigma, factor)
-        sigma_inv = mm(eye - gc * gen, sigma_inv)
+    sigma = None
+    for _ in range(2):
+        gen = _rank1_nilpotent(rng, rank)
+        g = _random_trig(base, rng, amplitude)
+        factor = _grid_times(g, gen)
+        factor_inv = eye - factor
+        factor += eye
+        # dbar of the factor is (dbar g) gen; dbar sigma follows by the
+        # Leibniz rule, factor by factor
+        dbar_g = dbar_flat(MatrixFormField(base, 0, 0, g[None, None, ..., None, None]))
+        dfactor = MatrixFormField(base, 0, 1, _grid_times(dbar_g.comps[..., 0, 0], gen))
+        if sigma is None:
+            sigma, sigma_inv, dsigma = factor, factor_inv, dfactor
+        else:
+            dsigma = dsigma.sandwich(None, factor) + dfactor.sandwich(sigma)
+            sigma = mm(sigma, factor)
+            sigma_inv = mm(factor_inv, sigma_inv)
+    # the last factor's grid arrays would stay alive through the sandwiches
+    del factor, factor_inv, dbar_g, dfactor
 
     a_new = seed_structure.a.sandwich(sigma, sigma_inv) \
         - dsigma.sandwich(None, sigma_inv)
     phi_new = seed_structure.phi.sandwich(sigma, sigma_inv)
 
     # band-limited positive metric H = C^dag L L^dag C with L = (1+c w) Id + w F
-    w = _random_trig(base, rng, amplitude)[..., None, None]
+    w = _random_trig(base, rng, amplitude)
     c0 = float(rng.uniform(0.2, 0.6))
-    L = (1.0 + c0 * w) * eye
-    if rank > 1:
-        L = L + w * _rank1_nilpotent(rng, rank)
+    L = _grid_times(1.0 + c0 * w, eye) + _grid_times(w, _rank1_nilpotent(rng, rank))
     Cm = eye + 0.3 * (rng.standard_normal((rank, rank))
                       + 1j * rng.standard_normal((rank, rank))) / math.sqrt(rank)
     H = HermitianMetric(base, mm(mm(mm(dagger(Cm), L), dagger(L)), Cm))
@@ -308,12 +317,11 @@ def random_valid_state(base: TorusBase, rank: int, seed: int,
     rng = np.random.default_rng(seed)
     structure = _commutant_structure(base, rank, rng)
 
-    G = np.zeros(base.shape + (rank, rank), np.complex128)
+    G = _trailing_array(base.shape + (rank, rank), init=np.zeros)
     for _ in range(2):
         h = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
         h = 0.5 * (h + dagger(h))
-        w = _random_trig(base, rng, amplitude)
-        G = G + w[..., None, None] * h
+        G = G + _grid_times(_random_trig(base, rng, amplitude), h)
     H = HermitianMetric(base, expm_batched(G))
     return HiggsBundleState(structure, H)
 
@@ -330,7 +338,6 @@ def random_state_with_subbundle(base: TorusBase, rank: int, sub_rank: int,
     if not (1 <= sub_rank < rank):
         raise ValueError("need 1 <= sub_rank < rank")
     state, sigma = _random_state_and_gauge(base, rank, seed, amplitude)
-    cols = np.broadcast_to(np.eye(rank, dtype=np.complex128)[:, :sub_rank],
-                           base.shape + (rank, sub_rank))
-    sub = HiggsSubbundle.from_frame(state.metric, mm(sigma, cols))
+    # the transported coordinate span: the first sub_rank columns of sigma
+    sub = HiggsSubbundle.from_frame(state.metric, sigma[..., :, :sub_rank])
     return state, sub

@@ -11,7 +11,8 @@ Layout (all integers little-endian):
 The Hermitian metric is stored as the (0,0) section named "H"; reloading
 validates positive definiteness. A file that is truncated, has trailing
 bytes, declares a body larger than what follows its header, or holds a
-non-finite value is rejected with ValueError.
+non-finite value is rejected with ValueError; so is a state snapshot with
+a section other than a, phi and H, or with one of them twice.
 """
 
 from __future__ import annotations
@@ -117,7 +118,13 @@ def save_state(state: HiggsBundleState, path) -> None:
 
 
 def load_state(path) -> HiggsBundleState:
-    sections = dict(_read_sections(path))
+    sections = {}
+    for name, f in _read_sections(path):
+        if name in sections:
+            raise ValueError(f"state snapshot holds section '{name}' twice")
+        if name not in ("a", "phi", "H"):
+            raise ValueError(f"state snapshot holds an unknown section '{name}'")
+        sections[name] = f
     missing = {"a", "phi", "H"} - set(sections)
     if missing:
         raise ValueError(f"state snapshot is missing sections {sorted(missing)}")

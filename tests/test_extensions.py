@@ -76,6 +76,17 @@ def test_gauss_codazzi_constant_cases_exact():
     assert np.allclose(gc.blocks[(1, 1)].comps[0, 0], np.diag([1.0, -1.0]))
 
 
+def test_frame_does_not_depend_on_the_projector_layout():
+    # the grid average behind the reference frame sums in one order: a
+    # C-ordered copy of the projector gives the same bytes
+    from higgsflow.extensions import _orthonormal_frame
+    st, sub = random_state_with_subbundle(TorusBase(1, 32), 3, 2, 5, amplitude=0.001)
+    pi = sub.projector
+    frames = [_orthonormal_frame(st.metric, p, sub.rank)
+              for p in (pi, np.ascontiguousarray(pi))]
+    assert frames[0].tobytes() == frames[1].tobytes()
+
+
 def test_gauss_codazzi_refines_second_order():
     rels = {}
     for N in (16, 32):

@@ -478,6 +478,69 @@ def test_kernels_return_trailing_arrays(r):
         assert np.array_equal(outs["expm"], expm_batched(0.1 * np.ascontiguousarray(m)))
 
 
+def grid_slab_or_constant(x):
+    """Whether the batch axes of x that hold more than one entry are one
+    contiguous slab in storage order (a field's component view is one) or
+    all have stride 0 (a broadcast constant)."""
+    axes = [(size, stride) for size, stride in zip(x.shape[:-2], x.strides[:-2])
+            if size > 1]
+    if all(stride == 0 for _, stride in axes):
+        return True
+    step = x.itemsize
+    for size, stride in reversed(axes):
+        if stride != step:
+            return False
+        step *= size
+    return True
+
+
+def test_builders_hand_the_kernels_grid_slabs_or_constants(monkeypatch):
+    # grid-leading operands cost the kernels 2 to 6x; every array that the
+    # builders and the block checks pass them must be a grid slab or a
+    # broadcast constant
+    import sys
+
+    from higgsflow import (TorusBase, gauss_codazzi_blocks, linalg, rho_sweep,
+                           verify_filtration)
+    from higgsflow.scenarios import (build_scenario, random_state_with_subbundle,
+                                     random_valid_state, scenario_catalog,
+                                     scenario_subbundles)
+    offenders = []
+
+    def guarded(kernel):
+        def call(*operands):
+            for k, x in enumerate(operands):
+                x = np.asarray(x)
+                if x.ndim > 2 and not grid_slab_or_constant(x):
+                    caller = sys._getframe(1).f_code.co_name
+                    offenders.append(f"{kernel.__name__} operand {k} "
+                                     f"{x.shape} {x.strides} from {caller}")
+            return kernel(*operands)
+        return call
+
+    kernels = {name: getattr(linalg, name) for name in ("mm", "inv", "expm_batched")}
+    for module in [m for name, m in sys.modules.items() if name.startswith("higgsflow.")]:
+        for name, kernel in kernels.items():
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, guarded(kernel))
+
+    for sc in scenario_catalog():
+        scenario_subbundles(sc.name, build_scenario(sc.name, N=8))
+    for n in (1, 2):
+        base = TorusBase(n, 8)
+        for r in range(1, 5):
+            random_valid_state(base, r, r)
+            for p in range(1, r):
+                random_state_with_subbundle(base, r, p, r)
+    linalg.sqrtm_hpd(random_valid_state(TorusBase(1, 8), 3, 1).metric.mat)
+    chain = build_scenario("chain-r3", N=8)
+    subs = scenario_subbundles("chain-r3", chain)
+    gauss_codazzi_blocks(chain, subs[0])
+    rho_sweep(chain, subs[0], [0.5, 1.0])
+    verify_filtration(chain, subs, 1e-6)
+    assert offenders == []
+
+
 # -- norm-selected Taylor degrees and the positivity verdict ----------------------
 
 THETAS = [theta for _, theta in _TAYLOR_DEGREES]

@@ -178,6 +178,17 @@ def test_inconsistent_sections_rejected(tmp_path):
             load_state(path)
 
 
+@pytest.mark.parametrize("extra, message", [("a", "section 'a' twice"),
+                                             ("junk", "unknown section 'junk'")])
+def test_duplicate_and_unknown_sections_rejected(tmp_path, extra, message):
+    st = build_scenario("nilpotent-r2", N=16)
+    path = tmp_path / "state.snap"
+    _write_sections(path, [("a", st.structure.a), (extra, st.structure.a),
+                           ("phi", st.structure.phi), ("H", st.metric.as_field())])
+    with pytest.raises(ValueError, match=message):
+        load_state(path)
+
+
 def test_loaded_fields_are_writable(tmp_path):
     path, _ = _valid_snapshot(tmp_path)
     st = load_state(path)
