@@ -6,7 +6,7 @@ extension constructions and filtration certificates at desk scale.
 """
 
 from .grid import (TorusBase, MatrixFormField, dbar_flat, d_flat, wedge,
-                   pointwise_inner, pointwise_norm2, l2_norm, sup_norm,
+                   pointwise_inner, pointwise_norm2, sup_norm,
                    integrate, integrate_top_form, tr_field)
 from .geometry import (HermitianMetric, HiggsStructure, HiggsBundleState,
                        ValidityReport, validate_structure, adjoint_field,
@@ -27,6 +27,6 @@ from .extensions import (HiggsSubbundle, SubbundleReport, subbundle_report,
 from .scenarios import (Scenario, scenario_catalog, get_scenario,
                         build_scenario, scenario_subbundles,
                         random_valid_state, random_state_with_subbundle)
-from .snapshots import save_field, load_field, save_state, load_state
+from .snapshots import save_state, load_state
 
 __version__ = "0.1.0"

@@ -46,13 +46,6 @@ class ChernWeilReport:
                     abs(self.topological_term), 1e-12)
         return abs(self.residual) / scale
 
-    def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "deviation_term": self.deviation_term,
-                "topological_term": self.topological_term,
-                "residual": self.residual,
-                "relative_residual": self.relative_residual(),
-                "degree": self.degree}
-
 
 def _char_class_integrals(curv: Curvature) -> tuple[float, float]:
     """Integrals of (2c2 - c1^2) and ch2 against omega^{n-2}/(n-2)!.
@@ -99,9 +92,6 @@ class TopologicalIntegrals:
     c1_omega: float            # c1 . [omega]^{n-1} integral (the degree)
     two_c2_minus_c1sq: float   # (2c2 - c1^2) . [omega]^{n-2} integral
     ch2: float                 # ch2 . [omega]^{n-2} integral
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def topological_integrals(state: HiggsBundleState) -> TopologicalIntegrals:

@@ -21,7 +21,8 @@ from .diagnostics import (FlatnessCertificate, TopologicalIntegrals,
 from .flows import FlowBlowup, run_donaldson_flow
 from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
                        HiggsStructure, adjoint_field)
-from .grid import MatrixFormField, MixedField, d_flat, dbar_flat, sup_norm, wedge
+from .grid import (MatrixFormField, _sup_of_parts, d_flat, dbar_flat, sup_norm,
+                   wedge)
 from .linalg import _store_axes, _trailing, _trailing_array, dagger, inv, mm, trace
 
 __all__ = [
@@ -274,10 +275,26 @@ def _blockify(tl, tr, bl, br, s: int, q: int) -> MatrixFormField:
     return out
 
 
-def _blockdiag_mixed(top: MixedField, bottom: MixedField, s: int,
-                     q: int) -> MixedField:
-    return MixedField(_blockify(top.get(key), None, None, bottom.get(key), s, q)
-                      for key in sorted(set(top) | set(bottom)))
+def _blockdiag(top: dict, bottom: dict, s: int, q: int) -> dict:
+    return {key: _blockify(top.get(key), None, None, bottom.get(key), s, q)
+            for key in sorted(set(top) | set(bottom))}
+
+
+def _collect(fields) -> dict:
+    """The fields summed by bidegree, keyed (p, q) in order of first
+    appearance; each sum runs in the fields' order."""
+    out = {}
+    for f in fields:
+        key = (f.p, f.q)
+        out[key] = out[key] + f if key in out else f
+    return out
+
+
+def _wedges(xs, ys) -> list[MatrixFormField]:
+    """x ^ y for every x in xs and y in ys, in that order, except those
+    whose bidegree has no slot: they vanish identically."""
+    return [wedge(x, y) for x in xs for y in ys
+            if x.p + y.p <= x.base.n and x.q + y.q <= x.base.n]
 
 
 @dataclass(eq=False)
@@ -293,9 +310,9 @@ class GaussCodazziReport:
         return self.residual / max(self.scale, 1e-30)
 
 
-def _extension_parts(ext: ExtensionData) -> tuple[MixedField, ...]:
+def _extension_parts(ext: ExtensionData) -> tuple[dict, ...]:
     """The Hitchin-Simpson curvature of the extension in the splitting, as
-    A + B + C, each a block field of every degree that occurs.
+    A + B + C, each a dict of block fields keyed by the bidegrees that occur.
 
     A is the direct sum of the factors' own curvatures and B the quadratic
     terms of the second fundamental forms,
@@ -310,22 +327,22 @@ def _extension_parts(ext: ExtensionData) -> tuple[MixedField, ...]:
     s, q = ext.rank_s, ext.rank_q
     n = ext.a_s.base.n
     f_s, f_q = ext.factors
-    a_part = _blockdiag_mixed(f_s.parts, f_q.parts, s, q)
+    a_part = _blockdiag(f_s.parts, f_q.parts, s, q)
 
     gamma_st, zeta_st = ext.hom_adjoints
-    gpz = MixedField([ext.gamma, ext.zeta])                       # gamma + zeta
-    zmg_st = MixedField([zeta_st]) - MixedField([gamma_st])       # zeta* - gamma*
-    b_part = _blockdiag_mixed(gpz.wedge(zmg_st), zmg_st.wedge(gpz), s, q)
+    gpz = [ext.gamma, ext.zeta]           # gamma + zeta, of bidegrees (0,1), (1,0)
+    zmg_st = [zeta_st, -gamma_st]         # zeta* - gamma*, the same
+    b_part = _blockdiag(_collect(_wedges(gpz, zmg_st)),
+                        _collect(_wedges(zmg_st, gpz)), s, q)
 
     # derivative terms whose raised degree has no slot vanish identically
-    top_c = MixedField([_hom_d(d_flat, f, f_s.b, f_q.b) for f in gpz.values()
-                        if f.p + 1 <= n]) \
-        + gpz.wedge(MixedField([f_q.phistar])) + MixedField([f_s.phistar]).wedge(gpz)
-    bot_c = MixedField([_hom_d(dbar_flat, f, ext.a_q, ext.a_s)
-                        for f in zmg_st.values() if f.q + 1 <= n]) \
-        + zmg_st.wedge(MixedField([ext.phi_s])) + MixedField([ext.phi_q]).wedge(zmg_st)
-    c_part = MixedField([_blockify(None, f, None, None, s, q) for f in top_c.values()]
-                        + [_blockify(None, None, f, None, s, q) for f in bot_c.values()])
+    top_c = _collect([_hom_d(d_flat, f, f_s.b, f_q.b) for f in gpz if f.p + 1 <= n]
+                     + _wedges(gpz, [f_q.phistar]) + _wedges([f_s.phistar], gpz))
+    bot_c = _collect([_hom_d(dbar_flat, f, ext.a_q, ext.a_s)
+                      for f in zmg_st if f.q + 1 <= n]
+                     + _wedges(zmg_st, [ext.phi_s]) + _wedges([ext.phi_q], zmg_st))
+    c_part = _collect([_blockify(None, f, None, None, s, q) for f in top_c.values()]
+                      + [_blockify(None, None, f, None, s, q) for f in bot_c.values()])
     return a_part, b_part, c_part
 
 
@@ -337,15 +354,15 @@ def gauss_codazzi_blocks(state: HiggsBundleState,
     for the other side; beyond it and the primitives, the sides share no code.
     """
     ext = split_extension(state, sub)
-    a_part, b_part, c_part = _extension_parts(ext)
-    assembled = a_part + b_part + c_part
+    assembled = _collect(f for part in _extension_parts(ext) for f in part.values())
 
     U = _side_by_side([ext.frame_s, ext.frame_q])
-    ambient = MixedField(_block(state.metric, U, f, U) for f in
-                         Curvature(state).parts.values())
+    ambient = {key: _block(state.metric, U, f, U)
+               for key, f in Curvature(state).parts.items()}
 
     # a degree missing on one side compares against zero
-    residual = max(sup_norm(f) for f in (assembled - ambient).values())
+    residual = max(sup_norm(f) for f in _collect(
+        [*assembled.values(), *(-f for f in ambient.values())]).values())
     scale = max(sup_norm(f) for f in (*assembled.values(), *ambient.values()))
     return GaussCodazziReport(assembled, ambient, residual, scale)
 
@@ -395,7 +412,8 @@ def rho_sweep(state: HiggsBundleState, sub: HiggsSubbundle,
     if bad:
         raise ValueError(f"rho values must lie in (0, 1], got {bad[0]}")
     ext = split_extension(state, sub)
-    sup_a, sup_b1, sup_c1 = (part.sup() for part in _extension_parts(ext))
+    sup_a, sup_b1, sup_c1 = (_sup_of_parts(part.values())
+                             for part in _extension_parts(ext))
 
     frames = [ext.frame_s, ext.frame_q]
     rows = []

@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (MatrixFormField, MixedField, TorusBase, _contract_slots,
-                   _dz_component, d_flat, dbar_flat, integrate, pointwise_norm2,
+from .grid import (MatrixFormField, TorusBase, _contract_slots, _dz_component,
+                   _sup_of_parts, d_flat, dbar_flat, integrate, pointwise_norm2,
                    sup_norm, wedge)
 from .linalg import (_trailing, dagger, hermitize, inv, is_positive_definite,
                      min_eigvalsh, mm, sqrtm_hpd, trace)
@@ -352,10 +352,10 @@ class Curvature:
         return dbar_flat(phistar) + wedge(a, phistar) + wedge(phistar, a)
 
     @property
-    def parts(self) -> MixedField:
-        """part11, del_H phi and dbar_E phi^{*H}, in that order, as they exist."""
-        return MixedField(f for f in (self.part11, self.del_phi, self.dbar_phistar)
-                          if f is not None)
+    def parts(self) -> dict[tuple[int, int], MatrixFormField]:
+        """part11, del_H phi and dbar_E phi^{*H} by bidegree, as they exist."""
+        return {(f.p, f.q): f for f in (self.part11, self.del_phi, self.dbar_phistar)
+                if f is not None}
 
     @cached_property
     def degree(self) -> float:
@@ -391,4 +391,4 @@ class Curvature:
 
     def sup_norm(self) -> float:
         """sup |F_HS| over all parts (distinct degrees are orthogonal)."""
-        return self.parts.sup(self.state.metric)
+        return _sup_of_parts(self.parts.values(), self.state.metric)

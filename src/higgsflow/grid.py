@@ -33,9 +33,8 @@ if TYPE_CHECKING:
     from .geometry import HermitianMetric
 
 __all__ = [
-    "TorusBase", "MatrixFormField", "MixedField",
-    "dbar_flat", "d_flat", "wedge",
-    "pointwise_inner", "pointwise_norm2", "l2_norm", "sup_norm",
+    "TorusBase", "MatrixFormField", "dbar_flat", "d_flat", "wedge",
+    "pointwise_inner", "pointwise_norm2", "sup_norm",
     "integrate", "integrate_top_form", "tr_field",
 ]
 
@@ -163,9 +162,6 @@ class MatrixFormField:
         out.comps[out.pos_p(index[0]), out.pos_q(index[1])] = matrix
         return out
 
-    def copy(self) -> "MatrixFormField":
-        return MatrixFormField(self.base, self.p, self.q, self.comps.copy(order="K"))
-
     # -- index bookkeeping -----------------------------------------------------
 
     def pos_p(self, I: tuple[int, ...]) -> int:
@@ -212,45 +208,6 @@ class MatrixFormField:
         if right is not None:
             comps = mm(comps, right)
         return MatrixFormField(self.base, self.p, self.q, comps)
-
-
-class MixedField(dict):
-    """Formal sum of matrix form fields of different bidegrees.
-
-    Keyed by bidegree (p, q) in insertion order; adding a field of a
-    bidegree already present accumulates into it. Wedges that overflow the
-    bidegree range vanish identically and are dropped, matching the
-    continuum where those slots do not exist.
-    """
-
-    def __init__(self, parts=()):
-        super().__init__()
-        for f in parts:
-            key = (f.p, f.q)
-            self[key] = self[key] + f if key in self else f
-
-    def __add__(self, other: "MixedField") -> "MixedField":
-        return MixedField(list(self.values()) + list(other.values()))
-
-    def __sub__(self, other: "MixedField") -> "MixedField":
-        return MixedField(list(self.values()) + [-f for f in other.values()])
-
-    def wedge(self, other: "MixedField") -> "MixedField":
-        return MixedField(wedge(f, g) for f in self.values() for g in other.values()
-                          if f.p + g.p <= f.base.n and f.q + g.q <= f.base.n)
-
-    def pointwise_norm2(self, H: HermitianMetric | None = None) -> np.ndarray:
-        """Sum of the parts' pointwise |.|^2_H (distinct degrees are orthogonal)."""
-        acc = None
-        for f in self.values():
-            n2 = pointwise_norm2(f, H)
-            acc = n2 if acc is None else acc + n2
-        if acc is None:
-            raise ValueError("empty mixed field")
-        return acc
-
-    def sup(self, H: HermitianMetric | None = None) -> float:
-        return float(np.sqrt(max(self.pointwise_norm2(H).max(), 0.0)))
 
 
 # -- differential operators ------------------------------------------------------
@@ -410,12 +367,14 @@ def integrate(s: np.ndarray | float, base: TorusBase) -> float:
     return float(np.real(arr.sum())) * base.spacing ** (2 * base.n)
 
 
-def l2_norm(a: MatrixFormField, H: HermitianMetric | None = None) -> float:
-    return float(np.sqrt(max(integrate(pointwise_norm2(a, H), a.base), 0.0)))
-
-
 def sup_norm(a: MatrixFormField, H: HermitianMetric | None = None) -> float:
     return float(np.sqrt(max(pointwise_norm2(a, H).max(), 0.0)))
+
+
+def _sup_of_parts(fields, H: HermitianMetric | None = None) -> float:
+    """sup |.|_H of the sum of fields of distinct bidegrees, which are
+    orthogonal: their pointwise |.|^2_H are summed in order."""
+    return float(np.sqrt(max(sum(pointwise_norm2(f, H) for f in fields).max(), 0.0)))
 
 
 def tr_field(a: MatrixFormField) -> MatrixFormField:

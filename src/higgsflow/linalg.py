@@ -22,19 +22,18 @@ Kernel contract:
 * inv uses a closed form for r <= 3 (1/m, then the adjugate over the
   determinant) and np.linalg.inv for r = 4; a block whose determinant is
   exactly zero raises np.linalg.LinAlgError, as np.linalg.inv does;
-* expm_batched is np.exp for r = 1; for a batch of exactly Hermitian 2x2
-  blocks X = [[a, b], [b*, c]] (checked on the input) it is the closed
-  form e^m [cosh delta I + (sinh delta / delta)(X - m I)], with
-  m = (a + c)/2 and delta = sqrt(((a - c)/2)^2 + |b|^2), accurate in
-  every entry; for a batch of exactly Hermitian 3x3 blocks it is the
-  closed form e^{q + mu0} [I + f1 C + f2 C (C - a I)] on the eigenvalues
-  of B = X - qI from the trigonometric formula (C = B - mu0 I), accurate
-  in norm; a multiple c I of the identity maps to e^c I exactly at r = 2
-  and 3, and the closed forms return exactly Hermitian blocks, each all
-  NaN if it holds a non-finite entry; for any other input with r >= 2
-  (r = 4, or blocks that are not exactly Hermitian) it is a Taylor
-  polynomial of norm-selected degree evaluated by Paterson-Stockmeyer
-  on mm;
+* expm_batched takes Hermitian exponents, as every caller builds them, and
+  dispatches on the rank alone: np.exp at r = 1; at r = 2 the closed form
+  e^m [cosh delta I + (sinh delta / delta)(X - m I)] of X = [[a, b],
+  [b*, c]], with m = (a + c)/2 and delta = sqrt(((a - c)/2)^2 + |b|^2),
+  accurate in every entry; at r = 3 the closed form
+  e^{q + mu0} [I + f1 C + f2 C (C - a I)] on the eigenvalues of B = X - qI
+  from the trigonometric formula (C = B - mu0 I), accurate in norm; at
+  r = 4 a Taylor polynomial of norm-selected degree evaluated by
+  Paterson-Stockmeyer on mm. The closed forms read only the diagonal's
+  real parts and the entries above it, map c I to e^c I exactly, and
+  return exactly Hermitian blocks, each all NaN if an entry they read is
+  not finite;
 * is_positive_definite reads the leading principal minors for r <= 3 and
   eigvalsh for r = 4 or when a minor overflows;
 * sqrtm_hpd is the scalar root at r = 1, the Cayley-Hamilton closed form
@@ -198,16 +197,6 @@ def _taylor_ps(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _is_hermitian(m: np.ndarray) -> bool:
-    """Whether every block of m is exactly Hermitian: each entry below the
-    diagonal equal to the conjugate of its mirror, and a zero imaginary
-    diagonal. A NaN entry fails the test."""
-    r = m.shape[-1]
-    return not any(m[..., i, i].imag.any() for i in range(r)) and \
-        all(np.array_equal(m[..., i, j], np.conj(m[..., j, i]))
-            for i in range(r) for j in range(i))
-
-
 def _blocks(store: np.ndarray) -> np.ndarray:
     """The (..., r, r) view of (r, r, ...) storage, with every block that
     holds a non-finite entry set to all NaN."""
@@ -217,10 +206,10 @@ def _blocks(store: np.ndarray) -> np.ndarray:
 
 
 def _expm_hermitian2(m: np.ndarray) -> np.ndarray:
-    """e^X of exactly Hermitian 2x2 blocks X = [[a, b], [b*, d]] in closed
-    form (Moler & Van Loan, SIAM Rev. 45, 2003): with m = (a + d)/2 and
-    delta = sqrt(((a - d)/2)^2 + |b|^2), e^X = e^m [cosh delta I
-    + (sinh delta / delta)(X - m I)], where sinh delta / delta = 1 at 0.
+    """e^X of Hermitian 2x2 blocks X = [[a, b], [b*, d]], read from a, d
+    and b, in closed form (Moler & Van Loan, SIAM Rev. 45, 2003): with
+    m = (a + d)/2 and delta = sqrt(((a - d)/2)^2 + |b|^2), e^X = e^m
+    [cosh delta I + (sinh delta / delta)(X - m I)], sinh 0 / 0 taken as 1.
 
     The factors are taken relative to e^{m + delta}, the larger
     eigenvalue's exponential, through x = expm1(-2 delta), so nothing
@@ -229,7 +218,7 @@ def _expm_hermitian2(m: np.ndarray) -> np.ndarray:
     cancels, is taken from det e^X = e^{2m} instead. So every entry, not
     only the largest, is accurate to a few roundings, and the diagonal is
     positive. The result is exactly Hermitian; a block with a non-finite
-    entry is all NaN, as at r = 1.
+    entry read is all NaN, as at r = 1.
     """
     a, d, b = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]
     half_diff = 0.5 * (a - d)
@@ -260,9 +249,9 @@ _UPPER, _LOWER = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
 def _expm_hermitian3(m: np.ndarray) -> np.ndarray:
-    """e^X of exactly Hermitian 3x3 blocks in closed form (Moler & Van Loan,
-    SIAM Rev. 45, 2003, method 17; Morningstar & Peardon, Phys. Rev. D 69,
-    054501, 2004).
+    """e^X of Hermitian 3x3 blocks in closed form (Moler & Van Loan, SIAM
+    Rev. 45, 2003, method 17; Morningstar & Peardon, Phys. Rev. D 69,
+    054501, 2004), read from the diagonal and the entries above it.
 
     With q = x00 + ((x11 - x00) + (x22 - x00))/3, so that c I maps to
     e^c I exactly, B = X - q I has the eigenvalues mu0 >= mu2 >= mu1, that
@@ -281,7 +270,7 @@ def _expm_hermitian3(m: np.ndarray) -> np.ndarray:
 
     Only the six upper entries are built; the lower ones are their
     conjugates, so the result is exactly Hermitian. A block with a
-    non-finite entry is all NaN, as at r = 1 and 2.
+    non-finite entry read is all NaN, as at r = 1 and 2.
     """
     st = m.transpose(_store_axes(m.ndim))
     x = st.real[(0, 1, 2), (0, 1, 2)]
@@ -331,14 +320,11 @@ def _expm1_ratio(x: np.ndarray) -> np.ndarray:
 
 
 def expm_batched(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential: closed form or scaling-and-squaring with a
-    Taylor core.
-
-    np.exp at r = 1, and _expm_hermitian2 or _expm_hermitian3 for a batch
-    of exactly Hermitian 2x2 or 3x3 blocks. Otherwise the batch's largest
-    Frobenius norm picks the lowest degree of _TAYLOR_DEGREES that reaches
-    it; past the last theta the argument is halved until it does, then
-    squared back.
+    """Matrix exponential of Hermitian blocks: np.exp at r = 1,
+    _expm_hermitian2 at r = 2, _expm_hermitian3 at r = 3, and at r = 4
+    scaling and squaring with a Taylor core: the batch's largest Frobenius
+    norm picks the lowest degree of _TAYLOR_DEGREES that reaches it; past
+    the last theta the argument is halved until it does, then squared back.
     """
     m = np.asarray(m, dtype=np.complex128)
     with np.errstate(**_QUIET):
@@ -348,7 +334,7 @@ def expm_batched(m: np.ndarray) -> np.ndarray:
             out = np.exp(m)
             out[~np.isfinite(out)] = np.nan
             return out
-        if m.shape[-1] in (2, 3) and _is_hermitian(m):
+        if m.shape[-1] in (2, 3):
             return (_expm_hermitian2 if m.shape[-1] == 2 else _expm_hermitian3)(m)
         norm = np.linalg.norm(m, axis=(-2, -1)).max() if m.size else 0.0
         if not np.isfinite(norm):

@@ -9,6 +9,7 @@ decay laws) that the test suite and the CLI check.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,7 @@ class Scenario:
     n: int
     N: int
     rank: int
+    build: Callable[[TorusBase], HiggsBundleState] = field(repr=False, compare=False)
     expects: dict = field(default_factory=dict)
 
 
@@ -126,14 +128,16 @@ def _extension_sweep(base: TorusBase, gamma_amp: float = 0.0) -> HiggsBundleStat
 _CATALOG: list[Scenario] = [
     Scenario("flat-trivial-r1", "trivial flat line bundle; every flow is an "
              "immediate fixed point with zero energy", 1, 16, 1,
+             lambda base: _constant_state(base, 1),
              {"semistable": True, "stable": True, "flat": True,
               "ymh_energy": 0.0}),
     Scenario("flat-trivial-r2", "trivial flat rank-2 bundle", 1, 16, 2,
+             lambda base: _constant_state(base, 2),
              {"semistable": True, "stable": False, "flat": True,
               "ymh_energy": 0.0}),
     Scenario("nilpotent-r2", "rank 2 with nilpotent Higgs field e12 dz; "
              "strictly semistable, metric flow decays like u(t) = 1/(1+8t)",
-             1, 32, 2,
+             1, 32, 2, lambda base: _constant_state(base, 2, _e(0, 1, 2)),
              {"semistable": True, "stable": False, "flat": False,
               "ymh_energy": 8.0, "u_rate": 8.0, "sup_curvature": SQRT8,
               "filtration_ranks": [1],
@@ -141,7 +145,7 @@ _CATALOG: list[Scenario] = [
               "filtration": "0 in span(e1) in E"}),
     Scenario("chain-r3", "rank 3 with the two-step nilpotent chain Higgs "
              "field; strictly semistable with the full flag filtration",
-             1, 24, 3,
+             1, 24, 3, lambda base: _constant_state(base, 3, _e(0, 1, 3) + _e(1, 2, 3)),
              {"semistable": True, "stable": False, "flat": False,
               "ymh_energy": 8.0, "u_rate": 4.0, "sup_curvature": SQRT8,
               "filtration_ranks": [1, 2],
@@ -149,38 +153,27 @@ _CATALOG: list[Scenario] = [
               "filtration": "0 in span(e1) in span(e1,e2) in E"}),
     Scenario("diagonal-polystable", "rank 2 split with opposite diagonal "
              "Higgs eigenvalues; Hermitian-Einstein from the start", 1, 16, 2,
+             lambda base: _constant_state(base, 2, np.diag([1.0, -1.0])),
              {"semistable": True, "stable": False, "polystable": True,
               "flat": True, "ymh_energy": 0.0,
               "filtration_ranks": [1],
               "invariant_line_spans": [[1.0, 0.0], [0.0, 1.0]]}),
     Scenario("conformal-r1", "line bundle with a conformal trig metric; the "
-             "metric flow is the scalar heat equation", 1, 16, 1,
+             "metric flow is the scalar heat equation", 1, 16, 1, _conformal_r1,
              {"semistable": True, "stable": True, "flat": False,
               "heat_flow": True}),
     Scenario("t4-commuting", "four-torus rank 2 with constant commuting "
              "connection and Higgs data over a non-scalar trig metric; "
-             "exercises every n = 2 code path including ch2", 2, 12, 2,
+             "exercises every n = 2 code path including ch2", 2, 12, 2, _t4_commuting,
              {"semistable": True, "valid_constants": True}),
     Scenario("extension-sweep", "flat line sub and quotient glued by "
              "zeta = dz; the scaled-metric family has sup|F| = 2 sqrt(2) "
-             "rho^2 exactly", 1, 32, 2,
+             "rho^2 exactly", 1, 32, 2, _extension_sweep,
              {"filtration_ranks": [1], "supf_coefficient": SQRT8, "slope": 2.0,
               "epsilon_rho_pairs": [[0.1, 0.25], [0.05, 0.125], [0.01, 0.1]]}),
 ]
 
 _BY_NAME = {sc.name: sc for sc in _CATALOG}
-
-_BUILDERS = {
-    "flat-trivial-r1": lambda base: _constant_state(base, 1),
-    "flat-trivial-r2": lambda base: _constant_state(base, 2),
-    "nilpotent-r2": lambda base: _constant_state(base, 2, _e(0, 1, 2)),
-    "chain-r3": lambda base: _constant_state(base, 3, _e(0, 1, 3) + _e(1, 2, 3)),
-    "diagonal-polystable": lambda base: _constant_state(base, 2,
-                                                        np.diag([1.0, -1.0])),
-    "conformal-r1": _conformal_r1,
-    "t4-commuting": _t4_commuting,
-    "extension-sweep": _extension_sweep,
-}
 
 
 def scenario_catalog() -> list[Scenario]:
@@ -196,7 +189,7 @@ def get_scenario(name: str) -> Scenario:
 
 def build_scenario(name: str, N: int | None = None) -> HiggsBundleState:
     sc = get_scenario(name)
-    return _BUILDERS[name](TorusBase(sc.n, sc.N if N is None else N))
+    return sc.build(TorusBase(sc.n, sc.N if N is None else N))
 
 
 def scenario_subbundles(name: str, state: HiggsBundleState) -> list[HiggsSubbundle]:

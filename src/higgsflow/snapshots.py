@@ -1,4 +1,4 @@
-"""Binary snapshot container for fields and whole states.
+"""Binary snapshot container for states, one section per field.
 
 Layout (all integers little-endian):
 
@@ -26,7 +26,7 @@ import numpy as np
 from .geometry import HermitianMetric, HiggsBundleState, HiggsStructure
 from .grid import MatrixFormField, TorusBase
 
-__all__ = ["save_field", "load_field", "save_state", "load_state"]
+__all__ = ["save_state", "load_state"]
 
 MAGIC = b"HBSNAP01"
 VERSION = 1
@@ -64,18 +64,6 @@ def _unpack_field(buf: bytes, offset: int) -> tuple[MatrixFormField, int]:
     # native storage
     comps = comps.reshape((P, Q) + base.shape + (rank, rank))
     return MatrixFormField(base, p, q, comps), offset + 16 * count
-
-
-def save_field(f: MatrixFormField, path) -> None:
-    _write_sections(path, [("field", f)])
-
-
-def load_field(path) -> MatrixFormField:
-    sections = _read_sections(path)
-    if len(sections) != 1:
-        raise ValueError(f"expected a single-field snapshot, found "
-                         f"{[name for name, _ in sections]}")
-    return sections[0][1]
 
 
 def _write_sections(path, sections: list[tuple[str, MatrixFormField]]) -> None:

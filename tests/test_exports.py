@@ -19,13 +19,6 @@ REPO = Path(__file__).resolve().parents[1]
 # criterion or workload.
 CALLERS = [REPO / "tests" / "test_acceptance.py", REPO / "bench" / "workloads.py"]
 
-# Public names without such a caller that stay on purpose.
-UNREACHED_BY_DESIGN = {
-    "grid.l2_norm": "the documented L2 norm convention; tests check norms against it",
-    "snapshots.save_field": "writes the single-field snapshot format",
-    "snapshots.load_field": "reads the single-field snapshot format",
-}
-
 
 def _tree(module: str) -> ast.Module:
     return ast.parse((PACKAGE / f"{module}.py").read_text())
@@ -128,5 +121,4 @@ def test_every_public_function_and_class_has_a_caller():
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                  and not node.name.startswith("_")
                  and uses[node.name] == (node.name in own)]
-    assert sorted(set(unreached) - set(UNREACHED_BY_DESIGN)) == []
-    assert sorted(set(UNREACHED_BY_DESIGN) - set(unreached)) == []
+    assert sorted(unreached) == []

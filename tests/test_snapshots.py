@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from higgsflow import (HiggsBundleState, HiggsStructure, MatrixFormField,
-                       TorusBase, build_scenario, load_field, load_state,
-                       save_field, save_state)
+                       TorusBase, build_scenario, load_state, save_state)
 from higgsflow.scenarios import random_valid_state
-from higgsflow.snapshots import _write_sections
+from higgsflow.snapshots import _read_sections, _write_sections
 
 
 def test_field_roundtrip(tmp_path):
@@ -20,9 +19,9 @@ def test_field_roundtrip(tmp_path):
                         rng.standard_normal((1, 1) + base.shape + (3, 3))
                         + 1j * rng.standard_normal((1, 1) + base.shape + (3, 3)))
     path = tmp_path / "field.snap"
-    save_field(f, path)
-    g = load_field(path)
-    assert (g.p, g.q, g.rows) == (1, 1, 3)
+    _write_sections(path, [("field", f)])
+    [(name, g)] = _read_sections(path)
+    assert name == "field" and (g.p, g.q, g.rows) == (1, 1, 3)
     assert g.base == base
     assert np.array_equal(f.comps, g.comps)
 
@@ -35,11 +34,11 @@ def test_body_is_the_c_order_bytes_of_the_component_array(tmp_path):
     shape = (2, 2) + base.shape + (2, 2)
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     path = tmp_path / "field.snap"
-    save_field(MatrixFormField(base, 1, 1, arr), path)
+    _write_sections(path, [("field", MatrixFormField(base, 1, 1, arr))])
     # magic, section count, name length, the name "field", seven u32
     body = path.read_bytes()[8 + 4 + 2 + 5 + 7 * 4:]
     assert body == arr.astype("<c16").tobytes()
-    g = load_field(path)
+    [(_, g)] = _read_sections(path)
     assert np.moveaxis(g.comps, (-2, -1), (0, 1)).flags.c_contiguous
     assert g.comps.flags.writeable
     assert np.array_equal(g.comps, arr)
@@ -145,7 +144,7 @@ def test_declared_body_size_checked_before_allocation(tmp_path):
 
 def test_non_finite_section_rejected(tmp_path):
     st = build_scenario("nilpotent-r2", N=16)
-    bad_phi = st.structure.phi.copy()
+    bad_phi = MatrixFormField(st.base, 1, 0, st.structure.phi.comps.copy())
     bad_phi.comps[0, 0, 3, 5, 0, 1] = np.nan
     path = tmp_path / "state.snap"
     save_state(HiggsBundleState(HiggsStructure(st.structure.a, bad_phi),
