@@ -232,10 +232,6 @@ def cmd_sweep_rho(cfg) -> int:
             fh.write(",".join("%.17g" % v for v in
                               (row.rho, row.sup_a, row.sup_b1, row.sup_c1,
                                row.sup_f)) + "\n")
-    with open(out_dir / "rho_supf.csv", "w", newline="\n") as fh:
-        fh.write("rho,sup_f\n")
-        for row in rows:
-            fh.write("%.17g,%.17g\n" % (row.rho, row.sup_f))
     payload = {"rows": [row.as_dict() for row in rows], "fitted_slope": slope}
     ok = True
     expected = scenario.expects.get("slope")

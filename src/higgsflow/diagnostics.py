@@ -22,9 +22,6 @@ __all__ = [
     "FlatnessCertificate", "flatness_certificate",
 ]
 
-TWO_PI = 2.0 * math.pi
-
-
 @dataclass(frozen=True)
 class ChernWeilReport:
     """Term-by-term decomposition of the curvature energy identity.
@@ -56,17 +53,13 @@ def _char_class_integrals(curv: Curvature) -> tuple[float, float]:
     """
     if curv.state.base.n < 2:
         return 0.0, 0.0
-    fields = [curv.f11, curv.f20, curv.f02]
-    tr_f = [tr_field(f) for f in fields]
+    fields = [(f, tr_field(f)) for f in (curv.f11, curv.f20, curv.f02)]
     trf_wedge_trf = 0.0
     trff = 0.0
-    for x in tr_f:
-        for y in tr_f:
+    for x, tr_x in fields:
+        for y, tr_y in fields:
             if x.p + y.p == 2 and x.q + y.q == 2:
-                trf_wedge_trf += np.real(integrate_top_form(wedge(x, y)))
-    for x in fields:
-        for y in fields:
-            if x.p + y.p == 2 and x.q + y.q == 2:
+                trf_wedge_trf += np.real(integrate_top_form(wedge(tr_x, tr_y)))
                 trff += np.real(integrate_top_form(tr_field(wedge(x, y))))
     c1_sq = -trf_wedge_trf / (4.0 * math.pi**2)
     c2 = 0.5 * c1_sq + trff / (8.0 * math.pi**2)

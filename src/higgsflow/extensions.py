@@ -57,14 +57,9 @@ class HiggsSubbundle:
         UH = mm(dagger(U), H.mat)
         return cls(mm(U, mm(inv(mm(UH, U)), UH)), U.shape[-1])
 
-    def complement(self) -> np.ndarray:
-        eye = np.eye(self.projector.shape[-1], dtype=np.complex128)
-        return eye - self.projector
-
     def as_field(self, base) -> MatrixFormField:
-        out = MatrixFormField.zeros(base, 0, 0, self.projector.shape[-1])
-        out.comps[0, 0] = self.projector
-        return out
+        """The projector as a (0,0) form: a view of it, for reading only."""
+        return MatrixFormField(base, 0, 0, self.projector[None, None])
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ def subbundle_report(state: HiggsBundleState, sub: HiggsSubbundle) -> SubbundleR
     rank_const = float(np.abs(np.real(trace(pi)) - sub.rank).max())
 
     pi_f = sub.as_field(base)
-    one_minus = sub.complement()
+    one_minus = np.eye(state.rank, dtype=np.complex128) - pi
     inv_res = sup_norm(phi.sandwich(one_minus, pi), H)
     dbar_pi = dbar_flat(pi_f) + wedge(a, pi_f) - wedge(pi_f, a)
     holo_res = sup_norm(dbar_pi.sandwich(one_minus, pi), H)
@@ -199,8 +194,7 @@ class ExtensionData:
     zeta: MatrixFormField       # (1,0), Hom(Q,S)
     phi_s: MatrixFormField
     phi_q: MatrixFormField
-    lower_left_dbar: float
-    lower_left_phi: float
+    subbundle: SubbundleReport  # the gate, with the lower-left residuals
 
     @property
     def rank_s(self) -> int:
@@ -229,7 +223,9 @@ def split_extension(state: HiggsBundleState, sub: HiggsSubbundle) -> ExtensionDa
     """H-orthogonal block decomposition of dbar_E and phi along S + S^perp.
 
     The lower-left blocks vanish in the continuum by invariance and
-    holomorphy; their discrete sup-norms are returned as residuals.
+    holomorphy, and are not formed: the sub-bundle report that gates the
+    split holds their residuals, sup|(1-pi) dbar_E(pi) pi| and
+    sup|(1-pi) phi pi|, and is kept as ExtensionData.subbundle.
     Raises ValueError unless 1 <= sub.rank < state.rank.
     """
     if not 1 <= sub.rank < state.rank:
@@ -244,14 +240,11 @@ def split_extension(state: HiggsBundleState, sub: HiggsSubbundle) -> ExtensionDa
     a_s = _block(H, U_s, dbar_Us)
     a_q = _block(H, U_q, dbar_Uq)
     gamma = _block(H, U_s, dbar_Uq)
-    lower_dbar = _block(H, U_q, dbar_Us)
 
     phi_s = _block(H, U_s, phi, U_s)
     phi_q = _block(H, U_q, phi, U_q)
     zeta = _block(H, U_s, phi, U_q)
-    lower_phi = _block(H, U_q, phi, U_s)
-    return ExtensionData(U_s, U_q, a_s, a_q, gamma, zeta, phi_s, phi_q,
-                         sup_norm(lower_dbar), sup_norm(lower_phi))
+    return ExtensionData(U_s, U_q, a_s, a_q, gamma, zeta, phi_s, phi_q, report)
 
 
 def _hom_d(flat, x: MatrixFormField, left: MatrixFormField,
@@ -370,8 +363,10 @@ def gauss_codazzi_blocks(state: HiggsBundleState,
 # -- the scaled block metric and the rho sweep ---------------------------------------
 
 
-def _scaled_block_metric(frames: list[np.ndarray], rho: float) -> np.ndarray:
-    """Metric that is rho^{-2k} Id on the k-th frame, in the original basis.
+def _scaled_state(state: HiggsBundleState, frames: list[np.ndarray],
+                  rho: float) -> HiggsBundleState:
+    """The state's structure under the metric that is rho^{-2k} Id on the
+    k-th frame, in the original basis.
 
     The frames side by side form U, and the metric is U^{-dag} W U^{-1}
     with W the diagonal of the weights. For two frames this is the extension
@@ -383,7 +378,8 @@ def _scaled_block_metric(frames: list[np.ndarray], rho: float) -> np.ndarray:
     weights = np.concatenate([np.full(V.shape[-1], 1.0 / rho ** (2 * k))
                               for k, V in enumerate(frames)])
     U_inv = inv(_side_by_side(frames))
-    return mm(mm(dagger(U_inv), np.diag(weights).astype(np.complex128)), U_inv)
+    metric = mm(mm(dagger(U_inv), np.diag(weights).astype(np.complex128)), U_inv)
+    return HiggsBundleState(state.structure, HermitianMetric(state.base, metric))
 
 
 @dataclass(frozen=True)
@@ -416,12 +412,9 @@ def rho_sweep(state: HiggsBundleState, sub: HiggsSubbundle,
                              for part in _extension_parts(ext))
 
     frames = [ext.frame_s, ext.frame_q]
-    rows = []
-    for rho in rhos:
-        total = HiggsBundleState(state.structure, HermitianMetric(
-            state.base, _scaled_block_metric(frames, rho)))
-        rows.append(RhoSweepRow(rho, sup_a, sup_b1, sup_c1,
-                                Curvature(total).sup_norm()))
+    rows = [RhoSweepRow(rho, sup_a, sup_b1, sup_c1,
+                        Curvature(_scaled_state(state, frames, rho)).sup_norm())
+            for rho in rhos]
     return rows, _fit_rho_slope(rows)
 
 
@@ -475,9 +468,7 @@ def invariant_section_check(state: HiggsBundleState,
     def norm2_per_component(x):  # H(x_k, x_k) for column blocks x_k
         return np.real(mm(mm(dagger(x), H.mat), x))[..., 0, 0]
 
-    # holomorphy: dbar s + a s
-    sf = MatrixFormField(base, 0, 0, s_col[None, None])
-    dbar_s = dbar_flat(sf) + wedge(a, sf)
+    dbar_s = _dbar_of_frame(a, s_col)
     holo = math.sqrt(max(float(
         norm2_per_component(dbar_s.comps[0]).sum(axis=0).max()), 0.0) * 2.0)
 
@@ -608,6 +599,4 @@ def assemble_filtration_metric(state: HiggsBundleState,
     total curvature decays like rho^2. With one level this is the extension
     metric that rho_sweep uses.
     """
-    frames = list(_quotient_frames(state.metric, subs))
-    return HiggsBundleState(state.structure, HermitianMetric(
-        state.base, _scaled_block_metric(frames, rho)))
+    return _scaled_state(state, list(_quotient_frames(state.metric, subs)), rho)

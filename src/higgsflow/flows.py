@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -272,7 +272,8 @@ def gauge_from_metric(H0: HermitianMetric, H: HermitianMetric) -> np.ndarray:
 
 @dataclass
 class FlowTrace:
-    """Per-sample evidence record of a flow run."""
+    """Per-sample evidence record of a flow run, one list per column.
+    COLUMNS, set below the class, names the fields in order."""
 
     t: list[float] = field(default_factory=list)
     ymh_energy: list[float] = field(default_factory=list)
@@ -284,9 +285,6 @@ class FlowTrace:
     residual_integrability: list[float] = field(default_factory=list)
     residual_holomorphy: list[float] = field(default_factory=list)
     residual_symmetry: list[float] = field(default_factory=list)
-
-    COLUMNS = ("t", "ymh_energy", "dev_l2", "dev_sup", "e_sup", "phi_sup", "dt",
-               "residual_integrability", "residual_holomorphy", "residual_symmetry")
 
     def append(self, **row):
         """Validate the row, then append it; a rejected row leaves no trace."""
@@ -325,6 +323,9 @@ class FlowTrace:
             out["decay_exponent_ymh"] = self.fitted_exponent("ymh_energy")
             out["decay_exponent_e_sup"] = self.fitted_exponent("e_sup")
         return out
+
+
+FlowTrace.COLUMNS = tuple(f.name for f in fields(FlowTrace))
 
 
 @dataclass(eq=False)

@@ -90,9 +90,8 @@ class HermitianMetric:
         return inv(self.mat)
 
     def as_field(self) -> MatrixFormField:
-        out = MatrixFormField.zeros(self.base, 0, 0, self.rank)
-        out.comps[0, 0] = self.mat
-        return out
+        """H as a (0,0) form: a view of mat, for reading only."""
+        return MatrixFormField(self.base, 0, 0, self.mat[None, None])
 
 
 @dataclass(eq=False)

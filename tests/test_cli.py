@@ -231,8 +231,8 @@ def test_sweep_rho_outputs(tmp_path, capsys):
     rows = (tmp_path / "rho_sweep.csv").read_text().splitlines()
     assert rows[0] == "rho,sup_a,sup_b1,sup_c1,sup_f"
     assert len(rows) == 6
-    two_col = (tmp_path / "rho_supf.csv").read_text().splitlines()
-    assert two_col[0] == "rho,sup_f"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rho_sweep.csv",
+                                                          "rho_sweep.json"]
     payload = json.loads((tmp_path / "rho_sweep.json").read_text())
     assert payload["passed"] is True
     assert abs(payload["fitted_slope"] - 2.0) < 0.2

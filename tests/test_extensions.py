@@ -37,10 +37,11 @@ def test_subbundle_flags_noninvariant_span():
 def test_split_extension_oracles():
     st = build_scenario("nilpotent-r2")
     ext = split_extension(st, span_e1(st))
+    assert ext.subbundle == subbundle_report(st, span_e1(st))
     assert sup_norm(ext.gamma) == 0.0
     assert np.allclose(ext.zeta.comps[0, 0], 1.0)
     assert sup_norm(ext.phi_s) == 0.0 and sup_norm(ext.phi_q) == 0.0
-    assert ext.lower_left_dbar < 1e-13 and ext.lower_left_phi < 1e-13
+    assert ext.subbundle.holomorphy < 1e-13 and ext.subbundle.phi_invariance < 1e-13
 
 
 def test_split_extension_zero_higgs():

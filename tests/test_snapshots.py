@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies
 
 from higgsflow import (HiggsBundleState, HiggsStructure, MatrixFormField,
                        TorusBase, build_scenario, load_state, save_state)
-from higgsflow.scenarios import random_valid_state
+from higgsflow.scenarios import random_state_with_subbundle, random_valid_state
 from higgsflow.snapshots import _read_sections, _write_sections
 
 
@@ -78,6 +78,19 @@ def test_a_flow_built_state_roundtrips_to_the_same_bytes(tmp_path):
     assert np.array_equal(L, sqrtm_hpd(st.metric.mat))
     assert np.abs(L - dagger(L)).max() < 1e-14
     assert np.abs(st.metric.frame[0] - L).max() > 1e-3
+
+
+def test_zero_forms_view_their_arrays_and_save_as_copies_do(tmp_path):
+    st, sub = random_state_with_subbundle(TorusBase(1, 16), 3, 1, seed=5)
+    assert np.shares_memory(st.metric.as_field().comps, st.metric.mat)
+    assert np.shares_memory(sub.as_field(st.base).comps, sub.projector)
+    save_state(st, tmp_path / "view.snap")
+    copied = MatrixFormField(st.base, 0, 0, st.metric.mat[None, None].copy())
+    _write_sections(tmp_path / "copy.snap", [("a", st.structure.a),
+                                             ("phi", st.structure.phi),
+                                             ("H", copied)])
+    assert not np.shares_memory(copied.comps, st.metric.mat)
+    assert (tmp_path / "view.snap").read_bytes() == (tmp_path / "copy.snap").read_bytes()
 
 
 def test_header_is_self_describing(tmp_path):
