@@ -11,8 +11,8 @@ from .grid import (TorusBase, MatrixFormField, dbar_flat, d_flat, wedge,
 from .geometry import (HermitianMetric, HiggsStructure, HiggsBundleState,
                        validate_structure, adjoint_field, Curvature)
 from .flows import (FlowTrace, FlowResult, einstein_deviation,
-                    complex_gauge_apply, gauge_from_metric,
-                    run_donaldson_flow, run_ymh_flow, flow_equivalence_check)
+                    complex_gauge_apply, run_donaldson_flow, run_ymh_flow,
+                    flow_equivalence_check)
 from .diagnostics import (chern_weil_report, topological_integrals,
                           flatness_certificate)
 from .extensions import (HiggsSubbundle, subbundle_report, ExtensionData,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +154,7 @@ def cmd_catalog(args) -> int:
 def cmd_validate(cfg) -> int:
     state, _ = _load_state_from(cfg)
     report = validate_structure(state.structure, cfg.get("tolerance"))
-    print(json.dumps(report.as_dict(), sort_keys=True))
+    print(json.dumps(asdict(report), sort_keys=True))
     return 0 if report.valid else 1
 
 
@@ -196,7 +197,7 @@ def cmd_run(cfg) -> int:
     eps = cfg.get("target.epsilon")
     if eps is not None:
         cert = flatness_certificate(final_state, eps)
-        _json_dump(cert.as_dict(), out_dir / "certificate.json")
+        _json_dump(asdict(cert), out_dir / "certificate.json")
         print(cert.one_line())
         targets_ok &= cert.passed
     if result is not None and len(result.trace.t) >= 2:
@@ -232,7 +233,7 @@ def cmd_sweep_rho(cfg) -> int:
             fh.write(",".join("%.17g" % v for v in
                               (row.rho, row.sup_a, row.sup_b1, row.sup_c1,
                                row.sup_f)) + "\n")
-    payload = {"rows": [row.as_dict() for row in rows], "fitted_slope": slope}
+    payload = {"rows": [asdict(row) for row in rows], "fitted_slope": slope}
     ok = True
     expected = scenario.expects.get("slope")
     if expected is not None:
@@ -268,7 +269,7 @@ def cmd_verify_filtration(cfg) -> int:
         return _flow_stopped(exc, {"level": exc.level}, out_dir)
     except ValueError as exc:
         return _fail(f"filtration rejected: {exc}")
-    _json_dump(report.as_dict(), out_dir / "filtration.json")
+    _json_dump(asdict(report), out_dir / "filtration.json")
     for lv in report.levels:
         print(f"level {lv.index} (rank {lv.rank}): {lv.certificate.one_line()}")
     print(f"verify-filtration {'PASS' if report.passed else 'FAIL'}")

@@ -8,7 +8,7 @@ curvature, norms or quadrature simultaneously.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,27 +45,21 @@ class ChernWeilReport:
 
 
 def _char_class_integrals(curv: Curvature) -> tuple[float, float]:
-    """Integrals of (2c2 - c1^2) and ch2 against omega^{n-2}/(n-2)!.
-
-    Built from tr F wedge tr F and tr(F wedge F) of the Chern curvature
-    (f11, f20, f02); identically zero for n = 1 where the wedge square has
-    no slot.
+    """Integrals of (2c2 - c1^2) and ch2 = c1^2/2 - c2 against
+    omega^{n-2}/(n-2)!. c2 = c1^2/2 + x, x = int tr(F wedge F)/8 pi^2 of
+    the Chern curvature (f11, f20, f02), so c1^2 cancels: they are 2x and
+    0.0 - x, which keeps a zero +0.0. Both are 0 for n = 1 (no wedge slot).
     """
     if curv.state.base.n < 2:
         return 0.0, 0.0
-    fields = [(f, tr_field(f)) for f in (curv.f11, curv.f20, curv.f02)]
-    trf_wedge_trf = 0.0
+    fields = (curv.f11, curv.f20, curv.f02)
     trff = 0.0
-    for x, tr_x in fields:
-        for y, tr_y in fields:
-            if x.p + y.p == 2 and x.q + y.q == 2:
-                trf_wedge_trf += np.real(integrate_top_form(wedge(tr_x, tr_y)))
-                trff += np.real(integrate_top_form(tr_field(wedge(x, y))))
-    c1_sq = -trf_wedge_trf / (4.0 * math.pi**2)
-    c2 = 0.5 * c1_sq + trff / (8.0 * math.pi**2)
-    two_c2_minus_c1sq = 2.0 * c2 - c1_sq
-    ch2 = 0.5 * c1_sq - c2
-    return two_c2_minus_c1sq, ch2
+    for f in fields:
+        for g in fields:
+            if f.p + g.p == 2 and f.q + g.q == 2:
+                trff += np.real(integrate_top_form(tr_field(wedge(f, g))))
+    x = trff / (8.0 * math.pi**2)
+    return 2.0 * x, 0.0 - x
 
 
 def chern_weil_report(state: HiggsBundleState) -> ChernWeilReport:
@@ -113,9 +107,6 @@ class FlatnessCertificate:
         return (f"flatness {verdict}: sup|F|={self.eps_achieved:.6g} vs "
                 f"target {self.eps_target:.6g} "
                 f"(n={self.n}, N={self.N}, rank={self.rank})")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def flatness_certificate(state: HiggsBundleState,

@@ -73,9 +73,6 @@ class SubbundleReport:
     tol: float
     valid: bool
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def subbundle_report(state: HiggsBundleState, sub: HiggsSubbundle) -> SubbundleReport:
     """Residuals of the sub-bundle invariants against the ambient state.
@@ -232,7 +229,7 @@ def split_extension(state: HiggsBundleState, sub: HiggsSubbundle) -> ExtensionDa
         raise ValueError(f"sub-bundle rank {sub.rank} must lie in [1, {state.rank})")
     report = subbundle_report(state, sub)
     if not report.valid:
-        raise ValueError(f"sub-bundle violates its invariants: {report.as_dict()}")
+        raise ValueError(f"sub-bundle violates its invariants: {asdict(report)}")
     a, phi, H = state.structure.a, state.structure.phi, state.metric
     U_s, U_q = _quotient_frames(H, [sub])
 
@@ -390,9 +387,6 @@ class RhoSweepRow:
     sup_c1: float
     sup_f: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def rho_sweep(state: HiggsBundleState, sub: HiggsSubbundle,
               rhos: list[float]) -> tuple[list[RhoSweepRow], float | None]:
@@ -440,9 +434,6 @@ class InvariantSectionReport:
     form_minimum: float        # min over grid and unit tangent vectors
     min_length: float          # min |s|_H, the no-zeros witness
     eta_sup: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def invariant_section_check(state: HiggsBundleState,
@@ -512,9 +503,6 @@ class FiltrationReport:
     additivity_ch2: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
                       eps_target: float, flow_time: float = 0.0,
@@ -546,7 +534,7 @@ def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
         rep = subbundle_report(state, sub)
         if not rep.valid:
             raise ValueError(f"filtration level {k} (rank {sub.rank}) violates "
-                             f"sub-bundle invariants: {rep.as_dict()}")
+                             f"sub-bundle invariants: {asdict(rep)}")
         if nesting[k] > rep.tol:
             raise ValueError(f"filtration levels {k-1} and {k} are not nested: "
                              f"residual {nesting[k]:.3e}")

@@ -33,13 +33,12 @@ from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
                        HiggsStructure, _Held, validate_structure)
 from .grid import (MatrixFormField, TorusBase, dbar_flat, integrate,
                    pointwise_norm2, sup_norm)
-from .linalg import (_store_axes, _view_axes, dagger, expm_batched, hermitize,
-                     inv, mm, sqrtm_hpd)
+from .linalg import (_store_axes, _view_axes, expm_batched, hermitize, inv, mm)
 
 __all__ = [
     "FlowTrace", "FlowResult", "FlowBlowup",
     "einstein_deviation",
-    "complex_gauge_apply", "gauge_from_metric",
+    "complex_gauge_apply",
     "run_donaldson_flow", "run_ymh_flow", "flow_equivalence_check",
     "EquivalenceReport", "check_flow_times",
 ]
@@ -255,16 +254,6 @@ def complex_gauge_apply(sigma: np.ndarray,
     a_new = a.sandwich(sigma, sig_inv) - dbar_sig.sandwich(None, sig_inv)
     return HiggsBundleState(HiggsStructure(a_new, phi.sandwich(sigma, sig_inv)),
                             state.metric)
-
-
-def gauge_from_metric(H0: HermitianMetric, H: HermitianMetric) -> np.ndarray:
-    """g with g^{*H0} g = H0^{-1} H, the square root in the H0-positive cone.
-
-    For any frame L of H0 (L^dag L = H0), g = L^{-1} (L^{-dag} H L^{-1})^{1/2} L
-    is that root, so H0's own frame serves and H0 is not rooted again.
-    """
-    L, L_inv = H0.frame
-    return mm(mm(L_inv, sqrtm_hpd(mm(mm(dagger(L_inv), H.mat), L_inv))), L)
 
 
 # -- traces and runners ------------------------------------------------------------
@@ -619,7 +608,8 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     sample the three norm equalities relating the two sides are evaluated
     as pointwise fields and reported as relative sup residuals, together
     with the discrepancy between the directly integrated pair and the pair
-    transported by g(t) = (H0^{-1} H(t))^{1/2}.
+    transported by the gauge the metric flow carries: with L0 and L(t) the
+    frames of H0 and H(t), g(t) = L0^{-1} L(t) has g^{*H0} g = H0^{-1} H(t).
     """
     samples = sample_times if sample_times is not None else \
         [k * T / 4.0 for k in range(1, 5)]
@@ -642,14 +632,15 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     # decayed-scale floors: 1e-6 of each quantity's size at t = 0
     floors = tuple(1e-6 * float(f.max()) for f in res_m.samples[0][2])
 
+    L0_inv = state0.metric.frame[1]
     report = EquivalenceReport([], [], [], [], [], [])
     raw = []  # (phi_diff, phi_scale, a_diff, a_scale) per sample
     # both runs share one sample schedule; the compared fields are the
     # sample norms each runner already took
     for (tk, st, metric_fields), (_, pr, pair_fields) in zip(res_m.samples,
                                                             res_p.samples):
-        g = gauge_from_metric(state0.metric, st.metric)
-        transported = complex_gauge_apply(g, state0)
+        transported = complex_gauge_apply(mm(L0_inv, st.metric.frame[0]),
+                                          state0)
         report.times.append(round(tk, 9))
         for sink, mfield, pfield, floor in zip(
                 (report.res_dphi, report.res_curvature, report.res_contracted),

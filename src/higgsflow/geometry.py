@@ -9,7 +9,7 @@ checkable postcondition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -145,9 +145,6 @@ class ValidityReport:
     symmetry: float
     tol: float
     valid: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def validate_structure(s: HiggsStructure, tol: float | None = None) -> ValidityReport:

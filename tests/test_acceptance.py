@@ -13,6 +13,7 @@ of which this check rejects.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -221,9 +222,9 @@ def test_criterion_7_section_positivity():
             vec = np.asarray(span, complex)
             section = np.broadcast_to(vec, st.base.shape + (st.rank,)).copy()
             rep = invariant_section_check(st, section)
-            assert rep.invariance < 1e-10, (sc.name, rep.as_dict())
-            assert rep.form_minimum >= -1e-10, (sc.name, rep.as_dict())
-            assert rep.min_length > 0.0, (sc.name, rep.as_dict())
+            assert rep.invariance < 1e-10, (sc.name, asdict(rep))
+            assert rep.form_minimum >= -1e-10, (sc.name, asdict(rep))
+            assert rep.min_length > 0.0, (sc.name, asdict(rep))
             worst_min = min(worst_min, rep.form_minimum)
             checked += 1
     assert checked >= 4
@@ -237,7 +238,7 @@ def test_criterion_8_filtration_round_trip():
         st = build_scenario(name)
         subs = scenario_subbundles(name, st)
         rep = verify_filtration(st, subs, 1e-6)
-        assert rep.passed, f"{name}: {rep.as_dict()}"
+        assert rep.passed, f"{name}: {asdict(rep)}"
         assert all(lv.flowed_time == 0.0 for lv in rep.levels), \
             f"{name}: already-flat quotients must certify without flowing"
         assert rep.additivity_c1 < 1e-6 and rep.additivity_ch2 < 1e-6

@@ -8,8 +8,7 @@ from higgsflow import (HermitianMetric, HiggsBundleState,
                        HiggsStructure, MatrixFormField, TorusBase,
                        build_scenario, complex_gauge_apply,
                        einstein_deviation, flow_equivalence_check,
-                       gauge_from_metric, run_donaldson_flow, run_ymh_flow,
-                       sup_norm)
+                       run_donaldson_flow, run_ymh_flow, sup_norm)
 from higgsflow.flows import _etd2, _gauge_update, _metric_update
 from higgsflow.geometry import Curvature, _Held, adjoint_field
 from higgsflow.grid import d_flat, integrate, tr_field
@@ -189,24 +188,6 @@ def test_gauge_transform_of_connection_part():
     assert sup_norm(b_new - expected) < 0.5 * sup_norm(expected) + 1e-6
 
 
-def test_gauge_from_metric_oracles():
-    base = TorusBase(1, 16)
-    H0 = HermitianMetric.identity(base, 2)
-    assert np.allclose(gauge_from_metric(H0, H0), np.eye(2))
-
-    Hd = HermitianMetric(base, np.broadcast_to(
-        np.diag([4.0, 0.25]).astype(complex), base.shape + (2, 2)).copy())
-    g = gauge_from_metric(H0, Hd)
-    assert np.allclose(g, np.diag([2.0, 0.5]))
-
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal(base.shape + (2, 2)) \
-        + 1j * rng.standard_normal(base.shape + (2, 2))
-    H = HermitianMetric(base, A @ dagger(A) + 2.0 * np.eye(2))
-    g = gauge_from_metric(H0, H)
-    assert np.abs(dagger(g) @ g - H.mat).max() < 1e-12
-
-
 def test_deviation_is_H_self_adjoint_to_truncation():
     st = build_scenario("conformal-r1")
     K = einstein_deviation(st)
@@ -259,6 +240,27 @@ def test_flow_equivalence_nilpotent():
     rep = flow_equivalence_check(nilpotent_state(), 1.0, 1e-3)
     assert rep.max_norm_residual() < 1e-3
     assert rep.max_transport_discrepancy() < 1e-3
+
+
+@pytest.mark.parametrize("flowed, bound", [(False, 5e-3), (True, 1e-4)],
+                         ids=["fresh", "flowed"])
+def test_the_transport_of_non_commuting_starts_does_not_drift(flowed, bound):
+    # the pair is transported by the metric flow's carried gauge L0^{-1} L(t).
+    # Any other root of H0^{-1} H(t), such as the H0-self-adjoint one,
+    # differs from it by an H0-unitary factor on these non-commuting starts,
+    # and its discrepancy grows with t. A flowed start carries a frame that
+    # is not Hermitian
+    from higgsflow.scenarios import random_valid_state
+    st = random_valid_state(TorusBase(1, 16), 2, 5)
+    if flowed:
+        st = run_donaldson_flow(st, 0.05, 1e-3).final
+        L = st.metric.frame[0]
+        assert np.abs(L - dagger(L)).max() > 1e-3
+    rep = flow_equivalence_check(st, 0.2, 1e-3)
+    assert rep.max_transport_discrepancy() <= bound
+    per_sample = np.maximum(rep.transport_phi, rep.transport_a)
+    assert rep.times[0] == 0.0 and per_sample[0] < 1e-13
+    assert per_sample[-1] <= 1.5 * per_sample[1]
 
 
 @pytest.mark.parametrize("bad", [0.5, -1e-3, float("nan")])
@@ -570,11 +572,11 @@ def test_the_runner_takes_one_root_per_run(monkeypatch):
     counts["sqrtm_hpd"] = 0
     res = run_ymh_flow(nilpotent_state(8), 0.25, 0.5)
     assert res.rejected > 0 and counts["sqrtm_hpd"] == 1
-    # both runs of a check and its transports read the start's one root;
-    # what is left is the middle root of gauge_from_metric per sample
+    # both runs of a check and its transports read the start's one root:
+    # each sample's gauge is the metric flow's carried L0^{-1} L(t)
     counts["sqrtm_hpd"] = 0
     report = flow_equivalence_check(nilpotent_state(8), 4e-3, 1e-3)
-    assert len(report.times) == 5 and counts["sqrtm_hpd"] == 1 + 5
+    assert len(report.times) == 5 and counts["sqrtm_hpd"] == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -637,25 +639,6 @@ def test_every_flow_metric_carries_a_frame_of_itself(n, rank, seed):
         L, L_inv = metric.frame
         assert _relative(dagger(L) @ L, metric.mat) <= 1e-13
         assert np.abs(L @ L_inv - np.eye(rank)).max() <= 1e-12
-
-
-def test_gauge_from_metric_reads_any_frame_of_its_start():
-    # a flow-built H0 keeps its carried frame, which is not Hermitian; g is
-    # still the H0-self-adjoint root of H0^{-1} H, the one the Hermitian
-    # root H0^{1/2} gives
-    from higgsflow.scenarios import random_valid_state
-    base = TorusBase(1, 16)
-    H0 = run_donaldson_flow(random_valid_state(base, 3, 4), 0.05, 1e-3
-                            ).final.metric
-    L = H0.frame[0]
-    assert np.abs(L - dagger(L)).max() > 1e-3
-    H = random_valid_state(base, 3, 5).metric
-    g = gauge_from_metric(H0, H)
-    g_star = H0.inv @ dagger(g) @ H0.mat
-    assert _relative(g_star, g) < 1e-13
-    assert _relative(g_star @ g, H0.inv @ H.mat) < 1e-13
-    rooted = HermitianMetric(base, H0.mat)
-    assert _relative(gauge_from_metric(rooted, H), g) < 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2])

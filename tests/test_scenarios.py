@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ def test_every_scenario_state_is_valid():
     for sc in scenario_catalog():
         state = build_scenario(sc.name)
         rep = validate_structure(state.structure)
-        assert rep.valid, f"{sc.name}: {rep.as_dict()}"
+        assert rep.valid, f"{sc.name}: {asdict(rep)}"
 
 
 def test_declared_energies_match():
@@ -96,6 +98,6 @@ def test_random_subbundle_pair_invariants():
     base = TorusBase(1, 16)
     st, sub = random_state_with_subbundle(base, 2, 1, seed=5, amplitude=0.01)
     rep = subbundle_report(st, sub)
-    assert rep.valid, rep.as_dict()
+    assert rep.valid, asdict(rep)
     st2, sub2 = random_state_with_subbundle(base, 2, 1, seed=5, amplitude=0.01)
     assert np.array_equal(sub.projector, sub2.projector)
