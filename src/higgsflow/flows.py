@@ -9,30 +9,35 @@ first-order operators, D_A* F = i (del_A - dbar_A) Lambda F on (1,1)-forms.
 Both runners take one ETDRK2 step (Cox & Matthews, J. Comput. Phys. 176,
 2002) in the log-metric frame of the current metric: with L its frame
 (HermitianMetric.frame, L^dag L = H), the next metric is L^dag e^s L,
-where the Hermitian field s obeys ds/dt = -2 K~ and K~ = L K L^{-1}. The
-stiff part of K~ is linear, sigma s in Fourier space, where sigma is the
-exact symbol of the composed centred differences (_symbol); the step
-solves it exactly, with scalar phi-functions per mode, and treats only the
-remainder explicitly. The metric flow sets H' = L^dag e^s L, positive by
+where the Hermitian field s obeys ds/dt = -2 K~. K~ is the deviation of
+the frame state (_frame_of), the state gauged by L into the unit metric,
+where every metric adjoint is a dagger and every norm is Frobenius; it is
+L K L^{-1} up to the O(h^2) error of the discrete gauge. The stiff part of
+K~ is linear, sigma s in Fourier space, where sigma is the exact symbol of
+the composed centred differences (_symbol); the step solves it exactly,
+with scalar phi-functions per mode, and treats only the remainder
+explicitly. The metric flow sets H' = L^dag e^s L, positive by
 construction, with the frame L' = e^{s/2} L: a run takes one matrix root,
 at its start (W0 = H0^{1/2}), and its frames are L_k = W0 G_k, those of
 the complex gauge G_k that carries H0 to H_k (Simpson, J. AMS 1, 1988).
-The pair flow applies the gauge L^{-1} e^{s/2} L, whose transported metric
-is the same L^dag e^s L. Neither step has an h^2 stability bound.
+The pair flow applies the gauge L^{-1} e^{s/2} L, e^{s/2} under the unit
+metric, whose transported metric is the same L^dag e^s L. Neither step
+has an h^2 stability bound.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
-                       HiggsStructure, _Held, validate_structure)
-from .grid import (MatrixFormField, TorusBase, dbar_flat, integrate,
-                   pointwise_norm2, sup_norm)
+                       HiggsStructure, validate_structure)
+from .grid import (MatrixFormField, TorusBase, _norm2_of_slots, dbar_flat,
+                   integrate, pointwise_norm2, sup_norm)
 from .linalg import (_store_axes, _view_axes, expm_batched, hermitize, inv, mm)
 
 __all__ = [
@@ -45,7 +50,7 @@ __all__ = [
 
 # adaptive step control. SAFETY / sup|K| caps the step, which bounds the
 # exponent that expm_batched sees. A candidate is rejected when its local
-# error estimate (_etd_error) exceeds TOL, or when its sup|K|_H rises
+# error estimate (_etd_error) exceeds TOL, or when its sup|K~| rises
 # above the previous accepted value by more than the roundoff margin
 # MP_RTOL * sup|K| + MP_ATOL: along the flow sup|K| never rises (Simpson,
 # J. AMS 1, 1988, section 6), so a rise marks a step that lost the flow.
@@ -143,10 +148,36 @@ def _field(xh: np.ndarray, r: int) -> np.ndarray:
     return store.transpose(_view_axes(store.ndim))
 
 
-def _in_frame(K: MatrixFormField, L: np.ndarray, L_inv: np.ndarray) -> np.ndarray:
-    """The Hermitian part of L K L^{-1}. With L^dag L = H and K
-    H-self-adjoint, L K L^{-1} is Hermitian up to K's truncation error."""
-    return hermitize(mm(mm(L, K.comps[0, 0]), L_inv))
+@functools.cache
+def _unit_metric(base: TorusBase, rank: int) -> HermitianMetric:
+    """HermitianMetric.identity(base, rank), made once and read only."""
+    metric = HermitianMetric.identity(base, rank)
+    metric.mat.flags.writeable = False
+    return metric
+
+
+def _gauged(state: HiggsBundleState, g: np.ndarray, g_inv: np.ndarray,
+            metric: HermitianMetric) -> HiggsBundleState:
+    """(g a g^{-1} - (dbar g) g^{-1}, g phi g^{-1}) over metric, for a complex
+    gauge g with inverse g_inv."""
+    dbar_g = dbar_flat(MatrixFormField(state.base, 0, 0, g[None, None]))
+    a, phi = state.structure.a, state.structure.phi
+    a_new = a.sandwich(g, g_inv) - dbar_g.sandwich(None, g_inv)
+    return HiggsBundleState(HiggsStructure(a_new, phi.sandwich(g, g_inv)), metric)
+
+
+def _frame_of(state: HiggsBundleState) -> HiggsBundleState:
+    """The state gauged by its metric's frame (L, L^{-1}) into the unit
+    metric, which carries |.|_H to the Frobenius norm and K to L K L^{-1}
+    (to O(h^2) on the grid). A unit-metric state is its own frame state."""
+    if state.metric.unit:
+        return state
+    return _gauged(state, *state.metric.frame, _unit_metric(state.base, state.rank))
+
+
+def _deviation(state: HiggsBundleState) -> MatrixFormField:
+    """K~, the deviation of the state's frame state."""
+    return Curvature(_frame_of(state)).deviation()
 
 
 def _metric_update(state: HiggsBundleState, x: np.ndarray) -> HiggsBundleState:
@@ -161,6 +192,7 @@ def _metric_update(state: HiggsBundleState, x: np.ndarray) -> HiggsBundleState:
 def _gauge_update(state: HiggsBundleState, x: np.ndarray) -> HiggsBundleState:
     """The pair gauged by g = L^{-1} e^{x/2} L over the frozen metric H, where
     L is H's frame (L^dag L = H); the gauged state keeps H and so its frame.
+    Under a unit metric, g = e^{x/2}.
 
     g^{*H} g = H^{-1} L^dag e^x L, so the gauged pair is the metric flow's
     state at L^dag e^x L transported by g, and its deviation g K g^{-1}
@@ -171,6 +203,8 @@ def _gauge_update(state: HiggsBundleState, x: np.ndarray) -> HiggsBundleState:
     the (0,1) connection part by dbar_A(K) dt. The update stays exactly in
     the complex gauge orbit of the pair, and the metric stays frozen.
     """
+    if state.metric.unit:
+        return complex_gauge_apply(expm_batched(0.5 * x), state)
     L, L_inv = state.metric.frame
     return complex_gauge_apply(mm(mm(L_inv, expm_batched(0.5 * x)), L), state)
 
@@ -183,20 +217,14 @@ def _etd_error(correction: np.ndarray) -> float:
 
 
 def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, update,
-          held, tol: float | None):
-    """One ETDRK2 attempt from the state with deviation K0, in the frame
-    (L, L^{-1}) of its metric (HermitianMetric.frame); update
-    (_metric_update or _gauge_update) picks the flow, and held is the run's
-    _Held, the parts of the half of the state that the flow holds fixed
-    (see Curvature).
+          tol: float | None):
+    """One ETDRK2 attempt from the state with frame deviation K0 = K~0
+    (_deviation); update (_metric_update or _gauge_update) picks the flow.
 
-    With K~0 = L K0 L^{-1}, z = 2 dt sigma and F the Fourier transform over
-    the grid:
+    With z = 2 dt sigma and F the Fourier transform over the grid:
     - the predictor is a = F^{-1}[-2 dt phi1(z) F K~0] (exponential Euler);
     - the corrector is s = a + F^{-1}[dt phi2(z) (-2 (F K~a - F K~0)
-      + 2 sigma F a)], with K~a the deviation at the predictor, read in
-      the frame of the predictor's metric: e^{a/2} L for the metric flow,
-      L itself for the pair flow, whose inverse is already held.
+      + 2 sigma F a)], with K~a the frame deviation at the predictor.
     Both are exact on the linear part ds/dt = -2 sigma s.
 
     Returns (candidate, err, reason). err = _etd_error(s - a) is taken only
@@ -210,13 +238,13 @@ def _etd2(state: HiggsBundleState, dt: float, K0: MatrixFormField, update,
     try:
         sigma = _symbol(state.base)
         phi1, phi2 = _phi_functions((2.0 * dt) * sigma)
-        K0_hat = _spectrum(_in_frame(K0, *state.metric.frame))
+        # K~ is Hermitian up to truncation error; its Hermitian part is read
+        K0_hat = _spectrum(hermitize(K0.comps[0, 0]))
         a_hat = (-2.0 * dt * phi1) * K0_hat
         a = _field(a_hat, state.rank)
         predicted = update(state, a)
         # the corrector's spectrum, built in place in that of K~a
-        c_hat = _spectrum(_in_frame(Curvature(predicted, held).deviation(),
-                                    *predicted.metric.frame))
+        c_hat = _spectrum(hermitize(_deviation(predicted).comps[0, 0]))
         c_hat -= K0_hat
         c_hat *= -2.0
         c_hat += (2.0 * sigma) * a_hat
@@ -248,12 +276,7 @@ def complex_gauge_apply(sigma: np.ndarray,
     part follows from the Chern formula and transforms by the
     metric-adjoint conjugation.
     """
-    sig_inv = inv(sigma)
-    dbar_sig = dbar_flat(MatrixFormField(state.base, 0, 0, sigma[None, None]))
-    a, phi = state.structure.a, state.structure.phi
-    a_new = a.sandwich(sigma, sig_inv) - dbar_sig.sandwich(None, sig_inv)
-    return HiggsBundleState(HiggsStructure(a_new, phi.sandwich(sigma, sig_inv)),
-                            state.metric)
+    return _gauged(state, sigma, inv(sigma), state.metric)
 
 
 # -- traces and runners ------------------------------------------------------------
@@ -382,32 +405,36 @@ def check_flow_times(T: float, dt: float) -> None:
         raise ValueError(f"step dt must be finite and > 0, got {dt!r}")
 
 
-def _evaluate(state: HiggsBundleState, held: _Held | None):
-    """K of the state and its sample norms: the pointwise |del_H phi|^2
-    (zero for n = 1), |F + [phi,phi*]|^2 and |K|^2_H, which the trace row
-    and the two-flow check read. The norms and K read one Curvature, which
-    is not kept; held is the run's _Held, if any."""
-    hs, H = Curvature(state, held), state.metric
-    dphi2 = np.zeros(state.base.shape) if hs.del_phi is None else \
-        pointwise_norm2(hs.del_phi, H)
-    curv2 = pointwise_norm2(hs.part11, H)
-    K = hs.deviation()  # after part11, so K reads the slots it assembled
-    return K, (dphi2, curv2, pointwise_norm2(K, H))
+def _evaluate(state: HiggsBundleState):
+    """The state's frame state, its K~ and its sample norms, Frobenius
+    there: the pointwise |del phi|^2 (zero for n = 1), |F + [phi,phi*]|^2,
+    reduced slot by slot, and |K~|^2, which the trace row and the two-flow
+    check read. They read one Curvature, which is not kept."""
+    frame = _frame_of(state)
+    hs, base = Curvature(frame), state.base
+    dphi2 = np.zeros(base.shape) if hs.del_phi is None else \
+        pointwise_norm2(hs.del_phi)
+    curv2 = _norm2_of_slots((hs._slot(0, i, j) + hs._slot(1, i, j) for i, j
+                             in itertools.product(range(base.n), repeat=2)),
+                            4.0, base.shape)
+    K = hs.deviation()  # after the slots, so K reads the diagonal ones kept
+    return frame, K, (dphi2, curv2, pointwise_norm2(K))
 
 
-# flow_equivalence_check runs both flows from one start: its evaluation and
-# its ValidityReport, keyed by the start's id, are made once and read by
-# both runners. The runners are still called by name, so that wrappers
-# bound over the module's names see both runs.
+# flow_equivalence_check runs the metric flow from its start and the pair
+# flow from the start's frame state: one evaluation serves both, keyed by
+# each start's id with its ValidityReport. The runners are still called by
+# name, so that wrappers bound over the module's names see both runs.
 _shared_starts: dict[int, tuple] = {}
 
 
-def _metric_trace_row(state: HiggsBundleState, dt: float, validity,
-                      norms) -> dict:
-    """The trace row of a state from its sample norms (_evaluate)."""
+def _metric_trace_row(state: HiggsBundleState, dt: float, validity, norms,
+                      frame: HiggsBundleState) -> dict:
+    """The trace row of a state from its sample norms and frame state
+    (_evaluate); |phi|^2 is read there, Frobenius."""
     dphi2, curv2, dev2 = norms
     e = curv2 + 2.0 * dphi2   # the YMH integrand, as in pointwise_energy
-    phi2 = pointwise_norm2(state.structure.phi, state.metric)
+    phi2 = pointwise_norm2(frame.structure.phi)
     return dict(
         ymh_energy=integrate(e, state.base),
         dev_l2=math.sqrt(max(integrate(dev2, state.base), 0.0)),
@@ -437,22 +464,19 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
               sample_times):
     check_flow_times(T, dt)
     schedule = _sample_schedule(T, sample_times)
-    # the parts of the start that the flow never changes, each built once
-    # for this run and read by every evaluation in it
-    held = _Held(start)
-    # every accepted state is evaluated once: its K drives the next step
-    # and, at a sample time, its row reuses K and the norms
-    K_current, norms, validity0 = _shared_starts.get(id(start)) or \
-        (*_evaluate(start, held), validate_structure(start.structure))
+    # every accepted state is evaluated once: its K~ drives the next step
+    # and, at a sample time, its row reuses K~ and the norms
+    frame, K_current, norms, validity0 = _shared_starts.get(id(start)) or \
+        (*_evaluate(start), validate_structure(start.structure))
     trace = FlowTrace()
     samples = []
 
-    def sample(obj, norms, t_now, dt_now):
+    def sample(obj, frame, norms, t_now, dt_now):
         # the metric flow never replaces the structure, so its validity
         # residuals are those of the start
         validity = validity0 if obj.structure is start.structure else \
             validate_structure(obj.structure)
-        row = _metric_trace_row(obj, dt_now, validity, norms)
+        row = _metric_trace_row(obj, dt_now, validity, norms, frame)
         if not all(math.isfinite(v) for v in row.values()):
             raise FlowBlowup(f"non-finite sample row at t={t_now:.6g}",
                              obj, trace, t_now, "sample_row")
@@ -461,7 +485,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
 
     current = start
     t = 0.0
-    sample(current, norms, 0.0, dt)
+    sample(current, frame, norms, 0.0, dt)
     next_idx = 1  # the schedule starts at t = 0, sampled above
 
     adaptive = not fixed_dt
@@ -489,14 +513,13 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
         t_next = t + dt_step
         due = next_idx < len(schedule) and t_next >= schedule[next_idx] - 1e-12
 
-        candidate, err, reason = _etd2(current, dt_step, K_current, update,
-                                       held, tol)
+        candidate, err, reason = _etd2(current, dt_step, K_current, update, tol)
         if reason is None:
-            K_next, norms = _evaluate(candidate, held) if due else \
-                (Curvature(candidate, held).deviation(), None)
+            frame, K_next, norms = _evaluate(candidate) if due else \
+                (None, _deviation(candidate), None)
             if adaptive:
-                # |K|^2_H of the candidate, held by a sample's norms
-                dev2 = norms[2] if due else pointwise_norm2(K_next, candidate.metric)
+                # |K~|^2 of the candidate, held by a sample's norms
+                dev2 = norms[2] if due else pointwise_norm2(K_next)
                 dev_new = math.sqrt(max(dev2.max(), 0.0))
                 if dev_new > dev_prev * (1.0 + MP_RTOL) + MP_ATOL:
                     reason = "max_principle"
@@ -527,7 +550,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
         current, K_current, t = candidate, K_next, t_next
         steps += 1
         if due:
-            sample(current, norms, t, dt_step)
+            sample(current, frame, norms, t, dt_step)
             next_idx += 1
     return FlowResult(current, trace, samples, steps, rejected_by)
 
@@ -541,7 +564,7 @@ def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
     With fixed_dt the step is exactly dt (pinned-accuracy experiments);
     otherwise dt is the first proposal of the error-controlled step
     controller: the step is capped by SAFETY/sup|K|, a candidate is
-    rejected when its local error estimate exceeds TOL or its sup|K|_H
+    rejected when its local error estimate exceeds TOL or its sup|K~|
     rises (the maximum principle), and the next step follows a PI
     controller (see the module constants).
     """
@@ -604,43 +627,45 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     """Run both flows with the fixed step dt from one state and compare them.
 
     The metric flow evolves H(t) with (a0, phi0) frozen; the pair flow
-    evolves (a(t), phi(t)) over the frozen background H0 = H(0). At each
-    sample the three norm equalities relating the two sides are evaluated
-    as pointwise fields and reported as relative sup residuals, together
-    with the discrepancy between the directly integrated pair and the pair
-    transported by the gauge the metric flow carries: with L0 and L(t) the
-    frames of H0 and H(t), g(t) = L0^{-1} L(t) has g^{*H0} g = H0^{-1} H(t).
+    evolves (a(t), phi(t)) from the start's frame state, over the unit
+    metric. At each sample the three norm equalities relating the two
+    sides are evaluated as pointwise fields and reported as relative sup
+    residuals, together with the discrepancy between the directly
+    integrated pair and the metric flow's state in its frame state, which
+    at t = 0 is the pair flow's start.
     """
     samples = sample_times if sample_times is not None else \
         [k * T / 4.0 for k in range(1, 5)]
     # checked before the shared start is evaluated; the runners repeat it
     check_flow_times(T, dt)
     _sample_schedule(T, samples)
-    _shared_starts[id(state0)] = (*_evaluate(state0, None),
-                                  validate_structure(state0.structure))
+    evaluation = _evaluate(state0)
+    frame0 = evaluation[0]
+    starts = {id(state0): state0, id(frame0): frame0}  # one for a unit metric
+    for key, start in starts.items():
+        _shared_starts[key] = (*evaluation, validate_structure(start.structure))
     flow = "donaldson"
     try:
         res_m = run_donaldson_flow(state0, T, dt, fixed_dt=True,
                                    sample_times=samples)
         flow = "ymh"
-        res_p = run_ymh_flow(state0, T, dt, fixed_dt=True, sample_times=samples)
+        res_p = run_ymh_flow(frame0, T, dt, fixed_dt=True, sample_times=samples)
     except FlowBlowup as exc:
         exc.flow = flow
         raise
     finally:
-        _shared_starts.pop(id(state0), None)
+        for key in starts:
+            _shared_starts.pop(key, None)
     # decayed-scale floors: 1e-6 of each quantity's size at t = 0
     floors = tuple(1e-6 * float(f.max()) for f in res_m.samples[0][2])
 
-    L0_inv = state0.metric.frame[1]
     report = EquivalenceReport([], [], [], [], [], [])
     raw = []  # (phi_diff, phi_scale, a_diff, a_scale) per sample
     # both runs share one sample schedule; the compared fields are the
     # sample norms each runner already took
     for (tk, st, metric_fields), (_, pr, pair_fields) in zip(res_m.samples,
                                                             res_p.samples):
-        transported = complex_gauge_apply(mm(L0_inv, st.metric.frame[0]),
-                                          state0)
+        transported = _frame_of(st)
         report.times.append(round(tk, 9))
         for sink, mfield, pfield, floor in zip(
                 (report.res_dphi, report.res_curvature, report.res_contracted),

@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (MatrixFormField, TorusBase, _contract_slots, _dz_component,
-                   _sup_of_parts, d_flat, dbar_flat, integrate, pointwise_norm2,
-                   sup_norm, wedge)
+                   _norm2_of_slots, _sup, _sup_of_parts, d_flat, dbar_flat,
+                   integrate, pointwise_norm2, sup_norm, wedge)
 from .linalg import (_trailing, dagger, hermitize, inv, is_positive_definite,
                      min_eigvalsh, mm, sqrtm_hpd, trace)
 
@@ -39,11 +39,15 @@ class HermitianMetric:
     is the factor of a metric built as L^dag L (from_frame), else the
     Hermitian root H^{1/2}. The flows step in it, so a metric flow takes
     one root per run, at its start.
+
+    unit is True for the metric made by identity(): its Curvature takes
+    every metric adjoint as a dagger.
     """
 
     base: TorusBase
     mat: np.ndarray
     _factor = None  # L of from_frame
+    unit = False
 
     def __post_init__(self):
         mat = np.asarray(self.mat)
@@ -64,8 +68,10 @@ class HermitianMetric:
 
     @classmethod
     def identity(cls, base: TorusBase, rank: int) -> "HermitianMetric":
-        return cls(base, np.broadcast_to(np.eye(rank, dtype=np.complex128),
-                                         base.shape + (rank, rank)))
+        metric = cls(base, np.broadcast_to(np.eye(rank, dtype=np.complex128),
+                                           base.shape + (rank, rank)))
+        metric.unit = True
+        return metric
 
     @classmethod
     def from_frame(cls, base: TorusBase, L: np.ndarray) -> "HermitianMetric":
@@ -152,14 +158,29 @@ def validate_structure(s: HiggsStructure, tol: float | None = None) -> ValidityR
 
     Integrability dbar(a) + a^a and symmetry phi^phi vanish identically for
     n = 1 (no (0,2) or (2,0) slot); both are measured with the flat metric
-    since validity is independent of H.
+    since validity is independent of H. Each residual is reduced component
+    by component as it is built, with the terms of dbar_flat and wedge in
+    their order, so it equals the sup_norm of the assembled form to the bit.
     """
     if tol is None:
         tol = 1e-8 * (1.0 + max(sup_norm(s.a), sup_norm(s.phi)))
-    n = s.base.n
-    integ = sup_norm(dbar_flat(s.a) + wedge(s.a, s.a)) if n >= 2 else 0.0
-    holo = sup_norm(dbar_flat(s.phi) + wedge(s.a, s.phi) + wedge(s.phi, s.a))
-    symm = sup_norm(wedge(s.phi, s.phi)) if n >= 2 else 0.0
+    base = s.base
+    a, phi = s.a.comps[0], s.phi.comps[:, 0]
+
+    def dbar(c, j):
+        return _dz_component(c, base, j, True)
+
+    def sup_of(slots):  # of a form of weight 4: (1,1), (0,2) or (2,0)
+        return _sup(_norm2_of_slots(slots, 4.0, base.shape))
+
+    holo = sup_of(((0.0 - dbar(phi[i], j)) + (0.0 - mm(a[j], phi[i])))
+                  + (0.0 + mm(phi[i], a[j]))
+                  for i, j in itertools.product(range(base.n), repeat=2))
+    integ = symm = 0.0
+    if base.n >= 2:
+        integ = sup_of([((0.0 + dbar(a[1], 0)) - dbar(a[0], 1))
+                        + ((0.0 + mm(a[0], a[1])) - mm(a[1], a[0]))])
+        symm = sup_of([(0.0 + mm(phi[0], phi[1])) - mm(phi[1], phi[0])])
     return ValidityReport(integ, holo, symm, tol,
                           valid=max(integ, holo, symm) <= tol)
 
@@ -189,23 +210,6 @@ def _form_dagger(f: MatrixFormField) -> MatrixFormField:
     return MatrixFormField(f.base, f.q, f.p, dagger(np.swapaxes(f.comps, 0, 1)))
 
 
-class _Held:
-    """The parts of a flow's start that one half of it alone sets, each
-    built on first read and then kept (Curvature._frozen): parts["metric"]
-    holds H^{-1} del H, parts["structure"] a and phi daggered with
-    dz <-> dzbar and the derivatives del_i a_j, keyed (i, j).
-
-    A Curvature reads a part here only when its state shares that half
-    with the start, compared by identity: the metric flow never replaces
-    the structure, and the pair flow never replaces the metric. The first
-    state that has replaced a half clears that half's parts.
-    """
-
-    def __init__(self, start: HiggsBundleState):
-        self.start = start
-        self.parts = {"metric": {}, "structure": {}}
-
-
 @dataclass(eq=False)
 class Curvature:
     """The Hitchin-Simpson curvature of a state by bidegree, with its
@@ -220,32 +224,16 @@ class Curvature:
     inputs they vanish to truncation order, and they are computed, never
     assumed zero. Norms are taken in the state's metric.
 
-    held is a flow run's _Held: the parts that the state's unchanged half
-    sets are read from it, and any other is built here and not kept. It
-    never changes a bit of the result.
+    Under a unit metric (HermitianMetric.identity) b = -a^dag and
+    phi^{*H} = phi^dag, with dz <-> dzbar: no metric connection, inverse
+    or sandwich is built, and every part equals that of the same matrices
+    under an unmarked metric.
     """
 
     state: HiggsBundleState
-    held: _Held | None = None
 
     def __post_init__(self):
         self._kept = {}  # (k, i, j) -> slot, see _slot
-
-    def _frozen(self, half: str, key, build):
-        """The part key = build(state) that the state's metric or structure
-        (half) alone sets: read from held when the state shares that half
-        with held's start, else built here and not kept."""
-        if self.held is None:
-            return build(self.state)
-        parts = self.held.parts[half]
-        if getattr(self.held.start, half) is not getattr(self.state, half):
-            # the run has replaced this half: the start's parts of it, which
-            # the start's own evaluation may have built, are read no more
-            parts.clear()
-            return build(self.state)
-        if key not in parts:
-            parts[key] = build(self.state)
-        return parts[key]
 
     @cached_property
     def b(self) -> MatrixFormField:
@@ -255,18 +243,20 @@ class Curvature:
         del H(s,t) = H(D^{1,0}s, t) + H(s, dbar_E t).
         """
         H = self.state.metric
-        conn = self._frozen("metric", "conn", lambda s: _metric_connection(s.metric))
-        a_dag = self._frozen("structure", "a_dag",
-                             lambda s: _form_dagger(s.structure.a))
-        return conn - a_dag.sandwich(H.inv, H.mat)
+        a_dag = _form_dagger(self.state.structure.a)
+        if H.unit:
+            # 0 - a^dag, as H^{-1} del H - ... reads when del H is exactly 0
+            np.subtract(0.0, a_dag.comps, out=a_dag.comps)
+            return a_dag
+        return _metric_connection(H) - a_dag.sandwich(H.inv, H.mat)
 
     @cached_property
     def phistar(self) -> MatrixFormField:
         """phi^{*H} = H^{-1} phi^dag H on matrix parts, dz -> dzbar on form
         parts."""
         H = self.state.metric
-        return self._frozen("structure", "phi_dag", lambda s: _form_dagger(
-            s.structure.phi)).sandwich(H.inv, H.mat)
+        phi_dag = _form_dagger(self.state.structure.phi)
+        return phi_dag if H.unit else phi_dag.sandwich(H.inv, H.mat)
 
     def _slot(self, k: int, i: int, j: int) -> np.ndarray:
         """Slot (i, j) of F_H (k = 0) or of [phi, phi^{*H}] (k = 1), built on
@@ -284,8 +274,8 @@ class Curvature:
                 slot = _dz_component(b_i, self.state.base, j, True)
                 # 0 - x, not -x, as in the zero-filled sums of dbar_flat and wedge
                 np.subtract(0.0, slot, out=slot)
-                slot += self._frozen("structure", (i, j), lambda s: _dz_component(
-                    s.structure.a.comps[0, j], s.base, i, False))
+                slot += _dz_component(self.state.structure.a.comps[0, j],
+                                      self.state.base, i, False)
                 slot -= mm(a_j, b_i)
                 slot += mm(b_i, a_j)
             else:
@@ -335,10 +325,18 @@ class Curvature:
 
     @cached_property
     def del_phi(self) -> MatrixFormField | None:
+        """del_H phi = d_flat(phi) + b^phi + phi^b, built as its one
+        component at n = 2 with the terms of d_flat and wedge in their
+        order."""
         if self.state.base.n < 2:
             return None
-        b, phi = self.b, self.state.structure.phi
-        return d_flat(phi) + wedge(b, phi) + wedge(phi, b)
+        base, b = self.state.base, self.b.comps[:, 0]
+        phi = self.state.structure.phi.comps[:, 0]
+        d_phi = (0.0 + _dz_component(phi[1], base, 0, False)) - \
+            _dz_component(phi[0], base, 1, False)
+        slot = (d_phi + ((0.0 + mm(b[0], phi[1])) - mm(b[1], phi[0]))) + \
+            ((0.0 + mm(phi[0], b[1])) - mm(phi[1], b[0]))
+        return MatrixFormField(base, 2, 0, slot[None, None])
 
     @cached_property
     def dbar_phistar(self) -> MatrixFormField | None:

@@ -359,6 +359,17 @@ def pointwise_norm2(a: MatrixFormField, H: HermitianMetric | None = None) -> np.
     return np.real(pointwise_inner(a, a, H))
 
 
+def _norm2_of_slots(slots, weight: float, shape: tuple[int, ...]) -> np.ndarray:
+    """pointwise_norm2, without a metric, of a form of weight 2^(p+q) on the
+    grid shape, from its components in (ip, iq) order: each is reduced as
+    slots yields it, with the sums of pointwise_inner in their order, so no
+    form is assembled and the result is the same to the bit."""
+    acc = np.zeros(shape, np.complex128)
+    for c in slots:
+        acc += _endo_inner(c, c, None, None)
+    return np.real(weight * acc)
+
+
 def integrate(s: np.ndarray | float, base: TorusBase) -> float:
     """Riemann sum against omega^n/n!; exact for trigonometric polynomials."""
     arr = np.asarray(s)
@@ -367,14 +378,19 @@ def integrate(s: np.ndarray | float, base: TorusBase) -> float:
     return float(np.real(arr.sum())) * base.spacing ** (2 * base.n)
 
 
+def _sup(norm2: np.ndarray) -> float:
+    """sup |.| from a pointwise |.|^2."""
+    return float(np.sqrt(max(norm2.max(), 0.0)))
+
+
 def sup_norm(a: MatrixFormField, H: HermitianMetric | None = None) -> float:
-    return float(np.sqrt(max(pointwise_norm2(a, H).max(), 0.0)))
+    return _sup(pointwise_norm2(a, H))
 
 
 def _sup_of_parts(fields, H: HermitianMetric | None = None) -> float:
     """sup |.|_H of the sum of fields of distinct bidegrees, which are
     orthogonal: their pointwise |.|^2_H are summed in order."""
-    return float(np.sqrt(max(sum(pointwise_norm2(f, H) for f in fields).max(), 0.0)))
+    return _sup(sum(pointwise_norm2(f, H) for f in fields))
 
 
 def tr_field(a: MatrixFormField) -> MatrixFormField:

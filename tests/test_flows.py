@@ -9,8 +9,8 @@ from higgsflow import (HermitianMetric, HiggsBundleState,
                        build_scenario, complex_gauge_apply,
                        einstein_deviation, flow_equivalence_check,
                        run_donaldson_flow, run_ymh_flow, sup_norm)
-from higgsflow.flows import _etd2, _gauge_update, _metric_update
-from higgsflow.geometry import Curvature, _Held, adjoint_field
+from higgsflow.flows import _deviation, _etd2, _gauge_update, _metric_update
+from higgsflow.geometry import Curvature, adjoint_field
 from higgsflow.grid import d_flat, integrate, tr_field
 from higgsflow.linalg import dagger, inv, min_eigvalsh, sqrtm_hpd
 
@@ -34,9 +34,10 @@ def energy_of(state):
 
 def etd2_step(state, dt, update=_metric_update, K=None):
     """One fixed ETDRK2 step of the flow that update picks, from the state
-    with deviation K (computed when not given); it must not break down."""
-    K = einstein_deviation(state) if K is None else K
-    candidate, err, reason = _etd2(state, dt, K, update, _Held(state), None)
+    with frame deviation K (computed when not given); it must not break
+    down."""
+    K = _deviation(state) if K is None else K
+    candidate, err, reason = _etd2(state, dt, K, update, None)
     assert reason is None and err is None
     return candidate
 
@@ -528,42 +529,54 @@ def _count_calls(monkeypatch, *fns):
 
 def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch,
                                                             part11_builds):
+    import higgsflow.flows
     from higgsflow.geometry import validate_structure
     from higgsflow.grid import dbar_flat
     from higgsflow.scenarios import random_state_with_subbundle
     st, _ = random_state_with_subbundle(TorusBase(2, 8), 2, 1, 5,
                                         amplitude=0.0015)
-    counts = _count_calls(monkeypatch, d_flat, dbar_flat, validate_structure)
+    counts = _count_calls(monkeypatch, d_flat, dbar_flat, validate_structure,
+                          higgsflow.flows._evaluate)
+    curvatures = [0]
+    real_post_init = Curvature.__post_init__
+
+    def counted(self):
+        curvatures[0] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(Curvature, "__post_init__", counted)
 
     # K alone builds only the slots that Lambda reads: d of H for the Chern
     # connection; the slots' derivatives of a and b take no d_flat/dbar_flat
     einstein_deviation(st)
     assert part11_builds == [0]
-    assert counts == {"d_flat": 1, "dbar_flat": 0, "validate_structure": 0}
+    assert counts == {"d_flat": 1, "dbar_flat": 0, "validate_structure": 0,
+                      "_evaluate": 0}
 
     counts.update(dict.fromkeys(counts, 0))
+    curvatures[0] = 0
     flow_equivalence_check(st, 2e-3, 1e-3, sample_times=[2e-3])
-    # the full curvature is built only where the sample norms are read: the
-    # start, evaluated once for both runs, and the state at T of each run.
-    # The two predictors and the first accepted state of each run build only
-    # the diagonal slots (6 evaluations). Every slot, full curvatures
-    # included, takes its derivatives without d_flat or dbar_flat. d_flat:
-    # d of H per evaluation of the start and of the metric flow (5) and once
-    # for the whole pair run, whose metric is frozen (1), and one per
-    # del_H phi of a sample (3). The structure is validated at the start,
-    # once for both runs, and at the pair's sample at T. dbar_flat: two per
-    # validate_structure, one per gauge update of the pair (predictor and
-    # result: 4) and per transported pair (2)
-    assert part11_builds == [3]
-    assert counts == {"d_flat": 5 + 1 + 3,
-                      "dbar_flat": 2 * 2 + 4 + 2, "validate_structure": 2}
+    # every state is evaluated once, in its frame state: the start, once
+    # for both runs, then the predictor and the result of each step of
+    # each run (9 Curvatures). The sample norms are read at the start and
+    # at T of each run (3 _evaluate), slot by slot, so no part11 is
+    # assembled. A frame state has the unit metric, so no Chern connection
+    # takes d_flat. dbar_flat: one per frame state of the metric run (its
+    # start, 2 predictors and 2 results) and of its 2 samples, which the
+    # transport compares, and one per gauge update of the pair run (4).
+    # The start and its frame state are validated once for both runs, and
+    # the pair's sample at T
+    assert curvatures == [9] and part11_builds == [0]
+    assert counts == {"d_flat": 0, "dbar_flat": 5 + 2 + 4,
+                      "validate_structure": 3, "_evaluate": 3}
 
 
 def test_the_runner_takes_one_root_per_run(monkeypatch):
     # a metric keeps its frame, and the metric flow carries it, L' = e^{s/2} L:
     # one root per run, of its start, whatever its steps and rejections.
-    # The pair flow roots its frozen metric once. Each run starts from a
-    # fresh state, whose metric has no frame yet
+    # A pair run over the unit metric gauges by e^{x/2} and takes no root;
+    # over any other metric it roots its frozen metric once. Each run
+    # starts from a fresh state, whose metric has no frame yet
     import higgsflow.flows
     monkeypatch.setattr(higgsflow.flows, "TOL", 1e-3)
     counts = _count_calls(monkeypatch, sqrtm_hpd)
@@ -571,9 +584,14 @@ def test_the_runner_takes_one_root_per_run(monkeypatch):
     assert res.steps > 1 and res.rejected > 0 and counts["sqrtm_hpd"] == 1
     counts["sqrtm_hpd"] = 0
     res = run_ymh_flow(nilpotent_state(8), 0.25, 0.5)
+    assert res.rejected > 0 and counts["sqrtm_hpd"] == 0
+    st = nilpotent_state(8)
+    res = run_ymh_flow(HiggsBundleState(st.structure, HermitianMetric(
+        st.base, 2.0 * st.metric.mat)), 0.25, 0.5)
     assert res.rejected > 0 and counts["sqrtm_hpd"] == 1
-    # both runs of a check and its transports read the start's one root:
-    # each sample's gauge is the metric flow's carried L0^{-1} L(t)
+    # a check's pair run starts from the frame state of its unit-metric
+    # start, the start itself, and the transports read the frames that the
+    # metric flow carries: the one root is that of the metric run's start
     counts["sqrtm_hpd"] = 0
     report = flow_equivalence_check(nilpotent_state(8), 4e-3, 1e-3)
     assert len(report.times) == 5 and counts["sqrtm_hpd"] == 1
@@ -581,23 +599,25 @@ def test_the_runner_takes_one_root_per_run(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_sample_row_inverts_its_metric_once(n, monkeypatch):
-    # the Chern connection, phi^{*H} and the four norms of a row all read
-    # the metric's cached inverse
+    # the evaluation reads the state in its frame state, built with the
+    # frame's inverse L^{-1}; there the Chern connection, phi^* and the
+    # four norms of a row are metric-free, so H^{-1} is never built
     from higgsflow.flows import _evaluate, _metric_trace_row
     from higgsflow.geometry import validate_structure
     from higgsflow.scenarios import random_valid_state
     st = random_valid_state(TorusBase(n, 8), 2, 4)
     validity = validate_structure(st.structure)
     counts = _count_calls(monkeypatch, inv)
-    _, norms = _evaluate(st, None)
-    _metric_trace_row(st, 1e-3, validity, norms)
-    assert counts == {"inv": 1}
+    frame, _, norms = _evaluate(st)
+    _metric_trace_row(st, 1e-3, validity, norms, frame)
+    assert counts == {"inv": 1} and "inv" not in vars(st.metric)
 
 
 def test_the_pair_flow_inverts_its_frozen_frame_once(monkeypatch):
-    # the frozen metric inverts itself and its frame once per run, and
-    # every attempt reads both; what is left are the two inverses of
-    # complex_gauge_apply per attempt (predictor and result)
+    # a frozen metric other than the unit one inverts its frame once per
+    # run, and every attempt reads it; the unit metric inverts nothing.
+    # What is left are the two inverses of complex_gauge_apply per attempt
+    # (predictor and result)
     import higgsflow.flows
     import higgsflow.geometry
     calls = {"flows": 0, "geometry": 0}
@@ -607,9 +627,13 @@ def test_the_pair_flow_inverts_its_frozen_frame_once(monkeypatch):
             calls[_name] += 1
             return _real(m)
         monkeypatch.setattr(mod, "inv", counted)
-    res = run_ymh_flow(nilpotent_state(16), 100.0, 1e-3)
-    assert (res.steps, res.rejected) == (72, 0)
-    assert calls == {"flows": 2 * 72, "geometry": 2}
+    st = nilpotent_state(16)
+    for metric, frame_inverses in ((st.metric, 0), (HermitianMetric(
+            st.base, 2.0 * st.metric.mat), 1)):
+        calls.update(dict.fromkeys(calls, 0))
+        res = run_ymh_flow(HiggsBundleState(st.structure, metric), 100.0, 1e-3)
+        assert (res.steps, res.rejected) == (72, 0)
+        assert calls == {"flows": 2 * 72, "geometry": frame_inverses}
 
 
 def _relative(x, y):
@@ -641,109 +665,18 @@ def test_every_flow_metric_carries_a_frame_of_itself(n, rank, seed):
         assert np.abs(L @ L_inv - np.eye(rank)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_the_held_half_gives_the_same_deviation_to_the_bit(n):
-    # a run holds the parts of its start that one half sets; K and the
-    # full (1,1) part of a state that shares that half with the start, but
-    # not the other, equal those of a fresh Curvature byte for byte, signed
-    # zeros too
-    from higgsflow.scenarios import random_valid_state
-    base = TorusBase(n, 8)
-    st, other = (random_valid_state(base, 2, seed) for seed in (5, 6))
-    cases = [(st, HiggsBundleState(st.structure, other.metric)),
-             (st, HiggsBundleState(other.structure, st.metric))]
-    if n == 1:  # all zeros: every sign of zero shows
-        flat = build_scenario("flat-trivial-r2", N=8)
-        cases += [(flat, flat)]
-    for start, state in cases:
-        fresh = Curvature(state)
-        held = Curvature(state, _Held(start))
-        assert held.deviation().comps.tobytes() == \
-            fresh.deviation().comps.tobytes()
-        assert einstein_deviation(state).comps.tobytes() == \
-            fresh.deviation().comps.tobytes()
-        assert held.part11.comps.tobytes() == fresh.part11.comps.tobytes()
-
-
-def test_a_replaced_half_drops_its_held_parts():
-    # the start's evaluation builds the parts of both halves; the first
-    # state that replaces a half drops that half's parts, which its run
-    # reads no more, and keeps the other's
-    from higgsflow.scenarios import random_valid_state
-    base = TorusBase(2, 8)
-    st, other = (random_valid_state(base, 2, seed) for seed in (5, 6))
-    structure_parts = {"a_dag", "phi_dag", (0, 0), (0, 1), (1, 0), (1, 1)}
-    for state, dropped, kept in (
-            (HiggsBundleState(st.structure, other.metric), "metric", "structure"),
-            (HiggsBundleState(other.structure, st.metric), "structure", "metric")):
-        held = _Held(st)
-        Curvature(st, held).part11
-        assert (set(held.parts["metric"]), set(held.parts["structure"])) == \
-            ({"conn"}, structure_parts)
-        Curvature(state, held).deviation()
-        assert held.parts[dropped] == {} and held.parts[kept] != {}
-
-
-def _count_del_of(monkeypatch, array):
-    """Count the derivatives d/dz^j taken of array or of a view into it."""
-    import higgsflow.geometry
-    import higgsflow.grid
-    real = higgsflow.grid._dz_component
-    count = [0]
-
-    def counted(c, base, j, bar):
-        count[0] += not bar and np.shares_memory(c, array)
-        return real(c, base, j, bar)
-
-    for module in (higgsflow.grid, higgsflow.geometry):
-        monkeypatch.setattr(module, "_dz_component", counted)
-    return count
-
-
-def _count_daggers_of(monkeypatch, *arrays):
-    """Count the daggers that geometry takes of each array or of a view
-    into it (the metric adjoints)."""
-    import higgsflow.geometry
-    real = higgsflow.geometry.dagger
-    counts = [0] * len(arrays)
-
-    def counted(m):
-        for k, array in enumerate(arrays):
-            counts[k] += np.shares_memory(m, array)
-        return real(m)
-
-    monkeypatch.setattr(higgsflow.geometry, "dagger", counted)
-    return counts
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_each_flow_builds_its_frozen_half_once_per_run(n, monkeypatch):
-    # the metric flow takes each del_i a_j of its frozen a once per run (n^2
-    # derivatives): the diagonal slots of every state and the full
-    # curvatures of its samples read them; it daggers a and phi once per run
-    # for the b and phi^{*H} of every state, samples included. The pair
-    # flow builds H^{-1} del H of its frozen metric once, and its samples
-    # read it too. No count grows with the steps. The exponentials of both
-    # rank-2 flows take the closed form, never the Taylor polynomial
-    from higgsflow.scenarios import random_valid_state
-    st = random_valid_state(TorusBase(n, 8), 2, 7)
-    da = _count_del_of(monkeypatch, st.structure.a.comps)
-    daggers = _count_daggers_of(monkeypatch, st.structure.a.comps,
-                                st.structure.phi.comps)
-    import higgsflow.geometry
-    import higgsflow.linalg
-    counts = _count_calls(monkeypatch, higgsflow.geometry._metric_connection,
-                          higgsflow.linalg._taylor_ps)
-    for steps in (2, 4):
-        da[0] = 0
-        daggers[:] = [0, 0]
-        run_donaldson_flow(st, steps * 1e-3, 1e-3, fixed_dt=True)
-        assert da[0] == n * n
-        assert daggers == [1, 1]
-        counts["_metric_connection"] = 0
-        run_ymh_flow(st, steps * 1e-3, 1e-3, fixed_dt=True)
-        assert counts["_metric_connection"] == 1
-    assert counts["_taylor_ps"] == 0
+def test_the_planted_metric_run_reaches_its_horizon(monkeypatch):
+    # evaluated in its frame state, the metric flow of a planted rank-1
+    # sub-bundle reaches T = 300 in 119 steps; evaluated through the metric
+    # adjoints, its maximum-principle test stalled it near t = 58 after
+    # 1500 steps
+    import higgsflow.flows
+    from higgsflow.scenarios import random_state_with_subbundle
+    monkeypatch.setattr(higgsflow.flows, "MAX_STEPS", 1500)
+    st, _ = random_state_with_subbundle(TorusBase(1, 16), 3, 1, seed=1,
+                                        amplitude=0.004)
+    res = run_donaldson_flow(st, 300.0, 1e-3)
+    assert res.trace.t[-1] == 300.0 and res.steps <= 200
 
 
 def test_the_spectra_make_the_upper_triangle_once_per_rank(monkeypatch):
@@ -836,9 +769,9 @@ def test_every_step_keeps_the_metric_positive_and_hermitian(n, rank, seed):
     from higgsflow.flows import SAFETY
     st = random_valid_state(TorusBase(n, 8), rank, seed=seed, amplitude=0.3)
     for _ in range(3):
-        # ten times the adaptive runner's cap SAFETY / sup|K|
-        K = einstein_deviation(st)
-        st = etd2_step(st, 10.0 * SAFETY / sup_norm(K, st.metric), K=K)
+        # ten times the adaptive runner's cap SAFETY / sup|K~|
+        K = _deviation(st)
+        st = etd2_step(st, 10.0 * SAFETY / sup_norm(K), K=K)
         H = st.metric.mat
         assert np.array_equal(H, dagger(H))
         assert min_eigvalsh(H) > 0.0
@@ -880,8 +813,10 @@ def test_the_step_cap_ends_no_run_short(monkeypatch, run, fixed):
     (0.01, 1e-3, [float("nan")], "sample time nan "),
 ])
 def test_flow_equivalence_checks_its_arguments_before_evaluating(
-        part11_builds, T, dt, samples, match):
+        monkeypatch, T, dt, samples, match):
+    import higgsflow.flows
+    counts = _count_calls(monkeypatch, higgsflow.flows._evaluate)
     st = nilpotent_state(8)
     with pytest.raises(ValueError, match=re.escape(match)):
         flow_equivalence_check(st, T, dt, sample_times=samples)
-    assert part11_builds == [0]
+    assert counts == {"_evaluate": 0}

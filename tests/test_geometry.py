@@ -315,8 +315,55 @@ def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
              "dbar_phistar": dbar_flat(phistar) + wedge(a, phistar) + wedge(phistar, a)}
     for name, get in lazy.items():
         assert np.array_equal(get().comps, eager[name].comps), name
+    # del_phi, built as its one component, to the bit
+    assert hs.del_phi.comps.tobytes() == eager["del_phi"].comps.tobytes()
     assert list(hs.parts) == [(1, 1), (2, 0), (0, 2)]
     assert np.array_equal(hs.parts[(2, 0)].comps, eager["del_phi"].comps)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_unit_metric_reads_every_adjoint_as_a_dagger(n):
+    # HermitianMetric.identity marks its metric as the unit metric, whose
+    # Curvature builds no metric connection, inverse or sandwich: every part
+    # equals that of the same matrices under an unmarked metric
+    states = [random_valid_state(TorusBase(n, 8), 2, seed) for seed in (1, 2)]
+    states.append(_random_state(n, 3, 4))
+    if n == 1:  # all zeros: every sign of zero shows
+        states.append(build_scenario("flat-trivial-r2", N=8))
+    for st in states:
+        unit = HermitianMetric.identity(st.base, st.rank)
+        plain = HermitianMetric(st.base, unit.mat.copy())
+        assert unit.unit and not plain.unit
+        hs, ref = (Curvature(HiggsBundleState(st.structure, H))
+                   for H in (unit, plain))
+        for name in ("b", "phistar", "part11"):
+            assert np.array_equal(getattr(hs, name).comps,
+                                  getattr(ref, name).comps), name
+        assert np.array_equal(hs.deviation().comps, ref.deviation().comps)
+        assert "inv" not in vars(unit)
+        # einstein_deviation is a fresh Curvature's K to the byte
+        for H in (unit, plain):
+            state = HiggsBundleState(st.structure, H)
+            assert einstein_deviation(state).comps.tobytes() == \
+                Curvature(state).deviation().comps.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_validity_residuals_equal_those_of_the_assembled_forms(n):
+    # validate_structure reduces each residual slot by slot, in the term
+    # order of the form calculus: each is the sup_norm of its form to the bit
+    states = [random_valid_state(TorusBase(n, 8), 2, seed) for seed in (1, 2)]
+    states += [_random_state(n, rank, 5) for rank in (1, 3)]
+    states += [build_scenario(sc.name, N=8) for sc in scenario_catalog()
+               if sc.n == n]
+    for state in states:
+        a, phi = state.structure.a, state.structure.phi
+        rep = validate_structure(state.structure)
+        holo = sup_norm(dbar_flat(phi) + wedge(a, phi) + wedge(phi, a))
+        integ = sup_norm(dbar_flat(a) + wedge(a, a)) if n == 2 else 0.0
+        symm = sup_norm(wedge(phi, phi)) if n == 2 else 0.0
+        assert [x.hex() for x in (rep.integrability, rep.holomorphy, rep.symmetry)] \
+            == [x.hex() for x in (integ, holo, symm)]
 
 
 def _assert_contracted_deviation_is_exact(state):
