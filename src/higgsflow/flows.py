@@ -344,8 +344,9 @@ FlowTrace.COLUMNS = tuple(f.name for f in fields(FlowTrace))
 class FlowResult:
     final: HiggsBundleState
     trace: FlowTrace
-    # (t, state, norms) per sample: norms are the pointwise |del_H phi|^2,
-    # |F + [phi,phi*]|^2 and |i Lambda(F + [phi,phi*])|^2 of its Curvature
+    # (t, frame state, norms) per sample: the state's frame state
+    # (_frame_of) and the pointwise |del phi|^2, |F + [phi,phi*]|^2 and
+    # |i Lambda(F + [phi,phi*])|^2 of its Curvature, Frobenius there
     samples: list
     steps: int
     # rejected attempts by reason: breakdown, max_principle, error_estimate
@@ -481,7 +482,7 @@ def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
             raise FlowBlowup(f"non-finite sample row at t={t_now:.6g}",
                              obj, trace, t_now, "sample_row")
         trace.append(t=t_now, **row)
-        samples.append((t_now, obj, norms))
+        samples.append((t_now, frame, norms))
 
     current = start
     t = 0.0
@@ -642,10 +643,11 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     evaluation = _evaluate(state0)
     frame0 = evaluation[0]
     starts = {id(state0): state0, id(frame0): frame0}  # one for a unit metric
-    for key, start in starts.items():
-        _shared_starts[key] = (*evaluation, validate_structure(start.structure))
     flow = "donaldson"
     try:
+        for key, start in starts.items():
+            _shared_starts[key] = (*evaluation,
+                                   validate_structure(start.structure))
         res_m = run_donaldson_flow(state0, T, dt, fixed_dt=True,
                                    sample_times=samples)
         flow = "ymh"
@@ -662,10 +664,11 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     report = EquivalenceReport([], [], [], [], [], [])
     raw = []  # (phi_diff, phi_scale, a_diff, a_scale) per sample
     # both runs share one sample schedule; the compared fields are the
-    # sample norms each runner already took
-    for (tk, st, metric_fields), (_, pr, pair_fields) in zip(res_m.samples,
-                                                            res_p.samples):
-        transported = _frame_of(st)
+    # sample norms each runner already took, and the transported pair is
+    # the metric flow's sample frame state. The pair run is over the unit
+    # metric, so its sample frame states are its states
+    for (tk, transported, metric_fields), (_, pr, pair_fields) in zip(
+            res_m.samples, res_p.samples):
         report.times.append(round(tk, 9))
         for sink, mfield, pfield, floor in zip(
                 (report.res_dphi, report.res_curvature, report.res_contracted),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -213,14 +214,25 @@ class MatrixFormField:
 # -- differential operators ------------------------------------------------------
 
 
-def _periodic_diff(c: np.ndarray, axis: int, scale: float) -> np.ndarray:
-    """(c[i+1] - c[i-1]) * scale along one grid axis of an (..., r, c) array,
-    with periodic wrap; the result is grid-trailing."""
+def _periodic_diff(c: np.ndarray, axis: int, scale: float,
+                   grid_ndim: int) -> np.ndarray:
+    """(c[i+1] - c[i-1]) * scale along one grid axis of an (..., *grid, r, c)
+    array with grid_ndim grid axes, with periodic wrap; the result is
+    grid-trailing.
+
+    The interior is one subtract over the grid axes merged into one, against
+    itself offset by the axis stride: each block's grid slab then runs in
+    long rows whatever the axis. The two end planes, where the offset
+    leaves the row, are then written with the wrap. The grid axes of a
+    grid slab merge as a view; any other layout is copied."""
     out = _trailing_array(c.shape, c.dtype)
+    stride = math.prod(c.shape[axis + 1:-2])
+    flat = c.shape[:-2 - grid_ndim] + (-1,) + c.shape[-2:]
+    src, dst = c.reshape(flat), out.reshape(flat)
+    np.subtract(src[..., 2 * stride:, :, :], src[..., :-2 * stride, :, :],
+                out=dst[..., stride:-stride, :, :])
     lead = (slice(None),) * axis
-    # (out, plus, minus) along axis: the interior, then the two wrapped ends
-    for o, p, m in ((slice(1, -1), slice(2, None), slice(None, -2)),
-                    (0, 1, -1), (-1, 0, -2)):
+    for o, p, m in ((0, 1, -1), (-1, 0, -2)):
         np.subtract(c[lead + (p,)], c[lead + (m,)], out=out[lead + (o,)])
     out *= scale
     return out
@@ -236,10 +248,11 @@ def _dz_component(c: np.ndarray, base: TorusBase, j: int, bar: bool) -> np.ndarr
     value equals that of the unfused formula; only an exact zero may differ
     in sign."""
     # x_j and y_j are the grid's axes 2j and 2j + 1
-    axis = c.ndim - 2 - len(base.shape) + 2 * j
+    grid_ndim = len(base.shape)
+    axis = c.ndim - 2 - grid_ndim + 2 * j
     scale = 0.5 / (2.0 * base.spacing)
-    out = _periodic_diff(c, axis, scale)
-    dy = _periodic_diff(c, axis + 1, scale)
+    out = _periodic_diff(c, axis, scale, grid_ndim)
+    dy = _periodic_diff(c, axis + 1, scale, grid_ndim)
     if bar:
         out.real -= dy.imag
         out.imag += dy.real
@@ -257,14 +270,22 @@ def _raise_degree(f: MatrixFormField, bar: bool) -> MatrixFormField:
         name, letter = ("dbar", "q") if bar else ("d", "p")
         raise ValueError(f"{name} overflows bidegree: {letter}={deg} with n={n}")
     p, q = (f.p, f.q + 1) if bar else (f.p + 1, f.q)
-    out = MatrixFormField.zeros(f.base, p, q, f.rows, f.cols)
+    out = _trailing_array((len(_combs(n, p)), len(_combs(n, q))) + f.base.shape
+                          + (f.rows, f.cols))
     shift = -1 if bar and f.p % 2 else 1  # dzbar^j crosses p holomorphic slots
     axis = 1 if bar else 0                # the form axis whose degree rises
-    src, dst = f.comps.swapaxes(0, axis), out.comps.swapaxes(0, axis)
-    # rows of dz^j wedge dz^K: each differentiates the one component K it reads
+    src, dst = f.comps.swapaxes(0, axis), out.swapaxes(0, axis)
+    written = set()
+    # rows of dz^j wedge dz^K: each differentiates the one component K it
+    # reads. The first row to reach a component writes 0.0 +- d, for finite
+    # d the zero-filled sum 0 + (+-1) d to the bit, its exact zeros all
+    # +0.0; later rows add or subtract d in place
     for j, k, k_out, sign in _wedge_table(n, 1, deg):
-        dst[k_out] += (shift * sign) * _dz_component(src[k], f.base, j, bar)
-    return out
+        acc = dst[k_out] if k_out in written else 0.0
+        written.add(k_out)
+        (np.add if shift * sign > 0 else np.subtract)(
+            acc, _dz_component(src[k], f.base, j, bar), out=dst[k_out])
+    return MatrixFormField(f.base, p, q, out)
 
 
 def dbar_flat(f: MatrixFormField) -> MatrixFormField:

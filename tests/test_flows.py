@@ -562,12 +562,12 @@ def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch,
     # at T of each run (3 _evaluate), slot by slot, so no part11 is
     # assembled. A frame state has the unit metric, so no Chern connection
     # takes d_flat. dbar_flat: one per frame state of the metric run (its
-    # start, 2 predictors and 2 results) and of its 2 samples, which the
-    # transport compares, and one per gauge update of the pair run (4).
-    # The start and its frame state are validated once for both runs, and
-    # the pair's sample at T
+    # start, 2 predictors and 2 results), whose samples keep the frame
+    # states that the transport compares, and one per gauge update of the
+    # pair run (4). The start and its frame state are validated once for
+    # both runs, and the pair's sample at T
     assert curvatures == [9] and part11_builds == [0]
-    assert counts == {"d_flat": 0, "dbar_flat": 5 + 2 + 4,
+    assert counts == {"d_flat": 0, "dbar_flat": 5 + 4,
                       "validate_structure": 3, "_evaluate": 3}
 
 
@@ -820,3 +820,26 @@ def test_flow_equivalence_checks_its_arguments_before_evaluating(
     with pytest.raises(ValueError, match=re.escape(match)):
         flow_equivalence_check(st, T, dt, sample_times=samples)
     assert counts == {"_evaluate": 0}
+
+
+def test_a_start_that_fails_validation_leaves_no_shared_start(monkeypatch):
+    # the start and its frame state are validated in turn; when the second
+    # raises, neither may stay keyed by its id, where a later state that
+    # reuses the id would read its K, norms and validity
+    import higgsflow.flows
+    from higgsflow.scenarios import random_state_with_subbundle
+    st, _ = random_state_with_subbundle(TorusBase(1, 16), 2, 1, 3,
+                                        amplitude=0.0015)
+    assert not st.metric.unit
+    real, calls = higgsflow.flows.validate_structure, []
+
+    def second_raises(structure, *args, **kwargs):
+        calls.append(structure)
+        if len(calls) == 2:
+            raise ValueError("second start")
+        return real(structure, *args, **kwargs)
+
+    monkeypatch.setattr(higgsflow.flows, "validate_structure", second_raises)
+    with pytest.raises(ValueError, match="second start"):
+        flow_equivalence_check(st, 2e-3, 1e-3)
+    assert higgsflow.flows._shared_starts == {}

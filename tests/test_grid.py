@@ -8,9 +8,9 @@ from higgsflow import (HermitianMetric, MatrixFormField, TorusBase,
                        d_flat, dbar_flat, integrate, integrate_top_form,
                        pointwise_inner, pointwise_norm2, sup_norm, tr_field,
                        wedge)
-from higgsflow.grid import (_contract_slots, _dz_component, _endo_inner,
-                            _wedge_table)
-from higgsflow.linalg import _trailing_array
+from higgsflow.grid import (_combs, _contract_slots, _dz_component,
+                            _endo_inner, _periodic_diff, _wedge_table)
+from higgsflow.linalg import _store_axes, _trailing_array
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
 E21 = E12.T.copy()
@@ -330,6 +330,71 @@ def test_raise_degree_differentiates_only_the_components_it_reads(p, q,
         monkeypatch.undo()
         component = f.comps.swapaxes(0, axis)[0].shape
         assert shapes == [component] * len(_wedge_table(2, 1, deg))
+
+
+def _random_comps(rng, base, p, q, rows, cols):
+    shape = (len(_combs(base.n, p)), len(_combs(base.n, q))) + base.shape \
+        + (rows, cols)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return MatrixFormField(base, p, q, values).comps
+
+
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 32), (2, 8)])
+def test_periodic_diff_matches_the_roll_formula_bit_for_bit(n, N):
+    # the interior in one pass over each flattened grid slab, then the two
+    # wrapped end planes, on every grid axis of: whole fields, component
+    # views, Hom blocks, a grid-leading copy and grid axes out of order
+    # (a layout whose slab does not flatten as a view)
+    rng = np.random.default_rng(10 * n + N)
+    base = TorusBase(n, N)
+    scale = 0.5 / (2.0 * base.spacing)
+    square = _random_comps(rng, base, 1, 1, 2, 2)
+    hom = _random_comps(rng, base, 0, n, 3, 2)
+    for c in (square, square[0, -1], hom, hom[0, -1],
+              np.ascontiguousarray(square[-1]), square.swapaxes(-3, -4)):
+        for ax in range(c.ndim - 2 - 2 * n, c.ndim - 2):
+            got = _periodic_diff(c, ax, scale, 2 * n)
+            want = (np.roll(c, -1, axis=ax) - np.roll(c, 1, axis=ax)) * scale
+            assert np.ascontiguousarray(got).tobytes() == \
+                np.ascontiguousarray(want).tobytes()
+            assert got.transpose(_store_axes(got.ndim)).flags.c_contiguous
+
+
+def _zero_filled_raise(f, bar):
+    """dbar_flat (bar True) or d_flat of f as the sum into a zeroed field of
+    (shift * sign) * _dz_component over the rows of _wedge_table."""
+    deg = f.q if bar else f.p
+    p, q = (f.p, f.q + 1) if bar else (f.p + 1, f.q)
+    out = MatrixFormField.zeros(f.base, p, q, f.rows, f.cols)
+    shift = -1 if bar and f.p % 2 else 1
+    axis = 1 if bar else 0
+    src, dst = f.comps.swapaxes(0, axis), out.comps.swapaxes(0, axis)
+    for j, k, k_out, sign in _wedge_table(f.base.n, 1, deg):
+        dst[k_out] += (shift * sign) * _dz_component(src[k], f.base, j, bar)
+    return out.comps
+
+
+@pytest.mark.parametrize("p, q", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_degree_raising_equals_the_zero_filled_sum_with_its_signed_zeros(p, q):
+    # entry (0, 1) is constant, so its derivatives are exact zeros; entry
+    # (1, 0) holds +-0.0 at random, so its differences hold -0.0 as well;
+    # each output must carry the zero-filled sum's bytes and zero signs
+    rng = np.random.default_rng(7 + 2 * p + q)
+    base = TorusBase(2, 8)
+    f = MatrixFormField(base, p, q, _random_comps(rng, base, p, q, 2, 2))
+    f.comps[..., 0, 1] = 0.25 - 1.5j
+    signs = rng.choice([0.0, -0.0], size=(2,) + f.comps.shape[:-2])
+    f.comps[..., 1, 0].real, f.comps[..., 1, 0].imag = signs
+    d = _dz_component(f.comps[0, 0], base, 0, True)[..., 1, 0]
+    assert np.signbit(d.real).any() and not d.any()
+    for op, bar, deg in ((dbar_flat, True, q), (d_flat, False, p)):
+        if deg == base.n:
+            continue
+        got, want = op(f).comps, _zero_filled_raise(f, bar)
+        assert np.ascontiguousarray(got).tobytes() == \
+            np.ascontiguousarray(want).tobytes()
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
 def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):
