@@ -192,6 +192,7 @@ def cmd_run(cfg) -> int:
         summary["trace"] = result.trace.summary()
         summary["steps"] = result.steps
         summary["rejected_steps"] = result.rejected
+        summary["energy_defect"] = result.trace.energy_defect()
 
     targets_ok = True
     eps = cfg.get("target.epsilon")

@@ -267,15 +267,28 @@ class Curvature:
         dbar_flat, d_flat and wedge, taken and summed in their order, so
         every slot of f11 and of part11 equals that of the generic form
         calculus to the bit.
+
+        Under a unit metric b_i = -a_i^dag, so -dbar_i b_i = (del_i a_i)^dag,
+        and a diagonal slot takes one derivative d = del_i a_i: its first
+        two terms are d^dag + d, the same bits, signed zeros included. An
+        off-diagonal slot keeps the generic formula, so that f11 and part11
+        equal those under an unmarked metric to the bit: there slot (j, i)
+        is the dagger of slot (i, j) only up to roundoff.
         """
         if (k, i, j) not in self._kept:
             if k == 0:
+                base = self.state.base
                 a_j, b_i = self.state.structure.a.comps[0, j], self.b.comps[i, 0]
-                slot = _dz_component(b_i, self.state.base, j, True)
-                # 0 - x, not -x, as in the zero-filled sums of dbar_flat and wedge
-                np.subtract(0.0, slot, out=slot)
-                slot += _dz_component(self.state.structure.a.comps[0, j],
-                                      self.state.base, i, False)
+                if i == j and self.state.metric.unit:
+                    d = _dz_component(a_j, base, i, False)
+                    slot = dagger(d)
+                    slot += d
+                else:
+                    slot = _dz_component(b_i, base, j, True)
+                    # 0 - x, not -x, as in the zero-filled sums of dbar_flat
+                    # and wedge
+                    np.subtract(0.0, slot, out=slot)
+                    slot += _dz_component(a_j, base, i, False)
                 slot -= mm(a_j, b_i)
                 slot += mm(b_i, a_j)
             else:

@@ -384,10 +384,15 @@ def _norm2_of_slots(slots, weight: float, shape: tuple[int, ...]) -> np.ndarray:
     """pointwise_norm2, without a metric, of a form of weight 2^(p+q) on the
     grid shape, from its components in (ip, iq) order: each is reduced as
     slots yields it, with the sums of pointwise_inner in their order, so no
-    form is assembled and the result is the same to the bit."""
+    form is assembled and the result is the same to the bit. A component
+    yielded again at once (the same array) is reduced once and added
+    again."""
     acc = np.zeros(shape, np.complex128)
+    last = reduced = None
     for c in slots:
-        acc += _endo_inner(c, c, None, None)
+        if c is not last:
+            last, reduced = c, _endo_inner(c, c, None, None)
+        acc += reduced
     return np.real(weight * acc)
 
 

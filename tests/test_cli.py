@@ -98,6 +98,8 @@ def test_adaptive_run_on_conformal_scenario_is_energy_monotone(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["energy_monotone"] is True
     assert "rejected_by" not in summary
+    # at n = 1 E = ||K||^2 holds pointwise: the defect is roundoff (2.0e-16)
+    assert summary["energy_defect"] <= 1e-14
 
 
 def test_zero_grid_resolution_is_rejected(capsys):
@@ -257,6 +259,8 @@ def test_flow_equivalence_cli(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "flow_equivalence.json").read_text())
     assert payload["max_norm_residual"] <= 1e-3
+    # over both runs; at n = 1 it is roundoff (2.2e-16)
+    assert payload["energy_defect"] <= 1e-14
 
 
 @pytest.mark.parametrize("flag, value", [

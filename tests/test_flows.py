@@ -477,6 +477,18 @@ def test_trace_append_rejects_a_row_without_keeping_it():
     assert all(len(getattr(trace, col)) == 1 for col in FlowTrace.COLUMNS)
 
 
+def test_the_energy_defect_is_the_worst_sample_of_the_trace():
+    # |E - ||K||^2| / E per row, with E = ymh_energy and ||K|| = dev_l2; a row
+    # with E = ||K||^2 = 0 reads 0, and an empty trace reads 0
+    from higgsflow import FlowTrace
+    trace = FlowTrace()
+    assert trace.energy_defect() == 0.0
+    row = {col: 0.0 for col in FlowTrace.COLUMNS}
+    for t, e, k in ((0.0, 0.0, 0.0), (1.0, 4.0, 1.0), (2.0, 2.0, 1.0)):
+        trace.append(**dict(row, t=t, ymh_energy=e, dev_l2=k))
+    assert trace.energy_defect() == 0.75
+
+
 def test_non_finite_sample_row_blows_up_with_that_state(monkeypatch):
     import higgsflow.flows
     from higgsflow.flows import FlowBlowup
@@ -595,6 +607,50 @@ def test_the_runner_takes_one_root_per_run(monkeypatch):
     counts["sqrtm_hpd"] = 0
     report = flow_equivalence_check(nilpotent_state(8), 4e-3, 1e-3)
     assert len(report.times) == 5 and counts["sqrtm_hpd"] == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_unit_frame_diagonal_slot_takes_one_derivative(n, monkeypatch):
+    # in the frame b_i = -a_i^dag, so slot (i, i) of F_H reads d^dag + d with
+    # d = del_i a_i: K takes n derivatives, where the same matrices under an
+    # unmarked metric take 2n, and n more for the metric connection
+    # H^{-1} del H (d_flat of H). A sample evaluation reads only the slots
+    # (i, j) with i <= j: at n = 2, 2 derivatives for del phi and 1 + 2 + 1
+    # for the slots (0, 0), (0, 1) and (1, 1); slot (1, 0) is never built
+    import higgsflow.flows
+    from higgsflow.grid import _dz_component
+    from higgsflow.scenarios import random_valid_state
+    st = higgsflow.flows._frame_of(random_valid_state(TorusBase(n, 8), 2, 1))
+    plain = HiggsBundleState(st.structure,
+                             HermitianMetric(st.base, st.metric.mat.copy()))
+    counts = _count_calls(monkeypatch, _dz_component)
+    Curvature(st).deviation()
+    assert counts == {"_dz_component": n}
+    counts["_dz_component"] = 0
+    Curvature(plain).deviation()
+    assert counts == {"_dz_component": 3 * n}
+    counts["_dz_component"] = 0
+    higgsflow.flows._evaluate(st)
+    assert counts == {"_dz_component": {1: 1, 2: 6}[n]}
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_unit_frame_slots_come_in_dagger_pairs(rank, seed):
+    # under the unit metric slot (1, 0) of F_H and of the bracket is the
+    # dagger of slot (0, 1) up to roundoff, so the n = 2 sample norm reads
+    # |S01|^2 twice and equals the norm of the assembled part11
+    from higgsflow.flows import _evaluate, _frame_of
+    from higgsflow.grid import pointwise_norm2
+    from higgsflow.scenarios import random_valid_state
+    st = _frame_of(random_valid_state(TorusBase(2, 8), rank, seed))
+    hs = Curvature(st)
+    for part in (hs.f11, hs.bracket):
+        upper, lower = part.comps[0, 1], part.comps[1, 0]
+        assert np.abs(lower - dagger(upper)).max() <= \
+            1e-15 * np.abs(upper).max()
+    curv2, ref = _evaluate(st)[2][1], pointwise_norm2(hs.part11)
+    assert np.abs(curv2 - ref).max() <= 1e-14 * ref.max()
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -325,11 +325,15 @@ def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
 def test_a_unit_metric_reads_every_adjoint_as_a_dagger(n):
     # HermitianMetric.identity marks its metric as the unit metric, whose
     # Curvature builds no metric connection, inverse or sandwich: every part
-    # equals that of the same matrices under an unmarked metric
-    states = [random_valid_state(TorusBase(n, 8), 2, seed) for seed in (1, 2)]
+    # equals that of the same matrices under an unmarked metric. Its
+    # diagonal slots of F_H take one derivative, d^dag + d with d = del_i a_i,
+    # and K keeps every bit, signs of zeros included (flat-trivial-r2 is
+    # all zeros)
+    states = [random_valid_state(TorusBase(n, 8), rank, seed)
+              for rank in (1, 2, 3) for seed in (1, 2)]
     states.append(_random_state(n, 3, 4))
-    if n == 1:  # all zeros: every sign of zero shows
-        states.append(build_scenario("flat-trivial-r2", N=8))
+    states += [build_scenario(sc.name, N=8) for sc in scenario_catalog()
+               if sc.n == n]
     for st in states:
         unit = HermitianMetric.identity(st.base, st.rank)
         plain = HermitianMetric(st.base, unit.mat.copy())
@@ -339,7 +343,7 @@ def test_a_unit_metric_reads_every_adjoint_as_a_dagger(n):
         for name in ("b", "phistar", "part11"):
             assert np.array_equal(getattr(hs, name).comps,
                                   getattr(ref, name).comps), name
-        assert np.array_equal(hs.deviation().comps, ref.deviation().comps)
+        assert hs.deviation().comps.tobytes() == ref.deviation().comps.tobytes()
         assert "inv" not in vars(unit)
         # einstein_deviation is a fresh Curvature's K to the byte
         for H in (unit, plain):
