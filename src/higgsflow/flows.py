@@ -20,9 +20,9 @@ explicitly. The metric flow sets H' = L^dag e^s L, positive by
 construction, with the frame L' = e^{s/2} L: a run takes one matrix root,
 at its start (W0 = H0^{1/2}), and its frames are L_k = W0 G_k, those of
 the complex gauge G_k that carries H0 to H_k (Simpson, J. AMS 1, 1988).
-The pair flow applies the gauge L^{-1} e^{s/2} L, e^{s/2} under the unit
-metric, whose transported metric is the same L^dag e^s L. Neither step
-has an h^2 stability bound.
+The pair flow over H0 is that over the unit metric in an H0-unitary frame
+(ibid., section 6): a pair run gauges its start into its frame state once,
+then applies the gauge e^{s/2}. Neither step has an h^2 stability bound.
 """
 
 from __future__ import annotations
@@ -190,23 +190,12 @@ def _metric_update(state: HiggsBundleState, x: np.ndarray) -> HiggsBundleState:
 
 
 def _gauge_update(state: HiggsBundleState, x: np.ndarray) -> HiggsBundleState:
-    """The pair gauged by g = L^{-1} e^{x/2} L over the frozen metric H, where
-    L is H's frame (L^dag L = H); the gauged state keeps H and so its frame.
-    Under a unit metric, g = e^{x/2}.
-
-    g^{*H} g = H^{-1} L^dag e^x L, so the gauged pair is the metric flow's
-    state at L^dag e^x L transported by g, and its deviation g K g^{-1}
-    reads in the frame L as the metric flow's reads in the frame e^{x/2} L.
-
-    To first order in dt the step's gauge is exp(-dt K), which reproduces
-    the gradient-flow equations: the Higgs field moves by -[K, phi] dt and
-    the (0,1) connection part by dbar_A(K) dt. The update stays exactly in
-    the complex gauge orbit of the pair, and the metric stays frozen.
-    """
-    if state.metric.unit:
-        return complex_gauge_apply(expm_batched(0.5 * x), state)
-    L, L_inv = state.metric.frame
-    return complex_gauge_apply(mm(mm(L_inv, expm_batched(0.5 * x)), L), state)
+    """The pair gauged by g = e^{x/2} over the unit metric it keeps: the
+    metric flow's state at e^x transported by g (g^dag g = e^x). To first
+    order in dt the gauge is exp(-dt K), so the Higgs field moves by
+    -[K, phi] dt and the (0,1) connection part by dbar_A(K) dt, exactly
+    within the complex gauge orbit of the pair."""
+    return complex_gauge_apply(expm_batched(0.5 * x), state)
 
 
 def _etd_error(correction: np.ndarray) -> float:
@@ -391,11 +380,10 @@ class FlowBlowup(RuntimeError):
         self.reason = reason
 
 
-def _sample_schedule(T: float, extra=None) -> list[float]:
-    """Geometric schedule 0, t0, 2 t0, ... plus user samples and T.
-
-    Raises ValueError for a user sample outside [0, T] or NaN.
-    """
+def _sample_schedule(T: float, dt: float, extra=None) -> list[float]:
+    """Geometric schedule 0, t0, 2 t0, ... plus user samples and T, after
+    check_flow_times; a user sample outside [0, T] or NaN raises ValueError."""
+    check_flow_times(T, dt)
     pts = {0.0, float(T)}
     t = 0.0625
     while t < T:
@@ -478,10 +466,8 @@ def _pi_factor(err: float, err_prev: float) -> float:
     return min(max(ratio, 0.2), 2.0)
 
 
-def _run_flow(start: HiggsBundleState, T, dt, update, *, fixed_dt,
-              sample_times):
-    check_flow_times(T, dt)
-    schedule = _sample_schedule(T, sample_times)
+def _run_flow(start: HiggsBundleState, schedule, dt, update, *, fixed_dt):
+    T = schedule[-1]
     # every accepted state is evaluated once: its K~ drives the next step
     # and, at a sample time, its row reuses K~ and the norms
     frame, K_current, norms, validity0 = _shared_starts.get(id(start)) or \
@@ -586,21 +572,25 @@ def run_donaldson_flow(state: HiggsBundleState, T: float, dt: float, *,
     rises (the maximum principle), and the next step follows a PI
     controller (see the module constants).
     """
-    return _run_flow(state, T, dt, _metric_update, fixed_dt=fixed_dt,
-                     sample_times=sample_times)
+    return _run_flow(state, _sample_schedule(T, dt, sample_times), dt,
+                     _metric_update, fixed_dt=fixed_dt)
 
 
 def run_ymh_flow(state: HiggsBundleState, T: float, dt: float, *,
                  fixed_dt: bool = False, sample_times=None) -> FlowResult:
-    """Integrate the pair flow to time T over the frozen metric of the state,
-    by ETDRK2 steps (_etd2 with _gauge_update) under the controller of
-    run_donaldson_flow.
+    """Integrate the pair flow over the state's metric H0 to time T by
+    ETDRK2 steps (_etd2 with _gauge_update) under the controller of
+    run_donaldson_flow. Once its arguments are checked, the run gauges its
+    start into its frame state (_frame_of) and steps that pair over the
+    unit metric, the same flow in an H0-unitary frame: the final state, the
+    samples and a FlowBlowup's state are frame states.
 
     Validity residuals of the evolved pair are recorded at every sample and
     never re-projected: constraint drift is evidence, not noise to hide.
     """
-    return _run_flow(state, T, dt, _gauge_update, fixed_dt=fixed_dt,
-                     sample_times=sample_times)
+    schedule = _sample_schedule(T, dt, sample_times)
+    return _run_flow(_frame_of(state), schedule, dt, _gauge_update,
+                     fixed_dt=fixed_dt)
 
 
 # -- the two-flow correspondence ---------------------------------------------------
@@ -656,8 +646,7 @@ def flow_equivalence_check(state0: HiggsBundleState, T: float, dt: float, *,
     samples = sample_times if sample_times is not None else \
         [k * T / 4.0 for k in range(1, 5)]
     # checked before the shared start is evaluated; the runners repeat it
-    check_flow_times(T, dt)
-    _sample_schedule(T, samples)
+    _sample_schedule(T, dt, samples)
     evaluation = _evaluate(state0)
     frame0 = evaluation[0]
     starts = {id(state0): state0, id(frame0): frame0}  # one for a unit metric

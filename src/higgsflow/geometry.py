@@ -37,8 +37,8 @@ class HermitianMetric:
 
     frame is (L, L^{-1}) with L^dag L = H, built on first read and kept: L
     is the factor of a metric built as L^dag L (from_frame), else the
-    Hermitian root H^{1/2}. The flows step in it, so a metric flow takes
-    one root per run, at its start.
+    Hermitian root H^{1/2}. The flows step in it: a metric flow takes one
+    root per run, at its start, and a pair flow gauges its start by it once.
 
     unit is True for the metric made by identity(): its Curvature takes
     every metric adjoint as a dagger.

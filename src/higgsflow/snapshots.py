@@ -8,11 +8,11 @@ Layout (all integers little-endian):
                  u32 component count | components as row-major
                  little-endian complex double arrays
 
-The Hermitian metric is stored as the (0,0) section named "H"; reloading
-validates positive definiteness. A file that is truncated, has trailing
-bytes, declares a body larger than what follows its header, or holds a
-non-finite value is rejected with ValueError; so is a state snapshot with
-a section other than a, phi and H, or with one of them twice.
+The Hermitian metric is stored as the (0,0) section named "H". A file that
+is truncated, has trailing bytes, declares a body larger than what follows
+its header, or holds a non-finite value is rejected with ValueError; so is
+a state snapshot with a section other than a, phi and H, with one of them
+twice, or with a metric that is not Hermitian or not positive definite.
 """
 
 from __future__ import annotations
@@ -123,5 +123,8 @@ def load_state(path) -> HiggsBundleState:
     if (H_field.p, H_field.q) != (0, 0):
         raise ValueError(f"metric section has bidegree ({H_field.p},{H_field.q}), "
                          f"not (0,0)")
+    H = H_field.comps[0, 0]
+    if np.abs(H - H.conj().swapaxes(-1, -2)).max() > 1e-12 * np.abs(H).max():
+        raise ValueError("metric section is not Hermitian")
     return HiggsBundleState(HiggsStructure(sections["a"], sections["phi"]),
-                            HermitianMetric(H_field.base, H_field.comps[0, 0]))
+                            HermitianMetric(H_field.base, H))

@@ -259,8 +259,7 @@ def test_criterion_9_ymh_monitors():
         N = 16 if sc.n == 1 else 8
         T = 0.3 if sc.n == 1 else 0.05
         st = build_scenario(sc.name, N=N)
-        pair = st
-        res = run_ymh_flow(pair, T, dt, fixed_dt=True)
+        res = run_ymh_flow(st, T, dt, fixed_dt=True)
         runs.append((sc.name, res))
 
     for name, res in runs:

@@ -586,9 +586,10 @@ def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch,
 def test_the_runner_takes_one_root_per_run(monkeypatch):
     # a metric keeps its frame, and the metric flow carries it, L' = e^{s/2} L:
     # one root per run, of its start, whatever its steps and rejections.
-    # A pair run over the unit metric gauges by e^{x/2} and takes no root;
-    # over any other metric it roots its frozen metric once. Each run
-    # starts from a fresh state, whose metric has no frame yet
+    # A pair run steps over the unit metric by e^{x/2} and takes no root of
+    # its own; from any other metric it roots that metric once, to gauge its
+    # start into its frame state. Each run starts from a fresh state, whose
+    # metric has no frame yet
     import higgsflow.flows
     monkeypatch.setattr(higgsflow.flows, "TOL", 1e-3)
     counts = _count_calls(monkeypatch, sqrtm_hpd)
@@ -607,6 +608,56 @@ def test_the_runner_takes_one_root_per_run(monkeypatch):
     counts["sqrtm_hpd"] = 0
     report = flow_equivalence_check(nilpotent_state(8), 4e-3, 1e-3)
     assert len(report.times) == 5 and counts["sqrtm_hpd"] == 1
+
+
+def _n2_random_state(N):
+    from higgsflow.scenarios import random_valid_state
+    return random_valid_state(TorusBase(2, N), 2, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_scenario("t4-commuting", N=8), lambda: _n2_random_state(8)],
+    ids=["t4-commuting", "random-n2"])
+def test_a_pair_run_steps_its_start_in_its_frame_state(make, tmp_path):
+    # over a non-unit metric the run gauges its start into its frame state
+    # and steps that pair over the unit metric: started there, it writes the
+    # same trace and the same final state, to the bit
+    from higgsflow.flows import _frame_of
+    st = make()
+    assert not st.metric.unit
+    runs = [run_ymh_flow(start, 0.05, 1e-3) for start in (st, _frame_of(st))]
+    traces = []
+    for k, res in enumerate(runs):
+        res.trace.write_csv(tmp_path / f"{k}.csv")
+        traces.append((tmp_path / f"{k}.csv").read_bytes())
+        assert res.final.metric.unit
+    assert traces[0] == traces[1]
+    for x, y in zip(*((r.final.structure.a.comps, r.final.structure.phi.comps,
+                       r.final.metric.mat) for r in runs)):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("name", ["conformal-r1", "t4-commuting"])
+def test_a_fixed_pair_run_gauges_once_per_update(name, monkeypatch):
+    # a k-step run over a non-unit metric gauges its start into its frame
+    # state once, then each step gauges its predictor and its result once:
+    # 2k + 1 dbar_flat calls. Its states are unit-metric frame states, so
+    # no evaluation gauges again
+    from higgsflow.grid import dbar_flat
+    st = build_scenario(name, N=8)
+    assert not st.metric.unit
+    counts = _count_calls(monkeypatch, dbar_flat)
+    res = run_ymh_flow(st, 3e-3, 1e-3, fixed_dt=True)
+    assert res.steps == 3 and counts == {"dbar_flat": 2 * 3 + 1}
+
+
+def test_the_n2_pair_flow_keeps_the_energy_identity():
+    # E = ||K||^2 for every valid state (c1 = c2 = 0); the pair flow drifts
+    # off validity at O(h^2) per step, and stepped in its frame it keeps
+    # the defect at 0.104 to T = 1 at N = 8
+    res = run_ymh_flow(_n2_random_state(8), 1.0, 1e-3)
+    assert res.trace.t[-1] == pytest.approx(1.0)
+    assert res.trace.energy_defect() <= 0.15
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -670,10 +721,10 @@ def test_a_sample_row_inverts_its_metric_once(n, monkeypatch):
 
 
 def test_the_pair_flow_inverts_its_frozen_frame_once(monkeypatch):
-    # a frozen metric other than the unit one inverts its frame once per
-    # run, and every attempt reads it; the unit metric inverts nothing.
-    # What is left are the two inverses of complex_gauge_apply per attempt
-    # (predictor and result)
+    # a start over a metric other than the unit one inverts its frame once
+    # per run, when the run gauges it into its frame state; the unit metric
+    # inverts nothing. What is left are the two inverses of
+    # complex_gauge_apply per attempt (predictor and result)
     import higgsflow.flows
     import higgsflow.geometry
     calls = {"flows": 0, "geometry": 0}
@@ -860,7 +911,7 @@ def test_the_step_cap_ends_no_run_short(monkeypatch, run, fixed):
             assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("T, dt, samples, match", [
+BAD_TIMES = pytest.mark.parametrize("T, dt, samples, match", [
     (float("nan"), 1e-3, None, "flow time T must be finite"),
     (-1.0, 1e-3, None, "flow time T must be finite"),
     (0.01, 0.0, None, "step dt must be finite"),
@@ -868,6 +919,9 @@ def test_the_step_cap_ends_no_run_short(monkeypatch, run, fixed):
     (0.01, 1e-3, [0.02], "sample time 0.02 "),
     (0.01, 1e-3, [float("nan")], "sample time nan "),
 ])
+
+
+@BAD_TIMES
 def test_flow_equivalence_checks_its_arguments_before_evaluating(
         monkeypatch, T, dt, samples, match):
     import higgsflow.flows
@@ -876,6 +930,18 @@ def test_flow_equivalence_checks_its_arguments_before_evaluating(
     with pytest.raises(ValueError, match=re.escape(match)):
         flow_equivalence_check(st, T, dt, sample_times=samples)
     assert counts == {"_evaluate": 0}
+
+
+@BAD_TIMES
+def test_a_pair_run_checks_its_arguments_before_its_frame_gauge(
+        monkeypatch, T, dt, samples, match):
+    import higgsflow.flows
+    st = build_scenario("conformal-r1", N=8)
+    assert not st.metric.unit
+    counts = _count_calls(monkeypatch, higgsflow.flows._frame_of)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        run_ymh_flow(st, T, dt, sample_times=samples)
+    assert counts == {"_frame_of": 0}
 
 
 def test_a_start_that_fails_validation_leaves_no_shared_start(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies
 
 from higgsflow import (HiggsBundleState, HiggsStructure, MatrixFormField,
                        TorusBase, build_scenario, load_state, save_state)
+from higgsflow.linalg import dagger
 from higgsflow.scenarios import random_state_with_subbundle, random_valid_state
 from higgsflow.snapshots import _read_sections, _write_sections
 
@@ -180,11 +181,17 @@ def test_inconsistent_sections_rejected(tmp_path):
     st = build_scenario("nilpotent-r2", N=16)
     coarse = build_scenario("nilpotent-r2", N=8)
     rank3 = random_valid_state(TorusBase(1, 16), 3, seed=1)
+    # positive in its Hermitian part, which is all that positivity reads
+    skew = st.metric.as_field().comps.copy()
+    skew[..., 0, 1] = 0.5
+    skew = MatrixFormField(st.base, 0, 0, skew)
     path = tmp_path / "state.snap"
     for sections in ([("a", st.structure.a), ("phi", coarse.structure.phi),
                       ("H", st.metric.as_field())],
                      [("a", st.structure.a), ("phi", st.structure.phi),
-                      ("H", rank3.metric.as_field())]):
+                      ("H", rank3.metric.as_field())],
+                     [("a", st.structure.a), ("phi", st.structure.phi),
+                      ("H", skew)]):
         _write_sections(path, sections)
         with pytest.raises(ValueError):
             load_state(path)
@@ -237,3 +244,5 @@ def test_corrupt_snapshots_fail_with_value_error(tmp_path_factory, rank, flips, 
     for arr in (state.metric.mat, state.structure.a.comps,
                 state.structure.phi.comps):
         assert np.isfinite(arr).all()
+    H = state.metric.mat
+    assert np.abs(H - dagger(H)).max() <= 1e-12 * np.abs(H).max()
