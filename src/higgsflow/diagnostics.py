@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Curvature, HiggsBundleState
-from .grid import (integrate, integrate_top_form, pointwise_norm2, tr_field,
-                   wedge)
+from .grid import (_sup, integrate, integrate_top_form, pointwise_norm2,
+                   tr_field, wedge)
 
 __all__ = [
     "ChernWeilReport", "chern_weil_report",
@@ -84,7 +84,10 @@ class TopologicalIntegrals:
 def topological_integrals(state: HiggsBundleState) -> TopologicalIntegrals:
     """Chern-Weil integrands of the Chern curvature; ch2 entries are 0 for
     n=1. No Higgs part of the curvature is built."""
-    curv = Curvature(state)
+    return _topology(Curvature(state))
+
+
+def _topology(curv: Curvature) -> TopologicalIntegrals:
     return TopologicalIntegrals(curv.degree, *_char_class_integrals(curv))
 
 
@@ -112,12 +115,16 @@ class FlatnessCertificate:
 def flatness_certificate(state: HiggsBundleState,
                          eps_target: float) -> FlatnessCertificate:
     """Per-part sup norms of the Hitchin-Simpson curvature and the verdict."""
-    H = state.metric
-    norm2 = {key: pointwise_norm2(f, H)
-             for key, f in Curvature(state).parts.items()}
+    return _certificate(Curvature(state), eps_target)
+
+
+def _certificate(curv: Curvature, eps_target: float) -> FlatnessCertificate:
+    state = curv.state
+    norm2 = {key: pointwise_norm2(f, state.metric)
+             for key, f in curv.parts.items()}
     # distinct degrees are orthogonal, so the total sums the parts in order
     norm2["total"] = sum(norm2.values())
-    sups = {key: float(np.sqrt(max(n2.max(), 0.0))) for key, n2 in norm2.items()}
+    sups = {key: _sup(n2) for key, n2 in norm2.items()}
     return FlatnessCertificate(
         eps_achieved=sups["total"],
         sup_curvature_part=sups[(1, 1)],

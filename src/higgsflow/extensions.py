@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .diagnostics import (FlatnessCertificate, TopologicalIntegrals,
-                          flatness_certificate, topological_integrals)
+                          _certificate, _topology, topological_integrals)
 from .flows import FlowBlowup, run_donaldson_flow
 from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
                        HiggsStructure, adjoint_field)
@@ -173,24 +173,34 @@ def _dbar_of_frame(a: MatrixFormField, U: np.ndarray) -> MatrixFormField:
     return dbar_flat(Uf) + wedge(a, Uf)
 
 
+def _restricted(state: HiggsBundleState, U: np.ndarray,
+                dbar_U: MatrixFormField) -> HiggsBundleState:
+    """The state restricted to the span of an H-orthonormal frame U, in that
+    frame: (U^{+H} dbar_U, U^{+H} phi U) over the unit metric, where dbar_U
+    is dbar_E U (_dbar_of_frame)."""
+    H = state.metric
+    structure = HiggsStructure(_block(H, U, dbar_U),
+                               _block(H, U, state.structure.phi, U))
+    return HiggsBundleState(structure,
+                            HermitianMetric.identity(state.base, U.shape[-1]))
+
+
 @dataclass(eq=False)
 class ExtensionData:
     """H-orthogonal block data of an extension 0 -> S -> E -> Q -> 0.
 
     In the H-orthonormal frames the induced metrics are the identity, so
     block norms are plain and the adjoints of gamma and zeta are conjugate
-    transposes (until a scaled metric reweights them). The factors'
-    curvatures and the Hom adjoints are built on first use and then shared.
+    transposes (until a scaled metric reweights them). factors holds the
+    curvatures of S and Q, restricted to their frames (_restricted); their
+    parts and the Hom adjoints are built on first use and then shared.
     """
 
     frame_s: np.ndarray
     frame_q: np.ndarray
-    a_s: MatrixFormField
-    a_q: MatrixFormField
     gamma: MatrixFormField      # (0,1), Hom(Q,S): second fundamental form
     zeta: MatrixFormField       # (1,0), Hom(Q,S)
-    phi_s: MatrixFormField
-    phi_q: MatrixFormField
+    factors: tuple[Curvature, Curvature]
     subbundle: SubbundleReport  # the gate, with the lower-left residuals
 
     @property
@@ -200,14 +210,6 @@ class ExtensionData:
     @property
     def rank_q(self) -> int:
         return self.frame_q.shape[-1]
-
-    @cached_property
-    def factors(self) -> tuple[Curvature, Curvature]:
-        """The curvatures of S and Q under their induced metrics, the
-        identity in their frames."""
-        return tuple(Curvature(HiggsBundleState(
-            HiggsStructure(a, phi), HermitianMetric.identity(a.base, a.rows)))
-            for a, phi in ((self.a_s, self.phi_s), (self.a_q, self.phi_q)))
 
     @cached_property
     def hom_adjoints(self) -> tuple[MatrixFormField, MatrixFormField]:
@@ -230,18 +232,13 @@ def split_extension(state: HiggsBundleState, sub: HiggsSubbundle) -> ExtensionDa
     report = subbundle_report(state, sub)
     if not report.valid:
         raise ValueError(f"sub-bundle violates its invariants: {asdict(report)}")
-    a, phi, H = state.structure.a, state.structure.phi, state.metric
+    a, H = state.structure.a, state.metric
     U_s, U_q = _quotient_frames(H, [sub])
-
-    dbar_Us, dbar_Uq = _dbar_of_frame(a, U_s), _dbar_of_frame(a, U_q)
-    a_s = _block(H, U_s, dbar_Us)
-    a_q = _block(H, U_q, dbar_Uq)
-    gamma = _block(H, U_s, dbar_Uq)
-
-    phi_s = _block(H, U_s, phi, U_s)
-    phi_q = _block(H, U_q, phi, U_q)
-    zeta = _block(H, U_s, phi, U_q)
-    return ExtensionData(U_s, U_q, a_s, a_q, gamma, zeta, phi_s, phi_q, report)
+    dbar_Uq = _dbar_of_frame(a, U_q)
+    gamma, zeta = _block(H, U_s, dbar_Uq), _block(H, U_s, state.structure.phi, U_q)
+    factors = (Curvature(_restricted(state, U_s, _dbar_of_frame(a, U_s))),
+               Curvature(_restricted(state, U_q, dbar_Uq)))
+    return ExtensionData(U_s, U_q, gamma, zeta, factors, report)
 
 
 def _hom_d(flat, x: MatrixFormField, left: MatrixFormField,
@@ -315,8 +312,10 @@ def _extension_parts(ext: ExtensionData) -> tuple[dict, ...]:
     frames orthonormal for it, the curvature is A + rho^2 B + rho C.
     """
     s, q = ext.rank_s, ext.rank_q
-    n = ext.a_s.base.n
+    n = ext.gamma.base.n
     f_s, f_q = ext.factors
+    (a_s, phi_s), (a_q, phi_q) = ((f.state.structure.a, f.state.structure.phi)
+                                  for f in ext.factors)
     a_part = _blockdiag(f_s.parts, f_q.parts, s, q)
 
     gamma_st, zeta_st = ext.hom_adjoints
@@ -328,9 +327,8 @@ def _extension_parts(ext: ExtensionData) -> tuple[dict, ...]:
     # derivative terms whose raised degree has no slot vanish identically
     top_c = _collect([_hom_d(d_flat, f, f_s.b, f_q.b) for f in gpz if f.p + 1 <= n]
                      + _wedges(gpz, [f_q.phistar]) + _wedges([f_s.phistar], gpz))
-    bot_c = _collect([_hom_d(dbar_flat, f, ext.a_q, ext.a_s)
-                      for f in zmg_st if f.q + 1 <= n]
-                     + _wedges(zmg_st, [ext.phi_s]) + _wedges([ext.phi_q], zmg_st))
+    bot_c = _collect([_hom_d(dbar_flat, f, a_q, a_s) for f in zmg_st if f.q + 1 <= n]
+                     + _wedges(zmg_st, [phi_s]) + _wedges([phi_q], zmg_st))
     c_part = _collect([_blockify(None, f, None, None, s, q) for f in top_c.values()]
                       + [_blockify(None, None, f, None, s, q) for f in bot_c.values()])
     return a_part, b_part, c_part
@@ -516,8 +514,7 @@ def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
     initial certificate misses the target, and certified. Topological
     additivity across the filtration is reported alongside.
     """
-    a, phi, H = state.structure.a, state.structure.phi, state.metric
-    base, r = state.base, state.rank
+    a, H, r = state.structure.a, state.metric, state.rank
     ranks = [sub.rank for sub in subs]
     if ranks != sorted(ranks) or len(set(ranks)) != len(ranks) or \
             (ranks and ranks[-1] >= r):
@@ -548,26 +545,23 @@ def verify_filtration(state: HiggsBundleState, subs: list[HiggsSubbundle],
     levels = []
     sums = {"c1": 0.0, "ch2": 0.0}
     for k, U in enumerate(_quotient_frames(H, subs)):
-        quot_rank = U.shape[-1]
-        a_q = _block(H, U, _dbar_of_frame(a, U))
-        phi_q = _block(H, U, phi, U)
-        qstate = HiggsBundleState(HiggsStructure(a_q, phi_q),
-                                  HermitianMetric.identity(base, quot_rank))
-        cert = flatness_certificate(qstate, eps_target)
+        # one Curvature per quotient state serves its certificate and topology
+        curv = Curvature(_restricted(state, U, _dbar_of_frame(a, U)))
+        cert = _certificate(curv, eps_target)
         flowed = 0.0
         if not cert.passed and flow_time > 0.0:
             try:
-                res = run_donaldson_flow(qstate, flow_time, flow_dt)
+                res = run_donaldson_flow(curv.state, flow_time, flow_dt)
             except FlowBlowup as exc:
                 exc.level = k
                 raise
-            qstate = res.final
-            cert = flatness_certificate(qstate, eps_target)
+            curv = Curvature(res.final)
+            cert = _certificate(curv, eps_target)
             flowed = flow_time
-        topo = topological_integrals(qstate)
+        topo = _topology(curv)
         sums["c1"] += topo.c1_omega
         sums["ch2"] += topo.ch2
-        levels.append(FiltrationLevel(k, quot_rank, cert, flowed,
+        levels.append(FiltrationLevel(k, U.shape[-1], cert, flowed,
                                       nesting[k], reports[k], topo))
 
     ambient_topo = topological_integrals(state)

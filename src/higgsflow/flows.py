@@ -36,8 +36,8 @@ import numpy as np
 
 from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
                        HiggsStructure, validate_structure)
-from .grid import (MatrixFormField, TorusBase, _norm2_of_slots, dbar_flat,
-                   integrate, pointwise_norm2, sup_norm)
+from .grid import (MatrixFormField, TorusBase, _norm2_of_slots, _sup,
+                   dbar_flat, integrate, pointwise_norm2, sup_norm)
 from .linalg import (_store_axes, _view_axes, expm_batched, hermitize, inv, mm)
 
 __all__ = [
@@ -148,14 +148,6 @@ def _field(xh: np.ndarray, r: int) -> np.ndarray:
     return store.transpose(_view_axes(store.ndim))
 
 
-@functools.cache
-def _unit_metric(base: TorusBase, rank: int) -> HermitianMetric:
-    """HermitianMetric.identity(base, rank), made once and read only."""
-    metric = HermitianMetric.identity(base, rank)
-    metric.mat.flags.writeable = False
-    return metric
-
-
 def _gauged(state: HiggsBundleState, g: np.ndarray, g_inv: np.ndarray,
             metric: HermitianMetric) -> HiggsBundleState:
     """(g a g^{-1} - (dbar g) g^{-1}, g phi g^{-1}) over metric, for a complex
@@ -172,7 +164,8 @@ def _frame_of(state: HiggsBundleState) -> HiggsBundleState:
     (to O(h^2) on the grid). A unit-metric state is its own frame state."""
     if state.metric.unit:
         return state
-    return _gauged(state, *state.metric.frame, _unit_metric(state.base, state.rank))
+    return _gauged(state, *state.metric.frame,
+                   HermitianMetric.identity(state.base, state.rank))
 
 
 def _deviation(state: HiggsBundleState) -> MatrixFormField:
@@ -444,7 +437,7 @@ def _metric_trace_row(state: HiggsBundleState, dt: float, validity, norms,
     return dict(
         ymh_energy=integrate(e, state.base),
         dev_l2=math.sqrt(max(integrate(dev2, state.base), 0.0)),
-        dev_sup=math.sqrt(max(dev2.max(), 0.0)),
+        dev_sup=_sup(dev2),
         e_sup=float(e.max()),
         phi_sup=float(phi2.max()),
         dt=dt,
@@ -509,13 +502,10 @@ def _run_flow(start: HiggsBundleState, schedule, dt, update, *, fixed_dt):
         dt_free = dt_prop
         if adaptive and dev_prev > 0:
             dt_free = min(dt_free, SAFETY / dev_prev)
-        dt_step = min(dt_free, T - t)
-        # land exactly on the next sample time
-        if next_idx < len(schedule):
-            dt_step = min(dt_step, schedule[next_idx] - t)
-        dt_step = max(dt_step, 1e-15)
+        # land exactly on the next sample time; the schedule ends at T
+        dt_step = max(min(dt_free, schedule[next_idx] - t), 1e-15)
         t_next = t + dt_step
-        due = next_idx < len(schedule) and t_next >= schedule[next_idx] - 1e-12
+        due = t_next >= schedule[next_idx] - 1e-12
 
         candidate, err, reason = _etd2(current, dt_step, K_current, update, tol)
         if reason is None:
@@ -524,7 +514,7 @@ def _run_flow(start: HiggsBundleState, schedule, dt, update, *, fixed_dt):
             if adaptive:
                 # |K~|^2 of the candidate, held by a sample's norms
                 dev2 = norms[2] if due else pointwise_norm2(K_next)
-                dev_new = math.sqrt(max(dev2.max(), 0.0))
+                dev_new = _sup(dev2)
                 if dev_new > dev_prev * (1.0 + MP_RTOL) + MP_ATOL:
                     reason = "max_principle"
         if reason is not None:

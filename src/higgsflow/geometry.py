@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -37,11 +37,11 @@ class HermitianMetric:
 
     frame is (L, L^{-1}) with L^dag L = H, built on first read and kept: L
     is the factor of a metric built as L^dag L (from_frame), else the
-    Hermitian root H^{1/2}. The flows step in it: a metric flow takes one
-    root per run, at its start, and a pair flow gauges its start by it once.
+    Hermitian root H^{1/2}. The flows step in it: a metric flow roots its
+    start (never the unit metric), and a pair flow gauges its start by it.
 
-    unit is True for the metric made by identity(): its Curvature takes
-    every metric adjoint as a dagger.
+    unit is True for the one metric that identity() makes per grid and
+    rank: its Curvature takes every metric adjoint as a dagger.
     """
 
     base: TorusBase
@@ -67,10 +67,16 @@ class HermitianMetric:
         raise ValueError(f"metric not positive definite: {reason}")
 
     @classmethod
+    @cache
     def identity(cls, base: TorusBase, rank: int) -> "HermitianMetric":
+        """The unit metric of the grid and rank, made once and shared. Its
+        mat is read-only, so the unit marker cannot go stale, and it is its
+        own inverse and its own frame: no inverse or root of I is taken."""
         metric = cls(base, np.broadcast_to(np.eye(rank, dtype=np.complex128),
                                            base.shape + (rank, rank)))
+        metric.mat.flags.writeable = False
         metric.unit = True
+        metric.inv, metric.frame = metric.mat, (metric.mat, metric.mat)
         return metric
 
     @classmethod
@@ -96,7 +102,7 @@ class HermitianMetric:
         return inv(self.mat)
 
     def as_field(self) -> MatrixFormField:
-        """H as a (0,0) form: a view of mat, for reading only."""
+        """H as a (0,0) form, for reading only: a view of a writable mat."""
         return MatrixFormField(self.base, 0, 0, self.mat[None, None])
 
 
@@ -338,18 +344,10 @@ class Curvature:
 
     @cached_property
     def del_phi(self) -> MatrixFormField | None:
-        """del_H phi = d_flat(phi) + b^phi + phi^b, built as its one
-        component at n = 2 with the terms of d_flat and wedge in their
-        order."""
         if self.state.base.n < 2:
             return None
-        base, b = self.state.base, self.b.comps[:, 0]
-        phi = self.state.structure.phi.comps[:, 0]
-        d_phi = (0.0 + _dz_component(phi[1], base, 0, False)) - \
-            _dz_component(phi[0], base, 1, False)
-        slot = (d_phi + ((0.0 + mm(b[0], phi[1])) - mm(b[1], phi[0]))) + \
-            ((0.0 + mm(phi[0], b[1])) - mm(phi[1], b[0]))
-        return MatrixFormField(base, 2, 0, slot[None, None])
+        b, phi = self.b, self.state.structure.phi
+        return d_flat(phi) + wedge(b, phi) + wedge(phi, b)
 
     @cached_property
     def dbar_phistar(self) -> MatrixFormField | None:

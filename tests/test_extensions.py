@@ -40,7 +40,8 @@ def test_split_extension_oracles():
     assert ext.subbundle == subbundle_report(st, span_e1(st))
     assert sup_norm(ext.gamma) == 0.0
     assert np.allclose(ext.zeta.comps[0, 0], 1.0)
-    assert sup_norm(ext.phi_s) == 0.0 and sup_norm(ext.phi_q) == 0.0
+    phi_s, phi_q = (f.state.structure.phi for f in ext.factors)
+    assert sup_norm(phi_s) == 0.0 and sup_norm(phi_q) == 0.0
     assert ext.subbundle.holomorphy < 1e-13 and ext.subbundle.phi_invariance < 1e-13
 
 
@@ -54,8 +55,9 @@ def test_split_extension_diagonal_higgs():
     st = build_scenario("diagonal-polystable")
     ext = split_extension(st, span_e1(st))
     assert sup_norm(ext.zeta) == 0.0
-    assert np.allclose(ext.phi_s.comps[0, 0], 1.0)
-    assert np.allclose(ext.phi_q.comps[0, 0], -1.0)
+    phi_s, phi_q = (f.state.structure.phi for f in ext.factors)
+    assert np.allclose(phi_s.comps[0, 0], 1.0)
+    assert np.allclose(phi_q.comps[0, 0], -1.0)
 
 
 def test_split_extension_rejects_invalid_sub():
@@ -237,6 +239,67 @@ def test_the_quotient_flows_of_a_rescaled_filtration_reach_their_time(monkeypatc
                             flow_time=0.5)
     assert [lv.flowed_time for lv in rep.levels] == [0.5, 0.5]
     assert not rep.passed
+
+
+def test_restricted_states_carry_the_one_unit_metric(monkeypatch):
+    # split_extension and verify_filtration restrict through one path: each
+    # factor and quotient state holds the unit metric of its grid and rank,
+    # the object that HermitianMetric.identity returns
+    import higgsflow.extensions
+    st = build_scenario("chain-r3")
+    subs = scenario_subbundles("chain-r3", st)
+    for sub in subs:
+        ext = split_extension(st, sub)
+        for f, rank in zip(ext.factors, (ext.rank_s, ext.rank_q)):
+            assert f.state.metric is HermitianMetric.identity(st.base, rank)
+    metrics = []
+    real = higgsflow.extensions._certificate
+    monkeypatch.setattr(higgsflow.extensions, "_certificate",
+                        lambda curv, eps: metrics.append(curv.state.metric)
+                        or real(curv, eps))
+    verify_filtration(st, subs, 1e-6)
+    unit = HermitianMetric.identity(st.base, 1)
+    assert len(metrics) == 3 and all(m is unit for m in metrics)
+
+
+def test_verify_filtration_builds_one_curvature_per_quotient_state(monkeypatch):
+    # within one public call each state's Curvature is built once and handed
+    # on: one serves a quotient's certificate and its topology, before and
+    # after the quotient flows (the flow's own evaluations are not counted)
+    import higgsflow.extensions
+    from higgsflow import HiggsBundleState
+    from higgsflow.scenarios import random_valid_state
+    built, in_flow = [], [False]
+    real_post_init = Curvature.__post_init__
+    real_flow = higgsflow.extensions.run_donaldson_flow
+
+    def counted(self):
+        if not in_flow[0]:
+            built.append(self.state)
+        real_post_init(self)
+
+    def flow(*args, **kwargs):
+        in_flow[0] = True
+        try:
+            return real_flow(*args, **kwargs)
+        finally:
+            in_flow[0] = False
+
+    monkeypatch.setattr(Curvature, "__post_init__", counted)
+    monkeypatch.setattr(higgsflow.extensions, "run_donaldson_flow", flow)
+    st = build_scenario("chain-r3")
+    verify_filtration(st, scenario_subbundles("chain-r3", st), 1e-6)
+    # three quotients and the ambient state
+    assert len(built) == 4 and len({id(s) for s in built}) == 4
+    built.clear()
+    st = build_scenario("nilpotent-r2", N=16)
+    st = HiggsBundleState(st.structure,
+                          random_valid_state(TorusBase(1, 16), 2, 3).metric)
+    rep = verify_filtration(st, scenario_subbundles("nilpotent-r2", st), 0.5,
+                            flow_time=0.05)
+    assert [lv.flowed_time for lv in rep.levels] == [0.05, 0.05]
+    # two quotients, their flowed states and the ambient state
+    assert len(built) == 5 and len({id(s) for s in built}) == 5
 
 
 def test_verify_filtration_rejects_noninvariant_sub():

@@ -576,16 +576,18 @@ def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch,
     # takes d_flat. dbar_flat: one per frame state of the metric run (its
     # start, 2 predictors and 2 results), whose samples keep the frame
     # states that the transport compares, and one per gauge update of the
-    # pair run (4). The start and its frame state are validated once for
-    # both runs, and the pair's sample at T
+    # pair run (4). d_flat: del phi of each sampled frame state (3), by
+    # the generic calculus. The start and its frame state are validated
+    # once for both runs, and the pair's sample at T
     assert curvatures == [9] and part11_builds == [0]
-    assert counts == {"d_flat": 0, "dbar_flat": 5 + 4,
+    assert counts == {"d_flat": 3, "dbar_flat": 5 + 4,
                       "validate_structure": 3, "_evaluate": 3}
 
 
 def test_the_runner_takes_one_root_per_run(monkeypatch):
     # a metric keeps its frame, and the metric flow carries it, L' = e^{s/2} L:
-    # one root per run, of its start, whatever its steps and rejections.
+    # one root per run, of its start, whatever its steps and rejections, and
+    # none from the unit metric, which is its own frame.
     # A pair run steps over the unit metric by e^{x/2} and takes no root of
     # its own; from any other metric it roots that metric once, to gauge its
     # start into its frame state. Each run starts from a fresh state, whose
@@ -594,20 +596,24 @@ def test_the_runner_takes_one_root_per_run(monkeypatch):
     monkeypatch.setattr(higgsflow.flows, "TOL", 1e-3)
     counts = _count_calls(monkeypatch, sqrtm_hpd)
     res = run_donaldson_flow(nilpotent_state(8), 0.25, 0.5)
+    assert res.steps > 1 and res.rejected > 0 and counts["sqrtm_hpd"] == 0
+    st = nilpotent_state(8)
+    scaled = HiggsBundleState(st.structure, HermitianMetric(
+        st.base, 2.0 * st.metric.mat))
+    res = run_donaldson_flow(scaled, 0.25, 0.5)
     assert res.steps > 1 and res.rejected > 0 and counts["sqrtm_hpd"] == 1
     counts["sqrtm_hpd"] = 0
     res = run_ymh_flow(nilpotent_state(8), 0.25, 0.5)
     assert res.rejected > 0 and counts["sqrtm_hpd"] == 0
-    st = nilpotent_state(8)
     res = run_ymh_flow(HiggsBundleState(st.structure, HermitianMetric(
         st.base, 2.0 * st.metric.mat)), 0.25, 0.5)
     assert res.rejected > 0 and counts["sqrtm_hpd"] == 1
     # a check's pair run starts from the frame state of its unit-metric
     # start, the start itself, and the transports read the frames that the
-    # metric flow carries: the one root is that of the metric run's start
+    # metric flow carries from the unit frame: no root at all
     counts["sqrtm_hpd"] = 0
     report = flow_equivalence_check(nilpotent_state(8), 4e-3, 1e-3)
-    assert len(report.times) == 5 and counts["sqrtm_hpd"] == 1
+    assert len(report.times) == 5 and counts["sqrtm_hpd"] == 0
 
 
 def _n2_random_state(N):

@@ -315,20 +315,25 @@ def test_parts_built_on_first_access_match_the_eager_formulas(n, rank, seed):
              "dbar_phistar": dbar_flat(phistar) + wedge(a, phistar) + wedge(phistar, a)}
     for name, get in lazy.items():
         assert np.array_equal(get().comps, eager[name].comps), name
-    # del_phi, built as its one component, to the bit
+    # del_phi, by the same calculus, to the bit
     assert hs.del_phi.comps.tobytes() == eager["del_phi"].comps.tobytes()
     assert list(hs.parts) == [(1, 1), (2, 0), (0, 2)]
     assert np.array_equal(hs.parts[(2, 0)].comps, eager["del_phi"].comps)
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_a_unit_metric_reads_every_adjoint_as_a_dagger(n):
+def test_a_unit_metric_reads_every_adjoint_as_a_dagger(n, monkeypatch):
     # HermitianMetric.identity marks its metric as the unit metric, whose
     # Curvature builds no metric connection, inverse or sandwich: every part
     # equals that of the same matrices under an unmarked metric. Its
     # diagonal slots of F_H take one derivative, d^dag + d with d = del_i a_i,
     # and K keeps every bit, signs of zeros included (flat-trivial-r2 is
     # all zeros)
+    import higgsflow.geometry
+    inverses = []
+    real_inv = higgsflow.geometry.inv
+    monkeypatch.setattr(higgsflow.geometry, "inv",
+                        lambda m: inverses.append(m) or real_inv(m))
     states = [random_valid_state(TorusBase(n, 8), rank, seed)
               for rank in (1, 2, 3) for seed in (1, 2)]
     states.append(_random_state(n, 3, 4))
@@ -338,18 +343,41 @@ def test_a_unit_metric_reads_every_adjoint_as_a_dagger(n):
         unit = HermitianMetric.identity(st.base, st.rank)
         plain = HermitianMetric(st.base, unit.mat.copy())
         assert unit.unit and not plain.unit
-        hs, ref = (Curvature(HiggsBundleState(st.structure, H))
-                   for H in (unit, plain))
-        for name in ("b", "phistar", "part11"):
-            assert np.array_equal(getattr(hs, name).comps,
-                                  getattr(ref, name).comps), name
-        assert hs.deviation().comps.tobytes() == ref.deviation().comps.tobytes()
-        assert "inv" not in vars(unit)
+        inverses.clear()
+        hs = Curvature(HiggsBundleState(st.structure, unit))
+        parts = {name: getattr(hs, name) for name in ("b", "phistar", "part11")}
+        K = hs.deviation()
+        assert inverses == []  # no inverse is taken under the unit metric
+        ref = Curvature(HiggsBundleState(st.structure, plain))
+        for name, part in parts.items():
+            assert np.array_equal(part.comps, getattr(ref, name).comps), name
+        assert K.comps.tobytes() == ref.deviation().comps.tobytes()
         # einstein_deviation is a fresh Curvature's K to the byte
         for H in (unit, plain):
             state = HiggsBundleState(st.structure, H)
             assert einstein_deviation(state).comps.tobytes() == \
                 Curvature(state).deviation().comps.tobytes()
+
+
+@pytest.mark.parametrize("n, rank", [(1, 1), (1, 3), (2, 2)])
+def test_the_unit_metric_is_one_read_only_object_and_its_own_frame(n, rank):
+    # one unit metric per grid and rank, shared by every unit-metric state:
+    # a write into it raises, so its unit mark cannot go stale, and it is
+    # its own inverse and frame, equal to the inverse and root of I
+    from higgsflow.linalg import inv, sqrtm_hpd
+    unit = HermitianMetric.identity(TorusBase(n, 8), rank)
+    assert HermitianMetric.identity(TorusBase(n, 8), rank) is unit
+    assert HermitianMetric.identity(TorusBase(n, 8), rank + 1) is not unit
+    assert build_scenario("flat-trivial-r1", N=8).metric is \
+        HermitianMetric.identity(TorusBase(1, 8), 1)
+    with pytest.raises(ValueError):
+        unit.mat[(0,) * 2 * n] = 4.0 * np.eye(rank)
+    with pytest.raises(ValueError):
+        unit.mat *= 4.0
+    assert np.array_equal(unit.mat, np.broadcast_to(np.eye(rank), unit.mat.shape))
+    assert unit.inv is unit.mat and all(L is unit.mat for L in unit.frame)
+    assert np.array_equal(inv(unit.mat), unit.mat)
+    assert np.array_equal(sqrtm_hpd(unit.mat), unit.mat)
 
 
 @pytest.mark.parametrize("n", [1, 2])
