@@ -21,8 +21,8 @@ from .diagnostics import (FlatnessCertificate, TopologicalIntegrals,
 from .flows import FlowBlowup, run_donaldson_flow
 from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
                        HiggsStructure, adjoint_field)
-from .grid import (MatrixFormField, _sup_of_parts, d_flat, dbar_flat, sup_norm,
-                   wedge)
+from .grid import (MatrixFormField, _hom_d, _sup_of_parts, d_flat, dbar_flat,
+                   sup_norm, wedge)
 from .linalg import _store_axes, _trailing, _trailing_array, dagger, inv, mm, trace
 
 __all__ = [
@@ -93,7 +93,7 @@ def subbundle_report(state: HiggsBundleState, sub: HiggsSubbundle) -> SubbundleR
     pi_f = sub.as_field(base)
     one_minus = np.eye(state.rank, dtype=np.complex128) - pi
     inv_res = sup_norm(phi.sandwich(one_minus, pi), H)
-    dbar_pi = dbar_flat(pi_f) + wedge(a, pi_f) - wedge(pi_f, a)
+    dbar_pi = _hom_d(dbar_flat, pi_f, a, a)
     holo_res = sup_norm(dbar_pi.sandwich(one_minus, pi), H)
     return SubbundleReport(idem, sadj, rank_const, inv_res, holo_res,
                            sub.rank, tol,
@@ -191,9 +191,9 @@ class ExtensionData:
 
     In the H-orthonormal frames the induced metrics are the identity, so
     block norms are plain and the adjoints of gamma and zeta are conjugate
-    transposes (until a scaled metric reweights them). factors holds the
-    curvatures of S and Q, restricted to their frames (_restricted); their
-    parts and the Hom adjoints are built on first use and then shared.
+    transposes. factors holds the curvatures of S and Q, restricted to their
+    frames (_restricted); their parts and the Hom adjoints are built on
+    first use and then shared.
     """
 
     frame_s: np.ndarray
@@ -214,8 +214,7 @@ class ExtensionData:
     @cached_property
     def hom_adjoints(self) -> tuple[MatrixFormField, MatrixFormField]:
         """gamma* of type (1,0) and zeta* of type (0,1), both Hom(S,Q)."""
-        ident_s, ident_q = (c.state.metric for c in self.factors)
-        return tuple(adjoint_field(f, ident_s, ident_q) for f in (self.gamma, self.zeta))
+        return adjoint_field(self.gamma), adjoint_field(self.zeta)
 
 
 def split_extension(state: HiggsBundleState, sub: HiggsSubbundle) -> ExtensionData:
@@ -239,17 +238,6 @@ def split_extension(state: HiggsBundleState, sub: HiggsSubbundle) -> ExtensionDa
     factors = (Curvature(_restricted(state, U_s, _dbar_of_frame(a, U_s))),
                Curvature(_restricted(state, U_q, dbar_Uq)))
     return ExtensionData(U_s, U_q, gamma, zeta, factors, report)
-
-
-def _hom_d(flat, x: MatrixFormField, left: MatrixFormField,
-           right: MatrixFormField) -> MatrixFormField:
-    """Induced connection part on Hom(right, left) bundles.
-
-    With flat = d_flat and the (1,0) connection forms b this is the (1,0)
-    part; with flat = dbar_flat and the (0,1) forms a, the (0,1) part.
-    """
-    sign = -1.0 if (x.p + x.q) % 2 else 1.0
-    return flat(x) + wedge(left, x) - sign * wedge(x, right)
 
 
 def _blockify(tl, tr, bl, br, s: int, q: int) -> MatrixFormField:

@@ -375,7 +375,8 @@ class FlowBlowup(RuntimeError):
 
 def _sample_schedule(T: float, dt: float, extra=None) -> list[float]:
     """Geometric schedule 0, t0, 2 t0, ... plus user samples and T, after
-    check_flow_times; a user sample outside [0, T] or NaN raises ValueError."""
+    check_flow_times; a user sample outside [0, T] or NaN raises ValueError.
+    A point within 1e-12 below T, where the runner stops, is dropped."""
     check_flow_times(T, dt)
     pts = {0.0, float(T)}
     t = 0.0625
@@ -386,7 +387,7 @@ def _sample_schedule(T: float, dt: float, extra=None) -> list[float]:
         if not 0.0 <= s <= T:
             raise ValueError(f"sample time {s!r} is not in [0, T] = [0, {T!r}]")
         pts.add(float(s))
-    return sorted(pts)
+    return [p for p in sorted(pts) if p in (0.0, T) or p < T - 1e-12]
 
 
 def check_flow_times(T: float, dt: float) -> None:

@@ -15,8 +15,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .grid import (MatrixFormField, TorusBase, _contract_slots, _dz_component,
-                   _norm2_of_slots, _sup, _sup_of_parts, d_flat, dbar_flat,
-                   integrate, pointwise_norm2, sup_norm, wedge)
+                   _hom_d, _sup_of_parts, d_flat, dbar_flat, integrate,
+                   pointwise_norm2, sup_norm, wedge)
 from .linalg import (_trailing, dagger, hermitize, inv, is_positive_definite,
                      min_eigvalsh, mm, sqrtm_hpd, trace)
 
@@ -41,7 +41,7 @@ class HermitianMetric:
     start (never the unit metric), and a pair flow gauges its start by it.
 
     unit is True for the one metric that identity() makes per grid and
-    rank: its Curvature takes every metric adjoint as a dagger.
+    rank: adjoint_field takes every adjoint in it as a dagger.
     """
 
     base: TorusBase
@@ -160,33 +160,18 @@ class ValidityReport:
 
 
 def validate_structure(s: HiggsStructure, tol: float | None = None) -> ValidityReport:
-    """Residual sup-norms of the three Higgs-structure constraints.
-
-    Integrability dbar(a) + a^a and symmetry phi^phi vanish identically for
-    n = 1 (no (0,2) or (2,0) slot); both are measured with the flat metric
-    since validity is independent of H. Each residual is reduced component
-    by component as it is built, with the terms of dbar_flat and wedge in
-    their order, so it equals the sup_norm of the assembled form to the bit.
-    """
+    """Residual sup-norms of the Higgs-structure constraints: integrability
+    dbar(a) + a^a, holomorphy dbar_E phi and symmetry phi^phi, in the flat
+    metric since validity is independent of H. Integrability and symmetry
+    vanish identically for n = 1 (no (0,2) or (2,0) slot)."""
     if tol is None:
         tol = 1e-8 * (1.0 + max(sup_norm(s.a), sup_norm(s.phi)))
-    base = s.base
-    a, phi = s.a.comps[0], s.phi.comps[:, 0]
-
-    def dbar(c, j):
-        return _dz_component(c, base, j, True)
-
-    def sup_of(slots):  # of a form of weight 4: (1,1), (0,2) or (2,0)
-        return _sup(_norm2_of_slots(slots, 4.0, base.shape))
-
-    holo = sup_of(((0.0 - dbar(phi[i], j)) + (0.0 - mm(a[j], phi[i])))
-                  + (0.0 + mm(phi[i], a[j]))
-                  for i, j in itertools.product(range(base.n), repeat=2))
+    a, phi = s.a, s.phi
+    holo = sup_norm(_hom_d(dbar_flat, phi, a, a))
     integ = symm = 0.0
-    if base.n >= 2:
-        integ = sup_of([((0.0 + dbar(a[1], 0)) - dbar(a[0], 1))
-                        + ((0.0 + mm(a[0], a[1])) - mm(a[1], a[0]))])
-        symm = sup_of([(0.0 + mm(phi[0], phi[1])) - mm(phi[1], phi[0])])
+    if s.base.n >= 2:
+        integ = sup_norm(dbar_flat(a) + wedge(a, a))
+        symm = sup_norm(wedge(phi, phi))
     return ValidityReport(integ, holo, symm, tol,
                           valid=max(integ, holo, symm) <= tol)
 
@@ -197,23 +182,12 @@ def _metric_connection(H: HermitianMetric) -> MatrixFormField:
     return d_flat(H.as_field()).sandwich(H.inv)
 
 
-def adjoint_field(f: MatrixFormField, H: HermitianMetric | None = None,
-                  H_col: HermitianMetric | None = None) -> MatrixFormField:
-    """Metric adjoint: X -> H_col^{-1} X^dag H_row with dz <-> dzbar.
-
-    For an endomorphism-valued form pass H once; for Hom(Q,S)-valued blocks
-    H is the S-side (row) metric and H_col the Q-side metric, giving the
-    second-fundamental-form adjoints gamma* = H_Q^{-1} gamma^dag H_S.
-    """
-    if H_col is None:
-        H_col = H
-    return _form_dagger(f).sandwich(None if H_col is None else H_col.inv,
-                                    None if H is None else H.mat)
-
-
-def _form_dagger(f: MatrixFormField) -> MatrixFormField:
-    """f^dag with dz <-> dzbar, the metric-free half of adjoint_field."""
-    return MatrixFormField(f.base, f.q, f.p, dagger(np.swapaxes(f.comps, 0, 1)))
+def adjoint_field(f: MatrixFormField,
+                  H: HermitianMetric | None = None) -> MatrixFormField:
+    """Metric adjoint: X -> H^{-1} X^dag H with dz <-> dzbar; under no
+    metric or the unit metric, the dagger X^dag alone."""
+    dag = MatrixFormField(f.base, f.q, f.p, dagger(np.swapaxes(f.comps, 0, 1)))
+    return dag if H is None or H.unit else dag.sandwich(H.inv, H.mat)
 
 
 @dataclass(eq=False)
@@ -248,21 +222,19 @@ class Curvature:
         b = H^{-1} del H - H^{-1} a^dag H, the unique form with
         del H(s,t) = H(D^{1,0}s, t) + H(s, dbar_E t).
         """
-        H = self.state.metric
-        a_dag = _form_dagger(self.state.structure.a)
+        H, a = self.state.metric, self.state.structure.a
         if H.unit:
             # 0 - a^dag, as H^{-1} del H - ... reads when del H is exactly 0
+            a_dag = adjoint_field(a)
             np.subtract(0.0, a_dag.comps, out=a_dag.comps)
             return a_dag
-        return _metric_connection(H) - a_dag.sandwich(H.inv, H.mat)
+        return _metric_connection(H) - adjoint_field(a, H)
 
     @cached_property
     def phistar(self) -> MatrixFormField:
         """phi^{*H} = H^{-1} phi^dag H on matrix parts, dz -> dzbar on form
         parts."""
-        H = self.state.metric
-        phi_dag = _form_dagger(self.state.structure.phi)
-        return phi_dag if H.unit else phi_dag.sandwich(H.inv, H.mat)
+        return adjoint_field(self.state.structure.phi, self.state.metric)
 
     def _slot(self, k: int, i: int, j: int) -> np.ndarray:
         """Slot (i, j) of F_H (k = 0) or of [phi, phi^{*H}] (k = 1), built on
@@ -346,15 +318,14 @@ class Curvature:
     def del_phi(self) -> MatrixFormField | None:
         if self.state.base.n < 2:
             return None
-        b, phi = self.b, self.state.structure.phi
-        return d_flat(phi) + wedge(b, phi) + wedge(phi, b)
+        return _hom_d(d_flat, self.state.structure.phi, self.b, self.b)
 
     @cached_property
     def dbar_phistar(self) -> MatrixFormField | None:
         if self.state.base.n < 2:
             return None
-        a, phistar = self.state.structure.a, self.phistar
-        return dbar_flat(phistar) + wedge(a, phistar) + wedge(phistar, a)
+        a = self.state.structure.a
+        return _hom_d(dbar_flat, self.phistar, a, a)
 
     @property
     def parts(self) -> dict[tuple[int, int], MatrixFormField]:

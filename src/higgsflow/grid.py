@@ -323,6 +323,18 @@ def wedge(a: MatrixFormField, b: MatrixFormField) -> MatrixFormField:
     return out
 
 
+def _hom_d(flat, x: MatrixFormField, left: MatrixFormField,
+           right: MatrixFormField) -> MatrixFormField:
+    """The covariant derivative flat(x) + left ^ x -+ x ^ right of a
+    Hom(right, left)-valued form x, + for odd degree and - for even: with
+    d_flat and (1,0) connection forms the (1,0) part of the induced
+    connection, with dbar_flat and (0,1) forms its (0,1) part."""
+    out = flat(x) + wedge(left, x)
+    if (x.p + x.q) % 2:
+        return out + wedge(x, right)
+    return out - wedge(x, right)
+
+
 def _contract_slots(diagonal: list[np.ndarray]) -> np.ndarray:
     """Lambda(a_{ij} dz^i wedge dzbar^j) = -2i sum_i a_ii, the contraction
     of a (1,1) form by the Kahler form from its diagonal components a_ii
@@ -359,13 +371,13 @@ def pointwise_inner(a: MatrixFormField, b: MatrixFormField,
     """Pointwise Hermitian inner product <a, b>_H as a complex grid field.
 
     Form indices carry the flat metric with |dz^i|^2 = 2. Endomorphism
-    values use the metric H (identity when None) on both factors of a square
-    block, which reads the metric's cached inverse H.inv; a Hom block takes
-    H on its row factor and the identity on its column factor.
+    values use the metric H (identity when None) on both factors, which
+    reads the metric's cached inverse H.inv; a Hom block, taken between
+    orthonormal frames, takes no metric.
     """
     if (a.p, a.q, a.rows, a.cols) != (b.p, b.q, b.rows, b.cols):
         raise ValueError("inner product needs matching degrees and block shape")
-    Hc_inv = H.inv if H is not None and a.rows == a.cols else None
+    Hc_inv = None if H is None else H.inv
     H_row = None if H is None else H.mat
     weight = 2.0 ** (a.p + a.q)
     acc = np.zeros(a.base.shape, np.complex128)

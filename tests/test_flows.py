@@ -279,6 +279,20 @@ def test_a_sample_time_outside_the_run_is_rejected(bad):
     assert rep.times == [0.0, 0.01]
 
 
+@pytest.mark.parametrize("fixed", [False, True])
+def test_a_sample_just_below_the_end_still_ends_the_run_at_the_end(fixed):
+    # the runner stops within 1e-12 of T, so a sample there would end the
+    # run short of T, with no row at T: the schedule drops it
+    st = nilpotent_state(8)
+    res = run_donaldson_flow(st, 0.01, 1e-3, fixed_dt=fixed,
+                             sample_times=[0.01 - 1e-13])
+    assert res.trace.t[-1] == 0.01
+    # the geometric sample 0.0625 lies 1e-13 below this T
+    T = 0.0625000000001
+    res = run_ymh_flow(st, T, 1e-2, fixed_dt=fixed)
+    assert res.trace.t[-1] == T
+
+
 def test_blowup_carries_last_healthy_state(break_expm):
     from higgsflow.flows import FlowBlowup
     st = build_scenario("conformal-r1")
@@ -575,12 +589,13 @@ def test_each_flow_state_gets_one_hitchin_simpson_evaluation(monkeypatch,
     # assembled. A frame state has the unit metric, so no Chern connection
     # takes d_flat. dbar_flat: one per frame state of the metric run (its
     # start, 2 predictors and 2 results), whose samples keep the frame
-    # states that the transport compares, and one per gauge update of the
-    # pair run (4). d_flat: del phi of each sampled frame state (3), by
-    # the generic calculus. The start and its frame state are validated
-    # once for both runs, and the pair's sample at T
+    # states that the transport compares, one per gauge update of the
+    # pair run (4), and two per validation, for holomorphy and
+    # integrability at n = 2 (3 x 2). d_flat: del phi of each sampled
+    # frame state (3), by the generic calculus. The start and its frame
+    # state are validated once for both runs, and the pair's sample at T
     assert curvatures == [9] and part11_builds == [0]
-    assert counts == {"d_flat": 3, "dbar_flat": 5 + 4,
+    assert counts == {"d_flat": 3, "dbar_flat": 5 + 4 + 3 * 2,
                       "validate_structure": 3, "_evaluate": 3}
 
 
@@ -647,14 +662,14 @@ def test_a_pair_run_steps_its_start_in_its_frame_state(make, tmp_path):
 def test_a_fixed_pair_run_gauges_once_per_update(name, monkeypatch):
     # a k-step run over a non-unit metric gauges its start into its frame
     # state once, then each step gauges its predictor and its result once:
-    # 2k + 1 dbar_flat calls. Its states are unit-metric frame states, so
+    # 2k + 1 gauge transforms. Its states are unit-metric frame states, so
     # no evaluation gauges again
-    from higgsflow.grid import dbar_flat
+    import higgsflow.flows
     st = build_scenario(name, N=8)
     assert not st.metric.unit
-    counts = _count_calls(monkeypatch, dbar_flat)
+    counts = _count_calls(monkeypatch, higgsflow.flows._gauged)
     res = run_ymh_flow(st, 3e-3, 1e-3, fixed_dt=True)
-    assert res.steps == 3 and counts == {"dbar_flat": 2 * 3 + 1}
+    assert res.steps == 3 and counts == {"_gauged": 2 * 3 + 1}
 
 
 def test_the_n2_pair_flow_keeps_the_energy_identity():

@@ -382,8 +382,9 @@ def test_the_unit_metric_is_one_read_only_object_and_its_own_frame(n, rank):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_validity_residuals_equal_those_of_the_assembled_forms(n):
-    # validate_structure reduces each residual slot by slot, in the term
-    # order of the form calculus: each is the sup_norm of its form to the bit
+    # validate_structure takes each residual from the form calculus, the
+    # covariant derivative grid._hom_d among it: each is the sup_norm of the
+    # form written out term by term, to the bit
     states = [random_valid_state(TorusBase(n, 8), 2, seed) for seed in (1, 2)]
     states += [_random_state(n, rank, 5) for rank in (1, 3)]
     states += [build_scenario(sc.name, N=8) for sc in scenario_catalog()

@@ -9,7 +9,7 @@ from higgsflow import (HermitianMetric, MatrixFormField, TorusBase,
                        pointwise_inner, pointwise_norm2, sup_norm, tr_field,
                        wedge)
 from higgsflow.grid import (_combs, _contract_slots, _dz_component,
-                            _endo_inner, _periodic_diff, _wedge_table)
+                            _endo_inner, _hom_d, _periodic_diff, _wedge_table)
 from higgsflow.linalg import _store_axes, _trailing_array
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
@@ -429,51 +429,52 @@ def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):
 @st.composite
 def _blocks_in_a_metric(draw):
     n = draw(st.sampled_from([1, 2]))
-    rows = draw(st.integers(1, 4))
-    cols = rows if draw(st.booleans()) else \
-        draw(st.integers(1, 4).filter(lambda c: c != rows))
+    rank = draw(st.integers(1, 4))
     p, q = draw(st.integers(0, n)), draw(st.integers(0, n))
-    return n, rows, cols, p, q, draw(st.integers(0, 2**32 - 1))
+    return n, rank, p, q, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=30, deadline=None)
 @given(_blocks_in_a_metric())
 def test_a_norm_in_a_metric_equals_the_explicit_inverse_result(case):
     # the norm reads the metric's cached inverse: the same bits as
-    # inverting the metric on the spot, for square and Hom blocks
+    # inverting the metric on the spot
     from higgsflow.linalg import dagger, inv
-    n, rows, cols, p, q, seed = case
+    n, rank, p, q, seed = case
     rng = np.random.default_rng(seed)
     base = TorusBase(n, 8)
-    f = _random_field(rng, base, p, q, rows, cols)
-    x = rng.standard_normal(base.shape + (rows, rows)) \
-        + 1j * rng.standard_normal(base.shape + (rows, rows))
-    metric = HermitianMetric(base, np.eye(rows) + x @ dagger(x))
+    f = _random_field(rng, base, p, q, rank, rank)
+    x = rng.standard_normal(base.shape + (rank, rank)) \
+        + 1j * rng.standard_normal(base.shape + (rank, rank))
+    metric = HermitianMetric(base, np.eye(rank) + x @ dagger(x))
     H = metric.mat
-    Hc_inv = inv(H) if rows == cols else None
     acc = np.zeros(base.shape, np.complex128)
     for ip, iq in itertools.product(*map(range, f.comps.shape[:2])):
-        acc += _endo_inner(f.comps[ip, iq], f.comps[ip, iq], H, Hc_inv)
+        acc += _endo_inner(f.comps[ip, iq], f.comps[ip, iq], H, inv(H))
     assert np.array_equal(pointwise_norm2(f, metric),
                           np.real(2.0 ** (p + q) * acc))
 
 
-@pytest.mark.parametrize("rows, cols", [(2, 1), (3, 2)])
-def test_hom_block_norm_takes_the_metric_on_rows_only(rows, cols):
-    from higgsflow.linalg import dagger
-    rng = np.random.default_rng(rows)
-    base = TorusBase(1, 8)
-    def draw(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    a = MatrixFormField(base, 1, 0, draw((1, 1) + base.shape + (rows, cols)))
-    x = draw(base.shape + (rows, rows))
-    H = np.eye(rows) + x @ dagger(x)
-    # |a|^2_H = |dz|^2 tr(a^dag H a): H weighs the rows, the columns carry none
-    c = a.comps[0, 0]
-    expected = 2.0 * np.real(np.trace(dagger(c) @ H @ c, axis1=-2, axis2=-1))
-    assert np.allclose(pointwise_norm2(a, HermitianMetric(base, H)), expected,
-                       rtol=1e-13, atol=0.0)
+@pytest.mark.parametrize("bar", [False, True])
+def test_the_covariant_derivative_is_the_form_calculus_with_a_graded_sign(bar):
+    # on Hom(right, left)-valued forms, flat(x) + left ^ x + x ^ right for x
+    # of odd degree and flat(x) + left ^ x - x ^ right for even, to the bit
+    rng = np.random.default_rng(7 + bar)
+    base = TorusBase(2, 8)
+    flat = dbar_flat if bar else d_flat
+    p, q = (0, 1) if bar else (1, 0)
+    left, right = (_random_field(rng, base, p, q, r, r) for r in (3, 2))
+    for xp, xq in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        x = _random_field(rng, base, xp, xq, 3, 2)
+        expected = flat(x) + wedge(left, x)
+        if xp + xq == 1:
+            expected = expected + wedge(x, right)
+        else:
+            expected = expected - wedge(x, right)
+        got = _hom_d(flat, x, left, right)
+        assert (got.p, got.q, got.rows, got.cols) == \
+            (expected.p, expected.q, 3, 2)
+        assert got.comps.tobytes() == expected.comps.tobytes()
 
 
 # -- grid-trailing storage ------------------------------------------------------
@@ -559,8 +560,11 @@ def test_form_calculus_keeps_trailing_storage(n):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2)])
-@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("weighted, rows, cols", [
+    (weighted, rows, cols) for weighted in (False, True)
+    for rows, cols in ((1, 1), (2, 2), (3, 3), (2, 1), (3, 2))
+    # a metric weighs square blocks only
+    if rows == cols or not weighted])
 def test_pointwise_inner_matches_the_einsum_reference(n, rows, cols, weighted):
     from higgsflow.linalg import dagger, inv
     rng = np.random.default_rng(100 * n + 10 * rows + cols)
@@ -580,8 +584,8 @@ def test_pointwise_inner_matches_the_einsum_reference(n, rows, cols, weighted):
         if H is None:
             acc += np.einsum("...ij,...ji->...", ca, dagger(cb))
         else:
-            Hc = inv(H) if rows == cols else np.eye(cols)
-            acc += np.einsum("...ij,...jk,...kl,...li->...", ca, Hc, dagger(cb), H)
+            acc += np.einsum("...ij,...jk,...kl,...li->...", ca, inv(H),
+                             dagger(cb), H)
     expected = 4.0 * acc
     got = pointwise_inner(a, b, None if H is None else HermitianMetric(base, H))
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()

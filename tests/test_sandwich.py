@@ -1,10 +1,10 @@
-"""Property tests for the sandwich primitive and the metric adjoint on
-Hom-valued (non-square) blocks."""
+"""Property tests for the sandwich primitive on Hom-valued (non-square)
+blocks."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from higgsflow import HermitianMetric, MatrixFormField, TorusBase, adjoint_field
+from higgsflow import MatrixFormField, TorusBase
 from higgsflow.linalg import mm
 
 N = 8
@@ -31,12 +31,6 @@ def random_field(rng, base, p, q, rows, cols):
                            + 1j * rng.standard_normal(shape))
 
 
-def random_metric(rng, base, rank):
-    A = random_grid(rng, base, (rank, rank))
-    return HermitianMetric(base, A @ np.conj(np.swapaxes(A, -1, -2))
-                           + rank * np.eye(rank))
-
-
 @PROPERTY
 @given(hom_blocks(), st.booleans(), st.booleans())
 def test_sandwich_matches_per_component_products_exactly(case, has_left, has_right):
@@ -56,17 +50,3 @@ def test_sandwich_matches_per_component_products_exactly(case, has_left, has_rig
             if right is not None:
                 expected = mm(expected, right)
             assert np.array_equal(out.comps[ip, iq], expected)
-
-
-@PROPERTY
-@given(hom_blocks())
-def test_hom_adjoint_is_an_involution(case):
-    n, rows, cols, p, q, seed = case
-    rng = np.random.default_rng(seed)
-    base = TorusBase(n, N)
-    f = random_field(rng, base, p, q, rows, cols)
-    H_r, H_c = random_metric(rng, base, rows), random_metric(rng, base, cols)
-    star = adjoint_field(f, H_r, H_c)
-    assert (star.p, star.q, star.rows, star.cols) == (q, p, cols, rows)
-    again = adjoint_field(star, H_c, H_r)
-    assert np.abs(again.comps - f.comps).max() < 1e-11 * (1 + np.abs(f.comps).max())
