@@ -6,7 +6,7 @@ extension constructions and filtration certificates at desk scale.
 """
 
 from .grid import (TorusBase, MatrixFormField, dbar_flat, d_flat, wedge,
-                   pointwise_inner, pointwise_norm2, sup_norm,
+                   pointwise_norm2, sup_norm,
                    integrate, integrate_top_form, tr_field)
 from .geometry import (HermitianMetric, HiggsStructure, HiggsBundleState,
                        validate_structure, adjoint_field, Curvature)

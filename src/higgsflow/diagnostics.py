@@ -120,15 +120,12 @@ def flatness_certificate(state: HiggsBundleState,
 
 def _certificate(curv: Curvature, eps_target: float) -> FlatnessCertificate:
     state = curv.state
-    norm2 = {key: pointwise_norm2(f, state.metric)
-             for key, f in curv.parts.items()}
-    # distinct degrees are orthogonal, so the total sums the parts in order
-    norm2["total"] = sum(norm2.values())
-    sups = {key: _sup(n2) for key, n2 in norm2.items()}
+    sups = {key: _sup(curv.norm2(key)) for key in curv.bidegrees}
+    total = curv.sup_norm()
     return FlatnessCertificate(
-        eps_achieved=sups["total"],
+        eps_achieved=total,
         sup_curvature_part=sups[(1, 1)],
         sup_dphi=sups.get((2, 0), 0.0),
         sup_dbar_phistar=sups.get((0, 2), 0.0),
         n=state.base.n, N=state.base.N, rank=state.rank,
-        eps_target=eps_target, passed=bool(sups["total"] < eps_target))
+        eps_target=eps_target, passed=bool(total < eps_target))

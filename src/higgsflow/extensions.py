@@ -21,8 +21,8 @@ from .diagnostics import (FlatnessCertificate, TopologicalIntegrals,
 from .flows import FlowBlowup, run_donaldson_flow
 from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
                        HiggsStructure, adjoint_field)
-from .grid import (MatrixFormField, _hom_d, _sup_of_parts, d_flat, dbar_flat,
-                   sup_norm, wedge)
+from .grid import (MatrixFormField, _hom_d, _sup, d_flat, dbar_flat,
+                   pointwise_norm2, sup_norm, wedge)
 from .linalg import _store_axes, _trailing, _trailing_array, dagger, inv, mm, trace
 
 __all__ = [
@@ -86,11 +86,11 @@ def subbundle_report(state: HiggsBundleState, sub: HiggsSubbundle) -> SubbundleR
     # grid-represented sub-bundles are holomorphic only to truncation order,
     # so the gate scales with h^2
     tol = max(1e-8, 10.0 * base.spacing**2) * (1.0 + sup_norm(phi) + sup_norm(a))
+    pi_f = sub.as_field(base)
     idem = float(np.abs(mm(pi, pi) - pi).max())
-    sadj = float(np.abs(mm(mm(H.inv, dagger(pi)), H.mat) - pi).max())
+    sadj = float(np.abs(adjoint_field(pi_f, H).comps[0, 0] - pi).max())
     rank_const = float(np.abs(np.real(trace(pi)) - sub.rank).max())
 
-    pi_f = sub.as_field(base)
     one_minus = np.eye(state.rank, dtype=np.complex128) - pi
     inv_res = sup_norm(phi.sandwich(one_minus, pi), H)
     dbar_pi = _hom_d(dbar_flat, pi_f, a, a)
@@ -388,7 +388,7 @@ def rho_sweep(state: HiggsBundleState, sub: HiggsSubbundle,
     if bad:
         raise ValueError(f"rho values must lie in (0, 1], got {bad[0]}")
     ext = split_extension(state, sub)
-    sup_a, sup_b1, sup_c1 = (_sup_of_parts(part.values())
+    sup_a, sup_b1, sup_c1 = (_sup(sum(pointwise_norm2(f) for f in part.values()))
                              for part in _extension_parts(ext))
 
     frames = [ext.frame_s, ext.frame_q]

@@ -28,7 +28,6 @@ then applies the gauge e^{s/2}. Neither step has an h^2 stability bound.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -36,8 +35,8 @@ import numpy as np
 
 from .geometry import (Curvature, HermitianMetric, HiggsBundleState,
                        HiggsStructure, validate_structure)
-from .grid import (MatrixFormField, TorusBase, _norm2_of_slots, _sup,
-                   dbar_flat, integrate, pointwise_norm2, sup_norm)
+from .grid import (MatrixFormField, TorusBase, _sup, dbar_flat, integrate,
+                   pointwise_norm2, sup_norm)
 from .linalg import (_store_axes, _view_axes, expm_batched, hermitize, inv, mm)
 
 __all__ = [
@@ -376,7 +375,7 @@ class FlowBlowup(RuntimeError):
 def _sample_schedule(T: float, dt: float, extra=None) -> list[float]:
     """Geometric schedule 0, t0, 2 t0, ... plus user samples and T, after
     check_flow_times; a user sample outside [0, T] or NaN raises ValueError.
-    A point within 1e-12 below T, where the runner stops, is dropped."""
+    A point within 1e-12 (the landing tolerance) below T is dropped."""
     check_flow_times(T, dt)
     pts = {0.0, float(T)}
     t = 0.0625
@@ -400,24 +399,14 @@ def check_flow_times(T: float, dt: float) -> None:
 
 def _evaluate(state: HiggsBundleState):
     """The state's frame state, its K~ and its sample norms, Frobenius
-    there: the pointwise |del phi|^2 (zero for n = 1), |F + [phi,phi*]|^2,
-    reduced slot by slot, and |K~|^2, which the trace row and the two-flow
-    check read. They read one Curvature, which is not kept.
-
-    Under the frame's unit metric slot (j, i) of F + [phi,phi*] is the
-    dagger of slot (i, j), of the same norm: at n = 2 the norm is
-    |S00|^2 + |S01|^2 + |S01|^2 + |S11|^2, with |S01|^2 reduced once, and
-    slot (1, 0) is never built."""
+    there, from one Curvature, not kept: the pointwise |del phi|^2 (zero for
+    n = 1), |F + [phi,phi*]|^2 (Curvature.norm2) and |K~|^2, which the trace
+    row and the two-flow check read."""
     frame = _frame_of(state)
     hs, base = Curvature(frame), state.base
-    dphi2 = np.zeros(base.shape) if hs.del_phi is None else \
-        pointwise_norm2(hs.del_phi)
-    upper = {(i, j): hs._slot(0, i, j) + hs._slot(1, i, j) for i, j
-             in itertools.combinations_with_replacement(range(base.n), 2)}
-    curv2 = _norm2_of_slots((upper[min(ij), max(ij)] for ij
-                             in itertools.product(range(base.n), repeat=2)),
-                            4.0, base.shape)
-    K = hs.deviation()  # after the slots, so K reads the diagonal ones kept
+    dphi2 = np.zeros(base.shape) if base.n < 2 else hs.norm2((2, 0))
+    curv2 = hs.norm2((1, 1))
+    K = hs.deviation()  # after the norm, so K reads the diagonal slots kept
     return frame, K, (dphi2, curv2, pointwise_norm2(K))
 
 
@@ -495,7 +484,7 @@ def _run_flow(start: HiggsBundleState, schedule, dt, update, *, fixed_dt):
     # dt_prop is the controller's proposal; a step clipped to land on a
     # sample time or on T does not shrink it
     dt_prop, err_prev, dt_cap = dt, TOL, math.inf
-    while t < T - 1e-12:
+    while next_idx < len(schedule):
         if steps >= MAX_STEPS:
             raise FlowBlowup(f"step cap MAX_STEPS = {MAX_STEPS} reached at "
                              f"t={t:.6g} before T={T:.6g}", current, trace, t,

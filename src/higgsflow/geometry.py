@@ -15,7 +15,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .grid import (MatrixFormField, TorusBase, _contract_slots, _dz_component,
-                   _hom_d, _sup_of_parts, d_flat, dbar_flat, integrate,
+                   _hom_d, _norm2_of_slots, _sup, d_flat, dbar_flat, integrate,
                    pointwise_norm2, sup_norm, wedge)
 from .linalg import (_trailing, dagger, hermitize, inv, is_positive_definite,
                      min_eigvalsh, mm, sqrtm_hpd, trace)
@@ -202,7 +202,7 @@ class Curvature:
     slots (_slot); deviation() and degree read only the diagonal ones.
     The parts of degree (2,0) or (0,2) are None when n = 1; for valid
     inputs they vanish to truncation order, and they are computed, never
-    assumed zero. Norms are taken in the state's metric.
+    assumed zero. Norms are taken in the state's metric, by norm2.
 
     Under a unit metric (HermitianMetric.identity) b = -a^dag and
     phi^{*H} = phi^dag, with dz <-> dzbar: no metric connection, inverse
@@ -214,6 +214,7 @@ class Curvature:
 
     def __post_init__(self):
         self._kept = {}  # (k, i, j) -> slot, see _slot
+        self._norm2 = {}  # bidegree -> pointwise |part|^2_H, see norm2
 
     @cached_property
     def b(self) -> MatrixFormField:
@@ -327,11 +328,37 @@ class Curvature:
         a = self.state.structure.a
         return _hom_d(dbar_flat, self.phistar, a, a)
 
+    _PARTS = {(1, 1): "part11", (2, 0): "del_phi", (0, 2): "dbar_phistar"}
+
+    @property
+    def bidegrees(self) -> tuple[tuple[int, int], ...]:
+        """The bidegrees of the parts: (1,1), and (2,0) and (0,2) when n = 2."""
+        return tuple(self._PARTS) if self.state.base.n > 1 else ((1, 1),)
+
     @property
     def parts(self) -> dict[tuple[int, int], MatrixFormField]:
         """part11, del_H phi and dbar_E phi^{*H} by bidegree, as they exist."""
-        return {(f.p, f.q): f for f in (self.part11, self.del_phi, self.dbar_phistar)
-                if f is not None}
+        return {key: getattr(self, self._PARTS[key]) for key in self.bidegrees}
+
+    def norm2(self, key: tuple[int, int]) -> np.ndarray:
+        """Pointwise |part|^2_H of the part of bidegree key, built on first
+        read and kept read-only, from that part alone. Under a unit
+        metric the (1,1) entry is reduced from the upper slots, slot (j, i)
+        read as the dagger of slot (i, j), of the same norm: slot (1, 0) is
+        never built, and |S01|^2 is reduced once and added twice."""
+        if key not in self._norm2:
+            n, H = self.state.base.n, self.state.metric
+            if key == (1, 1) and H.unit:
+                upper = {ij: self._slot(0, *ij) + self._slot(1, *ij) for ij
+                         in itertools.combinations_with_replacement(range(n), 2)}
+                norm = _norm2_of_slots((upper[min(ij), max(ij)] for ij in
+                                        itertools.product(range(n), repeat=2)),
+                                       4.0, self.state.base.shape)
+            else:
+                norm = pointwise_norm2(getattr(self, self._PARTS[key]), H)
+            norm.flags.writeable = False
+            self._norm2[key] = norm
+        return self._norm2[key]
 
     @cached_property
     def degree(self) -> float:
@@ -359,12 +386,11 @@ class Curvature:
 
     def pointwise_energy(self) -> np.ndarray:
         """|F + [phi,phi*]|^2 + 2|del phi|^2, the YMH integrand."""
-        H = self.state.metric
-        e = pointwise_norm2(self.part11, H)
-        if self.del_phi is not None:
-            e = e + 2.0 * pointwise_norm2(self.del_phi, H)
+        e = self.norm2((1, 1))
+        if self.state.base.n > 1:
+            e = e + 2.0 * self.norm2((2, 0))
         return e
 
     def sup_norm(self) -> float:
         """sup |F_HS| over all parts (distinct degrees are orthogonal)."""
-        return _sup_of_parts(self.parts.values(), self.state.metric)
+        return _sup(sum(self.norm2(key) for key in self.bidegrees))

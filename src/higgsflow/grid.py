@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TorusBase", "MatrixFormField", "dbar_flat", "d_flat", "wedge",
-    "pointwise_inner", "pointwise_norm2", "sup_norm",
+    "pointwise_norm2", "sup_norm",
     "integrate", "integrate_top_form", "tr_field",
 ]
 
@@ -313,14 +313,20 @@ def wedge(a: MatrixFormField, b: MatrixFormField) -> MatrixFormField:
     p, q = a.p + b.p, a.q + b.q
     if p > n or q > n:
         raise ValueError(f"wedge overflows bidegree: ({p},{q}) with n={n}")
-    out = MatrixFormField.zeros(a.base, p, q, a.rows, b.cols)
+    out = _trailing_array((len(_combs(n, p)), len(_combs(n, q))) + a.base.shape
+                          + (a.rows, b.cols))
     cross = -1 if (a.q * b.p) % 2 else 1
     q_rows = _wedge_table(n, a.q, b.q)
+    written = set()
+    # as in _raise_degree: a slot's first term writes 0.0 +- term, for finite
+    # terms the zero-filled sum to the bit; later ones add or subtract in place
     for ip1, ip2, ip, sign_p in _wedge_table(n, a.p, b.p):
         for iq1, iq2, iq, sign_q in q_rows:
-            out.comps[ip, iq] += (cross * sign_p * sign_q) * \
-                mm(a.comps[ip1, iq1], b.comps[ip2, iq2])
-    return out
+            acc = out[ip, iq] if (ip, iq) in written else 0.0
+            written.add((ip, iq))
+            (np.add if cross * sign_p * sign_q > 0 else np.subtract)(
+                acc, mm(a.comps[ip1, iq1], b.comps[ip2, iq2]), out=out[ip, iq])
+    return MatrixFormField(a.base, p, q, out)
 
 
 def _hom_d(flat, x: MatrixFormField, left: MatrixFormField,
@@ -346,66 +352,42 @@ def _contract_slots(diagonal: list[np.ndarray]) -> np.ndarray:
     return -2j * acc
 
 
-# -- inner products, norms, integration -------------------------------------------
+# -- norms, integration -----------------------------------------------------------
 
 
-def _endo_inner(a: np.ndarray, b: np.ndarray, H: np.ndarray | None,
-                Hc_inv: np.ndarray | None) -> np.ndarray:
-    """Pointwise tr(a b^{*}) with the metric adjoint b^{*} = Hc_inv b^dag H.
-
-    The trace tr(x y) of x = a Hc_inv and y = b^dag H is summed over the
-    entry pairs x_ik y_ki in (i, k) order.
-    """
-    x = a if Hc_inv is None else mm(a, Hc_inv)
-    y = dagger(b) if H is None else mm(dagger(b), H)
-    rows, cols = x.shape[-2:]
-    acc = x[..., 0, 0] * y[..., 0, 0]
-    for i, k in itertools.product(range(rows), range(cols)):
-        if i or k:
-            acc += x[..., i, k] * y[..., k, i]
-    return acc
-
-
-def pointwise_inner(a: MatrixFormField, b: MatrixFormField,
+def _norm2_of_slots(slots, weight: float, shape: tuple[int, ...],
                     H: HermitianMetric | None = None) -> np.ndarray:
-    """Pointwise Hermitian inner product <a, b>_H as a complex grid field.
-
-    Form indices carry the flat metric with |dz^i|^2 = 2. Endomorphism
-    values use the metric H (identity when None) on both factors, which
-    reads the metric's cached inverse H.inv; a Hom block, taken between
-    orthonormal frames, takes no metric.
-    """
-    if (a.p, a.q, a.rows, a.cols) != (b.p, b.q, b.rows, b.cols):
-        raise ValueError("inner product needs matching degrees and block shape")
-    Hc_inv = None if H is None else H.inv
-    H_row = None if H is None else H.mat
-    weight = 2.0 ** (a.p + a.q)
-    acc = np.zeros(a.base.shape, np.complex128)
-    for ip in range(a.comps.shape[0]):
-        for iq in range(a.comps.shape[1]):
-            acc += _endo_inner(a.comps[ip, iq], b.comps[ip, iq], H_row, Hc_inv)
-    return weight * acc
-
-
-def pointwise_norm2(a: MatrixFormField, H: HermitianMetric | None = None) -> np.ndarray:
-    """Pointwise |a|^2_H as a real grid field."""
-    return np.real(pointwise_inner(a, a, H))
-
-
-def _norm2_of_slots(slots, weight: float, shape: tuple[int, ...]) -> np.ndarray:
-    """pointwise_norm2, without a metric, of a form of weight 2^(p+q) on the
-    grid shape, from its components in (ip, iq) order: each is reduced as
-    slots yields it, with the sums of pointwise_inner in their order, so no
-    form is assembled and the result is the same to the bit. A component
-    yielded again at once (the same array) is reduced once and added
-    again."""
+    """Pointwise |.|^2_H of a form of weight 2^(p+q) on the grid shape from
+    its components in (ip, iq) order, each reduced as slots yields it, so no
+    form is assembled: tr(x y) with x = c H^{-1} (the cached H.inv) and
+    y = c^dag H, summed over the pairs x_ik y_ki in (i, k) order. Under no
+    metric or the unit metric x = c and y = c^dag, with no product. A
+    component yielded again at once (the same array) is reduced once and
+    added again."""
+    plain = H is None or H.unit
     acc = np.zeros(shape, np.complex128)
     last = reduced = None
     for c in slots:
         if c is not last:
-            last, reduced = c, _endo_inner(c, c, None, None)
+            x = c if plain else mm(c, H.inv)
+            y = dagger(c) if plain else mm(dagger(c), H.mat)
+            last, reduced = c, x[..., 0, 0] * y[..., 0, 0]
+            for i, k in itertools.product(*map(range, x.shape[-2:])):
+                if i or k:
+                    reduced += x[..., i, k] * y[..., k, i]
         acc += reduced
     return np.real(weight * acc)
+
+
+def pointwise_norm2(a: MatrixFormField, H: HermitianMetric | None = None) -> np.ndarray:
+    """Pointwise |a|^2_H as a real grid field.
+
+    Form indices carry the flat metric with |dz^i|^2 = 2. Endomorphism
+    values use the metric H (identity when None) on both factors; a Hom
+    block, taken between orthonormal frames, takes no metric.
+    """
+    return _norm2_of_slots((c for row in a.comps for c in row),
+                           2.0 ** (a.p + a.q), a.base.shape, H)
 
 
 def integrate(s: np.ndarray | float, base: TorusBase) -> float:
@@ -423,12 +405,6 @@ def _sup(norm2: np.ndarray) -> float:
 
 def sup_norm(a: MatrixFormField, H: HermitianMetric | None = None) -> float:
     return _sup(pointwise_norm2(a, H))
-
-
-def _sup_of_parts(fields, H: HermitianMetric | None = None) -> float:
-    """sup |.|_H of the sum of fields of distinct bidegrees, which are
-    orthogonal: their pointwise |.|^2_H are summed in order."""
-    return _sup(sum(pointwise_norm2(f, H) for f in fields))
 
 
 def tr_field(a: MatrixFormField) -> MatrixFormField:

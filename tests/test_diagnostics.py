@@ -106,7 +106,9 @@ def test_topological_integrals_builds_one_chern_curvature(monkeypatch,
 
 @pytest.mark.parametrize("n, calls", [(1, 1), (2, 3)])
 def test_flatness_certificate_takes_each_part_norm_once(n, calls, monkeypatch):
-    import higgsflow.diagnostics
+    # the certificate reads Curvature.norm2, which takes each part's norm
+    # once, in geometry, and keeps it for the total
+    import higgsflow.geometry
     import higgsflow.grid
     from higgsflow import Curvature, sup_norm
     st = random_valid_state(TorusBase(n, 8), 2, 3)
@@ -120,7 +122,7 @@ def test_flatness_certificate_takes_each_part_norm_once(n, calls, monkeypatch):
         count[0] += 1
         return original(*args, **kwargs)
 
-    for module in (higgsflow.grid, higgsflow.diagnostics):
+    for module in (higgsflow.grid, higgsflow.geometry):
         monkeypatch.setattr(module, "pointwise_norm2", counting)
     cert = flatness_certificate(st, 1.0)
     assert count[0] == calls

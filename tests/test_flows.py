@@ -293,6 +293,18 @@ def test_a_sample_just_below_the_end_still_ends_the_run_at_the_end(fixed):
     assert res.trace.t[-1] == T
 
 
+@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("T", [5e-13, 1e-12])
+def test_a_run_within_the_landing_tolerance_still_steps_to_T(T, fixed):
+    # the schedule is the one stop rule: a run to T in (0, 1e-12] takes
+    # one step, to T, and a run to T = 0 takes none
+    st = nilpotent_state(8)
+    for run in (run_donaldson_flow, run_ymh_flow):
+        res = run(st, T, 1e-3, fixed_dt=fixed)
+        assert (res.trace.t, res.steps) == ([0.0, T], 1)
+        assert run(st, 0.0, 1e-3, fixed_dt=fixed).steps == 0
+
+
 def test_blowup_carries_last_healthy_state(break_expm):
     from higgsflow.flows import FlowBlowup
     st = build_scenario("conformal-r1")

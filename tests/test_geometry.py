@@ -359,6 +359,34 @@ def test_a_unit_metric_reads_every_adjoint_as_a_dagger(n, monkeypatch):
                 Curvature(state).deviation().comps.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_norm2_is_the_norm_of_each_part(n, seed):
+    # Curvature.norm2 is pointwise_norm2 of the part, to the bit, at n = 1
+    # and under a non-unit metric. Under the unit metric at n = 2 the (1,1)
+    # norm reads slot (1, 0) as the dagger of slot (0, 1): it is within
+    # 1e-15 of its max, with no part11 assembled and slot (1, 0) never built
+    from higgsflow.grid import pointwise_norm2
+    st = random_valid_state(TorusBase(n, 8), 3, seed)
+    unit = HiggsBundleState(st.structure,
+                            HermitianMetric.identity(st.base, st.rank))
+    assert not st.metric.unit
+    for state in (st, unit):
+        hs = Curvature(state)
+        got = {key: hs.norm2(key) for key in hs.bidegrees}
+        assert all(hs.norm2(key) is norm for key, norm in got.items())  # kept
+        assert not any(norm.flags.writeable for norm in got.values())
+        if state is unit:
+            assert {"f11", "bracket", "part11"}.isdisjoint(vars(hs))
+            assert [(i, j) for _, i, j in hs._kept if i > j] == []
+        for key, part in hs.parts.items():
+            want = pointwise_norm2(part, state.metric)
+            if state is unit and n == 2 and key == (1, 1):
+                assert np.abs(got[key] - want).max() <= 1e-15 * want.max()
+            else:
+                assert got[key].tobytes() == want.tobytes(), key
+
+
 @pytest.mark.parametrize("n, rank", [(1, 1), (1, 3), (2, 2)])
 def test_the_unit_metric_is_one_read_only_object_and_its_own_frame(n, rank):
     # one unit metric per grid and rank, shared by every unit-metric state:

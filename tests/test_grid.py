@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from higgsflow import (HermitianMetric, MatrixFormField, TorusBase,
                        d_flat, dbar_flat, integrate, integrate_top_form,
-                       pointwise_inner, pointwise_norm2, sup_norm, tr_field,
-                       wedge)
-from higgsflow.grid import (_combs, _contract_slots, _dz_component,
-                            _endo_inner, _hom_d, _periodic_diff, _wedge_table)
+                       pointwise_norm2, sup_norm, tr_field, wedge)
+from higgsflow.grid import (_combs, _contract_slots, _dz_component, _hom_d,
+                            _periodic_diff, _wedge_table)
 from higgsflow.linalg import _store_axes, _trailing_array
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
@@ -160,6 +159,40 @@ def test_wedge_with_zero_is_zero():
     A = MatrixFormField.constant(base, E12, p=1, q=0, index=((0,), ()))
     Z = MatrixFormField.zeros(base, 0, 1, 2)
     assert sup_norm(wedge(A, Z)) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_wedge_equals_the_zero_filled_sum_to_the_bit(n):
+    # each slot starts from its first term, 0.0 +- term, and adds or
+    # subtracts the later ones in place: the bytes of the zero-filled sum
+    # 0 + (+-1) term + ..., signed zeros included
+    from higgsflow.linalg import mm
+    rng = np.random.default_rng(7 + n)
+    base = TorusBase(n, 8)
+
+    def operand(p, q, rows, cols):
+        f = _random_field(rng, base, p, q, rows, cols)
+        c = f.comps
+        # exact zeros of both signs in every component, and one component
+        # that is all -0.0
+        c.real[rng.random(c.shape) < 0.3] = 0.0
+        c.imag[rng.random(c.shape) < 0.3] = -0.0
+        c[(0,) * (c.ndim - 2)] = complex(-0.0, -0.0)
+        return f
+
+    for pa, qa, pb, qb in itertools.product(range(n + 1), repeat=4):
+        if pa + pb > n or qa + qb > n:
+            continue
+        a, b = operand(pa, qa, 2, 3), operand(pb, qb, 3, 2)
+        want = MatrixFormField.zeros(base, pa + pb, qa + qb, 2, 2)
+        cross = -1 if (qa * pb) % 2 else 1
+        for ip1, ip2, ip, sp in _wedge_table(n, pa, pb):
+            for iq1, iq2, iq, sq in _wedge_table(n, qa, qb):
+                want.comps[ip, iq] += (cross * sp * sq) * \
+                    mm(a.comps[ip1, iq1], b.comps[ip2, iq2])
+        got = wedge(a, b)
+        assert np.ascontiguousarray(got.comps).tobytes() == \
+            np.ascontiguousarray(want.comps).tobytes(), (pa, qa, pb, qb)
 
 
 def lambda_of(f):
@@ -398,13 +431,13 @@ def test_degree_raising_equals_the_zero_filled_sum_with_its_signed_zeros(p, q):
 
 
 def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):
+    # pointwise_norm2 is the pointwise inner product <a, a>_H
     import higgsflow.geometry
     from higgsflow.linalg import dagger, inv
     rng = np.random.default_rng(3)
     base = TorusBase(2, 8)
     shape = (2, 2) + base.shape + (2, 2)
     a = MatrixFormField(base, 1, 1, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    b = MatrixFormField(base, 1, 1, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     x = rng.standard_normal(base.shape + (2, 2)) + 1j * rng.standard_normal(base.shape + (2, 2))
     H = np.eye(2) + x @ dagger(x)
 
@@ -414,14 +447,14 @@ def test_pointwise_inner_inverts_the_column_metric_once(monkeypatch):
     monkeypatch.setattr(higgsflow.geometry, "inv",
                         lambda m: calls.append(m) or inv(m))
     metric = HermitianMetric(base, H)
-    got = pointwise_inner(a, b, metric)
-    assert np.array_equal(pointwise_inner(a, b, metric), got)
+    got = pointwise_norm2(a, metric)
+    assert np.array_equal(pointwise_norm2(a, metric), got)
     assert len(calls) == 1
-    # per-component reference: tr(a H^{-1} b^dag H), summed in component order
+    # per-component reference: tr(a H^{-1} a^dag H), summed in component order
     acc = np.zeros(base.shape, np.complex128)
     for ip, iq in itertools.product(range(2), range(2)):
         acc += np.einsum("...ij,...jk,...kl,...li->...", a.comps[ip, iq], inv(H),
-                         dagger(b.comps[ip, iq]), H)
+                         dagger(a.comps[ip, iq]), H)
     expected = 4.0 * acc
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -438,8 +471,9 @@ def _blocks_in_a_metric(draw):
 @given(_blocks_in_a_metric())
 def test_a_norm_in_a_metric_equals_the_explicit_inverse_result(case):
     # the norm reads the metric's cached inverse: the same bits as
-    # inverting the metric on the spot
-    from higgsflow.linalg import dagger, inv
+    # inverting the metric on the spot. Per component c, tr(x y) with
+    # x = c H^{-1} and y = c^dag H, summed over x_ik y_ki in (i, k) order
+    from higgsflow.linalg import dagger, inv, mm
     n, rank, p, q, seed = case
     rng = np.random.default_rng(seed)
     base = TorusBase(n, 8)
@@ -450,9 +484,18 @@ def test_a_norm_in_a_metric_equals_the_explicit_inverse_result(case):
     H = metric.mat
     acc = np.zeros(base.shape, np.complex128)
     for ip, iq in itertools.product(*map(range, f.comps.shape[:2])):
-        acc += _endo_inner(f.comps[ip, iq], f.comps[ip, iq], H, inv(H))
+        c = f.comps[ip, iq]
+        x, y = mm(c, inv(H)), mm(dagger(c), H)
+        tr = x[..., 0, 0] * y[..., 0, 0]
+        for i, k in itertools.product(range(rank), repeat=2):
+            if i or k:
+                tr += x[..., i, k] * y[..., k, i]
+        acc += tr
     assert np.array_equal(pointwise_norm2(f, metric),
                           np.real(2.0 ** (p + q) * acc))
+    # under the unit metric the norm takes no product by I: that of no metric
+    unit = HermitianMetric.identity(base, rank)
+    assert pointwise_norm2(f, unit).tobytes() == pointwise_norm2(f).tobytes()
 
 
 @pytest.mark.parametrize("bar", [False, True])
@@ -566,26 +609,26 @@ def test_form_calculus_keeps_trailing_storage(n):
     # a metric weighs square blocks only
     if rows == cols or not weighted])
 def test_pointwise_inner_matches_the_einsum_reference(n, rows, cols, weighted):
+    # pointwise_norm2 is the pointwise inner product <a, a>_H
     from higgsflow.linalg import dagger, inv
     rng = np.random.default_rng(100 * n + 10 * rows + cols)
     base = TorusBase(n, 8)
     a = _random_field(rng, base, 1, 1, rows, cols)
-    b = _random_field(rng, base, 1, 1, rows, cols)
     H = None
     if weighted:
         x = rng.standard_normal(base.shape + (rows, rows)) \
             + 1j * rng.standard_normal(base.shape + (rows, rows))
         H = np.eye(rows) + x @ dagger(x)
     # the reference reads C-contiguous copies, the layout before
-    # grid-trailing storage: tr(a Hc^{-1} b^dag H) per component
+    # grid-trailing storage: tr(a H^{-1} a^dag H) per component
     acc = np.zeros(base.shape, np.complex128)
     for ip, iq in itertools.product(range(n), range(n)):
-        ca, cb = (np.ascontiguousarray(f.comps[ip, iq]) for f in (a, b))
+        ca = np.ascontiguousarray(a.comps[ip, iq])
         if H is None:
-            acc += np.einsum("...ij,...ji->...", ca, dagger(cb))
+            acc += np.einsum("...ij,...ji->...", ca, dagger(ca))
         else:
             acc += np.einsum("...ij,...jk,...kl,...li->...", ca, inv(H),
-                             dagger(cb), H)
-    expected = 4.0 * acc
-    got = pointwise_inner(a, b, None if H is None else HermitianMetric(base, H))
+                             dagger(ca), H)
+    expected = np.real(4.0 * acc)
+    got = pointwise_norm2(a, None if H is None else HermitianMetric(base, H))
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
