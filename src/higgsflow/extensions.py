@@ -169,8 +169,7 @@ def _block(H: HermitianMetric, U: np.ndarray, f: MatrixFormField,
 
 def _dbar_of_frame(a: MatrixFormField, U: np.ndarray) -> MatrixFormField:
     """dbar_E applied to the columns of a frame: dbar(U) + a U."""
-    Uf = MatrixFormField(a.base, 0, 0, U[None, None])
-    return dbar_flat(Uf) + wedge(a, Uf)
+    return _hom_d(dbar_flat, MatrixFormField(a.base, 0, 0, U[None, None]), a)
 
 
 def _restricted(state: HiggsBundleState, U: np.ndarray,

@@ -153,7 +153,8 @@ def _gauged(state: HiggsBundleState, g: np.ndarray, g_inv: np.ndarray,
     gauge g with inverse g_inv."""
     dbar_g = dbar_flat(MatrixFormField(state.base, 0, 0, g[None, None]))
     a, phi = state.structure.a, state.structure.phi
-    a_new = a.sandwich(g, g_inv) - dbar_g.sandwich(None, g_inv)
+    a_new = a.sandwich(g, g_inv)
+    a_new.comps -= mm(dbar_g.comps, g_inv)
     return HiggsBundleState(HiggsStructure(a_new, phi.sandwich(g, g_inv)), metric)
 
 

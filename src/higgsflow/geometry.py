@@ -30,8 +30,9 @@ __all__ = [
 class HermitianMetric:
     """Grid of Hermitian positive-definite r x r matrices.
 
-    mat has shape (*grid, r, r) and is a view of one C-contiguous complex
-    array of shape (r, r, *grid), as MatrixFormField.comps is. Positivity is
+    mat has shape (*grid, r, r): a read-only view (frame and inv cannot go
+    stale) of one C-contiguous complex array of shape (r, r, *grid), a copy
+    unless the caller's array is one, which is then frozen. Positivity is
     checked once, here: a ValueError counts the non-finite blocks, or else
     gives the smallest eigenvalue.
 
@@ -54,6 +55,7 @@ class HermitianMetric:
         if mat.shape[:-2] != self.base.shape or mat.shape[-1] != mat.shape[-2]:
             raise ValueError(f"metric array shape {mat.shape} does not match the grid")
         self.mat = _trailing(mat)
+        self.mat.flags.writeable = False
         try:
             if is_positive_definite(self.mat):
                 return
@@ -74,7 +76,6 @@ class HermitianMetric:
         own inverse and its own frame: no inverse or root of I is taken."""
         metric = cls(base, np.broadcast_to(np.eye(rank, dtype=np.complex128),
                                            base.shape + (rank, rank)))
-        metric.mat.flags.writeable = False
         metric.unit = True
         metric.inv, metric.frame = metric.mat, (metric.mat, metric.mat)
         return metric
@@ -102,7 +103,7 @@ class HermitianMetric:
         return inv(self.mat)
 
     def as_field(self) -> MatrixFormField:
-        """H as a (0,0) form, for reading only: a view of a writable mat."""
+        """H as a (0,0) form: a copy, since mat is read-only."""
         return MatrixFormField(self.base, 0, 0, self.mat[None, None])
 
 
@@ -170,7 +171,7 @@ def validate_structure(s: HiggsStructure, tol: float | None = None) -> ValidityR
     holo = sup_norm(_hom_d(dbar_flat, phi, a, a))
     integ = symm = 0.0
     if s.base.n >= 2:
-        integ = sup_norm(dbar_flat(a) + wedge(a, a))
+        integ = sup_norm(_hom_d(dbar_flat, a, a))
         symm = sup_norm(wedge(phi, phi))
     return ValidityReport(integ, holo, symm, tol,
                           valid=max(integ, holo, symm) <= tol)
@@ -296,14 +297,14 @@ class Curvature:
     def f20(self) -> MatrixFormField | None:
         if self.state.base.n < 2:
             return None
-        return d_flat(self.b) + wedge(self.b, self.b)
+        return _hom_d(d_flat, self.b, self.b)
 
     @cached_property
     def f02(self) -> MatrixFormField | None:
         if self.state.base.n < 2:
             return None
         a = self.state.structure.a
-        return dbar_flat(a) + wedge(a, a)
+        return _hom_d(dbar_flat, a, a)
 
     @cached_property
     def bracket(self) -> MatrixFormField:

@@ -330,15 +330,17 @@ def wedge(a: MatrixFormField, b: MatrixFormField) -> MatrixFormField:
 
 
 def _hom_d(flat, x: MatrixFormField, left: MatrixFormField,
-           right: MatrixFormField) -> MatrixFormField:
-    """The covariant derivative flat(x) + left ^ x -+ x ^ right of a
-    Hom(right, left)-valued form x, + for odd degree and - for even: with
-    d_flat and (1,0) connection forms the (1,0) part of the induced
-    connection, with dbar_flat and (0,1) forms its (0,1) part."""
-    out = flat(x) + wedge(left, x)
-    if (x.p + x.q) % 2:
-        return out + wedge(x, right)
-    return out - wedge(x, right)
+           right: MatrixFormField | None = None) -> MatrixFormField:
+    """flat(x) + left ^ x -+ x ^ right, summed into flat(x)'s output: for x
+    Hom(right, left)-valued (+ for odd degree, - for even) the (1,0) or (0,1)
+    part of the induced connection; with no right, dbar_E of a frame, or for
+    x = left the curvature dbar(a) + a ^ a or d(b) + b ^ b."""
+    out = flat(x)
+    out.comps += wedge(left, x).comps
+    if right is not None:
+        (np.add if (x.p + x.q) % 2 else np.subtract)(
+            out.comps, wedge(x, right).comps, out=out.comps)
+    return out
 
 
 def _contract_slots(diagonal: list[np.ndarray]) -> np.ndarray:
@@ -346,8 +348,8 @@ def _contract_slots(diagonal: list[np.ndarray]) -> np.ndarray:
     of a (1,1) form by the Kahler form from its diagonal components a_ii
     alone, as one (*grid, rows, cols) array; the sum starts from zero and
     adds them in order. It makes Lambda(omega M) = n M."""
-    acc = _trailing_array(diagonal[0].shape, init=np.zeros)
-    for slot in diagonal:
+    acc = np.add(0.0, diagonal[0], out=_trailing_array(diagonal[0].shape))
+    for slot in diagonal[1:]:
         acc += slot
     return -2j * acc
 

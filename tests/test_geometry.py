@@ -9,8 +9,9 @@ from higgsflow import (HermitianMetric, HiggsBundleState, HiggsStructure,
                        sup_norm, validate_structure)
 from higgsflow.flows import einstein_deviation
 from higgsflow.grid import _contract_slots, d_flat, dbar_flat, wedge
-from higgsflow.scenarios import (build_scenario, random_valid_state,
-                                  scenario_catalog)
+from higgsflow.linalg import _trailing_array, dagger, hermitize, mm
+from higgsflow.scenarios import (build_scenario, random_state_with_subbundle,
+                                  random_valid_state, scenario_catalog)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
 E21 = E12.T.copy()
@@ -425,6 +426,35 @@ def test_validity_residuals_equal_those_of_the_assembled_forms(n):
         symm = sup_norm(wedge(phi, phi)) if n == 2 else 0.0
         assert [x.hex() for x in (rep.integrability, rep.holomorphy, rep.symmetry)] \
             == [x.hex() for x in (integ, holo, symm)]
+
+
+def test_an_n2_validation_sums_its_wedges_into_the_flat_derivatives(monkeypatch):
+    # holomorphy takes dbar(phi) and two wedges, integrability dbar(a) and
+    # one wedge, symmetry one wedge: six fields, each wedge summed in place
+    st, _ = random_state_with_subbundle(TorusBase(2, 8), 2, 1, 3, amplitude=0.0015)
+    made = []
+    init = MatrixFormField.__init__
+    monkeypatch.setattr(MatrixFormField, "__init__",
+                        lambda self, *args: made.append(1) or init(self, *args))
+    validate_structure(st.structure)
+    assert len(made) == 6
+
+
+def test_a_metric_is_a_value_so_its_frame_and_inverse_cannot_go_stale():
+    base = TorusBase(1, 16)
+    L = random_valid_state(base, 2, 3).metric.frame[0]
+    H = HermitianMetric.from_frame(base, L)
+    frame, H_inv, before = H.frame, H.inv, H.mat.copy()
+    for write in (lambda m: m.__imul__(4.0), lambda m: m.__setitem__((0, 0), 4.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write(H.mat)
+    assert H.mat.tobytes() == before.tobytes()
+    assert hermitize(mm(dagger(L), L)).tobytes() == H.mat.tobytes()
+    assert H.frame is frame and H.inv is H_inv
+    # a grid-trailing array that the constructor keeps is frozen with it
+    mat = _trailing_array(base.shape + (2, 2))
+    mat[...] = 2.0 * np.eye(2)
+    assert HermitianMetric(base, mat).mat is mat and not mat.flags.writeable
 
 
 def _assert_contracted_deviation_is_exact(state):

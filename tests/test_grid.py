@@ -498,17 +498,26 @@ def test_a_norm_in_a_metric_equals_the_explicit_inverse_result(case):
     assert pointwise_norm2(f, unit).tobytes() == pointwise_norm2(f).tobytes()
 
 
+def _with_signed_zeros(f):
+    """f with its first block row multiplied by 0.0: zeros of both signs."""
+    f.comps[..., 0, :] *= 0.0
+    return f
+
+
 @pytest.mark.parametrize("bar", [False, True])
 def test_the_covariant_derivative_is_the_form_calculus_with_a_graded_sign(bar):
     # on Hom(right, left)-valued forms, flat(x) + left ^ x + x ^ right for x
-    # of odd degree and flat(x) + left ^ x - x ^ right for even, to the bit
+    # of odd degree and flat(x) + left ^ x - x ^ right for even, to the bit;
+    # with no right, flat(x) + left ^ x: dbar_E of a 3x2 frame, and for
+    # x = left the curvature dbar(a) + a ^ a (or d(b) + b ^ b)
     rng = np.random.default_rng(7 + bar)
     base = TorusBase(2, 8)
     flat = dbar_flat if bar else d_flat
     p, q = (0, 1) if bar else (1, 0)
-    left, right = (_random_field(rng, base, p, q, r, r) for r in (3, 2))
+    left, right = (_with_signed_zeros(_random_field(rng, base, p, q, r, r))
+                   for r in (3, 2))
     for xp, xq in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        x = _random_field(rng, base, xp, xq, 3, 2)
+        x = _with_signed_zeros(_random_field(rng, base, xp, xq, 3, 2))
         expected = flat(x) + wedge(left, x)
         if xp + xq == 1:
             expected = expected + wedge(x, right)
@@ -518,6 +527,29 @@ def test_the_covariant_derivative_is_the_form_calculus_with_a_graded_sign(bar):
         assert (got.p, got.q, got.rows, got.cols) == \
             (expected.p, expected.q, 3, 2)
         assert got.comps.tobytes() == expected.comps.tobytes()
+    frame = _with_signed_zeros(_random_field(rng, base, 0, 0, 3, 2))
+    for x in (frame, left):
+        expected = flat(x) + wedge(left, x)
+        got = _hom_d(flat, x, left)
+        assert (got.p, got.q, got.rows, got.cols) == \
+            (expected.p, expected.q, 3, x.cols)
+        assert got.comps.tobytes() == expected.comps.tobytes()
+
+
+def test_the_covariant_derivative_sums_into_the_flat_derivative():
+    # the wedge terms are added into flat(x)'s own output: no fresh field
+    rng = np.random.default_rng(11)
+    base = TorusBase(2, 8)
+    a, phi = _random_field(rng, base, 0, 1, 2, 2), _random_field(rng, base, 1, 0, 2, 2)
+    made = []
+
+    def flat(x):
+        made.append(dbar_flat(x))
+        return made[-1]
+
+    for args in ((phi, a, a), (a, a)):
+        got = _hom_d(flat, *args)
+        assert got is made[-1]
 
 
 # -- grid-trailing storage ------------------------------------------------------

@@ -83,7 +83,8 @@ def test_a_flow_built_state_roundtrips_to_the_same_bytes(tmp_path):
 
 def test_zero_forms_view_their_arrays_and_save_as_copies_do(tmp_path):
     st, sub = random_state_with_subbundle(TorusBase(1, 16), 3, 1, seed=5)
-    assert np.shares_memory(st.metric.as_field().comps, st.metric.mat)
+    # the metric's mat is read-only, so its field is a writable copy
+    assert not np.shares_memory(st.metric.as_field().comps, st.metric.mat)
     assert np.shares_memory(sub.as_field(st.base).comps, sub.projector)
     save_state(st, tmp_path / "view.snap")
     copied = MatrixFormField(st.base, 0, 0, st.metric.mat[None, None].copy())
@@ -212,7 +213,9 @@ def test_loaded_fields_are_writable(tmp_path):
     path, _ = _valid_snapshot(tmp_path)
     st = load_state(path)
     st.structure.phi.comps[0, 0, 0, 0] += 1.0
-    st.metric.mat[0, 0] *= 2.0
+    # a metric is a value: its cached frame and inverse must not go stale
+    with pytest.raises(ValueError, match="read-only"):
+        st.metric.mat[0, 0] *= 2.0
 
 
 @functools.cache
