@@ -98,12 +98,7 @@ def _config(args) -> dict:
 
 
 def _json_dump(obj, path: Path) -> None:
-    def default(x):
-        if isinstance(x, (np.floating, np.integer)):
-            return float(x)
-        raise TypeError(f"not serializable: {type(x)}")
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1, default=default)
-                    + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def _load_state_from(cfg, declarations: bool = False):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -138,8 +137,7 @@ def _quotient_frames(H: HermitianMetric, subs: list[HiggsSubbundle]):
     The frames are yielded one level at a time.
     """
     r = H.rank
-    eye = _trailing(np.broadcast_to(np.eye(r, dtype=np.complex128),
-                                    H.base.shape + (r, r)))
+    eye = HermitianMetric.identity(H.base, r).mat
     prev_frame, prev_proj, prev_rank = None, np.zeros_like(eye), 0
     for pi, rank in [(sub.projector, sub.rank) for sub in subs] + [(eye, r)]:
         # nested H-orthogonal projectors commute, so pi - prev is again an
@@ -191,8 +189,8 @@ class ExtensionData:
     In the H-orthonormal frames the induced metrics are the identity, so
     block norms are plain and the adjoints of gamma and zeta are conjugate
     transposes. factors holds the curvatures of S and Q, restricted to their
-    frames (_restricted); their parts and the Hom adjoints are built on
-    first use and then shared.
+    frames (_restricted); their parts are built on first use and then
+    shared.
     """
 
     frame_s: np.ndarray
@@ -201,19 +199,6 @@ class ExtensionData:
     zeta: MatrixFormField       # (1,0), Hom(Q,S)
     factors: tuple[Curvature, Curvature]
     subbundle: SubbundleReport  # the gate, with the lower-left residuals
-
-    @property
-    def rank_s(self) -> int:
-        return self.frame_s.shape[-1]
-
-    @property
-    def rank_q(self) -> int:
-        return self.frame_q.shape[-1]
-
-    @cached_property
-    def hom_adjoints(self) -> tuple[MatrixFormField, MatrixFormField]:
-        """gamma* of type (1,0) and zeta* of type (0,1), both Hom(S,Q)."""
-        return adjoint_field(self.gamma), adjoint_field(self.zeta)
 
 
 def split_extension(state: HiggsBundleState, sub: HiggsSubbundle) -> ExtensionData:
@@ -298,14 +283,15 @@ def _extension_parts(ext: ExtensionData) -> tuple[dict, ...]:
     induced connections. Under the metric diag(Id_S, Id_Q / rho^2), in
     frames orthonormal for it, the curvature is A + rho^2 B + rho C.
     """
-    s, q = ext.rank_s, ext.rank_q
+    s, q = ext.frame_s.shape[-1], ext.frame_q.shape[-1]
     n = ext.gamma.base.n
     f_s, f_q = ext.factors
     (a_s, phi_s), (a_q, phi_q) = ((f.state.structure.a, f.state.structure.phi)
                                   for f in ext.factors)
     a_part = _blockdiag(f_s.parts, f_q.parts, s, q)
 
-    gamma_st, zeta_st = ext.hom_adjoints
+    # gamma* of type (1,0) and zeta* of type (0,1), both Hom(S,Q)
+    gamma_st, zeta_st = adjoint_field(ext.gamma), adjoint_field(ext.zeta)
     gpz = [ext.gamma, ext.zeta]           # gamma + zeta, of bidegrees (0,1), (1,0)
     zmg_st = [zeta_st, -gamma_st]         # zeta* - gamma*, the same
     b_part = _blockdiag(_collect(_wedges(gpz, zmg_st)),

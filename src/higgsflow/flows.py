@@ -291,14 +291,10 @@ class FlowTrace:
         for col in self.COLUMNS:
             getattr(self, col).append(float(row[col]))
 
-    def rows(self):
-        for k in range(len(self.t)):
-            yield [getattr(self, col)[k] for col in self.COLUMNS]
-
     def write_csv(self, path):
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(self.COLUMNS) + "\n")
-            for row in self.rows():
+            for row in zip(*(getattr(self, col) for col in self.COLUMNS)):
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
 
     def fitted_exponent(self, column: str) -> float | None:

@@ -34,7 +34,8 @@ class HermitianMetric:
     stale) of one C-contiguous complex array of shape (r, r, *grid), a copy
     unless the caller's array is one, which is then frozen. Positivity is
     checked once, here: a ValueError counts the non-finite blocks, or else
-    gives the smallest eigenvalue.
+    gives the smallest eigenvalue. Then mat must be Hermitian to 1e-12 of
+    its largest entry.
 
     frame is (L, L^{-1}) with L^dag L = H, built on first read and kept: L
     is the factor of a metric built as L^dag L (from_frame), else the
@@ -54,19 +55,22 @@ class HermitianMetric:
         mat = np.asarray(self.mat)
         if mat.shape[:-2] != self.base.shape or mat.shape[-1] != mat.shape[-2]:
             raise ValueError(f"metric array shape {mat.shape} does not match the grid")
-        self.mat = _trailing(mat)
-        self.mat.flags.writeable = False
+        self.mat = mat = _trailing(mat)
+        mat.flags.writeable = False
+        reason = None
         try:
-            if is_positive_definite(self.mat):
-                return
-            bad = np.count_nonzero(~np.isfinite(self.mat).all(axis=(-2, -1)))
-            if bad:
-                reason = f"{bad} non-finite blocks"
-            else:
-                reason = f"min eigenvalue {min_eigvalsh(self.mat):.3e}"
+            if not is_positive_definite(mat):
+                bad = np.count_nonzero(~np.isfinite(mat).all(axis=(-2, -1)))
+                reason = (f"{bad} non-finite blocks" if bad else
+                          f"min eigenvalue {min_eigvalsh(mat):.3e}")
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"metric not positive definite: {exc}") from exc
-        raise ValueError(f"metric not positive definite: {reason}")
+        if reason is not None:
+            raise ValueError(f"metric not positive definite: {reason}")
+        # positivity reads the Hermitian part alone, and so does frame, but
+        # inv inverts the whole matrix
+        if np.abs(mat - dagger(mat)).max() > 1e-12 * np.abs(mat).max():
+            raise ValueError("metric is not Hermitian")
 
     @classmethod
     @cache
@@ -199,8 +203,8 @@ class Curvature:
     Each part is built on first read and then kept: the Chern connection
     form b, phi^{*H}, the Chern curvature f11 (and f20, f02), the bracket
     [phi, phi^{*H}], part11 = f11 + bracket, del_H phi (2,0) and
-    dbar_E phi^{*H} (0,2). f11 and the bracket are assembled from their
-    slots (_slot); deviation() and degree read only the diagonal ones.
+    dbar_E phi^{*H} (0,2). f11, the bracket and part11 are assembled from
+    their slots (_slot); deviation() and degree read only the diagonal ones.
     The parts of degree (2,0) or (0,2) are None when n = 1; for valid
     inputs they vanish to truncation order, and they are computed, never
     assumed zero. Norms are taken in the state's metric, by norm2.
@@ -239,8 +243,8 @@ class Curvature:
         return adjoint_field(self.state.structure.phi, self.state.metric)
 
     def _slot(self, k: int, i: int, j: int) -> np.ndarray:
-        """Slot (i, j) of F_H (k = 0) or of [phi, phi^{*H}] (k = 1), built on
-        first read and kept.
+        """Slot (i, j) of F_H (k = 0), of [phi, phi^{*H}] (k = 1) or of their
+        sum (k = 2), built on first read and kept.
 
         Slot (i, j) of F_H is -dbar_j b_i + del_i a_j - a_j b_i + b_i a_j,
         and that of the bracket phi_i phi*_j - phi*_j phi_i: the terms of
@@ -271,17 +275,19 @@ class Curvature:
                     slot += _dz_component(a_j, base, i, False)
                 slot -= mm(a_j, b_i)
                 slot += mm(b_i, a_j)
-            else:
+            elif k == 1:
                 phi_i = self.state.structure.phi.comps[i, 0]
                 phistar_j = self.phistar.comps[0, j]
                 slot = mm(phi_i, phistar_j)
                 slot -= mm(phistar_j, phi_i)
+            else:
+                slot = self._slot(0, i, j) + self._slot(1, i, j)
             self._kept[k, i, j] = slot
         return self._kept[k, i, j]
 
     def _assemble(self, k: int) -> MatrixFormField:
-        """F_H (k = 0) or the bracket (k = 1) from its slots; each kept slot
-        then becomes a view into the assembled field."""
+        """F_H (k = 0), the bracket (k = 1) or part11 (k = 2) from its
+        slots; each kept slot then becomes a view into the assembled field."""
         base = self.state.base
         out = MatrixFormField.zeros(base, 1, 1, self.state.rank)
         for i, j in itertools.product(range(base.n), repeat=2):
@@ -314,7 +320,7 @@ class Curvature:
     @cached_property
     def part11(self) -> MatrixFormField:
         """F_H + [phi, phi^{*H}]."""
-        return self.f11 + self.bracket
+        return self._assemble(2)
 
     @cached_property
     def del_phi(self) -> MatrixFormField | None:
@@ -350,10 +356,8 @@ class Curvature:
         if key not in self._norm2:
             n, H = self.state.base.n, self.state.metric
             if key == (1, 1) and H.unit:
-                upper = {ij: self._slot(0, *ij) + self._slot(1, *ij) for ij
-                         in itertools.combinations_with_replacement(range(n), 2)}
-                norm = _norm2_of_slots((upper[min(ij), max(ij)] for ij in
-                                        itertools.product(range(n), repeat=2)),
+                norm = _norm2_of_slots((self._slot(2, min(ij), max(ij)) for ij
+                                        in itertools.product(range(n), repeat=2)),
                                        4.0, self.state.base.shape)
             else:
                 norm = pointwise_norm2(getattr(self, self._PARTS[key]), H)
@@ -380,8 +384,7 @@ class Curvature:
         in the metric's frame L (L^dag L = H), where its Hermitian part is
         taken, so positivity is exact.
         """
-        slots = [self._slot(0, i, i) + self._slot(1, i, i)
-                 for i in range(self.state.base.n)]
+        slots = [self._slot(2, i, i) for i in range(self.state.base.n)]
         return MatrixFormField(self.state.base, 0, 0,
                                (_contract_slots(slots) * 1j)[None, None])
 

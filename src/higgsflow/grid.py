@@ -108,9 +108,6 @@ class TorusBase:
         shape[axis] = self.N
         return vals.reshape(shape)
 
-    def real_coords(self) -> list[np.ndarray]:
-        return [self.axis_coordinate(k) for k in range(2 * self.n)]
-
 
 class MatrixFormField:
     """Endomorphism- (or hom-) valued (p,q)-form sampled on the grid.
@@ -160,16 +157,9 @@ class MatrixFormField:
         """Constant field with a single nonzero component."""
         matrix = np.asarray(matrix, dtype=np.complex128)
         out = cls.zeros(base, p, q, matrix.shape[0], matrix.shape[1])
-        out.comps[out.pos_p(index[0]), out.pos_q(index[1])] = matrix
+        out.comps[_combs(base.n, p).index(tuple(index[0])),
+                  _combs(base.n, q).index(tuple(index[1]))] = matrix
         return out
-
-    # -- index bookkeeping -----------------------------------------------------
-
-    def pos_p(self, I: tuple[int, ...]) -> int:
-        return _combs(self.base.n, self.p).index(tuple(I))
-
-    def pos_q(self, J: tuple[int, ...]) -> int:
-        return _combs(self.base.n, self.q).index(tuple(J))
 
     # -- arithmetic --------------------------------------------------------------
 

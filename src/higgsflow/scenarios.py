@@ -49,22 +49,21 @@ def _constant_structure(base: TorusBase, rank: int,
                         ) -> HiggsStructure:
     a = MatrixFormField.zeros(base, 0, 1, rank)
     for j, m in (a_consts or {}).items():
-        a.comps[0, a.pos_q((j,))] = np.asarray(m, np.complex128)
+        a.comps[0, j] = np.asarray(m, np.complex128)
     phi = MatrixFormField.zeros(base, 1, 0, rank)
     for i, m in (phi_consts or {}).items():
-        phi.comps[phi.pos_p((i,)), 0] = np.asarray(m, np.complex128)
+        phi.comps[i, 0] = np.asarray(m, np.complex128)
     return HiggsStructure(a, phi)
 
 
 def _trig(base: TorusBase, waves: list[tuple[float, tuple[int, ...], float]]):
     """Real trig field sum_k amp * cos(2 pi k.x + phase)."""
-    coords = base.real_coords()
     out = np.zeros(base.shape)
     for amp, kvec, phase in waves:
         arg = np.zeros(base.shape)
         for ax, kk in enumerate(kvec):
             if kk:
-                arg = arg + 2.0 * np.pi * kk * coords[ax]
+                arg = arg + 2.0 * np.pi * kk * base.axis_coordinate(ax)
         out = out + amp * np.cos(arg + phase)
     return out
 
@@ -114,15 +113,13 @@ def _t4_commuting(base: TorusBase) -> HiggsBundleState:
 
 
 def _extension_sweep(base: TorusBase, gamma_amp: float = 0.0) -> HiggsBundleState:
-    """Flat line factors glued by zeta = dz, optionally with a varying gamma."""
-    a = MatrixFormField.zeros(base, 0, 1, 2)
+    """Flat line factors glued by zeta = dz (nilpotent-r2's structure),
+    optionally with a varying gamma."""
+    state = _constant_state(base, 2, _e(0, 1, 2))
     if gamma_amp:
         g = _trig(base, [(gamma_amp, (1,) + (0,) * (2 * base.n - 1), 0.0)])
-        a.comps[0, a.pos_q((0,))] = g[..., None, None] * _e(0, 1, 2)
-    phi = MatrixFormField.constant(base, _e(0, 1, 2), p=1, q=0,
-                                   index=((0,), ()))
-    return HiggsBundleState(HiggsStructure(a, phi),
-                            HermitianMetric.identity(base, 2))
+        state.structure.a.comps[0, 0] = g[..., None, None] * _e(0, 1, 2)
+    return state
 
 
 _CATALOG: list[Scenario] = [
@@ -247,17 +244,44 @@ def _commutant_structure(base: TorusBase, rank: int,
     return _constant_structure(base, rank, a_consts, phi_consts)
 
 
-def _random_state_and_gauge(base: TorusBase, rank: int, seed: int,
-                            amplitude: float):
-    """Common core: commuting constant seed, gauge transport, random metric.
+def random_valid_state(base: TorusBase, rank: int, seed: int,
+                       amplitude: float = 0.10) -> HiggsBundleState:
+    """Seeded random state satisfying the structure constraints.
 
-    The constant seed is a polynomial in the upper shift, hence every
-    coordinate flag level is invariant. The transporting factor is
-    sigma = Id + E g(x) with E^2 = 0, so sigma, its inverse and the metric
-    factors are exact trig polynomials: the state is band-limited and its
-    discrete residuals scale cleanly at second order. Validity is exact in
-    the continuum. Needs rank >= 2.
+    The structure is a random commuting constant family (validity is exact
+    and metric-independent); the metric is the exponential of a random
+    Hermitian trig field, which drives every curvature path. Deterministic
+    in (base, rank, seed, amplitude); re-sampling on a finer grid converges
+    to the same continuum state at second order.
     """
+    rng = np.random.default_rng(seed)
+    structure = _commutant_structure(base, rank, rng)
+
+    G = _trailing_array(base.shape + (rank, rank), init=np.zeros)
+    for _ in range(2):
+        h = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+        h = 0.5 * (h + dagger(h))
+        G = G + _grid_times(_random_trig(base, rng, amplitude), h)
+    H = HermitianMetric(base, expm_batched(G))
+    return HiggsBundleState(structure, H)
+
+
+def random_state_with_subbundle(base: TorusBase, rank: int, sub_rank: int,
+                                seed: int, amplitude: float = 0.08
+                                ) -> tuple[HiggsBundleState, HiggsSubbundle]:
+    """Seeded random (state, invariant sub-bundle) pair.
+
+    The commutant seed is a polynomial in the upper shift, so every
+    coordinate flag level is invariant; the seed is transported by a
+    complex gauge sigma, its transported span stays invariant for the
+    transported structure and is H-orthogonalized against a random metric.
+    sigma is a product of factors Id + E g(x) with E^2 = 0, so sigma, its
+    inverse and the metric factors are exact trig polynomials: the state is
+    band-limited and its discrete residuals scale cleanly at second order.
+    Validity is exact in the continuum.
+    """
+    if not (1 <= sub_rank < rank):
+        raise ValueError("need 1 <= sub_rank < rank")
     rng = np.random.default_rng(seed)
     seed_structure = _commutant_structure(base, rank, rng)
 
@@ -293,44 +317,6 @@ def _random_state_and_gauge(base: TorusBase, rank: int, seed: int,
     Cm = eye + 0.3 * (rng.standard_normal((rank, rank))
                       + 1j * rng.standard_normal((rank, rank))) / math.sqrt(rank)
     H = HermitianMetric(base, mm(mm(mm(dagger(Cm), L), dagger(L)), Cm))
-    state = HiggsBundleState(HiggsStructure(a_new, phi_new), H)
-    return state, sigma
-
-
-def random_valid_state(base: TorusBase, rank: int, seed: int,
-                       amplitude: float = 0.10) -> HiggsBundleState:
-    """Seeded random state satisfying the structure constraints.
-
-    The structure is a random commuting constant family (validity is exact
-    and metric-independent); the metric is the exponential of a random
-    Hermitian trig field, which drives every curvature path. Deterministic
-    in (base, rank, seed, amplitude); re-sampling on a finer grid converges
-    to the same continuum state at second order.
-    """
-    rng = np.random.default_rng(seed)
-    structure = _commutant_structure(base, rank, rng)
-
-    G = _trailing_array(base.shape + (rank, rank), init=np.zeros)
-    for _ in range(2):
-        h = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
-        h = 0.5 * (h + dagger(h))
-        G = G + _grid_times(_random_trig(base, rng, amplitude), h)
-    H = HermitianMetric(base, expm_batched(G))
-    return HiggsBundleState(structure, H)
-
-
-def random_state_with_subbundle(base: TorusBase, rank: int, sub_rank: int,
-                                seed: int, amplitude: float = 0.08
-                                ) -> tuple[HiggsBundleState, HiggsSubbundle]:
-    """Seeded random (state, invariant sub-bundle) pair.
-
-    The commutant seed is upper triangular, so the coordinate flag is
-    invariant; its transported span stays invariant for the transported
-    structure and is H-orthogonalized against the random metric.
-    """
-    if not (1 <= sub_rank < rank):
-        raise ValueError("need 1 <= sub_rank < rank")
-    state, sigma = _random_state_and_gauge(base, rank, seed, amplitude)
     # the transported coordinate span: the first sub_rank columns of sigma
-    sub = HiggsSubbundle.from_frame(state.metric, sigma[..., :, :sub_rank])
-    return state, sub
+    return (HiggsBundleState(HiggsStructure(a_new, phi_new), H),
+            HiggsSubbundle.from_frame(H, sigma[..., :, :sub_rank]))

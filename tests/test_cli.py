@@ -516,3 +516,63 @@ def test_contradictory_config_exits_2_and_writes_nothing(
     assert run_cli(verb, *argv) == 2
     assert reason in json.loads(capsys.readouterr().err)["error"]
     assert list(cwd.iterdir()) == []
+
+
+def _planted_failure(monkeypatch, name, exc):
+    import higgsflow.cli
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(higgsflow.cli, name, fail)
+
+
+@pytest.mark.parametrize("verb, argv, config, code, reason", [
+    # a config line without '='
+    ("validate", [], "scenario nilpotent-r2\n", 2,
+     "exp.cfg:1: expected 'key = value'"),
+    ("validate", [], None, 2, "config needs either scenario or state.file"),
+    ("verify-filtration", ["--scenario", "flat-trivial-r1"], None, 2,
+     "scenario 'flat-trivial-r1' declares no sub-bundle"),
+    # a runner that raises anything but FlowBlowup
+    ("run", ["--scenario", "nilpotent-r2", "--N", "8"], None, 3,
+     "flow failed: planted"),
+    # phi = e21 dz does not leave the declared span(e1) invariant
+    ("verify-filtration", ["--state-file", "LOWER", "--scenario",
+                           "nilpotent-r2"], None, 2,
+     "filtration rejected: filtration level 0 (rank 1) violates sub-bundle "
+     "invariants"),
+    ("flow-equivalence", ["--scenario", "nilpotent-r2", "--N", "8"], None, 3,
+     "flow-equivalence failed: planted"),
+])
+def test_each_rejection_exits_with_its_json_reason(verb, argv, config, code,
+                                                   reason, tmp_path,
+                                                   monkeypatch, capsys):
+    import numpy as np
+
+    from higgsflow import TorusBase, build_scenario, load_state, save_state
+    from higgsflow.scenarios import _constant_state
+    if "LOWER" in argv:
+        save_state(_constant_state(TorusBase(1, 8), 2, np.eye(2, k=-1)),
+                   tmp_path / "lower.snap")
+        argv = [str(tmp_path / "lower.snap") if a == "LOWER" else a for a in argv]
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "exp.cfg")]
+    _planted_failure(monkeypatch, "run_donaldson_flow", RuntimeError("planted"))
+    _planted_failure(monkeypatch, "flow_equivalence_check", ValueError("planted"))
+    out = tmp_path / "out"
+    if verb != "validate":
+        argv = argv + ["--out-dir", str(out)]
+    assert run_cli(verb, *argv) == code
+    err = json.loads(capsys.readouterr().err)
+    assert reason in err["error"]
+    if verb == "run":
+        # the start is saved
+        assert err["detail"]["snapshot"] == str(out / "last_healthy.snap")
+        saved, start = load_state(out / "last_healthy.snap"), \
+            build_scenario("nilpotent-r2", 8)
+        for x, y in ((saved.structure.a, start.structure.a),
+                     (saved.structure.phi, start.structure.phi)):
+            assert np.array_equal(x.comps, y.comps)
+        assert np.array_equal(saved.metric.mat, start.metric.mat)

@@ -9,7 +9,8 @@ from higgsflow import (HermitianMetric, HiggsSubbundle, TorusBase,
                        Curvature, invariant_section_check,
                        rho_sweep, scenario_subbundles, split_extension,
                        subbundle_report, sup_norm, verify_filtration)
-from higgsflow.scenarios import _extension_sweep, random_state_with_subbundle
+from higgsflow.scenarios import (_constant_state, _extension_sweep,
+                                 random_state_with_subbundle)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], np.complex128)
 
@@ -248,7 +249,7 @@ def test_unit_metric_adjoints_are_daggers_with_no_products(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "higgsflow" and getattr(module, "mm", None) is real:
             monkeypatch.setattr(module, "mm", lambda *a: calls.append(1) or real(*a))
-    adjoints = (*ext.hom_adjoints,
+    adjoints = (adjoint_field(ext.gamma), adjoint_field(ext.zeta),
                 adjoint_field(phi, HermitianMetric.identity(st.base, st.rank)))
     assert calls == []
     for f, adj in zip((ext.gamma, ext.zeta, phi), adjoints):
@@ -266,7 +267,8 @@ def test_restricted_states_carry_the_one_unit_metric(monkeypatch):
     subs = scenario_subbundles("chain-r3", st)
     for sub in subs:
         ext = split_extension(st, sub)
-        for f, rank in zip(ext.factors, (ext.rank_s, ext.rank_q)):
+        for f, rank in zip(ext.factors, (ext.frame_s.shape[-1],
+                                         ext.frame_q.shape[-1])):
             assert f.state.metric is HermitianMetric.identity(st.base, rank)
     metrics = []
     real = higgsflow.extensions._certificate
@@ -377,3 +379,36 @@ def test_gauss_codazzi_builds_each_chern_connection_once(monkeypatch):
     rho_sweep(st, sub, [0.5, 0.25])
     # each scaled metric
     assert ranks == [3, 3]
+
+
+def _zero_projector_metric():
+    # a rank-1 level whose projector is 0: its frame has no direction
+    st = build_scenario("nilpotent-r2", N=8)
+    sub = HiggsSubbundle(np.zeros(st.base.shape + (2, 2), np.complex128), 1)
+    return assemble_filtration_metric(st, [sub], 0.5)
+
+
+def _unnested_filtration():
+    # under phi = diag(1, -1, 0) dz, span(e3) and span(e1, e2) are both
+    # invariant, but the first does not lie in the second
+    st = _constant_state(TorusBase(1, 8), 3, np.diag([1.0, -1.0, 0.0]))
+    eye = np.eye(3, dtype=np.complex128)
+    return verify_filtration(st, [HiggsSubbundle.from_constant_span(st, eye[:, 2:]),
+                                  HiggsSubbundle.from_constant_span(st, eye[:, :2])],
+                             1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (_zero_projector_metric, "sub-bundle frame degenerates on the grid"),
+    (lambda: invariant_section_check(build_scenario("nilpotent-r2", N=8),
+                                     np.ones(2)),
+     "section shape (2,) does not match the grid"),
+    (lambda: invariant_section_check(build_scenario("nilpotent-r2", N=8),
+                                     np.zeros((8, 8, 2))),
+     "section is identically zero"),
+    (_unnested_filtration, "filtration levels 0 and 1 are not nested"),
+])
+def test_each_rejection_raises_with_its_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert message in str(info.value)

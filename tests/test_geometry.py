@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -539,3 +540,79 @@ def test_check_positive_turns_a_failed_eigensolve_into_a_value_error(monkeypatch
     mat = np.broadcast_to(np.diag([1.0, -1.0]).astype(complex), base.shape + (2, 2))
     with pytest.raises(ValueError, match="positive definite: Eigenvalues did not converge"):
         HermitianMetric(base, mat)
+
+
+def test_a_metric_that_is_not_hermitian_is_rejected():
+    # positive in its Hermitian part, which is all that positivity and the
+    # frame read; inv would invert the whole matrix
+    base = TorusBase(1, 8)
+    M = np.broadcast_to(np.array([[2.0, 0.9], [0.1, 1.0]], np.complex128),
+                        base.shape + (2, 2))
+    with pytest.raises(ValueError, match="metric is not Hermitian"):
+        HermitianMetric(base, M)
+    # the non-finite verdict comes first
+    bad = M.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="1 non-finite blocks"):
+        HermitianMetric(base, bad)
+
+
+def _structure_n8():
+    return build_scenario("nilpotent-r2", N=8).structure
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HermitianMetric(TorusBase(1, 8), np.ones((8, 8, 2, 3))),
+     "metric array shape (8, 8, 2, 3) does not match the grid"),
+    (lambda: HiggsStructure(_structure_n8().phi, _structure_n8().phi),
+     "a must be a (0,1)-form"),
+    (lambda: HiggsStructure(_structure_n8().a, _structure_n8().a),
+     "phi must be a (1,0)-form"),
+    (lambda: HiggsBundleState(_structure_n8(),
+                              HermitianMetric.identity(TorusBase(1, 16), 2)),
+     "metric grid does not match the structure"),
+])
+def test_each_rejection_raises_with_its_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert message in str(info.value)
+
+
+def _unit_n2_curvature():
+    st = build_scenario("t4-commuting", N=8)
+    return Curvature(HiggsBundleState(st.structure,
+                                      HermitianMetric.identity(st.base, 2)))
+
+
+def test_the_unit_norm_the_deviation_and_part11_read_one_kept_slot_sum(
+        monkeypatch):
+    # F_ij + [phi_i, phi*_j] is formed once per slot (_slot(2, i, j)): the
+    # unit-metric (1,1) norm keeps the upper slots, the deviation after it
+    # contracts the same diagonal arrays, and part11 is assembled from them
+    import higgsflow.geometry
+    curv = _unit_n2_curvature()
+    curv.norm2((1, 1))
+    contracted = []
+    real = higgsflow.geometry._contract_slots
+    monkeypatch.setattr(higgsflow.geometry, "_contract_slots",
+                        lambda slots: contracted.append(slots) or real(slots))
+    curv.deviation()
+    kept = [curv._kept[2, i, i] for i in range(2)]
+    assert len(contracted) == 1
+    assert all(x is y for x, y in zip(contracted[0], kept))
+    assert (2, 1, 0) not in curv._kept  # the norm reads (0, 1) for it
+    part = curv.part11
+    for i, j in itertools.product(range(2), repeat=2):
+        assert np.shares_memory(part.comps[i, j], curv._kept[2, i, j])
+    assert "f11" not in vars(curv) and "bracket" not in vars(curv)
+
+
+def test_part11_under_a_metric_builds_neither_f11_nor_the_bracket():
+    st = build_scenario("t4-commuting", N=8)
+    assert not st.metric.unit
+    curv = Curvature(st)
+    part = curv.part11
+    assert "f11" not in vars(curv) and "bracket" not in vars(curv)
+    # the same bytes as the sum of the two assembled fields
+    ref = Curvature(st)
+    assert np.array_equal(part.comps, (ref.f11 + ref.bracket).comps)

@@ -664,3 +664,21 @@ def test_pointwise_inner_matches_the_einsum_reference(n, rows, cols, weighted):
     expected = np.real(4.0 * acc)
     got = pointwise_norm2(a, None if H is None else HermitianMetric(base, H))
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda b: MatrixFormField.zeros(b, 0, 1, 2) + MatrixFormField.zeros(b, 1, 0, 2),
+     "field shapes/bidegrees do not match"),
+    (lambda b: wedge(MatrixFormField.zeros(b, 0, 0, 2),
+                     MatrixFormField.zeros(TorusBase(1, 16), 0, 0, 2)),
+     "fields live on different grids"),
+    (lambda b: wedge(MatrixFormField.zeros(b, 0, 0, 2),
+                     MatrixFormField.zeros(b, 0, 0, 3)),
+     "matrix blocks do not compose: 2x2 @ 3x3"),
+    (lambda b: integrate_top_form(MatrixFormField.zeros(b, 0, 0, 1)),
+     "top-form integration needs a scalar (n,n)-form"),
+])
+def test_each_rejection_raises_with_its_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call(TorusBase(1, 8))
+    assert message in str(info.value)

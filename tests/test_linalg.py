@@ -703,3 +703,15 @@ def test_positivity_verdict_survives_overflowing_minors(r):
         assert is_positive_definite(m) is True
         m[1, 2, :2, :2] = 1e308 * np.array([[0.5, 1.0], [1.0, 0.5]])
         assert is_positive_definite(m) is False
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: mm(np.zeros((4, 2, 3)), np.zeros((4, 2, 2))), ValueError,
+     "matrix blocks do not compose: (2, 3) @ (2, 2)"),
+    (lambda: inv(np.zeros((4, 2, 3))), np.linalg.LinAlgError,
+     "last 2 dimensions of the array must be square"),
+])
+def test_each_rejection_raises_with_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert message in str(info.value)

@@ -101,3 +101,9 @@ def test_random_subbundle_pair_invariants():
     assert rep.valid, asdict(rep)
     st2, sub2 = random_state_with_subbundle(base, 2, 1, seed=5, amplitude=0.01)
     assert np.array_equal(sub.projector, sub2.projector)
+
+
+@pytest.mark.parametrize("sub_rank", [0, 2])
+def test_each_rejection_raises_with_its_message(sub_rank):
+    with pytest.raises(ValueError, match=r"need 1 <= sub_rank < rank"):
+        random_state_with_subbundle(TorusBase(1, 8), 2, sub_rank, seed=0)

@@ -249,3 +249,34 @@ def test_corrupt_snapshots_fail_with_value_error(tmp_path_factory, rank, flips, 
         assert np.isfinite(arr).all()
     H = state.metric.mat
     assert np.abs(H - dagger(H)).max() <= 1e-12 * np.abs(H).max()
+
+
+def _hom_block_save(path):
+    # a 2x1 Hom block: snapshots hold square blocks only
+    _write_sections(path, [("a", MatrixFormField.zeros(TorusBase(1, 8), 0, 1, 2, 1))])
+
+
+def _version_2(path):
+    save_state(build_scenario("nilpotent-r2", N=8), path)
+    buf = bytearray(path.read_bytes())
+    # magic, section count, name length, name "a", then the version
+    buf[15:19] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(buf))
+    load_state(path)
+
+
+def _no_metric(path):
+    st = build_scenario("nilpotent-r2", N=8)
+    _write_sections(path, [("a", st.structure.a), ("phi", st.structure.phi)])
+    load_state(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (_hom_block_save, "snapshots store square-block fields"),
+    (_version_2, "unsupported snapshot version 2"),
+    (_no_metric, "state snapshot is missing sections ['H']"),
+])
+def test_each_rejection_raises_with_its_message(call, message, tmp_path):
+    with pytest.raises(ValueError) as info:
+        call(tmp_path / "state.snap")
+    assert message in str(info.value)
